@@ -14,8 +14,8 @@ weight functions
 
 which are ~ 1 for y well below the analytic conductor and collapse like
 (1 + y/t)^{-A} (resp. (1 + y/t^3)^{-A}) beyond it.  All contour integrals
-are evaluated on a shared discretized vertical line so that a whole vector
-of y values costs one matrix-vector product.
+go through quadrature.contour_kernel, so that a whole vector of y values
+costs one matrix-vector product.
 
 The degree-2 specialization with divisor-sum coefficients eta(l, r) =
 sum_{ad=l} (a/d)^{ir} reproduces |zeta(1/2 + ir)|^2.  Unlike the cuspidal
@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .heckegl3 import GL3Form, PolarFormError, coefficient_block, coefficient_row
-from .quadrature import NonDecayError, gauss_legendre_panels
+from .quadrature import ContourKernel, NonDecayError, contour_kernel
 from .special import (
     PoleError,
     _check_lrs,
@@ -129,68 +129,21 @@ def cosine_power_damper(spec: WeightSpec, u, kind: str = "gl2"):
 
 
 # ---------------------------------------------------------------------------
-# discretized vertical line shared by a batch of y values
+# weight kernels on quadrature.contour_kernel
+
+_HEIGHT_CAP = 400.0
 
 
-@dataclass(frozen=True)
-class _ContourKernel:
-    sigma: float
-    v: np.ndarray
-    w: np.ndarray          # quadrature weight times kernel value
-    symmetric: bool        # kernel conj-symmetric across the real axis
-    tail_estimate: float
-
-    def apply(self, y) -> np.ndarray:
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        if np.any(y <= 0):
-            raise ValueError("weight arguments must be positive")
-        phases = np.exp(-1j * np.outer(np.log(y), self.v))
-        vals = phases @ self.w
-        if self.symmetric:
-            vals = 2.0 * vals.real + 0j
-        return vals * y ** (-self.sigma)
-
-
-def _build_kernel(
-    kfunc: Callable,
-    sigma: float,
-    max_abs_ln_y: float,
-    tol: float,
-    symmetric: bool,
-    vmax0: float = 8.0,
-    nodes: int = 12,
-    cap: float = 400.0,
-) -> _ContourKernel:
-    """Discretize (1/2 pi i) int_{(sigma)} y^{-u} K(u) du on a fixed grid.
-
-    Panel width tracks the fastest y^{-iv} oscillation in the batch; the
-    height doubles until the last panel's absolute mass is below tol of the
-    total, so the returned tail_estimate is a conservative truncation bound.
-    """
-    width = min(0.5, 6.0 / max(1.0, max_abs_ln_y))
-    vmax = vmax0
-    while True:
-        lo = 0.0 if symmetric else -vmax
-        n_panels = max(2, int(math.ceil((vmax - lo) / width)))
-        x, gw = gauss_legendre_panels(lo, vmax, n_panels, nodes)
-        kv = kfunc(sigma + 1j * x)
-        w = gw * kv / (2.0 * math.pi)
-        absw = np.abs(w)
-        total = float(np.sum(absw))
-        # mass of the outermost panels (both ends when the full line is used)
-        edge = float(np.sum(absw[-nodes:]) + (0.0 if symmetric else np.sum(absw[:nodes])))
-        if total == 0.0 or edge <= tol * total:
-            return _ContourKernel(sigma, x, w, symmetric, edge)
-        vmax *= 1.6
-        if vmax > cap:
-            raise NonDecayError("contour kernel mass refuses to decay with height")
+def _panel_width(osc: float) -> float:
+    """12-node panels spanning <= 6 radians of the fastest phase."""
+    return min(0.5, 6.0 / max(1.0, osc))
 
 
 def _is_real_tuple(mu) -> bool:
     return all(abs(complex(m).imag) < 1e-12 for m in mu)
 
 
-def _gl2_kernel(spec: WeightSpec, t: float, max_abs_ln_y: float) -> _ContourKernel:
+def _gl2_kernel(spec: WeightSpec, t: float, max_abs_ln_y: float) -> ContourKernel:
     def kfunc(u):
         return cosine_power_damper(spec, u, "gl2") * np.exp(gl2_gamma_ratio_log(u, t)) / u
 
@@ -199,12 +152,15 @@ def _gl2_kernel(spec: WeightSpec, t: float, max_abs_ln_y: float) -> _ContourKern
     # y^{-iv} oscillation when sizing panels.
     vmax0 = (40.0 + spec.A * math.log(2.0) + 0.5 * math.log(2.0 + abs(t))) / math.pi
     osc = max_abs_ln_y + math.log(2.0 + abs(t))
-    return _build_kernel(kfunc, spec.sigma_u, osc, spec.tail_tolerance, True, vmax0)
+    return contour_kernel(
+        kfunc, spec.sigma_u, width=_panel_width(osc), tol=spec.tail_tolerance,
+        symmetric=True, height=vmax0, cap=_HEIGHT_CAP,
+    )
 
 
 def _rs_kernel(
     spec: WeightSpec, t: float, form: GL3Form, variant: str, max_abs_ln_y: float
-) -> _ContourKernel:
+) -> ContourKernel:
     mu = form.mu if variant == "direct" else form.mu_dual
     _check_lrs(mu, form.label)
     denom = complex(gl3_gamma_log(np.asarray(0.5 + 0j), t, form.mu))
@@ -216,7 +172,10 @@ def _rs_kernel(
     symmetric = _is_real_tuple(mu)
     vmax0 = (40.0 + 3 * spec.A * math.log(2.0) + 1.5 * math.log(2.0 + abs(t))) / (3 * math.pi)
     osc = max_abs_ln_y + 3.0 * math.log(2.0 + abs(t)) + 3.0 * max(abs(complex(m)) ** 0.5 for m in mu)
-    return _build_kernel(kfunc, spec.sigma_u, osc, spec.tail_tolerance, symmetric, vmax0)
+    return contour_kernel(
+        kfunc, spec.sigma_u, width=_panel_width(osc), tol=spec.tail_tolerance,
+        symmetric=symmetric, height=vmax0, cap=_HEIGHT_CAP,
+    )
 
 
 def gl2_afe_weight(spec: WeightSpec, y: float, t: float) -> complex:
@@ -499,9 +458,13 @@ def gl3_critical_value(form: GL3Form, s0: complex, spec: WeightSpec) -> complex:
     value = 0j
     prev_block = math.inf
     while True:
-        max_ln = math.log(M)
-        kern_a = _build_kernel(ka, sigma, max_ln + osc_extra, spec.tail_tolerance, False)
-        kern_b = _build_kernel(kb, sigma, max_ln + osc_extra, spec.tail_tolerance, False)
+        width = _panel_width(math.log(M) + osc_extra)
+        kern_a = contour_kernel(
+            ka, sigma, width=width, tol=spec.tail_tolerance, symmetric=False, height=8.0, cap=_HEIGHT_CAP
+        )
+        kern_b = contour_kernel(
+            kb, sigma, width=width, tol=spec.tail_tolerance, symmetric=False, height=8.0, cap=_HEIGHT_CAP
+        )
         row = coefficient_row(form, M)
         col = coefficient_row(form, M, dual=True)
         ms = np.arange(1, M + 1, dtype=float)

@@ -72,7 +72,7 @@ import numpy as np
 from .afe import FixtureCoverageError, MaassFixture, WeightSpec, gl2_afe_weight, rankin_selberg_afe_weight
 from .exactarith import kloosterman
 from .heckegl3 import GL3Form
-from .quadrature import NonDecayError
+from .quadrature import NonDecayError, gauss_legendre_panels
 from .special import RegimeError, bessel_imag_order, log_gamma, zeta_with_error
 from .util import ordered_parallel_map
 
@@ -107,28 +107,13 @@ _MP_LOCK = threading.Lock()
 # grids
 
 
-def _panel_grid(a: float, b: float, width: float, nodes: int = _GL_NODES):
+def _panel_grid(a: float, b: float, width: float):
     """Composite Gauss-Legendre grid on [a, b] with panels <= width."""
     n_panels = max(1, int(math.ceil((b - a) / width)))
-    xs, ws = np.polynomial.legendre.leggauss(nodes)
-    edges = np.linspace(a, b, n_panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = (mid[:, None] + half[:, None] * xs[None, :]).ravel()
-    w = (half[:, None] * np.broadcast_to(ws, (n_panels, nodes))).ravel()
-    return x, w
+    return gauss_legendre_panels(np.linspace(a, b, n_panels + 1), _GL_NODES)
 
 
-def _panels_from_edges(edges: np.ndarray, nodes: int = _GL_NODES):
-    xs, ws = np.polynomial.legendre.leggauss(nodes)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    x = (mid[:, None] + half[:, None] * xs[None, :]).ravel()
-    w = (half[:, None] * np.broadcast_to(ws, (edges.size - 1, nodes))).ravel()
-    return x, w
-
-
-def _var_panel_grid(a: float, b: float, width_fn: Callable[[float], float], nodes: int = _GL_NODES):
+def _var_panel_grid(a: float, b: float, width_fn: Callable[[float], float]):
     """Variable-width composite grid; width_fn gives the local panel cap."""
     edges = [a]
     guard = 0
@@ -138,7 +123,7 @@ def _var_panel_grid(a: float, b: float, width_fn: Callable[[float], float], node
         guard += 1
         if guard > 2_000_000:
             raise RuntimeError("variable panel grid exceeded the edge budget")
-    return _panels_from_edges(np.asarray(edges), nodes)
+    return gauss_legendre_panels(edges, _GL_NODES)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +305,7 @@ class _ShiftedPlan:
 def _validate_shift(h: SpectralTestFunction, shift: float) -> None:
     if not shift > 0.5:
         raise ValueError("shift must exceed 1/2 (below that the line move gains nothing)")
-    if abs(shift - (math.floor(shift) + 0.5)) < 1e-9 or abs(shift % 1.0 - 0.5) < 1e-9:
+    if abs(shift % 1.0 - 0.5) < 1e-9:
         raise ValueError("shift must avoid the half-integer pole heights of 1/cosh(pi t)")
     if not h.holomorphy_width > shift:
         raise ValueError(

@@ -1,15 +1,23 @@
 """Numeric integration engines with self-reported error estimates.
 
-Four families: vertical-line (Mellin-Barnes) integrals truncated adaptively
-in height, oscillatory integrals with panel sizes tied to the local phase
-velocity, the one-point stationary-phase main term, and smooth compactly
-supported bump constructions (including an exact dyadic partition of unity
-and a Poisson-summation residual checker).
+Four families: vertical-line (Mellin-Barnes) integrals, oscillatory
+integrals with panel sizes tied to the local phase velocity, the one-point
+stationary-phase main term, and smooth compactly supported bump
+constructions (including an exact dyadic partition of unity and a
+Poisson-summation residual checker).  `gauss_legendre_panels` is the one
+composite Gauss-Legendre grid under all of them and under the rest of the
+package.
 
-Every quadrature returns a TransformResult whose abs_error_estimate is the
-observed change under one further refinement level plus the last truncation
-increment; the estimate is empirical, not a rigorous enclosure, and the
-test suite checks its honesty by refining once more.
+Vertical-line integrals (1/2 pi i) int_{(sigma)} y^{-u} K(u) du go through
+`contour_kernel`: it discretizes the line once, growing the height until
+the outermost panels' mass falls below a relative tolerance or below the
+caller's evaluation noise floor, and the returned ContourKernel evaluates
+a whole batch of y as one matrix-vector product.  Its tail_estimate is
+that edge mass plus the accumulated noise floor.  oscillatory_integral
+returns a TransformResult whose abs_error_estimate is the observed change
+under one further refinement level.  Both estimates are empirical, not
+rigorous enclosures; the test suite checks their honesty against closed
+forms and refinement.
 
 Throughout, e(z) means exp(2 pi i z), and line integrals carry the measure
 (1/2 pi i) ds.
@@ -30,7 +38,8 @@ __all__ = [
     "UnboundedPhaseError",
     "StationaryPointError",
     "unit_phase",
-    "line_integral",
+    "ContourKernel",
+    "contour_kernel",
     "oscillatory_integral",
     "stationary_phase_main_term",
     "smooth_bump",
@@ -66,78 +75,119 @@ def unit_phase(z):
     return np.exp(2j * np.pi * np.asarray(z))
 
 
-def gauss_legendre_panels(a: float, b: float, n_panels: int, nodes: int = 10):
-    """Composite Gauss-Legendre nodes/weights on [a, b] as flat arrays."""
+def gauss_legendre_panels(edges, nodes: int):
+    """Composite Gauss-Legendre nodes/weights over consecutive panels.
+
+    `edges` lists the increasing panel boundaries; each panel carries
+    `nodes` points.  Returns flat (x, w) arrays, panel by panel.
+    """
+    edges = np.asarray(edges, dtype=float)
     xs, ws = np.polynomial.legendre.leggauss(nodes)
-    edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     x = (mid[:, None] + half[:, None] * xs[None, :]).ravel()
-    w = (half[:, None] * np.broadcast_to(ws, (n_panels, nodes))).ravel()
+    w = (half[:, None] * np.broadcast_to(ws, (edges.size - 1, nodes))).ravel()
     return x, w
 
 
 def _segment(g: Callable, a: float, b: float, panel_width: float, nodes: int = 10):
     n = max(1, int(math.ceil((b - a) / panel_width)))
-    x, w = gauss_legendre_panels(a, b, n, nodes)
+    x, w = gauss_legendre_panels(np.linspace(a, b, n + 1), nodes)
     return complex(np.dot(w, g(x))), x.size
 
 
-def line_integral(
-    integrand: Callable,
-    sigma: float,
-    *,
-    tol: float = 1e-10,
-    osc_scale: float = 1.0,
-    initial_height: float = 8.0,
-    max_height: float = 512.0,
-    nodes: int = 10,
-) -> TransformResult:
-    """(1/2 pi i) * integral of `integrand` over the vertical line Re s = sigma.
+_CONTOUR_NODES = 12  # Gauss-Legendre nodes per contour panel
+_APPLY_CHUNK = 256  # arguments per block of the (y, v) phase matrix
 
-    `integrand` must accept a complex ndarray.  `osc_scale` is the caller's
-    bound on the phase velocity |d/dv arg integrand(sigma+iv)| in radians per
-    unit height; panels shrink accordingly.  The height doubles until three
-    consecutive doublings each moved the value by less than tol relative;
-    if the hard cap arrives first, NonDecayError reports the last increments.
-    The error estimate comes from one full halved-panel recomputation plus
-    the final truncation increment.
+
+@dataclass(frozen=True)
+class ContourKernel:
+    """(1/2 pi i) int_{(sigma)} y^{-u} K(u) du on the nodes u = sigma + iv.
+
+    w holds the quadrature weight times K(u) / (2 pi).  A symmetric kernel
+    (K(conj u) = conj K(u)) keeps only v >= 0 and adds the mirror half as
+    twice the real part.  tail_estimate is in the units of w: times
+    y^{-sigma} it is the absolute error allowance at y.
     """
 
-    def g(v):
-        return integrand(sigma + 1j * v)
+    sigma: float
+    v: np.ndarray
+    w: np.ndarray
+    symmetric: bool
+    tail_estimate: float
 
-    width = min(0.5, 3.0 / max(osc_scale, 1e-9))
-    evals = 0
+    def apply(self, y) -> np.ndarray:
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        if np.any(y <= 0):
+            raise ValueError("weight arguments must be positive")
+        vals = np.concatenate(
+            [
+                np.exp(-1j * np.outer(np.log(y[i : i + _APPLY_CHUNK]), self.v)) @ self.w
+                for i in range(0, max(y.size, 1), _APPLY_CHUNK)
+            ]
+        )
+        if self.symmetric:
+            vals = 2.0 * vals.real + 0j
+        return vals * y ** (-self.sigma)
 
-    def sweep(pw):
-        nonlocal evals
-        total, n0 = _segment(g, -initial_height, initial_height, pw, nodes)
-        evals += n0
-        height = initial_height
-        quiet = 0
-        last_delta = math.inf
-        while quiet < 3:
-            if height >= max_height:
-                raise NonDecayError(
-                    f"line integral tail at height {height} still moving by "
-                    f"{last_delta:.3e} (tol {tol:.1e}); integrand may not decay"
-                )
-            top, n1 = _segment(g, height, 2 * height, pw, nodes)
-            bot, n2 = _segment(g, -2 * height, -height, pw, nodes)
-            evals += n1 + n2
-            delta = top + bot
-            total += delta
-            last_delta = abs(delta)
-            quiet = quiet + 1 if last_delta <= tol * (abs(total) + 1.0) else 0
-            height *= 2
-        return total, last_delta
 
-    coarse, _ = sweep(width)
-    fine, tail = sweep(width / 2)
-    value = fine / (2 * math.pi)
-    err = abs(fine - coarse) / (2 * math.pi) + tail / (2 * math.pi)
-    return TransformResult(value, err, evals)
+def contour_kernel(
+    kfunc: Callable,
+    sigma: float,
+    *,
+    width: float,
+    tol: float,
+    symmetric: bool,
+    height: float,
+    cap: float,
+    kfloor: Callable | None = None,
+) -> ContourKernel:
+    """Discretize (1/2 pi i) int_{(sigma)} y^{-u} K(u) du for a batch of y.
+
+    The grid starts on |v| <= height (v >= 0 only when `symmetric`), in
+    panels no wider than `width`, which the caller sizes against the
+    fastest phase of y^{-iv} K(sigma + iv) over its batch.  It then grows in
+    segments of ratio 1.6, up to `cap`, keeping the nodes already evaluated,
+    until the outermost panels' absolute mass drops below tol of the total
+    or below three times the evaluation noise floor that the optional
+    kfloor(u) reports for K (past that point extending integrates rounding
+    noise, not signal).  tail_estimate adds that edge mass to the
+    root-sum-square of the floor over all nodes; NonDecayError when the cap
+    arrives first.
+    """
+    vs: list = []
+    ws: list = []
+    total = 0.0
+    noise_sq = 0.0
+    v_lo, v_hi = 0.0, float(height)
+    while True:
+        edge = 0.0
+        edge_floor = 0.0
+        for sign in (1,) if symmetric else (1, -1):
+            a, b = (v_lo, v_hi) if sign == 1 else (-v_hi, -v_lo)
+            n_panels = max(1, int(math.ceil((b - a) / width)))
+            x, gw = gauss_legendre_panels(np.linspace(a, b, n_panels + 1), _CONTOUR_NODES)
+            u = sigma + 1j * x
+            w = gw * kfunc(u) / (2.0 * math.pi)
+            vs.append(x)
+            ws.append(w)
+            absw = np.abs(w)
+            total += float(np.sum(absw))
+            out = slice(-_CONTOUR_NODES, None) if sign == 1 else slice(None, _CONTOUR_NODES)
+            edge += float(np.sum(absw[out]))
+            if kfloor is not None:
+                fl = np.abs(gw) * np.asarray(kfloor(u), dtype=float) / (2.0 * math.pi)
+                noise_sq += float(np.sum(fl * fl))
+                edge_floor += float(np.sum(fl[out]))
+        if total == 0.0 or edge <= tol * total or edge <= 3.0 * edge_floor:
+            tail = edge + math.sqrt(noise_sq)
+            return ContourKernel(sigma, np.concatenate(vs), np.concatenate(ws), symmetric, tail)
+        if v_hi >= cap:
+            raise NonDecayError(
+                f"contour kernel mass at height {v_hi:.0f} still above both the "
+                f"decay target and the noise floor"
+            )
+        v_lo, v_hi = v_hi, min(1.6 * v_hi, float(cap))
 
 
 def _phase_velocity_scan(phase: Callable, a: float, b: float, samples: int = 4096) -> float:

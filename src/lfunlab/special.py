@@ -28,6 +28,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
+from .quadrature import gauss_legendre_panels
+
 __all__ = [
     "PoleError",
     "RegimeError",
@@ -325,12 +327,7 @@ def bessel_k_integral(t: float, x: float, nodes_per_panel: int = 12) -> float:
     u_star = math.acosh(max(41.5 / a, 1.0)) + 1.5
     width = min(0.5, math.pi / (4.0 * max(abs(t), 0.5)), u_star / 6.0)
     n_panels = max(6, int(math.ceil(u_star / width)))
-    xs, ws = np.polynomial.legendre.leggauss(nodes_per_panel)
-    edges = np.linspace(0.0, u_star, n_panels + 1)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    u = (mid[:, None] + half[:, None] * xs[None, :]).ravel()
-    w = (half[:, None] * ws[None, :]).ravel()
+    u, w = gauss_legendre_panels(np.linspace(0.0, u_star, n_panels + 1), nodes_per_panel)
     vals = np.exp(-a * np.cosh(u)) * np.cos(2 * t * u)
     return float(np.dot(w, vals))
 

@@ -56,14 +56,12 @@ prod_i zeta_H(s, r_i/c), and polar_main_term computes the residue by a
 small positively oriented circle around s = 1.  Cuspidal forms get a zero
 main term and the classical identity back.
 
-Contour mechanics.  The integrand's modulus along Re s = sigma behaves like
-|v|^{(3 + 6 sigma + 6 k + 2 sum_i Re a_i)/2} times the test function's
-Mellin decay (sub-exponential for the exp-ramp bumps), so the quadrature
-cost depends strongly on the abscissa.  Public evaluators honor the
-abscissa in the spec exactly; the double-sum verifier places each kernel
-order's contour at the modulus-neutral abscissa -(1+2k)/2 - sum(Re a_i)/3
-(clamped right of the poles), which is analytically free and keeps the
-required height near the test function's own decay scale.
+Contour mechanics.  Each transform order is one quadrature.contour_kernel,
+stopped by the double-precision floor of its Mellin factor.  The
+integrand's modulus grows like |v|^{(3 + 6 sigma + 6 k + 2 sum_i Re a_i)/2}
+against the test function's Mellin decay, so the height it needs depends
+on the abscissa: public evaluators honor the spec's sigma exactly, and the
+double-sum verifier uses the modulus-neutral abscissa (_neutral_abscissa).
 """
 
 from __future__ import annotations
@@ -74,10 +72,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .afe import _ContourKernel
 from .exactarith import kloosterman, mod_inverse
 from .heckegl3 import GL3Form, coefficient_block
-from .quadrature import NonDecayError, gauss_legendre_panels, oscillatory_integral
+from .quadrature import contour_kernel, gauss_legendre_panels, oscillatory_integral
 from .special import PoleError, RegimeError, log_gamma
 from .util import ordered_parallel_map
 
@@ -155,7 +152,7 @@ def _mellin_evaluator(phi: Callable, support: tuple) -> Callable:
             # 12-node panels spanning <= 1.8 periods of the fastest x^{i Im s}
             width = min((hi - lo) / 16.0, 2.0 * math.pi * 1.8 * lo / Hb)
             n_panels = max(1, int(math.ceil((hi - lo) / width)))
-            x, w = gauss_legendre_panels(lo, hi, n_panels, 12)
+            x, w = gauss_legendre_panels(np.linspace(lo, hi, n_panels + 1), 12)
             # center the log phases: the grid-side argument stays below
             # half the log-width of the support, keeping the phase rounding
             # (~1e-16 per radian) from swamping cancellation at big heights
@@ -190,6 +187,8 @@ def mellin_transform(phi: Callable, s, support: tuple | None = None):
 class VoronoiKernelSpec:
     """Form parameters, test function, and contour abscissa for the transform.
 
+    The form must be spherical (maass_type): its alpha, beta, gamma are the
+    a_i of the six-gamma quotient, and other forms raise ValueError.
     The test function must be smooth, real-valued, and compactly supported
     in (0, inf), advertising its support via a .support attribute (a
     SmoothBump does).  sigma must stay right of the rightmost pole of the
@@ -202,6 +201,11 @@ class VoronoiKernelSpec:
     sigma: float | None = None
 
     def __post_init__(self) -> None:
+        if not self.form.maass_type:
+            raise ValueError(
+                f"form {self.form.label!r} carries no spherical parameters; the "
+                "Voronoi kernel is implemented for spherical forms only"
+            )
         _support_of(self.test_function, None)
         bound = self.pole_bound()
         if self.sigma is None:
@@ -239,65 +243,6 @@ class VoronoiSides:
     @property
     def residual(self) -> float:
         return abs(self.lhs - self.rhs)
-
-
-def _grow_kernel(
-    kfunc: Callable,
-    kfloor: Callable,
-    sigma: float,
-    osc: float,
-    tol: float,
-    symmetric: bool,
-    vmax0: float = 512.0,
-    cap: float = 6000.0,
-    nodes: int = 12,
-) -> _ContourKernel:
-    """Incrementally grown grid for (1/2 pi i) int_{(sigma)} y^{-u} K(u) du.
-
-    Extends the height in geometric segments, keeping already-evaluated
-    nodes, until the outermost panel's mass drops below tol of the total
-    OR below the evaluation noise floor reported by kfloor (the point past
-    which extending integrates rounding noise, not signal).  The kernel's
-    tail_estimate combines the truncated edge mass with the accumulated
-    root-sum-square quadrature noise, so callers get an honest absolute
-    error scale even on contours where K's true decay is unresolvable in
-    double precision.
-    """
-    # 12-node panels spanning <= 9 radians (~1.4 periods) of the fastest phase
-    width = min(0.5, 9.0 / max(1.0, osc))
-    xs_parts: list = []
-    ws_parts: list = []
-    total = 0.0
-    noise_sq = 0.0
-    v_lo, v_hi = 0.0, float(vmax0)
-    while True:
-        edge = 0.0
-        edge_floor = 0.0
-        for sign in (1,) if symmetric else (1, -1):
-            a, b = (v_lo, v_hi) if sign == 1 else (-v_hi, -v_lo)
-            n_panels = max(1, int(math.ceil((b - a) / width)))
-            x, gw = gauss_legendre_panels(a, b, n_panels, nodes)
-            kv = kfunc(sigma + 1j * x)
-            w = gw * kv / (2.0 * math.pi)
-            fl = np.abs(gw) * np.asarray(kfloor(sigma + 1j * x), dtype=float) / (2.0 * math.pi)
-            xs_parts.append(x)
-            ws_parts.append(w)
-            total += float(np.sum(np.abs(w)))
-            noise_sq += float(np.sum(fl * fl))
-            out = slice(-nodes, None) if sign == 1 else slice(None, nodes)
-            edge += float(np.sum(np.abs(w[out])))
-            edge_floor += float(np.sum(fl[out]))
-        if total > 0.0 and (edge <= tol * total or edge <= 3.0 * edge_floor):
-            tail = edge + math.sqrt(noise_sq)
-            return _ContourKernel(
-                sigma, np.concatenate(xs_parts), np.concatenate(ws_parts), symmetric, tail
-            )
-        if v_hi >= cap:
-            raise NonDecayError(
-                f"contour kernel mass at height {v_hi:.0f} still above both the "
-                f"decay target and the noise floor"
-            )
-        v_lo, v_hi = v_hi, min(1.6 * v_hi, float(cap))
 
 
 def _phi_contour_kernel(
@@ -381,7 +326,11 @@ def _phi_contour_kernel(
         + mell_rate * max(abs(math.log(lo)), abs(math.log(hi)))
         + 12.0
     )
-    return _grow_kernel(kfunc, kfloor, sigma, osc, 1e-11, symmetric)
+    # 12-node panels spanning <= 9 radians (~1.4 periods) of the fastest phase
+    return contour_kernel(
+        kfunc, sigma, width=min(0.5, 9.0 / osc), tol=1e-11, symmetric=symmetric,
+        height=512.0, cap=6000.0, kfloor=kfloor,
+    )
 
 
 def voronoi_kernel_with_error(
@@ -418,13 +367,6 @@ def voronoi_kernel(spec: VoronoiKernelSpec, k: int, x: float, route: str = "dire
     return voronoi_kernel_with_error(spec, k, x, route)[0]
 
 
-def _apply_chunked(kern, ys: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """kern.apply in argument blocks, bounding the phase-matrix memory."""
-    if ys.size <= chunk:
-        return kern.apply(ys)
-    return np.concatenate([kern.apply(ys[i : i + chunk]) for i in range(0, ys.size, chunk)])
-
-
 def voronoi_kernel_batch(
     spec: VoronoiKernelSpec,
     k: int,
@@ -440,10 +382,10 @@ def voronoi_kernel_batch(
     lnys = np.abs(np.log(ys))
     if route == "direct":
         kern = _phi_contour_kernel(spec, k, route, float(np.max(lnys)), _abscissa)
-        return 2j * math.pi * _apply_chunked(kern, ys)
+        return 2j * math.pi * kern.apply(ys)
     if route == "shifted":
         kern = _phi_contour_kernel(spec, k, route, 2.0 * float(np.max(lnys)), _abscissa)
-        return 4j * math.pi * ys * _apply_chunked(kern, ys * ys)
+        return 4j * math.pi * ys * kern.apply(ys * ys)
     raise ValueError(f"unknown route {route!r}")
 
 
@@ -600,7 +542,7 @@ def _tail_asymptotic(spec: VoronoiKernelSpec, xs: np.ndarray):
         freq = blk[-1] ** (1.0 / 3.0) * lo ** (-2.0 / 3.0)
         width = min((hi - lo) / 24.0, 1.8 / freq)
         n_panels = max(1, int(math.ceil((hi - lo) / width)))
-        y, w = gauss_legendre_panels(lo, hi, n_panels, 12)
+        y, w = gauss_legendre_panels(np.linspace(lo, hi, n_panels + 1), 12)
         wphi = w * np.asarray(phi(y), dtype=float)
         xy_cbrt = np.cbrt(np.outer(blk, y))
         cbrt = math.pi * xy_cbrt  # (pi^3 x y)^{1/3}
@@ -698,8 +640,8 @@ def voronoi_residual_profile(
         err1 = np.zeros(top)
         if n_exact:
             ys = math.pi**3 * xs[:n_exact]
-            phi0[:n_exact] = 2j * math.pi * _apply_chunked(kerns[0], ys)
-            phi1[:n_exact] = 2j * math.pi * _apply_chunked(kerns[1], ys)
+            phi0[:n_exact] = 2j * math.pi * kerns[0].apply(ys)
+            phi1[:n_exact] = 2j * math.pi * kerns[1].apply(ys)
             err0[:n_exact] = 2.0 * math.pi * kerns[0].tail_estimate * ys ** (-kerns[0].sigma)
             err1[:n_exact] = 2.0 * math.pi * kerns[1].tail_estimate * ys ** (-kerns[1].sigma)
         if n_exact < top:

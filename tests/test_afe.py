@@ -20,7 +20,6 @@ from lfunlab.afe import (
     FixtureCoverageError,
     MaassFixture,
     WeightSpec,
-    _build_kernel,
     _rs_adaptive_cutoff,
     central_value_gl2,
     central_value_rs,
@@ -35,6 +34,7 @@ from lfunlab.afe import (
     zeta_square_afe,
 )
 from lfunlab.heckegl3 import PolarFormError, symmetric_square_form, triple_divisor_form
+from lfunlab.quadrature import contour_kernel
 from lfunlab.special import PoleError, zeta_with_error
 
 SPEC = WeightSpec()
@@ -123,13 +123,14 @@ def test_gl2_weight_matches_leading_contour_form():
     # for y ~ t the weight approaches (1/2 pi i) int (t/2 pi y)^u G(u) du/u
     # with relative defect O(1/t) from the Stirling correction
     t = 100.0
-    kern = _build_kernel(
+    kern = contour_kernel(
         lambda u: cosine_power_damper(SPEC, u) / u,
         SPEC.sigma_u,
-        abs(math.log(2 * math.pi)),
-        SPEC.tail_tolerance,
-        True,
-        20.0,
+        width=0.5,
+        tol=SPEC.tail_tolerance,
+        symmetric=True,
+        height=20.0,
+        cap=400.0,
     )
     lead = complex(kern.apply(np.array([2 * math.pi * t / t]))[0])
     u = gl2_afe_weight(SPEC, t, t)

@@ -10,8 +10,8 @@ from lfunlab.quadrature import (
     StationaryPointError,
     UnboundedPhaseError,
     dyadic_partition_value,
+    contour_kernel,
     gauss_legendre_panels,
-    line_integral,
     oscillatory_integral,
     poisson_residual,
     smooth_bump,
@@ -25,43 +25,69 @@ def damper(u, A=16):
     return np.cos(np.pi * u / A) ** (-A)
 
 
+def gamma_kernel(sigma):
+    # Cahen-Mellin: (1/2 pi i) int Gamma(s) y^{-s} ds = e^{-y} on any sigma > 0;
+    # built on the full line so that the imaginary parts must cancel
+    return contour_kernel(
+        lambda s: np.exp(log_gamma(s)), sigma, width=0.5, tol=1e-13, symmetric=False, height=8.0, cap=512.0
+    )
+
+
 class TestLineIntegral:
-    def test_cahen_mellin_at_one(self):
-        # (1/2 pi i) int Gamma(s) x^{-s} ds = e^{-x}; here x = 1
-        res = line_integral(lambda s: np.exp(log_gamma(s)), 2.0, osc_scale=5.0)
-        assert res.value.real == pytest.approx(math.exp(-1.0), rel=1e-10)
-        assert abs(res.value.imag) < 1e-12
+    """(1/2 pi i) int_{(sigma)} y^{-u} K(u) du through contour_kernel."""
+
+    def test_cahen_mellin_batch(self):
+        ys = np.array([0.05, 0.5, 1.0, 2.7, 9.0])
+        kern = gamma_kernel(2.0)
+        vals = kern.apply(ys)
+        assert np.all(np.abs(vals.imag) < 1e-12)
+        np.testing.assert_allclose(vals.real, np.exp(-ys), rtol=1e-10)
 
     def test_zero_integrand(self):
-        res = line_integral(lambda s: np.zeros_like(s), 1.0)
-        assert res.value == 0
+        kern = contour_kernel(
+            lambda s: np.zeros_like(s), 1.0, width=0.5, tol=1e-10, symmetric=False, height=8.0, cap=512.0
+        )
+        assert np.all(kern.apply(np.array([0.5, 1.0, 3.0])) == 0)
+        assert kern.tail_estimate == 0.0
+        assert np.all(np.abs(kern.v) <= 8.0)  # first segment only, no growth
 
     def test_damper_residue_jump(self):
-        # even damper / u: the value on (1/2) is 1/2, and shifting the line
-        # across the simple pole at 0 flips the sign of the value
-        right = line_integral(lambda s: damper(s) / s, 0.5, osc_scale=2.0)
-        left = line_integral(lambda s: damper(s) / s, -0.5, osc_scale=2.0)
-        assert right.value.real == pytest.approx(0.5, abs=1e-9)
-        assert (right.value - left.value).real == pytest.approx(1.0, abs=1e-9)
+        # even damper / u: the value at y = 1 on (1/2) is 1/2, and moving the
+        # line across the simple pole at 0 (residue y^0 G(0) = 1) drops the
+        # value by exactly 1 at every y
+        ys = np.array([0.3, 1.0, 4.0])
+
+        def build(sigma):
+            return contour_kernel(
+                lambda s: damper(s) / s, sigma, width=0.5, tol=1e-12, symmetric=True, height=8.0, cap=512.0
+            )
+
+        right = build(0.5).apply(ys)
+        left = build(-0.5).apply(ys)
+        assert right[1].real == pytest.approx(0.5, abs=1e-9)
+        np.testing.assert_allclose((right - left).real, 1.0, atol=1e-9)
 
     def test_contour_stability(self):
-        x = 2.7
+        y = np.array([2.7])
+        a, b = gamma_kernel(2.0), gamma_kernel(3.0)
+        va, vb = a.apply(y)[0], b.apply(y)[0]
+        allowance = a.tail_estimate * y[0] ** -2.0 + b.tail_estimate * y[0] ** -3.0
+        assert abs(va - vb) <= 10 * allowance + 1e-12
+        assert va.real == pytest.approx(math.exp(-y[0]), rel=1e-9)
 
-        def f(s):
-            return np.exp(log_gamma(s)) * x ** (-s)
-
-        a = line_integral(f, 2.0, osc_scale=5.0)
-        b = line_integral(f, 3.0, osc_scale=5.0)
-        assert abs(a.value - b.value) <= 10 * (a.abs_error_estimate + b.abs_error_estimate) + 1e-12
-        assert a.value.real == pytest.approx(math.exp(-x), rel=1e-9)
+    def test_error_estimate_honest(self):
+        # the allowance tail_estimate * y^{-sigma} covers the observed error
+        ys = np.array([0.5, 1.0, 9.0])
+        kern = gamma_kernel(2.0)
+        err = np.abs(kern.apply(ys) - np.exp(-ys))
+        assert np.all(err <= kern.tail_estimate * ys**-2.0 + 1e-13)
 
     def test_non_decay_flagged(self):
         with pytest.raises(NonDecayError):
-            line_integral(lambda s: 1.0 / (1.0 + 0.001 * s * s), 1.0, max_height=64.0)
-
-    def test_error_estimate_honest(self):
-        res = line_integral(lambda s: np.exp(log_gamma(s)), 2.0, osc_scale=5.0)
-        assert abs(res.value.real - math.exp(-1.0)) <= res.abs_error_estimate + 1e-13
+            contour_kernel(
+                lambda s: 1.0 / (1.0 + 0.001 * s * s), 1.0, width=0.5, tol=1e-10, symmetric=False,
+                height=8.0, cap=64.0,
+            )
 
 
 class TestOscillatoryIntegral:
@@ -212,6 +238,16 @@ class TestCubicSpline:
 
 class TestPanels:
     def test_panel_weights_sum_to_length(self):
-        x, w = gauss_legendre_panels(1.0, 4.0, 7, nodes=10)
+        x, w = gauss_legendre_panels(np.linspace(1.0, 4.0, 8), 10)
         assert w.sum() == pytest.approx(3.0, rel=1e-14)
         assert x.min() > 1.0 and x.max() < 4.0
+
+    def test_nonuniform_edges_exact_to_degree_23(self):
+        # the variable-width grids hand their own edges to the shared grid;
+        # 12 nodes per panel integrate degree 23 exactly on every panel
+        edges = np.array([-1.0, -0.9, -0.35, 0.0, 0.05, 0.6, 1.0])
+        x, w = gauss_legendre_panels(edges, 12)
+        assert x.size == 12 * (edges.size - 1)
+        assert w.sum() == pytest.approx(2.0, rel=1e-14)
+        exact = (2.3**24 - 0.3**24) / 24.0  # int_{-1}^{1} (x + 1.3)^23 dx
+        assert np.dot(w, (x + 1.3) ** 23) == pytest.approx(exact, rel=1e-13)

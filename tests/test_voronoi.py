@@ -62,7 +62,7 @@ def kernel_pair(spec):
 
 
 def test_mellin_area_matches_direct_quadrature():
-    x, w = gauss_legendre_panels(1.0, 2.0, 64, 12)
+    x, w = gauss_legendre_panels(np.linspace(1.0, 2.0, 65), 12)
     area = float(np.sum(w * UNIT_BUMP(x)))
     assert mellin_transform(UNIT_BUMP, 1.0) == pytest.approx(area, rel=1e-12)
 
@@ -264,7 +264,7 @@ def test_polar_main_term_against_laurent_oracle():
     mpmath = pytest.importorskip("mpmath")
     g0 = float(mpmath.euler)
     g1 = float(mpmath.stieltjes(1))
-    x, w = gauss_legendre_panels(50.0, 100.0, 40, 12)
+    x, w = gauss_legendre_panels(np.linspace(50.0, 100.0, 41), 12)
     ln = np.log(x)
     oracle = float(np.sum(w * BUMP(x) * (0.5 * ln**2 + 3 * g0 * ln + 3 * g0**2 - 3 * g1)))
     mt = polar_main_term(D3, 1, 1, 1, BUMP)
@@ -284,6 +284,17 @@ def test_polar_main_term_pinned_values():
 def test_polar_main_term_zero_for_cuspidal_forms():
     cuspidal = symmetric_square_form(prime_cap=50)
     assert polar_main_term(cuspidal, 1, 1, 3, BUMP) == 0j
+
+
+def test_non_spherical_form_rejected():
+    # the kernel reads alpha, beta, gamma as spherical parameters; the
+    # symmetric-square lift carries none, and used to return a silently
+    # wrong dual side (rhs ~ 1e-18 against lhs 0.498)
+    sym2 = symmetric_square_form(prime_cap=50)
+    with pytest.raises(ValueError, match="spherical"):
+        VoronoiKernelSpec(sym2, BUMP)
+    with pytest.raises(ValueError, match="spherical"):
+        voronoi_sides(sym2, 1, 1, 1, BUMP, 512)
 
 
 def test_polar_main_term_guards():
