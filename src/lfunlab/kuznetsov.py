@@ -887,7 +887,8 @@ def _cached_gl2(spec: WeightSpec, y: float, t: float) -> complex:
 
 
 def _cached_rs(spec: WeightSpec, form: GL3Form, variant: str, y: float, t: float) -> complex:
-    key = ("rs", variant, spec.A, spec.sigma_u, spec.tail_tolerance, form.alpha, form.beta, form.gamma, y, t)
+    # the weight reads form.mu or form.mu_dual (by variant) and normalizes by form.mu
+    key = ("rs", variant, spec.A, spec.sigma_u, spec.tail_tolerance, tuple(form.mu), tuple(form.mu_dual), y, t)
     val = _UV_CACHE.get(key)
     if val is None:
         _UV_STATS["misses"] += 1

@@ -25,6 +25,7 @@ Throughout, e(z) means exp(2 pi i z), and line integrals carry the measure
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -75,6 +76,15 @@ def unit_phase(z):
     return np.exp(2j * np.pi * np.asarray(z))
 
 
+@functools.lru_cache(maxsize=8)
+def _legendre_rule(nodes: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
+    xs, ws = np.polynomial.legendre.leggauss(nodes)
+    xs.flags.writeable = False
+    ws.flags.writeable = False
+    return xs, ws
+
+
 def gauss_legendre_panels(edges, nodes: int):
     """Composite Gauss-Legendre nodes/weights over consecutive panels.
 
@@ -82,7 +92,7 @@ def gauss_legendre_panels(edges, nodes: int):
     `nodes` points.  Returns flat (x, w) arrays, panel by panel.
     """
     edges = np.asarray(edges, dtype=float)
-    xs, ws = np.polynomial.legendre.leggauss(nodes)
+    xs, ws = _legendre_rule(nodes)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     x = (mid[:, None] + half[:, None] * xs[None, :]).ravel()
@@ -97,7 +107,7 @@ def _segment(g: Callable, a: float, b: float, panel_width: float, nodes: int = 1
 
 
 _CONTOUR_NODES = 12  # Gauss-Legendre nodes per contour panel
-_APPLY_CHUNK = 256  # arguments per block of the (y, v) phase matrix
+_APPLY_ELEMENTS = 1 << 21  # entries (32 MB complex) per block of the (y, v) phase matrix
 
 
 @dataclass(frozen=True)
@@ -120,10 +130,11 @@ class ContourKernel:
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if np.any(y <= 0):
             raise ValueError("weight arguments must be positive")
+        block = max(1, _APPLY_ELEMENTS // max(self.v.size, 1))
         vals = np.concatenate(
             [
-                np.exp(-1j * np.outer(np.log(y[i : i + _APPLY_CHUNK]), self.v)) @ self.w
-                for i in range(0, max(y.size, 1), _APPLY_CHUNK)
+                np.exp(-1j * np.outer(np.log(y[i : i + block]), self.v)) @ self.w
+                for i in range(0, max(y.size, 1), block)
             ]
         )
         if self.symmetric:

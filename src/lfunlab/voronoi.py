@@ -28,19 +28,33 @@ and the summation identity reads, for gcd(a, c) = 1 with a abar = 1 (c),
             [ S(n a,  m2; n c / m1) Phi^0(m2 m1^2 / (c^3 n))
             + S(n a, -m2; n c / m1) Phi^1(m2 m1^2 / (c^3 n)) ].
 
-For x large against the reciprocal support scale, Phi_0 has the oscillatory
-expansion (order K)
+Far tail.  For x large against the reciprocal support scale both orders
+follow from the standard Stirling analysis of the kernel (cf. Ivic 1997;
+Blomer, Amer. J. Math. 2012).  For the degenerate form (all a_i = 0),
+reflection and duplication turn the order-k six-gamma quotient into
 
-    Phi_0(x) ~ 2 pi^4 x i int phi(y) sum_{j<=K}
-               [ c_j cos(6 pi (xy)^{1/3}) + d_j sin(6 pi (xy)^{1/3}) ]
-               / (pi^3 x y)^{j/3} dy,
+    pi^{-3/2} 2^{-3k-3s} Gamma(1+k+s)^3 (-sin^3(pi s/2)),
 
-with c_1 = 0, d_1 = -2/sqrt(3 pi) for the parameter-free degenerate form;
-the order-2 constants are NOT carried by the source formulas and ship as
-numerically fitted configuration (see ORDER2_FITTED and scripts/).  The
-order-1 transform has the analogous fitted ladder PHI1_FITTED; together
-they evaluate the far tail of the double sum, where exact contour kernels
-would be needlessly expensive.
+and -sin^3(t) = (sin(3t) - 3 sin(t))/4.  The sin(3 pi s/2)/4 part carries
+the oscillation; the 3 sin(pi s/2) part gives only e^{-c (xy)^{1/3}}-small
+terms.  The inverse-factorial expansion
+
+    Gamma(1+k+s)^3 = 2 pi 3^{1/2-3s-beta} sum_j A_j Gamma(3s+beta-j),
+    beta = 3k + 2,   A = (1, -1/3, 2/9, -14/81, 8/243, ...),
+
+has the same A_j for k = 0 and k = 1, because the k = 1 product is the
+k = 0 product at s+1.  Each Gamma(3s+beta-j) inverts to
+e^{+-6i (pi^3 xy)^{1/3}}, which gives the rung ladder
+
+    Phi_k(x) ~ 2 pi^4 x i (pi^3 x)^k sum_{J>=1} r_J int phi(y)
+               sin(6 pi (xy)^{1/3} - pi (3-J)/2 + k pi/2) (pi^3 x y)^{-J/3} dy,
+    r_J = A_{J-1} 6^{3-J} / (18 sqrt(3 pi)).
+
+Rung 1 is the classical leading term -2/sqrt(3 pi) sin(6 pi (xy)^{1/3}),
+and order 1 is pi^3 x times the order-0 sum turned by a quarter period, so
+one set of rung integrals serves both orders (_tail_asymptotic).  For other
+spherical forms rung 1 is unchanged (sum a_i = 0), but A_1 becomes
+-1/3 + 3 sum a_i^2 / 2, so the later rungs hold for the degenerate form only.
 
 Degenerate-form main term.  The identity above is stated for cuspidal
 coefficients, whose twisted Dirichlet series D(s) = sum_m A(n, m)
@@ -74,7 +88,7 @@ import numpy as np
 
 from .exactarith import kloosterman, mod_inverse
 from .heckegl3 import GL3Form, coefficient_block
-from .quadrature import contour_kernel, gauss_legendre_panels, oscillatory_integral
+from .quadrature import contour_kernel, gauss_legendre_panels
 from .special import PoleError, RegimeError, log_gamma
 from .util import ordered_parallel_map
 
@@ -82,7 +96,6 @@ __all__ = [
     "VoronoiKernelSpec",
     "TruncationRecord",
     "VoronoiSides",
-    "ORDER2_FITTED",
     "mellin_transform",
     "voronoi_kernel",
     "voronoi_kernel_with_error",
@@ -94,26 +107,14 @@ __all__ = [
     "voronoi_residual_profile",
 ]
 
-# Order-2 expansion constants (c2, d2), least-squares fitted against the
-# exact transform on the degenerate form over x*support in [3e3, 3e5] by
-# scripts/fit_voronoi_order2.py.  Derived configuration, not source-given.
-# The fit reproduces a second, differently shaped bump to within the
-# order-3 defect, and c2 lands within 2e-4 (relative) of 1/(9 sqrt(3 pi))
-# while d2 is consistent with zero at the fit's contamination level.
-ORDER2_FITTED = (0.03619608172960714, 6.670287217457333e-05)
-
-# Large-argument ladder of the order-1 transform: pairs (c'_j, d'_j) against
-# amplitude phi(y) y^{-1} (pi^3 x y)^{1 - j/3} and phase 6 pi (xy)^{1/3},
-# j = 1, 2, 3.  Fitted by the same script (residuals ~1e-10 on the fit grid,
-# ~1e-6 transferring to a differently shaped bump).  The fit lands on exact-
-# looking values: c'_1 = -2/sqrt(3 pi) to 10 digits, d'_2 = c'_1/18 to 5
-# digits, c'_3 = -d'_2/9 to 4 digits, mirroring the order-0 ladder rotated
-# a quarter period; frozen here as fitted, not as assumed closed forms.
-PHI1_FITTED = (
-    (-0.6514700159692346, 8.473726335412116e-10),
-    (3.1915180355832452e-09, -0.036193016522031315),
-    (0.004021701880608672, 1.9901150181951373e-05),
+# Inverse-factorial coefficients A_j of Gamma(1+k+s)^3 (module docstring)
+# and the ladder rungs r_J = A_{J-1} 6^{3-J} / (18 sqrt(3 pi)), J = 1..5.
+# The last rung only sizes the truncation allowance of the first four.
+_STIRLING_A = (1.0, -1.0 / 3.0, 2.0 / 9.0, -14.0 / 81.0, 8.0 / 243.0)
+_RUNGS = tuple(
+    a * 6.0 ** (2 - j) / (18.0 * math.sqrt(3.0 * math.pi)) for j, a in enumerate(_STIRLING_A)
 )
+_MAX_RUNGS = len(_RUNGS) - 1
 
 _MELLIN_CHUNK = 512  # contour points per block in the Mellin matrix product
 
@@ -404,36 +405,29 @@ def combined_kernel(
 def voronoi_kernel_asymptotic(spec: VoronoiKernelSpec, x: float, order: int = 1) -> complex:
     """Large-argument oscillatory expansion of the order-0 transform.
 
-    Valid once x times the support scale is large; the j-th term carries
-    weight (pi^3 x y)^{-j/3} against cos/sin(6 pi (xy)^{1/3}).  Order 1 uses
-    only the analytically known constants (c1, d1) = (0, -2/sqrt(3 pi));
-    order 2 adds the fitted pair ORDER2_FITTED.  The relative defect of
-    order K scales like (x*support)^{-K/3}.
+    Valid once x times the support scale is large; `order` counts the rungs
+    J = 1..order of the derived ladder (module docstring), each weighted by
+    (pi^3 x y)^{-J/3}, so the relative defect of order K scales like
+    (x*support)^{-K/3}.  Order 1 is the leading term and holds for every
+    spherical form; orders 2..4 are derived for the degenerate form and
+    raise ValueError for others.
     """
     if x <= 0:
         raise ValueError("transform argument must be positive")
-    lo, hi = spec.support
+    lo, _ = spec.support
     if x * lo <= 1.0:
         raise RegimeError(
             f"asymptotic expansion needs x * support scale >> 1, got {x * lo:.3g}"
         )
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    if order > 2:
-        raise ValueError("constants are available through order 2 only")
-    consts = [(0.0, -2.0 / math.sqrt(3.0 * math.pi)), ORDER2_FITTED][:order]
-
-    phi = spec.test_function
-    total = 0.0 + 0.0j
-    for j, (c_j, d_j) in enumerate(consts, start=1):
-        if c_j == 0.0 and d_j == 0.0:
-            continue
-        amp = lambda y, jj=j: np.asarray(phi(y)) * (math.pi**3 * x * y) ** (-jj / 3.0)
-        phase = lambda y: 3.0 * (x * y) ** (1.0 / 3.0)
-        osc = oscillatory_integral(amp, phase, (lo, hi), tol=1e-11)
-        # c cos(th) + d sin(th) = Re[(c - i d) e^(i th)] for real amplitude
-        total += complex(c_j - 1j * d_j) * osc.value
-    return 2.0 * math.pi**4 * x * 1j * total.real
+    if not 1 <= order <= _MAX_RUNGS:
+        raise ValueError(f"order must lie in 1..{_MAX_RUNGS}, got {order}")
+    if order >= 2 and any(abs(z) > 1e-12 for z in spec.spherical()):
+        raise ValueError(
+            "ladder rungs beyond the first are derived for the degenerate form "
+            "(all spherical parameters zero) only"
+        )
+    phi0, _, _, _ = _tail_asymptotic(spec, np.array([float(x)]), rungs=order)
+    return complex(phi0[0])
 
 
 def _neutral_abscissa(spec: VoronoiKernelSpec, k: int) -> float:
@@ -507,62 +501,67 @@ def polar_main_term(
     return complex(rho * np.mean(integrand * np.exp(1j * theta)))
 
 
-# Beyond this multiple of the reciprocal support scale the fitted ladders
-# are accurate to a few 1e-6 relative (measured by scripts/fit_voronoi_
-# order2.py, including transfer to a differently shaped bump).
+# Beyond this multiple of the reciprocal support scale the residual profile
+# evaluates the transforms by the derived ladder.  At the seam its four
+# rungs agree with the exact kernels to about 1e-9 relative, within the
+# kernels' own error estimates, and the fifth rung is about 1e-11 relative.
 _TAIL_XLO = 3.0e3
-_TAIL_REL = 5.0e-6
 
 
-def _tail_asymptotic(spec: VoronoiKernelSpec, xs: np.ndarray):
-    """Both transforms on an ascending grid via the fitted ladders.
+def _tail_asymptotic(spec: VoronoiKernelSpec, xs: np.ndarray, rungs: int = _MAX_RUNGS):
+    """Both transforms on an ascending grid via the derived rung ladder.
 
     Used for x * support_lo >= _TAIL_XLO, where exact contour kernels are
-    expensive (their height budget grows with ln x) and the fitted
-    oscillatory expansions are already several digits accurate.  Evaluates
-    in geometric blocks so each block's quadrature grid is sized by its own
-    fastest phase, and reuses the phase matrix across ladder rungs and both
-    transform orders.  Returns (order0, order1) complex arrays.
+    expensive (their height budget grows with ln x).  Evaluates in geometric
+    blocks so each block's quadrature grid is sized by its own fastest
+    phase.  The rung integrals M_J = int phi(y) e^{6 pi i (xy)^{1/3}}
+    (pi^3 x y)^{-J/3} dy serve both orders.  Returns (order0, order1,
+    allow0, allow1): each allowance is |rung rungs+1| plus the rounding
+    floor of the n-node sums, eps (sqrt(n) + theta/sqrt(n)) times the
+    absolute mass, theta the largest phase (rounded to eps theta per node).
     """
     lo, hi = spec.support
     phi = spec.test_function
-    out0 = np.empty(xs.size, dtype=complex)
-    out1 = np.empty(xs.size, dtype=complex)
-    ladder0 = ((0.0, -2.0 / math.sqrt(3.0 * math.pi)), ORDER2_FITTED)
+    vals = np.empty((2, xs.size), dtype=complex)
+    allow = np.empty((2, xs.size))
+    eps = np.finfo(float).eps
     start = 0
     while start < xs.size:
         stop = int(np.searchsorted(xs, 2.0 * xs[start], side="right"))
         stop = max(stop, min(start + 512, xs.size))
         stop = min(stop, start + 2048)  # bound the phase-matrix footprint
         blk = xs[start:stop]
-        # 12-node panels spanning <= 1.8 periods of the fastest oscillation,
+        # 12-node panels spanning <= 1.4 periods of the fastest oscillation
+        # (a pure phase then integrates to rounding; 1.8 periods leave 2e-13),
         # floored fine enough to resolve the bump's exp ramps even when the
         # phase is slow (the ramps, not the oscillation, set the bandwidth
         # near the lower end of the ladder regime)
         freq = blk[-1] ** (1.0 / 3.0) * lo ** (-2.0 / 3.0)
-        width = min((hi - lo) / 24.0, 1.8 / freq)
+        width = min((hi - lo) / 48.0, 1.4 / freq)
         n_panels = max(1, int(math.ceil((hi - lo) / width)))
         y, w = gauss_legendre_panels(np.linspace(lo, hi, n_panels + 1), 12)
         wphi = w * np.asarray(phi(y), dtype=float)
         xy_cbrt = np.cbrt(np.outer(blk, y))
-        cbrt = math.pi * xy_cbrt  # (pi^3 x y)^{1/3}
-        phase = np.exp(6j * math.pi * xy_cbrt)
-        acc0 = np.zeros(blk.size, dtype=complex)
-        amp = phase / cbrt
-        for j, (c_j, d_j) in enumerate(ladder0, start=1):
-            if c_j != 0.0 or d_j != 0.0:
-                acc0 += complex(c_j, -d_j) * (amp @ wphi)
-            amp = amp / cbrt
-        acc1 = np.zeros(blk.size, dtype=complex)
-        amp = phase * cbrt * cbrt
-        for j, (c_j, d_j) in enumerate(PHI1_FITTED, start=1):
-            if c_j != 0.0 or d_j != 0.0:
-                acc1 += complex(c_j, -d_j) * (amp @ (wphi / y))
-            amp = amp / cbrt
-        out0[start:stop] = 2.0 * math.pi**4 * blk * 1j * acc0.real
-        out1[start:stop] = 2.0 * math.pi**4 * blk * 1j * acc1.real
+        inv = 1.0 / (math.pi * xy_cbrt)  # (pi^3 x y)^{-1/3}
+        amp = np.exp(6j * math.pi * xy_cbrt)
+        rung = np.empty((rungs + 1, blk.size), dtype=complex)
+        for j in range(rungs + 1):
+            amp *= inv
+            rung[j] = amp @ wphi
+        theta = 6.0 * math.pi * np.cbrt(blk * hi)
+        floor = eps * (math.sqrt(y.size) + theta / math.sqrt(y.size)) * (inv @ np.abs(wphi))
+        floor *= sum(abs(r) for r in _RUNGS[:rungs])
+        for k in (0, 1):
+            # sin(t + pi (J - 3 + k)/2) = Im[i^{J-3+k} e^{it}], J = j + 1
+            acc = sum(
+                _RUNGS[j] * ((1, 1j, -1, -1j)[(j - 2 + k) % 4] * rung[j]).imag
+                for j in range(rungs)
+            )
+            scale = 2.0 * math.pi**4 * blk * (math.pi**3 * blk) ** k
+            vals[k, start:stop] = scale * 1j * acc
+            allow[k, start:stop] = scale * (abs(_RUNGS[rungs]) * np.abs(rung[rungs]) + floor)
         start = stop
-    return out0, out1
+    return vals[0], vals[1], allow[0], allow[1]
 
 
 def voronoi_residual_profile(
@@ -579,11 +578,11 @@ def voronoi_residual_profile(
     The transforms dominate the cost and depend on the cutoff only through
     the largest argument, so the profile computes them once at the largest
     cutoff and assembles each truncation from partial sums.  Transform
-    arguments below the fitted-ladder regime (x * support_lo < _TAIL_XLO)
-    use exact contour kernels at the modulus-neutral abscissae; the far
-    tail uses _tail_asymptotic.  For the polar form the dual side includes
-    the residue term from polar_main_term.  Returns one VoronoiSides per
-    cutoff, in the given order.
+    arguments below the ladder regime (x * support_lo < _TAIL_XLO) use
+    exact contour kernels at the modulus-neutral abscissae; the degenerate
+    form's far tail uses _tail_asymptotic.  For the polar form the dual side
+    includes the residue term from polar_main_term.  Returns one
+    VoronoiSides per cutoff, in the given order.
     """
     if n < 1 or c < 1:
         raise ValueError("need n >= 1 and c >= 1")
@@ -605,11 +604,11 @@ def voronoi_residual_profile(
 
     # right side: exact contour kernels (one per order, modulus-neutral
     # abscissae) cover arguments up to the ladder regime; beyond that the
-    # fitted expansions take over
+    # derived rung ladder takes over
     cn = c * n
     m1s = [d for d in range(1, cn + 1) if cn % d == 0]
     m2s = np.arange(1, top + 1)
-    # the fitted tail ladders are specific to the parameter-free degenerate
+    # the ladder's later rungs are derived for the parameter-free degenerate
     # form; other forms keep exact contour kernels for every argument
     degenerate = all(abs(z) < 1e-12 for z in spec.spherical())
     x_exact = _TAIL_XLO / lo if degenerate else math.inf
@@ -645,11 +644,9 @@ def voronoi_residual_profile(
             err0[:n_exact] = 2.0 * math.pi * kerns[0].tail_estimate * ys ** (-kerns[0].sigma)
             err1[:n_exact] = 2.0 * math.pi * kerns[1].tail_estimate * ys ** (-kerns[1].sigma)
         if n_exact < top:
-            t0, t1 = _tail_asymptotic(spec, xs[n_exact:])
-            phi0[n_exact:] = t0
-            phi1[n_exact:] = t1
-            err0[n_exact:] = _TAIL_REL * np.abs(t0)
-            err1[n_exact:] = _TAIL_REL * np.abs(t1)
+            (phi0[n_exact:], phi1[n_exact:], err0[n_exact:], err1[n_exact:]) = _tail_asymptotic(
+                spec, xs[n_exact:]
+            )
         mixmag = (c**3 * n) / (math.pi**3 * m1 * m1 * m2s)
         mix = mixmag / 1j
         coeffs = coefficient_block(form, m1, top)[1:]

@@ -14,7 +14,7 @@ from scipy.special import jv, loggamma
 
 from lfunlab import kuznetsov as kz
 from lfunlab.afe import FixtureCoverageError, MaassFixture, WeightSpec, gl2_afe_weight, rankin_selberg_afe_weight
-from lfunlab.heckegl3 import symmetric_square_form, triple_divisor_form
+from lfunlab.heckegl3 import GL3Form, symmetric_square_form, triple_divisor_form
 from lfunlab.special import RegimeError
 
 # Values frozen from 30-40 digit mpmath evaluations of the defining
@@ -381,6 +381,23 @@ def test_diagonal_weight_uv_cache_counts():
     after = kz.uv_cache_stats()
     assert after["misses"] == before["misses"]
     assert after["hits"] > before["hits"]
+
+
+def test_diagonal_weight_uv_cache_keys_on_gamma_data():
+    # the tensor weight reads form.mu / form.mu_dual, not alpha, beta, gamma:
+    # a form sharing D3's (zero) alpha, beta, gamma but carrying other gamma
+    # data must not be served D3's cached weights
+    d3 = triple_divisor_form()
+    other = GL3Form(
+        label="mu-only", alpha=0j, beta=0j, gamma=0j,
+        mu=(0.2, 0.1, -0.3), mu_dual=(-0.2, -0.1, 0.3), maass_type=False,
+    )
+    spec = WeightSpec()
+    for variant in ("direct", "dual"):
+        fresh = rankin_selberg_afe_weight(spec, 1.0, 0.3, other, variant=variant)
+        cached_d3 = kz._cached_rs(spec, d3, variant, 1.0, 0.3)
+        assert kz._cached_rs(spec, other, variant, 1.0, 0.3) == fresh
+        assert abs(fresh - cached_d3) > 1e-2 * abs(cached_d3)  # measured 17 %
 
 
 def _effective_test_function(form, spec, l_index, nm_index):

@@ -1,4 +1,5 @@
-"""Packaging metadata: every declared console script must resolve."""
+"""Packaging metadata: every declared console script and every name a
+module exports through __all__ must resolve."""
 
 import importlib
 from pathlib import Path
@@ -15,3 +16,14 @@ def test_console_scripts_import():
     for name, target in scripts.items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def test_module_exports_resolve():
+    package = importlib.import_module("lfunlab")
+    root = Path(package.__file__).resolve().parent
+    modules = sorted(p.stem for p in root.glob("*.py") if p.stem != "__init__")
+    assert modules
+    for name in modules:
+        module = importlib.import_module(f"lfunlab.{name}")
+        for export in getattr(module, "__all__", ()):
+            assert hasattr(module, export), f"lfunlab.{name}.{export}"

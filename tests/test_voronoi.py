@@ -5,12 +5,13 @@ scaling law, and its (windowed) sub-exponential decay profile; the contour
 kernels against a fully independent dual parametrization and against
 contour-shift invariance with honest error budgets; the combined-kernel
 variant wiring; the large-argument oscillatory expansion against exact
-kernels; the fitted far-tail ladders at the exact/asymptotic boundary; the
-degenerate form's polar residue against a Laurent-coefficient oracle that
-shares no code with the Hurwitz-zeta circle quadrature; and the full
-identity at small/medium truncations, where the two sides meet through
-completely disjoint evaluation paths (integer coefficient sums vs. twisted
-transform sums).
+kernels; the derived far-tail ladder's Stirling coefficients against
+mpmath, its rung integrals against adaptive quadrature, and both orders at
+the exact/asymptotic boundary; the degenerate form's polar residue against
+a Laurent-coefficient oracle that shares no code with the Hurwitz-zeta
+circle quadrature; and the full identity at small/medium truncations,
+where the two sides meet through completely disjoint evaluation paths
+(integer coefficient sums vs. twisted transform sums).
 """
 
 import math
@@ -21,14 +22,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfunlab.exactarith import NotCoprimeError
-from lfunlab.heckegl3 import symmetric_square_form, triple_divisor_form
-from lfunlab.quadrature import gauss_legendre_panels, smooth_bump
+from lfunlab.heckegl3 import GL3Form, symmetric_square_form, triple_divisor_form
+from lfunlab.quadrature import gauss_legendre_panels, oscillatory_integral, smooth_bump
 from lfunlab.special import PoleError, RegimeError
 from lfunlab.voronoi import (
-    ORDER2_FITTED,
-    PHI1_FITTED,
+    _RUNGS,
+    _STIRLING_A,
     VoronoiKernelSpec,
     _neutral_abscissa,
+    _phi_contour_kernel,
     _tail_asymptotic,
     combined_kernel,
     mellin_transform,
@@ -209,8 +211,8 @@ def test_combined_kernel_variant_wiring(spec, kernel_pair):
 
 def test_asymptotic_accuracy_and_order_improvement(spec):
     # x * support_lo = 1e3, 1e4, 1e5: the one-term expansion stays inside
-    # 1% (the acceptance bar is 10%/3%); adding the fitted second rung
-    # gains three more digits at every argument
+    # 1% (the acceptance bar is 10%/3%); the second rung gains three more
+    # digits at every argument
     for x in (20.0, 200.0, 2000.0):
         exact = voronoi_kernel(spec, 0, x)
         rel1 = abs(voronoi_kernel_asymptotic(spec, x, order=1) - exact) / abs(exact)
@@ -218,6 +220,8 @@ def test_asymptotic_accuracy_and_order_improvement(spec):
         assert rel1 <= 1e-2
         assert rel2 <= 1e-4
         assert rel2 < rel1
+        if x == 20.0:  # all four derived rungs: measured 1.9e-11
+            assert abs(voronoi_kernel_asymptotic(spec, x, order=4) - exact) <= 1e-9 * abs(exact)
 
 
 def test_asymptotic_guards(spec):
@@ -226,29 +230,91 @@ def test_asymptotic_guards(spec):
     with pytest.raises(ValueError):
         voronoi_kernel_asymptotic(spec, 20.0, order=0)
     with pytest.raises(ValueError):
-        voronoi_kernel_asymptotic(spec, 20.0, order=3)
+        voronoi_kernel_asymptotic(spec, 20.0, order=5)
     with pytest.raises(ValueError):
         voronoi_kernel_asymptotic(spec, -1.0)
 
 
-def test_fitted_ladder_constants_mirror_leading_term():
-    # the fits land on closed-form-looking values; record the observed
-    # structure (the constants themselves stay fitted, not assumed)
-    lead = -2.0 / math.sqrt(3.0 * math.pi)
-    assert PHI1_FITTED[0][0] == pytest.approx(lead, rel=1e-9)
-    assert PHI1_FITTED[1][1] == pytest.approx(lead / 18.0, rel=1e-4)
-    assert ORDER2_FITTED[0] == pytest.approx(-lead / 18.0, rel=1e-3)
+def test_asymptotic_later_rungs_need_degenerate_form(spec):
+    # A_1 = -1/3 + 3 sum a_i^2 / 2 depends on the spherical parameters, so
+    # only the leading rung (independent of them, as sum a_i = 0) applies
+    a = (0.3j, -0.3j, 0j)
+    form = GL3Form(
+        label="spherical", alpha=a[0], beta=a[1], gamma=a[2],
+        mu=a, mu_dual=tuple(-z for z in a),
+    )
+    other = VoronoiKernelSpec(form, BUMP)
+    for order in (2, 3, 4):
+        with pytest.raises(ValueError, match="degenerate"):
+            voronoi_kernel_asymptotic(other, 20.0, order=order)
+    lead = voronoi_kernel_asymptotic(spec, 20.0, order=1)
+    assert voronoi_kernel_asymptotic(other, 20.0, order=1) == lead
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("s", [50, 400])
+def test_stirling_coefficients_against_mpmath(k, s):
+    # Gamma(1+k+s)^3 = 2 pi 3^{1/2-3s-beta} sum_j A_j Gamma(3s+beta-j),
+    # beta = 3k+2: the five-term series must leave a remainder within the
+    # next term's scale Gamma(3s+beta-5)/Gamma(3s+beta) (measured 0.58-0.60
+    # of it); a wrong A_j would leave (3s)^{5-j} times its error
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        s, beta = mpmath.mpf(s), 3 * k + 2
+        lhs = mpmath.gamma(s + 1 + k) ** 3 * mpmath.power(3, 3 * s + beta - 0.5) / (
+            2 * mpmath.pi * mpmath.gamma(3 * s + beta)
+        )
+        series = sum(
+            mpmath.mpf(a) * mpmath.rf(3 * s + beta - j, j) ** -1 for j, a in enumerate(_STIRLING_A)
+        )
+        scale = mpmath.rf(3 * s + beta - 5, 5) ** -1
+        assert abs(lhs - series) <= scale
+    # r_1 is the classical leading constant 2/sqrt(3 pi); r_J follows from A
+    assert _RUNGS[0] == pytest.approx(2.0 / math.sqrt(3.0 * math.pi), rel=1e-15)
+    for j, a in enumerate(_STIRLING_A):
+        assert _RUNGS[j] == pytest.approx(a * 6.0 ** (2 - j) * _RUNGS[0] / 36.0, rel=1e-15)
+
+
+def test_ladder_rungs_match_adaptive_quadrature(spec):
+    # each rung integral int phi(y) e^{6 pi i (xy)^{1/3}} (pi^3 x y)^{-J/3} dy
+    # by oscillatory_integral, assembled by the module-docstring formula;
+    # the ladder's grid must agree within its allowance plus the reference's
+    # own error estimate
+    xs = np.array([61.0, 2000.0, 5461.0])
+    lo, hi = spec.support
+    ladder = _tail_asymptotic(spec, xs)
+    for i, x in enumerate(xs):
+        rungs = []
+        for J in range(1, 5):
+            amp = lambda y, J=J: BUMP(y) * (math.pi**3 * x * y) ** (-J / 3.0)
+            res = oscillatory_integral(amp, lambda y: 3.0 * np.cbrt(x * y), (lo, hi), tol=1e-13)
+            rungs.append(res)
+        for k in (0, 1):
+            scale = 2.0 * math.pi**4 * x * (math.pi**3 * x) ** k
+            ref = scale * sum(
+                r * (np.exp(0.5j * math.pi * (J - 3 + k)) * res.value).imag
+                for J, (r, res) in enumerate(zip(_RUNGS, rungs), start=1)
+            )
+            ref_err = scale * sum(abs(r) * res.abs_error_estimate for r, res in zip(_RUNGS, rungs))
+            assert abs(ladder[k][i] - 1j * ref) <= ladder[2 + k][i] + ref_err
 
 
 def test_far_tail_ladders_match_exact_kernels_at_boundary(spec):
     # the residual profile switches from exact contour kernels to the
-    # fitted ladders at x * support_lo = 3e3; both orders must agree
-    # across that seam within the ladder's advertised 5e-6 allowance
+    # derived ladder at x * support_lo = 3e3; both orders must agree across
+    # that seam within the ladder's allowance plus the exact kernel's error
     xs = np.array([61.0, 100.0, 200.0, 400.0])
-    tail0, tail1 = _tail_asymptotic(spec, xs)
-    for k, tail in ((0, tail0), (1, tail1)):
-        exact = voronoi_kernel_batch(spec, k, xs, _abscissa=_neutral_abscissa(spec, k))
-        assert float(np.max(np.abs(tail - exact) / np.abs(exact))) <= 5e-6
+    ys = math.pi**3 * xs
+    ladder = _tail_asymptotic(spec, xs)
+    for k in (0, 1):
+        kern = _phi_contour_kernel(
+            spec, k, "direct", float(np.max(np.log(ys))), _neutral_abscissa(spec, k)
+        )
+        exact = 2j * math.pi * kern.apply(ys)
+        err = 2.0 * math.pi * kern.tail_estimate * ys ** (-kern.sigma)
+        assert np.all(np.abs(ladder[k] - exact) <= ladder[2 + k] + err)
+        # measured at most 1.2e-9 relative (x = 200, order 0)
+        assert float(np.max(np.abs(ladder[k] - exact) / np.abs(exact))) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
