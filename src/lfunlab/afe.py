@@ -15,7 +15,9 @@ weight functions
 which are ~ 1 for y well below the analytic conductor and collapse like
 (1 + y/t)^{-A} (resp. (1 + y/t^3)^{-A}) beyond it.  All contour integrals
 go through quadrature.contour_kernel, so that a whole vector of y values
-costs one matrix-vector product.
+costs one matrix-vector product, and a whole vector of t values costs one
+contour grid: the gamma ratio is evaluated on a (t, u) matrix, one block
+of rows at a time (gl2_afe_weight_grid, rankin_selberg_afe_weight_grid).
 
 The degree-2 specialization with divisor-sum coefficients eta(l, r) =
 sum_{ad=l} (a/d)^{ir} reproduces |zeta(1/2 + ir)|^2.  Unlike the cuspidal
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -53,8 +55,10 @@ __all__ = [
     "cosine_power_damper",
     "gl2_afe_weight",
     "gl2_afe_weight_batch",
+    "gl2_afe_weight_grid",
     "rankin_selberg_afe_weight",
     "rankin_selberg_afe_weight_batch",
+    "rankin_selberg_afe_weight_grid",
     "central_value_gl2",
     "zeta_square_afe",
     "eisenstein_coefficients",
@@ -143,38 +147,47 @@ def _is_real_tuple(mu) -> bool:
     return all(abs(complex(m).imag) < 1e-12 for m in mu)
 
 
-def _gl2_kernel(spec: WeightSpec, t: float, max_abs_ln_y: float) -> ContourKernel:
-    def kfunc(u):
-        return cosine_power_damper(spec, u, "gl2") * np.exp(gl2_gamma_ratio_log(u, t)) / u
+def _gl2_kernel(spec: WeightSpec, ts, max_abs_ln_y: float) -> Iterator[ContourKernel]:
+    """The U-kernels of the t in ts (a float or an array), in order, from
+    one contour grid."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    tmax = float(np.max(np.abs(ts)))
+
+    def kfunc(u, t):
+        return cosine_power_damper(spec, u, "gl2") * np.exp(gl2_gamma_ratio_log(u, t[:, None])) / u
 
     # damper decay e^{-pi v} sets the height scale; gamma ratio is neutral
     # below v ~ t and decays beyond.  Its phase speed ~ log t adds to the
-    # y^{-iv} oscillation when sizing panels.
-    vmax0 = (40.0 + spec.A * math.log(2.0) + 0.5 * math.log(2.0 + abs(t))) / math.pi
-    osc = max_abs_ln_y + math.log(2.0 + abs(t))
+    # y^{-iv} oscillation when sizing panels.  The largest |t| sizes both.
+    vmax0 = (40.0 + spec.A * math.log(2.0) + 0.5 * math.log(2.0 + tmax)) / math.pi
+    osc = max_abs_ln_y + math.log(2.0 + tmax)
     return contour_kernel(
         kfunc, spec.sigma_u, width=_panel_width(osc), tol=spec.tail_tolerance,
-        symmetric=True, height=vmax0, cap=_HEIGHT_CAP,
+        symmetric=True, height=vmax0, cap=_HEIGHT_CAP, rows=ts,
     )
 
 
 def _rs_kernel(
-    spec: WeightSpec, t: float, form: GL3Form, variant: str, max_abs_ln_y: float
-) -> ContourKernel:
+    spec: WeightSpec, ts, form: GL3Form, variant: str, max_abs_ln_y: float
+) -> Iterator[ContourKernel]:
+    """The tensor kernels of the t in ts, as _gl2_kernel."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    tmax = float(np.max(np.abs(ts)))
     mu = form.mu if variant == "direct" else form.mu_dual
     _check_lrs(mu, form.label)
-    denom = complex(gl3_gamma_log(np.asarray(0.5 + 0j), t, form.mu))
 
-    def kfunc(u):
+    def kfunc(u, t):
+        t = t[:, None]
+        denom = gl3_gamma_log(np.asarray(0.5 + 0j), t, form.mu)
         ratio = np.exp(gl3_gamma_log(0.5 + u, t, mu) - denom)
         return cosine_power_damper(spec, u, "rs") * ratio / u
 
     symmetric = _is_real_tuple(mu)
-    vmax0 = (40.0 + 3 * spec.A * math.log(2.0) + 1.5 * math.log(2.0 + abs(t))) / (3 * math.pi)
-    osc = max_abs_ln_y + 3.0 * math.log(2.0 + abs(t)) + 3.0 * max(abs(complex(m)) ** 0.5 for m in mu)
+    vmax0 = (40.0 + 3 * spec.A * math.log(2.0) + 1.5 * math.log(2.0 + tmax)) / (3 * math.pi)
+    osc = max_abs_ln_y + 3.0 * math.log(2.0 + tmax) + 3.0 * max(abs(complex(m)) ** 0.5 for m in mu)
     return contour_kernel(
         kfunc, spec.sigma_u, width=_panel_width(osc), tol=spec.tail_tolerance,
-        symmetric=symmetric, height=vmax0, cap=_HEIGHT_CAP,
+        symmetric=symmetric, height=vmax0, cap=_HEIGHT_CAP, rows=ts,
     )
 
 
@@ -183,13 +196,22 @@ def gl2_afe_weight(spec: WeightSpec, y: float, t: float) -> complex:
     y ~ t.  The damper's order-A pole at Re u = A/2 caps the decay rate:
     the local dyadic exponent approaches A/2 from below like
     A/2 - (A-1)/log y, which tests pin against measurement."""
-    return complex(_gl2_kernel(spec, t, abs(math.log(y))).apply(y)[0])
+    return complex(gl2_afe_weight_grid(spec, [y], [t])[0, 0])
 
 
 def gl2_afe_weight_batch(spec: WeightSpec, ys, t: float) -> np.ndarray:
-    ys = np.asarray(ys, dtype=float)
-    kern = _gl2_kernel(spec, t, float(np.max(np.abs(np.log(ys)))))
-    return kern.apply(ys)
+    return gl2_afe_weight_grid(spec, ys, [t])[0]
+
+
+def gl2_afe_weight_grid(spec: WeightSpec, ys, ts) -> np.ndarray:
+    """U(y, t) as a (len(ts), len(ys)) array from one contour grid sized for
+    the largest |t| and |log y|.  Each row stops growing on its own; a row
+    agrees with gl2_afe_weight_batch at its t to within the spec's
+    tail_tolerance of the kernels' mass (the two grids differ in height and
+    panel width)."""
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    kernels = _gl2_kernel(spec, ts, float(np.max(np.abs(np.log(ys)))))
+    return np.array([k.apply(ys) for k in kernels])
 
 
 def rankin_selberg_afe_weight(
@@ -198,15 +220,22 @@ def rankin_selberg_afe_weight(
     """Degree-6 tensor smoothing weight; variant "direct" carries the form's
     own gamma data, "dual" the contragredient's, both normalized by the
     direct factor at 1/2."""
-    return complex(_rs_kernel(spec, t, form, variant, abs(math.log(y))).apply(y)[0])
+    return complex(rankin_selberg_afe_weight_grid(spec, [y], [t], form, variant)[0, 0])
 
 
 def rankin_selberg_afe_weight_batch(
     spec: WeightSpec, ys, t: float, form: GL3Form, variant: str = "direct"
 ) -> np.ndarray:
-    ys = np.asarray(ys, dtype=float)
-    kern = _rs_kernel(spec, t, form, variant, float(np.max(np.abs(np.log(ys)))))
-    return kern.apply(ys)
+    return rankin_selberg_afe_weight_grid(spec, ys, [t], form, variant)[0]
+
+
+def rankin_selberg_afe_weight_grid(
+    spec: WeightSpec, ys, ts, form: GL3Form, variant: str = "direct"
+) -> np.ndarray:
+    """The tensor weight on a (len(ts), len(ys)) grid, as gl2_afe_weight_grid."""
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    kernels = _rs_kernel(spec, ts, form, variant, float(np.max(np.abs(np.log(ys)))))
+    return np.array([k.apply(ys) for k in kernels])
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +273,10 @@ def central_value_gl2(fixture: MaassFixture, spec: WeightSpec, l_cutoff: int | N
     a = fixture.coeff_array()
     if l_cutoff is not None:
         L = int(l_cutoff)
-        kern = _gl2_kernel(spec, t, math.log(max(L, 2)))
+        kern = next(_gl2_kernel(spec, t, math.log(max(L, 2))))
     else:
         L, kern = _adaptive_cutoff(
-            lambda maxln: _gl2_kernel(spec, t, maxln),
+            lambda maxln: next(_gl2_kernel(spec, t, maxln)),
             _gl2_cutoff(t),
             max(spec.tail_tolerance, 1e-13),
         )
@@ -322,7 +351,7 @@ def zeta_square_afe(r: float, spec: WeightSpec) -> float:
     if r < 0:
         raise ValueError("r must be nonnegative")
     L, kern = _adaptive_cutoff(
-        lambda maxln: _gl2_kernel(spec, r, maxln),
+        lambda maxln: next(_gl2_kernel(spec, r, maxln)),
         _gl2_cutoff(r),
         max(spec.tail_tolerance, 1e-13),
     )
@@ -342,8 +371,8 @@ def _rs_double_sum(form: GL3Form, coeffs: np.ndarray, t: float, spec: WeightSpec
     total = 0j
     # one kernel per variant, shared by every m-row
     max_ln = math.log(float(cutoff)) if cutoff > 1 else 1.0
-    kern1 = _rs_kernel(spec, t, form, "direct", max_ln)
-    kern2 = _rs_kernel(spec, t, form, "dual", max_ln)
+    kern1 = next(_rs_kernel(spec, t, form, "direct", max_ln))
+    kern2 = next(_rs_kernel(spec, t, form, "dual", max_ln))
     m = 1
     while m * m <= cutoff:
         n_max = cutoff // (m * m)
@@ -371,7 +400,7 @@ def _rs_adaptive_cutoff(form: GL3Form, t: float, spec: WeightSpec) -> int:
     # an absolute tail small against unit-scale values rather than the raw
     # weight floor used on the degree-2 side.
     C, _ = _adaptive_cutoff(
-        lambda maxln: _rs_kernel(spec, t, form, "direct", maxln),
+        lambda maxln: next(_rs_kernel(spec, t, form, "direct", maxln)),
         _rs_cutoff(t),
         max(1e3 * spec.tail_tolerance, 3e-6),
         metric=lambda mag, L: mag * math.sqrt(L) * (1.0 + math.log(L)) ** 2 / 2.0,

@@ -69,12 +69,18 @@ from typing import Callable, Sequence
 import mpmath as mp
 import numpy as np
 
-from .afe import FixtureCoverageError, MaassFixture, WeightSpec, gl2_afe_weight, rankin_selberg_afe_weight
+from .afe import (
+    FixtureCoverageError,
+    MaassFixture,
+    WeightSpec,
+    gl2_afe_weight_grid,
+    rankin_selberg_afe_weight_grid,
+)
 from .exactarith import kloosterman
 from .heckegl3 import GL3Form
 from .quadrature import NonDecayError, gauss_legendre_panels
 from .special import RegimeError, bessel_imag_order, log_gamma, zeta_with_error
-from .util import ordered_parallel_map
+from .util import LRUCache, ordered_parallel_map
 
 __all__ = [
     "SpectralTestFunction",
@@ -534,15 +540,12 @@ def _kernel_plus_from_profile(prof: _PlusProfile, x: float, abs_tol: float) -> c
     return complex(np.sum(wz * np.cos(2.0 * math.pi * x * np.cosh(zs)) * pvals))
 
 
-_PROFILE_CACHE: dict = {}
+_PROFILE_CACHE = LRUCache(maxsize=8)  # keyed on (test function, digits of rel_tol)
 
 
 def _kernel_plus(h: SpectralTestFunction, x: float, abs_tol: float, rel_tol: float) -> complex:
     key = (h, round(-math.log10(max(rel_tol, 1e-15))))
-    prof = _PROFILE_CACHE.get(key)
-    if prof is None:
-        prof = _plus_profile(h, rel_tol)
-        _PROFILE_CACHE[key] = prof
+    prof = _PROFILE_CACHE.get_or_build(key, lambda: _plus_profile(h, rel_tol))
     return _kernel_plus_from_profile(prof, x, abs_tol)
 
 
@@ -864,48 +867,34 @@ def kuznetsov_residual(
 
 DIAGONAL_VARIANTS = ("direct", "dual", "direct_plus", "direct_minus", "dual_plus", "dual_minus")
 
-_UV_CACHE: dict = {}
-_UV_STATS = {"hits": 0, "misses": 0}
+_UV_CACHE = LRUCache(maxsize=32)  # one weight array per (kind, spec, y, t-grid, gamma data)
 _DEFAULT_WEIGHT_SPEC = WeightSpec()
 
 
 def uv_cache_stats() -> dict:
-    """Hit/miss counters of the shared degree-2 / tensor weight cache."""
-    return dict(_UV_STATS)
+    """Hit/miss counters of the shared degree-2 / tensor weight cache, one
+    count per weight array (all t of one grid at one y), not per t."""
+    return {"hits": _UV_CACHE.hits, "misses": _UV_CACHE.misses}
 
 
-def _cached_gl2(spec: WeightSpec, y: float, t: float) -> complex:
-    key = ("gl2", spec.A, spec.sigma_u, spec.tail_tolerance, y, t)
-    val = _UV_CACHE.get(key)
-    if val is None:
-        _UV_STATS["misses"] += 1
-        val = gl2_afe_weight(spec, y, t)
-        _UV_CACHE[key] = val
-    else:
-        _UV_STATS["hits"] += 1
-    return val
+def _cached_gl2(spec: WeightSpec, y: float, ts: np.ndarray) -> np.ndarray:
+    key = ("gl2", spec, y, ts.tobytes())
+    return _UV_CACHE.get_or_build(key, lambda: gl2_afe_weight_grid(spec, [y], ts)[:, 0])
 
 
-def _cached_rs(spec: WeightSpec, form: GL3Form, variant: str, y: float, t: float) -> complex:
-    # the weight reads form.mu or form.mu_dual (by variant) and normalizes by form.mu
-    key = ("rs", variant, spec.A, spec.sigma_u, spec.tail_tolerance, tuple(form.mu), tuple(form.mu_dual), y, t)
-    val = _UV_CACHE.get(key)
-    if val is None:
-        _UV_STATS["misses"] += 1
-        val = rankin_selberg_afe_weight(spec, y, t, form, variant=variant)
-        _UV_CACHE[key] = val
-    else:
-        _UV_STATS["hits"] += 1
-    return val
+def _cached_rs(spec: WeightSpec, form: GL3Form, variant: str, y: float, ts: np.ndarray) -> np.ndarray:
+    # the weight reads form.mu or form.mu_dual (by variant) and normalizes by
+    # form.mu, so a self-dual form's two variants share one entry
+    mu_used = form.mu if variant == "direct" else form.mu_dual
+    key = ("rs", spec, y, ts.tobytes(), tuple(mu_used), tuple(form.mu))
+    return _UV_CACHE.get_or_build(key, lambda: rankin_selberg_afe_weight_grid(spec, [y], ts, form, variant)[:, 0])
 
 
 def _diag_samples(
     ts: np.ndarray, width_T: float, y_gl2: float, y_rs: float, form: GL3Form, variant: str, spec: WeightSpec
 ) -> np.ndarray:
     gauss = np.exp(-((ts / width_T) ** 2))
-    u = np.asarray([_cached_gl2(spec, y_gl2, float(t)) for t in ts])
-    v = np.asarray([_cached_rs(spec, form, variant, y_rs, float(t)) for t in ts])
-    return gauss * u * v
+    return gauss * _cached_gl2(spec, y_gl2, ts) * _cached_rs(spec, form, variant, y_rs, ts)
 
 
 def diagonal_weight(
@@ -931,9 +920,13 @@ def diagonal_weight(
       "direct_minus"  (4/pi) int K_{2it}(2 pi x) sinh(pi t) e^{-t^2/T^2} U(l,t) V(m^2 n,t) t dt
       "dual_plus"/"dual_minus"  the mirror-weight twins.
 
-    The degree-2/tensor weight values are cached module-wide keyed on the
-    (y, t) pair and the weight parameters, so repeated evaluations on the
-    same grid are cheap (see uv_cache_stats).  x is required exactly for the
+    Each weight is evaluated for all t of the grid on one shared contour
+    grid, and the array is cached module-wide (a 32-entry LRU) keyed on the
+    weight kind, the weight parameters, y, the t-grid and the gamma data
+    the weight reads (for the tensor weight: the mu it carries and form.mu,
+    its normalization), so repeated evaluations on the same grid are cheap
+    and a self-dual form's "dual" reuses "direct"'s arrays (see
+    uv_cache_stats).  x is required exactly for the
     Bessel variants.  Evenness of the weights in t is relied upon (the
     integrals run over t >= 0 doubled); the test-suite verifies it."""
     if variant not in DIAGONAL_VARIANTS:

@@ -13,7 +13,11 @@ Vertical-line integrals (1/2 pi i) int_{(sigma)} y^{-u} K(u) du go through
 the outermost panels' mass falls below a relative tolerance or below the
 caller's evaluation noise floor, and the returned ContourKernel evaluates
 a whole batch of y as one matrix-vector product.  Its tail_estimate is
-that edge mass plus the accumulated noise floor.  oscillatory_integral
+that edge mass plus the accumulated noise floor.  A family of integrands
+K(u, r) indexed by a row parameter r (the spectral parameter t of the AFE
+weights) shares one grid: each segment is evaluated for a block of rows in
+one call, each row stops by the same rule applied to its own masses, and
+each row gets its own ContourKernel.  oscillatory_integral
 returns a TransformResult whose abs_error_estimate is the observed change
 under one further refinement level.  Both estimates are empirical, not
 rigorous enclosures; the test suite checks their honesty against closed
@@ -28,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -107,7 +111,8 @@ def _segment(g: Callable, a: float, b: float, panel_width: float, nodes: int = 1
 
 
 _CONTOUR_NODES = 12  # Gauss-Legendre nodes per contour panel
-_APPLY_ELEMENTS = 1 << 21  # entries (32 MB complex) per block of the (y, v) phase matrix
+_APPLY_ELEMENTS = 1 << 18  # entries (4 MB complex) per block of the (y, v) phase matrix
+_ROW_ELEMENTS = 1 << 13  # (row, node) entries per kfunc call of a row batch
 
 
 @dataclass(frozen=True)
@@ -131,12 +136,18 @@ class ContourKernel:
         if np.any(y <= 0):
             raise ValueError("weight arguments must be positive")
         block = max(1, _APPLY_ELEMENTS // max(self.v.size, 1))
-        vals = np.concatenate(
-            [
-                np.exp(-1j * np.outer(np.log(y[i : i + block]), self.v)) @ self.w
-                for i in range(0, max(y.size, 1), block)
-            ]
-        )
+        # one small phase buffer per call, exponentiated in place.  Blocks of
+        # tens of MB, freed by calls running side by side in threads, were
+        # kept or returned by the allocator depending on how the threads
+        # interleaved, which moved peak memory from run to run by a block.
+        phase = np.empty((min(block, y.size), self.v.size), dtype=complex)
+        vals = np.empty(y.size, dtype=complex)
+        for i in range(0, y.size, block):
+            p = phase[: min(block, y.size - i)]
+            p.real = 0.0
+            np.multiply.outer(np.log(y[i : i + block]), -self.v, out=p.imag)
+            np.exp(p, out=p)
+            vals[i : i + p.shape[0]] = p @ self.w
         if self.symmetric:
             vals = 2.0 * vals.real + 0j
         return vals * y ** (-self.sigma)
@@ -152,7 +163,8 @@ def contour_kernel(
     height: float,
     cap: float,
     kfloor: Callable | None = None,
-) -> ContourKernel:
+    rows=None,
+) -> ContourKernel | Iterator[ContourKernel]:
     """Discretize (1/2 pi i) int_{(sigma)} y^{-u} K(u) du for a batch of y.
 
     The grid starts on |v| <= height (v >= 0 only when `symmetric`), in
@@ -165,40 +177,95 @@ def contour_kernel(
     noise, not signal).  tail_estimate adds that edge mass to the
     root-sum-square of the floor over all nodes; NonDecayError when the cap
     arrives first.
+
+    Row batches: given `rows`, a 1-D array of parameters (the AFE weights
+    pass their spectral parameters t), kfunc(u, r) and kfloor(u, r) return
+    one row per entry of r, shape (r.size, u.size), and the result is an
+    iterator over one ContourKernel per row, in order, all on the one grid
+    whose `width` and `height` the caller sizes for the whole batch.  Each
+    row applies the stopping test to its own masses and takes no further
+    segments once it passes, so its kernel keeps a prefix of the grid and
+    its own tail_estimate, and its value does not depend on the other rows.
+    Rows are grown in blocks of about _ROW_ELEMENTS (row, node) entries,
+    and no kfunc call sees more than that unless a single row does, which
+    bounds the temporaries; a caller that applies each kernel as it comes
+    holds one block at a time.  The blocking changes no value.
+    NonDecayError names the parameter of a row that reaches the cap.
     """
-    vs: list = []
-    ws: list = []
-    total = 0.0
-    noise_sq = 0.0
-    v_lo, v_hi = 0.0, float(height)
-    while True:
-        edge = 0.0
-        edge_floor = 0.0
-        for sign in (1,) if symmetric else (1, -1):
-            a, b = (v_lo, v_hi) if sign == 1 else (-v_hi, -v_lo)
-            n_panels = max(1, int(math.ceil((b - a) / width)))
-            x, gw = gauss_legendre_panels(np.linspace(a, b, n_panels + 1), _CONTOUR_NODES)
-            u = sigma + 1j * x
-            w = gw * kfunc(u) / (2.0 * math.pi)
-            vs.append(x)
-            ws.append(w)
-            absw = np.abs(w)
-            total += float(np.sum(absw))
-            out = slice(-_CONTOUR_NODES, None) if sign == 1 else slice(None, _CONTOUR_NODES)
-            edge += float(np.sum(absw[out]))
-            if kfloor is not None:
-                fl = np.abs(gw) * np.asarray(kfloor(u), dtype=float) / (2.0 * math.pi)
-                noise_sq += float(np.sum(fl * fl))
-                edge_floor += float(np.sum(fl[out]))
-        if total == 0.0 or edge <= tol * total or edge <= 3.0 * edge_floor:
-            tail = edge + math.sqrt(noise_sq)
-            return ContourKernel(sigma, np.concatenate(vs), np.concatenate(ws), symmetric, tail)
-        if v_hi >= cap:
-            raise NonDecayError(
-                f"contour kernel mass at height {v_hi:.0f} still above both the "
-                f"decay target and the noise floor"
-            )
-        v_lo, v_hi = v_hi, min(1.6 * v_hi, float(cap))
+    params = np.atleast_1d(np.asarray(rows)) if rows is not None else np.zeros(1)
+
+    def evaluate(f, u, r):
+        return np.asarray(f(u, r) if rows is not None else f(u)[None, :])
+
+    segments: list = []  # (top height, [(nodes, weights, outermost panel)] per half-line)
+
+    def segment(k: int) -> tuple:
+        while len(segments) <= k:
+            v_lo = segments[-1][0] if segments else 0.0
+            v_hi = min(1.6 * v_lo, float(cap)) if segments else float(height)
+            pieces = []
+            for sign in (1,) if symmetric else (1, -1):
+                a, b = (v_lo, v_hi) if sign == 1 else (-v_hi, -v_lo)
+                n_panels = max(1, int(math.ceil((b - a) / width)))
+                x, gw = gauss_legendre_panels(np.linspace(a, b, n_panels + 1), _CONTOUR_NODES)
+                out = slice(-_CONTOUR_NODES, None) if sign == 1 else slice(None, _CONTOUR_NODES)
+                pieces.append((x, gw, out))
+            segments.append((v_hi, pieces))
+        return segments[k]
+
+    def grow(block: np.ndarray):
+        active = np.arange(block.size)
+        total = np.zeros(block.size)
+        noise_sq = np.zeros(block.size)
+        keep = np.zeros(block.size, dtype=int)  # grid nodes in each finished row's kernel
+        tails = np.zeros(block.size)
+        parts: list = [[] for _ in range(block.size)]
+        n_nodes = 0
+        k = 0
+        while True:
+            edge = np.zeros(block.size)
+            edge_floor = np.zeros(block.size)
+            v_hi, pieces = segment(k)
+            for x, gw, out in pieces:
+                u = sigma + 1j * x
+                n_nodes += x.size
+                step = max(1, _ROW_ELEMENTS // x.size)
+                for lo in range(0, active.size, step):
+                    idx = active[lo : lo + step]
+                    w = gw * evaluate(kfunc, u, block[idx]) / (2.0 * math.pi)
+                    absw = np.abs(w)
+                    total[idx] += absw.sum(axis=1)
+                    edge[idx] += absw[:, out].sum(axis=1)
+                    for i, row in zip(idx, w):
+                        parts[i].append(row)
+                    if kfloor is not None:
+                        fl = np.abs(gw) * evaluate(kfloor, u, block[idx]).astype(float) / (2.0 * math.pi)
+                        noise_sq[idx] += (fl * fl).sum(axis=1)
+                        edge_floor[idx] += fl[:, out].sum(axis=1)
+            e, t = edge[active], total[active]
+            done = (t == 0.0) | (e <= tol * t) | (e <= 3.0 * edge_floor[active])
+            keep[active[done]] = n_nodes
+            tails[active[done]] = e[done] + np.sqrt(noise_sq[active[done]])
+            active = active[~done]
+            if active.size == 0:
+                break
+            if v_hi >= cap:
+                row = f" for row parameter {block[active[0]]}" if rows is not None else ""
+                raise NonDecayError(
+                    f"contour kernel mass at height {v_hi:.0f} still above both the "
+                    f"decay target and the noise floor{row}"
+                )
+            k += 1
+        v = np.concatenate([x for _, pieces in segments[: k + 1] for x, _, _ in pieces])
+        for n, p, tail in zip(keep, parts, tails):
+            yield ContourKernel(sigma, v[:n], np.concatenate(p), symmetric, float(tail))
+
+    def kernels():
+        per_block = max(1, _ROW_ELEMENTS // segment(0)[1][0][0].size)
+        for lo in range(0, params.size, per_block):
+            yield from grow(params[lo : lo + per_block])
+
+    return kernels() if rows is not None else next(kernels())
 
 
 def _phase_velocity_scan(phase: Callable, a: float, b: float, samples: int = 4096) -> float:

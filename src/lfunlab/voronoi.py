@@ -506,6 +506,7 @@ def polar_main_term(
 # rungs agree with the exact kernels to about 1e-9 relative, within the
 # kernels' own error estimates, and the fifth rung is about 1e-11 relative.
 _TAIL_XLO = 3.0e3
+_TAIL_ELEMENTS = 1 << 16  # (x, y) entries per row chunk of a ladder block
 
 
 def _tail_asymptotic(spec: VoronoiKernelSpec, xs: np.ndarray, rungs: int = _MAX_RUNGS):
@@ -541,15 +542,24 @@ def _tail_asymptotic(spec: VoronoiKernelSpec, xs: np.ndarray, rungs: int = _MAX_
         n_panels = max(1, int(math.ceil((hi - lo) / width)))
         y, w = gauss_legendre_panels(np.linspace(lo, hi, n_panels + 1), 12)
         wphi = w * np.asarray(phi(y), dtype=float)
-        xy_cbrt = np.cbrt(np.outer(blk, y))
-        inv = 1.0 / (math.pi * xy_cbrt)  # (pi^3 x y)^{-1/3}
-        amp = np.exp(6j * math.pi * xy_cbrt)
         rung = np.empty((rungs + 1, blk.size), dtype=complex)
-        for j in range(rungs + 1):
-            amp *= inv
-            rung[j] = amp @ wphi
+        mass = np.empty(blk.size)  # int |phi| (pi^3 x y)^{-1/3} dy
+        # a few rows at a time and in place, for the reason given at
+        # ContourKernel.apply: a row's sums do not depend on the others
+        step = max(1, _TAIL_ELEMENTS // y.size)
+        for i in range(0, blk.size, step):
+            xy_cbrt = np.outer(blk[i : i + step], y)
+            np.cbrt(xy_cbrt, out=xy_cbrt)
+            amp = 6j * math.pi * xy_cbrt
+            np.exp(amp, out=amp)
+            inv = np.multiply(xy_cbrt, math.pi, out=xy_cbrt)
+            np.divide(1.0, inv, out=inv)  # (pi^3 x y)^{-1/3}
+            for j in range(rungs + 1):
+                amp *= inv
+                rung[j, i : i + step] = amp @ wphi
+            mass[i : i + step] = inv @ np.abs(wphi)
         theta = 6.0 * math.pi * np.cbrt(blk * hi)
-        floor = eps * (math.sqrt(y.size) + theta / math.sqrt(y.size)) * (inv @ np.abs(wphi))
+        floor = eps * (math.sqrt(y.size) + theta / math.sqrt(y.size)) * mass
         floor *= sum(abs(r) for r in _RUNGS[:rungs])
         for k in (0, 1):
             # sin(t + pi (J - 3 + k)/2) = Im[i^{J-3+k} e^{it}], J = j + 1

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lfunlab import afe, quadrature
 from lfunlab.afe import (
     FixtureCoverageError,
     MaassFixture,
@@ -28,12 +29,14 @@ from lfunlab.afe import (
     eisenstein_coefficients,
     gl2_afe_weight,
     gl2_afe_weight_batch,
+    gl2_afe_weight_grid,
     gl3_critical_value,
     rankin_selberg_afe_weight,
     rankin_selberg_afe_weight_batch,
+    rankin_selberg_afe_weight_grid,
     zeta_square_afe,
 )
-from lfunlab.heckegl3 import PolarFormError, symmetric_square_form, triple_divisor_form
+from lfunlab.heckegl3 import GL3Form, PolarFormError, symmetric_square_form, triple_divisor_form
 from lfunlab.quadrature import contour_kernel
 from lfunlab.special import PoleError, zeta_with_error
 
@@ -195,6 +198,61 @@ def test_rs_weight_batch_matches_scalar(sym2):
         assert complex(b) == pytest.approx(
             rankin_selberg_afe_weight(SPEC, y, t, sym2, "dual"), abs=1e-13
         )
+
+
+# ---------------------------------------------------------------------------
+# weights over a vector of t: one contour grid
+
+T_GRID = np.linspace(0.0, 60.0, 8)
+# tempered spherical parameters: non-real mu, so the tensor kernel is not
+# conjugate-symmetric and keeps both half-lines
+TEMPERED = GL3Form(
+    label="tempered", alpha=0.4j, beta=-0.1j, gamma=-0.3j,
+    mu=(0.4j, -0.1j, -0.3j), mu_dual=(-0.4j, 0.1j, 0.3j),
+)
+WEIGHTS = {
+    "gl2": (lambda ts, ln: afe._gl2_kernel(SPEC, ts, ln), lambda ys, ts: gl2_afe_weight_grid(SPEC, ys, ts),
+            lambda y, t: gl2_afe_weight(SPEC, y, t)),
+}
+for _form in (D3, TEMPERED):
+    for _variant in ("direct", "dual"):
+        WEIGHTS[f"{_form.label}-{_variant}"] = (
+            lambda ts, ln, f=_form, v=_variant: afe._rs_kernel(SPEC, ts, f, v, ln),
+            lambda ys, ts, f=_form, v=_variant: rankin_selberg_afe_weight_grid(SPEC, ys, ts, f, v),
+            lambda y, t, f=_form, v=_variant: rankin_selberg_afe_weight(SPEC, y, t, f, v),
+        )
+
+
+def _allowance(kern, y):
+    # the kernel's accuracy target at y: its tail_estimate plus tail_tolerance
+    # of its absolute mass (the yardstick of its stopping rule), doubled for
+    # a conjugate-symmetric kernel, whose mirror half is implicit
+    per_half = kern.tail_estimate + SPEC.tail_tolerance * float(np.sum(np.abs(kern.w)))
+    return 2.0 * per_half * y**-SPEC.sigma_u
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTS))
+def test_t_grid_blocking_is_bit_identical(name, monkeypatch):
+    kernels, _, _ = WEIGHTS[name]
+    default = list(kernels(T_GRID, 3.0))
+    monkeypatch.setattr(quadrature, "_ROW_ELEMENTS", 1)  # one row per block and per call
+    single = list(kernels(T_GRID, 3.0))
+    for a, b in zip(default, single, strict=True):
+        assert np.array_equal(a.v, b.v)
+        assert np.array_equal(a.w, b.w)
+        assert a.tail_estimate == b.tail_estimate
+
+
+@pytest.mark.parametrize("name", sorted(WEIGHTS))
+def test_t_grid_matches_scalar_weights(name):
+    kernels, grid, scalar = WEIGHTS[name]
+    ys = np.array([1.0, 30.0, 900.0])
+    values = grid(ys, T_GRID)
+    assert values.shape == (T_GRID.size, ys.size)
+    for t, row, kern in zip(T_GRID, values, kernels(T_GRID, math.log(900.0)), strict=True):
+        for y, value in zip(ys, row):
+            alone = next(kernels(t, abs(math.log(y))))
+            assert abs(value - scalar(y, t)) <= _allowance(kern, y) + _allowance(alone, y)  # measured <= 3.4e-3 of it
 
 
 # ---------------------------------------------------------------------------

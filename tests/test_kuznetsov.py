@@ -393,11 +393,35 @@ def test_diagonal_weight_uv_cache_keys_on_gamma_data():
         mu=(0.2, 0.1, -0.3), mu_dual=(-0.2, -0.1, 0.3), maass_type=False,
     )
     spec = WeightSpec()
+    ts = np.array([0.3])
     for variant in ("direct", "dual"):
         fresh = rankin_selberg_afe_weight(spec, 1.0, 0.3, other, variant=variant)
-        cached_d3 = kz._cached_rs(spec, d3, variant, 1.0, 0.3)
-        assert kz._cached_rs(spec, other, variant, 1.0, 0.3) == fresh
+        cached_d3 = kz._cached_rs(spec, d3, variant, 1.0, ts)[0]
+        assert kz._cached_rs(spec, other, variant, 1.0, ts)[0] == fresh
         assert abs(fresh - cached_d3) > 1e-2 * abs(cached_d3)  # measured 17 %
+
+
+def test_diagonal_weight_dual_reuses_self_dual_arrays():
+    # D3 is self-dual with mu_dual == mu, so "dual" reads the same gamma data
+    # as "direct" and is served its arrays without a miss
+    d3 = triple_divisor_form()
+    assert tuple(d3.mu) == tuple(d3.mu_dual)
+    direct = kz.diagonal_weight(0.7, 1, 1, 1, d3, "direct")
+    before = kz.uv_cache_stats()
+    dual = kz.diagonal_weight(0.7, 1, 1, 1, d3, "dual")
+    after = kz.uv_cache_stats()
+    assert dual == direct
+    assert after["misses"] == before["misses"]
+    assert after["hits"] == before["hits"] + 2  # one degree-2 and one tensor array
+
+
+def test_profile_cache_is_bounded(monkeypatch):
+    # the cache holds cosine-kernel profiles; skip the transform itself
+    monkeypatch.setattr(kz, "_kernel_plus_from_profile", lambda prof, x, abs_tol: 0j)
+    bound = kz._PROFILE_CACHE.maxsize
+    for k in range(bound + 4):
+        kz._kernel_plus(kz.gaussian_test_function(1.0 + 0.1 * k), 0.7, 1e-9, 1e-11)
+    assert len(kz._PROFILE_CACHE) <= bound
 
 
 def _effective_test_function(form, spec, l_index, nm_index):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline as SciSpline
 
+from lfunlab import quadrature
 from lfunlab.quadrature import (
     CubicSpline1D,
     NonDecayError,
@@ -82,12 +83,101 @@ class TestLineIntegral:
         err = np.abs(kern.apply(ys) - np.exp(-ys))
         assert np.all(err <= kern.tail_estimate * ys**-2.0 + 1e-13)
 
+    def test_apply_blocks_match_dense_product(self, monkeypatch):
+        # apply fills one reused phase buffer per block of y; blocks of
+        # three arguments, the last one short, give the dense product
+        kern = gamma_kernel(2.0)
+        ys = np.linspace(0.05, 9.0, 41)
+        dense = (np.exp(-1j * np.outer(np.log(ys), kern.v)) @ kern.w) * ys ** (-kern.sigma)
+        monkeypatch.setattr(quadrature, "_APPLY_ELEMENTS", 3 * kern.v.size)
+        np.testing.assert_allclose(kern.apply(ys), dense, rtol=1e-13, atol=1e-15)
+        assert kern.apply(np.array([])).shape == (0,)
+
     def test_non_decay_flagged(self):
         with pytest.raises(NonDecayError):
             contour_kernel(
                 lambda s: 1.0 / (1.0 + 0.001 * s * s), 1.0, width=0.5, tol=1e-10, symmetric=False,
                 height=8.0, cap=64.0,
             )
+
+
+def gaussian_rows(u, r):
+    # |exp(r u^2)| = e^{r (sigma^2 - v^2)}: row r decays at its own rate in v
+    return np.exp(r[:, None] * u * u)
+
+
+def _outer_mass(kern, nodes=12):
+    # mass on the outermost panel(s): top of the upper half-line, and the
+    # bottom of the lower one when the kernel keeps both
+    order = np.argsort(kern.v)
+    absw = np.abs(kern.w)
+    edge = float(np.sum(absw[order[-nodes:]]))
+    return edge if kern.symmetric else edge + float(np.sum(absw[order[:nodes]]))
+
+
+class TestRowBatches:
+    """contour_kernel over a batch of rows: one grid, per-row stopping."""
+
+    RATES = np.array([1.0, 0.05, 0.2, 0.01])
+
+    def build(self, rows, symmetric, cap=512.0, kfunc=gaussian_rows):
+        return contour_kernel(
+            kfunc, 0.5, width=0.5, tol=1e-12, symmetric=symmetric, height=4.0, cap=cap, rows=rows
+        )
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_each_row_equals_its_own_kernel(self, symmetric):
+        # a row's kernel is bit-identical to the single-row kernel on the
+        # same grid: the other rows change neither its nodes nor its stop
+        kernels = list(self.build(self.RATES, symmetric))
+        assert len(kernels) == self.RATES.size
+        for r, kern in zip(self.RATES, kernels):
+            alone = contour_kernel(
+                lambda u, r=r: gaussian_rows(u, np.array([r]))[0], 0.5, width=0.5, tol=1e-12,
+                symmetric=symmetric, height=4.0, cap=512.0,
+            )
+            assert np.array_equal(kern.v, alone.v)
+            assert np.array_equal(kern.w, alone.w)
+            assert kern.tail_estimate == alone.tail_estimate
+        # slower decay needs more height, and a finished row takes no more segments
+        heights = [float(np.max(np.abs(k.v))) for k in kernels]
+        assert heights[0] < heights[2] < heights[1] < heights[3]
+
+    def test_row_mass_does_not_move_other_stops(self):
+        # 1/cos(u) decays like e^{-v}, so a stop rule that compared a row's
+        # edge with another row's total would move these rows, whose masses
+        # lie 15 decades apart; each stops where it stops alone
+        def scaled(u, a):
+            return a[:, None] / np.cos(u)
+
+        scales = np.array([1.0, 1e12, 1e-3, 1e6])
+        for a, kern in zip(scales, self.build(scales, True, kfunc=scaled)):
+            alone = contour_kernel(
+                lambda u, a=a: scaled(u, np.array([a]))[0], 0.5, width=0.5, tol=1e-12,
+                symmetric=True, height=4.0, cap=512.0,
+            )
+            assert np.array_equal(kern.v, alone.v)
+            assert np.array_equal(kern.w, alone.w)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_stopping_rule_per_row(self, symmetric):
+        for kern in self.build(self.RATES, symmetric):
+            edge = _outer_mass(kern)
+            assert edge <= 1e-12 * float(np.sum(np.abs(kern.w)))
+            assert kern.tail_estimate == pytest.approx(edge, rel=1e-12)
+
+    def test_values_match_closed_form(self):
+        # (1/2 pi i) int_{(sigma)} y^{-u} e^{r u^2} du = e^{-(ln y)^2 / 4r} / (2 sqrt(pi r))
+        ys = np.array([0.5, 1.0, 3.0])
+        for r, kern in zip(self.RATES, self.build(self.RATES, True)):
+            exact = np.exp(-np.log(ys) ** 2 / (4 * r)) / (2 * math.sqrt(math.pi * r))
+            # rounding sits at the scale of the kernel's mass, the y = 1 value
+            np.testing.assert_allclose(kern.apply(ys).real, exact, rtol=1e-10, atol=1e-12 * exact[1])
+
+    def test_row_at_cap_is_named(self):
+        kernels = self.build(np.array([1.0, 0.001, 0.5]), True, cap=64.0)
+        with pytest.raises(NonDecayError, match=r"row parameter 0\.001"):
+            list(kernels)
 
 
 class TestOscillatoryIntegral:
