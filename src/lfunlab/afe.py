@@ -40,7 +40,6 @@ from .heckegl3 import GL3Form, PolarFormError, coefficient_block, coefficient_ro
 from .quadrature import ContourKernel, NonDecayError, contour_kernel
 from .special import (
     PoleError,
-    _check_lrs,
     archimedean_gamma_log,
     gl2_gamma_log,
     gl2_gamma_ratio_log,
@@ -174,7 +173,13 @@ def _rs_kernel(
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     tmax = float(np.max(np.abs(ts)))
     mu = form.mu if variant == "direct" else form.mu_dual
-    _check_lrs(mu, form.label)
+    # Gamma((1/2 + u -+ it - mu_i)/2) has poles at Re u = Re mu_i - 1/2 - 2k;
+    # every one must lie left of the line Re u = sigma_u
+    if any(complex(m).real >= 0.5 + spec.sigma_u for m in mu):
+        raise PoleError(
+            f"gamma data {tuple(mu)} of {form.label!r} put a pole of the tensor weight's gamma factor "
+            f"on or right of its contour Re u = {spec.sigma_u}"
+        )
 
     def kfunc(u, t):
         t = t[:, None]

@@ -321,8 +321,10 @@ def symmetric_square_form(prime_cap: int = 24000, mu: tuple | None = None) -> GL
     and A(1, p) = a_p^2 - 1.  The archimedean parameters default to
     (-1, -11, -12): the lift's standard L-function has completed factor
     Gamma_R(s+1) Gamma_R(s+11) Gamma_R(s+12) and is self-dual with these
-    same dual parameters.  They sit far outside the spherical strip, which
-    downstream contour code flags with a warning; pass mu to override.
+    same dual parameters.  They sit far outside the spherical strip but left
+    of the tensor AFE weight's contour, so the weight is defined; pass mu to
+    override (parameters with a pole on or right of that contour raise
+    PoleError there).
     """
     if prime_cap < 2:
         raise ValueError("prime_cap must be at least 2")

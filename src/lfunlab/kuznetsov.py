@@ -22,37 +22,34 @@ and the two transforms (all integrals over the whole real line) are
               = 2i int I_{2it}(2 pi x) h(t) t / cosh(pi t) dt.
 
 The I-Bessel form of Hminus follows from K_nu = pi (I_{-nu} - I_nu) /
-(2 sin pi nu) and makes the two transforms exact mirrors (J <-> I), so they
-share evaluation machinery.  Three cross-validating routes exist:
+(2 sin pi nu) and makes the two transforms exact mirrors (J <-> I).
+
+One route evaluates both transforms, "kernel".  By DLMF 10.32.7 and the
+Mehler-Sonine integral, exchanging the t- and zeta-integrals gives
+
+    Hplus(x)  = int_0^inf cos(z cosh zeta) P(zeta) dzeta,
+    Hminus(x) = int_0^inf cos(z sinh zeta) P(zeta) dzeta,     z = 2 pi x,
+    P(zeta)   = (8/pi) int_0^inf h(t) t tanh(pi t) cos(2 t zeta) dt,
+
+with one profile P for both.  The tanh pole at t = i/2 leaves P an e^{-zeta}
+tail, so on the real zeta-line both integrals oscillate for a long way.
+Moved to the contour 0 -> i theta -> inf + i theta, the kernels decay like
+e^{-z sin(theta) sinh u} and e^{-z sin(theta) cosh u}, and one node set
+serves every argument: the geometric side evaluates all its c at once as a
+blocked exp(i outer(z, cosh or sinh zeta)) @ (weights * P) product.  theta
+comes from the samples of h themselves: the largest theta <= 1/2 at which
+P(zeta + i theta) grows by at most a factor 10, so no decay rate has to be
+declared.  Wide or slowly decaying h give a small theta and a long contour.
+
+Two routes remain as cross-check oracles; neither uses P or the contour:
 
 * "series": direct quadrature in t against the ascending-series Bessel
-  values (mpmath underneath).  The J-series is validated for 2 pi x <= 40;
-  the K-route for Hminus has no argument cap.  Slow but route-independent.
-* "shifted": the t-line moved to Im t = -shift.  Crossing the zeros of
-  cosh(pi t) at t = -i(2k+1)/2 leaves explicit residue terms, so
-
-      Hplus(x) = 2i int_{Im t = -shift} J_{2it}(2 pi x) h(t) t / cosh(pi t) dt
-                 + 2 sum_{0 <= k < shift - 1/2} (-1)^k (2k+1)
-                       h(-i(2k+1)/2) J_{2k+1}(2 pi x),
-
-  and identically for Hminus with I in place of J.  On the shifted line the
-  integrand is O(1) and everything evaluates in doubles through a log-split
-  ascending series, which is what makes large Kloosterman-sum truncations
-  affordable; float cancellation caps this route at 2 pi x <= 22.  The
-  residue terms dominate as x -> 0 (they are ~ x h(-i/2)), while the line
-  integral alone is O(x^{2 shift}).
-* "kernel" (Hplus only): exchanging the order of integration in the
-  Mehler-Sonine representation gives
-
-      Hplus(x) = int_0^inf cos(2 pi x cosh z) P(z) dz,
-      P(z) = (8/pi) int_0^inf h(t) t tanh(pi t) cos(2tz) dt,
-
-  with P computed once per test function.  The tanh pole at t = i/2 gives P
-  an e^{-z} tail (coefficient ~ |h(i/2)|), so the oscillatory integral is
-  truncated where a van der Corput bound falls below the requested absolute
-  tolerance.  No such route is offered for Hminus: its companion kernel
-  grows like e^{(pi T)^2/4} against the e^{-2 pi x cosh u} factor and is
-  numerically useless in doubles beyond very narrow test functions.
+  values (mpmath underneath).  The J-series is validated for 2 pi x <= 40
+  and for cutoffs t with cosh(pi t) finite in doubles; the K-route for
+  Hminus has no argument cap.
+* "direct" (Hminus only): the real Laplace integral for K_{2it} in doubles,
+  for narrow test functions only; it raises RegimeError where its own noise
+  model exceeds 1e-8 of the value.
 
 The module also evaluates the smoothed diagonal weights that arise when the
 identity is applied against approximate-functional-equation sums: see
@@ -62,6 +59,7 @@ identity is applied against approximate-functional-equation sums: see
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -78,7 +76,7 @@ from .afe import (
 )
 from .exactarith import kloosterman
 from .heckegl3 import GL3Form
-from .quadrature import NonDecayError, gauss_legendre_panels
+from .quadrature import _ROW_ELEMENTS, NonDecayError, gauss_legendre_panels
 from .special import RegimeError, bessel_imag_order, log_gamma, zeta_with_error
 from .util import LRUCache, ordered_parallel_map
 
@@ -90,7 +88,6 @@ __all__ = [
     "delta_weight",
     "continuous_weight",
     "bessel_transform",
-    "bessel_transform_split",
     "geometric_side",
     "continuous_side",
     "kuznetsov_residual",
@@ -99,9 +96,9 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_FLOAT_SERIES_CAP = 22.0  # 2 pi x beyond which the double-precision series route loses too many digits
-_SERIES_ROUTE_CAP = 40.0  # validation cap of the mpmath J/I ascending series
 _GL_NODES = 12
+_EPS = sys.float_info.epsilon
+_AMP_CUT = -math.log(_EPS)  # kernels below e^{-_AMP_CUT} of their peak are dropped from the contour
 
 # mpmath precision is process-global state; serialize all mpmath-backed
 # evaluations so the threaded Kloosterman sum stays correct and bitwise
@@ -140,11 +137,11 @@ def _var_panel_grid(a: float, b: float, width_fn: Callable[[float], float]):
 class SpectralTestFunction:
     """Even test function h(t) entering the spectral sum formula.
 
-    `evaluator` must accept real numpy arrays (vectorized) and, whenever the
-    shifted-contour routes are to be used, complex scalars as well.  The two
-    analytic hypotheses of the formula are *declared*: `decay_exponent` is a
-    theta > 2 with h(t) = O((1+|t|)^{-theta}), and `holomorphy_width` is a
-    sigma > 1/2 such that h is holomorphic on |Im t| <= sigma.  Evenness and
+    `evaluator` must accept real numpy arrays (vectorized); no evaluation
+    route needs complex input.  The two analytic hypotheses of the formula
+    are *declared*: `decay_exponent` is a theta > 2 with
+    h(t) = O((1+|t|)^{-theta}), and `holomorphy_width` is a sigma > 1/2 such
+    that h is holomorphic on |Im t| <= sigma; neither selects a route.  Evenness and
     the decay envelope are spot-checked on samples at construction; the
     declarations themselves are trusted (they cannot be verified from finitely
     many samples).
@@ -258,151 +255,6 @@ def continuous_weight(r):
 
 
 # ---------------------------------------------------------------------------
-# double-precision ascending series for J/I of complex order
-
-
-def _bessel_series_float(nu: np.ndarray, z: float, signed: bool) -> np.ndarray:
-    """J_nu(z) (signed) or I_nu(z) (unsigned) for an array of complex orders,
-    by the log-split ascending series
-
-        B_nu(z) = exp(nu log(z/2) - logGamma(nu+1)) * sum_k c_k,
-        c_0 = 1,  c_k = c_{k-1} * (-+ z^2/4) / (k (nu + k)).
-
-    Valid in doubles for z <= _FLOAT_SERIES_CAP; orders must stay away from
-    negative integers (they do: shifted-line orders have positive real part,
-    residue orders are positive odd integers)."""
-    if z > _FLOAT_SERIES_CAP:
-        raise RegimeError(
-            f"double-precision ascending series loses too many digits at 2 pi x = {z:.2f} > "
-            f"{_FLOAT_SERIES_CAP}; use the mpmath series or kernel route"
-        )
-    nu = np.asarray(nu, dtype=complex)
-    q = (-0.25 if signed else 0.25) * z * z
-    series = np.ones_like(nu)
-    term = np.ones_like(nu)
-    for k in range(1, 200):
-        term = term * (q / (k * (nu + k)))
-        series = series + term
-        if float(np.max(np.abs(term))) <= 1e-17 * float(np.max(np.abs(series))):
-            break
-    return np.exp(nu * math.log(0.5 * z) - log_gamma(nu + 1.0)) * series
-
-
-# ---------------------------------------------------------------------------
-# shifted-contour route
-
-
-@dataclass(frozen=True)
-class _ShiftedPlan:
-    """Precomputed x-independent data for the shifted-line evaluation of one
-    test function: grid, orders, log-Gamma and log-cosh values, h samples on
-    the line, and h at the crossed poles."""
-
-    shift: float
-    ys: np.ndarray
-    ws: np.ndarray
-    nu: np.ndarray
-    lgam: np.ndarray
-    logcosh: np.ndarray
-    pref: np.ndarray  # h(y - i shift) * (y - i shift)
-    h_at_poles: tuple
-
-
-def _validate_shift(h: SpectralTestFunction, shift: float) -> None:
-    if not shift > 0.5:
-        raise ValueError("shift must exceed 1/2 (below that the line move gains nothing)")
-    if abs(shift % 1.0 - 0.5) < 1e-9:
-        raise ValueError("shift must avoid the half-integer pole heights of 1/cosh(pi t)")
-    if not h.holomorphy_width > shift:
-        raise ValueError(
-            f"test function declares holomorphy width {h.holomorphy_width}, "
-            f"insufficient for a contour shift to Im t = -{shift}"
-        )
-
-
-def _build_shifted_plan(h: SpectralTestFunction, shift: float, z_min: float, rel_tol: float) -> _ShiftedPlan:
-    _validate_shift(h, shift)
-
-    def on_line(y):
-        y = np.asarray(y, dtype=float)
-        return np.asarray([complex(h.evaluator(complex(v, -shift))) for v in np.atleast_1d(y)])
-
-    ref = np.abs(on_line(np.array([0.0, 0.7, 1.9]))) * np.array([1.0, 1.7, 2.9])
-    scale = float(np.max(ref)) + 1e-300
-    ymax, t = None, 6.0
-    while t <= 1.0e5:
-        probe = np.array([t, 1.37 * t, 1.93 * t])
-        env = np.abs(on_line(probe)) * (1.0 + probe)
-        if np.all(env <= rel_tol * scale):
-            ymax = float(1.93 * t)
-            break
-        t *= 1.4
-    if ymax is None:
-        raise NonDecayError("test function does not decay on the shifted line")
-
-    rate = (
-        2.0 * abs(math.log(max(z_min, 1e-9) / 2.0))
-        + 2.0 * math.log(3.0 + 2.0 * shift + 2.0 * ymax)
-        + 4.0 * shift
-    )
-    width = 1.4 / rate
-
-    k_count = int(math.ceil(shift - 0.5 - 1e-12))
-    poles = tuple(complex(h.evaluator(complex(0.0, -(2 * k + 1) / 2.0))) for k in range(k_count))
-
-    def assemble(w):
-        ys, ws = _panel_grid(-ymax, ymax, width=w)
-        tvals = ys - 1j * shift
-        nu = 2.0 * shift + 2j * ys
-        lgam = log_gamma(nu + 1.0)
-        arg = math.pi * (np.abs(ys) - 1j * shift * np.where(ys >= 0.0, 1.0, -1.0))
-        logcosh = arg + np.log(1.0 + np.exp(-2.0 * arg)) - _LN2
-        pref = np.asarray([complex(h.evaluator(complex(t))) for t in tvals]) * tvals
-        return _ShiftedPlan(shift, ys, ws, nu, lgam, logcosh, pref, poles)
-
-    plan = assemble(width)
-    probe_z = max(z_min, 1e-3)
-    for _ in range(6):
-        finer = assemble(width / 2.0)
-        a = _shifted_line_value(plan, probe_z, "J")
-        b = _shifted_line_value(finer, probe_z, "J")
-        res = _shifted_residues(plan, probe_z, "J")
-        if abs(a - b) <= max(rel_tol, 1e-13) * (abs(b) + abs(res) + 1e-300):
-            return finer
-        width /= 2.0
-        plan = finer
-    return plan
-
-
-def _shifted_line_value(plan: _ShiftedPlan, z: float, kind: str) -> complex:
-    amp = np.exp(plan.nu * math.log(0.5 * z) - plan.lgam - plan.logcosh)
-    q = (-0.25 if kind == "J" else 0.25) * z * z
-    series = np.ones_like(plan.nu)
-    term = np.ones_like(plan.nu)
-    for k in range(1, 200):
-        term = term * (q / (k * (plan.nu + k)))
-        series = series + term
-        if float(np.max(np.abs(term))) <= 1e-17 * max(1.0, float(np.max(np.abs(series)))):
-            break
-    return complex(2j * np.sum(plan.ws * amp * series * plan.pref))
-
-
-def _shifted_residues(plan: _ShiftedPlan, z: float, kind: str) -> complex:
-    if not plan.h_at_poles:
-        return 0j
-    orders = np.array([2 * k + 1 for k in range(len(plan.h_at_poles))], dtype=complex)
-    bess = _bessel_series_float(orders, z, signed=(kind == "J"))
-    total = 0j
-    for k, hk in enumerate(plan.h_at_poles):
-        total += 2.0 * ((-1.0) ** k) * (2 * k + 1) * hk * bess[k]
-    return complex(total)
-
-
-def _shifted_value(plan: _ShiftedPlan, z: float, kind: str) -> complex:
-    return _shifted_line_value(plan, z, kind) + _shifted_residues(plan, z, kind)
-
-
-# ---------------------------------------------------------------------------
 # mpmath series routes
 
 
@@ -410,6 +262,11 @@ def _series_plus(h: SpectralTestFunction, x: float, rel_tol: float) -> complex:
     """Hplus by direct t-quadrature of -4 Im J_{2it}(2 pi x) h t / cosh(pi t)."""
     z = 2.0 * math.pi * x
     tmax = _even_cutoff(h, min(rel_tol, 1e-10), growth=1.6)
+    if math.pi * tmax > math.log(sys.float_info.max):
+        raise RegimeError(
+            f"the J-series oracle divides by cosh(pi t) in doubles, finite for t <= "
+            f"{math.log(sys.float_info.max) / math.pi:.1f}, but h needs t up to {tmax:.1f}; use route='kernel'"
+        )
     rate = 2.0 * (1.0 + abs(math.log(0.5 * z))) + 2.0 * math.log(2.0 + 2.0 * tmax)
     ts, ws = _panel_grid(0.0, tmax, width=max(min(6.0 / rate, tmax / 30.0), 0.02))
     ratio = np.empty(ts.size)
@@ -474,79 +331,143 @@ def _minus_direct(h: SpectralTestFunction, x: float, rel_tol: float) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# cosine-kernel route for Hplus
+# zeta-contour route for both transforms
 
 
 @dataclass(frozen=True)
-class _PlusProfile:
-    """Samples of f(t) = h(t) t tanh(pi t) folded with quadrature weights,
-    plus the measured e^{-z} tail coefficient of its half-cosine transform
-    P(z) = (8/pi) int_0^inf f(t) cos(2tz) dt."""
+class _Profile:
+    """Samples of f(t) = h(t) t tanh(pi t) times their quadrature weights, as
+    (real part, imaginary part) columns, for the half-cosine transform
+    P(zeta) = (8/pi) int_0^inf f(t) cos(2 t zeta) dt, and the contour height
+    theta they allow.  Samples whose weight on Im zeta = theta lies below the
+    double-precision floor are dropped, so ts[-1] is the band P oscillates in."""
 
     ts: np.ndarray
-    fw: np.ndarray  # quadrature weights * f(ts)
-    tail_coeff: float
-    scale: float
-
-    def transform(self, zs: np.ndarray) -> np.ndarray:
-        out = np.empty(zs.size)
-        for lo in range(0, zs.size, 4096):
-            blk = zs[lo : lo + 4096]
-            out[lo : lo + 4096] = np.cos(2.0 * np.outer(blk, self.ts)) @ self.fw
-        return (8.0 / math.pi) * out
+    fw: np.ndarray  # shape (len(ts), 2)
+    theta: float
 
 
-_ZETA_HARD_CAP = 18.0  # truncation ceiling of the cosh-kernel integral
+def _profile_from_samples(ts: np.ndarray, ws: np.ndarray, hvals: np.ndarray) -> _Profile:
+    """The profile of the samples hvals = h(ts) on the grid (ts, ws)."""
+    fw = ws * np.asarray(hvals, dtype=complex) * ts * np.tanh(math.pi * ts)
+    mag = np.abs(fw)
+    base = float(np.sum(mag))
+
+    def growth(theta: float) -> float:
+        return float(np.sum(mag * np.exp(2.0 * theta * ts)))
+
+    # the largest theta <= 1/2 at which |P(zeta + i theta)| can exceed the
+    # profile's own scale by at most one digit: sum |fw| e^{2 theta t} <= 10 sum |fw|
+    theta = 0.5
+    if growth(theta) > 10.0 * base:
+        lo, hi = 0.0, theta
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if growth(mid) <= 10.0 * base else (lo, mid)
+        theta = lo
+    tail = np.cumsum((mag * np.exp(2.0 * theta * ts))[::-1])[::-1]
+    keep = int(np.count_nonzero(tail > _EPS * base))
+    return _Profile(ts=ts[:keep], fw=np.stack([fw.real, fw.imag], axis=1)[:keep], theta=theta)
 
 
-def _profile_from_samples(ts: np.ndarray, ws: np.ndarray, fvals: np.ndarray) -> _PlusProfile:
-    prof = _PlusProfile(ts=ts, fw=ws * fvals, tail_coeff=0.0, scale=1.0)
-    bulk = prof.transform(np.linspace(0.0, 3.0, 25))
-    scale = float(np.max(np.abs(bulk))) + 1e-300
-    window = np.linspace(10.0, 14.0, 17)
-    tail = prof.transform(window)
-    coeff = 4.0 * float(np.max(np.abs(tail) * np.exp(window))) + 1e-14 * scale
-    return _PlusProfile(ts=ts, fw=prof.fw, tail_coeff=coeff, scale=scale)
+def _contour_length(theta: float, z_min: float) -> float:
+    """U with cosh U = 1 + _AMP_CUT / (z_min sin theta).  On Im zeta = theta
+    |e^{i z cosh zeta}| = e^{-z sin(theta) sinh u} falls from 1 at u = 0, and
+    |e^{i z sinh zeta}| = e^{-z sin(theta) cosh u} from e^{-z sin theta}; past
+    u = U both lie e^{-_AMP_CUT} below those peaks for every z >= z_min."""
+    return math.acosh(1.0 + _AMP_CUT / (z_min * math.sin(theta)))
 
 
-def _plus_profile(h: SpectralTestFunction, rel_tol: float) -> _PlusProfile:
-    tmax = _even_cutoff(h, min(rel_tol, 1e-11), growth=1.2)
-    ts, ws = _panel_grid(0.0, tmax, width=min(tmax / 48.0, 8.0 / (2.0 * _ZETA_HARD_CAP)))
-    hv = np.asarray(h(ts), dtype=complex).real
-    return _profile_from_samples(ts, ws, hv * ts * np.tanh(math.pi * ts))
+def _resolved_profile(build: Callable[[float], _Profile], width: float, z_min: float) -> _Profile:
+    """build(width) samples the profile on panels <= width; the width is
+    halved until 12-node panels resolve cos(2 t zeta), whose rate in t is
+    |2 zeta| <= 2 |U + i theta|, along the whole contour of the samples' theta."""
+    while True:
+        prof = build(width)
+        if width * abs(complex(_contour_length(prof.theta, z_min), prof.theta)) <= 4.0:
+            return prof
+        width /= 2.0
 
 
-def _kernel_plus_from_profile(prof: _PlusProfile, x: float, abs_tol: float) -> complex:
-    z_grid_cap = None
-    c1 = prof.tail_coeff
-    for z1 in np.arange(5.0, _ZETA_HARD_CAP + 0.01, 0.25):
-        bound = c1 * min(math.exp(-z1), 5.0 * math.exp(-2.0 * z1) / (2.0 * math.pi * x))
-        if bound <= abs_tol:
-            z_grid_cap = float(z1)
-            break
-    if z_grid_cap is None:
-        raise RegimeError(
-            f"cosh-kernel truncation bound stuck above abs_tol = {abs_tol:.1e} "
-            f"(tail coefficient {c1:.2e}); loosen abs_tol"
-        )
-    t_band = float(prof.ts[-1])
+def _contour_transforms(prof: _Profile, zs: np.ndarray):
+    """(Hplus, Hminus) at every z = 2 pi x in zs, as complex arrays, from
 
-    def width(zeta):
-        osc = 2.0 * math.pi * x * max(math.sinh(zeta), 0.2) + 2.0 * t_band
-        return min(0.35, 8.0 / osc)
+        Hplus  = Re int e^{i z cosh zeta} P(zeta) dzeta,
+        Hminus = Re int e^{i z sinh zeta} P(zeta) dzeta
 
-    zs, wz = _var_panel_grid(0.0, z_grid_cap, width)
-    pvals = prof.transform(zs)
-    return complex(np.sum(wz * np.cos(2.0 * math.pi * x * np.cosh(zs)) * pvals))
+    along 0 -> i theta -> U + i theta, for each column of P (real and
+    imaginary part of h) on its own.  Where the kernels lie within
+    e^{-_AMP_CUT} of their peak on Im zeta = theta, their exponents change at
+    most at the rate z |sinh zeta| <= _AMP_CUT / sin(theta) + z sin(theta)
+    (Hplus) or z |cosh zeta| <= _AMP_CUT / sin(theta) + z (Hminus), and P at
+    2 ts[-1]: one node set, as long as the smallest z and as fine as the
+    largest z need, serves every argument.  On the vertical leg the Hminus
+    integrand i e^{-z sin v} P(iv) is imaginary, so only Hplus takes it."""
+    zs = np.asarray(zs, dtype=float)
+    theta, ts, fw = prof.theta, prof.ts, prof.fw
+    s = math.sin(theta)
+    z_max = float(np.max(zs))
+    band = 2.0 * float(ts[-1]) if ts.size else 0.0
+    # 12-node panels spanning at most 8 units of the integrand's exponent
+    us, wu = _panel_grid(0.0, _contour_length(theta, float(np.min(zs))), 8.0 / (_AMP_CUT / s + z_max + band))
+    vs, wv = _panel_grid(0.0, theta, 8.0 / (z_max * s + band))
+
+    # P(u + i theta) = (8/pi) sum fw [cos(2tu) cosh(2t theta) - i sin(2tu) sinh(2t theta)]
+    ch = fw * np.cosh(2.0 * theta * ts)[:, None]
+    sh = fw * np.sinh(2.0 * theta * ts)[:, None]
+    p_h = np.empty((us.size, 2), dtype=complex)
+    for rows in _row_blocks(us.size, ts.size):
+        arg = 2.0 * np.outer(us[rows], ts)
+        p_h[rows] = np.cos(arg) @ ch - 1j * (np.sin(arg) @ sh)
+    p_v = np.empty((vs.size, 2))
+    for rows in _row_blocks(vs.size, ts.size):
+        p_v[rows] = np.cosh(2.0 * np.outer(vs[rows], ts)) @ fw
+
+    zeta = us + 1j * theta
+    plus_nodes = np.concatenate([np.cosh(zeta), np.cos(vs)])
+    plus_w = (8.0 / math.pi) * np.concatenate([wu[:, None] * p_h, 1j * wv[:, None] * p_v])
+    minus_w = (8.0 / math.pi) * wu[:, None] * p_h
+    return _exp_product(zs, plus_nodes, plus_w), _exp_product(zs, np.sinh(zeta), minus_w)
 
 
-_PROFILE_CACHE = LRUCache(maxsize=8)  # keyed on (test function, digits of rel_tol)
+def _row_blocks(n_rows: int, n_cols: int) -> list:
+    """Row slices of an (n_rows, n_cols) product of about _ROW_ELEMENTS entries each."""
+    step = max(1, _ROW_ELEMENTS // max(n_cols, 1))
+    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
-def _kernel_plus(h: SpectralTestFunction, x: float, abs_tol: float, rel_tol: float) -> complex:
-    key = (h, round(-math.log10(max(rel_tol, 1e-15))))
-    prof = _PROFILE_CACHE.get_or_build(key, lambda: _plus_profile(h, rel_tol))
-    return _kernel_plus_from_profile(prof, x, abs_tol)
+def _exp_product(zs: np.ndarray, nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Re(exp(i outer(zs, nodes)) @ w), column 0 + i column 1, through one
+    phase buffer exponentiated in place block by block."""
+    blocks = _row_blocks(zs.size, nodes.size)
+    phase = np.empty((blocks[0].stop, nodes.size), dtype=complex)
+    inodes = 1j * nodes
+    out = np.empty((zs.size, 2))
+    for rows in blocks:
+        p = phase[: rows.stop - rows.start]
+        np.multiply.outer(zs[rows], inodes, out=p)
+        np.exp(p, out=p)
+        out[rows] = (p @ w).real
+    return out[:, 0] + 1j * out[:, 1]
+
+
+_PROFILE_CACHE = LRUCache(maxsize=8)  # keyed on (test function, rel_tol, panel width)
+
+
+def _kernel_transforms(h: SpectralTestFunction, zs: np.ndarray, rel_tol: float):
+    """(Hplus, Hminus) of h at every z = 2 pi x in zs on one contour."""
+    t_max = _even_cutoff(h, min(rel_tol, 1e-11), growth=1.2)
+
+    def sample(width: float) -> _Profile:
+        def build() -> _Profile:
+            ts, ws = _panel_grid(0.0, t_max, width=width)
+            return _profile_from_samples(ts, ws, h(ts))
+
+        return _PROFILE_CACHE.get_or_build((h, rel_tol, width), build)
+
+    # tanh(pi t) has poles at t = +-i/2: 12-node panels up to 1/2 wide resolve it
+    prof = _resolved_profile(sample, min(t_max / 48.0, 0.5), float(np.min(zs)))
+    return _contour_transforms(prof, zs)
 
 
 # ---------------------------------------------------------------------------
@@ -561,83 +482,29 @@ def _norm_sign(sign) -> str:
     raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 
 
-def bessel_transform(
-    h,
-    sign,
-    x: float,
-    *,
-    route: str = "auto",
-    shift: float = 2.0,
-    rel_tol: float = 1e-11,
-    abs_tol: float = 1e-9,
-) -> complex:
+def bessel_transform(h, sign, x: float, *, route: str = "kernel", rel_tol: float = 1e-11) -> complex:
     """Hplus (sign '+') or Hminus (sign '-') of the test function at x > 0.
 
-    Routes: "series" (direct t-quadrature against mpmath Bessel values; the
-    J-series is capped at 2 pi x <= 40, the K-route is uncapped), "shifted"
-    (contour moved to Im t = -shift, double precision, 2 pi x <= 22, needs a
-    complex-capable evaluator), "kernel" (sign '+' only: the cosine-kernel
-    double integral, any argument, absolute accuracy abs_tol), "direct"
-    (sign '-' only: double-precision Laplace-kernel oracle for narrow test
-    functions), or "auto"."""
+    Routes: "kernel" (the default: both transforms as integrals of the
+    profile P along a zeta-contour, double precision, any argument),
+    "series" (the cross-check oracle: direct t-quadrature against mpmath
+    Bessel values; the J-series is capped at 2 pi x <= 40, the K-route is
+    uncapped) and "direct" (sign '-' only: a double-precision Laplace-kernel
+    oracle for narrow test functions).  rel_tol sets where h is cut off."""
     h = _check_testfn(h)
     if not x > 0:
         raise ValueError("argument x must be positive")
     sgn = _norm_sign(sign)
-    z = 2.0 * math.pi * x
-    can_shift = h.holomorphy_width > shift
-
-    if route == "auto":
-        if z <= _FLOAT_SERIES_CAP and can_shift:
-            route = "shifted"
-        elif sgn == "+":
-            route = "series" if z <= _SERIES_ROUTE_CAP else "kernel"
-        else:
-            route = "series"
-
-    if route == "shifted":
-        if z > _FLOAT_SERIES_CAP:
-            raise RegimeError(
-                f"shifted route is limited to 2 pi x <= {_FLOAT_SERIES_CAP} "
-                f"(got {z:.2f}); use 'series' or 'kernel'"
-            )
-        plan = _build_shifted_plan(h, shift, z, rel_tol)
-        return _shifted_value(plan, z, "J" if sgn == "+" else "I")
+    if route == "kernel":
+        hp, hm = _kernel_transforms(h, np.array([2.0 * math.pi * x]), rel_tol)
+        return complex((hp if sgn == "+" else hm)[0])
     if route == "series":
         return _series_plus(h, x, rel_tol) if sgn == "+" else _minus_series(h, x, rel_tol)
-    if route == "kernel":
-        if sgn == "-":
-            raise ValueError(
-                "no kernel route exists for the minus transform: its companion kernel grows "
-                "like e^{(pi T)^2/4} against the Laplace factor and cancels catastrophically"
-            )
-        return _kernel_plus(h, x, abs_tol, rel_tol)
     if route == "direct":
         if sgn == "+":
             raise ValueError("route 'direct' applies to the minus transform only")
         return _minus_direct(h, x, rel_tol)
     raise ValueError(f"unknown route {route!r}")
-
-
-def bessel_transform_split(h, x: float, *, shift: float = 2.0, rel_tol: float = 1e-11):
-    """The two pieces of the shifted-contour evaluation of Hplus; their sum
-    is Hplus(x).
-
-    The residue sum from the crossed cosh poles is
-
-        2 sum_{0 <= k < shift - 1/2} (-1)^k (2k+1) h(-(2k+1)i/2) J_{2k+1}(2 pi x),
-
-    which behaves like 2 pi x h(-i/2) only as x -> 0.  The line integral
-    over Im t = -shift is O(x^{2 shift}), but its constant carries
-    |h(y - i shift)|, which can be large: for the width-1 Gaussian at
-    x = 0.2 the line piece exceeds the residues (1.17 against 0.81 in
-    absolute value)."""
-    h = _check_testfn(h)
-    if not x > 0:
-        raise ValueError("argument x must be positive")
-    z = 2.0 * math.pi * x
-    plan = _build_shifted_plan(h, shift, z, rel_tol)
-    return _shifted_line_value(plan, z, "J"), _shifted_residues(plan, z, "J")
 
 
 # ---------------------------------------------------------------------------
@@ -651,16 +518,19 @@ def _divisor_counts(limit: int) -> np.ndarray:
     return d
 
 
-def _geometric_terms(n: int, l: int, h: SpectralTestFunction, c_max: int, *, threads: int = 4, shift: float = 2.0):
+def _geometric_terms(n: int, l: int, h: SpectralTestFunction, c_max: int, *, threads: int = 4):
     """(delta_term, kloosterman_term, tail_estimate) of the geometric side,
     the c-sum truncated at c_max.
 
+    All transforms, at x = 2 sqrt(nl)/c for c <= c_max and at x0/2 for the
+    tail fit, come from one contour; `threads` drives the Kloosterman sums.
     The tail estimate combines the Weil bound |S(n,l;c)| <= d(c) sqrt((n,l,c)) sqrt(c)
     with an empirical small-argument envelope of the transforms anchored at
     x0 = 2 sqrt(nl)/c_max (power-law fit against x0/2, clamped to [1, 4],
-    safety factor 3 — the leading residue term of the shifted route makes
-    the true decay at least linear), explicit terms out to 64 c_max, and an
-    integral remainder with d(c) <= 6 c^{1/3} beyond."""
+    safety factor 3 — the tanh pole at t = -i/2 gives both transforms the
+    leading term 2 pi x h(-i/2) as x -> 0, so the true decay is at least
+    linear), explicit terms out to 64 c_max, and an integral remainder with
+    d(c) <= 6 c^{1/3} beyond."""
     if n < 1 or l < 1:
         raise ValueError("indices n, l must be positive integers")
     if c_max < 1:
@@ -669,34 +539,21 @@ def _geometric_terms(n: int, l: int, h: SpectralTestFunction, c_max: int, *, thr
 
     root = 2.0 * math.sqrt(float(n) * float(l))
     xs = root / np.arange(1, c_max + 1, dtype=float)
-    z_min = 2.0 * math.pi * float(xs[-1])
-    plan = _build_shifted_plan(h, shift, z_min, 1e-11) if h.holomorphy_width > shift else None
+    x0 = float(xs[-1])
+    hp, hm = _kernel_transforms(h, 2.0 * math.pi * np.append(xs, 0.5 * x0), 1e-11)
 
-    def transforms(x: float):
-        z = 2.0 * math.pi * x
-        if plan is not None and z <= _FLOAT_SERIES_CAP:
-            return _shifted_value(plan, z, "J"), _shifted_value(plan, z, "I")
-        if z <= _SERIES_ROUTE_CAP:
-            hp = _series_plus(h, x, 1e-11)
-        else:
-            hp = _kernel_plus(h, x, 1e-10, 1e-11)
-        return hp, _minus_series(h, x, 1e-11)
+    def sums(c: int):
+        return kloosterman(n, l, c).real, kloosterman(-n, l, c).real
 
-    def one_c(c: int):
-        hp, hm = transforms(float(root / c))
-        s_plus = kloosterman(n, l, c).real
-        s_minus = kloosterman(-n, l, c).real
-        return (s_plus * hp + s_minus * hm) / (2.0 * c)
-
-    terms = ordered_parallel_map(one_c, range(1, c_max + 1), threads=threads)
+    terms = [
+        (s_plus * hp[c - 1] + s_minus * hm[c - 1]) / (2.0 * c)
+        for c, (s_plus, s_minus) in enumerate(ordered_parallel_map(sums, range(1, c_max + 1), threads=threads), 1)
+    ]
     kloost = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
     delta = 0.5 * delta_weight(h) if n == l else 0.0
 
-    x0 = float(xs[-1])
-    hp0, hm0 = transforms(x0)
-    hp1, hm1 = transforms(x0 / 2.0)
-    b0 = abs(hp0) + abs(hm0)
-    b1 = abs(hp1) + abs(hm1)
+    b0 = abs(hp[c_max - 1]) + abs(hm[c_max - 1])
+    b1 = abs(hp[c_max]) + abs(hm[c_max])
     if b0 <= 0.0:
         tail = 0.0
     else:
@@ -718,8 +575,8 @@ def geometric_side(n: int, l: int, h, c_max: int, *, threads: int = 4) -> comple
 
         (1/2) delta(n,l) H + sum_{c<=c_max} (1/2c) [S(n,l;c) Hplus + S(-n,l;c) Hminus],
 
-    transforms evaluated at 2 sqrt(nl)/c.  Route selection per c is automatic
-    (shifted double-precision where valid, mpmath series / kernel fallbacks).
+    transforms evaluated at 2 sqrt(nl)/c, all on one zeta-contour (see
+    bessel_transform's "kernel" route).  `threads` drives the Kloosterman sums.
     """
     delta, kloost, _ = _geometric_terms(n, l, h, c_max, threads=threads)
     return complex(delta + kloost)
@@ -926,8 +783,10 @@ def diagonal_weight(
     the weight reads (for the tensor weight: the mu it carries and form.mu,
     its normalization), so repeated evaluations on the same grid are cheap
     and a self-dual form's "dual" reuses "direct"'s arrays (see
-    uv_cache_stats).  x is required exactly for the
-    Bessel variants.  Evenness of the weights in t is relied upon (the
+    uv_cache_stats).  x is required exactly for the Bessel variants, which
+    take bessel_transform's "kernel" route with the weighted Gaussian as h,
+    sampled on the same t-grid (its panels halved until they resolve the
+    contour).  Evenness of the weights in t is relied upon (the
     integrals run over t >= 0 doubled); the test-suite verifies it."""
     if variant not in DIAGONAL_VARIANTS:
         raise ValueError(f"variant must be one of {DIAGONAL_VARIANTS}, got {variant!r}")
@@ -952,25 +811,12 @@ def diagonal_weight(
         fv = _diag_samples(ts, T, y_gl2, y_rs, form, rs_variant, spec)
         return complex((2.0 / math.pi) * np.sum(ws * fv * np.tanh(math.pi * ts) * ts))
 
-    if variant.endswith("plus"):
-        width = min(max(T / 6.0, 1e-4), 8.0 / (2.0 * _ZETA_HARD_CAP)) / resolution_factor
-        ts, ws = _panel_grid(0.0, tmax, width=width)
-        fv = _diag_samples(ts, T, y_gl2, y_rs, form, rs_variant, spec)
-        base = ts * np.tanh(math.pi * ts)
-        re_prof = _profile_from_samples(ts, ws, fv.real * base)
-        out = _kernel_plus_from_profile(re_prof, float(x), abs_tol=1e-9 * re_prof.scale)
-        if float(np.max(np.abs(fv.imag))) > 1e-12 * (float(np.max(np.abs(fv.real))) + 1e-300):
-            im_prof = _profile_from_samples(ts, ws, fv.imag * base)
-            out += 1j * _kernel_plus_from_profile(im_prof, float(x), abs_tol=1e-9 * im_prof.scale)
-        return complex(out)
-
     z = 2.0 * math.pi * float(x)
 
-    def width_fn(t):
-        rate = 1.0 + 2.0 * math.acosh(max(2.0 * t / z, 1.0))
-        return max(min(1.4 / rate, max(T / 6.0, 1e-4)), 1e-4) / resolution_factor
+    def sample(width: float) -> _Profile:
+        ts, ws = _panel_grid(0.0, tmax, width=width)
+        return _profile_from_samples(ts, ws, _diag_samples(ts, T, y_gl2, y_rs, form, rs_variant, spec))
 
-    ts, ws = _var_panel_grid(0.0, tmax, width_fn)
-    fv = _diag_samples(ts, T, y_gl2, y_rs, form, rs_variant, spec)
-    ksinh = np.asarray([_k_times_sinh(float(t), z) for t in ts])
-    return complex((8.0 / math.pi) * np.sum(ws * ksinh * fv * ts))
+    prof = _resolved_profile(sample, min(max(T / 6.0, 1e-4), 0.5) / resolution_factor, z)
+    hp, hm = _contour_transforms(prof, np.array([z]))
+    return complex((hp if variant.endswith("plus") else hm)[0])

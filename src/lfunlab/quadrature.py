@@ -112,7 +112,7 @@ def _segment(g: Callable, a: float, b: float, panel_width: float, nodes: int = 1
 
 _CONTOUR_NODES = 12  # Gauss-Legendre nodes per contour panel
 _APPLY_ELEMENTS = 1 << 18  # entries (4 MB complex) per block of the (y, v) phase matrix
-_ROW_ELEMENTS = 1 << 13  # (row, node) entries per kfunc call of a row batch
+_ROW_ELEMENTS = 1 << 13  # (row, node) entries per kfunc call of a row batch, or per block of a row-batched product
 
 
 @dataclass(frozen=True)

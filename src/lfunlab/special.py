@@ -21,7 +21,6 @@ logs before exponentiating, so overflow never enters.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -226,22 +225,6 @@ def gamma_ratio_gl2(u: complex, t: float, mode: str = "exact") -> GammaRatio:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-_lrs_warned: set = set()
-
-
-def _check_lrs(mu, label) -> None:
-    if any(abs(complex(m).real) > 0.5 - 0.1 + 1e-12 for m in mu):
-        key = (label, tuple(complex(m) for m in mu))
-        if key not in _lrs_warned:
-            _lrs_warned.add(key)
-            warnings.warn(
-                f"archimedean parameters {mu} of {label!r} lie outside the "
-                "|Re| <= 2/5 strip assumed by the contour-shift bounds; "
-                "values are computed anyway",
-                stacklevel=3,
-            )
-
-
 def gl3_gamma_log(s, t: float, mu) -> np.ndarray:
     """log of the degree-6 factor pi^{-3s} prod Gamma((s -+ it - mu_i)/2)."""
     s = np.asarray(s, dtype=complex)
@@ -255,14 +238,12 @@ def gamma_factor_gl3(s, t: float, form, variant: str = "direct"):
     """Degree-6 gamma factor of a rank-3 form twisted by spectral parameter t.
 
     variant "direct" uses the form's own archimedean parameters, "dual" the
-    contragredient's.  Parameters outside the standard strip trigger a
-    one-time warning per form, never a failure.  Computed as exp of the log
+    contragredient's.  Any parameters are accepted; an argument on a pole
+    raises PoleError (from log_gamma).  Computed as exp of the log
     assembly; extreme arguments may round to 0 or overflow, in which case
     use gl3_gamma_log directly.
     """
-    mu = _variant_mu(form, variant)
-    _check_lrs(mu, getattr(form, "label", "<anonymous>"))
-    return np.exp(gl3_gamma_log(s, t, mu))
+    return np.exp(gl3_gamma_log(s, t, _variant_mu(form, variant)))
 
 
 def _variant_mu(form, variant: str):

@@ -9,13 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
-from scipy.special import jv, loggamma
 
 from lfunlab import kuznetsov as kz
 from lfunlab.afe import FixtureCoverageError, MaassFixture, WeightSpec, gl2_afe_weight, rankin_selberg_afe_weight
 from lfunlab.heckegl3 import GL3Form, symmetric_square_form, triple_divisor_form
-from lfunlab.special import RegimeError
+from lfunlab.special import PoleError, RegimeError
+from lfunlab.util import LRUCache
 
 # Values frozen from 30-40 digit mpmath evaluations of the defining
 # integrals, computed with independent quadrature (mp.quad against
@@ -117,19 +116,20 @@ def test_bessel_transform_zero_function():
     assert kz.bessel_transform(h, "-", 1.0) == 0j
 
 
-def test_plus_transform_shifted_vs_series_vs_oracle():
+def test_plus_transform_kernel_vs_series_vs_oracle():
+    # x = 0.025 .. 0.1 is where Hplus ~ 2 pi x h(-i/2) approaches zero
     h = kz.gaussian_test_function(1.0)
-    for x in (0.05, 0.5, 2.0):
-        sh = kz.bessel_transform(h, "+", x, route="shifted")
+    for x in (0.025, 0.05, 0.1, 0.5, 2.0):
+        ke = kz.bessel_transform(h, "+", x)
         se = kz.bessel_transform(h, "+", x, route="series")
-        assert abs(se - sh) < 2e-11
-        assert sh.real == pytest.approx(HPLUS_ORACLE[x], rel=2e-9, abs=1e-11)
-        assert abs(sh.imag) < 1e-11
+        assert abs(se - ke) < 1e-13
+        assert abs(ke.imag) < 1e-15
+        if x in HPLUS_ORACLE:
+            assert ke.real == pytest.approx(HPLUS_ORACLE[x], rel=2e-9, abs=1e-11)
 
 
 def test_plus_transform_series_accurate_at_large_argument():
-    # near the double-precision cap (2 pi x = 21.4) the shifted route loses
-    # ~e^{2 pi x} eps absolutely; the mpmath series stays on the oracle
+    # near the mpmath J-series cap (2 pi x = 21.4 < 40) the series stays on the oracle
     h = kz.gaussian_test_function(1.0)
     se = kz.bessel_transform(h, "+", 3.4, route="series")
     assert se.real == pytest.approx(HPLUS_ORACLE[3.4], rel=1e-8)
@@ -145,17 +145,18 @@ def test_plus_transform_kernel_route_dual_agreement():
 
 
 def test_minus_transform_routes_and_oracle():
+    # 2 pi x = 4 pi (x = 2) is trace_identity's c = 1; 2 pi x = 30.8 is
+    # geometric_side(2, 3, ...)'s c = 1, where Hminus is only ~3e-13
     h = kz.gaussian_test_function(1.0)
-    for x, ref in HMINUS_ORACLE.items():
+    for x in (*HMINUS_ORACLE, 2.0 * math.sqrt(6.0)):
         se = kz.bessel_transform(h, "-", x, route="series")
-        assert se.real == pytest.approx(ref, rel=1e-9)
-        assert abs(se.imag) < 1e-12
-    for x in (0.05, 0.5):
-        sh = kz.bessel_transform(h, "-", x, route="shifted")
-        se = kz.bessel_transform(h, "-", x, route="series")
-        di = kz.bessel_transform(h, "-", x, route="direct")
-        assert abs(sh - se) < 1e-11
-        assert abs(di - se) < 1e-11
+        ke = kz.bessel_transform(h, "-", x)
+        assert abs(ke - se) < min(1e-13, 1e-9 * abs(se))
+        if x in HMINUS_ORACLE:
+            assert se.real == pytest.approx(HMINUS_ORACLE[x], rel=1e-9)
+            assert abs(se.imag) < 1e-12
+        if x < 1.0:
+            assert abs(kz.bessel_transform(h, "-", x, route="direct") - se) < 1e-11
 
 
 def test_bessel_transform_validation():
@@ -164,59 +165,33 @@ def test_bessel_transform_validation():
         kz.bessel_transform(h, "x", 1.0)
     with pytest.raises(ValueError, match="positive"):
         kz.bessel_transform(h, "+", 0.0)
-    with pytest.raises(ValueError, match="kernel route"):
-        kz.bessel_transform(h, "-", 1.0, route="kernel")
     with pytest.raises(ValueError, match="minus transform only"):
         kz.bessel_transform(h, "+", 1.0, route="direct")
-    with pytest.raises(ValueError, match="unknown route"):
-        kz.bessel_transform(h, "+", 1.0, route="nope")
-    with pytest.raises(RegimeError, match="shifted route"):
-        kz.bessel_transform(h, "+", 4.0, route="shifted")
+    for route in ("nope", "auto", "shifted"):
+        with pytest.raises(ValueError, match="unknown route"):
+            kz.bessel_transform(h, "+", 1.0, route=route)
     with pytest.raises(TypeError):
         kz.bessel_transform(lambda t: t, "+", 1.0)
-    with pytest.raises(ValueError, match="shift"):
-        kz.bessel_transform(h, "+", 1.0, route="shifted", shift=1.5)
+    # h(t) = e^{-(t/20)^2} needs t up to ~240, past where cosh(pi t) is finite
+    with pytest.raises(RegimeError, match="J-series oracle"):
+        kz.bessel_transform(kz.gaussian_test_function(20.0), "+", 0.05, route="series")
 
 
-def test_shifted_split_small_argument_envelope():
-    # Bounds on the two pieces of Hplus = line + res at shift 2, each a
-    # formula in h and x computed here without the module's internals:
-    # * line: on t = y - 2i the order is nu = 4 + 2iy, |(nu+1)_k| >= 5^k and
-    #   |cosh pi t| = cosh pi y, so the ascending series gives
-    #   |line| <= 2 (pi x)^4 e^{(pi x)^2/5} int |h(y-2i)| |y-2i| / (|Gamma(5+2iy)| cosh pi y) dy;
-    # * res = 2 h(-i/2) J_1(2 pi x) - 6 h(-3i/2) J_3(2 pi x) to round-off;
-    # * |res - 2 pi x h(-i/2)| <= (h(-i/2) + h(-3i/2)) (pi x)^3, the remainders
-    #   of the alternating J_1 series and of |J_3(z)| <= (z/2)^3/3! (pi x < sqrt 2);
-    # * |res| > 10 |line| wherever these bounds force it, which they do as x -> 0.
-    # |h(y-2i)| = e^{4-y^2} makes the line constant large: at x = 0.1 the
-    # bounds no longer force dominance and the measured ratio is only 6.5.
-    h = kz.gaussian_test_function(1.0)
+def test_kernel_route_reaches_no_mpmath(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mpmath Bessel evaluation reached")
 
-    def line_integrand(y):
-        t = complex(y, -2.0)
-        log_cosh = math.pi * y + math.log1p(math.exp(-2.0 * math.pi * y)) - math.log(2.0)
-        return abs(complex(h(t))) * abs(t) * math.exp(-loggamma(5.0 + 2j * y).real - log_cosh)
-
-    half, half_err = quad(line_integrand, 0.0, math.inf)  # the integrand is even in y
-    line_const = 2.0 * (half + half_err)
-    h1, h3 = complex(h(-0.5j)), complex(h(-1.5j))
-
-    dominated = []
-    for x in (0.025, 0.05, 0.1):
-        line, res = kz.bessel_transform_split(h, x)
-        px = math.pi * x
-        line_bound = 2.0 * px**4 * math.exp(px**2 / 5.0) * line_const
-        assert abs(line) <= line_bound
-        closed = 2.0 * h1 * jv(1, 2.0 * px) - 6.0 * h3 * jv(3, 2.0 * px)
-        assert abs(res - closed) < 1e-13 * abs(closed)
-        lead_bound = (abs(h1) + abs(h3)) * px**3
-        assert abs(res - 2.0 * px * h1) <= lead_bound
-        if 2.0 * px * abs(h1) - lead_bound > 10.0 * line_bound:
-            assert abs(res) > 10.0 * abs(line)
-            dominated.append(x)
-        se = kz.bessel_transform(h, "+", x, route="series")
-        assert abs(line + res - se) < 1e-11
-    assert {0.025, 0.05} <= set(dominated)
+    monkeypatch.setattr(kz, "bessel_imag_order", refuse)
+    monkeypatch.setattr(kz, "_k_times_sinh", refuse)
+    h = kz.gaussian_test_function(2.0)
+    rep = kz.kuznetsov_residual(1, 1, h, [], 800, 40.0)
+    assert 0.0 < rep.residual.real < 0.02
+    for z in (0.016, 4.0 * math.pi, 60.0):
+        for sign in "+-":
+            assert np.isfinite(kz.bessel_transform(h, sign, z / (2.0 * math.pi)).real)
+    d3 = triple_divisor_form()
+    for variant in ("direct_plus", "direct_minus"):
+        assert np.isfinite(kz.diagonal_weight(1.0, 2, 1, 1, d3, variant, x=0.5).real)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +219,7 @@ def test_geometric_side_thread_count_invariance():
     h = kz.gaussian_test_function(2.0)
     a = kz.geometric_side(1, 1, h, 60, threads=1)
     b = kz.geometric_side(1, 1, h, 60, threads=4)
-    assert a == b  # bitwise: ordered summation, serialized mpmath
+    assert a == b  # bitwise: transforms outside the threads, ordered summation
 
 
 def test_geometric_side_validation():
@@ -415,13 +390,23 @@ def test_diagonal_weight_dual_reuses_self_dual_arrays():
     assert after["hits"] == before["hits"] + 2  # one degree-2 and one tensor array
 
 
-def test_profile_cache_is_bounded(monkeypatch):
-    # the cache holds cosine-kernel profiles; skip the transform itself
-    monkeypatch.setattr(kz, "_kernel_plus_from_profile", lambda prof, x, abs_tol: 0j)
+def test_profile_cache_is_bounded():
     bound = kz._PROFILE_CACHE.maxsize
     for k in range(bound + 4):
-        kz._kernel_plus(kz.gaussian_test_function(1.0 + 0.1 * k), 0.7, 1e-9, 1e-11)
+        kz.bessel_transform(kz.gaussian_test_function(1.0 + 0.1 * k), "+", 0.7)
     assert len(kz._PROFILE_CACHE) <= bound
+
+
+def test_profile_cache_keys_on_rel_tol(monkeypatch):
+    # 3e-12 and 1e-12 round to the same number of digits; a profile cut for
+    # the looser tolerance must not serve the tighter one
+    monkeypatch.setattr(kz, "_PROFILE_CACHE", LRUCache(maxsize=8))
+    h = kz.gaussian_test_function(1.0)
+    kz.bessel_transform(h, "+", 1.0, rel_tol=3e-12)
+    kz.bessel_transform(h, "+", 1.0, rel_tol=1e-12)
+    assert (kz._PROFILE_CACHE.hits, kz._PROFILE_CACHE.misses) == (0, 2)
+    kz.bessel_transform(h, "-", 1.0, rel_tol=1e-12)
+    assert (kz._PROFILE_CACHE.hits, kz._PROFILE_CACHE.misses) == (1, 2)
 
 
 def _effective_test_function(form, spec, l_index, nm_index):
@@ -459,8 +444,13 @@ def test_diagonal_weight_minus_matches_transform_oracle():
 
 
 def test_diagonal_weight_symmetric_square_finite():
+    # mu = (-1, -11, -12): every gamma pole lies left of the tensor weight's
+    # contour Re u = 1/2, so the weight is defined and evaluates silently
     sym = symmetric_square_form(prime_cap=500)
-    with pytest.warns(UserWarning, match="strip"):
-        v = kz.diagonal_weight(1.0, 1, 1, 1, sym, "direct")
+    v = kz.diagonal_weight(1.0, 1, 1, 1, sym, "direct")
     assert np.isfinite(v.real)
     assert v.real > 0.0
+    # Re mu_1 = 3/2 puts the pole of Gamma((1/2 + u - mu_1)/2) at Re u = 1
+    wrong = symmetric_square_form(prime_cap=500, mu=(1.5, 0.0, -1.5))
+    with pytest.raises(PoleError, match="contour"):
+        kz.diagonal_weight(1.0, 1, 1, 1, wrong, "direct")

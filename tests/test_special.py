@@ -141,10 +141,12 @@ class TestGl3GammaFactor:
             b = complex(gamma_factor_gl3(np.conj(s), t, FLAT, "direct"))
             assert b == pytest.approx(np.conj(a), rel=1e-10)
 
-    def test_lrs_strip_warning_not_error(self):
+    def test_parameters_outside_strip_evaluate_silently(self):
+        # no pole at s = 1/2 for these mu: a finite value, and no warning
+        # (the pytest configuration turns any warning into an error)
         wide = SimpleNamespace(mu=(-1, -11, -12), mu_dual=(-1, -11, -12), label="wide-stub")
-        with pytest.warns(UserWarning):
-            gamma_factor_gl3(0.5 + 0j, 1.0, wide, "direct")
+        val = complex(gamma_factor_gl3(0.5 + 0j, 1.0, wide, "direct"))
+        assert np.isfinite(val.real) and val.real > 0.0
 
 
 class TestBessel:
