@@ -17,7 +17,8 @@ which are ~ 1 for y well below the analytic conductor and collapse like
 go through quadrature.contour_kernel, so that a whole vector of y values
 costs one matrix-vector product, and a whole vector of t values costs one
 contour grid: the gamma ratio is evaluated on a (t, u) matrix, one block
-of rows at a time (gl2_afe_weight_grid, rankin_selberg_afe_weight_grid).
+of rows at a time, against its normalization at 1/2 computed once per
+t-grid (gl2_afe_weight_grid, rankin_selberg_afe_weight_grid).
 
 The degree-2 specialization with divisor-sum coefficients eta(l, r) =
 sum_{ad=l} (a/d)^{ir} reproduces |zeta(1/2 + ir)|^2.  Unlike the cuspidal
@@ -53,10 +54,8 @@ __all__ = [
     "FixtureCoverageError",
     "cosine_power_damper",
     "gl2_afe_weight",
-    "gl2_afe_weight_batch",
     "gl2_afe_weight_grid",
     "rankin_selberg_afe_weight",
-    "rankin_selberg_afe_weight_batch",
     "rankin_selberg_afe_weight_grid",
     "central_value_gl2",
     "zeta_square_afe",
@@ -146,14 +145,24 @@ def _is_real_tuple(mu) -> bool:
     return all(abs(complex(m).imag) < 1e-12 for m in mu)
 
 
+def _per_t(ts: np.ndarray, f: Callable) -> Callable:
+    """f evaluated once on the distinct t of a grid, looked up as a column
+    for each block of rows that contour_kernel passes to kfunc."""
+    grid = np.unique(ts)
+    vals = f(grid)
+    return lambda t: vals[np.searchsorted(grid, t), None]
+
+
 def _gl2_kernel(spec: WeightSpec, ts, max_abs_ln_y: float) -> Iterator[ContourKernel]:
     """The U-kernels of the t in ts (a float or an array), in order, from
     one contour grid."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     tmax = float(np.max(np.abs(ts)))
+    norm = _per_t(ts, lambda t: gl2_gamma_log(np.asarray(0.5 + 0j), t))  # log gamma2(1/2, t)
 
     def kfunc(u, t):
-        return cosine_power_damper(spec, u, "gl2") * np.exp(gl2_gamma_ratio_log(u, t[:, None])) / u
+        ratio = np.exp(gl2_gamma_log(0.5 + u, t[:, None]) - norm(t))
+        return cosine_power_damper(spec, u, "gl2") * ratio / u
 
     # damper decay e^{-pi v} sets the height scale; gamma ratio is neutral
     # below v ~ t and decays beyond.  Its phase speed ~ log t adds to the
@@ -181,10 +190,10 @@ def _rs_kernel(
             f"on or right of its contour Re u = {spec.sigma_u}"
         )
 
+    norm = _per_t(ts, lambda t: gl3_gamma_log(np.asarray(0.5 + 0j), t, form.mu))  # direct factor at 1/2
+
     def kfunc(u, t):
-        t = t[:, None]
-        denom = gl3_gamma_log(np.asarray(0.5 + 0j), t, form.mu)
-        ratio = np.exp(gl3_gamma_log(0.5 + u, t, mu) - denom)
+        ratio = np.exp(gl3_gamma_log(0.5 + u, t[:, None], mu) - norm(t))
         return cosine_power_damper(spec, u, "rs") * ratio / u
 
     symmetric = _is_real_tuple(mu)
@@ -204,14 +213,10 @@ def gl2_afe_weight(spec: WeightSpec, y: float, t: float) -> complex:
     return complex(gl2_afe_weight_grid(spec, [y], [t])[0, 0])
 
 
-def gl2_afe_weight_batch(spec: WeightSpec, ys, t: float) -> np.ndarray:
-    return gl2_afe_weight_grid(spec, ys, [t])[0]
-
-
 def gl2_afe_weight_grid(spec: WeightSpec, ys, ts) -> np.ndarray:
     """U(y, t) as a (len(ts), len(ys)) array from one contour grid sized for
     the largest |t| and |log y|.  Each row stops growing on its own; a row
-    agrees with gl2_afe_weight_batch at its t to within the spec's
+    agrees with the single-t grid at its t to within the spec's
     tail_tolerance of the kernels' mass (the two grids differ in height and
     panel width)."""
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
@@ -226,12 +231,6 @@ def rankin_selberg_afe_weight(
     own gamma data, "dual" the contragredient's, both normalized by the
     direct factor at 1/2."""
     return complex(rankin_selberg_afe_weight_grid(spec, [y], [t], form, variant)[0, 0])
-
-
-def rankin_selberg_afe_weight_batch(
-    spec: WeightSpec, ys, t: float, form: GL3Form, variant: str = "direct"
-) -> np.ndarray:
-    return rankin_selberg_afe_weight_grid(spec, ys, [t], form, variant)[0]
 
 
 def rankin_selberg_afe_weight_grid(
@@ -319,18 +318,18 @@ def _zeta_polar_correction(r: float, spec: WeightSpec) -> float:
     with R twice the sum of the right-half-plane residues of
     Lambda(1/2+u) G(u)/u (the mirror poles contribute equally).  Each
     residue is computed by a small quadrature circle, which also handles
-    the merged double pole at r = 0 without a special case.
+    the merged double pole at r = 0 without a special case.  The integrand
+    carries the normalized ratio, so the result is R / gamma2(1/2, r).
     """
 
     def integrand(u):
-        z = (
-            np.exp(gl2_gamma_log(0.5 + u, r))
+        return (
+            np.exp(gl2_gamma_ratio_log(u, r))
             * zeta(0.5 + u + 1j * r)
             * zeta(0.5 + u - 1j * r)
             * cosine_power_damper(spec, u, "gl2")
             / u
         )
-        return z
 
     centers: list[complex]
     if abs(r) <= 0.25:
@@ -346,8 +345,7 @@ def _zeta_polar_correction(r: float, spec: WeightSpec) -> float:
     for c in centers:
         u = c + ring
         total += np.sum(integrand(u) * ring) / nodes  # (1/2pi i) oint = mean of f(u)(u-c)
-    denom = complex(np.exp(gl2_gamma_log(np.asarray(0.5 + 0j), r)))
-    return float((2.0 * total / denom).real)
+    return float((2.0 * total).real)
 
 
 def zeta_square_afe(r: float, spec: WeightSpec) -> float:

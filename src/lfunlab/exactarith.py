@@ -1,13 +1,13 @@
-"""Exact modular arithmetic: Kloosterman and Ramanujan sums, sieved
-multiplicative tables, and the twisted Kloosterman average identity.
+"""Exact modular arithmetic: Kloosterman sums with their oracles, and
+sieved multiplicative tables.
 
 Notation: e(z) = exp(2*pi*i*z).  The Kloosterman sum is
 
     S(n, l; c) = sum_{d mod c, gcd(d,c)=1} e((d*l + dbar*n)/c),
 
-with d*dbar == 1 (mod c).  Degenerate case n = 0 gives the Ramanujan sum
-S(0, a; c) = sum_{d mod c, gcd(d,c)=1} e(a*d/c), which has the closed form
-sum_{d | gcd(a,c)} d * mu(c/d).
+with d*dbar == 1 (mod c).  Degenerate case n = 0 (or l = 0) gives the
+Ramanujan sum S(0, a; c) = sum_{d mod c, gcd(d,c)=1} e(a*d/c), which has
+the closed form sum_{d | gcd(a,c)} d * mu(c/d).
 
 Everything here is a pure function of its integer arguments.  Phases are
 reduced to integers k mod c before exponentiation, so the only floating
@@ -29,15 +29,11 @@ __all__ = [
     "Residue",
     "ExactExponentialSum",
     "NotCoprimeError",
-    "DivisibilityError",
     "mod_inverse",
     "kloosterman",
-    "kloosterman_detail",
     "kloosterman_exact_phase",
     "kloosterman_factored",
-    "ramanujan",
     "ramanujan_divisor_mu",
-    "kloosterman_twist_identity_residual",
     "MultiplicativeTables",
     "multiplicative_tables",
     "factorize",
@@ -50,10 +46,6 @@ __all__ = [
 
 class NotCoprimeError(ValueError):
     """Inverse requested for a residue that shares a factor with the modulus."""
-
-
-class DivisibilityError(ValueError):
-    """An argument combination violates a required exact-divisibility relation."""
 
 
 @dataclass(frozen=True)
@@ -125,12 +117,6 @@ def kloosterman(n: int, l: int, c: int) -> complex:
     units, inv = _unit_tables(c)
     phase = ((l % c) * units + (n % c) * inv) % c
     return complex(np.exp((2j * np.pi / c) * phase).sum())
-
-
-def kloosterman_detail(n: int, l: int, c: int) -> ExactExponentialSum:
-    """Same as kloosterman, carrying the number of summed unit phases."""
-    units, _ = _unit_tables(c)
-    return ExactExponentialSum(kloosterman(n, l, c), int(units.size))
 
 
 def kloosterman_phase_counts(n: int, l: int, c: int) -> np.ndarray:
@@ -233,52 +219,14 @@ def kloosterman_factored(n: int, l: int, c: int) -> complex:
     return value
 
 
-def ramanujan(a: int, c: int) -> float:
-    """Ramanujan sum S(0, a; c) = sum over units d of e(a*d/c); always an integer."""
-    units, _ = _unit_tables(c)
-    phase = ((a % c) * units) % c
-    z = np.exp((2j * np.pi / c) * phase).sum()
-    return float(z.real)
-
-
 def ramanujan_divisor_mu(a: int, c: int) -> int:
-    """Closed-form oracle: sum_{d | gcd(a, c)} d * mu(c/d).
+    """Closed-form oracle for the Ramanujan sum S(0, a; c) = kloosterman(0, a, c):
+    sum_{d | gcd(a, c)} d * mu(c/d).
 
     gcd(0, c) = c, so a = 0 correctly returns Euler phi of c.
     """
     g = math.gcd(a, c)
     return sum(d * mobius(c // d) for d in divisors(g))
-
-
-def kloosterman_twist_identity_residual(l: int, n1: int, n2: int, m: int, c: int) -> float:
-    """|LHS - RHS| of the twisted Kloosterman average identity.
-
-    With M = m*c/n1 required to be a positive integer,
-
-        LHS = sum_{d mod c, (d,c)=1} e(l*d/c) * S(m*d, n2; M)
-        RHS = sum_{u mod M, (u,M)=1} S(0, l + u*n1; c) * e(n2*ubar/M).
-
-    Opening S(m*d, n2; M) and executing the d-sum collapses the left side
-    to Ramanujan sums against unit phases mod M, which is the right side.
-    M = 1 degenerates both sides to the single Ramanujan sum S(0, l; c).
-    """
-    if c < 1 or m < 1:
-        raise ValueError(f"need c >= 1 and m >= 1, got c={c}, m={m}")
-    if n1 == 0 or (c * m) % n1 != 0 or (c * m) // n1 < 1:
-        raise DivisibilityError(f"n1={n1} must exactly divide c*m={c * m} with positive quotient")
-    M = (c * m) // n1
-
-    d_units, _ = _unit_tables(c)
-    residues = ((m % M) * d_units) % M
-    inner = {int(r): kloosterman(int(r), n2, M) for r in np.unique(residues)}
-    d_phases = np.exp((2j * np.pi / c) * (((l % c) * d_units) % c))
-    lhs = sum(ph * inner[int(r)] for ph, r in zip(d_phases, residues))
-
-    u_units, u_inv = _unit_tables(M)
-    u_phases = np.exp((2j * np.pi / M) * (((n2 % M) * u_inv) % M))
-    rhs = sum(ramanujan(int(l + int(u) * n1), c) * ph for u, ph in zip(u_units, u_phases))
-
-    return abs(lhs - rhs)
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,6 @@ computed from the 24th power of the Dedekind eta q-series.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -39,12 +38,9 @@ from typing import Mapping
 import numpy as np
 
 from .exactarith import divisors, factorize, mobius
-from .quadrature import TransformResult
-from .special import zeta
 
 __all__ = [
     "GL3Form",
-    "CoefficientTable",
     "MissingSatakeError",
     "PolarFormError",
     "coefficient",
@@ -54,10 +50,6 @@ __all__ = [
     "triple_divisor_form",
     "symmetric_square_form",
     "ramanujan_tau_table",
-    "dirichlet_series_value",
-    "double_dirichlet_residual",
-    "coefficient_bound_report",
-    "coefficient_table",
 ]
 
 
@@ -349,129 +341,3 @@ def symmetric_square_form(prime_cap: int = 24000, mu: tuple | None = None) -> GL
         maass_type=False,
         polar=False,
     )
-
-
-# ---------------------------------------------------------------------------
-# Dirichlet series
-
-
-def _row_tail_bound(N: int, sigma: float) -> float:
-    """Tail of sum_{m > N} d3(m) m^{-sigma}: |A(1, m)| <= d3(m) for unitary
-    Satake data.  Partial summation against the divisor mean x (log^2 x / 2
-    + c1 log x + c0) gives the polynomial below; the lower-order constants
-    are inflated past c1 = 3*EulerGamma - 1 to keep this an upper estimate."""
-    ln = math.log(N)
-    q = sigma - 1.0
-    return N**-q * (0.5 * ln * ln / q + 3.0 * ln / q**2 + 8.0 / q**3)
-
-
-def dirichlet_series_value(
-    form: GL3Form, s: complex, cutoff: int, dual: bool = False, min_re: float = 1.1
-) -> TransformResult:
-    """Partial sum of the standard Dirichlet series sum A(1, m) m^{-s}
-    (dual: coefficients A(m, 1)) with a divisor-growth tail estimate."""
-    s = complex(s)
-    if s.real < min_re:
-        raise ValueError(f"Re s = {s.real} below the convergence margin {min_re}")
-    if cutoff < 10:
-        raise ValueError("cutoff must be at least 10")
-    row = coefficient_row(form, cutoff, dual=dual)
-    m = np.arange(1, cutoff + 1, dtype=float)
-    value = complex(np.sum(row[1:] * np.exp(-s * np.log(m))))
-    return TransformResult(value, _row_tail_bound(cutoff, s.real), cutoff)
-
-
-def double_dirichlet_residual(form: GL3Form, s: complex, w: complex, cutoff: int) -> float:
-    """Relative gap between the coefficient double sum and its factorization.
-
-    LHS: sum over m^2 n <= cutoff of A(m, n) m^{-s-1} n^{-w-1}, evaluated by
-    Moebius unfolding (exact rearrangement of the same finite sum).  RHS:
-    L(s+1, dual) L(w+1, form) / zeta(s+w+2), each factor summed to the same
-    cutoff with tail control.
-    """
-    s, w = complex(s), complex(w)
-    if s.real < 1.0 or w.real < 1.0:
-        raise ValueError("need Re s >= 1 and Re w >= 1 for comfortable convergence")
-    N = int(cutoff)
-
-    row = coefficient_row(form, N)  # A(1, n)
-    n = np.arange(1, N + 1, dtype=float)
-    prefix = np.concatenate(([0.0 + 0j], np.cumsum(row[1:] * np.exp(-(w + 1) * np.log(n)))))
-
-    m_cap = int(math.isqrt(N))
-    col = coefficient_row(form, m_cap, dual=True)  # A(m, 1)
-    mpow = np.exp(-(s + 1) * np.log(np.arange(1, m_cap + 1, dtype=float)))
-
-    lhs = 0j
-    d = 1
-    while d * d * d <= N:
-        mu_d = mobius(d)
-        if mu_d != 0:
-            budget = N // (d * d * d)
-            inner = 0j
-            for m in range(1, int(math.isqrt(budget)) + 1):
-                inner += col[m] * mpow[m - 1] * prefix[budget // (m * m)]
-            lhs += mu_d * np.exp(-(s + w + 2) * math.log(d)) * inner
-        d += 1
-
-    lf = dirichlet_series_value(form, w + 1, N).value
-    lf_dual = dirichlet_series_value(form, s + 1, min(N, 10**6), dual=True).value
-    rhs = lf_dual * lf / zeta(s + w + 2)
-    return abs(lhs - rhs) / abs(rhs)
-
-
-@dataclass(frozen=True)
-class CoefficientBoundReport:
-    N: int
-    square_mean_ratio: float           # sum_{m^2 n <= N} |A(m,n)|^2 / N
-    linear_ratios: dict                # m -> sum_{n <= N} |A(m,n)| / (N m)
-
-
-def coefficient_bound_report(form: GL3Form, N: int) -> CoefficientBoundReport:
-    if N < 1:
-        raise ValueError("N must be positive")
-    total = 0.0
-    m = 1
-    while m * m <= N:
-        block = coefficient_block(form, m, N // (m * m))
-        total += float(np.sum(np.abs(block) ** 2))
-        m += 1
-    linear = {}
-    for mm in range(1, 11):
-        block = coefficient_block(form, mm, N)
-        linear[mm] = float(np.sum(np.abs(block))) / (N * mm)
-    return CoefficientBoundReport(N=N, square_mean_ratio=total / N, linear_ratios=linear)
-
-
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Immutable (m, n) -> A(m, n) map covering m^2 n <= bound."""
-
-    bound: int
-    data: Mapping[tuple, complex]
-
-    def to_json(self) -> str:
-        payload = {
-            f"{m},{n}": [v.real, v.imag] for (m, n), v in sorted(self.data.items())
-        }
-        return json.dumps({"bound": self.bound, "coefficients": payload}, indent=0, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "CoefficientTable":
-        obj = json.loads(text)
-        data = {}
-        for key, (re, im) in obj["coefficients"].items():
-            m, n = key.split(",")
-            data[(int(m), int(n))] = complex(re, im)
-        return CoefficientTable(bound=int(obj["bound"]), data=data)
-
-
-def coefficient_table(form: GL3Form, bound: int) -> CoefficientTable:
-    data = {}
-    m = 1
-    while m * m <= bound:
-        block = coefficient_block(form, m, bound // (m * m))
-        for n in range(1, block.size):
-            data[(m, n)] = complex(block[n])
-        m += 1
-    return CoefficientTable(bound=bound, data=data)

@@ -76,7 +76,7 @@ from .afe import (
 )
 from .exactarith import kloosterman
 from .heckegl3 import GL3Form
-from .quadrature import _ROW_ELEMENTS, NonDecayError, gauss_legendre_panels
+from .quadrature import _ROW_ELEMENTS, NonDecayError, gauss_legendre_panels, panel_grid
 from .special import RegimeError, bessel_imag_order, log_gamma, zeta_with_error
 from .util import LRUCache, ordered_parallel_map
 
@@ -108,12 +108,6 @@ _MP_LOCK = threading.Lock()
 
 # ---------------------------------------------------------------------------
 # grids
-
-
-def _panel_grid(a: float, b: float, width: float):
-    """Composite Gauss-Legendre grid on [a, b] with panels <= width."""
-    n_panels = max(1, int(math.ceil((b - a) / width)))
-    return gauss_legendre_panels(np.linspace(a, b, n_panels + 1), _GL_NODES)
 
 
 def _var_panel_grid(a: float, b: float, width_fn: Callable[[float], float]):
@@ -199,8 +193,9 @@ def _check_testfn(h) -> SpectralTestFunction:
 
 
 def _even_cutoff(h, tol: float, growth: float = 1.6, t_floor: float = 6.0) -> float:
-    """Smallest scanned t beyond which |h(t)| (1+t)^growth stays below
-    tol * scale, by a geometric scan; NonDecayError if never reached."""
+    """Smallest t of the geometric scan t_floor 1.4^k at which |h| (1+t)^growth
+    lies below tol * scale on all three probes t, 1.37 t and 1.93 t;
+    NonDecayError if never reached."""
     ref = np.array([0.0, 0.7, 1.6, 3.1])
     scale = float(np.max(np.abs(np.asarray(h(ref), dtype=complex)))) + 1e-300
     t = t_floor
@@ -208,7 +203,7 @@ def _even_cutoff(h, tol: float, growth: float = 1.6, t_floor: float = 6.0) -> fl
         probe = np.array([t, 1.37 * t, 1.93 * t])
         env = np.abs(np.asarray(h(probe), dtype=complex)) * (1.0 + probe) ** growth
         if np.all(env <= tol * scale):
-            return float(1.93 * t)
+            return float(t)
         t *= 1.4
     raise NonDecayError(
         f"test function {getattr(h, 'label', '?')!r} shows no decay below {tol:.1e} of its scale by t = 1e5"
@@ -226,7 +221,7 @@ def delta_weight(h, *, rel_tol: float = 1e-13) -> float:
     comes from a decay scan of h (NonDecayError when h fails to decay)."""
     _check_testfn(h)
     tmax = _even_cutoff(h, rel_tol, growth=1.2)
-    ts, ws = _panel_grid(0.0, tmax, width=0.25)
+    ts, ws = panel_grid(0.0, tmax, 0.25, _GL_NODES)
     vals = np.asarray(h(ts), dtype=complex)
     total = (2.0 / math.pi) * np.sum(ws * vals * np.tanh(math.pi * ts) * ts)
     return float(total.real)
@@ -268,11 +263,11 @@ def _series_plus(h: SpectralTestFunction, x: float, rel_tol: float) -> complex:
             f"{math.log(sys.float_info.max) / math.pi:.1f}, but h needs t up to {tmax:.1f}; use route='kernel'"
         )
     rate = 2.0 * (1.0 + abs(math.log(0.5 * z))) + 2.0 * math.log(2.0 + 2.0 * tmax)
-    ts, ws = _panel_grid(0.0, tmax, width=max(min(6.0 / rate, tmax / 30.0), 0.02))
+    ts, ws = panel_grid(0.0, tmax, max(min(6.0 / rate, tmax / 30.0), 0.02), _GL_NODES)
     ratio = np.empty(ts.size)
     with _MP_LOCK:
         for i, t in enumerate(ts):
-            ratio[i] = bessel_imag_order("J", float(t), x).imag / math.cosh(math.pi * float(t))
+            ratio[i] = bessel_imag_order(float(t), x).imag / math.cosh(math.pi * float(t))
     hv = np.asarray(h(ts), dtype=complex)
     return complex(-4.0 * np.sum(ws * ratio * hv * ts))
 
@@ -311,9 +306,9 @@ def _minus_direct(h: SpectralTestFunction, x: float, rel_tol: float) -> complex:
     z = 2.0 * math.pi * x
     tmax = _even_cutoff(h, min(rel_tol, 1e-10), growth=1.6)
     rate = 1.0 + 2.0 * math.acosh(max(2.0 * tmax / z, 1.0))
-    ts, ws = _panel_grid(0.0, tmax, width=max(1.4 / rate, 0.02))
+    ts, ws = panel_grid(0.0, tmax, max(1.4 / rate, 0.02), _GL_NODES)
     ustar = math.acosh(max(41.5 / z, 1.0)) + 1.5
-    us, wus = _panel_grid(0.0, ustar, width=min(0.5, math.pi / (4.0 * max(tmax, 0.5)), ustar / 6.0))
+    us, wus = panel_grid(0.0, ustar, min(0.5, math.pi / (4.0 * max(tmax, 0.5)), ustar / 6.0), _GL_NODES)
     env = wus * np.exp(-z * np.cosh(us))
     kvals = np.cos(2.0 * np.outer(ts, us)) @ env
     sinh_t = np.sinh(math.pi * ts)
@@ -409,8 +404,9 @@ def _contour_transforms(prof: _Profile, zs: np.ndarray):
     z_max = float(np.max(zs))
     band = 2.0 * float(ts[-1]) if ts.size else 0.0
     # 12-node panels spanning at most 8 units of the integrand's exponent
-    us, wu = _panel_grid(0.0, _contour_length(theta, float(np.min(zs))), 8.0 / (_AMP_CUT / s + z_max + band))
-    vs, wv = _panel_grid(0.0, theta, 8.0 / (z_max * s + band))
+    u_end = _contour_length(theta, float(np.min(zs)))
+    us, wu = panel_grid(0.0, u_end, 8.0 / (_AMP_CUT / s + z_max + band), _GL_NODES)
+    vs, wv = panel_grid(0.0, theta, 8.0 / (z_max * s + band), _GL_NODES)
 
     # P(u + i theta) = (8/pi) sum fw [cos(2tu) cosh(2t theta) - i sin(2tu) sinh(2t theta)]
     ch = fw * np.cosh(2.0 * theta * ts)[:, None]
@@ -460,7 +456,7 @@ def _kernel_transforms(h: SpectralTestFunction, zs: np.ndarray, rel_tol: float):
 
     def sample(width: float) -> _Profile:
         def build() -> _Profile:
-            ts, ws = _panel_grid(0.0, t_max, width=width)
+            ts, ws = panel_grid(0.0, t_max, width, _GL_NODES)
             return _profile_from_samples(ts, ws, h(ts))
 
         return _PROFILE_CACHE.get_or_build((h, rel_tol, width), build)
@@ -609,7 +605,7 @@ def continuous_side(n: int, l: int, h, r_max: float, *, rel_tol: float = 1e-12) 
         raise ValueError("r_max must be positive")
     h = _check_testfn(h)
     rc = min(float(r_max), _even_cutoff(h, rel_tol, growth=1.5, t_floor=4.0))
-    rs, ws = _panel_grid(0.0, rc, width=0.2)
+    rs, ws = panel_grid(0.0, rc, 0.2, _GL_NODES)
     hv = np.asarray(h(rs), dtype=complex)
     om = continuous_weight(rs)
     integrand = hv * om * _eta_profile(n, rs) * _eta_profile(l, rs)
@@ -807,14 +803,14 @@ def diagonal_weight(
     tmax = 8.0 * T
     if not bessel:
         width = min(max(T / 6.0, 1e-4), 1.5) / resolution_factor
-        ts, ws = _panel_grid(0.0, tmax, width=width)
+        ts, ws = panel_grid(0.0, tmax, width, _GL_NODES)
         fv = _diag_samples(ts, T, y_gl2, y_rs, form, rs_variant, spec)
         return complex((2.0 / math.pi) * np.sum(ws * fv * np.tanh(math.pi * ts) * ts))
 
     z = 2.0 * math.pi * float(x)
 
     def sample(width: float) -> _Profile:
-        ts, ws = _panel_grid(0.0, tmax, width=width)
+        ts, ws = panel_grid(0.0, tmax, width, _GL_NODES)
         return _profile_from_samples(ts, ws, _diag_samples(ts, T, y_gl2, y_rs, form, rs_variant, spec))
 
     prof = _resolved_profile(sample, min(max(T / 6.0, 1e-4), 0.5) / resolution_factor, z)

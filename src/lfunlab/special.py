@@ -2,10 +2,9 @@
 
 Contents: a vectorized principal-branch log-gamma (Stirling series with
 recursion shifts and reflection), Riemann zeta by Euler-Maclaurin with a
-computable remainder bound, archimedean gamma-factor ratios for degree-2
-and degree-6 L-factors, and Bessel functions of imaginary order 2it via
-three mutually independent routes (ascending series, a cosh-kernel
-Laplace integral for K, Mehler-Sonine oscillatory integrals for J).
+computable remainder bound, log gamma factors of degree 2, 3 and 6, and the
+Bessel function J of imaginary order 2it by two mutually independent
+routes (the ascending series, and Mehler-Sonine oscillatory integrals).
 
 Conventions.  The degree-2 factor is gamma(s, t) = pi^{-s}
 Gamma((s+it)/2) Gamma((s-it)/2).  A degree-6 factor attached to
@@ -21,30 +20,23 @@ logs before exponentiating, so overflow never enters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 
-from .quadrature import gauss_legendre_panels
-
 __all__ = [
     "PoleError",
     "RegimeError",
-    "GammaRatio",
     "log_gamma",
     "zeta",
     "zeta_with_error",
-    "gamma_ratio_gl2",
     "gl2_gamma_log",
     "gl2_gamma_ratio_log",
     "gl3_gamma_log",
-    "gamma_factor_gl3",
     "archimedean_gamma_log",
     "bessel_imag_order",
     "bessel_j_integral_route",
-    "bessel_k_integral",
 ]
 
 
@@ -195,12 +187,6 @@ def zeta(s, terms: int = 12):
     return zeta_with_error(s, terms=terms)[0]
 
 
-@dataclass(frozen=True)
-class GammaRatio:
-    value: complex
-    regime: str  # "exact_quotient" or "stirling_asymptotic"
-
-
 def gl2_gamma_log(s, t: float):
     """log of pi^{-s} Gamma((s+it)/2) Gamma((s-it)/2), vectorized in s."""
     s = np.asarray(s, dtype=complex)
@@ -213,18 +199,6 @@ def gl2_gamma_ratio_log(u, t: float):
     return gl2_gamma_log(0.5 + u, t) - gl2_gamma_log(np.asarray(0.5 + 0j), t)
 
 
-def gamma_ratio_gl2(u: complex, t: float, mode: str = "exact") -> GammaRatio:
-    """The degree-2 ratio at a point, either exactly or by its large-t
-    leading behavior (t / 2 pi)^u."""
-    if mode == "exact":
-        return GammaRatio(complex(np.exp(gl2_gamma_ratio_log(u, t))), "exact_quotient")
-    if mode == "leading":
-        if t <= 0:
-            raise RegimeError("leading form (t/2pi)^u needs t > 0")
-        return GammaRatio(complex((t / (2 * math.pi)) ** complex(u)), "stirling_asymptotic")
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def gl3_gamma_log(s, t: float, mu) -> np.ndarray:
     """log of the degree-6 factor pi^{-3s} prod Gamma((s -+ it - mu_i)/2)."""
     s = np.asarray(s, dtype=complex)
@@ -232,26 +206,6 @@ def gl3_gamma_log(s, t: float, mu) -> np.ndarray:
     for m in mu:
         out = out + log_gamma((s - 1j * t - m) / 2) + log_gamma((s + 1j * t - m) / 2)
     return out
-
-
-def gamma_factor_gl3(s, t: float, form, variant: str = "direct"):
-    """Degree-6 gamma factor of a rank-3 form twisted by spectral parameter t.
-
-    variant "direct" uses the form's own archimedean parameters, "dual" the
-    contragredient's.  Any parameters are accepted; an argument on a pole
-    raises PoleError (from log_gamma).  Computed as exp of the log
-    assembly; extreme arguments may round to 0 or overflow, in which case
-    use gl3_gamma_log directly.
-    """
-    return np.exp(gl3_gamma_log(s, t, _variant_mu(form, variant)))
-
-
-def _variant_mu(form, variant: str):
-    if variant == "direct":
-        return form.mu
-    if variant == "dual":
-        return form.mu_dual
-    raise ValueError(f"unknown variant {variant!r}")
 
 
 def archimedean_gamma_log(s, mu) -> np.ndarray:
@@ -270,19 +224,27 @@ def archimedean_gamma_log(s, mu) -> np.ndarray:
 _SERIES_CAP = 40.0  # largest 2 pi x the alternating series is allowed to digest
 
 
-def _bessel_series(t: float, z: float, signed: bool) -> complex:
-    """Ascending series for J (signed) or I (unsigned) of order 2it at z > 0.
+def bessel_imag_order(t: float, x: float) -> complex:
+    """J_{2it}(2 pi x) by the ascending series, validated for 2 pi x <= 40
+    (RegimeError beyond, directing to the integral representation).
 
-    Cancellation burns ~z/ln10 digits for J and the 1/Gamma(1+2it) prefactor
-    contributes ~pi t/ln10 more, so the working precision scales with both.
+    Cancellation burns ~z/ln10 digits of the series at z = 2 pi x and the
+    1/Gamma(1+2it) prefactor ~pi t/ln10 more, so the working precision
+    scales with both.
     """
+    if x <= 0:
+        raise RegimeError("argument must be positive")
+    z = 2 * math.pi * x
+    if z > _SERIES_CAP:
+        raise RegimeError(
+            f"ascending series not validated for 2 pi x = {z:.2f} > {_SERIES_CAP}; "
+            "use bessel_j_integral_route (oscillatory integral representation)"
+        )
     dps = 30 + int(0.45 * z) + int(2.8 * abs(t)) + 10
     with mp.workdps(dps):
         nu = mp.mpc(0, 2 * t)
         half = mp.mpf(z) / 2
-        q = half * half
-        if signed:
-            q = -q
+        q = -half * half
         term = half**nu / mp.gamma(nu + 1)
         total = term
         kmax = max(80, int(3.5 * z))
@@ -293,47 +255,6 @@ def _bessel_series(t: float, z: float, signed: bool) -> complex:
             if abs(term) < tiny * (abs(total) + 1):
                 break
         return complex(total)
-
-
-def bessel_k_integral(t: float, x: float, nodes_per_panel: int = 12) -> float:
-    """K_{2it}(2 pi x) = int_0^inf exp(-2 pi x cosh u) cos(2 t u) du.
-
-    Real for real t.  Double-precision composite Gauss-Legendre panels sized
-    against both the cos(2tu) oscillation and the decay scale; truncated
-    where the envelope falls below 1e-18 of its peak.
-    """
-    if x <= 0:
-        raise RegimeError("argument must be positive")
-    a = 2 * math.pi * x
-    u_star = math.acosh(max(41.5 / a, 1.0)) + 1.5
-    width = min(0.5, math.pi / (4.0 * max(abs(t), 0.5)), u_star / 6.0)
-    n_panels = max(6, int(math.ceil(u_star / width)))
-    u, w = gauss_legendre_panels(np.linspace(0.0, u_star, n_panels + 1), nodes_per_panel)
-    vals = np.exp(-a * np.cosh(u)) * np.cos(2 * t * u)
-    return float(np.dot(w, vals))
-
-
-def bessel_imag_order(kind: str, t: float, x: float) -> complex:
-    """Bessel function of order 2it at argument 2 pi x.
-
-    kind "J": ascending series, validated for 2 pi x <= 40 (RegimeError
-    beyond, directing to the integral representation).  kind "I": the
-    modified companion by the same series without sign alternation.
-    kind "K": the cosh-kernel Laplace integral, real for real t.
-    """
-    if x <= 0:
-        raise RegimeError("argument must be positive")
-    z = 2 * math.pi * x
-    if kind in ("J", "I"):
-        if z > _SERIES_CAP:
-            raise RegimeError(
-                f"ascending series not validated for 2 pi x = {z:.2f} > {_SERIES_CAP}; "
-                "use bessel_j_integral_route (oscillatory integral representation)"
-            )
-        return _bessel_series(t, z, signed=(kind == "J"))
-    if kind == "K":
-        return complex(bessel_k_integral(t, x))
-    raise ValueError(f"unknown kind {kind!r}")
 
 
 def _mehler_sonine_integral(trig, z: float, t: float, v0: float = 3.0):

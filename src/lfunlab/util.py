@@ -1,16 +1,13 @@
-"""Shared plumbing: deterministic parallel mapping, a bounded cache and
-canonical JSON."""
+"""Shared plumbing: deterministic parallel mapping and a bounded cache."""
 
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
-__all__ = ["ordered_parallel_map", "LRUCache", "canonical_json", "config_hash"]
+__all__ = ["ordered_parallel_map", "LRUCache"]
 
 
 def ordered_parallel_map(fn: Callable, items: Iterable, threads: int = 4) -> list:
@@ -56,13 +53,3 @@ class LRUCache:
 
     def __len__(self) -> int:
         return len(self._data)
-
-
-def canonical_json(payload) -> str:
-    """Deterministic JSON: sorted keys, tight separators, no NaN laundering."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
-
-
-def config_hash(payload) -> str:
-    """sha256 of the canonical JSON encoding, hex digest."""
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()

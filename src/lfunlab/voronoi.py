@@ -88,7 +88,7 @@ import numpy as np
 
 from .exactarith import kloosterman, mod_inverse
 from .heckegl3 import GL3Form, coefficient_block
-from .quadrature import contour_kernel, gauss_legendre_panels
+from .quadrature import contour_kernel, panel_grid
 from .special import PoleError, RegimeError, log_gamma
 from .util import ordered_parallel_map
 
@@ -100,7 +100,6 @@ __all__ = [
     "voronoi_kernel",
     "voronoi_kernel_with_error",
     "voronoi_kernel_batch",
-    "combined_kernel",
     "voronoi_kernel_asymptotic",
     "polar_main_term",
     "voronoi_sides",
@@ -151,9 +150,7 @@ def _mellin_evaluator(phi: Callable, support: tuple) -> Callable:
         if H > state["H"]:
             Hb = max(16.0, 1.5 * H)
             # 12-node panels spanning <= 1.8 periods of the fastest x^{i Im s}
-            width = min((hi - lo) / 16.0, 2.0 * math.pi * 1.8 * lo / Hb)
-            n_panels = max(1, int(math.ceil((hi - lo) / width)))
-            x, w = gauss_legendre_panels(np.linspace(lo, hi, n_panels + 1), 12)
+            x, w = panel_grid(lo, hi, min((hi - lo) / 16.0, 2.0 * math.pi * 1.8 * lo / Hb), 12)
             # center the log phases: the grid-side argument stays below
             # half the log-width of the support, keeping the phase rounding
             # (~1e-16 per radian) from swamping cancellation at big heights
@@ -390,18 +387,6 @@ def voronoi_kernel_batch(
     raise ValueError(f"unknown route {route!r}")
 
 
-def combined_kernel(
-    spec: VoronoiKernelSpec, variant: int, x: float, c: int, n: int, m1: int, m2: int
-) -> complex:
-    """Phi_0(x) +/- (pi^{-3} c^3 n / (m1^2 m2 i)) Phi_1(x); variant 0 is +."""
-    if variant not in (0, 1):
-        raise ValueError(f"variant must be 0 or 1, got {variant}")
-    phi0 = voronoi_kernel(spec, 0, x)
-    phi1 = voronoi_kernel(spec, 1, x)
-    mix = (c**3 * n) / (math.pi**3 * m1**2 * m2 * 1j)
-    return phi0 + mix * phi1 if variant == 0 else phi0 - mix * phi1
-
-
 def voronoi_kernel_asymptotic(spec: VoronoiKernelSpec, x: float, order: int = 1) -> complex:
     """Large-argument oscillatory expansion of the order-0 transform.
 
@@ -538,9 +523,7 @@ def _tail_asymptotic(spec: VoronoiKernelSpec, xs: np.ndarray, rungs: int = _MAX_
         # phase is slow (the ramps, not the oscillation, set the bandwidth
         # near the lower end of the ladder regime)
         freq = blk[-1] ** (1.0 / 3.0) * lo ** (-2.0 / 3.0)
-        width = min((hi - lo) / 48.0, 1.4 / freq)
-        n_panels = max(1, int(math.ceil((hi - lo) / width)))
-        y, w = gauss_legendre_panels(np.linspace(lo, hi, n_panels + 1), 12)
+        y, w = panel_grid(lo, hi, min((hi - lo) / 48.0, 1.4 / freq), 12)
         wphi = w * np.asarray(phi(y), dtype=float)
         rung = np.empty((rungs + 1, blk.size), dtype=complex)
         mass = np.empty(blk.size)  # int |phi| (pi^3 x y)^{-1/3} dy
@@ -638,9 +621,7 @@ def voronoi_residual_profile(
     )
 
     def block(m1: int):
-        q, rem = divmod(n * c, m1)
-        if rem:  # unreachable for true divisors; guards corrupted input
-            raise ValueError(f"modulus n c / m1 must be integral, got remainder {rem}")
+        q = cn // m1
         xs = m2s * m1 * m1 / (c**3 * n)
         n_exact = int(np.searchsorted(xs, x_exact, side="right"))
         phi0 = np.empty(top, dtype=complex)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfunlab import afe, quadrature
+from lfunlab import afe, quadrature, special
 from lfunlab.afe import (
     FixtureCoverageError,
     MaassFixture,
@@ -28,11 +28,9 @@ from lfunlab.afe import (
     cosine_power_damper,
     eisenstein_coefficients,
     gl2_afe_weight,
-    gl2_afe_weight_batch,
     gl2_afe_weight_grid,
     gl3_critical_value,
     rankin_selberg_afe_weight,
-    rankin_selberg_afe_weight_batch,
     rankin_selberg_afe_weight_grid,
     zeta_square_afe,
 )
@@ -143,7 +141,7 @@ def test_gl2_weight_matches_leading_contour_form():
 def test_gl2_weight_batch_matches_scalar():
     ys = [0.5, 3.0, 77.0, 1234.0]
     t = 9.0
-    batch = gl2_afe_weight_batch(SPEC, ys, t)
+    batch = gl2_afe_weight_grid(SPEC, ys, [t])[0]
     for y, b in zip(ys, batch):
         assert complex(b) == pytest.approx(gl2_afe_weight(SPEC, y, t), abs=1e-13)
 
@@ -193,7 +191,7 @@ def test_rs_weight_variants_agree_for_degenerate_form():
 def test_rs_weight_batch_matches_scalar(sym2):
     ys = [2.0, 40.0, 900.0]
     t = 3.0
-    batch = rankin_selberg_afe_weight_batch(SPEC, ys, t, sym2, "dual")
+    batch = rankin_selberg_afe_weight_grid(SPEC, ys, [t], sym2, "dual")[0]
     for y, b in zip(ys, batch):
         assert complex(b) == pytest.approx(
             rankin_selberg_afe_weight(SPEC, y, t, sym2, "dual"), abs=1e-13
@@ -241,6 +239,27 @@ def test_t_grid_blocking_is_bit_identical(name, monkeypatch):
         assert np.array_equal(a.v, b.v)
         assert np.array_equal(a.w, b.w)
         assert a.tail_estimate == b.tail_estimate
+
+
+def test_normalization_at_half_once_per_t_grid(monkeypatch):
+    # the gamma factor at 1/2 depends on t alone, so a t-grid evaluates it
+    # once, not once per block of rows and segment.  Its log_gamma
+    # arguments (1/2 -+ it - mu)/2 are the only ones with real part 1/4
+    # here; the contour nodes' lie on (1/2 + sigma_u)/2.
+    on_quarter = []
+    original = special.log_gamma
+
+    def counting(z):
+        on_quarter.append(bool(np.all(np.real(z) == 0.25)))
+        return original(z)
+
+    monkeypatch.setattr(special, "log_gamma", counting)
+    monkeypatch.setattr(quadrature, "_ROW_ELEMENTS", 1)  # one row per kfunc call
+    assert len(list(afe._gl2_kernel(SPEC, T_GRID, 3.0))) == T_GRID.size
+    assert sum(on_quarter) == 2 < len(on_quarter)
+    on_quarter.clear()
+    assert len(list(afe._rs_kernel(SPEC, T_GRID, D3, "direct", 3.0))) == T_GRID.size
+    assert sum(on_quarter) == 2 * len(D3.mu) < len(on_quarter)
 
 
 @pytest.mark.parametrize("name", sorted(WEIGHTS))

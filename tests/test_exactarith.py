@@ -6,21 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfunlab.exactarith import (
-    DivisibilityError,
     NotCoprimeError,
     divisor_count,
     divisors,
     factorize,
     kloosterman,
-    kloosterman_detail,
     kloosterman_exact_phase,
     kloosterman_factored,
     kloosterman_phase_counts,
-    kloosterman_twist_identity_residual,
     mobius,
     mod_inverse,
     multiplicative_tables,
-    ramanujan,
     ramanujan_divisor_mu,
     triple_divisor,
 )
@@ -79,10 +75,8 @@ class TestKloosterman:
             c = int(rng.integers(1, 101))
             n = int(rng.integers(-30, 60))
             l = int(rng.integers(-30, 60))
-            fast = kloosterman_detail(n, l, c)
             oracle = kloosterman_exact_phase(n, l, c)
-            assert fast.term_count == oracle.term_count
-            assert abs(fast.value - oracle.value) <= 1e-12 * (fast.term_count + 1)
+            assert abs(kloosterman(n, l, c) - oracle.value) <= 1e-12 * (oracle.term_count + 1)
 
     def test_symmetry_exact_by_phase_histogram(self):
         # S(n, l; c) and S(l, n; c) enumerate the same multiset of phases
@@ -110,45 +104,74 @@ class TestKloosterman:
         assert abs(direct - composed) <= 1e-9 * (c + 1)
 
 
+def ramanujan_sums(a: int, c: int) -> tuple:
+    # S(0, a; c) and S(a, 0; c): d and its inverse run over the same units
+    return kloosterman(0, a, c), kloosterman(a, 0, c)
+
+
 class TestRamanujan:
+    """The degenerate Kloosterman sums, which voronoi_residual_profile meets
+    whenever its modulus divides m2, against the divisor-mu closed form."""
+
     def test_single_term(self):
-        assert ramanujan(1, 1) == pytest.approx(1.0)
+        for val in ramanujan_sums(1, 1):
+            assert val == pytest.approx(1.0)
 
     def test_frozen_values(self):
         # frozen from the divisor-mu closed form
-        assert ramanujan(1, 4) == pytest.approx(0.0, abs=1e-12)
-        assert ramanujan(6, 4) == pytest.approx(-2.0, abs=1e-12)
+        for a, c, want in [(1, 4, 0.0), (6, 4, -2.0)]:
+            for val in ramanujan_sums(a, c):
+                assert val == pytest.approx(want, abs=1e-12)
 
     def test_zero_argument_gives_totient(self):
         # gcd(0, c) = c, so the closed form degenerates to Euler phi
         for c, phi in [(1, 1), (2, 1), (6, 2), (10, 4), (12, 4)]:
-            assert ramanujan(0, c) == pytest.approx(phi, abs=1e-10)
+            assert kloosterman(0, 0, c) == pytest.approx(phi, abs=1e-10)
+            assert ramanujan_divisor_mu(0, c) == phi
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(-300, 600), st.integers(1, 600))
     def test_matches_divisor_mu_oracle_and_integrality(self, a, c):
-        val = ramanujan(a, c)
-        assert abs(val - round(val)) <= 1e-9
-        assert round(val) == ramanujan_divisor_mu(a, c)
+        for val in ramanujan_sums(a, c):
+            assert abs(val - round(val.real)) <= 1e-9
+            assert round(val.real) == ramanujan_divisor_mu(a, c)
+
+
+def twist_identity_residual(l: int, n1: int, n2: int, m: int, c: int) -> float:
+    """|LHS - RHS| of the twisted Kloosterman average identity, with
+    M = m*c/n1 a positive integer:
+
+        LHS = sum_{d mod c, (d,c)=1} e(l*d/c) * S(m*d, n2; M)
+        RHS = sum_{u mod M, (u,M)=1} S(0, l + u*n1; c) * e(n2*ubar/M).
+
+    Opening S(m*d, n2; M) and executing the d-sum gives the right side, so
+    this ties `kloosterman` at modulus M to its degenerate values at c.
+    """
+    M = (c * m) // n1
+    lhs = sum(
+        np.exp(2j * np.pi * l * d / c) * kloosterman(m * d, n2, M)
+        for d in range(1, c + 1)
+        if math.gcd(d, c) == 1
+    )
+    rhs = sum(
+        kloosterman(0, l + u * n1, c) * np.exp(2j * np.pi * n2 * pow(u, -1, M) / M)
+        for u in range(1, M + 1)
+        if math.gcd(u, M) == 1
+    )
+    return abs(lhs - rhs)
 
 
 class TestTwistIdentity:
     def test_trivial_all_ones(self):
-        assert kloosterman_twist_identity_residual(1, 1, 1, 1, 1) == pytest.approx(0.0, abs=1e-12)
+        assert twist_identity_residual(1, 1, 1, 1, 1) == pytest.approx(0.0, abs=1e-12)
 
     def test_frozen_enumerated_cases(self):
-        assert kloosterman_twist_identity_residual(2, 1, 3, 2, 5) <= 1e-9
-        assert kloosterman_twist_identity_residual(1, 3, 2, 3, 4) <= 1e-9
+        assert twist_identity_residual(2, 1, 3, 2, 5) <= 1e-9
+        assert twist_identity_residual(1, 3, 2, 3, 4) <= 1e-9
 
     def test_degenerate_inner_modulus(self):
         # n1 = c*m makes M = 1 and both sides a single Ramanujan sum
-        assert kloosterman_twist_identity_residual(5, 12, 7, 3, 4) <= 1e-10
-
-    def test_divisibility_guard(self):
-        with pytest.raises(DivisibilityError):
-            kloosterman_twist_identity_residual(1, 5, 1, 2, 3)
-        with pytest.raises(DivisibilityError):
-            kloosterman_twist_identity_residual(1, -2, 1, 2, 3)
+        assert twist_identity_residual(5, 12, 7, 3, 4) <= 1e-10
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -160,7 +183,7 @@ class TestTwistIdentity:
     )
     def test_residual_vanishes(self, l, n2, m, c, data):
         n1 = data.draw(st.sampled_from(divisors(c * m)))
-        res = kloosterman_twist_identity_residual(l, n1, n2, m, c)
+        res = twist_identity_residual(l, n1, n2, m, c)
         assert res <= 1e-9 * (c * m + 1)
 
 

@@ -67,6 +67,20 @@ def test_test_function_rejects_bad_declarations():
 # diagonal and continuous weights
 
 
+def test_even_cutoff_is_the_first_passing_scan_point():
+    # the scan runs t = 6 * 1.4^k; the cutoff is the first t whose probes
+    # pass, not a multiple of it, so the point before it fails the target
+    h = kz.gaussian_test_function(2.0)
+
+    def envelope(t):
+        return float(h(np.array([t]))[0]) * (1.0 + t) ** 1.6
+
+    for tol in (1e-10, 1e-11, 1e-12, 1e-13):
+        t = kz._even_cutoff(h, tol)
+        assert envelope(t) <= tol < envelope(t / 1.4)
+        assert t == pytest.approx(6.0 * 1.4**2)
+
+
 def test_delta_weight_zero_function():
     assert kz.delta_weight(zero_test_function()) == 0.0
 
@@ -172,9 +186,9 @@ def test_bessel_transform_validation():
             kz.bessel_transform(h, "+", 1.0, route=route)
     with pytest.raises(TypeError):
         kz.bessel_transform(lambda t: t, "+", 1.0)
-    # h(t) = e^{-(t/20)^2} needs t up to ~240, past where cosh(pi t) is finite
+    # h(t) = e^{-(t/40)^2} needs t up to ~240, past where cosh(pi t) is finite
     with pytest.raises(RegimeError, match="J-series oracle"):
-        kz.bessel_transform(kz.gaussian_test_function(20.0), "+", 0.05, route="series")
+        kz.bessel_transform(kz.gaussian_test_function(40.0), "+", 0.05, route="series")
 
 
 def test_kernel_route_reaches_no_mpmath(monkeypatch):

@@ -1,6 +1,8 @@
 """Packaging metadata: every declared console script and every name a
-module exports through __all__ must resolve."""
+module exports through __all__ must resolve, and the modules keep their
+layers."""
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -27,3 +29,33 @@ def test_module_exports_resolve():
         module = importlib.import_module(f"lfunlab.{name}")
         for export in getattr(module, "__all__", ()):
             assert hasattr(module, export), f"lfunlab.{name}.{export}"
+
+
+# the lfunlab modules each module may import; a module not named here is free
+LAYERS = {
+    "util": set(),
+    "quadrature": set(),
+    "special": set(),
+    "exactarith": set(),
+    "heckegl3": {"exactarith"},
+}
+
+
+def _lfunlab_imports(path: Path) -> set:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                names.add(node.module.split(".")[0])
+            elif node.level == 0 and (node.module or "").startswith("lfunlab."):
+                names.add(node.module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            names |= {a.name.split(".")[1] for a in node.names if a.name.startswith("lfunlab.")}
+    return names
+
+
+def test_module_layers():
+    root = Path(importlib.import_module("lfunlab").__file__).resolve().parent
+    for name, allowed in LAYERS.items():
+        imported = _lfunlab_imports(root / f"{name}.py")
+        assert imported <= allowed, f"lfunlab.{name} imports {sorted(imported - allowed)}"

@@ -2,22 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline as SciSpline
 
 from lfunlab import quadrature
 from lfunlab.quadrature import (
-    CubicSpline1D,
     NonDecayError,
-    StationaryPointError,
     UnboundedPhaseError,
-    dyadic_partition_value,
     contour_kernel,
     gauss_legendre_panels,
     oscillatory_integral,
-    poisson_residual,
+    panel_grid,
     smooth_bump,
-    stationary_phase_main_term,
-    unit_phase,
 )
 from lfunlab.special import log_gamma
 
@@ -209,53 +203,6 @@ class TestOscillatoryIntegral:
             oscillatory_integral(bump, lambda x: 1e12 * np.asarray(x, float) ** 2, bump.support)
 
 
-class TestStationaryPhase:
-    @staticmethod
-    def _gaussian_phase_family(lam):
-        bump = smooth_bump(0.5, 1.5, 0.6)
-        phase = lambda x: lam * (np.asarray(x, float) - 1.0) ** 2 / 2.0
-        return bump, phase
-
-    def test_zero_amplitude(self):
-        val = stationary_phase_main_term(lambda x: np.zeros_like(x), lambda x: x, 1.0, 0.5, support=(0, 1))
-        assert val == 0
-
-    def test_main_term_accuracy_at_400(self):
-        lam = 400.0
-        bump, phase = self._gaussian_phase_family(lam)
-        main = stationary_phase_main_term(bump, phase, lam, 1.0)
-        direct = oscillatory_integral(bump, phase, bump.support).value
-        assert main == pytest.approx(complex(unit_phase(0.125)) / math.sqrt(lam), rel=1e-12)
-        assert abs(direct - main) / abs(main) <= 5.0 / lam
-
-    def test_relative_error_shrinks_with_lambda(self):
-        errs = []
-        for lam in (100.0, 1000.0):
-            bump, phase = self._gaussian_phase_family(lam)
-            main = stationary_phase_main_term(bump, phase, lam, 1.0)
-            direct = oscillatory_integral(bump, phase, bump.support).value
-            errs.append(abs(direct - main) / abs(main))
-        assert errs[1] <= 0.5 * errs[0]
-
-    def test_outside_support_rejected(self):
-        bump, phase = self._gaussian_phase_family(10.0)
-        with pytest.raises(StationaryPointError):
-            stationary_phase_main_term(bump, phase, 10.0, 7.0)
-
-    def test_degenerate_rejected(self):
-        bump, phase = self._gaussian_phase_family(10.0)
-        with pytest.raises(StationaryPointError):
-            stationary_phase_main_term(bump, phase, 0.0, 1.0)
-
-    def test_negative_curvature_conjugate_phase(self):
-        lam = 900.0
-        bump = smooth_bump(0.5, 1.5, 0.6)
-        phase = lambda x: -lam * (np.asarray(x, float) - 1.0) ** 2 / 2.0
-        main = stationary_phase_main_term(bump, phase, -lam, 1.0)
-        direct = oscillatory_integral(bump, phase, bump.support).value
-        assert abs(direct - main) / abs(main) <= 5.0 / lam
-
-
 class TestSmoothBump:
     def test_plateau_and_outside(self):
         bump = smooth_bump(2.0, 6.0, 0.5)
@@ -275,55 +222,33 @@ class TestSmoothBump:
         with pytest.raises(ValueError):
             smooth_bump(3.0, 3.0, 0.5)
 
-    def test_dyadic_partition_of_unity(self):
-        rng = np.random.default_rng(8)
-        x = rng.uniform(1.0, 1e4, 50)
-        vals = dyadic_partition_value(x)
-        assert np.max(np.abs(vals - 1.0)) < 1e-12
+
+def poisson_residual(f, k_max, support):
+    """| sum_{n in Z} f(n) - sum_{|k| <= k_max} int f(x) e(-k x) dx | for a
+    real f supported in `support`; for smooth f the gap decays faster than
+    any power of k_max."""
+    a, b = support
+    ns = np.arange(math.ceil(a), math.floor(b) + 1, dtype=float)
+    lhs = float(np.sum(f(ns))) if ns.size else 0.0
+    rhs = complex(oscillatory_integral(f, lambda x: np.zeros_like(np.asarray(x, float)), (a, b)).value)
+    for k in range(1, k_max + 1):
+        mode = oscillatory_integral(f, lambda x, k=k: -k * np.asarray(x, float), (a, b)).value
+        rhs += mode + np.conj(mode)  # f real: the -k and +k modes are conjugate
+    return abs(lhs - rhs)
 
 
 class TestPoisson:
     def test_bump_residual_small(self):
         f = smooth_bump(10.0, 20.0, 0.5)
-        assert poisson_residual(f, 40) <= 1e-8
+        assert poisson_residual(f, 40, f.support) <= 1e-8
 
     def test_zero_function(self):
         zero = lambda x: np.zeros_like(np.asarray(x, float))
-        assert poisson_residual(zero, 5, support=(0.0, 1.0)) == pytest.approx(0.0, abs=1e-12)
+        assert poisson_residual(zero, 5, (0.0, 1.0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_monotone_refinement(self):
         f = smooth_bump(10.0, 20.0, 0.5)
-        assert poisson_residual(f, 80) <= poisson_residual(f, 40) + 1e-12
-
-
-class TestCubicSpline:
-    def test_matches_reference_natural(self):
-        x = np.linspace(0.0, 3.0, 40)
-        y = np.sin(x)
-        own = CubicSpline1D(x, y)
-        ref = SciSpline(x, y, bc_type="natural")
-        xq = np.linspace(0.05, 2.95, 500)
-        assert np.max(np.abs(own(xq) - ref(xq))) < 1e-12
-
-    def test_clamped_beats_natural_on_smooth_data(self):
-        x = np.linspace(0.0, 3.0, 60)
-        y = np.sin(x)
-        xq = np.linspace(0.0, 3.0, 1000)
-        nat = np.max(np.abs(CubicSpline1D(x, y)(xq) - np.sin(xq)))
-        cla = np.max(np.abs(CubicSpline1D(x, y, d0=1.0, dn=math.cos(3.0))(xq) - np.sin(xq)))
-        assert cla < nat / 10
-
-    def test_complex_values(self):
-        x = np.linspace(0.0, 2.0, 50)
-        y = np.exp(1j * x)
-        own = CubicSpline1D(x, y)
-        xq = np.linspace(0.1, 1.9, 200)
-        assert np.max(np.abs(own(xq) - np.exp(1j * xq))) < 1e-5
-
-    def test_scalar_query(self):
-        x = np.linspace(0.0, 1.0, 11)
-        s = CubicSpline1D(x, x**3)
-        assert np.isscalar(s(0.5)) or np.ndim(s(0.5)) == 0
+        assert poisson_residual(f, 80, f.support) <= poisson_residual(f, 40, f.support) + 1e-12
 
 
 class TestPanels:
@@ -341,3 +266,11 @@ class TestPanels:
         assert w.sum() == pytest.approx(2.0, rel=1e-14)
         exact = (2.3**24 - 0.3**24) / 24.0  # int_{-1}^{1} (x + 1.3)^23 dx
         assert np.dot(w, (x + 1.3) ** 23) == pytest.approx(exact, rel=1e-13)
+
+    def test_panel_grid_is_the_equal_width_composite_grid(self):
+        # equal panels no wider than the width: 2.5 / 0.3 rounds up to 9
+        x, w = panel_grid(0.5, 3.0, 0.3, 12)
+        ref_x, ref_w = gauss_legendre_panels(np.linspace(0.5, 3.0, 10), 12)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+        # a width past the interval still gives one panel
+        assert panel_grid(0.0, 1.0, 5.0, 10)[0].size == 10

@@ -3,11 +3,11 @@
 Cross-checks, in rough order: the Mellin transform's exact s = 1 area, its
 scaling law, and its (windowed) sub-exponential decay profile; the contour
 kernels against a fully independent dual parametrization and against
-contour-shift invariance with honest error budgets; the combined-kernel
-variant wiring; the large-argument oscillatory expansion against exact
-kernels; the derived far-tail ladder's Stirling coefficients against
-mpmath, its rung integrals against adaptive quadrature, and both orders at
-the exact/asymptotic boundary; the degenerate form's polar residue against
+contour-shift invariance with honest error budgets; the large-argument
+oscillatory expansion against exact kernels; the derived far-tail
+ladder's Stirling coefficients against mpmath, its rung integrals against
+adaptive quadrature, and both orders at the exact/asymptotic boundary;
+the degenerate form's polar residue against
 a Laurent-coefficient oracle that shares no code with the Hurwitz-zeta
 circle quadrature; and the full identity at small/medium truncations,
 where the two sides meet through completely disjoint evaluation paths
@@ -32,7 +32,6 @@ from lfunlab.voronoi import (
     _neutral_abscissa,
     _phi_contour_kernel,
     _tail_asymptotic,
-    combined_kernel,
     mellin_transform,
     polar_main_term,
     voronoi_kernel,
@@ -147,8 +146,6 @@ def test_kernel_argument_guards(spec):
         voronoi_kernel(spec, 0, 1.0, route="sideways")
     with pytest.raises(ValueError):
         voronoi_kernel_batch(spec, 0, np.array([1.0, -2.0]))
-    with pytest.raises(ValueError):
-        combined_kernel(spec, 2, 1.0, 3, 1, 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -194,15 +191,6 @@ def test_contour_shift_invariance_within_error_budget(spec):
     w1, e1 = voronoi_kernel_with_error(spec, 1, 0.5)
     w2, e2 = voronoi_kernel_with_error(shifted, 1, 0.5)
     assert abs(w1 - w2) <= e1 + e2
-
-
-def test_combined_kernel_variant_wiring(spec, kernel_pair):
-    p0, p1 = kernel_pair
-    mix = (3**3 * 1) / (math.pi**3 * 1**2 * 5 * 1j)
-    plus = combined_kernel(spec, 0, 2.0, c=3, n=1, m1=1, m2=5)
-    minus = combined_kernel(spec, 1, 2.0, c=3, n=1, m1=1, m2=5)
-    assert plus == pytest.approx(p0 + mix * p1, rel=1e-12)
-    assert minus == pytest.approx(p0 - mix * p1, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
