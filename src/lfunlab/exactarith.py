@@ -26,8 +26,6 @@ import mpmath as mp
 import numpy as np
 
 __all__ = [
-    "Residue",
-    "ExactExponentialSum",
     "NotCoprimeError",
     "mod_inverse",
     "kloosterman",
@@ -48,44 +46,17 @@ class NotCoprimeError(ValueError):
     """Inverse requested for a residue that shares a factor with the modulus."""
 
 
-@dataclass(frozen=True)
-class Residue:
-    """An integer reduced to the canonical range [0, modulus)."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be positive, got {self.modulus}")
-        if not 0 <= self.value < self.modulus:
-            raise ValueError(f"residue {self.value} outside [0, {self.modulus})")
-
-
-@dataclass(frozen=True)
-class ExactExponentialSum:
-    """A finished exponential sum together with how many unit phases went in.
-
-    The triangle inequality |value| <= term_count is structural; tests lean
-    on it as a cheap sanity bound.
-    """
-
-    value: complex
-    term_count: int
-
-
-def mod_inverse(d: int, c: int) -> Residue:
-    """Inverse of d modulo c as a canonical residue.
+def mod_inverse(d: int, c: int) -> int:
+    """Inverse of d modulo c, reduced to [0, c).
 
     Raises NotCoprimeError unless gcd(d, c) = 1.
     """
     if c < 1:
         raise ValueError(f"modulus must be positive, got {c}")
     try:
-        inv = pow(d, -1, c)
+        return pow(d, -1, c)
     except ValueError as exc:
         raise NotCoprimeError(f"{d} is not invertible mod {c}") from exc
-    return Residue(inv, c)
 
 
 @lru_cache(maxsize=4096)
@@ -130,17 +101,15 @@ def kloosterman_phase_counts(n: int, l: int, c: int) -> np.ndarray:
     return np.bincount(phase, minlength=c)
 
 
-def kloosterman_exact_phase(n: int, l: int, c: int, dps: int = 40) -> ExactExponentialSum:
+def kloosterman_exact_phase(n: int, l: int, c: int, dps: int = 40) -> complex:
     """Oracle route for S(n, l; c): exact phase counting, then a high-precision
     evaluation of the resulting combination of c-th roots of unity."""
     counts = kloosterman_phase_counts(n, l, c)
-    units, _ = _unit_tables(c)
     with mp.workdps(dps):
         acc = mp.mpc(0)
         for k in np.flatnonzero(counts):
             acc += int(counts[k]) * mp.expjpi(mp.mpf(2 * int(k)) / c)
-        value = complex(acc)
-    return ExactExponentialSum(value, int(units.size))
+        return complex(acc)
 
 
 def factorize(m: int) -> list[tuple[int, int]]:

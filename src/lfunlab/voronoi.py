@@ -9,14 +9,7 @@ a Mellin-Barnes integral with a six-gamma quotient,
 
 a BARE line integral (no 1/(2 pi i); the i from ds = i dv is kept), where
 (a_1, a_2, a_3) are the form's spherical parameters and phitilde(s) =
-int phi(x) x^{s-1} dx.  Substituting s = 2w - 1 gives the equivalent form
-
-    Phi_k(x) = 2 pi^3 x int_{Re w = (1+sigma)/2} (pi^3 x)^{-2w}
-               prod_i Gamma(w+k+a_i/2) / prod_i Gamma(1/2-w-a_i/2)
-               phitilde(-2w+1-k) dw,
-
-implemented as an independent route and cross-checked as a dual-
-representation oracle.  The two orders combine into
+int phi(x) x^{s-1} dx.  The two orders combine into
 
     Phi^0(x) = Phi_0(x) + (pi^{-3} c^3 n / (m1^2 m2 i)) Phi_1(x),
     Phi^1(x) = Phi_0(x) - (pi^{-3} c^3 n / (m1^2 m2 i)) Phi_1(x),
@@ -74,8 +67,9 @@ Contour mechanics.  Each transform order is one quadrature.contour_kernel,
 stopped by the double-precision floor of its Mellin factor.  The
 integrand's modulus grows like |v|^{(3 + 6 sigma + 6 k + 2 sum_i Re a_i)/2}
 against the test function's Mellin decay, so the height it needs depends
-on the abscissa: public evaluators honor the spec's sigma exactly, and the
-double-sum verifier uses the modulus-neutral abscissa (_neutral_abscissa).
+on the abscissa.  One rule places it: every order-k kernel runs on the
+line where that exponent vanishes or on the line half a unit right of the
+order-k numerator poles, whichever lies further right (_neutral_abscissa).
 """
 
 from __future__ import annotations
@@ -98,11 +92,8 @@ __all__ = [
     "VoronoiSides",
     "mellin_transform",
     "voronoi_kernel",
-    "voronoi_kernel_with_error",
-    "voronoi_kernel_batch",
     "voronoi_kernel_asymptotic",
     "polar_main_term",
-    "voronoi_sides",
     "voronoi_residual_profile",
 ]
 
@@ -183,20 +174,17 @@ def mellin_transform(phi: Callable, s, support: tuple | None = None):
 
 @dataclass(frozen=True)
 class VoronoiKernelSpec:
-    """Form parameters, test function, and contour abscissa for the transform.
+    """Form parameters and test function for the transform.
 
     The form must be spherical (maass_type): its alpha, beta, gamma are the
     a_i of the six-gamma quotient, and other forms raise ValueError.
     The test function must be smooth, real-valued, and compactly supported
     in (0, inf), advertising its support via a .support attribute (a
-    SmoothBump does).  sigma must stay right of the rightmost pole of the
-    numerator gammas, sigma > max_i(-1 - Re a_i); when omitted it defaults
-    to that bound plus one half.
+    SmoothBump does).
     """
 
     form: GL3Form
     test_function: Callable
-    sigma: float | None = None
 
     def __post_init__(self) -> None:
         if not self.form.maass_type:
@@ -205,14 +193,6 @@ class VoronoiKernelSpec:
                 "Voronoi kernel is implemented for spherical forms only"
             )
         _support_of(self.test_function, None)
-        bound = self.pole_bound()
-        if self.sigma is None:
-            object.__setattr__(self, "sigma", bound + 0.5)
-        if not self.sigma > bound:
-            raise PoleError(
-                f"contour abscissa {self.sigma} is not right of the numerator "
-                f"gamma poles (needs sigma > {bound})"
-            )
 
     def spherical(self) -> tuple:
         return (complex(self.form.alpha), complex(self.form.beta), complex(self.form.gamma))
@@ -238,76 +218,55 @@ class VoronoiSides:
     truncation: TruncationRecord
     main_term: complex = 0j  # polar-form residue included in rhs; 0 for cuspidal
 
-    @property
-    def residual(self) -> float:
-        return abs(self.lhs - self.rhs)
-
 
 def _phi_contour_kernel(
     spec: VoronoiKernelSpec,
     k: int,
-    route: str,
     max_abs_ln_y: float,
     abscissa: float | None = None,
 ):
-    """Contour kernel whose .apply gives (1/2 pi i) int y^{-u} K(u) du.
+    """Contour kernel whose .apply(y) gives (1/2 pi i) int y^{-s} K(s) ds.
 
-    route "direct": u on the s-line, y = pi^3 x, K = six-gamma quotient
-    times phitilde(-u-k); route "shifted": the s = 2w-1 substitution, u on
-    the w-line, y = (pi^3 x)^2.  Callers restore the bare-integral
-    normalization (2 pi i) and the shifted route's 2 pi^3 x prefactor.
-    `abscissa` overrides the spec's sigma (in s-coordinates) -- the value
-    is abscissa-independent in the pole-free half-plane for order k, which
-    the dual-route and contour-shift tests verify.
+    K is the order-k six-gamma quotient times phitilde(-s-k) on the line
+    Re s = _neutral_abscissa(spec, k), and y = pi^3 x; _kernel_values
+    restores the bare-integral normalization.  `abscissa` moves the line
+    for the contour-shift test: the value does not depend on it right of
+    the order-k poles, but panels near a pole lose digits their error
+    estimate does not see, so it must keep the half-unit margin that
+    _neutral_abscissa keeps.
     """
     if k not in (0, 1):
         raise ValueError(f"kernel order k must be 0 or 1, got {k}")
+    if abscissa is None:
+        sigma = _neutral_abscissa(spec, k)
+    else:
+        sigma = float(abscissa)
+        if not sigma >= spec.pole_bound(k) + 0.5:
+            raise PoleError(
+                f"abscissa {sigma} is not half a unit right of the order-{k} "
+                f"numerator poles (needs sigma >= {spec.pole_bound(k) + 0.5})"
+            )
     abg = spec.spherical()
-    sigma_s = spec.sigma if abscissa is None else float(abscissa)
-    if not sigma_s > spec.pole_bound(k):
-        raise PoleError(
-            f"abscissa {sigma_s} is not right of the order-{k} numerator poles"
-        )
     mell = _mellin_evaluator(spec.test_function, spec.support)
     lo, hi = spec.support
     symmetric = all(abs(z.imag) < 1e-12 for z in abg)
 
-    if route == "direct":
-        sigma = sigma_s
-        mell_re = -sigma_s - k
+    def quot_log_mag(u):
+        num = sum(log_gamma((1.0 + u + 2 * k + z) / 2.0) for z in abg)
+        den = sum(log_gamma((-u - z) / 2.0) for z in abg)
+        return num - den
 
-        def quot_log_mag(u):
-            num = sum(log_gamma((1.0 + u + 2 * k + z) / 2.0) for z in abg)
-            den = sum(log_gamma((-u - z) / 2.0) for z in abg)
-            return num - den
-
-        def kfunc(u):
-            return np.exp(quot_log_mag(u)) * mell(-u - k)
-
-    elif route == "shifted":
-        sigma = (1.0 + sigma_s) / 2.0
-        mell_re = -2.0 * sigma + 1.0 - k
-
-        def quot_log_mag(u):
-            num = sum(log_gamma(u + k + z / 2.0) for z in abg)
-            den = sum(log_gamma(0.5 - u - z / 2.0) for z in abg)
-            return num - den
-
-        def kfunc(u):
-            return np.exp(quot_log_mag(u)) * mell(-2.0 * u + 1.0 - k)
-
-    else:
-        raise ValueError(f"unknown route {route!r}")
+    def kfunc(u):
+        return np.exp(quot_log_mag(u)) * mell(-u - k)
 
     # double-precision floor of the Mellin factor: phase arguments of size
     # (height) x (centered log half-width) round at ~1e-16 per radian, on
     # top of the plain summation rounding of the unsigned mass
-    mell_mass = abs(complex(mell(np.array([complex(mell_re, 0.0)]))[0]))
+    mell_mass = abs(complex(mell(np.array([complex(-sigma - k, 0.0)]))[0]))
     half_ln = 0.5 * (math.log(hi) - math.log(lo))
-    mell_rate = 2.0 if route == "shifted" else 1.0  # Mellin height per unit contour height
 
     def kfloor(u):
-        h = np.abs(np.imag(np.atleast_1d(u))) * mell_rate
+        h = np.abs(np.imag(np.atleast_1d(u)))
         return (
             2e-16
             * max(mell_mass, 1e-300)
@@ -316,14 +275,10 @@ def _phi_contour_kernel(
         )
 
     # oscillation budget (radians per unit height): y^{-iv} itself, the
-    # Mellin factor's phase speed (doubled on the shifted route, bounded by
-    # the larger |log| end of the support), and the gamma-quotient phase
-    # drifting like (3/2) ln v across the realistic height range
-    osc = (
-        max_abs_ln_y
-        + mell_rate * max(abs(math.log(lo)), abs(math.log(hi)))
-        + 12.0
-    )
+    # Mellin factor's phase speed (bounded by the larger |log| end of the
+    # support), and the gamma-quotient phase drifting like (3/2) ln v
+    # across the realistic height range
+    osc = max_abs_ln_y + max(abs(math.log(lo)), abs(math.log(hi))) + 12.0
     # 12-node panels spanning <= 9 radians (~1.4 periods) of the fastest phase
     return contour_kernel(
         kfunc, sigma, width=min(0.5, 9.0 / osc), tol=1e-11, symmetric=symmetric,
@@ -331,60 +286,28 @@ def _phi_contour_kernel(
     )
 
 
-def voronoi_kernel_with_error(
-    spec: VoronoiKernelSpec, k: int, x: float, route: str = "direct"
-) -> tuple:
-    """(value, truncation error estimate) for the order-k transform at x."""
-    if x <= 0:
-        raise ValueError("transform argument must be positive")
-    y = math.pi**3 * x
-    if route == "direct":
-        kern = _phi_contour_kernel(spec, k, route, abs(math.log(y)))
-        scale = 2.0 * math.pi
-        val = scale * 1j * complex(kern.apply(np.array([y]))[0])
-        err = scale * kern.tail_estimate * y ** (-kern.sigma)
-        return val, err
-    if route == "shifted":
-        # 2 pi^3 x times the bare w-integral; the substitution halves the
-        # contour height and doubles the log-argument speed.
-        kern = _phi_contour_kernel(spec, k, route, 2.0 * abs(math.log(y)))
-        scale = 4.0 * math.pi * y
-        val = scale * 1j * complex(kern.apply(np.array([y * y]))[0])
-        err = scale * kern.tail_estimate * (y * y) ** (-kern.sigma)
-        return val, err
-    raise ValueError(f"unknown route {route!r}")
+def _kernel_values(kern, xs: np.ndarray) -> tuple:
+    """A built order-k kernel at the arguments xs: the bare-integral values
+    2 pi i apply(pi^3 x) and their error allowances 2 pi tail (pi^3 x)^{-sigma}."""
+    ys = math.pi**3 * xs
+    return 2j * math.pi * kern.apply(ys), 2.0 * math.pi * kern.tail_estimate * ys ** (-kern.sigma)
 
 
-def voronoi_kernel(spec: VoronoiKernelSpec, k: int, x: float, route: str = "direct") -> complex:
-    """The order-k Mellin-Barnes transform at x > 0 (bare-ds normalization).
+def voronoi_kernel(spec: VoronoiKernelSpec, k: int, x):
+    """(value, error estimate) of the order-k transform at x > 0.
 
-    route selects the contour parametrization; both evaluate the same
-    analytic object and agree to quadrature accuracy, which tests pin.
-    Evaluation honors spec.sigma exactly.
+    Bare-ds normalization, on the contour of _neutral_abscissa(spec, k).  A
+    scalar x gives (complex, float); an array gives two arrays, evaluated on
+    one contour grid sized for the largest |ln(pi^3 x)|.
     """
-    return voronoi_kernel_with_error(spec, k, x, route)[0]
-
-
-def voronoi_kernel_batch(
-    spec: VoronoiKernelSpec,
-    k: int,
-    xs,
-    route: str = "direct",
-    _abscissa: float | None = None,
-) -> np.ndarray:
-    """Order-k transform on an array of arguments sharing one contour grid."""
-    xs = np.asarray(xs, dtype=float)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs <= 0):
         raise ValueError("transform arguments must be positive")
-    ys = math.pi**3 * xs
-    lnys = np.abs(np.log(ys))
-    if route == "direct":
-        kern = _phi_contour_kernel(spec, k, route, float(np.max(lnys)), _abscissa)
-        return 2j * math.pi * kern.apply(ys)
-    if route == "shifted":
-        kern = _phi_contour_kernel(spec, k, route, 2.0 * float(np.max(lnys)), _abscissa)
-        return 4j * math.pi * ys * kern.apply(ys * ys)
-    raise ValueError(f"unknown route {route!r}")
+    kern = _phi_contour_kernel(spec, k, float(np.max(np.abs(np.log(math.pi**3 * xs)))))
+    vals, errs = _kernel_values(kern, xs)
+    if np.isscalar(x) or np.asarray(x).ndim == 0:
+        return complex(vals[0]), float(errs[0])
+    return vals, errs
 
 
 def voronoi_kernel_asymptotic(spec: VoronoiKernelSpec, x: float, order: int = 1) -> complex:
@@ -458,7 +381,7 @@ def polar_main_term(
     import mpmath
 
     lo, hi = _support_of(phi, support)
-    abar = int(mod_inverse(a, c).value)
+    abar = mod_inverse(a, c)
     mell = _mellin_evaluator(phi, (lo, hi))
 
     rho, nodes = 0.5, 64
@@ -566,23 +489,31 @@ def voronoi_residual_profile(
     m2_cutoffs: Sequence[int],
     threads: int = 4,
 ) -> list:
-    """voronoi_sides at several m2 cutoffs, sharing one pair of kernels.
+    """Both sides of the dual-sum identity with the twist e(m abar / c), at
+    each of several m2 cutoffs.
+
+    LHS: sum over the integers in phi's support of A(n, m) e(m abar / c)
+    phi(m), exact coefficients.  RHS: the m1 | cn, m2 <= cutoff double sum
+    with prefactor c pi^{-5/2} / (4i), plus the polar residue term for the
+    degenerate form (polar_main_term; zero for cuspidal forms).  The tail
+    estimate is twice the mass of the last included dyadic m2 block
+    (empirical bound on the super-polynomially decaying remainder) plus the
+    accumulated transform quadrature allowances.
 
     The transforms dominate the cost and depend on the cutoff only through
     the largest argument, so the profile computes them once at the largest
     cutoff and assembles each truncation from partial sums.  Transform
-    arguments below the ladder regime (x * support_lo < _TAIL_XLO) use
-    exact contour kernels at the modulus-neutral abscissae; the degenerate
-    form's far tail uses _tail_asymptotic.  For the polar form the dual side
-    includes the residue term from polar_main_term.  Returns one
-    VoronoiSides per cutoff, in the given order.
+    arguments below the ladder regime (x * support_lo < _TAIL_XLO) use one
+    exact contour kernel per order; the degenerate form's far tail uses
+    _tail_asymptotic.  Returns one VoronoiSides per cutoff, in the given
+    order.
     """
     if n < 1 or c < 1:
         raise ValueError("need n >= 1 and c >= 1")
     cutoffs = [int(m) for m in m2_cutoffs]
     if not cutoffs or min(cutoffs) < 4:
         raise ValueError("m2 cutoffs must all be at least 4")
-    abar = int(mod_inverse(a, c).value)  # raises NotCoprimeError unless gcd = 1
+    abar = mod_inverse(a, c)  # raises NotCoprimeError unless gcd = 1
     spec = VoronoiKernelSpec(form=form, test_function=phi)
     lo, hi = spec.support
     top = max(cutoffs)
@@ -615,7 +546,7 @@ def voronoi_residual_profile(
             exact_lns.append(abs(math.log(math.pi**3 * m1 * m1 * m2 / (c**3 * n))))
     max_ln = max(exact_lns)
     kerns = ordered_parallel_map(
-        lambda k: _phi_contour_kernel(spec, k, "direct", max_ln, _neutral_abscissa(spec, k)),
+        lambda k: _phi_contour_kernel(spec, k, max_ln),
         (0, 1),
         threads=min(threads, 2),
     )
@@ -629,11 +560,8 @@ def voronoi_residual_profile(
         err0 = np.zeros(top)
         err1 = np.zeros(top)
         if n_exact:
-            ys = math.pi**3 * xs[:n_exact]
-            phi0[:n_exact] = 2j * math.pi * kerns[0].apply(ys)
-            phi1[:n_exact] = 2j * math.pi * kerns[1].apply(ys)
-            err0[:n_exact] = 2.0 * math.pi * kerns[0].tail_estimate * ys ** (-kerns[0].sigma)
-            err1[:n_exact] = 2.0 * math.pi * kerns[1].tail_estimate * ys ** (-kerns[1].sigma)
+            phi0[:n_exact], err0[:n_exact] = _kernel_values(kerns[0], xs[:n_exact])
+            phi1[:n_exact], err1[:n_exact] = _kernel_values(kerns[1], xs[:n_exact])
         if n_exact < top:
             (phi0[n_exact:], phi1[n_exact:], err0[n_exact:], err1[n_exact:]) = _tail_asymptotic(
                 spec, xs[n_exact:]
@@ -667,25 +595,3 @@ def voronoi_residual_profile(
             )
         )
     return out
-
-
-def voronoi_sides(
-    form: GL3Form,
-    n: int,
-    a: int,
-    c: int,
-    phi: Callable,
-    m2_cutoff: int,
-    threads: int = 4,
-) -> VoronoiSides:
-    """Both sides of the dual-sum identity with the twist e(m abar / c).
-
-    LHS: sum over the integers in phi's support of A(n, m) e(m abar / c)
-    phi(m), exact coefficients.  RHS: the m1 | cn, m2 <= m2_cutoff double
-    sum with prefactor c pi^{-5/2} / (4i), plus the polar residue term for
-    the degenerate form (polar_main_term; zero for cuspidal forms).  The
-    tail estimate is twice the mass of the last included dyadic m2 block
-    (empirical bound on the super-polynomially decaying remainder) plus
-    the accumulated transform quadrature allowances.
-    """
-    return voronoi_residual_profile(form, n, a, c, phi, [m2_cutoff], threads=threads)[0]

@@ -1,9 +1,10 @@
 """Packaging metadata: every declared console script and every name a
-module exports through __all__ must resolve, and the modules keep their
-layers."""
+module exports through __all__ must resolve, no exported function takes a
+private parameter, and the modules keep their layers."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,19 @@ def test_module_exports_resolve():
         module = importlib.import_module(f"lfunlab.{name}")
         for export in getattr(module, "__all__", ()):
             assert hasattr(module, export), f"lfunlab.{name}.{export}"
+
+
+def test_exported_functions_take_no_private_parameters():
+    # a parameter named _x in a public signature is an override kept for a
+    # test; it belongs on a private function instead
+    root = Path(importlib.import_module("lfunlab").__file__).resolve().parent
+    for name in sorted(p.stem for p in root.glob("*.py") if p.stem != "__init__"):
+        module = importlib.import_module(f"lfunlab.{name}")
+        for export in getattr(module, "__all__", ()):
+            obj = getattr(module, export)
+            if inspect.isfunction(obj):
+                private = [p for p in inspect.signature(obj).parameters if p.startswith("_")]
+                assert not private, f"lfunlab.{name}.{export}{tuple(private)}"
 
 
 # the lfunlab modules each module may import; a module not named here is free
