@@ -11,12 +11,14 @@ Vertical-line integrals (1/2 pi i) int_{(sigma)} y^{-u} K(u) du go through
 `contour_kernel`: it discretizes the line once, growing the height until
 the outermost panels' mass falls below a relative tolerance or below the
 caller's evaluation noise floor, and the returned ContourKernel evaluates
-a whole batch of y as one matrix-vector product.  Its tail_estimate is
-that edge mass plus the accumulated noise floor.  A family of integrands
-K(u, r) indexed by a row parameter r (the spectral parameter t of the AFE
-weights) shares one grid: each segment is evaluated for a block of rows in
-one call, each row stops by the same rule applied to its own masses, and
-each row gets its own ContourKernel.  oscillatory_integral
+a whole batch of y at once.  Every panel of the grid carries the same
+Legendre offsets, so the phase y^{-iv} factors by panel and a batch costs
+one exp per (y, panel), not per (y, node) (ContourKernel).  Its
+tail_estimate is that edge mass plus the accumulated noise floor.  A
+family of integrands K(u, r) indexed by a row parameter r (the spectral
+parameter t of the AFE weights) shares one grid: each segment is evaluated
+for a block of rows in one call, each row stops by the same rule applied to
+its own masses, and each row gets its own ContourKernel.  oscillatory_integral
 returns a TransformResult whose abs_error_estimate is the observed change
 under one further refinement level.  Both estimates are empirical, not
 rigorous enclosures; the test suite checks their honesty against closed
@@ -88,11 +90,15 @@ def gauss_legendre_panels(edges, nodes: int):
     return x, w
 
 
+def _panel_edges(a: float, b: float, width: float) -> np.ndarray:
+    """Edges of the fewest equal panels of [a, b] no wider than `width`."""
+    return np.linspace(a, b, max(1, int(math.ceil((b - a) / width))) + 1)
+
+
 def panel_grid(a: float, b: float, width: float, nodes: int):
     """Composite Gauss-Legendre grid on [a, b]: equal panels no wider than
     `width`, `nodes` points each."""
-    n_panels = max(1, int(math.ceil((b - a) / width)))
-    return gauss_legendre_panels(np.linspace(a, b, n_panels + 1), nodes)
+    return gauss_legendre_panels(_panel_edges(a, b, width), nodes)
 
 
 _CONTOUR_NODES = 12  # Gauss-Legendre nodes per contour panel
@@ -108,6 +114,14 @@ class ContourKernel:
     (K(conj u) = conj K(u)) keeps only v >= 0 and adds the mirror half as
     twice the real part.  tail_estimate is in the units of w: times
     y^{-sigma} it is the absolute error allowance at y.
+
+    panels records the grid's geometry, one (half, mids) pair per piece of
+    equal panels, in the order of v: piece j holds the nodes mid + half x_q
+    of each of its panel mids, x_q the _CONTOUR_NODES Legendre nodes.  apply
+    factors the phase by panel, y^{-iv} = e^{-i mid ln y} e^{-i half x_q ln y}:
+    per piece, one exp per (y, panel) and a (y, panels) x (panels, nodes)
+    product with the panel-major weights, then the node sum against the
+    piece's (y, nodes) offset phases.
     """
 
     sigma: float
@@ -115,24 +129,36 @@ class ContourKernel:
     w: np.ndarray
     symmetric: bool
     tail_estimate: float
+    panels: tuple
 
     def apply(self, y) -> np.ndarray:
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if np.any(y <= 0):
             raise ValueError("weight arguments must be positive")
-        block = max(1, _APPLY_ELEMENTS // max(self.v.size, 1))
+        ln_y = np.log(y)
+        xs, _ = _legendre_rule(_CONTOUR_NODES)
+        blocks = [max(1, _APPLY_ELEMENTS // mids.size) for _, mids in self.panels]
         # one small phase buffer per call, exponentiated in place.  Blocks of
         # tens of MB, freed by calls running side by side in threads, were
         # kept or returned by the allocator depending on how the threads
         # interleaved, which moved peak memory from run to run by a block.
-        phase = np.empty((min(block, y.size), self.v.size), dtype=complex)
-        vals = np.empty(y.size, dtype=complex)
-        for i in range(0, y.size, block):
-            p = phase[: min(block, y.size - i)]
-            p.real = 0.0
-            np.multiply.outer(np.log(y[i : i + block]), -self.v, out=p.imag)
-            np.exp(p, out=p)
-            vals[i : i + p.shape[0]] = p @ self.w
+        buf = np.empty(
+            max((min(b, y.size) * mids.size for b, (_, mids) in zip(blocks, self.panels)), default=0),
+            dtype=complex,
+        )
+        vals = np.zeros(y.size, dtype=complex)
+        start = 0
+        for block, (half, mids) in zip(blocks, self.panels):
+            w = self.w[start : start + mids.size * xs.size].reshape(mids.size, xs.size)
+            start += w.size
+            for i in range(0, y.size, block):
+                ly = ln_y[i : i + block]
+                p = buf[: ly.size * mids.size].reshape(ly.size, mids.size)
+                p.real = 0.0
+                np.multiply.outer(ly, -mids, out=p.imag)
+                np.exp(p, out=p)
+                offsets = np.exp(np.multiply.outer(ly, (-half) * xs) * 1j)
+                vals[i : i + ly.size] += np.einsum("yq,yq->y", p @ w, offsets)
         if self.symmetric:
             vals = 2.0 * vals.real + 0j
         return vals * y ** (-self.sigma)
@@ -182,7 +208,8 @@ def contour_kernel(
     def evaluate(f, u, r):
         return np.asarray(f(u, r) if rows is not None else f(u)[None, :])
 
-    segments: list = []  # (top height, [(nodes, weights, outermost panel)] per half-line)
+    # (top height, [(nodes, weights, outermost panel, (half, mids))] per half-line)
+    segments: list = []
 
     def segment(k: int) -> tuple:
         while len(segments) <= k:
@@ -191,9 +218,11 @@ def contour_kernel(
             pieces = []
             for sign in (1,) if symmetric else (1, -1):
                 a, b = (v_lo, v_hi) if sign == 1 else (-v_hi, -v_lo)
-                x, gw = panel_grid(a, b, width, _CONTOUR_NODES)
+                edges = _panel_edges(a, b, width)
+                x, gw = gauss_legendre_panels(edges, _CONTOUR_NODES)
+                geometry = (0.5 * (b - a) / (edges.size - 1), 0.5 * (edges[1:] + edges[:-1]))
                 out = slice(-_CONTOUR_NODES, None) if sign == 1 else slice(None, _CONTOUR_NODES)
-                pieces.append((x, gw, out))
+                pieces.append((x, gw, out, geometry))
             segments.append((v_hi, pieces))
         return segments[k]
 
@@ -201,18 +230,16 @@ def contour_kernel(
         active = np.arange(block.size)
         total = np.zeros(block.size)
         noise_sq = np.zeros(block.size)
-        keep = np.zeros(block.size, dtype=int)  # grid nodes in each finished row's kernel
+        keep = np.zeros(block.size, dtype=int)  # grid segments in each finished row's kernel
         tails = np.zeros(block.size)
         parts: list = [[] for _ in range(block.size)]
-        n_nodes = 0
         k = 0
         while True:
             edge = np.zeros(block.size)
             edge_floor = np.zeros(block.size)
             v_hi, pieces = segment(k)
-            for x, gw, out in pieces:
+            for x, gw, out, _ in pieces:
                 u = sigma + 1j * x
-                n_nodes += x.size
                 step = max(1, _ROW_ELEMENTS // x.size)
                 for lo in range(0, active.size, step):
                     idx = active[lo : lo + step]
@@ -228,7 +255,7 @@ def contour_kernel(
                         edge_floor[idx] += fl[:, out].sum(axis=1)
             e, t = edge[active], total[active]
             done = (t == 0.0) | (e <= tol * t) | (e <= 3.0 * edge_floor[active])
-            keep[active[done]] = n_nodes
+            keep[active[done]] = k + 1
             tails[active[done]] = e[done] + np.sqrt(noise_sq[active[done]])
             active = active[~done]
             if active.size == 0:
@@ -240,9 +267,13 @@ def contour_kernel(
                     f"decay target and the noise floor{row}"
                 )
             k += 1
-        v = np.concatenate([x for _, pieces in segments[: k + 1] for x, _, _ in pieces])
+        pieces = [piece for _, seg in segments[: k + 1] for piece in seg]
+        v = np.concatenate([x for x, _, _, _ in pieces])
+        panels = tuple(geometry for _, _, _, geometry in pieces)
+        per_segment = len(segments[0][1])
         for n, p, tail in zip(keep, parts, tails):
-            yield ContourKernel(sigma, v[:n], np.concatenate(p), symmetric, float(tail))
+            w = np.concatenate(p)
+            yield ContourKernel(sigma, v[: w.size], w, symmetric, float(tail), panels[: n * per_segment])
 
     def kernels():
         per_block = max(1, _ROW_ELEMENTS // segment(0)[1][0][0].size)

@@ -70,6 +70,21 @@ against the test function's Mellin decay, so the height it needs depends
 on the abscissa.  One rule places it: every order-k kernel runs on the
 line where that exponent vanishes or on the line half a unit right of the
 order-k numerator poles, whichever lies further right (_neutral_abscissa).
+
+The Mellin factor comes from one FFT per line (_mellin_line).  On the line
+Re s = re_s, phitilde is e^{s ln c} times the Fourier transform of the
+compactly supported G(tau) = phi(c e^tau) e^{re_s tau}, c = sqrt(lo hi), so
+one zero-padded FFT of G's trapezoid samples gives it on a uniform grid of
+heights, and 12-point Lagrange interpolation gives it at the contour nodes,
+in time near-linear in the node count (Booker 2006 takes the same step).
+Both orders of the degenerate form sit on the same line, re_s = 1/2.  The
+sample step, padding and stencil are derived from the contour cap and the
+double-precision target (see _LINE_RATE).  Each kernel's noise floor
+(kfloor) keeps the model of the dense quadrature it replaced, 2e-16 times
+the mass int |G| times (1 + |v| h), h = ln(hi / lo) / 2, and the line sits
+inside it: its sums round at about 1e-16 of the mass, and a node v, itself
+rounded at 1e-16 |v|, moves the phase of F by up to 1e-16 |v| h.  The dense
+quadrature stays as the independent check, behind mellin_transform.
 """
 
 from __future__ import annotations
@@ -106,7 +121,24 @@ _RUNGS = tuple(
 )
 _MAX_RUNGS = len(_RUNGS) - 1
 
-_MELLIN_CHUNK = 512  # contour points per block in the Mellin matrix product
+# Height cap of the contour kernels (NonDecayError beyond it); it also
+# sizes the FFT Mellin line's sample step.
+_CONTOUR_CAP = 6000.0
+
+# The FFT Mellin line (_mellin_line).  Its trapezoid sum at step dtau is
+# exactly sum_m F(v + 2 pi m / dtau) (Poisson summation; G is smooth with
+# compact support).  With pi / dtau twice the cap, every contour node
+# |v| <= cap and its stencil lie on the FFT grid, and the nearest alias sits
+# beyond 3 cap, where phitilde is far below its value at the cap.
+_LINE_RATE = 2.0 * _CONTOUR_CAP / math.pi  # trapezoid samples per unit of tau
+# F is entire of exponential type h, so |F^(p)| <= h^p mass, and p-point
+# Lagrange interpolation at spacing dv errs by at most
+# max|omega_p| / p! (h dv)^p mass, where max|omega_p| / p! = 5.5e-5 on the
+# central interval for p = 12.  Zero-padding the FFT to _LINE_PAD times the
+# support's sample span gives h dv <= pi / _LINE_PAD, so the interpolation
+# error is at most 5.5e-5 (pi / 32)^12 mass = 4e-17 mass, below rounding.
+_LINE_STENCIL = 12
+_LINE_PAD = 32
 
 
 def _support_of(phi, support):
@@ -122,41 +154,77 @@ def _support_of(phi, support):
     return lo, hi
 
 
-def _mellin_evaluator(phi: Callable, support: tuple) -> Callable:
-    """Batched phitilde(s) = int phi(x) x^{s-1} dx on a cached node grid.
+def _mellin_line(phi: Callable, support: tuple, re_s: float) -> Callable:
+    """phitilde(re_s + iv) as a function of real v, from one zero-padded FFT.
 
-    The grid is rebuilt whenever a batch needs more height than it was
-    sized for: panel width tracks the fastest x^{i Im s} oscillation at the
-    left end of the support (period 2 pi lo / |Im s|), with a floor fine
-    enough to resolve the bump itself.  Evaluation is chunked so the
-    (contour nodes) x (grid nodes) phase matrix stays memory-bounded.
+    phitilde(s) = e^{s ln c} F(v), F(v) = int_{|tau| <= h} G(tau) e^{iv tau}
+    dtau, with c = sqrt(lo hi), h = ln(hi / lo) / 2 and G(tau) =
+    phi(e^{ln c + tau}) e^{re_s tau}.  The FFT of G's trapezoid samples
+    gives F on a uniform v-grid, and _LINE_STENCIL-point Lagrange
+    interpolation gives it between grid points.  A |v| whose stencil leaves
+    the grid raises ValueError.
     """
     lo, hi = support
     lnc = 0.5 * (math.log(lo) + math.log(hi))
-    state: dict = {"H": -1.0}
+    h = 0.5 * (math.log(hi) - math.log(lo))
+    dtau = 1.0 / _LINE_RATE
+    j = np.arange(-int(h / dtau), int(h / dtau) + 1)
+    tau = j * dtau
+    size = 1 << math.ceil(math.log2(2.0 * _LINE_PAD * h / dtau))
+    samples = np.zeros(size, dtype=complex)
+    # tau < 0 wraps to the end, so grid point k holds F(k dv) with no phase shift
+    samples[j % size] = np.asarray(phi(np.exp(lnc + tau)), dtype=complex) * np.exp(re_s * tau) * dtau
+    # after the shift, entry size/2 + k holds F(k dv), k = -size/2 .. size/2 - 1
+    f = np.fft.fftshift(np.fft.ifft(samples)) * size
+    dv = 2.0 * math.pi / (size * dtau)
+    p = _LINE_STENCIL
+    m = np.arange(p)
+    # c_m = 1 / prod_{n != m} (m - n) on the stencil 0 .. p-1
+    c = np.array([(-1.0) ** (p - 1 - i) / (math.factorial(i) * math.factorial(p - 1 - i)) for i in m])
 
-    def at(s):
-        s = np.atleast_1d(np.asarray(s, dtype=complex))
-        H = float(np.max(np.abs(s.imag))) if s.size else 1.0
-        if H > state["H"]:
-            Hb = max(16.0, 1.5 * H)
-            # 12-node panels spanning <= 1.8 periods of the fastest x^{i Im s}
-            x, w = panel_grid(lo, hi, min((hi - lo) / 16.0, 2.0 * math.pi * 1.8 * lo / Hb), 12)
-            # center the log phases: the grid-side argument stays below
-            # half the log-width of the support, keeping the phase rounding
-            # (~1e-16 per radian) from swamping cancellation at big heights
-            state.update(
-                H=Hb, lnx=np.log(x) - lnc, wphi=w * np.asarray(phi(x), dtype=complex)
+    def at(v):
+        v = np.asarray(v, dtype=float)
+        # the fraction comes from v / dv itself: adding the grid offset
+        # size / 2 first would round it at ~1e-11 of a grid step
+        t = v / dv
+        k = np.floor(t)
+        first = k.astype(np.int64) + (size // 2 - (p // 2 - 1))
+        if v.size and (first.min() < 0 or first.max() + p > size):
+            raise ValueError(
+                f"|v| = {float(np.max(np.abs(v))):.6g} lies beyond the FFT line's grid "
+                f"(|v| < {(size // 2 - p // 2) * dv:.6g})"
             )
-        out = np.empty(s.shape, dtype=complex)
-        for i in range(0, s.size, _MELLIN_CHUNK):
-            blk = s[i : i + _MELLIN_CHUNK]
-            out[i : i + _MELLIN_CHUNK] = (
-                np.exp(np.outer(blk - 1.0, state["lnx"])) @ state["wphi"]
-            )
-        return out * np.exp((s - 1.0) * lnc)
+        # Lagrange basis c_m prod_{n != m} (x - n) from prefix and suffix products
+        d = (t - k + (p // 2 - 1))[..., None] - m
+        left = np.ones_like(d)
+        right = np.ones_like(d)
+        np.cumprod(d[..., :-1], axis=-1, out=left[..., 1:])
+        np.cumprod(d[..., :0:-1], axis=-1, out=right[..., -2::-1])
+        vals = np.einsum("...m,...m->...", left * right * c, f[first[..., None] + m])
+        return vals * np.exp((re_s + 1j * v) * lnc)
 
     return at
+
+
+def _mellin_dense(phi: Callable, support: tuple, s: np.ndarray) -> np.ndarray:
+    """phitilde(s) by Gauss-Legendre quadrature on one grid sized for the
+    largest |Im s|: the independent check of _mellin_line.
+
+    Panel width tracks the fastest x^{i Im s} oscillation at the left end of
+    the support (period 2 pi lo / |Im s|), with a floor fine enough to
+    resolve the bump itself.
+    """
+    lo, hi = support
+    lnc = 0.5 * (math.log(lo) + math.log(hi))
+    Hb = max(16.0, 1.5 * float(np.max(np.abs(s.imag)))) if s.size else 16.0
+    # 12-node panels spanning <= 1.8 periods of the fastest x^{i Im s}
+    x, w = panel_grid(lo, hi, min((hi - lo) / 16.0, 2.0 * math.pi * 1.8 * lo / Hb), 12)
+    # center the log phases: the grid-side argument stays below half the
+    # log-width of the support, keeping the phase rounding (~1e-16 per
+    # radian) from swamping cancellation at big heights
+    lnx = np.log(x) - lnc
+    wphi = w * np.asarray(phi(x), dtype=complex)
+    return (np.exp(np.outer(s - 1.0, lnx)) @ wphi) * np.exp((s - 1.0) * lnc)
 
 
 def mellin_transform(phi: Callable, s, support: tuple | None = None):
@@ -165,10 +233,11 @@ def mellin_transform(phi: Callable, s, support: tuple | None = None):
     Entire in s; decays faster than any power of |Im s| (but for the
     exp-ramp bumps only sub-exponentially, roughly exp(-c sqrt(Im s)) --
     tests pin the measured profile).  Scalar s gives a complex scalar, an
-    array gives an array.
+    array gives an array.  Computed by dense Gauss-Legendre quadrature: the
+    independent check of the contour kernels' FFT line (_mellin_line).
     """
     sup = _support_of(phi, support)
-    vals = _mellin_evaluator(phi, sup)(s)
+    vals = _mellin_dense(phi, sup, np.atleast_1d(np.asarray(s, dtype=complex)))
     return complex(vals[0]) if np.isscalar(s) or np.asarray(s).ndim == 0 else vals
 
 
@@ -247,7 +316,7 @@ def _phi_contour_kernel(
                 f"numerator poles (needs sigma >= {spec.pole_bound(k) + 0.5})"
             )
     abg = spec.spherical()
-    mell = _mellin_evaluator(spec.test_function, spec.support)
+    line = _mellin_line(spec.test_function, spec.support, -sigma - k)
     lo, hi = spec.support
     symmetric = all(abs(z.imag) < 1e-12 for z in abg)
 
@@ -257,12 +326,12 @@ def _phi_contour_kernel(
         return num - den
 
     def kfunc(u):
-        return np.exp(quot_log_mag(u)) * mell(-u - k)
+        return np.exp(quot_log_mag(u)) * line(-np.imag(u))  # phitilde(-u - k)
 
-    # double-precision floor of the Mellin factor: phase arguments of size
-    # (height) x (centered log half-width) round at ~1e-16 per radian, on
-    # top of the plain summation rounding of the unsigned mass
-    mell_mass = abs(complex(mell(np.array([complex(-sigma - k, 0.0)]))[0]))
+    # double-precision floor of the Mellin factor (module docstring): the
+    # rounding of the unsigned mass, plus a phase of (height) x (log
+    # half-width) rounded at ~1e-16 per radian
+    mell_mass = abs(complex(line(0.0)))
     half_ln = 0.5 * (math.log(hi) - math.log(lo))
 
     def kfloor(u):
@@ -282,7 +351,7 @@ def _phi_contour_kernel(
     # 12-node panels spanning <= 9 radians (~1.4 periods) of the fastest phase
     return contour_kernel(
         kfunc, sigma, width=min(0.5, 9.0 / osc), tol=1e-11, symmetric=symmetric,
-        height=512.0, cap=6000.0, kfloor=kfloor,
+        height=512.0, cap=_CONTOUR_CAP, kfloor=kfloor,
     )
 
 
@@ -382,7 +451,6 @@ def polar_main_term(
 
     lo, hi = _support_of(phi, support)
     abar = mod_inverse(a, c)
-    mell = _mellin_evaluator(phi, (lo, hi))
 
     rho, nodes = 0.5, 64
     theta = 2.0 * math.pi * np.arange(nodes) / nodes
@@ -405,7 +473,7 @@ def polar_main_term(
             twist = np.exp(2j * math.pi * ((abar * t * r3) % c) / c)
             series += twist * pair[t] * zh[r3 - 1]
     series *= np.exp(-3.0 * s_circle * math.log(c))
-    integrand = np.asarray(mell(s_circle), dtype=complex) * series
+    integrand = _mellin_dense(phi, (lo, hi), s_circle) * series
     return complex(rho * np.mean(integrand * np.exp(1j * theta)))
 
 
@@ -451,7 +519,11 @@ def _tail_asymptotic(spec: VoronoiKernelSpec, xs: np.ndarray, rungs: int = _MAX_
         rung = np.empty((rungs + 1, blk.size), dtype=complex)
         mass = np.empty(blk.size)  # int |phi| (pi^3 x y)^{-1/3} dy
         # a few rows at a time and in place, for the reason given at
-        # ContourKernel.apply: a row's sums do not depend on the others
+        # ContourKernel.apply: a row's sums do not depend on the others.
+        # The sums are einsum loops, not BLAS calls: this runs inside
+        # ordered_parallel_map's threads, and BLAS would start its own
+        # threads under each of them
+        abs_wphi = np.abs(wphi)
         step = max(1, _TAIL_ELEMENTS // y.size)
         for i in range(0, blk.size, step):
             xy_cbrt = np.outer(blk[i : i + step], y)
@@ -462,8 +534,8 @@ def _tail_asymptotic(spec: VoronoiKernelSpec, xs: np.ndarray, rungs: int = _MAX_
             np.divide(1.0, inv, out=inv)  # (pi^3 x y)^{-1/3}
             for j in range(rungs + 1):
                 amp *= inv
-                rung[j, i : i + step] = amp @ wphi
-            mass[i : i + step] = inv @ np.abs(wphi)
+                rung[j, i : i + step] = np.einsum("xy,y->x", amp, wphi)
+            mass[i : i + step] = np.einsum("xy,y->x", inv, abs_wphi)
         theta = 6.0 * math.pi * np.cbrt(blk * hi)
         floor = eps * (math.sqrt(y.size) + theta / math.sqrt(y.size)) * mass
         floor *= sum(abs(r) for r in _RUNGS[:rungs])

@@ -78,14 +78,28 @@ class TestLineIntegral:
         assert np.all(err <= kern.tail_estimate * ys**-2.0 + 1e-13)
 
     def test_apply_blocks_match_dense_product(self, monkeypatch):
-        # apply fills one reused phase buffer per block of y; blocks of
-        # three arguments, the last one short, give the dense product
-        kern = gamma_kernel(2.0)
+        # apply factors the phase by panel and fills one reused buffer per
+        # block of y; blocks of three arguments on the widest piece, the
+        # last one short, give the dense product.  Checked on a full-line
+        # kernel grown over several segments, and on the first row of a
+        # batch, whose kernel keeps a prefix of the batch's grid
+        full = gamma_kernel(2.0)
+        assert len(full.panels) >= 6  # both half-lines of >= 3 segments
+        first, slowest = contour_kernel(
+            gaussian_rows, 0.5, width=0.5, tol=1e-12, symmetric=True, height=4.0, cap=512.0,
+            rows=np.array([1.0, 0.01]),
+        )
+        assert first.v.size < slowest.v.size
         ys = np.linspace(0.05, 9.0, 41)
-        dense = (np.exp(-1j * np.outer(np.log(ys), kern.v)) @ kern.w) * ys ** (-kern.sigma)
-        monkeypatch.setattr(quadrature, "_APPLY_ELEMENTS", 3 * kern.v.size)
-        np.testing.assert_allclose(kern.apply(ys), dense, rtol=1e-13, atol=1e-15)
-        assert kern.apply(np.array([])).shape == (0,)
+        for kern in (full, first):
+            dense = np.exp(-1j * np.outer(np.log(ys), kern.v)) @ kern.w
+            if kern.symmetric:
+                dense = 2.0 * dense.real
+            dense = dense * ys ** (-kern.sigma)
+            widest = max(mids.size for _, mids in kern.panels)
+            monkeypatch.setattr(quadrature, "_APPLY_ELEMENTS", 3 * widest)
+            np.testing.assert_allclose(kern.apply(ys), dense, rtol=1e-13, atol=1e-15)
+            assert kern.apply(np.array([])).shape == (0,)
 
     def test_non_decay_flagged(self):
         with pytest.raises(NonDecayError):
