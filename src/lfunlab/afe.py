@@ -6,14 +6,19 @@ device: insert the even damper G(u) = (cos pi u / A)^{-A} (holomorphic on
 integrate the completed L-function against G(u)/u, and fold the u -> -u
 reflection through the functional equation.  The result expresses the
 central value as one or two rapidly convergent coefficient sums against
-weight functions
+one kind of weight function.  For gamma data mu = (mu_1..mu_r), the factor
+gamma_mu(s, t) has the 2r shifts -mu_i -+ it (special.gamma_factor_log),
+and
 
-    U(y, t)  = (1/2 pi i) int y^{-u} G(u) gamma2(1/2+u, t)/gamma2(1/2, t) du/u,
-    V12(y,t) = same shape with the degree-6 tensor factor and the damper
-               raised to the third power (exponent -3A),
+    W(y, t) = (1/2 pi i) int y^{-u} G(u)^r gamma_mu(1/2+u, t)/gamma_nu(1/2, t) du/u,
 
-which are ~ 1 for y well below the analytic conductor and collapse like
-(1 + y/t)^{-A} (resp. (1 + y/t^3)^{-A}) beyond it.  All contour integrals
+nu the normalizing gamma data.  The degree-2 weight U is the case r = 1,
+mu = nu = (0,); the degree-6 tensor weights V1/V2 are r = 3 with the
+form's mu (direct) or mu_dual (dual), both normalized by the form's mu.
+They are ~ 1 for y well below the analytic conductor and collapse like
+(1 + y/t^r)^{-A} beyond it.  One builder (_weight_kernel) sizes every such
+contour from r: damper exponent -rA, start height, oscillation budget,
+conjugate symmetry for real mu, and the pole guard.  All contour integrals
 go through quadrature.contour_kernel, so that a whole vector of y values
 costs one matrix-vector product, and a whole vector of t values costs one
 contour grid: the gamma ratio is evaluated on a (t, u) matrix, one block
@@ -39,23 +44,14 @@ import numpy as np
 
 from .heckegl3 import GL3Form, PolarFormError, coefficient_block, coefficient_row
 from .quadrature import ContourKernel, NonDecayError, contour_kernel
-from .special import (
-    PoleError,
-    archimedean_gamma_log,
-    gl2_gamma_log,
-    gl2_gamma_ratio_log,
-    gl3_gamma_log,
-    zeta,
-)
+from .special import PoleError, gamma_factor_log, zeta
 
 __all__ = [
     "WeightSpec",
     "MaassFixture",
     "FixtureCoverageError",
     "cosine_power_damper",
-    "gl2_afe_weight",
     "gl2_afe_weight_grid",
-    "rankin_selberg_afe_weight",
     "rankin_selberg_afe_weight_grid",
     "central_value_gl2",
     "zeta_square_afe",
@@ -113,15 +109,11 @@ class FixtureCoverageError(ValueError):
     """Fixture does not carry coefficients up to the required cutoff."""
 
 
-def cosine_power_damper(spec: WeightSpec, u, kind: str = "gl2"):
-    """(cos(pi u / A))^{-A} for the degree-2 weights, exponent -3A for the
-    degree-6 tensor weights.  Even, 1 at u = 0, poles at Re u = A/2 mod A."""
-    if kind == "gl2":
-        power = -float(spec.A)
-    elif kind == "rs":
-        power = -3.0 * spec.A
-    else:
-        raise ValueError(f"unknown damper kind {kind!r}")
+def cosine_power_damper(spec: WeightSpec, u, r: int = 1):
+    """G(u)^r = (cos(pi u / A))^{-rA}: r = 1 for the degree-2 weight, r = 3
+    for the degree-6 tensor weights.  Even, 1 at u = 0, poles at Re u = A/2
+    mod A."""
+    power = -float(r * spec.A)
     u = np.asarray(u, dtype=complex)
     c = np.cos(np.pi * u / spec.A)
     if np.any(np.abs(c) < 1e-12):
@@ -153,93 +145,75 @@ def _per_t(ts: np.ndarray, f: Callable) -> Callable:
     return lambda t: vals[np.searchsorted(grid, t), None]
 
 
-def _gl2_kernel(spec: WeightSpec, ts, max_abs_ln_y: float) -> Iterator[ContourKernel]:
-    """The U-kernels of the t in ts (a float or an array), in order, from
-    one contour grid."""
+def _shifts(mu, t) -> list:
+    """The gamma shifts -mu_i -+ it of gamma data mu at t (a float, a grid
+    or a column of one)."""
+    return [kappa for m in mu for kappa in (-m - 1j * t, -m + 1j * t)]
+
+
+_U_MU = (0,)  # gamma data of the degree-2 weight U
+
+
+def _weight_kernel(spec: WeightSpec, ts, mu, mu_norm, max_abs_ln_y: float) -> Iterator[ContourKernel]:
+    """The kernels of W(., t) with gamma data mu, normalized by mu_norm at
+    1/2, for the t in ts (a float or an array), in order, from one contour
+    grid.  r = len(mu) sets the damper power and the contour's size."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     tmax = float(np.max(np.abs(ts)))
-    norm = _per_t(ts, lambda t: gl2_gamma_log(np.asarray(0.5 + 0j), t))  # log gamma2(1/2, t)
-
-    def kfunc(u, t):
-        ratio = np.exp(gl2_gamma_log(0.5 + u, t[:, None]) - norm(t))
-        return cosine_power_damper(spec, u, "gl2") * ratio / u
-
-    # damper decay e^{-pi v} sets the height scale; gamma ratio is neutral
-    # below v ~ t and decays beyond.  Its phase speed ~ log t adds to the
-    # y^{-iv} oscillation when sizing panels.  The largest |t| sizes both.
-    vmax0 = (40.0 + spec.A * math.log(2.0) + 0.5 * math.log(2.0 + tmax)) / math.pi
-    osc = max_abs_ln_y + math.log(2.0 + tmax)
-    return contour_kernel(
-        kfunc, spec.sigma_u, width=_panel_width(osc), tol=spec.tail_tolerance,
-        symmetric=True, height=vmax0, cap=_HEIGHT_CAP, rows=ts,
-    )
-
-
-def _rs_kernel(
-    spec: WeightSpec, ts, form: GL3Form, variant: str, max_abs_ln_y: float
-) -> Iterator[ContourKernel]:
-    """The tensor kernels of the t in ts, as _gl2_kernel."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    tmax = float(np.max(np.abs(ts)))
-    mu = form.mu if variant == "direct" else form.mu_dual
+    r = len(mu)
     # Gamma((1/2 + u -+ it - mu_i)/2) has poles at Re u = Re mu_i - 1/2 - 2k;
     # every one must lie left of the line Re u = sigma_u
     if any(complex(m).real >= 0.5 + spec.sigma_u for m in mu):
         raise PoleError(
-            f"gamma data {tuple(mu)} of {form.label!r} put a pole of the tensor weight's gamma factor "
+            f"gamma data {tuple(mu)} put a pole of the weight's gamma factor "
             f"on or right of its contour Re u = {spec.sigma_u}"
         )
-
-    norm = _per_t(ts, lambda t: gl3_gamma_log(np.asarray(0.5 + 0j), t, form.mu))  # direct factor at 1/2
+    norm = _per_t(ts, lambda t: gamma_factor_log(np.asarray(0.5 + 0j), _shifts(mu_norm, t)))
 
     def kfunc(u, t):
-        ratio = np.exp(gl3_gamma_log(0.5 + u, t[:, None], mu) - norm(t))
-        return cosine_power_damper(spec, u, "rs") * ratio / u
+        ratio = np.exp(gamma_factor_log(0.5 + u, _shifts(mu, t[:, None])) - norm(t))
+        return cosine_power_damper(spec, u, r) * ratio / u
 
-    symmetric = _is_real_tuple(mu)
-    vmax0 = (40.0 + 3 * spec.A * math.log(2.0) + 1.5 * math.log(2.0 + tmax)) / (3 * math.pi)
-    osc = max_abs_ln_y + 3.0 * math.log(2.0 + tmax) + 3.0 * max(abs(complex(m)) ** 0.5 for m in mu)
+    # damper decay e^{-r pi v} sets the height scale; the gamma ratio is
+    # neutral below v ~ t and decays beyond.  Its phase speed ~ r log t adds
+    # to the y^{-iv} oscillation when sizing panels.  The largest |t| sizes
+    # both.
+    vmax0 = (40.0 + r * spec.A * math.log(2.0) + 0.5 * r * math.log(2.0 + tmax)) / (r * math.pi)
+    osc = max_abs_ln_y + r * math.log(2.0 + tmax) + 3.0 * max(abs(complex(m)) ** 0.5 for m in mu)
     return contour_kernel(
         kfunc, spec.sigma_u, width=_panel_width(osc), tol=spec.tail_tolerance,
-        symmetric=symmetric, height=vmax0, cap=_HEIGHT_CAP, rows=ts,
+        symmetric=_is_real_tuple(mu), height=vmax0, cap=_HEIGHT_CAP, rows=ts,
     )
 
 
-def gl2_afe_weight(spec: WeightSpec, y: float, t: float) -> complex:
-    """Degree-2 smoothing weight U(y, t); ~ 1 for y << t, decaying past
-    y ~ t.  The damper's order-A pole at Re u = A/2 caps the decay rate:
-    the local dyadic exponent approaches A/2 from below like
-    A/2 - (A-1)/log y, which tests pin against measurement."""
-    return complex(gl2_afe_weight_grid(spec, [y], [t])[0, 0])
-
-
-def gl2_afe_weight_grid(spec: WeightSpec, ys, ts) -> np.ndarray:
-    """U(y, t) as a (len(ts), len(ys)) array from one contour grid sized for
-    the largest |t| and |log y|.  Each row stops growing on its own; a row
-    agrees with the single-t grid at its t to within the spec's
-    tail_tolerance of the kernels' mass (the two grids differ in height and
-    panel width)."""
+def _weight_grid(spec: WeightSpec, ys, ts, mu, mu_norm) -> np.ndarray:
+    """W(y, t) as a (len(ts), len(ys)) array from one contour grid sized for
+    the largest |t| and |log y|."""
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    kernels = _gl2_kernel(spec, ts, float(np.max(np.abs(np.log(ys)))))
+    kernels = _weight_kernel(spec, ts, mu, mu_norm, float(np.max(np.abs(np.log(ys)))))
     return np.array([k.apply(ys) for k in kernels])
 
 
-def rankin_selberg_afe_weight(
-    spec: WeightSpec, y: float, t: float, form: GL3Form, variant: str = "direct"
-) -> complex:
-    """Degree-6 tensor smoothing weight; variant "direct" carries the form's
-    own gamma data, "dual" the contragredient's, both normalized by the
-    direct factor at 1/2."""
-    return complex(rankin_selberg_afe_weight_grid(spec, [y], [t], form, variant)[0, 0])
+def gl2_afe_weight_grid(spec: WeightSpec, ys, ts) -> np.ndarray:
+    """Degree-2 smoothing weight U(y, t) as a (len(ts), len(ys)) array; ~ 1
+    for y << t, decaying past y ~ t.  The damper's order-A pole at
+    Re u = A/2 caps the decay rate: the local dyadic exponent approaches A/2
+    from below like A/2 - (A-1)/log y, which tests pin against measurement.
+    Each row stops growing on its own; a row agrees with the single-t grid
+    at its t to within the spec's tail_tolerance of the kernels' mass (the
+    two grids differ in height and panel width)."""
+    return _weight_grid(spec, ys, ts, _U_MU, _U_MU)
 
 
 def rankin_selberg_afe_weight_grid(
     spec: WeightSpec, ys, ts, form: GL3Form, variant: str = "direct"
 ) -> np.ndarray:
-    """The tensor weight on a (len(ts), len(ys)) grid, as gl2_afe_weight_grid."""
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    kernels = _rs_kernel(spec, ts, form, variant, float(np.max(np.abs(np.log(ys)))))
-    return np.array([k.apply(ys) for k in kernels])
+    """Degree-6 tensor smoothing weight on a (len(ts), len(ys)) grid, as
+    gl2_afe_weight_grid; variant "direct" carries the form's own gamma data,
+    "dual" the contragredient's, both normalized by the direct factor at
+    1/2."""
+    mu = form.mu if variant == "direct" else form.mu_dual
+    return _weight_grid(spec, ys, ts, mu, form.mu)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +251,10 @@ def central_value_gl2(fixture: MaassFixture, spec: WeightSpec, l_cutoff: int | N
     a = fixture.coeff_array()
     if l_cutoff is not None:
         L = int(l_cutoff)
-        kern = next(_gl2_kernel(spec, t, math.log(max(L, 2))))
+        kern = next(_weight_kernel(spec, t, _U_MU, _U_MU, math.log(max(L, 2))))
     else:
         L, kern = _adaptive_cutoff(
-            lambda maxln: next(_gl2_kernel(spec, t, maxln)),
+            lambda maxln: next(_weight_kernel(spec, t, _U_MU, _U_MU, maxln)),
             _gl2_cutoff(t),
             max(spec.tail_tolerance, 1e-13),
         )
@@ -322,12 +296,15 @@ def _zeta_polar_correction(r: float, spec: WeightSpec) -> float:
     carries the normalized ratio, so the result is R / gamma2(1/2, r).
     """
 
+    shifts = _shifts(_U_MU, r)
+    at_half = gamma_factor_log(np.asarray(0.5 + 0j), shifts)
+
     def integrand(u):
         return (
-            np.exp(gl2_gamma_ratio_log(u, r))
+            np.exp(gamma_factor_log(0.5 + u, shifts) - at_half)
             * zeta(0.5 + u + 1j * r)
             * zeta(0.5 + u - 1j * r)
-            * cosine_power_damper(spec, u, "gl2")
+            * cosine_power_damper(spec, u)
             / u
         )
 
@@ -354,7 +331,7 @@ def zeta_square_afe(r: float, spec: WeightSpec) -> float:
     if r < 0:
         raise ValueError("r must be nonnegative")
     L, kern = _adaptive_cutoff(
-        lambda maxln: next(_gl2_kernel(spec, r, maxln)),
+        lambda maxln: next(_weight_kernel(spec, r, _U_MU, _U_MU, maxln)),
         _gl2_cutoff(r),
         max(spec.tail_tolerance, 1e-13),
     )
@@ -374,8 +351,8 @@ def _rs_double_sum(form: GL3Form, coeffs: np.ndarray, t: float, spec: WeightSpec
     total = 0j
     # one kernel per variant, shared by every m-row
     max_ln = math.log(float(cutoff)) if cutoff > 1 else 1.0
-    kern1 = next(_rs_kernel(spec, t, form, "direct", max_ln))
-    kern2 = next(_rs_kernel(spec, t, form, "dual", max_ln))
+    kern1 = next(_weight_kernel(spec, t, form.mu, form.mu, max_ln))
+    kern2 = next(_weight_kernel(spec, t, form.mu_dual, form.mu, max_ln))
     m = 1
     while m * m <= cutoff:
         n_max = cutoff // (m * m)
@@ -403,7 +380,7 @@ def _rs_adaptive_cutoff(form: GL3Form, t: float, spec: WeightSpec) -> int:
     # an absolute tail small against unit-scale values rather than the raw
     # weight floor used on the degree-2 side.
     C, _ = _adaptive_cutoff(
-        lambda maxln: next(_rs_kernel(spec, t, form, "direct", maxln)),
+        lambda maxln: next(_weight_kernel(spec, t, form.mu, form.mu, maxln)),
         _rs_cutoff(t),
         max(1e3 * spec.tail_tolerance, 3e-6),
         metric=lambda mag, L: mag * math.sqrt(L) * (1.0 + math.log(L)) ** 2 / 2.0,
@@ -464,21 +441,13 @@ def gl3_critical_value(form: GL3Form, s0: complex, spec: WeightSpec) -> complex:
     # deeper abscissa = faster coefficient decay, but it must clear the
     # damper's first pole at Re u = A/2
     sigma = min(3.0, 0.45 * spec.A)
-    denom = complex(archimedean_gamma_log(np.asarray(s0), form.mu))
+    denom = complex(gamma_factor_log(s0, [-m for m in form.mu]))
 
-    def ka(u):
-        return (
-            cosine_power_damper(spec, u, "gl2")
-            / u
-            * np.exp(archimedean_gamma_log(s0 + u, form.mu) - denom)
-        )
+    def kernel(s, mu):
+        shifts = [-m for m in mu]
+        return lambda u: cosine_power_damper(spec, u) / u * np.exp(gamma_factor_log(s + u, shifts) - denom)
 
-    def kb(u):
-        return (
-            cosine_power_damper(spec, u, "gl2")
-            / u
-            * np.exp(archimedean_gamma_log(1 - s0 + u, form.mu_dual) - denom)
-        )
+    pair = (kernel(s0, form.mu), kernel(1 - s0, form.mu_dual))
 
     osc_extra = 1.5 * math.log(2.0 + abs(s0)) + 3.0 * max(
         abs(complex(m)) ** 0.5 for m in tuple(form.mu) + tuple(form.mu_dual)
@@ -491,11 +460,9 @@ def gl3_critical_value(form: GL3Form, s0: complex, spec: WeightSpec) -> complex:
     prev_block = math.inf
     while True:
         width = _panel_width(math.log(M) + osc_extra)
-        kern_a = contour_kernel(
-            ka, sigma, width=width, tol=spec.tail_tolerance, symmetric=False, height=8.0, cap=_HEIGHT_CAP
-        )
-        kern_b = contour_kernel(
-            kb, sigma, width=width, tol=spec.tail_tolerance, symmetric=False, height=8.0, cap=_HEIGHT_CAP
+        kern_a, kern_b = (
+            contour_kernel(k, sigma, width=width, tol=spec.tail_tolerance, symmetric=False, height=8.0, cap=_HEIGHT_CAP)
+            for k in pair
         )
         row = coefficient_row(form, M)
         col = coefficient_row(form, M, dual=True)

@@ -103,13 +103,16 @@ def kloosterman_phase_counts(n: int, l: int, c: int) -> np.ndarray:
 
 def kloosterman_exact_phase(n: int, l: int, c: int, dps: int = 40) -> complex:
     """Oracle route for S(n, l; c): exact phase counting, then a high-precision
-    evaluation of the resulting combination of c-th roots of unity."""
+    evaluation of the resulting combination of c-th roots of unity.  It runs
+    in an mpmath context of its own, so the process-global precision that
+    special._mp_precision guards is never touched."""
     counts = kloosterman_phase_counts(n, l, c)
-    with mp.workdps(dps):
-        acc = mp.mpc(0)
-        for k in np.flatnonzero(counts):
-            acc += int(counts[k]) * mp.expjpi(mp.mpf(2 * int(k)) / c)
-        return complex(acc)
+    ctx = mp.MPContext()
+    ctx.dps = dps
+    acc = ctx.mpc(0)
+    for k in np.flatnonzero(counts):
+        acc += int(counts[k]) * ctx.expjpi(ctx.mpf(2 * int(k)) / c)
+    return complex(acc)
 
 
 def factorize(m: int) -> list[tuple[int, int]]:

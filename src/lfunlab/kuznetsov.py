@@ -60,24 +60,17 @@ from __future__ import annotations
 
 import math
 import sys
-import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import mpmath as mp
 import numpy as np
 
-from .afe import (
-    FixtureCoverageError,
-    MaassFixture,
-    WeightSpec,
-    gl2_afe_weight_grid,
-    rankin_selberg_afe_weight_grid,
-)
+from .afe import _U_MU, FixtureCoverageError, MaassFixture, WeightSpec, _weight_grid
 from .exactarith import kloosterman
 from .heckegl3 import GL3Form
 from .quadrature import _ROW_ELEMENTS, NonDecayError, gauss_legendre_panels, panel_grid
-from .special import RegimeError, bessel_imag_order, log_gamma, zeta_with_error
+from .special import RegimeError, _mp_precision, bessel_imag_order, log_gamma, zeta_with_error
 from .util import LRUCache, ordered_parallel_map
 
 __all__ = [
@@ -99,11 +92,6 @@ _LN2 = math.log(2.0)
 _GL_NODES = 12
 _EPS = sys.float_info.epsilon
 _AMP_CUT = -math.log(_EPS)  # kernels below e^{-_AMP_CUT} of their peak are dropped from the contour
-
-# mpmath precision is process-global state; serialize all mpmath-backed
-# evaluations so the threaded Kloosterman sum stays correct and bitwise
-# deterministic regardless of thread count.
-_MP_LOCK = threading.Lock()
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +253,8 @@ def _series_plus(h: SpectralTestFunction, x: float, rel_tol: float) -> complex:
     rate = 2.0 * (1.0 + abs(math.log(0.5 * z))) + 2.0 * math.log(2.0 + 2.0 * tmax)
     ts, ws = panel_grid(0.0, tmax, max(min(6.0 / rate, tmax / 30.0), 0.02), _GL_NODES)
     ratio = np.empty(ts.size)
-    with _MP_LOCK:
-        for i, t in enumerate(ts):
-            ratio[i] = bessel_imag_order(float(t), x).imag / math.cosh(math.pi * float(t))
+    for i, t in enumerate(ts):
+        ratio[i] = bessel_imag_order(float(t), x).imag / math.cosh(math.pi * float(t))
     hv = np.asarray(h(ts), dtype=complex)
     return complex(-4.0 * np.sum(ws * ratio * hv * ts))
 
@@ -277,7 +264,7 @@ def _k_times_sinh(t: float, z: float) -> float:
     Computing the product inside mpmath avoids the e^{+-pi t} over/underflow
     of the separate factors."""
     dps = 30 + int(1.6 * t) + int(0.12 * z)
-    with _MP_LOCK, mp.workdps(dps):
+    with _mp_precision(dps):
         val = mp.besselk(2j * mp.mpf(t), mp.mpf(z)) * mp.sinh(mp.pi * mp.mpf(t))
         return float(val.real)
 
@@ -720,7 +707,7 @@ def kuznetsov_residual(
 
 DIAGONAL_VARIANTS = ("direct", "dual", "direct_plus", "direct_minus", "dual_plus", "dual_minus")
 
-_UV_CACHE = LRUCache(maxsize=32)  # one weight array per (kind, spec, y, t-grid, gamma data)
+_UV_CACHE = LRUCache(maxsize=32)  # one weight array per (spec, y, t-grid, gamma data)
 _DEFAULT_WEIGHT_SPEC = WeightSpec()
 
 
@@ -730,24 +717,19 @@ def uv_cache_stats() -> dict:
     return {"hits": _UV_CACHE.hits, "misses": _UV_CACHE.misses}
 
 
-def _cached_gl2(spec: WeightSpec, y: float, ts: np.ndarray) -> np.ndarray:
-    key = ("gl2", spec, y, ts.tobytes())
-    return _UV_CACHE.get_or_build(key, lambda: gl2_afe_weight_grid(spec, [y], ts)[:, 0])
-
-
-def _cached_rs(spec: WeightSpec, form: GL3Form, variant: str, y: float, ts: np.ndarray) -> np.ndarray:
-    # the weight reads form.mu or form.mu_dual (by variant) and normalizes by
-    # form.mu, so a self-dual form's two variants share one entry
-    mu_used = form.mu if variant == "direct" else form.mu_dual
-    key = ("rs", spec, y, ts.tobytes(), tuple(mu_used), tuple(form.mu))
-    return _UV_CACHE.get_or_build(key, lambda: rankin_selberg_afe_weight_grid(spec, [y], ts, form, variant)[:, 0])
+def _cached_weight(spec: WeightSpec, y: float, ts: np.ndarray, mu, mu_norm) -> np.ndarray:
+    # the weight reads nothing of a form but its gamma data, so a self-dual
+    # form's two tensor variants share one entry
+    key = (spec, y, ts.tobytes(), tuple(mu), tuple(mu_norm))
+    return _UV_CACHE.get_or_build(key, lambda: _weight_grid(spec, [y], ts, mu, mu_norm)[:, 0])
 
 
 def _diag_samples(
     ts: np.ndarray, width_T: float, y_gl2: float, y_rs: float, form: GL3Form, variant: str, spec: WeightSpec
 ) -> np.ndarray:
     gauss = np.exp(-((ts / width_T) ** 2))
-    return gauss * _cached_gl2(spec, y_gl2, ts) * _cached_rs(spec, form, variant, y_rs, ts)
+    mu = form.mu if variant == "direct" else form.mu_dual
+    return gauss * _cached_weight(spec, y_gl2, ts, _U_MU, _U_MU) * _cached_weight(spec, y_rs, ts, mu, form.mu)
 
 
 def diagonal_weight(
@@ -760,7 +742,6 @@ def diagonal_weight(
     x: float | None = None,
     *,
     weight_spec: WeightSpec | None = None,
-    rel_tol: float = 1e-11,
     resolution_factor: float = 1.0,
 ) -> complex:
     """Smoothed diagonal weights pairing the Gaussian e^{-t^2/T^2} with the
@@ -775,14 +756,14 @@ def diagonal_weight(
 
     Each weight is evaluated for all t of the grid on one shared contour
     grid, and the array is cached module-wide (a 32-entry LRU) keyed on the
-    weight kind, the weight parameters, y, the t-grid and the gamma data
-    the weight reads (for the tensor weight: the mu it carries and form.mu,
-    its normalization), so repeated evaluations on the same grid are cheap
-    and a self-dual form's "dual" reuses "direct"'s arrays (see
-    uv_cache_stats).  x is required exactly for the Bessel variants, which
-    take bessel_transform's "kernel" route with the weighted Gaussian as h,
-    sampled on the same t-grid (its panels halved until they resolve the
-    contour).  Evenness of the weights in t is relied upon (the
+    weight parameters, y, the t-grid and the gamma data the weight reads:
+    the mu it carries and the mu that normalizes it ((0,) by (0,) for U,
+    form.mu or form.mu_dual by form.mu for V).  So repeated evaluations on
+    the same grid are cheap and a self-dual form's "dual" reuses "direct"'s
+    arrays (see uv_cache_stats).  x is required exactly for the Bessel
+    variants, which take bessel_transform's "kernel" route with the weighted
+    Gaussian as h, sampled on the same t-grid (its panels halved until they
+    resolve the contour).  Evenness of the weights in t is relied upon (the
     integrals run over t >= 0 doubled); the test-suite verifies it."""
     if variant not in DIAGONAL_VARIANTS:
         raise ValueError(f"variant must be one of {DIAGONAL_VARIANTS}, got {variant!r}")

@@ -2,24 +2,36 @@
 
 Contents: a vectorized principal-branch log-gamma (Stirling series with
 recursion shifts and reflection), Riemann zeta by Euler-Maclaurin with a
-computable remainder bound, log gamma factors of degree 2, 3 and 6, and the
+computable remainder bound, the log gamma factor of an L-function, the
 Bessel function J of imaginary order 2it by two mutually independent
-routes (the ascending series, and Mehler-Sonine oscillatory integrals).
+routes (the ascending series, and Mehler-Sonine oscillatory integrals), and
+the one guard on mpmath's working precision.
 
-Conventions.  The degree-2 factor is gamma(s, t) = pi^{-s}
-Gamma((s+it)/2) Gamma((s-it)/2).  A degree-6 factor attached to
-archimedean parameters mu = (mu1, mu2, mu3) and spectral parameter t is
+Gamma factors.  Every gamma factor here is a product of
+Gamma_R(s + kappa) = pi^{-(s+kappa)/2} Gamma((s+kappa)/2) over a tuple of
+shifts kappa_1..kappa_d (Iwaniec-Kowalski, Analytic Number Theory, 5.2),
+without the constants pi^{-kappa/2}:
 
-    pi^{-3s} * prod_i Gamma((s - it - mu_i)/2) * Gamma((s + it - mu_i)/2)
+    gamma_factor_log(s, kappa) = log pi^{-ds/2} prod_j Gamma((s + kappa_j)/2).
 
-and the degree-3 factor (no twist) is pi^{-3s/2} prod_i Gamma((s-mu_i)/2).
-All products are assembled in log space; callers that need ratios subtract
-logs before exponentiating, so overflow never enters.
+The degree-2 factor pi^{-s} Gamma((s+it)/2) Gamma((s-it)/2) has shifts
+(-it, it); the degree-6 tensor factor of spectral parameter t with a form
+of archimedean parameters mu has the six shifts -mu_i -+ it; the degree-3
+factor has the shifts -mu_i.  Products are assembled in log space; callers
+that need ratios subtract logs before exponentiating, so overflow never
+enters.
+
+mpmath precision.  mpmath's working precision is process-global.  Every
+evaluation in this package that sets it does so through _mp_precision,
+which holds one lock for the duration, so threaded callers stay correct and
+bitwise deterministic whatever the thread count.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from contextlib import contextmanager
 from fractions import Fraction
 
 import mpmath as mp
@@ -31,10 +43,7 @@ __all__ = [
     "log_gamma",
     "zeta",
     "zeta_with_error",
-    "gl2_gamma_log",
-    "gl2_gamma_ratio_log",
-    "gl3_gamma_log",
-    "archimedean_gamma_log",
+    "gamma_factor_log",
     "bessel_imag_order",
     "bessel_j_integral_route",
 ]
@@ -187,34 +196,31 @@ def zeta(s, terms: int = 12):
     return zeta_with_error(s, terms=terms)[0]
 
 
-def gl2_gamma_log(s, t: float):
-    """log of pi^{-s} Gamma((s+it)/2) Gamma((s-it)/2), vectorized in s."""
+def gamma_factor_log(s, shifts) -> np.ndarray:
+    """log of pi^{-ds/2} prod_j Gamma((s + kappa_j)/2), d = len(shifts).
+
+    Each shift broadcasts against s, so a column of shifts (one row per t)
+    against a row of s gives the factor on a (t, s) matrix; log_gamma is
+    called once per shift."""
     s = np.asarray(s, dtype=complex)
-    return -s * math.log(math.pi) + log_gamma((s + 1j * t) / 2) + log_gamma((s - 1j * t) / 2)
-
-
-def gl2_gamma_ratio_log(u, t: float):
-    """log of the normalized degree-2 ratio gamma(1/2 + u, t)/gamma(1/2, t)."""
-    u = np.asarray(u, dtype=complex)
-    return gl2_gamma_log(0.5 + u, t) - gl2_gamma_log(np.asarray(0.5 + 0j), t)
-
-
-def gl3_gamma_log(s, t: float, mu) -> np.ndarray:
-    """log of the degree-6 factor pi^{-3s} prod Gamma((s -+ it - mu_i)/2)."""
-    s = np.asarray(s, dtype=complex)
-    out = -3.0 * s * math.log(math.pi)
-    for m in mu:
-        out = out + log_gamma((s - 1j * t - m) / 2) + log_gamma((s + 1j * t - m) / 2)
+    out = -(0.5 * len(shifts)) * s * math.log(math.pi)
+    for kappa in shifts:
+        out = out + log_gamma((s + kappa) / 2)
     return out
 
 
-def archimedean_gamma_log(s, mu) -> np.ndarray:
-    """log of the degree-3 factor pi^{-3s/2} prod_i Gamma((s - mu_i)/2)."""
-    s = np.asarray(s, dtype=complex)
-    out = -1.5 * s * math.log(math.pi)
-    for m in mu:
-        out = out + log_gamma((s - m) / 2)
-    return out
+# ---------------------------------------------------------------------------
+# mpmath working precision
+
+_MP_LOCK = threading.Lock()
+
+
+@contextmanager
+def _mp_precision(dps: int):
+    """mpmath at dps decimal digits, with the lock that serializes every
+    precision change in the package held throughout."""
+    with _MP_LOCK, mp.workdps(dps):
+        yield
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +247,7 @@ def bessel_imag_order(t: float, x: float) -> complex:
             "use bessel_j_integral_route (oscillatory integral representation)"
         )
     dps = 30 + int(0.45 * z) + int(2.8 * abs(t)) + 10
-    with mp.workdps(dps):
+    with _mp_precision(dps):
         nu = mp.mpc(0, 2 * t)
         half = mp.mpf(z) / 2
         q = -half * half
@@ -288,7 +294,7 @@ def bessel_j_integral_route(t: float, x: float) -> complex:
         raise RegimeError("argument must be positive")
     z = 2 * math.pi * x
     dps = 40 + int(2.9 * abs(t)) + int(z / 4)
-    with mp.workdps(dps):
+    with _mp_precision(dps):
         s_int = _mehler_sonine_integral(mp.sin, z, t)
         c_int = _mehler_sonine_integral(mp.cos, z, t)
         val = (2 / mp.pi) * (mp.cosh(mp.pi * t) * s_int - 1j * mp.sinh(mp.pi * t) * c_int)

@@ -98,7 +98,7 @@ import numpy as np
 from .exactarith import kloosterman, mod_inverse
 from .heckegl3 import GL3Form, coefficient_block
 from .quadrature import contour_kernel, panel_grid
-from .special import PoleError, RegimeError, log_gamma
+from .special import PoleError, RegimeError, _mp_precision, log_gamma
 from .util import ordered_parallel_map
 
 __all__ = [
@@ -139,6 +139,13 @@ _LINE_RATE = 2.0 * _CONTOUR_CAP / math.pi  # trapezoid samples per unit of tau
 # error is at most 5.5e-5 (pi / 32)^12 mass = 4e-17 mass, below rounding.
 _LINE_STENCIL = 12
 _LINE_PAD = 32
+
+# Panels per support that resolve a bump's exp ramps where no phase is
+# faster: the width floor of every Gauss-Legendre grid on the support
+# (_mellin_dense, _tail_asymptotic).  At 48, smooth_bump(50, 100)'s
+# transform at s = 0.5 meets a 0.01-wide 16-node reference to 2e-16 of the
+# mass; 16 panels leave 1.5e-12.
+_BUMP_PANELS = 48
 
 
 def _support_of(phi, support):
@@ -218,7 +225,7 @@ def _mellin_dense(phi: Callable, support: tuple, s: np.ndarray) -> np.ndarray:
     lnc = 0.5 * (math.log(lo) + math.log(hi))
     Hb = max(16.0, 1.5 * float(np.max(np.abs(s.imag)))) if s.size else 16.0
     # 12-node panels spanning <= 1.8 periods of the fastest x^{i Im s}
-    x, w = panel_grid(lo, hi, min((hi - lo) / 16.0, 2.0 * math.pi * 1.8 * lo / Hb), 12)
+    x, w = panel_grid(lo, hi, min((hi - lo) / _BUMP_PANELS, 2.0 * math.pi * 1.8 * lo / Hb), 12)
     # center the log phases: the grid-side argument stays below half the
     # log-width of the support, keeping the phase rounding (~1e-16 per
     # radian) from swamping cancellation at big heights
@@ -455,7 +462,7 @@ def polar_main_term(
     rho, nodes = 0.5, 64
     theta = 2.0 * math.pi * np.arange(nodes) / nodes
     s_circle = 1.0 + rho * np.exp(1j * theta)
-    with mpmath.workdps(20):
+    with _mp_precision(20):
         zh = np.array(
             [
                 [complex(mpmath.zeta(complex(s), r / c)) for s in s_circle]
@@ -514,7 +521,7 @@ def _tail_asymptotic(spec: VoronoiKernelSpec, xs: np.ndarray, rungs: int = _MAX_
         # phase is slow (the ramps, not the oscillation, set the bandwidth
         # near the lower end of the ladder regime)
         freq = blk[-1] ** (1.0 / 3.0) * lo ** (-2.0 / 3.0)
-        y, w = panel_grid(lo, hi, min((hi - lo) / 48.0, 1.4 / freq), 12)
+        y, w = panel_grid(lo, hi, min((hi - lo) / _BUMP_PANELS, 1.4 / freq), 12)
         wphi = w * np.asarray(phi(y), dtype=float)
         rung = np.empty((rungs + 1, blk.size), dtype=complex)
         mass = np.empty(blk.size)  # int |phi| (pi^3 x y)^{-1/3} dy

@@ -27,10 +27,8 @@ from lfunlab.afe import (
     central_value_rs_eisenstein,
     cosine_power_damper,
     eisenstein_coefficients,
-    gl2_afe_weight,
     gl2_afe_weight_grid,
     gl3_critical_value,
-    rankin_selberg_afe_weight,
     rankin_selberg_afe_weight_grid,
     zeta_square_afe,
 )
@@ -45,6 +43,15 @@ D3 = triple_divisor_form()
 @pytest.fixture(scope="module")
 def sym2():
     return symmetric_square_form()
+
+
+def u_at(spec, y, t):
+    # U(y, t) from the grid at one point
+    return complex(gl2_afe_weight_grid(spec, [y], [t])[0, 0])
+
+
+def v_at(spec, y, t, form, variant="direct"):
+    return complex(rankin_selberg_afe_weight_grid(spec, [y], [t], form, variant)[0, 0])
 
 
 def _zeta_square_oracle(r: float) -> float:
@@ -71,7 +78,7 @@ def test_weight_spec_validation():
 
 def test_damper_unit_at_zero():
     assert cosine_power_damper(SPEC, 0.0) == pytest.approx(1.0)
-    assert cosine_power_damper(SPEC, 0.0, "rs") == pytest.approx(1.0)
+    assert cosine_power_damper(SPEC, 0.0, 3) == pytest.approx(1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -83,15 +90,13 @@ def test_damper_even_and_tensor_is_cube(x, v):
     u = complex(x, v)
     g = cosine_power_damper(SPEC, u)
     assert g == pytest.approx(cosine_power_damper(SPEC, -u), rel=1e-12)
-    f = cosine_power_damper(SPEC, u, "rs")
+    f = cosine_power_damper(SPEC, u, 3)
     assert f == pytest.approx(g**3, rel=1e-10)
 
 
 def test_damper_pole_guard():
     with pytest.raises(PoleError):
         cosine_power_damper(SPEC, SPEC.A / 2.0)
-    with pytest.raises(ValueError):
-        cosine_power_damper(SPEC, 1.0, "unknown")
 
 
 def test_damper_decays_exponentially_in_height():
@@ -112,12 +117,12 @@ def test_damper_decays_exponentially_in_height():
 
 def test_gl2_weight_flat_region():
     # y far below the spectral scale: weight within 1e-6 of 1
-    u = gl2_afe_weight(SPEC, 0.1, 100.0)
+    u = u_at(SPEC, 0.1, 100.0)
     assert abs(u - 1.0) < 1e-6
 
 
 def test_gl2_weight_far_tail():
-    assert abs(gl2_afe_weight(SPEC, 5000.0, 50.0)) < 1e-10
+    assert abs(u_at(SPEC, 5000.0, 50.0)) < 1e-10
 
 
 def test_gl2_weight_matches_leading_contour_form():
@@ -134,7 +139,7 @@ def test_gl2_weight_matches_leading_contour_form():
         cap=400.0,
     )
     lead = complex(kern.apply(np.array([2 * math.pi * t / t]))[0])
-    u = gl2_afe_weight(SPEC, t, t)
+    u = u_at(SPEC, t, t)
     assert abs(u - lead) / abs(lead) < 5.0 / t
 
 
@@ -143,7 +148,7 @@ def test_gl2_weight_batch_matches_scalar():
     t = 9.0
     batch = gl2_afe_weight_grid(SPEC, ys, [t])[0]
     for y, b in zip(ys, batch):
-        assert complex(b) == pytest.approx(gl2_afe_weight(SPEC, y, t), abs=1e-13)
+        assert complex(b) == pytest.approx(u_at(SPEC, y, t), abs=1e-13)
 
 
 @pytest.mark.parametrize("A,min_exp", [(8, 2.5), (16, 4.8)])
@@ -157,7 +162,7 @@ def test_gl2_weight_decay_ladder(A, min_exp):
     """
     sp = WeightSpec(A=A)
     t = 7.0
-    vals = [abs(gl2_afe_weight(sp, 10 * t * 2.0**k, t)) for k in range(6)]
+    vals = [abs(u_at(sp, 10 * t * 2.0**k, t)) for k in range(6)]
     exps = [math.log2(a / b) for a, b in zip(vals, vals[1:])]
     assert all(a > b for a, b in zip(vals, vals[1:]))  # strictly decreasing
     assert min(exps) > min_exp
@@ -171,9 +176,9 @@ def test_gl2_weight_decay_ladder(A, min_exp):
 
 
 def test_rs_weight_flat_region_and_tail():
-    v = rankin_selberg_afe_weight(SPEC, 1.0, 50.0, D3)
+    v = v_at(SPEC, 1.0, 50.0, D3)
     assert abs(v - 1.0) < 1e-3
-    assert abs(rankin_selberg_afe_weight(SPEC, 1.0e6, 5.0, D3)) < 1e-8
+    assert abs(v_at(SPEC, 1.0e6, 5.0, D3)) < 1e-8
 
 
 def test_rs_weight_variants_agree_for_degenerate_form():
@@ -183,8 +188,8 @@ def test_rs_weight_variants_agree_for_degenerate_form():
     for _ in range(50):
         y = float(np.exp(rng.uniform(0.0, 10.0)))
         t = float(rng.uniform(0.5, 40.0))
-        a = rankin_selberg_afe_weight(SPEC, y, t, D3, "direct")
-        b = rankin_selberg_afe_weight(SPEC, y, t, D3, "dual")
+        a = v_at(SPEC, y, t, D3, "direct")
+        b = v_at(SPEC, y, t, D3, "dual")
         assert abs(a - b) <= 1e-12 * (1.0 + abs(a))
 
 
@@ -194,7 +199,7 @@ def test_rs_weight_batch_matches_scalar(sym2):
     batch = rankin_selberg_afe_weight_grid(SPEC, ys, [t], sym2, "dual")[0]
     for y, b in zip(ys, batch):
         assert complex(b) == pytest.approx(
-            rankin_selberg_afe_weight(SPEC, y, t, sym2, "dual"), abs=1e-13
+            v_at(SPEC, y, t, sym2, "dual"), abs=1e-13
         )
 
 
@@ -208,17 +213,11 @@ TEMPERED = GL3Form(
     label="tempered", alpha=0.4j, beta=-0.1j, gamma=-0.3j,
     mu=(0.4j, -0.1j, -0.3j), mu_dual=(-0.4j, 0.1j, 0.3j),
 )
-WEIGHTS = {
-    "gl2": (lambda ts, ln: afe._gl2_kernel(SPEC, ts, ln), lambda ys, ts: gl2_afe_weight_grid(SPEC, ys, ts),
-            lambda y, t: gl2_afe_weight(SPEC, y, t)),
-}
+# gamma data (mu used, mu normalizing) of each weight: U, then V1/V2
+WEIGHTS = {"gl2": (afe._U_MU, afe._U_MU)}
 for _form in (D3, TEMPERED):
-    for _variant in ("direct", "dual"):
-        WEIGHTS[f"{_form.label}-{_variant}"] = (
-            lambda ts, ln, f=_form, v=_variant: afe._rs_kernel(SPEC, ts, f, v, ln),
-            lambda ys, ts, f=_form, v=_variant: rankin_selberg_afe_weight_grid(SPEC, ys, ts, f, v),
-            lambda y, t, f=_form, v=_variant: rankin_selberg_afe_weight(SPEC, y, t, f, v),
-        )
+    WEIGHTS[f"{_form.label}-direct"] = (_form.mu, _form.mu)
+    WEIGHTS[f"{_form.label}-dual"] = (_form.mu_dual, _form.mu)
 
 
 def _allowance(kern, y):
@@ -231,10 +230,10 @@ def _allowance(kern, y):
 
 @pytest.mark.parametrize("name", sorted(WEIGHTS))
 def test_t_grid_blocking_is_bit_identical(name, monkeypatch):
-    kernels, _, _ = WEIGHTS[name]
-    default = list(kernels(T_GRID, 3.0))
+    mu, mu_norm = WEIGHTS[name]
+    default = list(afe._weight_kernel(SPEC, T_GRID, mu, mu_norm, 3.0))
     monkeypatch.setattr(quadrature, "_ROW_ELEMENTS", 1)  # one row per block and per call
-    single = list(kernels(T_GRID, 3.0))
+    single = list(afe._weight_kernel(SPEC, T_GRID, mu, mu_norm, 3.0))
     for a, b in zip(default, single, strict=True):
         assert np.array_equal(a.v, b.v)
         assert np.array_equal(a.w, b.w)
@@ -255,23 +254,25 @@ def test_normalization_at_half_once_per_t_grid(monkeypatch):
 
     monkeypatch.setattr(special, "log_gamma", counting)
     monkeypatch.setattr(quadrature, "_ROW_ELEMENTS", 1)  # one row per kfunc call
-    assert len(list(afe._gl2_kernel(SPEC, T_GRID, 3.0))) == T_GRID.size
+    assert len(list(afe._weight_kernel(SPEC, T_GRID, afe._U_MU, afe._U_MU, 3.0))) == T_GRID.size
     assert sum(on_quarter) == 2 < len(on_quarter)
     on_quarter.clear()
-    assert len(list(afe._rs_kernel(SPEC, T_GRID, D3, "direct", 3.0))) == T_GRID.size
+    assert len(list(afe._weight_kernel(SPEC, T_GRID, D3.mu, D3.mu, 3.0))) == T_GRID.size
     assert sum(on_quarter) == 2 * len(D3.mu) < len(on_quarter)
 
 
 @pytest.mark.parametrize("name", sorted(WEIGHTS))
 def test_t_grid_matches_scalar_weights(name):
-    kernels, grid, scalar = WEIGHTS[name]
+    mu, mu_norm = WEIGHTS[name]
     ys = np.array([1.0, 30.0, 900.0])
-    values = grid(ys, T_GRID)
+    values = afe._weight_grid(SPEC, ys, T_GRID, mu, mu_norm)
     assert values.shape == (T_GRID.size, ys.size)
-    for t, row, kern in zip(T_GRID, values, kernels(T_GRID, math.log(900.0)), strict=True):
+    kernels = afe._weight_kernel(SPEC, T_GRID, mu, mu_norm, math.log(900.0))
+    for t, row, kern in zip(T_GRID, values, kernels, strict=True):
         for y, value in zip(ys, row):
-            alone = next(kernels(t, abs(math.log(y))))
-            assert abs(value - scalar(y, t)) <= _allowance(kern, y) + _allowance(alone, y)  # measured <= 3.4e-3 of it
+            alone = next(afe._weight_kernel(SPEC, t, mu, mu_norm, abs(math.log(y))))
+            scalar = afe._weight_grid(SPEC, [y], [t], mu, mu_norm)[0, 0]
+            assert abs(value - scalar) <= _allowance(kern, y) + _allowance(alone, y)  # measured <= 3.4e-3 of it
 
 
 # ---------------------------------------------------------------------------

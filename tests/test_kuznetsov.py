@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfunlab import kuznetsov as kz
-from lfunlab.afe import FixtureCoverageError, MaassFixture, WeightSpec, gl2_afe_weight, rankin_selberg_afe_weight
+from lfunlab.afe import (
+    FixtureCoverageError,
+    MaassFixture,
+    WeightSpec,
+    gl2_afe_weight_grid,
+    rankin_selberg_afe_weight_grid,
+)
 from lfunlab.heckegl3 import GL3Form, symmetric_square_form, triple_divisor_form
 from lfunlab.special import PoleError, RegimeError
 from lfunlab.util import LRUCache
@@ -383,11 +389,17 @@ def test_diagonal_weight_uv_cache_keys_on_gamma_data():
     )
     spec = WeightSpec()
     ts = np.array([0.3])
+    u = gl2_afe_weight_grid(spec, [1.0], ts)[0, 0]
     for variant in ("direct", "dual"):
-        fresh = rankin_selberg_afe_weight(spec, 1.0, 0.3, other, variant=variant)
-        cached_d3 = kz._cached_rs(spec, d3, variant, 1.0, ts)[0]
-        assert kz._cached_rs(spec, other, variant, 1.0, ts)[0] == fresh
+        fresh = rankin_selberg_afe_weight_grid(spec, [1.0], ts, other, variant)[0, 0]
+        cached_d3 = kz._cached_weight(spec, 1.0, ts, d3.mu if variant == "direct" else d3.mu_dual, d3.mu)[0]
+        mu = other.mu if variant == "direct" else other.mu_dual
+        assert kz._cached_weight(spec, 1.0, ts, mu, other.mu)[0] == fresh
         assert abs(fresh - cached_d3) > 1e-2 * abs(cached_d3)  # measured 17 %
+        # and the diagonal weight's samples pick the entry from the form
+        d3_sample = kz._diag_samples(ts, 1.0, 1.0, 1.0, d3, variant, spec)[0]
+        assert kz._diag_samples(ts, 1.0, 1.0, 1.0, other, variant, spec)[0] == np.exp(-(ts[0] ** 2)) * u * fresh
+        assert d3_sample == np.exp(-(ts[0] ** 2)) * u * cached_d3
 
 
 def test_diagonal_weight_dual_reuses_self_dual_arrays():
@@ -429,8 +441,8 @@ def _effective_test_function(form, spec, l_index, nm_index):
         out = np.array(
             [
                 np.exp(-float(tt) ** 2)
-                * gl2_afe_weight(spec, float(l_index), abs(float(tt)))
-                * rankin_selberg_afe_weight(spec, float(nm_index), abs(float(tt)), form, variant="direct")
+                * gl2_afe_weight_grid(spec, [float(l_index)], [abs(float(tt))])[0, 0]
+                * rankin_selberg_afe_weight_grid(spec, [float(nm_index)], [abs(float(tt))], form, "direct")[0, 0]
                 for tt in ts
             ]
         )

@@ -1,6 +1,7 @@
 """Packaging metadata: every declared console script and every name a
 module exports through __all__ must resolve, no exported function takes a
-private parameter, and the modules keep their layers."""
+private parameter, the modules keep their layers, and only `special`
+changes mpmath's process-global precision."""
 
 import ast
 import importlib
@@ -52,6 +53,8 @@ LAYERS = {
     "special": set(),
     "exactarith": set(),
     "heckegl3": {"exactarith"},
+    "afe": {"exactarith", "heckegl3", "quadrature", "special"},
+    "voronoi": {"exactarith", "heckegl3", "quadrature", "special", "util"},
 }
 
 
@@ -73,3 +76,35 @@ def test_module_layers():
     for name, allowed in LAYERS.items():
         imported = _lfunlab_imports(root / f"{name}.py")
         assert imported <= allowed, f"lfunlab.{name} imports {sorted(imported - allowed)}"
+
+
+def _sets_mp_precision(tree: ast.AST) -> list:
+    """Lines that call workdps/workprec or assign mp.dps / mp.prec."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in ("workdps", "workprec"):
+                lines.append(node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if (
+                    isinstance(target, ast.Attribute)
+                    and target.attr in ("dps", "prec")
+                    and ast.unparse(target.value) in ("mp", "mpmath", "mp.mp", "mpmath.mp")
+                ):
+                    lines.append(node.lineno)
+    return lines
+
+
+def test_only_special_sets_mp_precision():
+    # mpmath's working precision is process-global: every change goes
+    # through special's guarded context, whose lock keeps threaded callers
+    # deterministic
+    root = Path(importlib.import_module("lfunlab").__file__).resolve().parent
+    for path in sorted(root.glob("*.py")):
+        if path.stem != "special":
+            lines = _sets_mp_precision(ast.parse(path.read_text()))
+            assert not lines, f"lfunlab.{path.stem} sets mpmath precision at lines {lines}"

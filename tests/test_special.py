@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -11,8 +13,7 @@ from lfunlab.special import (
     RegimeError,
     bessel_imag_order,
     bessel_j_integral_route,
-    gl2_gamma_ratio_log,
-    gl3_gamma_log,
+    gamma_factor_log,
     log_gamma,
     zeta,
     zeta_with_error,
@@ -22,7 +23,9 @@ FLAT = SimpleNamespace(mu=(0, 0, 0), mu_dual=(0, 0, 0), label="flat-stub")
 
 
 def gl2_ratio(u, t):
-    return complex(np.exp(gl2_gamma_ratio_log(u, t)))
+    # the normalized degree-2 ratio gamma(1/2 + u, t) / gamma(1/2, t)
+    shifts = (-1j * t, 1j * t)
+    return complex(np.exp(gamma_factor_log(0.5 + u, shifts) - gamma_factor_log(0.5, shifts)))
 
 
 def gl2_leading(u, t):
@@ -31,7 +34,8 @@ def gl2_leading(u, t):
 
 
 def gl3_factor(s, t, mu):
-    return complex(np.exp(gl3_gamma_log(s, t, mu)))
+    # the degree-6 factor pi^{-3s} prod_i Gamma((s -+ it - mu_i)/2)
+    return complex(np.exp(gamma_factor_log(s, [k for m in mu for k in (-m - 1j * t, -m + 1j * t)])))
 
 
 class TestLogGamma:
@@ -115,7 +119,7 @@ class TestGl2GammaRatio:
         # then check a finer grid against 1.5 * C
         def envelope_ratio(v, t):
             u = 0.5 + 1j * v
-            val = abs(np.exp(gl2_gamma_ratio_log(u, t)))
+            val = abs(gl2_ratio(u, t))
             return val / (math.exp(math.pi * abs(u) / 2) * math.sqrt(t))
 
         coarse = max(
@@ -190,3 +194,20 @@ class TestBessel:
             series = bessel_imag_order(t, x)
             integral = bessel_j_integral_route(t, x)
             assert abs(series - integral) <= 1e-8
+
+
+def test_mp_precision_guard_under_threads():
+    # mpmath's working precision is process-global: threads that each set
+    # their own through special's guard must get the serial results bit for
+    # bit, and leave the default precision behind
+    args = [(0.5 * k, 0.3 + 0.1 * k) for k in range(16)]
+    serial = [bessel_imag_order(t, x) for t, x in args]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            threaded = list(pool.map(lambda a: bessel_imag_order(*a), args * 4, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded == serial * 4
+    assert mp.mp.dps == 15
