@@ -1,5 +1,5 @@
-"""Exact modular arithmetic: Kloosterman sums with their oracles, and
-sieved multiplicative tables.
+"""Exact modular arithmetic: Kloosterman sums with their oracles,
+factorization, and the multiplicative functions built on it.
 
 Notation: e(z) = exp(2*pi*i*z).  The Kloosterman sum is
 
@@ -19,7 +19,7 @@ the root-of-unity combination in high precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from functools import lru_cache
 
 import mpmath as mp
@@ -32,12 +32,9 @@ __all__ = [
     "kloosterman_exact_phase",
     "kloosterman_factored",
     "ramanujan_divisor_mu",
-    "MultiplicativeTables",
-    "multiplicative_tables",
     "factorize",
     "divisors",
     "mobius",
-    "divisor_count",
     "triple_divisor",
 ]
 
@@ -78,14 +75,23 @@ def _unit_tables(c: int) -> tuple[np.ndarray, np.ndarray]:
     return units, inv
 
 
+def _units(c) -> tuple[int, np.ndarray, np.ndarray]:
+    """The modulus as a Python int (any integer type is accepted), then its
+    units and their inverses; ValueError unless c >= 1."""
+    c = operator.index(c)
+    if c < 1:
+        raise ValueError(f"modulus must be positive, got {c}")
+    return (c, *_unit_tables(c))
+
+
 def kloosterman(n: int, l: int, c: int) -> complex:
     """S(n, l; c) by direct enumeration over units mod c.
 
-    Total in (n, l); c must be positive.  The result is real up to
+    Total in (n, l); c must be a positive integer.  The result is real up to
     rounding (pairing d with its inverse conjugates each term), but the
     full complex value is returned so that the cancellation is visible.
     """
-    units, inv = _unit_tables(c)
+    c, units, inv = _units(c)
     phase = ((l % c) * units + (n % c) * inv) % c
     return complex(np.exp((2j * np.pi / c) * phase).sum())
 
@@ -96,19 +102,22 @@ def kloosterman_phase_counts(n: int, l: int, c: int) -> np.ndarray:
     This is the sum S(n, l; c) before any floating evaluation; two sums with
     equal histograms are exactly equal.
     """
-    units, inv = _unit_tables(c)
+    c, units, inv = _units(c)
     phase = ((l % c) * units + (n % c) * inv) % c
     return np.bincount(phase, minlength=c)
 
 
-def kloosterman_exact_phase(n: int, l: int, c: int, dps: int = 40) -> complex:
+_EXACT_PHASE_DPS = 40  # working digits of the exact-phase oracle's root-of-unity sum
+
+
+def kloosterman_exact_phase(n: int, l: int, c: int) -> complex:
     """Oracle route for S(n, l; c): exact phase counting, then a high-precision
     evaluation of the resulting combination of c-th roots of unity.  It runs
     in an mpmath context of its own, so the process-global precision that
     special._mp_precision guards is never touched."""
     counts = kloosterman_phase_counts(n, l, c)
     ctx = mp.MPContext()
-    ctx.dps = dps
+    ctx.dps = _EXACT_PHASE_DPS
     acc = ctx.mpc(0)
     for k in np.flatnonzero(counts):
         acc += int(counts[k]) * ctx.expjpi(ctx.mpf(2 * int(k)) / c)
@@ -158,13 +167,6 @@ def mobius(m: int) -> int:
     return -1 if len(fac) % 2 else 1
 
 
-def divisor_count(m: int) -> int:
-    out = 1
-    for _, e in factorize(m):
-        out *= e + 1
-    return out
-
-
 def triple_divisor(m: int) -> int:
     """Number of ordered triples (a, b, c) with a*b*c = m."""
     out = 1
@@ -199,59 +201,3 @@ def ramanujan_divisor_mu(a: int, c: int) -> int:
     """
     g = math.gcd(a, c)
     return sum(d * mobius(c // d) for d in divisors(g))
-
-
-@dataclass(frozen=True)
-class MultiplicativeTables:
-    """Read-only sieved tables of mu, the divisor count, and the triple-divisor
-    count on [1, cap].  Index 0 is padding and never meaningful."""
-
-    cap: int
-    mu: np.ndarray
-    tau: np.ndarray
-    d3: np.ndarray
-
-    def mu_of(self, m: int) -> int:
-        return int(self.mu[m]) if m <= self.cap else mobius(m)
-
-    def tau_of(self, m: int) -> int:
-        return int(self.tau[m]) if m <= self.cap else divisor_count(m)
-
-    def d3_of(self, m: int) -> int:
-        return int(self.d3[m]) if m <= self.cap else triple_divisor(m)
-
-
-def multiplicative_tables(N: int) -> MultiplicativeTables:
-    """Sieve mu, tau = 1*1 and d3 = 1*1*1 (Dirichlet convolutions) on [1, N].
-
-    The divisor-style sieves cost N log N slice additions; fine to a few
-    million.  Past the table, the scalar factorization fallbacks take over.
-    """
-    if N < 1:
-        raise ValueError(f"table cap must be >= 1, got {N}")
-
-    mu = np.ones(N + 1, dtype=np.int8)
-    sieve = np.ones(N + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, N + 1):
-        if sieve[p]:
-            if p * p <= N:
-                sieve[p * p :: p] = False
-            mu[p::p] *= -1
-            if p * p <= N:
-                mu[p * p :: p * p] = 0
-    mu[0] = 0
-
-    tau = np.zeros(N + 1, dtype=np.int32)
-    for d in range(1, N + 1):
-        tau[d::d] += 1
-    tau[0] = 0
-
-    d3 = np.zeros(N + 1, dtype=np.int64)
-    for d in range(1, N + 1):
-        d3[d::d] += tau[1 : N // d + 1]
-    d3[0] = 0
-
-    for arr in (mu, tau, d3):
-        arr.setflags(write=False)
-    return MultiplicativeTables(cap=N, mu=mu, tau=tau, d3=d3)

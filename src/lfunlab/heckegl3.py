@@ -65,29 +65,25 @@ class PolarFormError(ValueError):
 class GL3Form:
     """Rank-3 form: archimedean parameters plus a Satake map.
 
-    mu / mu_dual are the parameters entering the gamma factors; for a
-    spherical (maass_type) form mu = (alpha, beta, gamma) with zero sum and
-    mu_dual = -mu.  Lifts of holomorphic forms carry their own mu as plain
-    configuration, and maass_type is False.  polar marks instances whose
-    Dirichlet series has a pole at s = 1 (the triple-divisor case); central
-    -value machinery rejects those.
+    mu / mu_dual are the three parameters entering the gamma factors of the
+    form and of its dual; for a spherical (maass_type) form mu has zero sum
+    and mu_dual = -mu.  Lifts of holomorphic forms carry their own mu as
+    plain configuration, and maass_type is False.  polar marks instances
+    whose Dirichlet series has a pole at s = 1 (the triple-divisor case);
+    central-value machinery rejects those.
     """
 
     label: str
-    alpha: complex
-    beta: complex
-    gamma: complex
     mu: tuple
     mu_dual: tuple
     satake: Mapping[int, tuple] = field(default_factory=dict)
     default_satake: tuple | None = None
-    self_dual: bool = True
     maass_type: bool = True
     polar: bool = False
 
     def __post_init__(self) -> None:
         if self.maass_type:
-            s = complex(self.alpha) + complex(self.beta) + complex(self.gamma)
+            s = sum(complex(m) for m in self.mu)
             if abs(s) > 1e-12:
                 raise ValueError(f"spherical parameters must sum to 0, got {s}")
         for p, triple in self.satake.items():
@@ -224,14 +220,10 @@ def triple_divisor_form() -> GL3Form:
     """
     return GL3Form(
         label="triple-divisor",
-        alpha=0j,
-        beta=0j,
-        gamma=0j,
         mu=(0j, 0j, 0j),
         mu_dual=(0j, 0j, 0j),
         satake={},
         default_satake=(1 + 0j, 1 + 0j, 1 + 0j),
-        self_dual=True,
         maass_type=True,
         polar=True,
     )
@@ -330,14 +322,10 @@ def symmetric_square_form(prime_cap: int = 24000, mu: tuple | None = None) -> GL
     params = tuple(mu) if mu is not None else (-1.0 + 0j, -11.0 + 0j, -12.0 + 0j)
     return GL3Form(
         label=f"sym2-discriminant(cap={prime_cap})",
-        alpha=params[0],
-        beta=params[1],
-        gamma=params[2],
         mu=params,
         mu_dual=params,
         satake=satake,
         default_satake=None,
-        self_dual=True,
         maass_type=False,
         polar=False,
     )

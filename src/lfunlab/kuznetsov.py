@@ -457,14 +457,6 @@ def _kernel_transforms(h: SpectralTestFunction, zs: np.ndarray, rel_tol: float):
 # transform dispatcher
 
 
-def _norm_sign(sign) -> str:
-    if sign in ("+", "plus", 1, +1):
-        return "+"
-    if sign in ("-", "minus", -1):
-        return "-"
-    raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-
-
 def bessel_transform(h, sign, x: float, *, route: str = "kernel", rel_tol: float = 1e-11) -> complex:
     """Hplus (sign '+') or Hminus (sign '-') of the test function at x > 0.
 
@@ -477,14 +469,15 @@ def bessel_transform(h, sign, x: float, *, route: str = "kernel", rel_tol: float
     h = _check_testfn(h)
     if not x > 0:
         raise ValueError("argument x must be positive")
-    sgn = _norm_sign(sign)
+    if sign not in ("+", "-"):
+        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     if route == "kernel":
         hp, hm = _kernel_transforms(h, np.array([2.0 * math.pi * x]), rel_tol)
-        return complex((hp if sgn == "+" else hm)[0])
+        return complex((hp if sign == "+" else hm)[0])
     if route == "series":
-        return _series_plus(h, x, rel_tol) if sgn == "+" else _minus_series(h, x, rel_tol)
+        return _series_plus(h, x, rel_tol) if sign == "+" else _minus_series(h, x, rel_tol)
     if route == "direct":
-        if sgn == "+":
+        if sign == "+":
             raise ValueError("route 'direct' applies to the minus transform only")
         return _minus_direct(h, x, rel_tol)
     raise ValueError(f"unknown route {route!r}")

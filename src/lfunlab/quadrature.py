@@ -63,7 +63,6 @@ class UnboundedPhaseError(ValueError):
 class TransformResult:
     value: complex
     abs_error_estimate: float
-    evaluations: int
 
 
 @functools.lru_cache(maxsize=8)
@@ -295,22 +294,24 @@ def _phase_velocity_scan(phase: Callable, a: float, b: float, samples: int = 409
     return vmax
 
 
+_OSC_NODES = 10  # Gauss-Legendre nodes per oscillatory panel
+_OSC_NODES_PER_PERIOD = 8  # least nodes per period of the fastest oscillation
+_OSC_REFINEMENTS = 12  # most panel halvings
+
+
 def oscillatory_integral(
     amplitude: Callable,
     phase: Callable,
     support: tuple[float, float],
     *,
     tol: float = 1e-9,
-    min_nodes_per_period: int = 8,
-    max_refinements: int = 12,
-    nodes: int = 10,
 ) -> TransformResult:
     """integral over the support of amplitude(x) * e(phase(x)) dx.
 
     Panel width is capped so each period of the fastest local oscillation
-    receives at least `min_nodes_per_period` nodes, then panels halve until
-    two passes agree to tol (relative); the last inter-pass change is the
-    error estimate.
+    receives at least _OSC_NODES_PER_PERIOD nodes, then panels halve, at
+    most _OSC_REFINEMENTS times, until two passes agree to tol (relative);
+    the last inter-pass change is the error estimate.
     """
     a, b = float(support[0]), float(support[1])
     if not a < b:
@@ -320,21 +321,19 @@ def oscillatory_integral(
     def f(x):
         return np.asarray(amplitude(x), dtype=complex) * np.exp(2j * np.pi * np.asarray(phase(x)))
 
-    width = min((b - a) / 8.0, nodes / (min_nodes_per_period * max(vmax, 1e-12)))
-    evals = 0
+    width = min((b - a) / 8.0, _OSC_NODES / (_OSC_NODES_PER_PERIOD * max(vmax, 1e-12)))
     prev = None
     delta = math.inf
-    for _ in range(max_refinements):
-        x, w = panel_grid(a, b, width, nodes)
+    for _ in range(_OSC_REFINEMENTS):
+        x, w = panel_grid(a, b, width, _OSC_NODES)
         cur = complex(np.dot(w, f(x)))
-        evals += x.size
         if prev is not None:
             delta = abs(cur - prev)
             if delta <= tol * (abs(cur) + 1.0):
-                return TransformResult(cur, delta, evals)
+                return TransformResult(cur, delta)
         prev = cur
         width /= 2.0
-    return TransformResult(prev, delta, evals)
+    return TransformResult(prev, delta)
 
 
 _TINY = 1e-300
@@ -360,13 +359,14 @@ class SmoothBump:
         return self.evaluator(x)
 
 
-def smooth_bump(a: float, b: float, plateau_fraction: float = 0.5) -> SmoothBump:
-    """Bump supported on [a, b], identically 1 on the central fraction."""
+_PLATEAU_FRACTION = 0.5  # share of a bump's support on which it is identically 1
+
+
+def smooth_bump(a: float, b: float) -> SmoothBump:
+    """Bump supported on [a, b], identically 1 on the central _PLATEAU_FRACTION."""
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
-    if not 0.0 < plateau_fraction < 1.0:
-        raise ValueError("plateau_fraction must lie strictly between 0 and 1")
-    r = 0.5 * (1.0 - plateau_fraction) * (b - a)
+    r = 0.5 * (1.0 - _PLATEAU_FRACTION) * (b - a)
 
     def ev(x):
         x = np.asarray(x, dtype=float)

@@ -3,9 +3,8 @@
 Contents: a vectorized principal-branch log-gamma (Stirling series with
 recursion shifts and reflection), Riemann zeta by Euler-Maclaurin with a
 computable remainder bound, the log gamma factor of an L-function, the
-Bessel function J of imaginary order 2it by two mutually independent
-routes (the ascending series, and Mehler-Sonine oscillatory integrals), and
-the one guard on mpmath's working precision.
+Bessel function J of imaginary order 2it by its ascending series, and the
+one guard on mpmath's working precision.
 
 Gamma factors.  Every gamma factor here is a product of
 Gamma_R(s + kappa) = pi^{-(s+kappa)/2} Gamma((s+kappa)/2) over a tuple of
@@ -45,7 +44,6 @@ __all__ = [
     "zeta_with_error",
     "gamma_factor_log",
     "bessel_imag_order",
-    "bessel_j_integral_route",
 ]
 
 
@@ -82,6 +80,7 @@ _STIRLING_C = np.array(
 _EM_C = np.array(
     [float(_BERNOULLI[2 * k] / math.factorial(2 * k)) for k in range(1, 14)]
 )
+_EM_TERMS = 12  # K, the Euler-Maclaurin correction terms summed; _EM_C[K] bounds the rest
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -148,7 +147,7 @@ def log_gamma(z):
     return complex(lg) if scalar else lg
 
 
-def zeta_with_error(s, terms: int = 12):
+def zeta_with_error(s):
     """Riemann zeta by Euler-Maclaurin with an explicit remainder bound.
 
     zeta(s) = sum_{n<N} n^{-s} + N^{1-s}/(s-1) + N^{-s}/2
@@ -164,7 +163,7 @@ def zeta_with_error(s, terms: int = 12):
     sf = np.atleast_1d(s_arr).ravel().astype(complex)
     if np.any(sf == 1):
         raise PoleError("zeta pole at s = 1")
-    K = int(terms)
+    K = _EM_TERMS
     if np.any(sf.real + 2 * K + 1 <= 0):
         raise RegimeError("Euler-Maclaurin remainder bound needs Re s > -(2K+1)")
 
@@ -192,8 +191,8 @@ def zeta_with_error(s, terms: int = 12):
     return (complex(value), bound) if scalar else (value, bound)
 
 
-def zeta(s, terms: int = 12):
-    return zeta_with_error(s, terms=terms)[0]
+def zeta(s):
+    return zeta_with_error(s)[0]
 
 
 def gamma_factor_log(s, shifts) -> np.ndarray:
@@ -232,7 +231,7 @@ _SERIES_CAP = 40.0  # largest 2 pi x the alternating series is allowed to digest
 
 def bessel_imag_order(t: float, x: float) -> complex:
     """J_{2it}(2 pi x) by the ascending series, validated for 2 pi x <= 40
-    (RegimeError beyond, directing to the integral representation).
+    (RegimeError beyond).
 
     Cancellation burns ~z/ln10 digits of the series at z = 2 pi x and the
     1/Gamma(1+2it) prefactor ~pi t/ln10 more, so the working precision
@@ -243,8 +242,7 @@ def bessel_imag_order(t: float, x: float) -> complex:
     z = 2 * math.pi * x
     if z > _SERIES_CAP:
         raise RegimeError(
-            f"ascending series not validated for 2 pi x = {z:.2f} > {_SERIES_CAP}; "
-            "use bessel_j_integral_route (oscillatory integral representation)"
+            f"ascending series not validated for 2 pi x = {z:.2f} > {_SERIES_CAP}"
         )
     dps = 30 + int(0.45 * z) + int(2.8 * abs(t)) + 10
     with _mp_precision(dps):
@@ -261,41 +259,3 @@ def bessel_imag_order(t: float, x: float) -> complex:
             if abs(term) < tiny * (abs(total) + 1):
                 break
         return complex(total)
-
-
-def _mehler_sonine_integral(trig, z: float, t: float, v0: float = 3.0):
-    """int_0^inf trig(z cosh zeta) cos(2 t zeta) d zeta via w = 1 + v^2.
-
-    The substitution cosh zeta = 1 + v^2 turns the integrand into
-    2 trig(z (1+v^2)) cos(2 t acosh(1+v^2)) / sqrt(v^2 + 2): bounded, smooth,
-    and with zeros at v_k = sqrt(k pi / z - 1), which quadosc accelerates.
-    """
-    f = lambda v: (
-        2 * trig(z * (1 + v * v)) * mp.cos(2 * t * mp.acosh(1 + v * v)) / mp.sqrt(v * v + 2)
-    )
-    head = mp.quad(f, [0, v0])
-    k0 = int(mp.ceil(z * (1 + v0 * v0) / mp.pi))
-    zeros = lambda k: mp.sqrt((k0 + k) * mp.pi / z - 1)
-    tail = mp.quadosc(f, [v0, mp.inf], zeros=zeros)
-    return head + tail
-
-
-def bessel_j_integral_route(t: float, x: float) -> complex:
-    """J_{2it}(2 pi x) by the Mehler-Sonine representation
-
-        J_nu(z) = (2/pi) int_0^inf sin(z cosh zeta - nu pi/2) cosh(nu zeta) dzeta
-
-    specialized to nu = 2it:  (2/pi) [cosh(pi t) S - i sinh(pi t) C] with
-    S, C the sine/cosine cosh-kernel integrals.  Entirely independent of the
-    ascending series; working precision grows with t because the cosh/sinh
-    prefactors amplify the O(1) integrals up to the e^{pi t} scale of J.
-    """
-    if x <= 0:
-        raise RegimeError("argument must be positive")
-    z = 2 * math.pi * x
-    dps = 40 + int(2.9 * abs(t)) + int(z / 4)
-    with _mp_precision(dps):
-        s_int = _mehler_sonine_integral(mp.sin, z, t)
-        c_int = _mehler_sonine_integral(mp.cos, z, t)
-        val = (2 / mp.pi) * (mp.cosh(mp.pi * t) * s_int - 1j * mp.sinh(mp.pi * t) * c_int)
-        return complex(val)

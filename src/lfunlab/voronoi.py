@@ -252,8 +252,8 @@ def mellin_transform(phi: Callable, s, support: tuple | None = None):
 class VoronoiKernelSpec:
     """Form parameters and test function for the transform.
 
-    The form must be spherical (maass_type): its alpha, beta, gamma are the
-    a_i of the six-gamma quotient, and other forms raise ValueError.
+    The form must be spherical (maass_type): its mu are the a_i of the
+    six-gamma quotient, and other forms raise ValueError.
     The test function must be smooth, real-valued, and compactly supported
     in (0, inf), advertising its support via a .support attribute (a
     SmoothBump does).
@@ -271,7 +271,7 @@ class VoronoiKernelSpec:
         _support_of(self.test_function, None)
 
     def spherical(self) -> tuple:
-        return (complex(self.form.alpha), complex(self.form.beta), complex(self.form.gamma))
+        return tuple(complex(m) for m in self.form.mu)
 
     def pole_bound(self, k: int = 0) -> float:
         return max(-1.0 - 2 * k - z.real for z in self.spherical())

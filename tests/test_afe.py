@@ -210,8 +210,7 @@ T_GRID = np.linspace(0.0, 60.0, 8)
 # tempered spherical parameters: non-real mu, so the tensor kernel is not
 # conjugate-symmetric and keeps both half-lines
 TEMPERED = GL3Form(
-    label="tempered", alpha=0.4j, beta=-0.1j, gamma=-0.3j,
-    mu=(0.4j, -0.1j, -0.3j), mu_dual=(-0.4j, 0.1j, 0.3j),
+    label="tempered", mu=(0.4j, -0.1j, -0.3j), mu_dual=(-0.4j, 0.1j, 0.3j),
 )
 # gamma data (mu used, mu normalizing) of each weight: U, then V1/V2
 WEIGHTS = {"gl2": (afe._U_MU, afe._U_MU)}

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfunlab.exactarith import divisors, multiplicative_tables, triple_divisor
+from lfunlab.exactarith import divisors, triple_divisor
 from lfunlab.heckegl3 import (
     GL3Form,
     MissingSatakeError,
@@ -115,7 +115,7 @@ def test_coefficient_rejects_nonpositive():
 def test_row_matches_divisor_sieve():
     N = 10**4
     row = coefficient_row(D3, N)
-    d3 = multiplicative_tables(N).d3
+    d3 = np.array([0] + [triple_divisor(m) for m in range(1, N + 1)])
     assert np.max(np.abs(row[1:].imag)) < 1e-12
     assert np.max(np.abs(row[1:].real - d3[1:])) < 1e-9
 
@@ -170,7 +170,7 @@ def test_bound_report_linear_ratio_cross_check():
     # sum_{n <= N} |A(m, n)| / (N m) at m = 1 is the d3 mean for D3
     N = 1000
     linear_ratio = float(np.sum(np.abs(coefficient_block(D3, 1, N)))) / N
-    want = float(np.sum(multiplicative_tables(N).d3[1:])) / N
+    want = float(np.sum([triple_divisor(m) for m in range(1, N + 1)])) / N
     assert linear_ratio == pytest.approx(want, rel=1e-12)
     square_mean = sum(
         float(np.sum(np.abs(coefficient_block(D3, m, N // (m * m))) ** 2))
@@ -231,7 +231,7 @@ def test_sym_square_satake_and_seed(sym2):
         assert abs(x * y * z - 1) < 1e-12
         a_p = float(tau[p]) / p**5.5
         assert coefficient(sym2, 1, p) == pytest.approx(a_p * a_p - 1.0, abs=1e-10)
-    assert sym2.self_dual and not sym2.polar and not sym2.maass_type
+    assert sym2.mu_dual == sym2.mu and not sym2.polar and not sym2.maass_type
 
 
 def test_sym_square_coefficients_real(sym2):
@@ -247,9 +247,6 @@ def test_satake_product_validated():
     with pytest.raises(ValueError):
         GL3Form(
             label="bad",
-            alpha=0j,
-            beta=0j,
-            gamma=0j,
             mu=(0j, 0j, 0j),
             mu_dual=(0j, 0j, 0j),
             satake={2: (2 + 0j, 1 + 0j, 1 + 0j)},
@@ -260,9 +257,6 @@ def test_spherical_sum_validated():
     with pytest.raises(ValueError):
         GL3Form(
             label="bad",
-            alpha=1 + 0j,
-            beta=0j,
-            gamma=0j,
             mu=(1 + 0j, 0j, 0j),
             mu_dual=(-1 + 0j, 0j, 0j),
             default_satake=(1 + 0j, 1 + 0j, 1 + 0j),

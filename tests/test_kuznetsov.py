@@ -379,13 +379,11 @@ def test_diagonal_weight_uv_cache_counts():
 
 
 def test_diagonal_weight_uv_cache_keys_on_gamma_data():
-    # the tensor weight reads form.mu / form.mu_dual, not alpha, beta, gamma:
-    # a form sharing D3's (zero) alpha, beta, gamma but carrying other gamma
-    # data must not be served D3's cached weights
+    # the UV cache keys on the gamma data (mu, mu_dual) the weight reads: a
+    # form whose mu differs from D3's must not be served D3's cached weights
     d3 = triple_divisor_form()
     other = GL3Form(
-        label="mu-only", alpha=0j, beta=0j, gamma=0j,
-        mu=(0.2, 0.1, -0.3), mu_dual=(-0.2, -0.1, 0.3), maass_type=False,
+        label="mu-only", mu=(0.2, 0.1, -0.3), mu_dual=(-0.2, -0.1, 0.3), maass_type=False,
     )
     spec = WeightSpec()
     ts = np.array([0.3])

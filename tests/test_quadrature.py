@@ -190,14 +190,14 @@ class TestRowBatches:
 
 class TestOscillatoryIntegral:
     def test_zero_phase_plain_integral(self):
-        bump = smooth_bump(1.0, 3.0, 0.5)
+        bump = smooth_bump(1.0, 3.0)
         res = oscillatory_integral(bump, lambda x: np.zeros_like(np.asarray(x, float)), bump.support)
         xs = np.linspace(1.0, 3.0, 200001)
         ref = np.trapezoid(bump(xs), xs)
         assert res.value.real == pytest.approx(ref, abs=1e-9)
 
     def test_linear_phase_nonstationary_decay(self):
-        bump = smooth_bump(0.0, 1.0, 0.5)
+        bump = smooth_bump(0.0, 1.0)
 
         def mag(K):
             res = oscillatory_integral(bump, lambda x: K * np.asarray(x, float), bump.support)
@@ -212,20 +212,20 @@ class TestOscillatoryIntegral:
             assert mag(K) <= C / K
 
     def test_unbounded_phase_rejected(self):
-        bump = smooth_bump(0.0, 1.0, 0.5)
+        bump = smooth_bump(0.0, 1.0)
         with pytest.raises(UnboundedPhaseError):
             oscillatory_integral(bump, lambda x: 1e12 * np.asarray(x, float) ** 2, bump.support)
 
 
 class TestSmoothBump:
     def test_plateau_and_outside(self):
-        bump = smooth_bump(2.0, 6.0, 0.5)
+        bump = smooth_bump(2.0, 6.0)
         assert bump(np.array([4.0]))[0] == pytest.approx(1.0, abs=1e-15)
         assert bump(np.array([1.99]))[0] == 0.0
         assert bump(np.array([6.01]))[0] == 0.0
 
     def test_range_and_monotone_shoulders(self):
-        bump = smooth_bump(0.0, 1.0, 0.3)
+        bump = smooth_bump(0.0, 1.0)
         xs = np.linspace(-0.2, 1.2, 1001)
         vals = bump(xs)
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
@@ -234,7 +234,7 @@ class TestSmoothBump:
 
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError):
-            smooth_bump(3.0, 3.0, 0.5)
+            smooth_bump(3.0, 3.0)
 
 
 def poisson_residual(f, k_max, support):
@@ -253,7 +253,7 @@ def poisson_residual(f, k_max, support):
 
 class TestPoisson:
     def test_bump_residual_small(self):
-        f = smooth_bump(10.0, 20.0, 0.5)
+        f = smooth_bump(10.0, 20.0)
         assert poisson_residual(f, 40, f.support) <= 1e-8
 
     def test_zero_function(self):
@@ -261,7 +261,7 @@ class TestPoisson:
         assert poisson_residual(zero, 5, (0.0, 1.0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_monotone_refinement(self):
-        f = smooth_bump(10.0, 20.0, 0.5)
+        f = smooth_bump(10.0, 20.0)
         assert poisson_residual(f, 80, f.support) <= poisson_residual(f, 40, f.support) + 1e-12
 
 

@@ -12,7 +12,6 @@ from lfunlab.special import (
     PoleError,
     RegimeError,
     bessel_imag_order,
-    bessel_j_integral_route,
     gamma_factor_log,
     log_gamma,
     zeta,
@@ -172,7 +171,7 @@ class TestBessel:
         assert bessel_imag_order(0.0, 1e-8).real == pytest.approx(1.0, abs=1e-10)
 
     def test_j_series_against_mpmath(self):
-        for t, x in [(0.0, 0.3), (1.0, 1.0), (5.0, 2.0), (10.0, 0.5), (2.5, 5.0)]:
+        for t, x in [(0.0, 0.3), (1.0, 1.0), (5.0, 0.5), (5.0, 2.0), (10.0, 0.5), (2.5, 5.0)]:
             own = bessel_imag_order(t, x)
             ref = complex(mp.besselj(mp.mpc(0, 2 * t), 2 * mp.pi * x))
             assert abs(own - ref) <= 1e-10 * (1 + abs(ref))
@@ -187,13 +186,6 @@ class TestBessel:
     def test_series_regime_guard(self):
         with pytest.raises(RegimeError):
             bessel_imag_order(1.0, 15.0)
-
-    @pytest.mark.slow
-    def test_integral_route_matches_series(self):
-        for t, x in [(1.0, 1.0), (5.0, 0.5)]:
-            series = bessel_imag_order(t, x)
-            integral = bessel_j_integral_route(t, x)
-            assert abs(series - integral) <= 1e-8
 
 
 def test_mp_precision_guard_under_threads():

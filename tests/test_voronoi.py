@@ -251,8 +251,7 @@ def test_asymptotic_later_rungs_need_degenerate_form(spec):
     # only the leading rung (independent of them, as sum a_i = 0) applies
     a = (0.3j, -0.3j, 0j)
     form = GL3Form(
-        label="spherical", alpha=a[0], beta=a[1], gamma=a[2],
-        mu=a, mu_dual=tuple(-z for z in a),
+        label="spherical", mu=a, mu_dual=tuple(-z for z in a),
     )
     other = VoronoiKernelSpec(form, BUMP)
     for order in (2, 3, 4):
