@@ -46,8 +46,9 @@ class NotCoprimeError(ValueError):
 def mod_inverse(d: int, c: int) -> int:
     """Inverse of d modulo c, reduced to [0, c).
 
-    Raises NotCoprimeError unless gcd(d, c) = 1.
+    Any integer type is accepted; raises NotCoprimeError unless gcd(d, c) = 1.
     """
+    d, c = operator.index(d), operator.index(c)
     if c < 1:
         raise ValueError(f"modulus must be positive, got {c}")
     try:
@@ -183,7 +184,11 @@ def kloosterman_factored(n: int, l: int, c: int) -> complex:
     applied across the full factorization.  Each block still runs the direct
     enumeration, so agreement with kloosterman() genuinely exercises the
     Chinese-remainder structure whenever c has two or more prime factors.
+    c may be any integer type; ValueError unless c >= 1.
     """
+    c = operator.index(c)
+    if c < 1:
+        raise ValueError(f"modulus must be positive, got {c}")
     blocks = [p**e for p, e in factorize(c)] if c > 1 else [1]
     value = 1 + 0j
     for q in blocks:

@@ -1,10 +1,12 @@
 """Complex special functions with explicit accuracy control.
 
-Contents: a vectorized principal-branch log-gamma (Stirling series with
-recursion shifts and reflection), Riemann zeta by Euler-Maclaurin with a
-computable remainder bound, the log gamma factor of an L-function, the
-Bessel function J of imaginary order 2it by its ascending series, and the
-one guard on mpmath's working precision.
+Contents: a vectorized principal-branch log-gamma (Stirling series through
+B_20 past a threshold derived from its remainder bound, recursion shifts
+per element, reflection, in fixed-size blocks so that memory stays bounded
+and no result depends on the array's shape), Riemann zeta by
+Euler-Maclaurin with a computable remainder bound, the log gamma factor of
+an L-function, the Bessel function J of imaginary order 2it by its
+ascending series, and the one guard on mpmath's working precision.
 
 Gamma factors.  Every gamma factor here is a product of
 Gamma_R(s + kappa) = pi^{-(s+kappa)/2} Gamma((s+kappa)/2) over a tuple of
@@ -18,7 +20,8 @@ The degree-2 factor pi^{-s} Gamma((s+it)/2) Gamma((s-it)/2) has shifts
 of archimedean parameters mu has the six shifts -mu_i -+ it; the degree-3
 factor has the shifts -mu_i.  Products are assembled in log space; callers
 that need ratios subtract logs before exponentiating, so overflow never
-enters.
+enters.  Equal shifts share one log_gamma evaluation: for mu = (0, 0, 0)
+the six tensor shifts are three copies of (-it, it).
 
 mpmath precision.  mpmath's working precision is process-global.  Every
 evaluation in this package that sets it does so through _mp_precision,
@@ -76,6 +79,13 @@ _STIRLING_C = np.array(
     [float(_BERNOULLI[2 * n] / (2 * n * (2 * n - 1))) for n in range(1, 11)]
 )
 
+# Where _stirling_shifted stops recursing: the smallest |w| at which the
+# remainder bound after B_20 (see its docstring) is _STIRLING_TARGET.
+_STIRLING_TARGET = 1e-17
+_STIRLING_MIN_ABS = (float(abs(_BERNOULLI[22]) / (22 * 21)) * 2.0**11 / _STIRLING_TARGET) ** (1 / 21)
+
+_BLOCK = 4096  # points per pass of log_gamma, so its temporaries stay ~64 KB each
+
 # B_{2k} / (2k)! for Euler-Maclaurin, k = 1..13
 _EM_C = np.array(
     [float(_BERNOULLI[2 * k] / math.factorial(2 * k)) for k in range(1, 14)]
@@ -86,15 +96,31 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 
 def _stirling_shifted(w: np.ndarray) -> np.ndarray:
-    """log Gamma on Re w >= 0.5 by upward recursion into |w| >= 22 plus the
-    divergent-series tail truncated at B_20 (error ~ 1e-26 at |w| = 22)."""
+    """log Gamma on Re w >= 1/2: upward recursion into |w| >= _STIRLING_MIN_ABS,
+    then the Stirling series through B_20.
+
+    The remainder after B_20 is at most the first omitted term times
+    sec^22(ph(w)/2) (DLMF 5.11(ii)).  Re w >= 1/2 keeps |ph w| < pi/2, so the
+    factor is below sec^22(pi/4) = 2^11 and
+
+        |R(w)| <= |B_22| / (22 * 21) * 2^11 / |w|^21 = 27449 / |w|^21.
+
+    That is _STIRLING_TARGET = 1e-17 at |w| = _STIRLING_MIN_ABS = 10.49 (the
+    truncation there, against mpmath, is 5e-21), far below the rounding of
+    the leading term, ~|w log w| 2^-53 ~ 3e-15 there.
+    Each element steps w -> w + 1 until it passes the threshold (at most 10
+    steps; none where |w| is already past it), on an active set that
+    shrinks as elements leave it.
+    """
     w = w.copy()
     rec = np.zeros_like(w)
-    small = np.abs(w) < 22.0
-    while np.any(small):
-        rec[small] += np.log(w[small])
-        w[small] += 1.0
-        small = np.abs(w) < 22.0
+    active = np.flatnonzero(np.abs(w) < _STIRLING_MIN_ABS)
+    while active.size:
+        wa = w[active]
+        rec[active] += np.log(wa)
+        wa += 1.0
+        w[active] = wa
+        active = active[np.abs(wa) < _STIRLING_MIN_ABS]
     r = 1.0 / w
     r2 = r * r
     tail = np.zeros_like(w)
@@ -127,24 +153,27 @@ def log_gamma(z):
     formula is used, which can offset the imaginary part by a multiple of
     2 pi i relative to the continued principal branch; every consumer in
     this package exponentiates differences of these logs, where such
-    offsets cancel or are irrelevant.
+    offsets cancel or are irrelevant.  Points are evaluated in blocks of
+    _BLOCK, each element on its own, so the result for a point does not
+    depend on the shape or size of the array it arrives in.
     """
     z_arr = np.asarray(z, dtype=complex)
-    scalar = z_arr.ndim == 0
-    zf = np.atleast_1d(z_arr).ravel().astype(complex)
+    zf = z_arr.reshape(-1)
+    out = np.empty(zf.shape, dtype=complex)
+    for lo in range(0, zf.size, _BLOCK):
+        out[lo : lo + _BLOCK] = _log_gamma_block(zf[lo : lo + _BLOCK])
+    return complex(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
 
-    poles = (zf.imag == 0) & (zf.real <= 0) & (zf.real == np.rint(zf.real))
+
+def _log_gamma_block(z: np.ndarray) -> np.ndarray:
+    poles = (z.imag == 0) & (z.real <= 0) & (z.real == np.rint(z.real))
     if np.any(poles):
-        raise PoleError(f"log_gamma pole at z = {zf[poles][:3]}")
-
-    refl = zf.real < 0.5
-    work = np.where(refl, 1.0 - zf, zf)
-    lg = _stirling_shifted(work)
+        raise PoleError(f"log_gamma pole at z = {z[poles][:3]}")
+    refl = z.real < 0.5
+    lg = _stirling_shifted(np.where(refl, 1.0 - z, z))
     if np.any(refl):
-        lg[refl] = math.log(math.pi) - _log_sin_pi(zf[refl]) - lg[refl]
-
-    lg = lg.reshape(z_arr.shape) if not scalar else lg[0]
-    return complex(lg) if scalar else lg
+        lg[refl] = math.log(math.pi) - _log_sin_pi(z[refl]) - lg[refl]
+    return lg
 
 
 def zeta_with_error(s):
@@ -199,12 +228,19 @@ def gamma_factor_log(s, shifts) -> np.ndarray:
     """log of pi^{-ds/2} prod_j Gamma((s + kappa_j)/2), d = len(shifts).
 
     Each shift broadcasts against s, so a column of shifts (one row per t)
-    against a row of s gives the factor on a (t, s) matrix; log_gamma is
-    called once per shift."""
+    against a row of s gives the factor on a (t, s) matrix.  log_gamma is
+    called once per distinct shift (the tensor factor of mu = (0, 0, 0) has
+    two, not six), and its result is added once per occurrence in the order
+    of `shifts`, so the sum is bit-identical to one call per shift."""
     s = np.asarray(s, dtype=complex)
     out = -(0.5 * len(shifts)) * s * math.log(math.pi)
+    seen: list = []  # (shift, its log_gamma) for each distinct shift so far
     for kappa in shifts:
-        out = out + log_gamma((s + kappa) / 2)
+        lg = next((v for k, v in seen if np.array_equal(k, kappa)), None)
+        if lg is None:
+            lg = log_gamma((s + kappa) / 2)
+            seen.append((kappa, lg))
+        out = out + lg
     return out
 
 

@@ -98,7 +98,7 @@ import numpy as np
 from .exactarith import kloosterman, mod_inverse
 from .heckegl3 import GL3Form, coefficient_block
 from .quadrature import contour_kernel, panel_grid
-from .special import PoleError, RegimeError, _mp_precision, log_gamma
+from .special import PoleError, RegimeError, _mp_precision, gamma_factor_log
 from .util import ordered_parallel_map
 
 __all__ = [
@@ -139,6 +139,11 @@ _LINE_RATE = 2.0 * _CONTOUR_CAP / math.pi  # trapezoid samples per unit of tau
 # error is at most 5.5e-5 (pi / 32)^12 mass = 4e-17 mass, below rounding.
 _LINE_STENCIL = 12
 _LINE_PAD = 32
+# Points per block of the line's interpolation.  Each block holds a few
+# (points, stencil) arrays of ~0.4 MB; whole node sets of 10^4-10^5 points
+# took ~25 MB per call, and the two kernels that voronoi_residual_profile
+# builds side by side in threads set its peak memory when those calls met.
+_LINE_BLOCK = 4096
 
 # Panels per support that resolve a bump's exp ramps where no phase is
 # faster: the width floor of every Gauss-Legendre grid on the support
@@ -168,8 +173,8 @@ def _mellin_line(phi: Callable, support: tuple, re_s: float) -> Callable:
     dtau, with c = sqrt(lo hi), h = ln(hi / lo) / 2 and G(tau) =
     phi(e^{ln c + tau}) e^{re_s tau}.  The FFT of G's trapezoid samples
     gives F on a uniform v-grid, and _LINE_STENCIL-point Lagrange
-    interpolation gives it between grid points.  A |v| whose stencil leaves
-    the grid raises ValueError.
+    interpolation gives it between grid points, in blocks of _LINE_BLOCK
+    points.  A |v| whose stencil leaves the grid raises ValueError.
     """
     lo, hi = support
     lnc = 0.5 * (math.log(lo) + math.log(hi))
@@ -189,8 +194,7 @@ def _mellin_line(phi: Callable, support: tuple, re_s: float) -> Callable:
     # c_m = 1 / prod_{n != m} (m - n) on the stencil 0 .. p-1
     c = np.array([(-1.0) ** (p - 1 - i) / (math.factorial(i) * math.factorial(p - 1 - i)) for i in m])
 
-    def at(v):
-        v = np.asarray(v, dtype=float)
+    def at_block(v):
         # the fraction comes from v / dv itself: adding the grid offset
         # size / 2 first would round it at ~1e-11 of a grid step
         t = v / dv
@@ -209,6 +213,14 @@ def _mellin_line(phi: Callable, support: tuple, re_s: float) -> Callable:
         np.cumprod(d[..., :0:-1], axis=-1, out=right[..., -2::-1])
         vals = np.einsum("...m,...m->...", left * right * c, f[first[..., None] + m])
         return vals * np.exp((re_s + 1j * v) * lnc)
+
+    def at(v):
+        v = np.asarray(v, dtype=float)
+        out = np.empty(v.shape, dtype=complex)
+        flat, vf = out.reshape(-1), v.reshape(-1)
+        for i in range(0, vf.size, _LINE_BLOCK):
+            flat[i : i + _LINE_BLOCK] = at_block(vf[i : i + _LINE_BLOCK])
+        return out
 
     return at
 
@@ -295,6 +307,16 @@ class VoronoiSides:
     main_term: complex = 0j  # polar-form residue included in rhs; 0 for cuspidal
 
 
+def _gamma_quotient_log(u, k: int, abg) -> np.ndarray:
+    """log prod_z Gamma((1 + 2k + u + z)/2) / Gamma((-u - z)/2) over z in abg:
+    the quotient of two Gamma_R products, with their pi powers added back."""
+    return (
+        gamma_factor_log(1.0 + 2 * k + u, abg)
+        - gamma_factor_log(-u, [-z for z in abg])
+        + 0.5 * len(abg) * (1.0 + 2 * k + 2 * u) * math.log(math.pi)
+    )
+
+
 def _phi_contour_kernel(
     spec: VoronoiKernelSpec,
     k: int,
@@ -327,13 +349,8 @@ def _phi_contour_kernel(
     lo, hi = spec.support
     symmetric = all(abs(z.imag) < 1e-12 for z in abg)
 
-    def quot_log_mag(u):
-        num = sum(log_gamma((1.0 + u + 2 * k + z) / 2.0) for z in abg)
-        den = sum(log_gamma((-u - z) / 2.0) for z in abg)
-        return num - den
-
     def kfunc(u):
-        return np.exp(quot_log_mag(u)) * line(-np.imag(u))  # phitilde(-u - k)
+        return np.exp(_gamma_quotient_log(u, k, abg)) * line(-np.imag(u))  # phitilde(-u - k)
 
     # double-precision floor of the Mellin factor (module docstring): the
     # rounding of the unsigned mass, plus a phase of (height) x (log
@@ -347,7 +364,7 @@ def _phi_contour_kernel(
             2e-16
             * max(mell_mass, 1e-300)
             * (1.0 + h * half_ln)
-            * np.exp(np.real(quot_log_mag(u)))
+            * np.exp(np.real(_gamma_quotient_log(u, k, abg)))
         )
 
     # oscillation budget (radians per unit height): y^{-iv} itself, the

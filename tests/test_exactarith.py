@@ -55,13 +55,18 @@ class TestKloosterman:
             assert kloosterman(n, l, 1) == pytest.approx(1.0)
 
     def test_modulus_integer_types_and_range(self):
-        # a numpy integer modulus gives the int result bit for bit; a
-        # modulus below 1 is rejected, not summed over an empty unit group
-        for n, l, c in [(1, 1, 7), (3, -5, 12), (2, 9, 97)]:
+        # a numpy integer modulus gives the int result bit for bit, on every
+        # route that takes one; a modulus below 1 is rejected, not summed
+        # over an empty unit group (kloosterman_factored returned 1 for it)
+        for n, l, c in [(1, 1, 7), (3, -5, 12), (2, 9, 97), (1, 1, 1)]:
             assert kloosterman(n, l, np.int64(c)) == kloosterman(n, l, c)
-        for c in (0, -3):
-            with pytest.raises(ValueError, match="positive"):
-                kloosterman(1, 1, c)
+            assert kloosterman_factored(n, l, np.int64(c)) == kloosterman_factored(n, l, c)
+        inverse = mod_inverse(3, np.int64(7))
+        assert type(inverse) is int and inverse == mod_inverse(3, 7) == mod_inverse(np.int64(3), 7)
+        for route in (kloosterman, kloosterman_factored):
+            for c in (0, -3):
+                with pytest.raises(ValueError, match="positive"):
+                    route(1, 1, c)
 
     def test_frozen_small_values(self):
         # frozen from direct enumeration over coprime residues

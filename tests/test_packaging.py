@@ -1,7 +1,7 @@
 """Packaging metadata: every declared console script and every name a
 module exports through __all__ must resolve, no exported function takes a
-private parameter, the modules keep their layers, and only `special`
-changes mpmath's process-global precision."""
+private parameter, the modules keep their layers, only `special`
+changes mpmath's process-global precision, and every cache is bounded."""
 
 import ast
 import importlib
@@ -108,3 +108,46 @@ def test_only_special_sets_mp_precision():
         if path.stem != "special":
             lines = _sets_mp_precision(ast.parse(path.read_text()))
             assert not lines, f"lfunlab.{path.stem} sets mpmath precision at lines {lines}"
+
+
+def _cache_violations(tree: ast.Module) -> list:
+    """Unbounded caches: an lru_cache without a positive integer maxsize, a
+    functools.cache, or a module-level name holding a cache that is not a
+    util.LRUCache."""
+    bad = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                func = dec.func if isinstance(dec, ast.Call) else dec
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name == "cache":
+                    bad.append(f"{node.name}: functools.cache")
+                elif name == "lru_cache":
+                    sizes = [k.value for k in getattr(dec, "keywords", ()) if k.arg == "maxsize"]
+                    sizes += getattr(dec, "args", [])[:1]
+                    ok = len(sizes) == 1 and isinstance(sizes[0], ast.Constant)
+                    if not (ok and type(sizes[0].value) is int and sizes[0].value > 0):
+                        bad.append(f"{node.name}: lru_cache without a finite integer maxsize")
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name) and "cache" in t.id.lower()]
+            value = node.value
+            is_lru = isinstance(value, ast.Call) and ast.unparse(value.func) in ("LRUCache", "util.LRUCache")
+            if names and not is_lru:
+                bad.append(f"{names[0]}: module-level cache that is not a util.LRUCache")
+    return bad
+
+
+def test_every_cache_is_bounded():
+    # a cache that grows for the life of the process turns a long run
+    # into a memory leak; module-level ones share util.LRUCache's policy
+    root = Path(importlib.import_module("lfunlab").__file__).resolve().parent
+    for path in sorted(root.glob("*.py")):
+        bad = _cache_violations(ast.parse(path.read_text()))
+        assert not bad, f"lfunlab.{path.stem}: {bad}"
+    unbounded = ast.parse(
+        "import functools\n_TABLE_CACHE = {}\n@functools.lru_cache(maxsize=None)\ndef f(x): pass\n"
+        "@functools.cache\ndef g(x): pass\n@lru_cache\ndef h(x): pass\n"
+    )
+    assert len(_cache_violations(unbounded)) == 4

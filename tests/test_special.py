@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+from lfunlab import special
 from lfunlab.special import (
     PoleError,
     RegimeError,
@@ -66,6 +67,58 @@ class TestLogGamma:
         for bad in (0.0 + 0j, -1.0 + 0j, -7.0 + 0j):
             with pytest.raises(PoleError):
                 log_gamma(bad)
+
+    def test_stirling_threshold_meets_its_target(self):
+        # the first omitted Stirling term, B_22 / (22 * 21 w^21), times the
+        # sector factor sec^22(pi/4) = 2^11 on Re w >= 1/2 (DLMF 5.11(ii))
+        lead = abs(special._BERNOULLI[22]) / (22 * 21) * 2**11  # exact, a Fraction
+        threshold = special._STIRLING_MIN_ABS
+        assert special._STIRLING_TARGET == 1e-17
+        assert "1e-17" in special._stirling_shifted.__doc__
+        assert float(lead) / threshold**21 <= special._STIRLING_TARGET * (1 + 1e-12)
+        assert threshold == pytest.approx(float(lead * 10**17) ** (1 / 21), rel=1e-14)
+        # the series through B_20 at the threshold, summed in 40 digits,
+        # against mpmath's log Gamma: its error stays inside the bound,
+        # also where Re w = 1/2 makes the sector factor nearly tight
+        with mp.workdps(40):
+            on_line = mp.mpc(0.5, math.sqrt(threshold**2 - 0.25))
+            for w in (mp.mpc(threshold), threshold * mp.expj(math.pi / 4), on_line):
+                series = (w - 0.5) * mp.log(w) - w + mp.log(2 * mp.pi) / 2
+                for n in range(1, 11):
+                    b = special._BERNOULLI[2 * n]
+                    series += mp.mpf(b.numerator) / b.denominator / (2 * n * (2 * n - 1) * w ** (2 * n - 1))
+                assert abs(series - mp.loggamma(w)) <= special._STIRLING_TARGET
+
+    def test_threshold_straddle_against_mpmath(self):
+        # points within 1e-9..1e-2 of |w| = threshold on either side, some
+        # on Re w = 1/2, some that reach it after 1, 3 or 9 steps, and their
+        # mirrors 1 - w in the reflection region
+        threshold = special._STIRLING_MIN_ABS
+        pts = []
+        for delta in (-1e-2, -1e-6, -1e-9, 1e-9, 1e-6, 1e-2):
+            r = threshold + delta
+            for re in (0.5, 0.5 + 1e-9, 0.75, 3.0, r / math.sqrt(2)):
+                im = math.sqrt(r * r - re * re)
+                pts += [complex(re, im), complex(re, -im)]
+            pts += [complex(r - steps, 0.0) for steps in (0, 1, 3, 9)]
+        w = np.array(pts)
+        z = np.concatenate([w, 1.0 - w])
+        with mp.workdps(30):
+            ref = np.array([complex(mp.loggamma(mp.mpc(x.real, x.imag))) for x in z])
+        assert np.max(np.abs(log_gamma(z) - ref)) <= 1e-13  # measured 1.1e-14
+
+    def test_result_independent_of_array_shape(self):
+        # two full blocks and a partial one, a third of it reflected: each
+        # element equals its own scalar call bit for bit, in any shape
+        n = 2 * special._BLOCK + 3
+        rng = np.random.default_rng(5)
+        z = rng.uniform(-8.0, 14.0, n) + 1j * rng.uniform(-30.0, 30.0, n)
+        z[::7] = 0.5 + 1j * rng.uniform(-12.0, 12.0, z[::7].size)
+        values = log_gamma(z)
+        scalars = np.array([log_gamma(complex(x)) for x in z])
+        assert np.array_equal(values, scalars)
+        assert np.array_equal(log_gamma(z[:-3].reshape(2, -1)), values[:-3].reshape(2, -1))
+        assert np.array_equal(log_gamma(z[::-1]), values[::-1])
 
 
 class TestZeta:
@@ -164,6 +217,24 @@ class TestGl3GammaFactor:
         wide = SimpleNamespace(mu=(-1, -11, -12), mu_dual=(-1, -11, -12), label="wide-stub")
         val = gl3_factor(0.5 + 0j, 1.0, wide.mu)
         assert np.isfinite(val.real) and val.real > 0.0
+
+
+@pytest.mark.parametrize(
+    "mu, extra", [((0, 0, 0), ()), ((0.1, 0.1, -0.2), (0.25, 0.1 - 1j * 40.0, 0.25))]
+)
+def test_gamma_factor_log_once_per_distinct_shift(mu, extra, monkeypatch):
+    # repeated shifts, as columns of t and as scalars: one log_gamma call
+    # each, and the same sum bit for bit as one call per shift
+    t = np.array([[0.5], [3.0], [40.0]])
+    s = 0.8 + 1j * np.linspace(-20.0, 20.0, 7)
+    shifts = [k for m in mu for k in (-m - 1j * t, -m + 1j * t)] + list(extra)
+    naive = -(0.5 * len(shifts)) * s * math.log(math.pi)
+    for kappa in shifts:
+        naive = naive + log_gamma((s + kappa) / 2)
+    calls = []
+    monkeypatch.setattr(special, "log_gamma", lambda z: calls.append(1) or log_gamma(z))
+    assert np.array_equal(gamma_factor_log(s, shifts), naive)
+    assert len(calls) == 2 * len(set(mu)) + len(set(extra))
 
 
 class TestBessel:

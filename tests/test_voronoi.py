@@ -21,15 +21,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lfunlab import special
 from lfunlab.exactarith import NotCoprimeError
 from lfunlab.heckegl3 import GL3Form, symmetric_square_form, triple_divisor_form
 from lfunlab.quadrature import gauss_legendre_panels, oscillatory_integral, smooth_bump
-from lfunlab.special import PoleError, RegimeError
+from lfunlab.special import PoleError, RegimeError, log_gamma
 from lfunlab.voronoi import (
     _CONTOUR_CAP,
+    _LINE_BLOCK,
     _RUNGS,
     _STIRLING_A,
     VoronoiKernelSpec,
+    _gamma_quotient_log,
     _kernel_values,
     _mellin_line,
     _neutral_abscissa,
@@ -150,6 +153,16 @@ def test_fft_line_matches_dense_quadrature():
         line(np.array([0.0, 3.0 * _CONTOUR_CAP]))
 
 
+def test_fft_line_independent_of_array_shape():
+    # the line is interpolated in blocks of _LINE_BLOCK points; a value does
+    # not depend on the block it falls in, or on the array's shape
+    line = _mellin_line(BUMP, BUMP.support, 0.5)
+    v = np.linspace(-_CONTOUR_CAP, _CONTOUR_CAP, 2 * _LINE_BLOCK + 3)
+    values = line(v)
+    assert np.array_equal(values, np.array([line(x) for x in v]))
+    assert np.array_equal(line(v[:-3].reshape(2, -1)), values[:-3].reshape(2, -1))
+
+
 def test_mellin_requires_support_information():
     with pytest.raises(ValueError):
         mellin_transform(lambda x: x, 1.0)
@@ -200,6 +213,23 @@ def test_kernel_pinned_values(kernel_pair):
     assert p1.imag == pytest.approx(-1371.2866915, rel=1e-7)
     assert abs(p0.real) <= 1e-9 * abs(p0)
     assert abs(p1.real) <= 1e-9 * abs(p1)
+
+
+@pytest.mark.parametrize("abg", [(0j, 0j, 0j), (0.2 + 3j, 0.2 - 3j, -0.4 + 0j)])
+@pytest.mark.parametrize("k", [0, 1])
+def test_gamma_quotient_is_the_log_gamma_sum(abg, k, monkeypatch):
+    # the two Gamma_R products with their pi powers added back equal the sum
+    # of the six log Gammas, and repeated parameters cost one call each
+    u = -0.5 - k + 1j * np.linspace(-300.0, 300.0, 601)
+    direct = sum(log_gamma((1.0 + u + 2 * k + z) / 2.0) for z in abg) - sum(
+        log_gamma((-u - z) / 2.0) for z in abg
+    )
+    calls = []
+    original = special.log_gamma
+    monkeypatch.setattr(special, "log_gamma", lambda z: calls.append(1) or original(z))
+    quotient = _gamma_quotient_log(u, k, abg)
+    assert np.all(np.abs(quotient - direct) <= 1e-14 * np.maximum(1.0, np.abs(direct)))  # measured <= 1.5e-15
+    assert len(calls) == 2 * len(set(abg))
 
 
 def test_contour_shift_invariance_within_error_budget(spec):
