@@ -3,10 +3,10 @@
 Contents: a vectorized principal-branch log-gamma (Stirling series through
 B_20 past a threshold derived from its remainder bound, recursion shifts
 per element, reflection, in fixed-size blocks so that memory stays bounded
-and no result depends on the array's shape), Riemann zeta by
-Euler-Maclaurin with a computable remainder bound, the log gamma factor of
-an L-function, the Bessel function J of imaginary order 2it by its
-ascending series, and the one guard on mpmath's working precision.
+and no result depends on the array's shape), the Hurwitz and Riemann zeta
+functions by Euler-Maclaurin with a computable remainder bound, the log
+gamma factor of an L-function, the Bessel function J of imaginary order 2it
+by its ascending series, and the one guard on mpmath's working precision.
 
 Gamma factors.  Every gamma factor here is a product of
 Gamma_R(s + kappa) = pi^{-(s+kappa)/2} Gamma((s+kappa)/2) over a tuple of
@@ -148,8 +148,11 @@ def _log_sin_pi(z: np.ndarray) -> np.ndarray:
 def log_gamma(z):
     """Principal-branch log Gamma, vectorized over complex arrays.
 
-    Relative accuracy of exp(result) is ~1e-13 or better across |z| <= 1e6;
-    nonpositive integers raise PoleError.  On Re z < 1/2 the reflection
+    The result rounds at its own size, so its absolute error grows like
+    |z log z| 2^-53 (measured up to 2.4 times that on |z| <= 1e6): 1.5e-11
+    at z = 1 + 10^4 i, one ulp of Im log Gamma ~ 8e4 there.  exp(result)
+    carries that error as a relative one.  Nonpositive integers raise
+    PoleError.  On Re z < 1/2 the reflection
     formula is used, which can offset the imaginary part by a multiple of
     2 pi i relative to the continued principal branch; every consumer in
     this package exponentiates differences of these logs, where such
@@ -176,17 +179,24 @@ def _log_gamma_block(z: np.ndarray) -> np.ndarray:
     return lg
 
 
-def zeta_with_error(s):
-    """Riemann zeta by Euler-Maclaurin with an explicit remainder bound.
+def zeta_with_error(s, a=1.0):
+    """Hurwitz zeta(s, a) = sum_{n>=0} (n + a)^{-s} by Euler-Maclaurin with an
+    explicit remainder bound; a = 1 is the Riemann zeta function.
 
-    zeta(s) = sum_{n<N} n^{-s} + N^{1-s}/(s-1) + N^{-s}/2
-              + sum_{k<=K} B_{2k}/(2k)! (s)_{2k-1} N^{-s-2k+1} + R_K,
+    With q = N - 1 + a,
+
+    zeta(s, a) = sum_{n<N-1} (n+a)^{-s} + q^{1-s}/(s-1) + q^{-s}/2
+                 + sum_{k<=K} B_{2k}/(2k)! (s)_{2k-1} q^{-s-2k+1} + R_K,
     |R_K| <= |s + 2K + 1| / (sigma + 2K + 1) * |first omitted term|.
 
     N grows with max |Im s| over the batch so the correction terms contract
-    by ~(|s|/2 pi N)^2 ~ 1e-2 per order; K = 12 then leaves the remainder
-    far below double precision.  Returns (value, bound) with input shape.
+    by ~(|s|/2 pi q)^2 ~ 1e-2 per order; K = 12 then leaves the remainder
+    far below double precision.  a must be a positive real.  Returns
+    (value, bound) with the shape of s.
     """
+    a = float(a)
+    if not a > 0.0:
+        raise ValueError(f"Hurwitz parameter must be positive, got {a}")
     s_arr = np.asarray(s, dtype=complex)
     scalar = s_arr.ndim == 0
     sf = np.atleast_1d(s_arr).ravel().astype(complex)
@@ -197,22 +207,22 @@ def zeta_with_error(s):
         raise RegimeError("Euler-Maclaurin remainder bound needs Re s > -(2K+1)")
 
     N = int(max(24, math.ceil(1.5 * (np.max(np.abs(sf.imag)) + 10.0))))
-    log_n = np.log(np.arange(1, N, dtype=float))
+    log_n = np.log(np.arange(N - 1) + a)
     value = np.zeros_like(sf)
     for lo in range(0, sf.size, 512):
         chunk = sf[lo : lo + 512]
         value[lo : lo + 512] = np.exp(-chunk[:, None] * log_n[None, :]).sum(axis=1)
 
-    logN = math.log(N)
-    npow = np.exp(-sf * logN)  # N^{-s}
-    value += npow * N / (sf - 1.0) + 0.5 * npow
+    q = N - 1 + a
+    npow = np.exp(-sf * math.log(q))  # q^{-s}
+    value += npow * q / (sf - 1.0) + 0.5 * npow
 
     poch = sf.copy()  # (s)_{2k-1}, starting at k=1
     for k in range(1, K + 1):
-        term = _EM_C[k - 1] * poch * npow * float(N) ** (1 - 2 * k)
+        term = _EM_C[k - 1] * poch * npow * q ** (1 - 2 * k)
         value += term
         poch = poch * (sf + (2 * k - 1)) * (sf + 2 * k)
-    first_omitted = np.abs(_EM_C[K] * poch * npow) * float(N) ** (-1 - 2 * K)
+    first_omitted = np.abs(_EM_C[K] * poch * npow) * q ** (-1 - 2 * K)
     bound = np.abs(sf + 2 * K + 1) / (sf.real + 2 * K + 1) * first_omitted
 
     value = value.reshape(s_arr.shape) if not scalar else value[0]

@@ -49,6 +49,16 @@ one set of rung integrals serves both orders (_tail_asymptotic).  For other
 spherical forms rung 1 is unchanged (sum a_i = 0), but A_1 becomes
 -1/3 + 3 sum a_i^2 / 2, so the later rungs hold for the degenerate form only.
 
+The rung integrals are Fourier transforms.  With u = y^{1/3} and
+omega = 6 pi x^{1/3},
+
+    int phi(y) e^{6 pi i (xy)^{1/3}} (pi^3 x y)^{-J/3} dy
+      = (pi x^{1/3})^{-J} int 3 u^{2-J} phi(u^3) e^{i omega u} du,
+
+and 3 u^{2-J} phi(u^3) is fixed and compactly supported, so one FFT per
+rung gives the integral at every x, on the line engine that also gives the
+Mellin factor below (_ladder_rungs).
+
 Degenerate-form main term.  The identity above is stated for cuspidal
 coefficients, whose twisted Dirichlet series D(s) = sum_m A(n, m)
 e(m abar / c) m^{-s} is entire.  The triple-divisor form is polar: its
@@ -60,8 +70,9 @@ produces the dual sum picks up its residue, so
 For that form and n = 1 the series factors exactly over residue classes
 into Hurwitz zetas, D(s) = c^{-3s} sum_{r1,r2,r3 mod c} e(abar r1 r2 r3/c)
 prod_i zeta_H(s, r_i/c), and polar_main_term computes the residue by a
-small positively oriented circle around s = 1.  Cuspidal forms get a zero
-main term and the classical identity back.
+small positively oriented circle around s = 1, with the Hurwitz zetas
+from special.zeta_with_error.  Cuspidal forms get a zero main term and the
+classical identity back.
 
 Contour mechanics.  Each transform order is one quadrature.contour_kernel,
 stopped by the double-precision floor of its Mellin factor.  The
@@ -78,13 +89,17 @@ one zero-padded FFT of G's trapezoid samples gives it on a uniform grid of
 heights, and 12-point Lagrange interpolation gives it at the contour nodes,
 in time near-linear in the node count (Booker 2006 takes the same step).
 Both orders of the degenerate form sit on the same line, re_s = 1/2.  The
-sample step, padding and stencil are derived from the contour cap and the
-double-precision target (see _LINE_RATE).  Each kernel's noise floor
-(kfloor) keeps the model of the dense quadrature it replaced, 2e-16 times
-the mass int |G| times (1 + |v| h), h = ln(hi / lo) / 2, and the line sits
-inside it: its sums round at about 1e-16 of the mass, and a node v, itself
-rounded at 1e-16 |v|, moves the phase of F by up to 1e-16 |v| h.  The dense
-quadrature stays as the independent check, behind mellin_transform.
+same engine serves the far-tail rungs: _line_grid places the samples and
+sizes the FFT, and _line_stencil interpolates, from the whole line for the
+Mellin factor and from the few FFT entries their frequencies reach for the
+rungs.  The sample step, padding and stencil are derived from the contour
+cap and the double-precision target (see _LINE_RATE).  Each kernel's noise
+floor (kfloor) keeps the model of the dense quadrature it replaced, 2e-16
+times the mass int |G| times (1 + |v| h), h = ln(hi / lo) / 2, and the line
+sits inside it: its sums round at about 1e-16 of the mass, and a node v,
+itself rounded at 1e-16 |v|, moves the phase of F by up to 1e-16 |v| h.
+The dense quadrature stays as the independent check, behind
+mellin_transform.
 """
 
 from __future__ import annotations
@@ -98,7 +113,7 @@ import numpy as np
 from .exactarith import kloosterman, mod_inverse
 from .heckegl3 import GL3Form, coefficient_block
 from .quadrature import contour_kernel, panel_grid
-from .special import PoleError, RegimeError, _mp_precision, gamma_factor_log
+from .special import PoleError, RegimeError, gamma_factor_log, zeta_with_error
 from .util import ordered_parallel_map
 
 __all__ = [
@@ -125,20 +140,28 @@ _MAX_RUNGS = len(_RUNGS) - 1
 # sizes the FFT Mellin line's sample step.
 _CONTOUR_CAP = 6000.0
 
-# The FFT Mellin line (_mellin_line).  Its trapezoid sum at step dtau is
-# exactly sum_m F(v + 2 pi m / dtau) (Poisson summation; G is smooth with
-# compact support).  With pi / dtau twice the cap, every contour node
-# |v| <= cap and its stencil lie on the FFT grid, and the nearest alias sits
-# beyond 3 cap, where phitilde is far below its value at the cap.
+# The FFT line (_line_grid, _line_stencil), shared by the Mellin factor
+# (_mellin_line) and the far-tail rungs (_ladder_rungs).  Its trapezoid sum
+# at step dtau is exactly sum_m F(v + 2 pi m / dtau) (Poisson summation; the
+# sampled function is smooth with compact support).  With pi / dtau twice
+# the cap, every contour node |v| <= cap and its stencil lie on the FFT
+# grid, and the nearest alias sits beyond 3 cap, where phitilde is far below
+# its value at the cap.  The rungs' frequencies 6 pi x^{1/3} must lie on
+# the grid too; past it they raise ValueError.
 _LINE_RATE = 2.0 * _CONTOUR_CAP / math.pi  # trapezoid samples per unit of tau
 # F is entire of exponential type h, so |F^(p)| <= h^p mass, and p-point
 # Lagrange interpolation at spacing dv errs by at most
 # max|omega_p| / p! (h dv)^p mass, where max|omega_p| / p! = 5.5e-5 on the
-# central interval for p = 12.  Zero-padding the FFT to _LINE_PAD times the
-# support's sample span gives h dv <= pi / _LINE_PAD, so the interpolation
-# error is at most 5.5e-5 (pi / 32)^12 mass = 4e-17 mass, below rounding.
+# central interval (at its midpoint) for p = 12.  Zero-padding the FFT to
+# _LINE_PAD times the support's sample span gives h dv <= pi / _LINE_PAD, so
+# the interpolation error is at most _LINE_INTERP = 4.4e-17 of the mass.
 _LINE_STENCIL = 12
 _LINE_PAD = 32
+_LINE_INTERP = (
+    math.prod(abs(_LINE_STENCIL / 2 - 0.5 - n) for n in range(_LINE_STENCIL))
+    / math.factorial(_LINE_STENCIL)
+    * (math.pi / _LINE_PAD) ** _LINE_STENCIL
+)
 # Points per block of the line's interpolation.  Each block holds a few
 # (points, stencil) arrays of ~0.4 MB; whole node sets of 10^4-10^5 points
 # took ~25 MB per call, and the two kernels that voronoi_residual_profile
@@ -146,10 +169,9 @@ _LINE_PAD = 32
 _LINE_BLOCK = 4096
 
 # Panels per support that resolve a bump's exp ramps where no phase is
-# faster: the width floor of every Gauss-Legendre grid on the support
-# (_mellin_dense, _tail_asymptotic).  At 48, smooth_bump(50, 100)'s
-# transform at s = 0.5 meets a 0.01-wide 16-node reference to 2e-16 of the
-# mass; 16 panels leave 1.5e-12.
+# faster: the width floor of _mellin_dense's Gauss-Legendre grid.  At 48,
+# smooth_bump(50, 100)'s transform at s = 0.5 meets a 0.01-wide 16-node
+# reference to 2e-16 of the mass; 16 panels leave 1.5e-12.
 _BUMP_PANELS = 48
 
 
@@ -166,44 +188,43 @@ def _support_of(phi, support):
     return lo, hi
 
 
-def _mellin_line(phi: Callable, support: tuple, re_s: float) -> Callable:
-    """phitilde(re_s + iv) as a function of real v, from one zero-padded FFT.
-
-    phitilde(s) = e^{s ln c} F(v), F(v) = int_{|tau| <= h} G(tau) e^{iv tau}
-    dtau, with c = sqrt(lo hi), h = ln(hi / lo) / 2 and G(tau) =
-    phi(e^{ln c + tau}) e^{re_s tau}.  The FFT of G's trapezoid samples
-    gives F on a uniform v-grid, and _LINE_STENCIL-point Lagrange
-    interpolation gives it between grid points, in blocks of _LINE_BLOCK
-    points.  A |v| whose stencil leaves the grid raises ValueError.
-    """
-    lo, hi = support
-    lnc = 0.5 * (math.log(lo) + math.log(hi))
-    h = 0.5 * (math.log(hi) - math.log(lo))
+def _line_grid(h: float) -> tuple:
+    """The FFT line for a function supported on |tau| <= h: the trapezoid
+    node indices j (tau = j dtau), the step dtau = 1 / _LINE_RATE, the padded
+    FFT size, and the spacing dv of its frequency grid.  An index j < 0 goes
+    to the sample slot j % size, so FFT entry k holds F(k dv) unshifted."""
     dtau = 1.0 / _LINE_RATE
     j = np.arange(-int(h / dtau), int(h / dtau) + 1)
-    tau = j * dtau
     size = 1 << math.ceil(math.log2(2.0 * _LINE_PAD * h / dtau))
-    samples = np.zeros(size, dtype=complex)
-    # tau < 0 wraps to the end, so grid point k holds F(k dv) with no phase shift
-    samples[j % size] = np.asarray(phi(np.exp(lnc + tau)), dtype=complex) * np.exp(re_s * tau) * dtau
-    # after the shift, entry size/2 + k holds F(k dv), k = -size/2 .. size/2 - 1
-    f = np.fft.fftshift(np.fft.ifft(samples)) * size
-    dv = 2.0 * math.pi / (size * dtau)
+    return j, dtau, size, 2.0 * math.pi / (size * dtau)
+
+
+def _line_stencil(f: np.ndarray, k0: int, dv: float, center: float, re_s: float = 0.0) -> Callable:
+    """v -> F(v) e^{(re_s + iv) center}, from f[..., i] = F((k0 + i) dv).
+
+    _LINE_STENCIL-point Lagrange interpolation, in blocks of _LINE_BLOCK
+    points, each point on its own, so a value does not depend on the array
+    it comes in.  f may stack several F on one grid (leading axes); the
+    result then carries those axes before v's.  A v whose stencil leaves f
+    raises ValueError.
+    """
     p = _LINE_STENCIL
     m = np.arange(p)
     # c_m = 1 / prod_{n != m} (m - n) on the stencil 0 .. p-1
     c = np.array([(-1.0) ** (p - 1 - i) / (math.factorial(i) * math.factorial(p - 1 - i)) for i in m])
+    rows, n = f.shape[:-1], f.shape[-1]
 
     def at_block(v):
         # the fraction comes from v / dv itself: adding the grid offset
-        # size / 2 first would round it at ~1e-11 of a grid step
+        # first would round it at ~1e-11 of a grid step
         t = v / dv
         k = np.floor(t)
-        first = k.astype(np.int64) + (size // 2 - (p // 2 - 1))
-        if v.size and (first.min() < 0 or first.max() + p > size):
+        first = k.astype(np.int64) - (k0 + p // 2 - 1)
+        if v.size and (first.min() < 0 or first.max() + p > n):
+            bad = v[(first < 0) | (first + p > n)][0]
             raise ValueError(
-                f"|v| = {float(np.max(np.abs(v))):.6g} lies beyond the FFT line's grid "
-                f"(|v| < {(size // 2 - p // 2) * dv:.6g})"
+                f"v = {float(bad):.6g} lies beyond the FFT line's grid "
+                f"({(k0 + p // 2 - 1) * dv:.6g} <= v < {(k0 + n - p // 2) * dv:.6g})"
             )
         # Lagrange basis c_m prod_{n != m} (x - n) from prefix and suffix products
         d = (t - k + (p // 2 - 1))[..., None] - m
@@ -211,18 +232,43 @@ def _mellin_line(phi: Callable, support: tuple, re_s: float) -> Callable:
         right = np.ones_like(d)
         np.cumprod(d[..., :-1], axis=-1, out=left[..., 1:])
         np.cumprod(d[..., :0:-1], axis=-1, out=right[..., -2::-1])
-        vals = np.einsum("...m,...m->...", left * right * c, f[first[..., None] + m])
-        return vals * np.exp((re_s + 1j * v) * lnc)
+        weights = left * right * c
+        idx = first[..., None] + m
+        vals = np.empty(rows + v.shape, dtype=complex)
+        for r in np.ndindex(rows):
+            vals[r] = np.einsum("...m,...m->...", weights, f[r][idx])
+        return vals * np.exp((re_s + 1j * v) * center)
 
     def at(v):
         v = np.asarray(v, dtype=float)
-        out = np.empty(v.shape, dtype=complex)
-        flat, vf = out.reshape(-1), v.reshape(-1)
+        vf = v.reshape(-1)
+        out = np.empty(rows + vf.shape, dtype=complex)
         for i in range(0, vf.size, _LINE_BLOCK):
-            flat[i : i + _LINE_BLOCK] = at_block(vf[i : i + _LINE_BLOCK])
-        return out
+            out[..., i : i + _LINE_BLOCK] = at_block(vf[i : i + _LINE_BLOCK])
+        return out.reshape(rows + v.shape)
 
     return at
+
+
+def _mellin_line(phi: Callable, support: tuple, re_s: float) -> Callable:
+    """phitilde(re_s + iv) as a function of real v, from one zero-padded FFT.
+
+    phitilde(s) = e^{s ln c} F(v), F(v) = int_{|tau| <= h} G(tau) e^{iv tau}
+    dtau, with c = sqrt(lo hi), h = ln(hi / lo) / 2 and G(tau) =
+    phi(e^{ln c + tau}) e^{re_s tau}.  The FFT of G's trapezoid samples
+    gives F on a uniform v-grid, and _line_stencil gives it between grid
+    points.  A |v| whose stencil leaves the grid raises ValueError.
+    """
+    lo, hi = support
+    lnc = 0.5 * (math.log(lo) + math.log(hi))
+    h = 0.5 * (math.log(hi) - math.log(lo))
+    j, dtau, size, dv = _line_grid(h)
+    tau = j * dtau
+    samples = np.zeros(size, dtype=complex)
+    samples[j % size] = np.asarray(phi(np.exp(lnc + tau)), dtype=complex) * np.exp(re_s * tau) * dtau
+    # after the shift, entry size/2 + k holds F(k dv), k = -size/2 .. size/2 - 1
+    f = np.fft.fftshift(np.fft.ifft(samples)) * size
+    return _line_stencil(f, -(size // 2), dv, lnc, re_s)
 
 
 def _mellin_dense(phi: Callable, support: tuple, s: np.ndarray) -> np.ndarray:
@@ -458,7 +504,10 @@ def polar_main_term(
     classes mod c into products of Hurwitz zetas (see the module docstring),
     and the residue is computed as a 64-node trapezoid integral over the
     circle |s - 1| = 1/2 — spectrally accurate since the integrand is
-    analytic on an annulus around that circle.  Only the first coefficient
+    analytic on an annulus around that circle.  The c Hurwitz zetas
+    zeta(s, r / c) come in doubles from special.zeta_with_error, whose
+    remainder bound there is below 1e-30; against mpmath they differ by at
+    most 2e-14 relative (r / c = 1/3), rounding.  Only the first coefficient
     row factors this way, so twist rows n > 1 are rejected.
 
     The result is real for real test functions (the polar parts of the
@@ -471,21 +520,13 @@ def polar_main_term(
         raise ValueError(
             "polar main term is implemented for twist row n = 1 only"
         )
-    import mpmath
-
     lo, hi = _support_of(phi, support)
     abar = mod_inverse(a, c)
 
     rho, nodes = 0.5, 64
     theta = 2.0 * math.pi * np.arange(nodes) / nodes
     s_circle = 1.0 + rho * np.exp(1j * theta)
-    with _mp_precision(20):
-        zh = np.array(
-            [
-                [complex(mpmath.zeta(complex(s), r / c)) for s in s_circle]
-                for r in range(1, c + 1)
-            ]
-        )
+    zh = np.array([zeta_with_error(s_circle, r / c)[0] for r in range(1, c + 1)])
     # pair sums over r1 r2 = t (c), then the twisted triple contraction
     pair = np.zeros((c, nodes), dtype=complex)
     for r1 in range(1, c + 1):
@@ -506,73 +547,80 @@ def polar_main_term(
 # rungs agree with the exact kernels to about 1e-9 relative, within the
 # kernels' own error estimates, and the fifth rung is about 1e-11 relative.
 _TAIL_XLO = 3.0e3
-_TAIL_ELEMENTS = 1 << 16  # (x, y) entries per row chunk of a ladder block
+
+
+def _ladder_rungs(spec: VoronoiKernelSpec, xs: np.ndarray, rungs: int) -> tuple:
+    """The rung integrals M_J(x) = int phi(y) e^{6 pi i (xy)^{1/3}}
+    (pi^3 x y)^{-J/3} dy for J = 1..rungs, as rows, and their rounding floor.
+
+    With u = y^{1/3} and omega = 6 pi x^{1/3}, each rung is a Fourier
+    transform of a fixed function with compact support,
+
+        M_J(x) = (pi x^{1/3})^{-J} int 3 u^{2-J} phi(u^3) e^{i omega u} du,
+
+    so one real-input FFT of its trapezoid samples on [lo^{1/3}, hi^{1/3}]
+    (_line_grid about the center u_c, half-width h) gives it for every x.
+    Only the FFT entries that the frequencies and their stencils reach are
+    kept.  The floor bounds each rung's error by its mass, at most the rung-1
+    mass int |phi| (pi^3 x y)^{-1/3} dy = (pi x^{1/3})^{-1} int |phi|
+    y^{-1/3} dy (pi^3 x y > 1 in the ladder's regime), times the sum of
+      - _LINE_INTERP, the interpolation bound;
+      - eps log2(size), the FFT sums, each a log2(size)-stage butterfly whose
+        partial sums are bounded by the mass and round at eps per stage;
+      - eps theta, theta = omega hi^{1/3} the largest phase: omega itself
+        rounds at about eps omega, which moves the center phase omega u_c
+        by eps omega u_c against |F| <= mass, and the stencil position by
+        eps omega against |F'| <= h mass.
+    A frequency whose stencil leaves the FFT grid raises ValueError.
+    """
+    lo, hi = spec.support
+    ua, ub = float(np.cbrt(lo)), float(np.cbrt(hi))
+    uc, h = 0.5 * (ua + ub), 0.5 * (ub - ua)
+    j, du, size, dw = _line_grid(h)
+    u = uc + j * du
+    g = 3.0 * np.asarray(spec.test_function(u**3), dtype=float) * du  # 3 phi(u^3) du
+    # numpy's cbrt rounds strided input differently from contiguous input
+    cx = np.cbrt(np.ascontiguousarray(xs, dtype=float))
+    omega = 6.0 * math.pi * cx
+    # the rfft holds F(k dw) for k = 0 .. size/2 (conjugated: g is real)
+    p, top = _LINE_STENCIL, size // 2 + 1
+    k0 = min(max(0, int(np.floor(omega.min() / dw)) - (p // 2 - 1)), top)
+    k1 = min(max(k0, int(np.floor(omega.max() / dw)) + p // 2 + 1), top)
+    samples = np.zeros(size)
+    f = np.empty((rungs, k1 - k0), dtype=complex)
+    for J in range(1, rungs + 1):
+        samples[j % size] = g * u ** (2 - J)
+        f[J - 1] = np.fft.rfft(samples)[k0:k1].conj()
+    rung = _line_stencil(f, k0, dw, uc)(omega)
+    rung *= (math.pi * cx) ** -np.arange(1.0, rungs + 1.0)[:, None]
+    mass = float(np.sum(np.abs(g * u))) / (math.pi * cx)
+    eps = np.finfo(float).eps
+    floor = (_LINE_INTERP + eps * (math.log2(size) + omega * ub)) * mass
+    return rung, floor
 
 
 def _tail_asymptotic(spec: VoronoiKernelSpec, xs: np.ndarray, rungs: int = _MAX_RUNGS):
-    """Both transforms on an ascending grid via the derived rung ladder.
+    """Both transforms at the arguments xs via the derived rung ladder.
 
     Used for x * support_lo >= _TAIL_XLO, where exact contour kernels are
-    expensive (their height budget grows with ln x).  Evaluates in geometric
-    blocks so each block's quadrature grid is sized by its own fastest
-    phase.  The rung integrals M_J = int phi(y) e^{6 pi i (xy)^{1/3}}
-    (pi^3 x y)^{-J/3} dy serve both orders.  Returns (order0, order1,
-    allow0, allow1): each allowance is |rung rungs+1| plus the rounding
-    floor of the n-node sums, eps (sqrt(n) + theta/sqrt(n)) times the
-    absolute mass, theta the largest phase (rounded to eps theta per node).
+    expensive (their height budget grows with ln x).  The rung integrals
+    M_J (_ladder_rungs, one FFT each for every x) serve both orders.
+    Returns (order0, order1, allow0, allow1): each allowance is the scaled
+    |rung rungs+1|, the truncation, plus the rungs' rounding floor weighted
+    by sum |r_J|.
     """
-    lo, hi = spec.support
-    phi = spec.test_function
-    vals = np.empty((2, xs.size), dtype=complex)
-    allow = np.empty((2, xs.size))
-    eps = np.finfo(float).eps
-    start = 0
-    while start < xs.size:
-        stop = int(np.searchsorted(xs, 2.0 * xs[start], side="right"))
-        stop = max(stop, min(start + 512, xs.size))
-        stop = min(stop, start + 2048)  # bound the phase-matrix footprint
-        blk = xs[start:stop]
-        # 12-node panels spanning <= 1.4 periods of the fastest oscillation
-        # (a pure phase then integrates to rounding; 1.8 periods leave 2e-13),
-        # floored fine enough to resolve the bump's exp ramps even when the
-        # phase is slow (the ramps, not the oscillation, set the bandwidth
-        # near the lower end of the ladder regime)
-        freq = blk[-1] ** (1.0 / 3.0) * lo ** (-2.0 / 3.0)
-        y, w = panel_grid(lo, hi, min((hi - lo) / _BUMP_PANELS, 1.4 / freq), 12)
-        wphi = w * np.asarray(phi(y), dtype=float)
-        rung = np.empty((rungs + 1, blk.size), dtype=complex)
-        mass = np.empty(blk.size)  # int |phi| (pi^3 x y)^{-1/3} dy
-        # a few rows at a time and in place, for the reason given at
-        # ContourKernel.apply: a row's sums do not depend on the others.
-        # The sums are einsum loops, not BLAS calls: this runs inside
-        # ordered_parallel_map's threads, and BLAS would start its own
-        # threads under each of them
-        abs_wphi = np.abs(wphi)
-        step = max(1, _TAIL_ELEMENTS // y.size)
-        for i in range(0, blk.size, step):
-            xy_cbrt = np.outer(blk[i : i + step], y)
-            np.cbrt(xy_cbrt, out=xy_cbrt)
-            amp = 6j * math.pi * xy_cbrt
-            np.exp(amp, out=amp)
-            inv = np.multiply(xy_cbrt, math.pi, out=xy_cbrt)
-            np.divide(1.0, inv, out=inv)  # (pi^3 x y)^{-1/3}
-            for j in range(rungs + 1):
-                amp *= inv
-                rung[j, i : i + step] = np.einsum("xy,y->x", amp, wphi)
-            mass[i : i + step] = np.einsum("xy,y->x", inv, abs_wphi)
-        theta = 6.0 * math.pi * np.cbrt(blk * hi)
-        floor = eps * (math.sqrt(y.size) + theta / math.sqrt(y.size)) * mass
-        floor *= sum(abs(r) for r in _RUNGS[:rungs])
-        for k in (0, 1):
-            # sin(t + pi (J - 3 + k)/2) = Im[i^{J-3+k} e^{it}], J = j + 1
-            acc = sum(
-                _RUNGS[j] * ((1, 1j, -1, -1j)[(j - 2 + k) % 4] * rung[j]).imag
-                for j in range(rungs)
-            )
-            scale = 2.0 * math.pi**4 * blk * (math.pi**3 * blk) ** k
-            vals[k, start:stop] = scale * 1j * acc
-            allow[k, start:stop] = scale * (abs(_RUNGS[rungs]) * np.abs(rung[rungs]) + floor)
-        start = stop
+    rung, floor = _ladder_rungs(spec, xs, rungs + 1)
+    floor = floor * sum(abs(r) for r in _RUNGS[:rungs])
+    vals, allow = [], []
+    for k in (0, 1):
+        # sin(t + pi (J - 3 + k)/2) = Im[i^{J-3+k} e^{it}], J = j + 1
+        acc = sum(
+            _RUNGS[j] * ((1, 1j, -1, -1j)[(j - 2 + k) % 4] * rung[j]).imag
+            for j in range(rungs)
+        )
+        scale = 2.0 * math.pi**4 * xs * (math.pi**3 * xs) ** k
+        vals.append(scale * 1j * acc)
+        allow.append(scale * (abs(_RUNGS[rungs]) * np.abs(rung[rungs]) + floor))
     return vals[0], vals[1], allow[0], allow[1]
 
 
@@ -603,6 +651,11 @@ def voronoi_residual_profile(
     exact contour kernel per order; the degenerate form's far tail uses
     _tail_asymptotic.  Returns one VoronoiSides per cutoff, in the given
     order.
+
+    `threads` sizes only the two kernel builds (at most two threads).  The
+    m1 blocks run one after another, so that the BLAS product in
+    ContourKernel.apply threads on its own and no BLAS pool starts under
+    another thread; results do not depend on `threads`.
     """
     if n < 1 or c < 1:
         raise ValueError("need n >= 1 and c >= 1")
@@ -674,7 +727,7 @@ def voronoi_residual_profile(
         errs = np.abs(base) * (np.abs(s_plus) + np.abs(s_minus)) * (err0 + mixmag * err1)
         return terms, errs
 
-    blocks = ordered_parallel_map(block, m1s, threads=threads)
+    blocks = [block(m1) for m1 in m1s]  # serially: see the docstring
     pref = c * math.pi ** (-2.5) / 4j
     out = []
     for cut in cutoffs:

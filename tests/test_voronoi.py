@@ -5,8 +5,9 @@ scaling law, and its (windowed) sub-exponential decay profile; the contour
 kernels against frozen values and against contour-shift invariance (every
 quadrature node moves) within their reported error budgets; the large-argument
 oscillatory expansion against exact kernels; the derived far-tail
-ladder's Stirling coefficients against mpmath, its rung integrals against
-adaptive quadrature, and both orders at the exact/asymptotic boundary;
+ladder's Stirling coefficients against mpmath, its FFT rung integrals
+against adaptive quadrature and a 30-digit mpmath quadrature, and both
+orders at the exact/asymptotic boundary;
 the degenerate form's polar residue against
 a Laurent-coefficient oracle that shares no code with the Hurwitz-zeta
 circle quadrature; and the full identity at small/medium truncations,
@@ -34,6 +35,7 @@ from lfunlab.voronoi import (
     VoronoiKernelSpec,
     _gamma_quotient_log,
     _kernel_values,
+    _ladder_rungs,
     _mellin_line,
     _neutral_abscissa,
     _phi_contour_kernel,
@@ -337,6 +339,64 @@ def test_ladder_rungs_match_adaptive_quadrature(spec):
             )
             ref_err = scale * sum(abs(r) * res.abs_error_estimate for r, res in zip(_RUNGS, rungs))
             assert abs(ladder[k][i] - 1j * ref) <= ladder[2 + k][i] + ref_err
+
+
+def test_ladder_rung_one_against_mpmath(spec):
+    # rung 1, int phi(y) e^{6 pi i (xy)^{1/3}} (pi^3 x y)^{-1/3} dy, by
+    # 30-digit tanh-sinh quadrature on the bump's two ramps and its plateau,
+    # in y itself: the oracle shares neither the u = y^{1/3} substitution nor
+    # the FFT.  Measured at most 9.0e-17 of the mass (x = 60); the dense
+    # (x, y) sums that the FFT replaced erred by 1.2e-15 to 4.2e-15
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.array([60.0, 200.0, 606.8, 1500.0, 5461.3])
+    rung, floor = _ladder_rungs(spec, xs, 1)
+    y, w = gauss_legendre_panels(np.linspace(50.0, 100.0, 41), 12)
+    with mpmath.workdps(30):
+        r = mpmath.mpf(12.5)
+        ramp = lambda t: 1 / (1 + mpmath.exp(1 / t - 1 / (1 - t)))
+        pieces = (
+            (50, 62.5, lambda y: ramp((y - 50) / r)),
+            (62.5, 87.5, lambda y: 1),
+            (87.5, 100, lambda y: ramp((100 - y) / r)),
+        )
+        for i, x in enumerate(xs):
+            xm = mpmath.mpf(x)
+            ref = complex(
+                sum(
+                    mpmath.quad(
+                        lambda y: bump(y) * mpmath.expj(6 * mpmath.pi * mpmath.cbrt(xm * y))
+                        / mpmath.cbrt(mpmath.pi**3 * xm * y),
+                        mpmath.linspace(a, b, 3),
+                    )
+                    for a, b, bump in pieces
+                )
+            )
+            mass = float(np.sum(w * BUMP(y) / np.cbrt(math.pi**3 * x * y)))
+            assert abs(rung[0, i] - ref) <= 1e-15 * mass
+            assert abs(rung[0, i] - ref) <= floor[i]
+
+
+def test_ladder_independent_of_array_shape(spec):
+    # the rungs are interpolated in blocks of _LINE_BLOCK points from the FFT
+    # entries the array's frequencies reach; a point's values and allowances
+    # do not depend on the array it comes in
+    xs = np.geomspace(61.0, 5461.0, 2 * _LINE_BLOCK + 3)
+    full = np.array(_tail_asymptotic(spec, xs))
+    cuts = (0, 5, _LINE_BLOCK + 7, xs.size)
+    parts = [np.array(_tail_asymptotic(spec, xs[a:b])) for a, b in zip(cuts, cuts[1:])]
+    assert np.array_equal(np.concatenate(parts, axis=1), full)
+    assert np.array_equal(np.array(_tail_asymptotic(spec, xs[::-1])), full[:, ::-1])
+    for i in (0, _LINE_BLOCK - 1, _LINE_BLOCK, 2 * _LINE_BLOCK, xs.size - 1):
+        assert np.array_equal(np.array(_tail_asymptotic(spec, xs[i : i + 1]))[:, 0], full[:, i])
+
+
+def test_ladder_frequency_beyond_grid_raises(spec):
+    # omega = 6 pi x^{1/3} past the rfft's last entry less the stencil
+    # (about 1.2e4 for this support) has no grid to interpolate on
+    with pytest.raises(ValueError, match="beyond"):
+        _tail_asymptotic(spec, np.array([1e9]))
+    with pytest.raises(ValueError, match="beyond"):
+        _tail_asymptotic(spec, np.array([100.0, 1e9]))
 
 
 def test_far_tail_ladders_match_exact_kernels_at_boundary(spec):
