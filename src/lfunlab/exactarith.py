@@ -57,6 +57,35 @@ def mod_inverse(d: int, c: int) -> int:
         raise NotCoprimeError(f"{d} is not invertible mod {c}") from exc
 
 
+def _unit_inverses(units: np.ndarray, c: int) -> np.ndarray:
+    """Inverses mod c > 1 of an int64 array of units, by the extended
+    Euclidean algorithm run on the whole array at once.
+
+    Each element carries two pairs (r, s) with s u = r (mod c), from (c, 0)
+    and (u, 1).  The quotient (r0 - 1) // r1 keeps remainders in [1, r1], so
+    for gcd(u, c) = 1 they follow Euclid's until r1 = 1, where s1 is the
+    inverse, and then stay at r0 = r1 = 1: no element needs a mask once
+    done, and no remainder or coefficient leaves [-c, c].  The step count
+    is Lame's: n division steps on (c, u), the last to remainder 0, need
+    c >= F(n + 2), and the remainder 1 comes one step earlier.
+    """
+    steps, f0, f1 = -1, 1, 2  # F(2), F(3)
+    while f1 <= c:
+        steps, f0, f1 = steps + 1, f1, f0 + f1
+    r0, r1 = np.full_like(units, c), units.copy()
+    s0, s1 = np.zeros_like(units), np.ones_like(units)
+    q, t = np.empty_like(units), np.empty_like(units)
+    for _ in range(steps):
+        np.subtract(r0, 1, out=q)
+        q //= r1
+        np.multiply(q, r1, out=t)
+        r0 -= t
+        np.multiply(q, s1, out=t)
+        s0 -= t
+        r0, r1, s0, s1 = r1, r0, s1, s0
+    return s1 % c
+
+
 @lru_cache(maxsize=4096)
 def _unit_tables(c: int) -> tuple[np.ndarray, np.ndarray]:
     """Units mod c and their inverses, as parallel read-only int64 arrays.
@@ -70,7 +99,7 @@ def _unit_tables(c: int) -> tuple[np.ndarray, np.ndarray]:
         return z, z
     d = np.arange(c, dtype=np.int64)
     units = d[np.gcd(d, c) == 1]
-    inv = np.array([pow(int(u), -1, c) for u in units], dtype=np.int64)
+    inv = _unit_inverses(units, c)
     units.setflags(write=False)
     inv.setflags(write=False)
     return units, inv

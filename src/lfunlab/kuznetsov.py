@@ -488,9 +488,13 @@ def bessel_transform(h, sign, x: float, *, route: str = "kernel", rel_tol: float
 
 
 def _divisor_counts(limit: int) -> np.ndarray:
+    """d(m) for 0 <= m <= limit, d(0) = 0.  The divisors of m pair up as
+    (i, m/i), and the sieve visits each pair at its smaller member, so i only
+    runs to sqrt(limit): 2 for each multiple m = i k, k > i, and 1 at i^2."""
     d = np.zeros(limit + 1, dtype=np.int64)
-    for i in range(1, limit + 1):
-        d[i::i] += 1
+    for i in range(1, math.isqrt(limit) + 1):
+        d[i * i] += 1
+        d[i * (i + 1) :: i] += 2
     return d
 
 
@@ -536,11 +540,15 @@ def _geometric_terms(n: int, l: int, h: SpectralTestFunction, c_max: int, *, thr
         p = math.log(b0 / max(b1, 1e-300)) / _LN2 if b1 > 0 else 4.0
         p = min(max(p, 1.0), 4.0)
         horizon = 64 * c_max
-        d = _divisor_counts(horizon)
+        # d(c) sqrt(gcd(n, l, c)) sqrt(c) / 2c times the envelope, built in
+        # one array so that no more than three horizon-long arrays are live
         cs = np.arange(c_max + 1, horizon + 1)
-        g = np.gcd(cs, math.gcd(n, l)).astype(float)
-        bounds = 3.0 * b0 * (root / cs / x0) ** p
-        tail = float(np.sum(d[c_max + 1 :] * np.sqrt(g) * np.sqrt(cs) / (2.0 * cs) * bounds))
+        terms = np.sqrt(np.gcd(cs, math.gcd(n, l)).astype(float))
+        terms *= _divisor_counts(horizon)[c_max + 1 :]
+        terms *= np.sqrt(cs)
+        terms /= 2.0 * cs
+        terms *= 3.0 * b0 * (root / cs / x0) ** p
+        tail = float(np.sum(terms))
         rem_pref = 9.0 * math.sqrt(float(math.gcd(n, l))) * b0 * (root / x0) ** p
         tail += rem_pref * float(horizon) ** (5.0 / 6.0 - p) / (p - 5.0 / 6.0)
     return delta, kloost, tail

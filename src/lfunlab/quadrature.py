@@ -11,9 +11,12 @@ Vertical-line integrals (1/2 pi i) int_{(sigma)} y^{-u} K(u) du go through
 `contour_kernel`: it discretizes the line once, growing the height until
 the outermost panels' mass falls below a relative tolerance or below the
 caller's evaluation noise floor, and the returned ContourKernel evaluates
-a whole batch of y at once.  Every panel of the grid carries the same
-Legendre offsets, so the phase y^{-iv} factors by panel and a batch costs
-one exp per (y, panel), not per (y, node) (ContourKernel).  Its
+a whole batch of y at once.  The panels of each piece of the grid are
+equally spaced and carry the same Legendre offsets, so the phase y^{-iv}
+factors in two levels, by run of panels and by panel within the run: on a
+piece of P panels an argument costs about 2 sqrt(P) + 12 exponentials, not
+one per panel or per node, and the rest is one matrix product
+(ContourKernel).  Its
 tail_estimate is that edge mass plus the accumulated noise floor.  A
 family of integrands K(u, r) indexed by a row parameter r (the spectral
 parameter t of the AFE weights) shares one grid: each segment is evaluated
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 import numpy as np
@@ -101,8 +104,27 @@ def panel_grid(a: float, b: float, width: float, nodes: int):
 
 
 _CONTOUR_NODES = 12  # Gauss-Legendre nodes per contour panel
-_APPLY_ELEMENTS = 1 << 18  # entries (4 MB complex) per block of the (y, v) phase matrix
+_APPLY_ELEMENTS = 1 << 15  # (y, a, q) partial sums of apply's j-sum (512 KB complex) per block of arguments
 _ROW_ELEMENTS = 1 << 13  # (row, node) entries per kfunc call of a row batch, or per block of a row-batched product
+
+
+def _panel_split(panels: int) -> tuple[int, int]:
+    """(A, B) for writing the panel index p = j A + a, 0 <= a < A, j < B:
+    A = ceil(sqrt(P)) and B = ceil(P / A), which minimizes the A + B
+    exponentials per argument that apply spends on a piece of P panels."""
+    a = math.isqrt(panels - 1) + 1
+    return a, -(-panels // a)
+
+
+def _piece(half: float, mids: np.ndarray) -> tuple:
+    """A piece's entry in ContourKernel.panels: (half, mids, rates), rates
+    the frequencies of the piece's E_a, R_j and O_q in that order.  One
+    grid's pieces serve every kernel built on it, so the rates are worked
+    out once per piece, not once per kernel."""
+    a, b = _panel_split(mids.size)
+    xs, _ = _legendre_rule(_CONTOUR_NODES)
+    rates = [mids[0] + (2.0 * half) * np.arange(a), (2.0 * half * a) * np.arange(b), half * xs]
+    return half, mids, np.concatenate(rates)
 
 
 @dataclass(frozen=True)
@@ -114,13 +136,23 @@ class ContourKernel:
     twice the real part.  tail_estimate is in the units of w: times
     y^{-sigma} it is the absolute error allowance at y.
 
-    panels records the grid's geometry, one (half, mids) pair per piece of
-    equal panels, in the order of v: piece j holds the nodes mid + half x_q
-    of each of its panel mids, x_q the _CONTOUR_NODES Legendre nodes.  apply
-    factors the phase by panel, y^{-iv} = e^{-i mid ln y} e^{-i half x_q ln y}:
-    per piece, one exp per (y, panel) and a (y, panels) x (panels, nodes)
-    product with the panel-major weights, then the node sum against the
-    piece's (y, nodes) offset phases.
+    panels records the grid's geometry, one (half, mids, rates) triple per
+    piece of equal panels (_piece), in the order of v: a piece holds the
+    nodes mid + half x_q of each of its panel mids, x_q the _CONTOUR_NODES
+    Legendre nodes.  The mids are equally spaced, mid_p = mid_0 + 2 h p with
+    h = half, so with p = j A + a (_panel_split) and t = ln y the phase
+    y^{-iv} is a product of three factors,
+
+        E_a = e^{-i (mid_0 + 2 h a) t},  R_j = e^{-i 2 h A j t},  O_q = e^{-i h x_q t},
+
+    and apply sums y^{-sigma} sum_a E_a sum_q O_q sum_j R_j w[j A + a, q].
+    In the order of v the piece's weights already form the (B, A nodes)
+    matrix of the j-sum, so that sum is one (y, B) x (B, A nodes) product
+    on a view of w (a short last row adds its own rank-one term), and the
+    a- and q-sums are batched products with E and O.  Per piece an
+    argument costs A + B + _CONTOUR_NODES exponentials, about 2 sqrt(P) for
+    P panels, and as many multiply-adds as a dense sum over the nodes.  The
+    arguments go in blocks of _APPLY_ELEMENTS (y, a, q) partial sums.
     """
 
     sigma: float
@@ -129,35 +161,45 @@ class ContourKernel:
     symmetric: bool
     tail_estimate: float
     panels: tuple
+    # (per piece: the slices of its E, R and O in the rates of all pieces,
+    # its full rows of w as a (rows, A nodes) view, its short last row),
+    # the rates of all pieces, the widest row in nodes
+    _layout: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        nodes = _CONTOUR_NODES
+        pieces = []
+        start = at = width = 0
+        for _, mids, rates in self.panels:
+            a = _panel_split(mids.size)[0]
+            w = self.w[start : start + mids.size * nodes]
+            start += w.size
+            full = (mids.size // a) * a * nodes
+            end = at + rates.size
+            e, r, o = slice(at, at + a), slice(at + a, end - nodes), slice(end - nodes, end)
+            pieces.append((e, r, o, w[:full].reshape(-1, a * nodes), w[full:]))
+            at, width = end, max(width, a * nodes)
+        rates = np.concatenate([rates for *_, rates in self.panels])
+        object.__setattr__(self, "_layout", (tuple(pieces), rates, width))
 
     def apply(self, y) -> np.ndarray:
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if np.any(y <= 0):
             raise ValueError("weight arguments must be positive")
         ln_y = np.log(y)
-        xs, _ = _legendre_rule(_CONTOUR_NODES)
-        blocks = [max(1, _APPLY_ELEMENTS // mids.size) for _, mids in self.panels]
-        # one small phase buffer per call, exponentiated in place.  Blocks of
-        # tens of MB, freed by calls running side by side in threads, were
-        # kept or returned by the allocator depending on how the threads
-        # interleaved, which moved peak memory from run to run by a block.
-        buf = np.empty(
-            max((min(b, y.size) * mids.size for b, (_, mids) in zip(blocks, self.panels)), default=0),
-            dtype=complex,
-        )
+        pieces, rates, width = self._layout
+        block = max(1, _APPLY_ELEMENTS // width)
         vals = np.zeros(y.size, dtype=complex)
-        start = 0
-        for block, (half, mids) in zip(blocks, self.panels):
-            w = self.w[start : start + mids.size * xs.size].reshape(mids.size, xs.size)
-            start += w.size
-            for i in range(0, y.size, block):
-                ly = ln_y[i : i + block]
-                p = buf[: ly.size * mids.size].reshape(ly.size, mids.size)
-                p.real = 0.0
-                np.multiply.outer(ly, -mids, out=p.imag)
-                np.exp(p, out=p)
-                offsets = np.exp(np.multiply.outer(ly, (-half) * xs) * 1j)
-                vals[i : i + ly.size] += np.einsum("yq,yq->y", p @ w, offsets)
+        for i in range(0, y.size, block):
+            t = ln_y[i : i + block]
+            phase = np.exp(-1j * np.multiply.outer(t, rates))
+            for e, r, o, w, rest in pieces:
+                rows = phase[:, r]
+                part = rows[:, : w.shape[0]] @ w
+                if rest.size:
+                    part[:, : rest.size] += rows[:, -1:] * rest
+                part = phase[:, None, e] @ part.reshape(t.size, -1, _CONTOUR_NODES) @ phase[:, o, None]
+                vals[i : i + t.size] += part[:, 0, 0]
         if self.symmetric:
             vals = 2.0 * vals.real + 0j
         return vals * y ** (-self.sigma)
@@ -219,7 +261,7 @@ def contour_kernel(
                 a, b = (v_lo, v_hi) if sign == 1 else (-v_hi, -v_lo)
                 edges = _panel_edges(a, b, width)
                 x, gw = gauss_legendre_panels(edges, _CONTOUR_NODES)
-                geometry = (0.5 * (b - a) / (edges.size - 1), 0.5 * (edges[1:] + edges[:-1]))
+                geometry = _piece(0.5 * (b - a) / (edges.size - 1), 0.5 * (edges[1:] + edges[:-1]))
                 out = slice(-_CONTOUR_NODES, None) if sign == 1 else slice(None, _CONTOUR_NODES)
                 pieces.append((x, gw, out, geometry))
             segments.append((v_hi, pieces))

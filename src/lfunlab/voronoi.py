@@ -653,9 +653,11 @@ def voronoi_residual_profile(
     order.
 
     `threads` sizes only the two kernel builds (at most two threads).  The
-    m1 blocks run one after another, so that the BLAS product in
-    ContourKernel.apply threads on its own and no BLAS pool starts under
-    another thread; results do not depend on `threads`.
+    m1 blocks run one after another, so that no BLAS pool starts under
+    another thread: ContourKernel.apply spends about 2 sqrt(P) + 12
+    exponentials per argument on a piece of P panels, and most of its time
+    in one BLAS product per piece and block of arguments, which BLAS threads
+    on its own.  Results do not depend on `threads`.
     """
     if n < 1 or c < 1:
         raise ValueError("need n >= 1 and c >= 1")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from lfunlab.exactarith import (
     NotCoprimeError,
+    _unit_tables,
     divisors,
     factorize,
     kloosterman,
@@ -121,6 +122,22 @@ class TestKloosterman:
 def ramanujan_sums(a: int, c: int) -> tuple:
     # S(0, a; c) and S(a, 0; c): d and its inverse run over the same units
     return kloosterman(0, a, c), kloosterman(a, 0, c)
+
+
+class TestUnitTables:
+    def test_inverses_match_pow(self):
+        # the array Euclid against Python's pow, integer for integer, for
+        # every c <= 2000 and for a large prime, prime power and primorial;
+        # c = 1 keeps its one residue 0.  Equal tables give bit-identical
+        # Kloosterman sums
+        build = _unit_tables.__wrapped__  # uncached: 2000 tables stay out of the cache
+        for c in [*range(2, 2001), 65_537, 3**10, 2 * 3 * 5 * 7 * 11 * 13 * 17]:
+            units, inv = build(c)
+            assert units.dtype == inv.dtype == np.int64
+            assert not inv.flags.writeable
+            assert inv.tolist() == [pow(u, -1, c) for u in units.tolist()]
+        units, inv = build(1)
+        assert units.tolist() == inv.tolist() == [0]
 
 
 class TestRamanujan:

@@ -18,6 +18,7 @@ from lfunlab.afe import (
     gl2_afe_weight_grid,
     rankin_selberg_afe_weight_grid,
 )
+from lfunlab.exactarith import divisors
 from lfunlab.heckegl3 import GL3Form, symmetric_square_form, triple_divisor_form
 from lfunlab.special import PoleError, RegimeError
 from lfunlab.util import LRUCache
@@ -216,6 +217,14 @@ def test_kernel_route_reaches_no_mpmath(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # geometric side
+
+
+def test_divisor_counts_match_divisor_lists():
+    # the sieve behind geometric_tail's Weil bound, against the divisors of
+    # each m from its factorization
+    d = kz._divisor_counts(2000)
+    assert d[0] == 0
+    assert d[1:].tolist() == [len(divisors(m)) for m in range(1, 2001)]
 
 
 def test_geometric_side_index_symmetry():

@@ -78,11 +78,12 @@ class TestLineIntegral:
         assert np.all(err <= kern.tail_estimate * ys**-2.0 + 1e-13)
 
     def test_apply_blocks_match_dense_product(self, monkeypatch):
-        # apply factors the phase by panel and fills one reused buffer per
-        # block of y; blocks of three arguments on the widest piece, the
-        # last one short, give the dense product.  Checked on a full-line
-        # kernel grown over several segments, and on the first row of a
-        # batch, whose kernel keeps a prefix of the batch's grid
+        # apply factors the phase by row of panels and by panel within the
+        # row; blocks of three arguments, the last one short, give the dense
+        # product.  Checked on a full-line kernel grown over several
+        # segments, on the first row of a batch, whose kernel keeps a prefix
+        # of the batch's grid, and on pieces of 1 panel, of prime counts
+        # with a short last row, of a square and of a full non-square count
         full = gamma_kernel(2.0)
         assert len(full.panels) >= 6  # both half-lines of >= 3 segments
         first, slowest = contour_kernel(
@@ -90,16 +91,34 @@ class TestLineIntegral:
             rows=np.array([1.0, 0.01]),
         )
         assert first.v.size < slowest.v.size
+        odd = panel_kernel([1, 13, 16, 23, 12, 7])
         ys = np.linspace(0.05, 9.0, 41)
-        for kern in (full, first):
+        for kern in (full, first, odd):
             dense = np.exp(-1j * np.outer(np.log(ys), kern.v)) @ kern.w
             if kern.symmetric:
                 dense = 2.0 * dense.real
             dense = dense * ys ** (-kern.sigma)
-            widest = max(mids.size for _, mids in kern.panels)
-            monkeypatch.setattr(quadrature, "_APPLY_ELEMENTS", 3 * widest)
-            np.testing.assert_allclose(kern.apply(ys), dense, rtol=1e-13, atol=1e-15)
+            widest = max(quadrature._panel_split(mids.size)[0] for _, mids, _ in kern.panels)
+            monkeypatch.setattr(quadrature, "_APPLY_ELEMENTS", 3 * widest * 12)
+            np.testing.assert_allclose(kern.apply(ys), dense, rtol=1e-13, atol=1e-15 * _mass(kern))
             assert kern.apply(np.array([])).shape == (0,)
+
+    def test_apply_one_argument_matches_batch(self):
+        # an argument's value does not depend on the batch around it beyond
+        # rounding: the products see other shapes, not other data
+        ys = np.geomspace(0.01, 50.0, 97)
+        for kern in (gamma_kernel(2.0), panel_kernel([1, 13, 16, 23, 12, 7])):
+            batch = kern.apply(ys)
+            mass = _mass(kern) * ys ** (-kern.sigma)
+            for i in range(ys.size):
+                assert abs(kern.apply(ys[i : i + 1])[0] - batch[i]) <= 1e-15 * mass[i]
+
+    def test_panel_split_minimizes_exponentials(self):
+        # A + B exponentials per argument; no split p = j A' + a does better
+        for p in range(1, 2001):
+            a, b = quadrature._panel_split(p)
+            assert (b - 1) * a < p <= a * b
+            assert a + b == min(k + -(-p // k) for k in range(1, p + 1))
 
     def test_non_decay_flagged(self):
         with pytest.raises(NonDecayError):
@@ -107,6 +126,25 @@ class TestLineIntegral:
                 lambda s: 1.0 / (1.0 + 0.001 * s * s), 1.0, width=0.5, tol=1e-10, symmetric=False,
                 height=8.0, cap=64.0,
             )
+
+
+def _mass(kern):
+    return float(np.sum(np.abs(kern.w)))
+
+
+def panel_kernel(counts, seed=0):
+    # pieces of unit-width panels, in the given counts, laid end to end
+    # from v = 0, with random weights: apply must not depend on the integrand
+    edges = np.concatenate([[0.0], np.cumsum(counts, dtype=float)])
+    panels, vs = [], []
+    for a, b, count in zip(edges, edges[1:], counts):
+        grid = np.linspace(a, b, count + 1)
+        vs.append(gauss_legendre_panels(grid, 12)[0])
+        panels.append(quadrature._piece(0.5 * (b - a) / count, 0.5 * (grid[1:] + grid[:-1])))
+    v = np.concatenate(vs)
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal(v.size) + 1j * rng.standard_normal(v.size)
+    return quadrature.ContourKernel(0.5, v, w, False, 0.0, tuple(panels))
 
 
 def gaussian_rows(u, r):
