@@ -23,7 +23,10 @@ go through quadrature.contour_kernel, so that a whole vector of y values
 costs one matrix-vector product, and a whole vector of t values costs one
 contour grid: the gamma ratio is evaluated on a (t, u) matrix, one block
 of rows at a time, against its normalization at 1/2 computed once per
-t-grid (gl2_afe_weight_grid, rankin_selberg_afe_weight_grid).
+t-grid, and each block is one kernel whose rows are the t of the block,
+applied to all y at once and dropped before the next block is built
+(gl2_afe_weight_grid, rankin_selberg_afe_weight_grid).  The single-t
+callers take row 0 of a one-row block.
 
 The degree-2 specialization with divisor-sum coefficients eta(l, r) =
 sum_{ad=l} (a/d)^{ir} reproduces |zeta(1/2 + ir)|^2.  Unlike the cuspidal
@@ -156,8 +159,9 @@ _U_MU = (0,)  # gamma data of the degree-2 weight U
 
 def _weight_kernel(spec: WeightSpec, ts, mu, mu_norm, max_abs_ln_y: float) -> Iterator[ContourKernel]:
     """The kernels of W(., t) with gamma data mu, normalized by mu_norm at
-    1/2, for the t in ts (a float or an array), in order, from one contour
-    grid.  r = len(mu) sets the damper power and the contour's size."""
+    1/2, for the t in ts (a float or an array), in blocks of consecutive t
+    (one kernel row per t), in order, from one contour grid.  r = len(mu)
+    sets the damper power and the contour's size."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     tmax = float(np.max(np.abs(ts)))
     r = len(mu)
@@ -190,8 +194,9 @@ def _weight_grid(spec: WeightSpec, ys, ts, mu, mu_norm) -> np.ndarray:
     """W(y, t) as a (len(ts), len(ys)) array from one contour grid sized for
     the largest |t| and |log y|."""
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    kernels = _weight_kernel(spec, ts, mu, mu_norm, float(np.max(np.abs(np.log(ys)))))
-    return np.array([k.apply(ys) for k in kernels])
+    blocks = _weight_kernel(spec, ts, mu, mu_norm, float(np.max(np.abs(np.log(ys)))))
+    # map, unlike a loop variable, lets go of each block before the next grows
+    return np.concatenate(list(map(lambda block: block.apply(ys), blocks)))
 
 
 def gl2_afe_weight_grid(spec: WeightSpec, ys, ts) -> np.ndarray:
@@ -227,7 +232,8 @@ def _gl2_cutoff(t: float) -> int:
 def _adaptive_cutoff(build: Callable, start: int, tol: float, metric: Callable | None = None):
     """Smallest dyadic extension of `start` at which an estimated absolute
     tail (weight magnitude folded through `metric`) drops below tol; returns
-    the cutoff together with a kernel resolved for arguments up to it.
+    the cutoff together with a one-row kernel resolved for arguments up to
+    it.
 
     Matters at small spectral parameter, where the conductor-scale heuristic
     behind `start` underestimates how slowly the weight dies.
@@ -237,7 +243,7 @@ def _adaptive_cutoff(build: Callable, start: int, tol: float, metric: Callable |
     L = int(start)
     for _ in range(30):
         kern = build(math.log(max(L, 2)))
-        mag = abs(complex(kern.apply(np.array([float(L)]))[0]))
+        mag = abs(complex(kern.apply(np.array([float(L)]))[0, 0]))
         if metric(mag, L) <= tol:
             return L, kern
         L *= 2
@@ -264,7 +270,7 @@ def central_value_gl2(fixture: MaassFixture, spec: WeightSpec, l_cutoff: int | N
             f"but the decay envelope at t = {t} requires l <= {L}"
         )
     ls = np.arange(1, L + 1, dtype=float)
-    u_vals = kern.apply(ls)
+    u_vals = kern.apply(ls)[0]
     total = 2.0 * np.sum(a[1 : L + 1] * ls**-0.5 * u_vals)
     return float(total.real)
 
@@ -337,7 +343,7 @@ def zeta_square_afe(r: float, spec: WeightSpec) -> float:
     )
     eta = eisenstein_coefficients(L, r)
     ls = np.arange(1, L + 1, dtype=float)
-    u_vals = kern.apply(ls)
+    u_vals = kern.apply(ls)[0]
     main = 2.0 * float(np.sum(eta[1:] * ls**-0.5 * u_vals).real)
     return main - _zeta_polar_correction(r, spec)
 
@@ -362,8 +368,8 @@ def _rs_double_sum(form: GL3Form, coeffs: np.ndarray, t: float, spec: WeightSpec
         direct = coefficient_block(form, m, n_max)[1:]
         swapped = coefficient_block(form, m, n_max, transpose=True)[1:]
         inv_sqrt = ys**-0.5
-        total += np.sum(a_conj * direct * inv_sqrt * kern1.apply(ys))
-        total += np.sum(a_conj * swapped * inv_sqrt * kern2.apply(ys))
+        total += np.sum(a_conj * direct * inv_sqrt * kern1.apply(ys)[0])
+        total += np.sum(a_conj * swapped * inv_sqrt * kern2.apply(ys)[0])
         m += 1
     return complex(total)
 

@@ -240,23 +240,48 @@ def _small_primes_desc(bits: int, count: int) -> list[int]:
     return out
 
 
+_LIMB_BITS = 10  # bits per limb of a residue in _convolve_mod
+
+
+def _convolve_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """(a * a)[:a.size] mod p, exactly, for residues 0 <= a < p <= 2^20.
+
+    Each residue splits into two 10-bit limbs, a = lo + 2^10 hi, and the
+    three limb products lo*lo, lo*hi + hi*lo and hi*hi are real-FFT
+    convolutions, zero-padded past 2 a.size - 1 so that none wraps.  Their
+    exact terms are integers below 2 a.size 2^20 (5e10 at a.size = 24000),
+    far inside float64, so rounding recovers them; ArithmeticError if any
+    sits more than 1/4 from an integer.
+    """
+    n = a.size
+    size = 1 << (2 * n - 1).bit_length()
+    mask = (1 << _LIMB_BITS) - 1
+    lo, hi = np.fft.rfft(np.stack([a & mask, a >> _LIMB_BITS]).astype(float), size)
+    raw = np.fft.irfft(np.stack([lo * lo, 2.0 * lo * hi, hi * hi]), size)[:, :n]
+    exact = np.rint(raw)
+    if np.max(np.abs(raw - exact)) > 0.25:
+        raise ArithmeticError("FFT convolution rounding left 1/4 of its margin to an integer")
+    low, mid, high = exact.astype(np.int64) % p
+    return (low + ((mid << _LIMB_BITS) % p) + ((high << 2 * _LIMB_BITS) % p)) % p
+
+
 @lru_cache(maxsize=4)
 def ramanujan_tau_table(N: int) -> np.ndarray:
     """Exact tau(1..N) (index 0 unused) from the eta-power q-expansion.
 
     eta^3 has the sparse pentagonal-ish expansion sum (-1)^k (2k+1)
-    q^{k(k+1)/2}; squaring twice with integer convolutions gives eta^12
-    exactly in int64 (coefficients ~ n^{5/2}).  The final squaring would
-    overflow, so it runs modulo eight 20-bit primes and recombines by CRT,
+    q^{k(k+1)/2}, and its square eta^6 takes one pass over pairs of terms.
+    The two squarings to eta^12 and eta^24 run modulo eight 20-bit primes,
+    as exact FFT convolutions (_convolve_mod), and tau recombines by CRT,
     centered; the product of the moduli (~2^160) dwarfs |tau(n)| <= d(n)
     n^{11/2} ~ 2^90 at the permitted sizes.
     """
     if N < 1:
         raise ValueError("need N >= 1")
     if N > 60000:
-        # measured sup_n sum_i |c6(i) c6(n-i)| = 3.4e14 at N = 60000, a 2.7e4x
-        # margin under int64; the mod-p squarings are bounded by N 2^40.
-        raise ValueError("exact tau table capped at 60000 (int64 headroom in eta^12)")
+        # the limb convolutions' exact terms stay below 2 N 2^20, inside
+        # float64 with room to spare for the FFT's rounding at this size
+        raise ValueError("exact tau table capped at 60000")
     L = N  # coefficients of q^0..q^{L-1}; tau(n) = [q^{n-1}] eta(q)^24
     ks = np.arange(int((math.isqrt(8 * L + 1) - 1) // 2) + 2)
     tri = ks * (ks + 1) // 2
@@ -272,27 +297,13 @@ def ramanujan_tau_table(N: int) -> np.ndarray:
     mask = idx < L
     np.add.at(eta6, idx[mask], prod[mask])
 
-    eta12 = np.convolve(eta6, eta6)[:L]
-
     primes = _small_primes_desc(20, 8)
-    residues = []
-    for p in primes:
-        a = eta12 % p
-        residues.append(np.convolve(a, a)[:L] % p)
+    residues = [_convolve_mod(_convolve_mod(eta6 % p, p), p) for p in primes]
 
     P = math.prod(primes)
-    basis = []
-    for p in primes:
-        Mi = P // p
-        basis.append(Mi * pow(Mi % p, -1, p))
-    half = P // 2
-    # tau(n) ~ n^{11/2} exceeds int64 around n ~ 2800, so keep Python ints
+    x = sum(res.astype(object) * ((P // p) * pow(P // p % p, -1, p)) for res, p in zip(residues, primes)) % P
     tau = np.zeros(N + 1, dtype=object)
-    for n in range(1, N + 1):
-        x = sum(int(res[n - 1]) * b for res, b in zip(residues, basis)) % P
-        if x > half:
-            x -= P
-        tau[n] = x
+    tau[1:] = np.where(x > P // 2, x - P, x)
     tau.setflags(write=False)
     return tau
 

@@ -16,12 +16,15 @@ equally spaced and carry the same Legendre offsets, so the phase y^{-iv}
 factors in two levels, by run of panels and by panel within the run: on a
 piece of P panels an argument costs about 2 sqrt(P) + 12 exponentials, not
 one per panel or per node, and the rest is one matrix product
-(ContourKernel).  Its
-tail_estimate is that edge mass plus the accumulated noise floor.  A
-family of integrands K(u, r) indexed by a row parameter r (the spectral
-parameter t of the AFE weights) shares one grid: each segment is evaluated
-for a block of rows in one call, each row stops by the same rule applied to
-its own masses, and each row gets its own ContourKernel.  oscillatory_integral
+(ContourKernel).  Its tail_estimate is that edge mass plus the accumulated
+noise floor.  A family of integrands K(u, r) indexed by a row parameter r
+(the spectral parameter t of the AFE weights) shares one grid and comes in
+row blocks: each segment is evaluated for a block of rows in one call and
+written into the block's (rows, nodes) weights, each row stops by the same
+rule applied to its own masses and is zero past its stop, and one
+ContourKernel holds the block, whose apply shares the phases of an
+argument among all its rows and returns one row of values per row.
+oscillatory_integral
 returns a TransformResult whose abs_error_estimate is the observed change
 under one further refinement level.  Both estimates are empirical, not
 rigorous enclosures; the test suite checks their honesty against closed
@@ -104,8 +107,8 @@ def panel_grid(a: float, b: float, width: float, nodes: int):
 
 
 _CONTOUR_NODES = 12  # Gauss-Legendre nodes per contour panel
-_APPLY_ELEMENTS = 1 << 15  # (y, a, q) partial sums of apply's j-sum (512 KB complex) per block of arguments
-_ROW_ELEMENTS = 1 << 13  # (row, node) entries per kfunc call of a row batch, or per block of a row-batched product
+_APPLY_ELEMENTS = 1 << 15  # (row, y, a, q) partial sums of apply's j-sum (512 KB complex) per block of arguments
+_ROW_ELEMENTS = 1 << 13  # (row, node) entries per kfunc call, in a row block's first segment, or per block of a row-batched product
 
 
 def _panel_split(panels: int) -> tuple[int, int]:
@@ -134,7 +137,12 @@ class ContourKernel:
     w holds the quadrature weight times K(u) / (2 pi).  A symmetric kernel
     (K(conj u) = conj K(u)) keeps only v >= 0 and adds the mirror half as
     twice the real part.  tail_estimate is in the units of w: times
-    y^{-sigma} it is the absolute error allowance at y.
+    y^{-sigma} it is the absolute error allowance at y.  A row block
+    (contour_kernel's `rows`) has w of shape (rows, nodes), each row zero
+    past its own stop, and one tail_estimate per row, and apply(y) returns
+    shape (rows, y.size); a single integrand has 1-D w, a float
+    tail_estimate and apply(y) of shape (y.size,).  Both go through the
+    one apply below.
 
     panels records the grid's geometry, one (half, mids, rates) triple per
     piece of equal panels (_piece), in the order of v: a piece holds the
@@ -146,13 +154,15 @@ class ContourKernel:
         E_a = e^{-i (mid_0 + 2 h a) t},  R_j = e^{-i 2 h A j t},  O_q = e^{-i h x_q t},
 
     and apply sums y^{-sigma} sum_a E_a sum_q O_q sum_j R_j w[j A + a, q].
-    In the order of v the piece's weights already form the (B, A nodes)
-    matrix of the j-sum, so that sum is one (y, B) x (B, A nodes) product
-    on a view of w (a short last row adds its own rank-one term), and the
-    a- and q-sums are batched products with E and O.  Per piece an
-    argument costs A + B + _CONTOUR_NODES exponentials, about 2 sqrt(P) for
-    P panels, and as many multiply-adds as a dense sum over the nodes.  The
-    arguments go in blocks of _APPLY_ELEMENTS (y, a, q) partial sums.
+    In the order of v each row's weights on the piece already form the
+    (B, A nodes) matrix of the j-sum, so that sum is one (y, B) x
+    (B, A nodes) product per row on a view of w (a short last row of panels
+    adds its own rank-one term), and the a- and q-sums are batched products
+    with E and O.  Per piece an argument costs A + B + _CONTOUR_NODES
+    exponentials, about 2 sqrt(P) for P panels, shared by all rows of a
+    block, and per row as many multiply-adds as a dense sum over the nodes.
+    The arguments go in blocks of _APPLY_ELEMENTS (row, y, a, q) partial
+    sums.
     """
 
     sigma: float
@@ -168,16 +178,17 @@ class ContourKernel:
 
     def __post_init__(self):
         nodes = _CONTOUR_NODES
+        block = self.w.reshape(-1, self.w.shape[-1])
         pieces = []
         start = at = width = 0
         for _, mids, rates in self.panels:
             a = _panel_split(mids.size)[0]
-            w = self.w[start : start + mids.size * nodes]
-            start += w.size
+            w = block[:, start : start + mids.size * nodes]
+            start += w.shape[1]
             full = (mids.size // a) * a * nodes
             end = at + rates.size
             e, r, o = slice(at, at + a), slice(at + a, end - nodes), slice(end - nodes, end)
-            pieces.append((e, r, o, w[:full].reshape(-1, a * nodes), w[full:]))
+            pieces.append((e, r, o, w[:, :full].reshape(block.shape[0], -1, a * nodes), w[:, full:]))
             at, width = end, max(width, a * nodes)
         rates = np.concatenate([rates for *_, rates in self.panels])
         object.__setattr__(self, "_layout", (tuple(pieces), rates, width))
@@ -188,21 +199,22 @@ class ContourKernel:
             raise ValueError("weight arguments must be positive")
         ln_y = np.log(y)
         pieces, rates, width = self._layout
-        block = max(1, _APPLY_ELEMENTS // width)
-        vals = np.zeros(y.size, dtype=complex)
+        rows = self.w.size // self.w.shape[-1]
+        block = max(1, _APPLY_ELEMENTS // (rows * width))
+        vals = np.zeros((rows, y.size), dtype=complex)
         for i in range(0, y.size, block):
             t = ln_y[i : i + block]
             phase = np.exp(-1j * np.multiply.outer(t, rates))
             for e, r, o, w, rest in pieces:
-                rows = phase[:, r]
-                part = rows[:, : w.shape[0]] @ w
-                if rest.size:
-                    part[:, : rest.size] += rows[:, -1:] * rest
-                part = phase[:, None, e] @ part.reshape(t.size, -1, _CONTOUR_NODES) @ phase[:, o, None]
-                vals[i : i + t.size] += part[:, 0, 0]
+                runs = phase[:, r]
+                part = runs[:, : w.shape[1]] @ w
+                if rest.shape[1]:
+                    part[:, :, : rest.shape[1]] += runs[:, -1:] * rest[:, None, :]
+                part = phase[:, None, e] @ part.reshape(rows, t.size, -1, _CONTOUR_NODES) @ phase[:, o, None]
+                vals[:, i : i + t.size] += part[..., 0, 0]
         if self.symmetric:
             vals = 2.0 * vals.real + 0j
-        return vals * y ** (-self.sigma)
+        return (vals * y ** (-self.sigma)).reshape(self.w.shape[:-1] + y.shape)
 
 
 def contour_kernel(
@@ -214,7 +226,6 @@ def contour_kernel(
     symmetric: bool,
     height: float,
     cap: float,
-    kfloor: Callable | None = None,
     rows=None,
 ) -> ContourKernel | Iterator[ContourKernel]:
     """Discretize (1/2 pi i) int_{(sigma)} y^{-u} K(u) du for a batch of y.
@@ -224,30 +235,31 @@ def contour_kernel(
     fastest phase of y^{-iv} K(sigma + iv) over its batch.  It then grows in
     segments of ratio 1.6, up to `cap`, keeping the nodes already evaluated,
     until the outermost panels' absolute mass drops below tol of the total
-    or below three times the evaluation noise floor that the optional
-    kfloor(u) reports for K (past that point extending integrates rounding
-    noise, not signal).  tail_estimate adds that edge mass to the
+    or below three times the evaluation noise floor of K (past that point
+    extending integrates rounding noise, not signal).  kfunc(u) returns
+    K(u), or the pair (K(u), floor(u)) when it reports that floor, so that
+    both can share their work.  tail_estimate adds that edge mass to the
     root-sum-square of the floor over all nodes; NonDecayError when the cap
     arrives first.
 
-    Row batches: given `rows`, a 1-D array of parameters (the AFE weights
-    pass their spectral parameters t), kfunc(u, r) and kfloor(u, r) return
-    one row per entry of r, shape (r.size, u.size), and the result is an
-    iterator over one ContourKernel per row, in order, all on the one grid
-    whose `width` and `height` the caller sizes for the whole batch.  Each
+    Row blocks: given `rows`, a 1-D array of parameters (the AFE weights
+    pass their spectral parameters t), kfunc(u, r) returns one row per
+    entry of r, shape (r.size, u.size) (and so does its floor), and the
+    result is an iterator over ContourKernels of consecutive blocks of
+    rows, in order, all on the one grid whose `width` and `height` the
+    caller sizes for the whole batch.  A block holds about _ROW_ELEMENTS
+    (row, node) entries of the first segment, and no kfunc call sees more
+    than that unless a single row does, which bounds the temporaries.  Each
     row applies the stopping test to its own masses and takes no further
-    segments once it passes, so its kernel keeps a prefix of the grid and
-    its own tail_estimate, and its value does not depend on the other rows.
-    Rows are grown in blocks of about _ROW_ELEMENTS (row, node) entries,
-    and no kfunc call sees more than that unless a single row does, which
-    bounds the temporaries; a caller that applies each kernel as it comes
-    holds one block at a time.  The blocking changes no value.
-    NonDecayError names the parameter of a row that reaches the cap.
+    segments once it passes, so it ends at its own height, with its own
+    tail_estimate, and its values do not depend on the other rows: cut to
+    its own length, a row of the block's w is the single-row kernel's w,
+    and past it the row is zero.  The blocking changes no weight and no
+    tail_estimate.  A caller that lets go of each block before it asks for
+    the next (afe._weight_grid) holds one block at a time.  NonDecayError
+    names the parameter of a row that reaches the cap.
     """
     params = np.atleast_1d(np.asarray(rows)) if rows is not None else np.zeros(1)
-
-    def evaluate(f, u, r):
-        return np.asarray(f(u, r) if rows is not None else f(u)[None, :])
 
     # (top height, [(nodes, weights, outermost panel, (half, mids))] per half-line)
     segments: list = []
@@ -267,36 +279,50 @@ def contour_kernel(
             segments.append((v_hi, pieces))
         return segments[k]
 
-    def grow(block: np.ndarray):
+    def grow(block: np.ndarray) -> ContourKernel:
         active = np.arange(block.size)
         total = np.zeros(block.size)
         noise_sq = np.zeros(block.size)
-        keep = np.zeros(block.size, dtype=int)  # grid segments in each finished row's kernel
         tails = np.zeros(block.size)
-        parts: list = [[] for _ in range(block.size)]
+        columns: list = []  # the block's weights, one (rows, nodes) array per segment
+
+        def weights(u, gw, out, idx):
+            # gw K(u, r) / 2 pi on the rows r = block[idx], their masses and
+            # floors added up; the call's temporaries end with it
+            result = kfunc(u, block[idx]) if rows is not None else kfunc(u)
+            value, floor = result if isinstance(result, tuple) else (result, None)
+            w = gw * np.atleast_2d(value) / (2.0 * math.pi)
+            absw = np.abs(w)
+            total[idx] += absw.sum(axis=1)
+            edge[idx] += absw[:, out].sum(axis=1)
+            if floor is not None:
+                fl = np.abs(gw) * np.atleast_2d(floor).astype(float) / (2.0 * math.pi)
+                noise_sq[idx] += (fl * fl).sum(axis=1)
+                edge_floor[idx] += fl[:, out].sum(axis=1)
+            return w
+
         k = 0
         while True:
             edge = np.zeros(block.size)
             edge_floor = np.zeros(block.size)
             v_hi, pieces = segment(k)
+            nodes = sum(x.size for x, *_ in pieces)
+            seg = None
+            at = 0
             for x, gw, out, _ in pieces:
-                u = sigma + 1j * x
+                cols = slice(at, at + x.size)
+                at += x.size
                 step = max(1, _ROW_ELEMENTS // x.size)
                 for lo in range(0, active.size, step):
                     idx = active[lo : lo + step]
-                    w = gw * evaluate(kfunc, u, block[idx]) / (2.0 * math.pi)
-                    absw = np.abs(w)
-                    total[idx] += absw.sum(axis=1)
-                    edge[idx] += absw[:, out].sum(axis=1)
-                    for i, row in zip(idx, w):
-                        parts[i].append(row)
-                    if kfloor is not None:
-                        fl = np.abs(gw) * evaluate(kfloor, u, block[idx]).astype(float) / (2.0 * math.pi)
-                        noise_sq[idx] += (fl * fl).sum(axis=1)
-                        edge_floor[idx] += fl[:, out].sum(axis=1)
+                    w = weights(sigma + 1j * x, gw, out, idx)
+                    if seg is None:  # allocated past the first call's temporaries
+                        seg = np.zeros((block.size, nodes), dtype=complex)
+                    seg[idx, cols] = w
+                    del w  # seg holds it, and the next call gets the memory
+            columns.append(seg)
             e, t = edge[active], total[active]
             done = (t == 0.0) | (e <= tol * t) | (e <= 3.0 * edge_floor[active])
-            keep[active[done]] = k + 1
             tails[active[done]] = e[done] + np.sqrt(noise_sq[active[done]])
             active = active[~done]
             if active.size == 0:
@@ -311,17 +337,15 @@ def contour_kernel(
         pieces = [piece for _, seg in segments[: k + 1] for piece in seg]
         v = np.concatenate([x for x, _, _, _ in pieces])
         panels = tuple(geometry for _, _, _, geometry in pieces)
-        per_segment = len(segments[0][1])
-        for n, p, tail in zip(keep, parts, tails):
-            w = np.concatenate(p)
-            yield ContourKernel(sigma, v[: w.size], w, symmetric, float(tail), panels[: n * per_segment])
+        w = np.concatenate(columns, axis=1)
+        if rows is None:
+            return ContourKernel(sigma, v, w[0], symmetric, float(tails[0]), panels)
+        return ContourKernel(sigma, v, w, symmetric, tails, panels)
 
-    def kernels():
-        per_block = max(1, _ROW_ELEMENTS // segment(0)[1][0][0].size)
-        for lo in range(0, params.size, per_block):
-            yield from grow(params[lo : lo + per_block])
-
-    return kernels() if rows is not None else next(kernels())
+    if rows is None:
+        return grow(params)
+    per_block = max(1, _ROW_ELEMENTS // segment(0)[1][0][0].size)
+    return (grow(params[lo : lo + per_block]) for lo in range(0, params.size, per_block))
 
 
 def _phase_velocity_scan(phase: Callable, a: float, b: float, samples: int = 4096) -> float:

@@ -2,11 +2,12 @@
 
 Contents: a vectorized principal-branch log-gamma (Stirling series through
 B_20 past a threshold derived from its remainder bound, recursion shifts
-per element, reflection, in fixed-size blocks so that memory stays bounded
-and no result depends on the array's shape), the Hurwitz and Riemann zeta
-functions by Euler-Maclaurin with a computable remainder bound, the log
-gamma factor of an L-function, the Bessel function J of imaginary order 2it
-by its ascending series, and the one guard on mpmath's working precision.
+per element with one log for every two steps, reflection, in fixed-size
+blocks so that memory stays bounded and no result depends on the array's
+shape), the Hurwitz and Riemann zeta functions by Euler-Maclaurin with a
+computable remainder bound, the log gamma factor of an L-function, the
+Bessel function J of imaginary order 2it by its ascending series, and the
+one guard on mpmath's working precision.
 
 Gamma factors.  Every gamma factor here is a product of
 Gamma_R(s + kappa) = pi^{-(s+kappa)/2} Gamma((s+kappa)/2) over a tuple of
@@ -95,9 +96,40 @@ _EM_TERMS = 12  # K, the Euler-Maclaurin correction terms summed; _EM_C[K] bound
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
+def _step_past_threshold(w: np.ndarray) -> np.ndarray:
+    """Step each element of w (in place, Re w >= 1/2) by w -> w + 1 until
+    |w| >= _STIRLING_MIN_ABS, and return the sum of log w over the steps.
+
+    At most 10 steps, none where |w| is already past the threshold, on an
+    active set that shrinks as elements leave it.  |w + k| grows with k on
+    Re w > 0, so the steps are two at a time, log(w (w + 1)) for one log
+    where w + 1 is still below the threshold, and a single log w where it
+    is not.  The phases of w and w + 1 share the sign of Im w and lie in
+    (-pi/2, pi/2), so their sum stays in (-pi, pi) and the principal log of
+    the product is the sum of the two principal logs; the product adds one
+    rounding, ~2e-16 absolute in the log.  Its temporaries end with the
+    call, before the Stirling series allocates its own.
+    """
+    rec = np.zeros_like(w)
+    active = np.flatnonzero(np.abs(w) < _STIRLING_MIN_ABS)
+    while active.size:
+        wa = w[active]
+        up = wa + 1.0
+        pair = np.abs(up) < _STIRLING_MIN_ABS
+        # products out of place, then copied in: an in-place complex multiply
+        # rounds differently on short arrays, and no value may depend on the
+        # shape.  At most three block-sized arrays are alive at once
+        np.copyto(wa, wa * up, where=pair)
+        rec[active] += np.log(wa, out=wa)
+        np.copyto(up, up + 1.0, where=pair)
+        w[active] = up
+        active = active[np.abs(up) < _STIRLING_MIN_ABS]
+    return rec
+
+
 def _stirling_shifted(w: np.ndarray) -> np.ndarray:
-    """log Gamma on Re w >= 1/2: upward recursion into |w| >= _STIRLING_MIN_ABS,
-    then the Stirling series through B_20.
+    """log Gamma on Re w >= 1/2: upward recursion into |w| >= _STIRLING_MIN_ABS
+    (_step_past_threshold), then the Stirling series through B_20.
 
     The remainder after B_20 is at most the first omitted term times
     sec^22(ph(w)/2) (DLMF 5.11(ii)).  Re w >= 1/2 keeps |ph w| < pi/2, so the
@@ -108,19 +140,9 @@ def _stirling_shifted(w: np.ndarray) -> np.ndarray:
     That is _STIRLING_TARGET = 1e-17 at |w| = _STIRLING_MIN_ABS = 10.49 (the
     truncation there, against mpmath, is 5e-21), far below the rounding of
     the leading term, ~|w log w| 2^-53 ~ 3e-15 there.
-    Each element steps w -> w + 1 until it passes the threshold (at most 10
-    steps; none where |w| is already past it), on an active set that
-    shrinks as elements leave it.
     """
     w = w.copy()
-    rec = np.zeros_like(w)
-    active = np.flatnonzero(np.abs(w) < _STIRLING_MIN_ABS)
-    while active.size:
-        wa = w[active]
-        rec[active] += np.log(wa)
-        wa += 1.0
-        w[active] = wa
-        active = active[np.abs(wa) < _STIRLING_MIN_ABS]
+    rec = _step_past_threshold(w)
     r = 1.0 / w
     r2 = r * r
     tail = np.zeros_like(w)

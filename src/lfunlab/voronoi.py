@@ -94,7 +94,8 @@ sizes the FFT, and _line_stencil interpolates, from the whole line for the
 Mellin factor and from the few FFT entries their frequencies reach for the
 rungs.  The sample step, padding and stencil are derived from the contour
 cap and the double-precision target (see _LINE_RATE).  Each kernel's noise
-floor (kfloor) keeps the model of the dense quadrature it replaced, 2e-16
+floor, which its integrand returns next to K from the same six-gamma
+quotient, keeps the model of the dense quadrature it replaced, 2e-16
 times the mass int |G| times (1 + |v| h), h = ln(hi / lo) / 2, and the line
 sits inside it: its sums round at about 1e-16 of the mass, and a node v,
 itself rounded at 1e-16 |v|, moves the phase of F by up to 1e-16 |v| h.
@@ -395,23 +396,20 @@ def _phi_contour_kernel(
     lo, hi = spec.support
     symmetric = all(abs(z.imag) < 1e-12 for z in abg)
 
-    def kfunc(u):
-        return np.exp(_gamma_quotient_log(u, k, abg)) * line(-np.imag(u))  # phitilde(-u - k)
-
-    # double-precision floor of the Mellin factor (module docstring): the
-    # rounding of the unsigned mass, plus a phase of (height) x (log
-    # half-width) rounded at ~1e-16 per radian
+    # K and its double-precision floor share the gamma quotient.  The floor
+    # of the Mellin factor (module docstring): the rounding of the unsigned
+    # mass, plus a phase of (height) x (log half-width) rounded at ~1e-16
+    # per radian
     mell_mass = abs(complex(line(0.0)))
     half_ln = 0.5 * (math.log(hi) - math.log(lo))
 
-    def kfloor(u):
+    def kfunc(u):
+        quotient = _gamma_quotient_log(u, k, abg)
+        size = np.exp(np.real(quotient))
+        value = np.exp(quotient, out=quotient)
+        value *= line(-np.imag(u))  # phitilde(-u - k)
         h = np.abs(np.imag(np.atleast_1d(u)))
-        return (
-            2e-16
-            * max(mell_mass, 1e-300)
-            * (1.0 + h * half_ln)
-            * np.exp(np.real(_gamma_quotient_log(u, k, abg)))
-        )
+        return value, 2e-16 * max(mell_mass, 1e-300) * (1.0 + h * half_ln) * size
 
     # oscillation budget (radians per unit height): y^{-iv} itself, the
     # Mellin factor's phase speed (bounded by the larger |log| end of the
@@ -421,7 +419,7 @@ def _phi_contour_kernel(
     # 12-node panels spanning <= 9 radians (~1.4 periods) of the fastest phase
     return contour_kernel(
         kfunc, sigma, width=min(0.5, 9.0 / osc), tol=1e-11, symmetric=symmetric,
-        height=512.0, cap=_CONTOUR_CAP, kfloor=kfloor,
+        height=512.0, cap=_CONTOUR_CAP,
     )
 
 

@@ -35,6 +35,7 @@ from lfunlab.afe import (
 from lfunlab.heckegl3 import GL3Form, PolarFormError, symmetric_square_form, triple_divisor_form
 from lfunlab.quadrature import contour_kernel
 from lfunlab.special import PoleError, zeta_with_error
+from test_quadrature import assert_matches_dense_rows
 
 SPEC = WeightSpec()
 D3 = triple_divisor_form()
@@ -219,24 +220,35 @@ for _form in (D3, TEMPERED):
     WEIGHTS[f"{_form.label}-dual"] = (_form.mu_dual, _form.mu)
 
 
-def _allowance(kern, y):
-    # the kernel's accuracy target at y: its tail_estimate plus tail_tolerance
-    # of its absolute mass (the yardstick of its stopping rule), doubled for
-    # a conjugate-symmetric kernel, whose mirror half is implicit
-    per_half = kern.tail_estimate + SPEC.tail_tolerance * float(np.sum(np.abs(kern.w)))
+def _allowance(kern, y, row=0):
+    # a row's accuracy target at y: its tail_estimate plus tail_tolerance of
+    # its absolute mass (the yardstick of its stopping rule), doubled for a
+    # conjugate-symmetric kernel, whose mirror half is implicit
+    per_half = kern.tail_estimate[row] + SPEC.tail_tolerance * float(np.sum(np.abs(kern.w[row])))
     return 2.0 * per_half * y**-SPEC.sigma_u
+
+
+def _rows(blocks):
+    # (block, row index) of each t, in order
+    return [(block, i) for block in blocks for i in range(block.w.shape[0])]
 
 
 @pytest.mark.parametrize("name", sorted(WEIGHTS))
 def test_t_grid_blocking_is_bit_identical(name, monkeypatch):
+    # each row of a block, cut to the length of its own single-row block,
+    # is that block's row, and zero past it
     mu, mu_norm = WEIGHTS[name]
     default = list(afe._weight_kernel(SPEC, T_GRID, mu, mu_norm, 3.0))
+    assert len(default) == 1
     monkeypatch.setattr(quadrature, "_ROW_ELEMENTS", 1)  # one row per block and per call
     single = list(afe._weight_kernel(SPEC, T_GRID, mu, mu_norm, 3.0))
-    for a, b in zip(default, single, strict=True):
-        assert np.array_equal(a.v, b.v)
-        assert np.array_equal(a.w, b.w)
-        assert a.tail_estimate == b.tail_estimate
+    for (block, i), alone in zip(_rows(default), single, strict=True):
+        n = alone.v.size
+        assert alone.w.shape == (1, n)
+        assert np.array_equal(block.v[:n], alone.v)
+        assert np.array_equal(block.w[i, :n], alone.w[0])
+        assert np.all(block.w[i, n:] == 0)
+        assert block.tail_estimate[i] == alone.tail_estimate[0]
 
 
 def test_normalization_at_half_once_per_t_grid(monkeypatch):
@@ -267,12 +279,44 @@ def test_t_grid_matches_scalar_weights(name):
     ys = np.array([1.0, 30.0, 900.0])
     values = afe._weight_grid(SPEC, ys, T_GRID, mu, mu_norm)
     assert values.shape == (T_GRID.size, ys.size)
-    kernels = afe._weight_kernel(SPEC, T_GRID, mu, mu_norm, math.log(900.0))
-    for t, row, kern in zip(T_GRID, values, kernels, strict=True):
+    rows = _rows(afe._weight_kernel(SPEC, T_GRID, mu, mu_norm, math.log(900.0)))
+    for t, row, (kern, i) in zip(T_GRID, values, rows, strict=True):
         for y, value in zip(ys, row):
             alone = next(afe._weight_kernel(SPEC, t, mu, mu_norm, abs(math.log(y))))
             scalar = afe._weight_grid(SPEC, [y], [t], mu, mu_norm)[0, 0]
-            assert abs(value - scalar) <= _allowance(kern, y) + _allowance(alone, y)  # measured <= 3.4e-3 of it
+            assert abs(value - scalar) <= _allowance(kern, y, i) + _allowance(alone, y)  # measured <= 3.4e-3 of it
+
+
+@pytest.mark.parametrize("name", ["gl2", "tempered-direct"])
+def test_block_apply_matches_dense_rows(name, monkeypatch):
+    # a block's apply against each row's dense sum of w e^{-iv ln y}: blocks
+    # of three rows and a short last one, on the symmetric U and the
+    # two-sided TEMPERED weight (rows that stop at different heights:
+    # test_quadrature's TestRowBatches)
+    mu, mu_norm = WEIGHTS[name]
+    ys = np.array([0.5, 1.0, 7.0, 30.0, 900.0])
+
+    def build():
+        return list(afe._weight_kernel(SPEC, T_GRID, mu, mu_norm, math.log(900.0)))
+
+    first = build()[0].panels[0][1].size * 12  # nodes of the first segment's upper half-line
+    monkeypatch.setattr(quadrature, "_ROW_ELEMENTS", 3 * first)
+    blocks = build()
+    assert [b.w.shape[0] for b in blocks] == [3, 3, 2]
+    for block in blocks:
+        assert_matches_dense_rows(block, ys)  # measured <= 0.27 of the yardstick
+
+
+def test_benchmark_grid_builds_blocks_not_kernels():
+    # diagonal_weight's t-grid at T = 20: 1,284 Gauss-Legendre nodes on
+    # [0, 160] make 68 blocks of U (19 rows of 420 first-segment nodes, and
+    # a short last one) and 42 of D3's V (31 rows of 264)
+    ts, _ = quadrature.panel_grid(0.0, 160.0, 1.5, 12)
+    assert ts.size == 1284
+    for mu, blocks, per_block in ((afe._U_MU, 68, 19), (D3.mu, 42, 31)):
+        sizes = [b.w.shape[0] for b in afe._weight_kernel(SPEC, ts, mu, mu, 0.0)]
+        assert len(sizes) == blocks
+        assert set(sizes[:-1]) == {per_block} and sum(sizes) == ts.size
 
 
 # ---------------------------------------------------------------------------

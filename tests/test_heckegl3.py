@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lfunlab import heckegl3
 from lfunlab.exactarith import divisors, triple_divisor
 from lfunlab.heckegl3 import (
     GL3Form,
@@ -217,6 +218,39 @@ def test_tau_deligne_bound_and_hecke_square():
         assert abs(int(tau[p])) < 2 * p**5.5
         if p * p <= 2000:
             assert int(tau[p * p]) == int(tau[p]) ** 2 - p**11
+
+
+def test_fft_convolution_mod_p_matches_direct():
+    # the limb FFT square against the direct int64 convolution, on residues
+    # of the largest 20-bit prime, at sizes with and without a short FFT
+    p = heckegl3._small_primes_desc(20, 1)[0]
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3, 1000, 3001):
+        a = rng.integers(0, p, n)
+        a[-1] = p - 1
+        assert np.array_equal(heckegl3._convolve_mod(a, p), np.convolve(a, a)[:n] % p)
+
+
+def test_tau_hecke_relations_to_24000():
+    # the table of symmetric_square_form's default cap, 24,000, against the
+    # Hecke relations, which fix tau from its values at primes: tau(n) =
+    # tau(p^k) tau(n / p^k) for the least prime p of n, p^k || n, and
+    # tau(p^{k+1}) = tau(p) tau(p^k) - p^11 tau(p^{k-1}) (k = 1:
+    # tau(p^2) = tau(p)^2 - p^11)
+    N = 24000
+    tau = ramanujan_tau_table(N)
+    least = np.zeros(N + 1, dtype=np.int64)
+    for p in range(N, 1, -1):
+        least[p::p] = p
+    for n in range(2, N + 1):
+        p = int(least[n])
+        q = p
+        while n % (q * p) == 0:
+            q *= p
+        if q < n:
+            assert tau[n] == tau[q] * tau[n // q]
+        elif q > p:
+            assert tau[n] == tau[p] * tau[n // p] - p**11 * tau[n // (p * p)]
 
 
 def test_tau_table_cap():

@@ -81,27 +81,34 @@ class TestLineIntegral:
         # apply factors the phase by row of panels and by panel within the
         # row; blocks of three arguments, the last one short, give the dense
         # product.  Checked on a full-line kernel grown over several
-        # segments, on the first row of a batch, whose kernel keeps a prefix
-        # of the batch's grid, and on pieces of 1 panel, of prime counts
-        # with a short last row, of a square and of a full non-square count
+        # segments, on a block of two rows, the first of which stops below
+        # the other and is zero past its stop, and on pieces of 1 panel, of
+        # prime counts with a short last row, of a square and of a full
+        # non-square count
         full = gamma_kernel(2.0)
         assert len(full.panels) >= 6  # both half-lines of >= 3 segments
-        first, slowest = contour_kernel(
+        (pair,) = contour_kernel(
             gaussian_rows, 0.5, width=0.5, tol=1e-12, symmetric=True, height=4.0, cap=512.0,
             rows=np.array([1.0, 0.01]),
         )
-        assert first.v.size < slowest.v.size
+        first, slowest = block_rows(pair)
+        assert first.v.size < slowest.v.size == pair.v.size
         odd = panel_kernel([1, 13, 16, 23, 12, 7])
         ys = np.linspace(0.05, 9.0, 41)
-        for kern in (full, first, odd):
-            dense = np.exp(-1j * np.outer(np.log(ys), kern.v)) @ kern.w
+        for kern in (full, pair, odd):
+            dense = kern.w @ np.exp(-1j * np.outer(kern.v, np.log(ys)))
             if kern.symmetric:
                 dense = 2.0 * dense.real
             dense = dense * ys ** (-kern.sigma)
             widest = max(quadrature._panel_split(mids.size)[0] for _, mids, _ in kern.panels)
-            monkeypatch.setattr(quadrature, "_APPLY_ELEMENTS", 3 * widest * 12)
-            np.testing.assert_allclose(kern.apply(ys), dense, rtol=1e-13, atol=1e-15 * _mass(kern))
-            assert kern.apply(np.array([])).shape == (0,)
+            rows = kern.w.size // kern.w.shape[-1]
+            monkeypatch.setattr(quadrature, "_APPLY_ELEMENTS", 3 * rows * widest * 12)
+            row0 = kern.apply(ys).reshape(-1, ys.size)[0], dense.reshape(-1, ys.size)[0]
+            np.testing.assert_allclose(*row0, rtol=1e-13, atol=1e-15 * _mass(kern).flat[0])
+            # the slower row's values at y < 1 cancel to ~1e-15 of terms of
+            # size mass y^{-sigma}: every row against the scaled yardstick
+            assert_matches_dense_rows(kern, ys)
+            assert kern.apply(np.array([])).shape == kern.w.shape[:-1] + (0,)
 
     def test_apply_one_argument_matches_batch(self):
         # an argument's value does not depend on the batch around it beyond
@@ -129,7 +136,33 @@ class TestLineIntegral:
 
 
 def _mass(kern):
-    return float(np.sum(np.abs(kern.w)))
+    # sum |w|, one per row of a row block
+    return np.sum(np.abs(kern.w), axis=-1)
+
+
+def assert_matches_dense_rows(kern, ys):
+    # apply against the dense sum of w e^{-iv ln y}, row by row.  Both round
+    # each phase at about |v ln y| 2^-53, so beyond 1e-13 of the value the
+    # yardstick is 1e-15 of the row's mass over the whole line (the mirror
+    # half included), times 1 + |ln y|, at y^{-sigma}
+    dense = kern.w @ np.exp(-1j * np.outer(kern.v, np.log(ys)))
+    mass = _mass(kern)[..., None]
+    if kern.symmetric:
+        dense, mass = 2.0 * dense.real, 2.0 * mass
+    scale = ys ** (-kern.sigma)
+    err = np.abs(kern.apply(ys) - dense * scale)
+    assert np.all(err <= 1e-13 * np.abs(dense * scale) + 1e-15 * mass * (1.0 + np.abs(np.log(ys))) * scale)
+
+
+def block_rows(block, nodes=12):
+    # the rows of a row block as single-row kernels, each cut after the
+    # piece of its last nonzero weight: the length at which it stopped
+    ends = np.cumsum([mids.size * nodes for _, mids, _ in block.panels])
+    for w, tail in zip(block.w, block.tail_estimate, strict=True):
+        n = int(np.searchsorted(ends, np.flatnonzero(w)[-1] + 1))
+        yield quadrature.ContourKernel(
+            block.sigma, block.v[: ends[n]], w[: ends[n]], block.symmetric, float(tail), block.panels[: n + 1]
+        )
 
 
 def panel_kernel(counts, seed=0):
@@ -162,7 +195,8 @@ def _outer_mass(kern, nodes=12):
 
 
 class TestRowBatches:
-    """contour_kernel over a batch of rows: one grid, per-row stopping."""
+    """contour_kernel over a batch of rows: one grid, blocks of rows, per-row
+    stopping."""
 
     RATES = np.array([1.0, 0.05, 0.2, 0.01])
 
@@ -171,23 +205,46 @@ class TestRowBatches:
             kfunc, 0.5, width=0.5, tol=1e-12, symmetric=symmetric, height=4.0, cap=cap, rows=rows
         )
 
+    def rows(self, rows, symmetric, **kw):
+        # the single-row kernels of every block, in order
+        return [kern for block in self.build(rows, symmetric, **kw) for kern in block_rows(block)]
+
     @pytest.mark.parametrize("symmetric", [True, False])
-    def test_each_row_equals_its_own_kernel(self, symmetric):
-        # a row's kernel is bit-identical to the single-row kernel on the
-        # same grid: the other rows change neither its nodes nor its stop
-        kernels = list(self.build(self.RATES, symmetric))
-        assert len(kernels) == self.RATES.size
-        for r, kern in zip(self.RATES, kernels):
+    def test_each_row_equals_its_own_kernel(self, symmetric, monkeypatch):
+        # a block row, cut to its own length, is bit-identical to the
+        # single-row kernel on the same grid, and zero past it: the other
+        # rows change neither its nodes nor its stop.  Blocks of three rows,
+        # the last one short
+        monkeypatch.setattr(quadrature, "_ROW_ELEMENTS", 3 * 8 * 12)  # 8 panels in the first segment
+        blocks = list(self.build(self.RATES, symmetric))
+        assert [b.w.shape[0] for b in blocks] == [3, 1]
+        rows = [(block, i, kern) for block in blocks for i, kern in enumerate(block_rows(block))]
+        for r, (block, i, kern) in zip(self.RATES, rows, strict=True):
             alone = contour_kernel(
                 lambda u, r=r: gaussian_rows(u, np.array([r]))[0], 0.5, width=0.5, tol=1e-12,
                 symmetric=symmetric, height=4.0, cap=512.0,
             )
             assert np.array_equal(kern.v, alone.v)
             assert np.array_equal(kern.w, alone.w)
+            assert np.all(block.w[i, alone.w.size :] == 0)
             assert kern.tail_estimate == alone.tail_estimate
         # slower decay needs more height, and a finished row takes no more segments
-        heights = [float(np.max(np.abs(k.v))) for k in kernels]
+        heights = [float(np.max(np.abs(kern.v))) for _, _, kern in rows]
         assert heights[0] < heights[2] < heights[1] < heights[3]
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_block_apply_matches_dense_rows(self, symmetric, monkeypatch):
+        # a block's apply against each row's dense sum of w e^{-iv ln y} to
+        # rounding: rows that stop at different heights, in blocks of three
+        # and a short last one
+        monkeypatch.setattr(quadrature, "_ROW_ELEMENTS", 3 * 8 * 12)
+        rates = np.array([1.0, 0.05, 0.2, 0.01, 0.5])
+        ys = np.geomspace(0.05, 900.0, 23)
+        blocks = list(self.build(rates, symmetric))
+        assert [b.w.shape[0] for b in blocks] == [3, 2]
+        for block in blocks:
+            assert np.any(block.w[:, -1] == 0)  # a row that stops below its block's top
+            assert_matches_dense_rows(block, ys)  # measured <= 0.1 of the yardstick
 
     def test_row_mass_does_not_move_other_stops(self):
         # 1/cos(u) decays like e^{-v}, so a stop rule that compared a row's
@@ -197,7 +254,7 @@ class TestRowBatches:
             return a[:, None] / np.cos(u)
 
         scales = np.array([1.0, 1e12, 1e-3, 1e6])
-        for a, kern in zip(scales, self.build(scales, True, kfunc=scaled)):
+        for a, kern in zip(scales, self.rows(scales, True, kfunc=scaled), strict=True):
             alone = contour_kernel(
                 lambda u, a=a: scaled(u, np.array([a]))[0], 0.5, width=0.5, tol=1e-12,
                 symmetric=True, height=4.0, cap=512.0,
@@ -207,7 +264,7 @@ class TestRowBatches:
 
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_stopping_rule_per_row(self, symmetric):
-        for kern in self.build(self.RATES, symmetric):
+        for kern in self.rows(self.RATES, symmetric):
             edge = _outer_mass(kern)
             assert edge <= 1e-12 * float(np.sum(np.abs(kern.w)))
             assert kern.tail_estimate == pytest.approx(edge, rel=1e-12)
@@ -215,10 +272,11 @@ class TestRowBatches:
     def test_values_match_closed_form(self):
         # (1/2 pi i) int_{(sigma)} y^{-u} e^{r u^2} du = e^{-(ln y)^2 / 4r} / (2 sqrt(pi r))
         ys = np.array([0.5, 1.0, 3.0])
-        for r, kern in zip(self.RATES, self.build(self.RATES, True)):
+        (block,) = self.build(self.RATES, True)
+        for r, values in zip(self.RATES, block.apply(ys), strict=True):
             exact = np.exp(-np.log(ys) ** 2 / (4 * r)) / (2 * math.sqrt(math.pi * r))
             # rounding sits at the scale of the kernel's mass, the y = 1 value
-            np.testing.assert_allclose(kern.apply(ys).real, exact, rtol=1e-10, atol=1e-12 * exact[1])
+            np.testing.assert_allclose(values.real, exact, rtol=1e-10, atol=1e-12 * exact[1])
 
     def test_row_at_cap_is_named(self):
         kernels = self.build(np.array([1.0, 0.001, 0.5]), True, cap=64.0)

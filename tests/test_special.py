@@ -107,6 +107,30 @@ class TestLogGamma:
             ref = np.array([complex(mp.loggamma(mp.mpc(x.real, x.imag))) for x in z])
         assert np.max(np.abs(log_gamma(z) - ref)) <= 1e-13  # measured 1.1e-14
 
+    def test_paired_recursion_against_mpmath(self):
+        # every |z| < threshold recurses, two steps per log: a dense grid of
+        # Re z in [1/2, 10.4] (Re z = 1/2 itself included) by |Im z| up to
+        # 10.4, near the threshold, with 1 to 10 steps, odd and even, and
+        # the mirrors 1 - z on the reflection side away from its poles.
+        # The error stays inside the rounding bound of the Stirling value
+        # the recursion lands on, and the imaginary part is mpmath's, with
+        # no multiple of 2 pi: no pair of logs leaves the principal branch
+        threshold = special._STIRLING_MIN_ABS
+        re = np.concatenate([[0.5, 0.5 + 1e-12], np.linspace(0.5, 10.4, 34)])
+        im = np.concatenate([np.linspace(-10.4, 10.4, 53), [0.0, 1e-12, -1e-12]])
+        w = (re[:, None] + 1j * im[None, :]).ravel()
+        w = w[np.abs(w) < threshold]
+        steps = np.ceil(np.sqrt(threshold**2 - w.imag**2) - w.real).astype(int)
+        assert set(steps) == set(range(1, 11))
+        z = np.concatenate([w, 1.0 - w])
+        z = z[np.abs(z - np.minimum(np.rint(z.real), 0.0)) > 0.1]
+        with mp.workdps(30):
+            ref = np.array([complex(mp.loggamma(mp.mpc(x.real, x.imag))) for x in z])
+        got = log_gamma(z)
+        bound = 4.0 * np.maximum(np.abs(z * np.log(z)), threshold * math.log(threshold)) * 2.0**-53
+        assert np.all(np.abs(got - ref) <= bound)  # measured <= 3.2 of the unit
+        assert np.all(np.abs(got.imag - ref.imag) <= bound)
+
     def test_rounding_grows_with_abs_z(self):
         # the result rounds at its own size, so the absolute error grows
         # like |z log z| 2^-53: at z = 1 + 10^4 i it is 1.5e-11 (one ulp of

@@ -131,7 +131,7 @@ def test_mellin_windowed_decay_is_superpolynomial():
 def test_fft_line_matches_dense_quadrature():
     # the kernels' FFT line against the dense oracle, on the kernel's line
     # up to the contour cap and on a wide support.  Each evaluation sits
-    # within kfloor's model 2e-16 mass (1 + |v| h), so they differ by at
+    # within the kernel floor model 2e-16 mass (1 + |v| h), so they differ by at
     # most twice it (measured: at most 0.77 of that, on the wide support at
     # v = 0).  The oracle sizes its grid for the largest |v| of a call, so
     # it is called per height window: on its grid for the cap, the sums at
