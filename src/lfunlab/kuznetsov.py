@@ -66,7 +66,8 @@ from typing import Callable, Sequence
 import mpmath as mp
 import numpy as np
 
-from .afe import _U_MU, FixtureCoverageError, MaassFixture, WeightSpec, _weight_grid
+from .afe import _U_MU, FixtureCoverageError, MaassFixture, WeightSpec, _weight_rows
+from .chebyshev import _Interpolant, _interpolate_log1p
 from .exactarith import kloosterman
 from .heckegl3 import GL3Form
 from .quadrature import _ROW_ELEMENTS, NonDecayError, gauss_legendre_panels, panel_grid
@@ -708,21 +709,33 @@ def kuznetsov_residual(
 
 DIAGONAL_VARIANTS = ("direct", "dual", "direct_plus", "direct_minus", "dual_plus", "dual_minus")
 
-_UV_CACHE = LRUCache(maxsize=32)  # one weight array per (spec, y, t-grid, gamma data)
+_DIAG_TOP = 8.0  # the t-range [0, 8T]: e^{-t^2/T^2} < e^{-64} past it
+
+_UV_CACHE = LRUCache(maxsize=32)  # one interpolant per (spec, y, top of the t-range, gamma data)
 _DEFAULT_WEIGHT_SPEC = WeightSpec()
 
 
 def uv_cache_stats() -> dict:
     """Hit/miss counters of the shared degree-2 / tensor weight cache, one
-    count per weight array (all t of one grid at one y), not per t."""
+    count per weight interpolant (all t of [0, 8T] at one y), not per t."""
     return {"hits": _UV_CACHE.hits, "misses": _UV_CACHE.misses}
 
 
-def _cached_weight(spec: WeightSpec, y: float, ts: np.ndarray, mu, mu_norm) -> np.ndarray:
+def _cached_weight(spec: WeightSpec, y: float, top: float, mu, mu_norm) -> _Interpolant:
+    """W(y, .) on [0, top] as a piecewise Chebyshev interpolant in log(1 + t),
+    to the spec's tail_tolerance, of rows from the one contour grid sized
+    for top, so that the rows differ only where W does."""
     # the weight reads nothing of a form but its gamma data, so a self-dual
     # form's two tensor variants share one entry
-    key = (spec, y, ts.tobytes(), tuple(mu), tuple(mu_norm))
-    return _UV_CACHE.get_or_build(key, lambda: _weight_grid(spec, [y], ts, mu, mu_norm)[:, 0])
+    key = (spec, y, top, tuple(mu), tuple(mu_norm))
+
+    def build() -> _Interpolant:
+        def rows(ts: np.ndarray) -> tuple:
+            return _weight_rows(spec, y, ts, mu, mu_norm, top)
+
+        return _interpolate_log1p(rows, top, spec.tail_tolerance, f"AFE weight at y = {y}")
+
+    return _UV_CACHE.get_or_build(key, build)
 
 
 def _diag_samples(
@@ -730,7 +743,10 @@ def _diag_samples(
 ) -> np.ndarray:
     gauss = np.exp(-((ts / width_T) ** 2))
     mu = form.mu if variant == "direct" else form.mu_dual
-    return gauss * _cached_weight(spec, y_gl2, ts, _U_MU, _U_MU) * _cached_weight(spec, y_rs, ts, mu, form.mu)
+    top = _DIAG_TOP * width_T
+    u = _cached_weight(spec, y_gl2, top, _U_MU, _U_MU)
+    v = _cached_weight(spec, y_rs, top, mu, form.mu)
+    return gauss * u(ts) * v(ts)
 
 
 def diagonal_weight(
@@ -755,17 +771,20 @@ def diagonal_weight(
       "direct_minus"  (4/pi) int K_{2it}(2 pi x) sinh(pi t) e^{-t^2/T^2} U(l,t) V(m^2 n,t) t dt
       "dual_plus"/"dual_minus"  the mirror-weight twins.
 
-    Each weight is evaluated for all t of the grid on one shared contour
-    grid, and the array is cached module-wide (a 32-entry LRU) keyed on the
-    weight parameters, y, the t-grid and the gamma data the weight reads:
+    Each weight is a piecewise Chebyshev interpolant in log(1 + t) on
+    [0, 8T] (_cached_weight: a few dozen contour rows per piece, all from
+    one contour grid, with a reported error), and every t-grid is evaluated
+    from it.  The interpolant is cached module-wide (a 32-entry LRU) keyed
+    on the weight parameters, y, 8T and the gamma data the weight reads:
     the mu it carries and the mu that normalizes it ((0,) by (0,) for U,
-    form.mu or form.mu_dual by form.mu for V).  So repeated evaluations on
-    the same grid are cheap and a self-dual form's "dual" reuses "direct"'s
-    arrays (see uv_cache_stats).  x is required exactly for the Bessel
-    variants, which take bessel_transform's "kernel" route with the weighted
-    Gaussian as h, sampled on the same t-grid (its panels halved until they
-    resolve the contour).  Evenness of the weights in t is relied upon (the
-    integrals run over t >= 0 doubled); the test-suite verifies it."""
+    form.mu or form.mu_dual by form.mu for V).  So any resolution_factor
+    and every panel halving of the Bessel variants reuse it, and a
+    self-dual form's "dual" reuses "direct"'s (see uv_cache_stats).  x is
+    required exactly for the Bessel variants, which take bessel_transform's
+    "kernel" route with the weighted Gaussian as h, sampled on the t-grid
+    (its panels halved until they resolve the contour).  Evenness of the
+    weights in t is relied upon (the integrals run over t >= 0 doubled);
+    the test-suite verifies it."""
     if variant not in DIAGONAL_VARIANTS:
         raise ValueError(f"variant must be one of {DIAGONAL_VARIANTS}, got {variant!r}")
     if not T > 0:
@@ -782,7 +801,7 @@ def diagonal_weight(
     y_gl2 = float(l if bessel else n)
     y_rs = float(m * m * n)
 
-    tmax = 8.0 * T
+    tmax = _DIAG_TOP * T
     if not bessel:
         width = min(max(T / 6.0, 1e-4), 1.5) / resolution_factor
         ts, ws = panel_grid(0.0, tmax, width, _GL_NODES)

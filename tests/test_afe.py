@@ -485,6 +485,22 @@ def test_gl3_guards(sym2):
         gl3_critical_value(sym2, 0.6 + 1j, SPEC)
 
 
+def test_gl3_value_at_one_matches_petersson_norm(sym2):
+    # L(1, sym^2 f) = (pi/2) (4 pi)^k <f, f> / Gamma(k) for the weight-k
+    # eigenform f, here Delta (k = 12), with the Petersson norm
+    # <Delta, Delta> = int_{SL(2,Z)\H} |Delta|^2 y^12 dx dy / y^2
+    # = 1.035362056804320922347e-6 (D. Zagier, "Modular forms whose Fourier
+    # coefficients involve zeta-functions of quadratic fields", Modular
+    # Functions of One Variable VI, LNM 627 (1977)).  At s0 = 1 the
+    # functional-equation pair sums the lift's coefficients A(1, m) and
+    # A(m, 1) against weights that decay like m^{-A/2}, until a dyadic block
+    # falls below 1e-8 of the value at A = 16: 1e2 tail_tolerance.
+    petersson = 1.035362056804320922347e-6
+    ref = (math.pi / 2.0) * (4.0 * math.pi) ** 12 * petersson / math.factorial(11)
+    value = afe._gl3_afe_value(sym2, 1.0, SPEC)
+    assert abs(value - ref) <= 1e2 * SPEC.tail_tolerance * ref  # measured 2.4e-11 of ref
+
+
 def test_convexity_scale_envelopes_fitted(sym2):
     # loose fitted envelopes over the fixture suite, not theorems: degree-2
     # squares below 3 (1+r)^0.7, degree-3 moduli below 3 (1+r)^0.8

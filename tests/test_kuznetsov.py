@@ -9,17 +9,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import i0
 
+from lfunlab import chebyshev
 from lfunlab import kuznetsov as kz
 from lfunlab.afe import (
+    _U_MU,
     FixtureCoverageError,
     MaassFixture,
     WeightSpec,
+    _weight_grid,
+    _weight_rows,
     gl2_afe_weight_grid,
     rankin_selberg_afe_weight_grid,
 )
 from lfunlab.exactarith import divisors
 from lfunlab.heckegl3 import GL3Form, symmetric_square_form, triple_divisor_form
+from lfunlab.quadrature import NonDecayError, panel_grid
 from lfunlab.special import PoleError, RegimeError
 from lfunlab.util import LRUCache
 
@@ -387,6 +393,104 @@ def test_diagonal_weight_uv_cache_counts():
     assert after["hits"] > before["hits"]
 
 
+# ---------------------------------------------------------------------------
+# the weights' interpolants in log(1 + t)
+
+# gamma data (mu used, mu normalizing) of U, D3's V, sym^2 Delta's V, a
+# tempered V (non-real mu) and the dual V of a non-self-dual real mu
+OTHER_MU = (0.2, 0.1, -0.3)
+TEMPERED_MU = (0.4j, -0.1j, -0.3j)
+INTERPOLATED = {
+    "gl2": (_U_MU, _U_MU),
+    "d3": ((0, 0, 0), (0, 0, 0)),
+    "sym2": ((-1, -11, -12), (-1, -11, -12)),
+    "tempered": (TEMPERED_MU, TEMPERED_MU),
+    "other-dual": (tuple(-m for m in OTHER_MU), OTHER_MU),
+}
+
+
+@pytest.mark.parametrize("y", [1.0, 1e3])
+@pytest.mark.parametrize("name", sorted(INTERPOLATED))
+def test_weight_interpolant_matches_direct_rows(name, y):
+    # at random t, none of them a node, within the reported error of each
+    # piece, against rows from a t-grid sized for the same top (that of
+    # diagonal_weight at T = 20)
+    mu, mu_norm = INTERPOLATED[name]
+    spec, top = WeightSpec(), 160.0
+    interp = kz._cached_weight(spec, y, top, mu, mu_norm)
+    ts = np.sort(np.random.default_rng(7).uniform(0.0, top, 64))
+    assert not np.isin(ts, np.concatenate([p.ts for p in interp.pieces])).any()
+    direct = _weight_grid(spec, [y], ts, mu, mu_norm, t_top=top)[:, 0]
+    off = np.abs(interp(ts) - direct)
+    assert np.all(off <= interp.error(ts))  # measured: off <= 0.12 of it
+
+
+def test_weight_interpolant_nodes_are_rows():
+    # at a node the interpolant returns the row itself, bit for bit
+    spec, mu = WeightSpec(), INTERPOLATED["d3"][0]
+    interp = kz._cached_weight(spec, 1.0, 160.0, mu, mu)
+    nodes = interp.pieces[1].ts[1::7]
+    direct = _weight_grid(spec, [1.0], nodes, mu, mu, t_top=160.0)[:, 0]
+    assert np.array_equal(interp(nodes), direct)
+
+
+def test_weight_interpolant_piece_rule():
+    # pieces by a geometric rule in 1 + t, not by the range: a factor of at
+    # most 8 each, the last one cut at top
+    assert np.array_equal(chebyshev._piece_edges(160.0), [0.0, 7.0, 63.0, 160.0])
+    assert np.array_equal(chebyshev._piece_edges(4.0), [0.0, 4.0])
+    assert np.array_equal(chebyshev._piece_edges(600.0), [0.0, 7.0, 63.0, 511.0, 600.0])
+    interp = kz._cached_weight(WeightSpec(), 1.0, 160.0, _U_MU, _U_MU)
+    for piece, lo, hi in zip(interp.pieces, [0.0, 7.0, 63.0], [7.0, 63.0, 160.0], strict=True):
+        assert (piece.ts[-1], piece.ts[0]) == (lo, hi)
+        assert (piece.ts.size - 1) % (2 * chebyshev._CHEB_START) == 0  # doublings of the first set
+    # neighbours share their common end, built once
+    assert interp.rows == sum(p.ts.size for p in interp.pieces) - 2
+
+
+def test_weight_interpolant_raises_past_the_interval_cap(monkeypatch):
+    # D3's V at top 160 needs 128 intervals on [0, 7]; with the cap at 16 the
+    # build raises after its first check, having built 17 rows per piece (the
+    # three pieces share two ends)
+    built = []
+
+    def counting(*args):
+        values, floors = _weight_rows(*args)
+        built.append(values.size)
+        return values, floors
+
+    monkeypatch.setattr(kz, "_UV_CACHE", LRUCache(maxsize=32))
+    monkeypatch.setattr(kz, "_weight_rows", counting)
+    monkeypatch.setattr(chebyshev, "_CHEB_MAX", 16)
+    mu = INTERPOLATED["d3"][0]
+    with pytest.raises(NonDecayError, match="16 Chebyshev intervals"):
+        kz._cached_weight(WeightSpec(), 1.0, 160.0, mu, mu)
+    assert built == [3 * 17 - 2]
+
+
+def test_weight_interpolant_rejects_t_outside_its_range():
+    interp = kz._cached_weight(WeightSpec(), 1.0, 8.0, _U_MU, _U_MU)
+    with pytest.raises(ValueError, match="outside"):
+        interp(np.array([8.5]))
+    with pytest.raises(ValueError, match="past the grid's top"):
+        _weight_grid(WeightSpec(), [1.0], [9.0], _U_MU, _U_MU, t_top=8.0)
+
+
+def test_diagonal_weight_benchmark_round_builds_few_rows(monkeypatch):
+    # the round of diagonal_weight(20, 1, 1, 1, D3, ...) takes contour rows
+    # only at its interpolants' nodes: a few hundred per weight where its
+    # t-grid has 1,284 nodes
+    monkeypatch.setattr(kz, "_UV_CACHE", LRUCache(maxsize=32))
+    d3 = triple_divisor_form()
+    spec = WeightSpec()
+    kz.diagonal_weight(20.0, 1, 1, 1, d3, "direct")
+    kz.diagonal_weight(20.0, 1, 1, 1, d3, "dual")
+    assert (kz._UV_CACHE.misses, kz._UV_CACHE.hits) == (2, 2)
+    ts, _ = panel_grid(0.0, 160.0, 1.5, 12)
+    rows = [kz._cached_weight(spec, 1.0, 160.0, mu, mu).rows for mu in (_U_MU, d3.mu)]
+    assert all(r <= ts.size // 4 for r in rows)  # measured 161 (U) and 209 (V)
+
+
 def test_diagonal_weight_uv_cache_keys_on_gamma_data():
     # the UV cache keys on the gamma data (mu, mu_dual) the weight reads: a
     # form whose mu differs from D3's must not be served D3's cached weights
@@ -395,18 +499,26 @@ def test_diagonal_weight_uv_cache_keys_on_gamma_data():
         label="mu-only", mu=(0.2, 0.1, -0.3), mu_dual=(-0.2, -0.1, 0.3), maass_type=False,
     )
     spec = WeightSpec()
-    ts = np.array([0.3])
-    u = gl2_afe_weight_grid(spec, [1.0], ts)[0, 0]
+    top = 8.0  # diagonal_weight's t-range at T = 1
+    u = kz._cached_weight(spec, 1.0, top, _U_MU, _U_MU)
     for variant in ("direct", "dual"):
-        fresh = rankin_selberg_afe_weight_grid(spec, [1.0], ts, other, variant)[0, 0]
-        cached_d3 = kz._cached_weight(spec, 1.0, ts, d3.mu if variant == "direct" else d3.mu_dual, d3.mu)[0]
         mu = other.mu if variant == "direct" else other.mu_dual
-        assert kz._cached_weight(spec, 1.0, ts, mu, other.mu)[0] == fresh
+        mu_d3 = d3.mu if variant == "direct" else d3.mu_dual
+        interp = kz._cached_weight(spec, 1.0, top, mu, other.mu)
+        # at a node, bit for bit the row of a grid sized for the same top
+        node = interp.pieces[0].ts[3:4]
+        assert interp(node)[0] == _weight_grid(spec, [1.0], node, mu, other.mu, t_top=top)[0, 0]
+        # at an interior t, within the interpolant's reported error
+        ts = np.array([0.3])
+        assert not np.isin(ts, interp.pieces[0].ts).any()
+        fresh = _weight_grid(spec, [1.0], ts, mu, other.mu, t_top=top)[0, 0]
+        assert abs(interp(ts)[0] - fresh) <= interp.error(ts)[0]
+        cached_d3 = kz._cached_weight(spec, 1.0, top, mu_d3, d3.mu)(ts)[0]
         assert abs(fresh - cached_d3) > 1e-2 * abs(cached_d3)  # measured 17 %
         # and the diagonal weight's samples pick the entry from the form
-        d3_sample = kz._diag_samples(ts, 1.0, 1.0, 1.0, d3, variant, spec)[0]
-        assert kz._diag_samples(ts, 1.0, 1.0, 1.0, other, variant, spec)[0] == np.exp(-(ts[0] ** 2)) * u * fresh
-        assert d3_sample == np.exp(-(ts[0] ** 2)) * u * cached_d3
+        gauss_u = np.exp(-(ts[0] ** 2)) * u(ts)[0]
+        assert kz._diag_samples(ts, 1.0, 1.0, 1.0, other, variant, spec)[0] == gauss_u * interp(ts)[0]
+        assert kz._diag_samples(ts, 1.0, 1.0, 1.0, d3, variant, spec)[0] == gauss_u * cached_d3
 
 
 def test_diagonal_weight_dual_reuses_self_dual_arrays():
@@ -443,16 +555,13 @@ def test_profile_cache_keys_on_rel_tol(monkeypatch):
 
 
 def _effective_test_function(form, spec, l_index, nm_index):
+    # direct rows, one t-grid per weight per evaluator call, apart from the
+    # interpolants diagonal_weight evaluates
     def ev(t):
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.array(
-            [
-                np.exp(-float(tt) ** 2)
-                * gl2_afe_weight_grid(spec, [float(l_index)], [abs(float(tt))])[0, 0]
-                * rankin_selberg_afe_weight_grid(spec, [float(nm_index)], [abs(float(tt))], form, "direct")[0, 0]
-                for tt in ts
-            ]
-        )
+        ts = np.abs(np.atleast_1d(np.asarray(t, dtype=float)))
+        u = gl2_afe_weight_grid(spec, [float(l_index)], ts)[:, 0]
+        v = rankin_selberg_afe_weight_grid(spec, [float(nm_index)], ts, form, "direct")[:, 0]
+        out = np.exp(-(ts**2)) * u * v
         return out.reshape(np.shape(t)) if np.ndim(t) else complex(out[0])
 
     return kz.SpectralTestFunction(evaluator=ev, decay_exponent=5.0, holomorphy_width=0.51, label="afe-effective")
@@ -464,7 +573,7 @@ def test_diagonal_weight_plus_matches_transform_oracle():
     v = kz.diagonal_weight(1.0, 2, 1, 1, d3, "direct_plus", x=0.5, weight_spec=spec)
     heff = _effective_test_function(d3, spec, 2, 1)
     ref = kz.bessel_transform(heff, "+", 0.5, route="series", rel_tol=1e-9)
-    assert abs(v - ref) < 1e-9 * (1.0 + abs(ref))
+    assert abs(v - ref) < 1e-9 * abs(ref)  # |ref| = 3.3e-7; measured 1.4e-13 of it
 
 
 def test_diagonal_weight_minus_matches_transform_oracle():
@@ -473,7 +582,69 @@ def test_diagonal_weight_minus_matches_transform_oracle():
     v = kz.diagonal_weight(1.0, 2, 1, 1, d3, "direct_minus", x=0.5, weight_spec=spec)
     heff = _effective_test_function(d3, spec, 2, 1)
     ref = kz.bessel_transform(heff, "-", 0.5, route="series", rel_tol=1e-9)
-    assert abs(v - ref) < 1e-9 * (1.0 + abs(ref))
+    assert abs(v - ref) < 1e-9 * abs(ref)  # |ref| = 4.7e-6; measured 2.3e-14 of it
+
+
+def _direct_row_samples(memo: dict):
+    # kz._diag_samples from direct rows on each t-grid, sized for the same
+    # top, once per grid
+    def samples(ts, width_T, y_gl2, y_rs, form, variant, spec):
+        top = kz._DIAG_TOP * width_T
+        mu = form.mu if variant == "direct" else form.mu_dual
+        key = (ts.tobytes(), width_T, y_gl2, y_rs, tuple(mu), tuple(form.mu), spec)
+        if key not in memo:
+            u = _weight_grid(spec, [y_gl2], ts, _U_MU, _U_MU, t_top=top)[:, 0]
+            v = _weight_grid(spec, [y_rs], ts, mu, form.mu, t_top=top)[:, 0]
+            memo[key] = np.exp(-((ts / width_T) ** 2)) * u * v
+        return memo[key]
+
+    return samples
+
+
+@pytest.mark.parametrize("T", [0.5, 1.0, 20.0])
+def test_diagonal_weight_variants_match_direct_rows(T, monkeypatch):
+    # each variant from the interpolants against the same from direct rows,
+    # within the interpolation error propagated to it.  A sample's error is
+    # at most g (|U| eV + |V| eU + eU eV), g the Gaussian and eU, eV the
+    # interpolants' reported errors; the plain variants weigh it with
+    # (2/pi) t tanh(pi t), the Bessel variants with
+    # 4 I_0(2 pi x) sqrt(t tanh(pi t) / pi), from |J_{2it}(z)|, |I_{2it}(z)|
+    # <= I_0(z) / |Gamma(1 + 2it)| (term by term in the ascending series) and
+    # the I-Bessel form of Hminus.
+    d3 = triple_divisor_form()
+    spec = WeightSpec()
+    x = 0.5
+    # a Bessel pair shares one profile and both transforms of it; so do
+    # D3's direct and dual twins, so identical profiles are transformed once
+    transforms = {}
+    contour_transforms = kz._contour_transforms
+
+    def memo(prof, zs):
+        key = (prof.ts.tobytes(), prof.fw.tobytes(), prof.theta, zs.tobytes())
+        if key not in transforms:
+            transforms[key] = contour_transforms(prof, zs)
+        return transforms[key]
+
+    monkeypatch.setattr(kz, "_contour_transforms", memo)
+    def arg(variant):
+        return None if variant in ("direct", "dual") else x
+
+    values = {variant: kz.diagonal_weight(T, 1, 1, 1, d3, variant, arg(variant)) for variant in kz.DIAGONAL_VARIANTS}
+    ts, ws = panel_grid(0.0, kz._DIAG_TOP * T, min(max(T / 6.0, 1e-4), 1.5), 12)
+    u = kz._cached_weight(spec, 1.0, kz._DIAG_TOP * T, _U_MU, _U_MU)
+    v = kz._cached_weight(spec, 1.0, kz._DIAG_TOP * T, d3.mu, d3.mu)
+    e_u, e_v = u.error(ts), v.error(ts)
+    e_h = np.exp(-((ts / T) ** 2)) * (np.abs(u(ts)) * e_v + np.abs(v(ts)) * e_u + e_u * e_v)
+    bound = {
+        None: (2.0 / math.pi) * np.sum(ws * e_h * ts * np.tanh(math.pi * ts)),
+        x: 4.0 * float(i0(2.0 * math.pi * x)) * np.sum(ws * e_h * np.sqrt(ts * np.tanh(math.pi * ts) / math.pi)),
+    }
+    monkeypatch.setattr(kz, "_diag_samples", _direct_row_samples({}))
+    # D3 is self-dual: each "dual" variant is its "direct" twin, entry for entry
+    for variant in ("direct", "direct_plus", "direct_minus"):
+        assert values[variant.replace("direct", "dual")] == values[variant]
+        direct = kz.diagonal_weight(T, 1, 1, 1, d3, variant, arg(variant))
+        assert abs(values[variant] - direct) <= bound[arg(variant)]  # measured at most 3.4e-4 of it
 
 
 def test_diagonal_weight_symmetric_square_finite():

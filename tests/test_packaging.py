@@ -50,6 +50,7 @@ def test_exported_functions_take_no_private_parameters():
 LAYERS = {
     "util": set(),
     "quadrature": set(),
+    "chebyshev": {"quadrature"},
     "special": set(),
     "exactarith": set(),
     "heckegl3": {"exactarith"},
