@@ -11,9 +11,12 @@ the closed form sum_{d | gcd(a,c)} d * mu(c/d).
 
 Everything here is a pure function of its integer arguments.  Phases are
 reduced to integers k mod c before exponentiation, so the only floating
-error is in exp(2*pi*i*k/c) and the final pairwise summation.  A slower
-oracle path groups equal phases into exact integer counts and evaluates
-the root-of-unity combination in high precision.
+error is in exp(2*pi*i*k/c) and the final summation: pairwise for one
+modulus (`kloosterman`), and in order of d for the batched route
+(`kloosterman_sums`), which takes cos(2*pi*k/c) over the units d <= c/2 of
+every c <= c_max in blocks of moduli and sums them by one bincount per
+block.  A slower oracle path groups equal phases into exact integer counts
+and evaluates the root-of-unity combination in high precision.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ __all__ = [
     "NotCoprimeError",
     "mod_inverse",
     "kloosterman",
+    "kloosterman_sums",
     "kloosterman_exact_phase",
     "kloosterman_factored",
     "ramanujan_divisor_mu",
@@ -57,22 +61,26 @@ def mod_inverse(d: int, c: int) -> int:
         raise NotCoprimeError(f"{d} is not invertible mod {c}") from exc
 
 
-def _unit_inverses(units: np.ndarray, c: int) -> np.ndarray:
-    """Inverses mod c > 1 of an int64 array of units, by the extended
-    Euclidean algorithm run on the whole array at once.
+def _unit_inverses(units: np.ndarray, c) -> np.ndarray:
+    """Inverses of an int64 array of units, by the extended Euclidean
+    algorithm run on the whole array at once.  c is one modulus > 1 or an
+    int64 array of moduli >= 1 parallel to units (a unit of modulus 1 must
+    be 1, the residue 0 written so that no remainder is 0).
 
     Each element carries two pairs (r, s) with s u = r (mod c), from (c, 0)
     and (u, 1).  The quotient (r0 - 1) // r1 keeps remainders in [1, r1], so
     for gcd(u, c) = 1 they follow Euclid's until r1 = 1, where s1 is the
-    inverse, and then stay at r0 = r1 = 1: no element needs a mask once
-    done, and no remainder or coefficient leaves [-c, c].  The step count
-    is Lame's: n division steps on (c, u), the last to remainder 0, need
-    c >= F(n + 2), and the remainder 1 comes one step earlier.
+    inverse, and then stay at r0 = r1 = 1, both s inverses: no element needs
+    a mask once done, and no remainder or coefficient leaves [-c, c].  The
+    step count is Lame's at the largest c: n division steps on (c, u), the
+    last to remainder 0, need c >= F(n + 2), and the remainder 1 comes one
+    step earlier.
     """
+    c_top = int(np.max(c))
     steps, f0, f1 = -1, 1, 2  # F(2), F(3)
-    while f1 <= c:
+    while f1 <= c_top:
         steps, f0, f1 = steps + 1, f1, f0 + f1
-    r0, r1 = np.full_like(units, c), units.copy()
+    r0, r1 = np.broadcast_to(c, units.shape).copy(), units.copy()
     s0, s1 = np.zeros_like(units), np.ones_like(units)
     q, t = np.empty_like(units), np.empty_like(units)
     for _ in range(steps):
@@ -124,6 +132,48 @@ def kloosterman(n: int, l: int, c: int) -> complex:
     c, units, inv = _units(c)
     phase = ((l % c) * units + (n % c) * inv) % c
     return complex(np.exp((2j * np.pi / c) * phase).sum())
+
+
+_BLOCK_RESIDUES = 1 << 15  # residues per block of kloosterman_sums, plus at most one modulus's
+
+
+def kloosterman_sums(n: int, l: int, c_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Re S(n, l; c), Re S(-n, l; c)) for c = 1..c_max, as two float arrays.
+
+    S is real: d -> c - d conjugates each term.  So for c > 2 each sum is
+    twice the sum over its units d < c/2, and c = 1, 2 keep their one term
+    (c = 1 the residue 0, laid out as 1).  The residues 1 <= d <= max(1, c/2)
+    of a block of moduli are laid out as flat arrays, the units among them
+    kept, and their inverses taken by one array Euclid.  The phases
+    (l d +- n dbar) mod c are reduced in integers, then cos(2 pi k / c) is
+    summed per modulus by one bincount per sign, in order of d.  A block
+    closes where the residues laid out from c = 1 reach a multiple of
+    _BLOCK_RESIDUES, a rule that does not look at c_max, so every sum is the
+    same bit for bit whatever c_max it was computed under.
+    """
+    n, l, c_max = operator.index(n), operator.index(l), operator.index(c_max)
+    if c_max < 1:
+        raise ValueError(f"c_max must be at least 1, got {c_max}")
+    cs = np.arange(1, c_max + 1, dtype=np.int64)
+    counts = np.maximum(cs // 2, 1)
+    block = (np.cumsum(counts) - 1) // _BLOCK_RESIDUES  # a modulus goes with its last residue
+    edges = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), c_max]
+    plus, minus = np.empty(c_max), np.empty(c_max)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        c = np.repeat(cs[lo:hi], counts[lo:hi])
+        first = np.cumsum(counts[lo:hi]) - counts[lo:hi]
+        d = np.arange(1, c.size + 1, dtype=np.int64) - np.repeat(first, counts[lo:hi])
+        units = np.gcd(d, c) == 1
+        d, c = d[units], c[units]
+        ld = (l % c) * d
+        nd = (n % c) * _unit_inverses(d, c)
+        scale = (2.0 * np.pi) / c
+        for out, k in ((plus, ld + nd), (minus, ld - nd)):
+            k %= c
+            out[lo:hi] = np.bincount(c - cs[lo], weights=np.cos(k * scale), minlength=hi - lo)
+    plus[2:] *= 2.0
+    minus[2:] *= 2.0
+    return plus, minus
 
 
 def kloosterman_phase_counts(n: int, l: int, c: int) -> np.ndarray:

@@ -36,7 +36,8 @@ tail, so on the real zeta-line both integrals oscillate for a long way.
 Moved to the contour 0 -> i theta -> inf + i theta, the kernels decay like
 e^{-z sin(theta) sinh u} and e^{-z sin(theta) cosh u}, and one node set
 serves every argument: the geometric side evaluates all its c at once as a
-blocked exp(i outer(z, cosh or sinh zeta)) @ (weights * P) product.  theta
+blocked exp(i outer(z, cosh or sinh zeta)) @ (weights * P) product, the
+row of each z = z1/c with c <= c_max/2 squared from the row of z/2.  theta
 comes from the samples of h themselves: the largest theta <= 1/2 at which
 P(zeta + i theta) grows by at most a factor 10, so no decay rate has to be
 declared.  Wide or slowly decaying h give a small theta and a long contour.
@@ -68,11 +69,11 @@ import numpy as np
 
 from .afe import _U_MU, FixtureCoverageError, MaassFixture, WeightSpec, _weight_rows
 from .chebyshev import _Interpolant, _interpolate_log1p
-from .exactarith import kloosterman
+from .exactarith import kloosterman_sums
 from .heckegl3 import GL3Form
 from .quadrature import _ROW_ELEMENTS, NonDecayError, gauss_legendre_panels, panel_grid
 from .special import RegimeError, _mp_precision, bessel_imag_order, log_gamma, zeta_with_error
-from .util import LRUCache, ordered_parallel_map
+from .util import LRUCache
 
 __all__ = [
     "SpectralTestFunction",
@@ -422,16 +423,48 @@ def _row_blocks(n_rows: int, n_cols: int) -> list:
 
 def _exp_product(zs: np.ndarray, nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Re(exp(i outer(zs, nodes)) @ w), column 0 + i column 1, through one
-    phase buffer exponentiated in place block by block."""
-    blocks = _row_blocks(zs.size, nodes.size)
+    phase buffer of about _ROW_ELEMENTS entries.
+
+    e^{i 2z nu} = (e^{i z nu})^2, and fl(2z nu) = 2 fl(z nu) in doubles, so
+    an argument whose half is also an argument takes its row from the
+    half's row by one complex square instead of one exp per node.  The
+    arguments fall into chains z, 2z, 4z, ...; each chain's smallest member
+    is exponentiated, and the chain is walked up by squaring in place, a
+    block of chains at a time.  After k squarings the phase error is about
+    (k + 1) eps |z nu|, against eps |z nu| for the direct exp: comparable,
+    as the phase itself rounds at eps |z nu|."""
+    zs = np.asarray(zs, dtype=float)
+    u, where = np.unique(zs, return_inverse=True)
+    half = np.minimum(np.searchsorted(u, 0.5 * u), u.size - 1)
+    has_half = (u[half] == 0.5 * u) & (half != np.arange(u.size))  # z = 0 is its own half
+    child = np.full(u.size + 1, -1)  # child[-1] = -1 ends every chain
+    child[half[has_half]] = np.flatnonzero(has_half)
+    levels = [np.flatnonzero(~has_half)]
+    while (child[levels[-1]] >= 0).any():
+        levels.append(child[levels[-1]])
+    length = (np.array(levels) >= 0).sum(axis=0)
+    order = np.argsort(-length, kind="stable")  # the chains alive at each level come first
+    levels = [level[order] for level in levels]
+
+    blocks = _row_blocks(order.size, nodes.size)  # blocks of chains, one row each live
     phase = np.empty((blocks[0].stop, nodes.size), dtype=complex)
     inodes = 1j * nodes
-    out = np.empty((zs.size, 2))
-    for rows in blocks:
-        p = phase[: rows.stop - rows.start]
-        np.multiply.outer(zs[rows], inodes, out=p)
+    rows = np.empty((u.size, 2))
+    for chains in blocks:
+        first = levels[0][chains]
+        p = phase[: first.size]
+        np.multiply.outer(u[first], inodes, out=p)
         np.exp(p, out=p)
-        out[rows] = (p @ w).real
+        rows[first] = (p @ w).real
+        for level in levels[1:]:
+            members = level[chains]
+            members = members[members >= 0]
+            if not members.size:
+                break
+            p = phase[: members.size]
+            np.multiply(p, p, out=p)
+            rows[members] = (p @ w).real
+    out = rows[where]
     return out[:, 0] + 1j * out[:, 1]
 
 
@@ -499,12 +532,15 @@ def _divisor_counts(limit: int) -> np.ndarray:
     return d
 
 
-def _geometric_terms(n: int, l: int, h: SpectralTestFunction, c_max: int, *, threads: int = 4):
+def _geometric_terms(n: int, l: int, h: SpectralTestFunction, c_max: int):
     """(delta_term, kloosterman_term, tail_estimate) of the geometric side,
     the c-sum truncated at c_max.
 
     All transforms, at x = 2 sqrt(nl)/c for c <= c_max and at x0/2 for the
-    tail fit, come from one contour; `threads` drives the Kloosterman sums.
+    tail fit, come from one contour, and every z = 2 pi x whose half is also
+    an argument (c <= c_max/2, and c_max itself) takes its exponentials from
+    that half's by squaring (_exp_product).  All S(+-n, l; c) come from one
+    batched call (exactarith.kloosterman_sums); no thread is started.
     The tail estimate combines the Weil bound |S(n,l;c)| <= d(c) sqrt((n,l,c)) sqrt(c)
     with an empirical small-argument envelope of the transforms anchored at
     x0 = 2 sqrt(nl)/c_max (power-law fit against x0/2, clamped to [1, 4],
@@ -523,14 +559,9 @@ def _geometric_terms(n: int, l: int, h: SpectralTestFunction, c_max: int, *, thr
     x0 = float(xs[-1])
     hp, hm = _kernel_transforms(h, 2.0 * math.pi * np.append(xs, 0.5 * x0), 1e-11)
 
-    def sums(c: int):
-        return kloosterman(n, l, c).real, kloosterman(-n, l, c).real
-
-    terms = [
-        (s_plus * hp[c - 1] + s_minus * hm[c - 1]) / (2.0 * c)
-        for c, (s_plus, s_minus) in enumerate(ordered_parallel_map(sums, range(1, c_max + 1), threads=threads), 1)
-    ]
-    kloost = complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+    s_plus, s_minus = kloosterman_sums(n, l, c_max)
+    terms = (s_plus * hp[:c_max] + s_minus * hm[:c_max]) / (2.0 * np.arange(1, c_max + 1))
+    kloost = complex(math.fsum(terms.real), math.fsum(terms.imag))
     delta = 0.5 * delta_weight(h) if n == l else 0.0
 
     b0 = abs(hp[c_max - 1]) + abs(hm[c_max - 1])
@@ -561,9 +592,11 @@ def geometric_side(n: int, l: int, h, c_max: int, *, threads: int = 4) -> comple
         (1/2) delta(n,l) H + sum_{c<=c_max} (1/2c) [S(n,l;c) Hplus + S(-n,l;c) Hminus],
 
     transforms evaluated at 2 sqrt(nl)/c, all on one zeta-contour (see
-    bessel_transform's "kernel" route).  `threads` drives the Kloosterman sums.
+    bessel_transform's "kernel" route), and the Kloosterman sums in one
+    batched call.  `threads` is accepted and unused: nothing here runs in
+    a thread.
     """
-    delta, kloost, _ = _geometric_terms(n, l, h, c_max, threads=threads)
+    delta, kloost, _ = _geometric_terms(n, l, h, c_max)
     return complex(delta + kloost)
 
 
@@ -673,9 +706,10 @@ def kuznetsov_residual(
     each fixture's coefficient array under the fixture's *declared*
     normalization (recorded in the report's normalization note, never
     rescaled here).  An empty fixture list is valid bookkeeping: the residual
-    then estimates the whole discrete spectrum's contribution."""
+    then estimates the whole discrete spectrum's contribution.  `threads` is
+    accepted and unused: no part of the identity runs in a thread."""
     h = _check_testfn(h)
-    delta, kloost, tail = _geometric_terms(n, l, h, c_max, threads=threads)
+    delta, kloost, tail = _geometric_terms(n, l, h, c_max)
     cont = continuous_side(n, l, h, r_max)
     discrete = 0j
     sources = []

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable
 
 __all__ = ["ordered_parallel_map", "LRUCache"]
@@ -15,11 +14,15 @@ def ordered_parallel_map(fn: Callable, items: Iterable, threads: int = 4) -> lis
 
     Threads suit the workloads here (numpy releases the interpreter lock in
     the heavy kernels); reduction order is the input order, so floating-point
-    results are independent of thread timing.
+    results are independent of thread timing.  The executor is imported
+    here, not with the module: concurrent.futures (and the logging it
+    imports) costs about 7 ms, and most importers never start a pool.
     """
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from lfunlab.exactarith import (
     NotCoprimeError,
+    _unit_inverses,
     _unit_tables,
     divisors,
     factorize,
@@ -14,6 +16,7 @@ from lfunlab.exactarith import (
     kloosterman_exact_phase,
     kloosterman_factored,
     kloosterman_phase_counts,
+    kloosterman_sums,
     mobius,
     mod_inverse,
     ramanujan_divisor_mu,
@@ -138,6 +141,68 @@ class TestUnitTables:
             assert inv.tolist() == [pow(u, -1, c) for u in units.tolist()]
         units, inv = build(1)
         assert units.tolist() == inv.tolist() == [0]
+
+    def test_array_modulus_inverses_match_pow(self):
+        # one Euclid over the units of every c <= 300 at once, each element
+        # against its own modulus (c = 1 holds the unit 1, the residue 0)
+        pairs = [(d, c) for c in range(1, 301) for d in range(1, c + 1) if math.gcd(d, c) == 1]
+        d, c = (np.array(col, dtype=np.int64) for col in zip(*pairs))
+        inv = _unit_inverses(d, c)
+        assert inv.dtype == np.int64
+        assert inv.tolist() == [pow(int(u), -1, int(m)) for u, m in pairs]
+
+
+class TestKloostermanSums:
+    """The batched route: every S(+-n, l; c), c <= c_max, in blocks of moduli."""
+
+    @pytest.mark.parametrize("n, l", [(1, 1), (2, 3), (5, -7), (12, 18), (0, 1)])
+    def test_matches_exact_phase_oracle(self, n, l):
+        plus, minus = kloosterman_sums(n, l, 300)
+        assert plus.shape == minus.shape == (300,)
+        signs = [(plus, n)] + ([(minus, -n)] if n else [])  # n = 0: the same phases
+        assert n or np.array_equal(plus, minus)
+        for c in range(1, 301):
+            for sums, m in signs:
+                assert abs(sums[c - 1] - kloosterman_exact_phase(m, l, c).real) <= 1e-12
+
+    def test_modulus_one_and_indices_divisible_by_c(self):
+        for n, l in [(1, 1), (0, 0), (7, -3)]:
+            plus, minus = kloosterman_sums(n, l, 1)
+            assert plus.tolist() == minus.tolist() == [1.0]
+        # 2520 is divisible by every c <= 10 and by 26 of the c <= 60, where
+        # a sum degenerates to a Ramanujan sum (or to phi(c) when c divides
+        # both indices)
+        for n, l in [(2520, 1), (1, 2520), (2520, 5040)]:
+            plus, minus = kloosterman_sums(n, l, 60)
+            for c in range(1, 61):
+                assert abs(plus[c - 1] - kloosterman_exact_phase(n, l, c).real) <= 1e-12
+                assert abs(minus[c - 1] - kloosterman_exact_phase(-n, l, c).real) <= 1e-12
+
+    @pytest.mark.parametrize("n, l", [(1, 1), (5, -7)])
+    def test_value_does_not_depend_on_c_max(self, n, l):
+        # block edges are fixed from c = 1, so a shorter call is a prefix bit
+        # for bit, also across an edge (the first block ends near c = 362)
+        for short, long in [(100, 300), (500, 800)]:
+            a, b = kloosterman_sums(n, l, long), kloosterman_sums(n, l, short)
+            for i in range(2):
+                assert np.array_equal(a[i][:short], b[i])
+
+    def test_memory_is_bounded_by_the_block(self):
+        # at c_max = 3200 the residues d <= c/2 alone fill 20 MB of int64;
+        # blocks of about 2^15 residues keep the peak near that of c_max = 800
+        kloosterman_sums(1, 1, 10)
+        tracemalloc.start()
+        try:
+            kloosterman_sums(1, 1, 3200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    def test_rejects_c_max_below_one(self):
+        for c_max in (0, -5):
+            with pytest.raises(ValueError, match="c_max"):
+                kloosterman_sums(1, 1, c_max)
 
 
 class TestRamanujan:

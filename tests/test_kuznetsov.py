@@ -4,6 +4,8 @@ both sides of the identity, and the smoothed diagonal weights."""
 
 import json
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -212,7 +214,11 @@ def test_kernel_route_reaches_no_mpmath(monkeypatch):
     monkeypatch.setattr(kz, "_k_times_sinh", refuse)
     h = kz.gaussian_test_function(2.0)
     rep = kz.kuznetsov_residual(1, 1, h, [], 800, 40.0)
-    assert 0.0 < rep.residual.real < 0.02
+    # the residual is the dropped c > 800 tail, whose sign is not fixed (it
+    # turns negative by c_max = 12,800): pinned to its value measured before
+    # the Kloosterman sums were batched
+    assert rep.residual.real == pytest.approx(0.0019291501351990092, rel=1e-9)
+    assert abs(rep.residual.real) < 0.02
     for z in (0.016, 4.0 * math.pi, 60.0):
         for sign in "+-":
             assert np.isfinite(kz.bessel_transform(h, sign, z / (2.0 * math.pi)).real)
@@ -251,10 +257,50 @@ def test_geometric_side_truncation_within_tail_estimate():
 
 
 def test_geometric_side_thread_count_invariance():
+    # `threads` is still accepted, and changes nothing
     h = kz.gaussian_test_function(2.0)
     a = kz.geometric_side(1, 1, h, 60, threads=1)
     b = kz.geometric_side(1, 1, h, 60, threads=4)
-    assert a == b  # bitwise: transforms outside the threads, ordered summation
+    assert a == b
+
+
+def test_trace_identity_starts_no_thread(monkeypatch):
+    # so its results cannot depend on a thread count
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    rep = kz.kuznetsov_residual(1, 1, kz.gaussian_test_function(2.0), [], 200, 40.0, threads=4)
+    assert np.isfinite(rep.residual.real)
+
+
+def test_exp_product_chained_rows_match_direct_rows(monkeypatch):
+    # the geometric side's arguments z1/c form chains z, 2z, 4z, ... (c, c/2,
+    # c/4, ...); each chained row must agree with the same argument alone,
+    # which makes no chain, within 64 eps sum |w|
+    captured = []
+    exp_product = kz._exp_product
+
+    def capture(zs, nodes, w):
+        captured.append((zs, nodes, w))
+        return exp_product(zs, nodes, w)
+
+    monkeypatch.setattr(kz, "_exp_product", capture)
+    zs = 2.0 * math.pi * 2.0 / np.arange(1, 801, dtype=float)
+    kz._kernel_transforms(kz.gaussian_test_function(2.0), zs, 1e-11)
+    assert len(captured) == 2
+    for zs, nodes, w in captured:
+        assert np.array_equal(2.0 * zs[799], zs[399])  # the halving is exact
+        tracemalloc.start()
+        try:
+            chained = exp_product(zs, nodes, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * zs.size * nodes.size * 16  # no (arguments x nodes) matrix
+        bound = 64.0 * np.finfo(float).eps * float(np.sum(np.abs(w)))
+        for z, row in zip(zs, chained):
+            assert abs(row - exp_product(np.array([z]), nodes, w)[0]) <= bound
 
 
 def test_geometric_side_validation():
@@ -299,7 +345,10 @@ def test_trace_identity_closes_without_fixtures():
     rep = kz.kuznetsov_residual(1, 1, h, [], 200, 40.0)
     assert rep.discrete_term == 0j
     assert rep.delta_term == pytest.approx(0.5 * kz.delta_weight(h), rel=1e-12)
-    assert 0.0 < rep.residual.real < 0.02
+    # the residual is the dropped c > 200 tail, of no fixed sign: pinned to
+    # its value measured before the Kloosterman sums were batched
+    assert rep.residual.real == pytest.approx(0.002453868898719236, rel=1e-9)
+    assert abs(rep.residual.real) < 0.02
     assert rep.residual.real >= -rep.truncation.geometric_tail
     assert rep.normalization_note == "no fixtures supplied"
 
