@@ -16,7 +16,7 @@ nu the normalizing gamma data.  The degree-2 weight U is the case r = 1,
 mu = nu = (0,); the degree-6 tensor weights V1/V2 are r = 3 with the
 form's mu (direct) or mu_dual (dual), both normalized by the form's mu.
 They are ~ 1 for y well below the analytic conductor and collapse like
-(1 + y/t^r)^{-A} beyond it.  One builder (_weight_kernel) sizes every such
+(1 + y/t^r)^{-A} beyond it.  One builder (_weight_blocks) sizes every such
 contour from r: damper exponent -rA, start height, oscillation budget,
 conjugate symmetry for real mu, and the pole guard.  All contour integrals
 go through quadrature.contour_kernel, so that a whole vector of y values
@@ -30,8 +30,9 @@ callers take row 0 of a one-row block.  A caller that needs one weight on
 many t-grids over one range [0, top] (kuznetsov.diagonal_weight) builds it
 once instead, as a piecewise Chebyshev interpolant in log(1 + t)
 (chebyshev) through a few dozen rows per piece, all from the contour grid
-sized for top, with their rounding floors (_weight_rows), and evaluates
-every grid from that.
+sized for top and against one normalization computed for all of them,
+with their rounding floors (_weight_rows), and evaluates every grid from
+that.
 
 The degree-2 specialization with divisor-sum coefficients eta(l, r) =
 sum_{ad=l} (a/d)^{ir} reproduces |zeta(1/2 + ir)|^2.  Unlike the cuspidal
@@ -171,16 +172,32 @@ def _shifts(mu, t) -> list:
 _U_MU = (0,)  # gamma data of the degree-2 weight U
 
 
+def _weight_norm(mu_norm, ts: np.ndarray) -> Callable:
+    """log gamma_nu(1/2, t) with gamma data nu = mu_norm, on the distinct t
+    of ts, looked up as a column for any block of them (_per_t)."""
+    return _per_t(ts, lambda t: gamma_factor_log(np.asarray(0.5 + 0j), _shifts(mu_norm, t)))
+
+
 def _weight_kernel(
     spec: WeightSpec, ts, mu, mu_norm, max_abs_ln_y: float, t_top: float | None = None
 ) -> Iterator[ContourKernel]:
     """The kernels of W(., t) with gamma data mu, normalized by mu_norm at
-    1/2, for the t in ts (a float or an array), in blocks of consecutive t
-    (one kernel row per t), in order, from one contour grid.  r = len(mu)
-    sets the damper power and the contour's size.  The grid is sized for
-    |t| up to t_top (default: the largest |t| of ts), so that calls for
-    different t with one t_top share the grid and give each t the same row."""
+    1/2, for the t in ts (a float or an array): _weight_blocks with the norm
+    of ts."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    return _weight_blocks(spec, ts, mu, _weight_norm(mu_norm, ts), max_abs_ln_y, t_top)
+
+
+def _weight_blocks(
+    spec: WeightSpec, ts: np.ndarray, mu, norm: Callable, max_abs_ln_y: float, t_top: float | None
+) -> Iterator[ContourKernel]:
+    """The kernels of W(., t) with gamma data mu for the t in the array ts,
+    normalized by norm(t), a column of log gamma_nu(1/2, t) (_weight_norm),
+    in blocks of consecutive t (one kernel row per t), in order, from one
+    contour grid.  r = len(mu) sets the damper power and the contour's
+    size.  The grid is sized for |t| up to t_top (None: the largest |t| of
+    ts), so that calls for different t with one t_top share the grid and
+    give each t the same row."""
     tmax = float(np.max(np.abs(ts)))
     if t_top is not None:
         if not tmax <= t_top:
@@ -194,7 +211,6 @@ def _weight_kernel(
             f"gamma data {tuple(mu)} put a pole of the weight's gamma factor "
             f"on or right of its contour Re u = {spec.sigma_u}"
         )
-    norm = _per_t(ts, lambda t: gamma_factor_log(np.asarray(0.5 + 0j), _shifts(mu_norm, t)))
 
     def kfunc(u, t):
         ratio = np.exp(gamma_factor_log(0.5 + u, _shifts(mu, t[:, None])) - norm(t))
@@ -228,9 +244,10 @@ def _weight_rows(spec: WeightSpec, y: float, ts, mu, mu_norm, t_top: float) -> t
     the gamma quotient's exponent, whose 4r log Gamma terms are at most the
     sum G of their sizes at u = 0, where the row's mass sits.  So the floor
     is eps sum |w| (1 + |v ln y| + G) y^{-sigma}, doubled for a symmetric
-    kernel.  The kernels are built _ROWS_PER_BUILD t at a time; a row does
-    not depend on the others of its build."""
+    kernel.  The kernels are built _ROWS_PER_BUILD t at a time, against the
+    norm of all of ts; a row does not depend on the others of its build."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    norm = _weight_norm(mu_norm, ts)
     ln_y = math.log(y)
     counts = Counter(complex(m) for m in tuple(mu) + tuple(mu_norm))
     size = sum(c * np.abs(log_gamma((0.5 + k) / 2)) for m, c in counts.items() for k in _shifts((m,), ts))
@@ -244,7 +261,7 @@ def _weight_rows(spec: WeightSpec, y: float, ts, mu, mu_norm, t_top: float) -> t
         return block.apply([y])[:, 0], scale * masses[:, 0], scale * masses[:, 1]
 
     chunks = (ts[i : i + _ROWS_PER_BUILD] for i in range(0, ts.size, _ROWS_PER_BUILD))
-    blocks = (block for chunk in chunks for block in _weight_kernel(spec, chunk, mu, mu_norm, abs(ln_y), t_top))
+    blocks = (block for chunk in chunks for block in _weight_blocks(spec, chunk, mu, norm, abs(ln_y), t_top))
     # map, unlike a loop variable, lets go of each block before the next grows
     values, phase_mass, mass = map(np.concatenate, zip(*map(rows, blocks)))
     return values, _EPS * (phase_mass + size * mass)

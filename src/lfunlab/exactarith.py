@@ -75,23 +75,31 @@ def _unit_inverses(units: np.ndarray, c) -> np.ndarray:
     step count is Lame's at the largest c: n division steps on (c, u), the
     last to remainder 0, need c >= F(n + 2), and the remainder 1 comes one
     step earlier.
+
+    The steps run in float64, which is faster than int64 floor division
+    and exact for c < 2^52 (a table of the units of such a c would not fit
+    in memory): every r, s and q r is an integer of size at most c, and the
+    quotient a / b of integers 0 <= a < 2^52 rounds to within
+    (a / b) 2^-53 < 1 / b of itself, closer than any integer it is not, so
+    its floor is the integer quotient.
     """
     c_top = int(np.max(c))
     steps, f0, f1 = -1, 1, 2  # F(2), F(3)
     while f1 <= c_top:
         steps, f0, f1 = steps + 1, f1, f0 + f1
-    r0, r1 = np.broadcast_to(c, units.shape).copy(), units.copy()
-    s0, s1 = np.zeros_like(units), np.ones_like(units)
-    q, t = np.empty_like(units), np.empty_like(units)
+    r0, r1 = np.broadcast_to(c, units.shape).astype(float), units.astype(float)
+    s0, s1 = np.zeros_like(r1), np.ones_like(r1)
+    q, t = np.empty_like(r1), np.empty_like(r1)
     for _ in range(steps):
-        np.subtract(r0, 1, out=q)
-        q //= r1
+        np.subtract(r0, 1.0, out=q)
+        q /= r1
+        np.floor(q, out=q)
         np.multiply(q, r1, out=t)
         r0 -= t
         np.multiply(q, s1, out=t)
         s0 -= t
         r0, r1, s0, s1 = r1, r0, s1, s0
-    return s1 % c
+    return np.remainder(s1, c, out=s1).astype(np.int64)
 
 
 @lru_cache(maxsize=4096)

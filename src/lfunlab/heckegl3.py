@@ -46,6 +46,7 @@ __all__ = [
     "coefficient",
     "coefficient_row",
     "coefficient_block",
+    "mobius_unfold",
     "hecke_relation_residual",
     "triple_divisor_form",
     "symmetric_square_form",
@@ -191,13 +192,15 @@ def coefficient_row(form: GL3Form, N: int, dual: bool = False) -> np.ndarray:
     return out
 
 
-def coefficient_block(form: GL3Form, m: int, N: int, transpose: bool = False) -> np.ndarray:
-    """A(m, n) for n = 0..N via Moebius unfolding (A(n, m) when transpose).
+def mobius_unfold(form: GL3Form, m: int, row: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """A(m, n) for n = 0..N from row = coefficient_row(form, N), or A(n, m)
+    from row = coefficient_row(form, N, dual=True) when transpose.
 
-    Uses one multiplicative row plus scalar dual values at the divisors of m;
-    exact to rounding, and orders of magnitude faster than per-pair assembly.
+    Moebius unfolding: A(m, n) = sum_{d | (m, n)} mu(d) A(m/d, 1) A(1, n/d),
+    so the row and scalar dual values at the divisors of m give the whole
+    block, and one row serves every m.
     """
-    row = coefficient_row(form, N, dual=transpose)
+    N = row.size - 1
     out = np.zeros(N + 1, dtype=complex)
     for d in divisors(m):
         mu_d = mobius(d)
@@ -206,6 +209,13 @@ def coefficient_block(form: GL3Form, m: int, N: int, transpose: bool = False) ->
         scalar = coefficient(form, 1, m // d) if transpose else coefficient(form, m // d, 1)
         out[d :: d] += (mu_d * scalar) * row[1 : N // d + 1]
     return out
+
+
+def coefficient_block(form: GL3Form, m: int, N: int, transpose: bool = False) -> np.ndarray:
+    """A(m, n) for n = 0..N (A(n, m) when transpose): the multiplicative row
+    unfolded at m (mobius_unfold); exact to rounding, and orders of
+    magnitude faster than per-pair assembly."""
+    return mobius_unfold(form, m, coefficient_row(form, N, dual=transpose), transpose)
 
 
 # ---------------------------------------------------------------------------

@@ -74,13 +74,18 @@ small positively oriented circle around s = 1, with the Hurwitz zetas
 from special.zeta_with_error.  Cuspidal forms get a zero main term and the
 classical identity back.
 
-Contour mechanics.  Each transform order is one quadrature.contour_kernel,
-stopped by the double-precision floor of its Mellin factor.  The
-integrand's modulus grows like |v|^{(3 + 6 sigma + 6 k + 2 sum_i Re a_i)/2}
-against the test function's Mellin decay, so the height it needs depends
-on the abscissa.  One rule places it: every order-k kernel runs on the
-line where that exponent vanishes or on the line half a unit right of the
-order-k numerator poles, whichever lies further right (_neutral_abscissa).
+Contour mechanics.  Each transform order is one row of a
+quadrature.contour_kernel call, stopped by the double-precision floor of
+its Mellin factor.  The integrand's modulus grows like
+|v|^{(3 + 6 sigma + 6 k + 2 sum_i Re a_i)/2} against the test function's
+Mellin decay, so the height it needs depends on the abscissa.  One rule
+places it: every order-k kernel runs on the line where that exponent
+vanishes or on the line half a unit right of the order-k numerator poles,
+whichever lies further right (_neutral_abscissa).  The panels depend on
+the arguments' range and the support, not on the abscissa, so both orders
+share one call and one grid of heights v, each row evaluating its own
+order at sigma_k + iv (_phi_contour_kernels), and each order stops at its
+own height.
 
 The Mellin factor comes from one FFT per line (_mellin_line).  On the line
 Re s = re_s, phitilde is e^{s ln c} times the Fourier transform of the
@@ -88,7 +93,9 @@ compactly supported G(tau) = phi(c e^tau) e^{re_s tau}, c = sqrt(lo hi), so
 one zero-padded FFT of G's trapezoid samples gives it on a uniform grid of
 heights, and 12-point Lagrange interpolation gives it at the contour nodes,
 in time near-linear in the node count (Booker 2006 takes the same step).
-Both orders of the degenerate form sit on the same line, re_s = 1/2.  The
+Order k needs it on re_s = -sigma_k - k.  Both orders of the degenerate
+form, and of every tempered spherical form, sit on the same line,
+re_s = 1/2, so they share the FFT and its values at each node.  The
 same engine serves the far-tail rungs: _line_grid places the samples and
 sizes the FFT, and _line_stencil interpolates, from the whole line for the
 Mellin factor and from the few FFT entries their frequencies reach for the
@@ -112,10 +119,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exactarith import kloosterman, mod_inverse
-from .heckegl3 import GL3Form, coefficient_block
-from .quadrature import contour_kernel, panel_grid
+from .heckegl3 import GL3Form, coefficient_block, coefficient_row, mobius_unfold
+from .quadrature import ContourKernel, contour_kernel, panel_grid
 from .special import PoleError, RegimeError, gamma_factor_log, zeta_with_error
-from .util import ordered_parallel_map
 
 __all__ = [
     "VoronoiKernelSpec",
@@ -164,9 +170,8 @@ _LINE_INTERP = (
     * (math.pi / _LINE_PAD) ** _LINE_STENCIL
 )
 # Points per block of the line's interpolation.  Each block holds a few
-# (points, stencil) arrays of ~0.4 MB; whole node sets of 10^4-10^5 points
-# took ~25 MB per call, and the two kernels that voronoi_residual_profile
-# builds side by side in threads set its peak memory when those calls met.
+# (points, stencil) arrays of ~0.4 MB, where whole node sets of 10^4-10^5
+# points took ~25 MB per call.
 _LINE_BLOCK = 4096
 
 # Panels per support that resolve a bump's exp ramps where no phase is
@@ -364,20 +369,87 @@ def _gamma_quotient_log(u, k: int, abg) -> np.ndarray:
     )
 
 
+def _phi_contour_kernels(spec: VoronoiKernelSpec, abscissae: dict, max_abs_ln_y: float) -> list:
+    """Contour kernels whose .apply(y) give (1/2 pi i) int y^{-s} K_k(s) ds,
+    one per order k of `abscissae` (order -> sigma_k), in that order.
+
+    K_k is the order-k six-gamma quotient times phitilde(-s-k) on the line
+    Re s = sigma_k, and y = pi^3 x; _kernel_values restores the bare-integral
+    normalization.  The orders share one contour_kernel call, with the
+    orders as its rows: the grid depends on width, height and cap, not on
+    sigma, so it is laid out once.  Row k evaluates K_k at sigma_k + iv on
+    the node v, and its kernel takes sigma_k.  A first segment of
+    12 x 512 / width >= 12,288 nodes, more than a row block's 8,192
+    (row, node) entries, puts each row in a block of its own, so each
+    kernel is the single-order kernel bit for bit.  The Mellin
+    factor of order k lies on Re s = -sigma_k - k; orders on one line share
+    its FFT and its values at each segment's nodes.
+    """
+    orders = list(abscissae)
+    sigmas = [float(abscissae[k]) for k in orders]
+    abg = spec.spherical()
+    lo, hi = spec.support
+    symmetric = all(abs(z.imag) < 1e-12 for z in abg)
+    lines = {}
+    for k, sigma in zip(orders, sigmas):
+        if -sigma - k not in lines:
+            lines[-sigma - k] = _mellin_line(spec.test_function, spec.support, -sigma - k)
+    # the Mellin factor's values at a segment's nodes, per line, kept for
+    # the later rows of the call
+    line_values = {}
+
+    # K and its double-precision floor share the gamma quotient.  The floor
+    # of the Mellin factor (module docstring): the rounding of the unsigned
+    # mass, plus a phase of (height) x (log half-width) rounded at ~1e-16
+    # per radian
+    mell_mass = {re_s: abs(complex(line(0.0))) for re_s, line in lines.items()}
+    half_ln = 0.5 * (math.log(hi) - math.log(lo))
+
+    def kfunc(u, rows):
+        v = np.imag(u)
+        value = np.empty((rows.size, v.size), dtype=complex)
+        floor = np.empty((rows.size, v.size))
+        for i, row in enumerate(rows.astype(int)):
+            k, sigma = orders[row], sigmas[row]
+            key = (-sigma - k, float(v[0]), v.size)
+            if key not in line_values:
+                line_values[key] = lines[key[0]](-v)  # phitilde(-u - k)
+            quotient = _gamma_quotient_log(sigma + 1j * v, k, abg)
+            size = np.exp(np.real(quotient))
+            np.exp(quotient, out=value[i])
+            value[i] *= line_values[key]
+            floor[i] = 2e-16 * max(mell_mass[key[0]], 1e-300) * (1.0 + np.abs(v) * half_ln) * size
+        return value, floor
+
+    # oscillation budget (radians per unit height): y^{-iv} itself, the
+    # Mellin factor's phase speed (bounded by the larger |log| end of the
+    # support), and the gamma-quotient phase drifting like (3/2) ln v
+    # across the realistic height range
+    osc = max_abs_ln_y + max(abs(math.log(lo)), abs(math.log(hi))) + 12.0
+    # 12-node panels spanning <= 9 radians (~1.4 periods) of the fastest phase
+    blocks = contour_kernel(
+        kfunc, sigmas[0], width=min(0.5, 9.0 / osc), tol=1e-11, symmetric=symmetric,
+        height=512.0, cap=_CONTOUR_CAP, rows=np.arange(len(orders)),
+    )
+    kernels = []
+    for block in blocks:
+        for w, tail in zip(block.w, block.tail_estimate):
+            sigma = sigmas[len(kernels)]
+            kernels.append(ContourKernel(sigma, block.v, w, block.symmetric, float(tail), block.panels))
+    return kernels
+
+
 def _phi_contour_kernel(
     spec: VoronoiKernelSpec,
     k: int,
     max_abs_ln_y: float,
     abscissa: float | None = None,
 ):
-    """Contour kernel whose .apply(y) gives (1/2 pi i) int y^{-s} K(s) ds.
-
-    K is the order-k six-gamma quotient times phitilde(-s-k) on the line
-    Re s = _neutral_abscissa(spec, k), and y = pi^3 x; _kernel_values
-    restores the bare-integral normalization.  `abscissa` moves the line
-    for the contour-shift test: the value does not depend on it right of
-    the order-k poles, but panels near a pole lose digits their error
-    estimate does not see, so it must keep the half-unit margin that
+    """The order-k kernel of _phi_contour_kernels on the line Re s =
+    _neutral_abscissa(spec, k).  `abscissa` moves the line for the
+    contour-shift test: the value does not depend on it right of the
+    order-k poles, but panels near a pole lose digits their error estimate
+    does not see, so it must keep the half-unit margin that
     _neutral_abscissa keeps.
     """
     if k not in (0, 1):
@@ -391,36 +463,7 @@ def _phi_contour_kernel(
                 f"abscissa {sigma} is not half a unit right of the order-{k} "
                 f"numerator poles (needs sigma >= {spec.pole_bound(k) + 0.5})"
             )
-    abg = spec.spherical()
-    line = _mellin_line(spec.test_function, spec.support, -sigma - k)
-    lo, hi = spec.support
-    symmetric = all(abs(z.imag) < 1e-12 for z in abg)
-
-    # K and its double-precision floor share the gamma quotient.  The floor
-    # of the Mellin factor (module docstring): the rounding of the unsigned
-    # mass, plus a phase of (height) x (log half-width) rounded at ~1e-16
-    # per radian
-    mell_mass = abs(complex(line(0.0)))
-    half_ln = 0.5 * (math.log(hi) - math.log(lo))
-
-    def kfunc(u):
-        quotient = _gamma_quotient_log(u, k, abg)
-        size = np.exp(np.real(quotient))
-        value = np.exp(quotient, out=quotient)
-        value *= line(-np.imag(u))  # phitilde(-u - k)
-        h = np.abs(np.imag(np.atleast_1d(u)))
-        return value, 2e-16 * max(mell_mass, 1e-300) * (1.0 + h * half_ln) * size
-
-    # oscillation budget (radians per unit height): y^{-iv} itself, the
-    # Mellin factor's phase speed (bounded by the larger |log| end of the
-    # support), and the gamma-quotient phase drifting like (3/2) ln v
-    # across the realistic height range
-    osc = max_abs_ln_y + max(abs(math.log(lo)), abs(math.log(hi))) + 12.0
-    # 12-node panels spanning <= 9 radians (~1.4 periods) of the fastest phase
-    return contour_kernel(
-        kfunc, sigma, width=min(0.5, 9.0 / osc), tol=1e-11, symmetric=symmetric,
-        height=512.0, cap=_CONTOUR_CAP,
-    )
+    return _phi_contour_kernels(spec, {k: sigma}, max_abs_ln_y)[0]
 
 
 def _kernel_values(kern, xs: np.ndarray) -> tuple:
@@ -644,18 +687,18 @@ def voronoi_residual_profile(
 
     The transforms dominate the cost and depend on the cutoff only through
     the largest argument, so the profile computes them once at the largest
-    cutoff and assembles each truncation from partial sums.  Transform
-    arguments below the ladder regime (x * support_lo < _TAIL_XLO) use one
-    exact contour kernel per order; the degenerate form's far tail uses
-    _tail_asymptotic.  Returns one VoronoiSides per cutoff, in the given
-    order.
+    cutoff and assembles each truncation from partial sums.  The m1 blocks'
+    arguments x = m1^2 m2 / (c^3 n) coincide in part (for c = 3, m1 = 3
+    repeats every ninth argument of m1 = 1), so each distinct x is
+    evaluated once: below the ladder regime (x * support_lo < _TAIL_XLO) by
+    the exact contour kernels of both orders, built on one grid
+    (_phi_contour_kernels), and the degenerate form's far tail by one
+    _tail_asymptotic call.  Each block takes its values by index, and its
+    coefficients from the one row that serves every m1 (mobius_unfold).
+    Returns one VoronoiSides per cutoff, in the given order.
 
-    `threads` sizes only the two kernel builds (at most two threads).  The
-    m1 blocks run one after another, so that no BLAS pool starts under
-    another thread: ContourKernel.apply spends about 2 sqrt(P) + 12
-    exponentials per argument on a piece of P panels, and most of its time
-    in one BLAS product per piece and block of arguments, which BLAS threads
-    on its own.  Results do not depend on `threads`.
+    `threads` is accepted and unused: the profile runs in the caller's
+    thread, and only BLAS threads ContourKernel.apply's products on its own.
     """
     if n < 1 or c < 1:
         raise ValueError("need n >= 1 and c >= 1")
@@ -675,59 +718,47 @@ def voronoi_residual_profile(
 
     polar = polar_main_term(form, n, a, c, phi, (lo, hi)) if form.polar else 0j
 
-    # right side: exact contour kernels (one per order, modulus-neutral
-    # abscissae) cover arguments up to the ladder regime; beyond that the
-    # derived rung ladder takes over
+    # right side: exact contour kernels (modulus-neutral abscissae) cover
+    # the arguments up to the ladder regime; beyond that the derived rung
+    # ladder takes over.  The ladder's later rungs are derived for the
+    # parameter-free degenerate form; other forms keep exact contour kernels
+    # for every argument
     cn = c * n
     m1s = [d for d in range(1, cn + 1) if cn % d == 0]
     m2s = np.arange(1, top + 1)
-    # the ladder's later rungs are derived for the parameter-free degenerate
-    # form; other forms keep exact contour kernels for every argument
     degenerate = all(abs(z) < 1e-12 for z in spec.spherical())
     x_exact = _TAIL_XLO / lo if degenerate else math.inf
-    exact_lns = []
-    for m1 in m1s:
-        if degenerate:
-            m2_edge = min(top, max(1, int(x_exact * c**3 * n / (m1 * m1))))
-        else:
-            m2_edge = top
-        for m2 in (1, m2_edge):
-            exact_lns.append(abs(math.log(math.pi**3 * m1 * m1 * m2 / (c**3 * n))))
-    max_ln = max(exact_lns)
-    kerns = ordered_parallel_map(
-        lambda k: _phi_contour_kernel(spec, k, max_ln),
-        (0, 1),
-        threads=min(threads, 2),
-    )
+    xs, where = np.unique(np.concatenate([m2s * m1 * m1 / (c**3 * n) for m1 in m1s]), return_inverse=True)
+    n_exact = int(np.searchsorted(xs, x_exact, side="right"))
+    phi0 = np.empty(xs.size, dtype=complex)
+    phi1 = np.empty(xs.size, dtype=complex)
+    err0 = np.zeros(xs.size)
+    err1 = np.zeros(xs.size)
+    if n_exact:
+        max_ln = float(np.max(np.abs(np.log(math.pi**3 * xs[[0, n_exact - 1]]))))
+        kern0, kern1 = _phi_contour_kernels(spec, {k: _neutral_abscissa(spec, k) for k in (0, 1)}, max_ln)
+        phi0[:n_exact], err0[:n_exact] = _kernel_values(kern0, xs[:n_exact])
+        phi1[:n_exact], err1[:n_exact] = _kernel_values(kern1, xs[:n_exact])
+    if n_exact < xs.size:
+        phi0[n_exact:], phi1[n_exact:], err0[n_exact:], err1[n_exact:] = _tail_asymptotic(spec, xs[n_exact:])
 
-    def block(m1: int):
+    coefficients = coefficient_row(form, top)
+    blocks = []
+    for i, m1 in enumerate(m1s):
         q = cn // m1
-        xs = m2s * m1 * m1 / (c**3 * n)
-        n_exact = int(np.searchsorted(xs, x_exact, side="right"))
-        phi0 = np.empty(top, dtype=complex)
-        phi1 = np.empty(top, dtype=complex)
-        err0 = np.zeros(top)
-        err1 = np.zeros(top)
-        if n_exact:
-            phi0[:n_exact], err0[:n_exact] = _kernel_values(kerns[0], xs[:n_exact])
-            phi1[:n_exact], err1[:n_exact] = _kernel_values(kerns[1], xs[:n_exact])
-        if n_exact < top:
-            (phi0[n_exact:], phi1[n_exact:], err0[n_exact:], err1[n_exact:]) = _tail_asymptotic(
-                spec, xs[n_exact:]
-            )
+        at = where[i * top : (i + 1) * top]
         mixmag = (c**3 * n) / (math.pi**3 * m1 * m1 * m2s)
         mix = mixmag / 1j
-        coeffs = coefficient_block(form, m1, top)[1:]
+        coeffs = mobius_unfold(form, m1, coefficients)[1:]
         table_p = np.array([kloosterman(n * a, r, q) for r in range(q)])
         table_m = np.array([kloosterman(n * a, -r, q) for r in range(q)])
         res = m2s % q
         s_plus, s_minus = table_p[res], table_m[res]
         base = coeffs / (m1 * m2s)
-        terms = base * (s_plus * (phi0 + mix * phi1) + s_minus * (phi0 - mix * phi1))
-        errs = np.abs(base) * (np.abs(s_plus) + np.abs(s_minus)) * (err0 + mixmag * err1)
-        return terms, errs
-
-    blocks = [block(m1) for m1 in m1s]  # serially: see the docstring
+        p0, p1 = phi0[at], phi1[at]
+        terms = base * (s_plus * (p0 + mix * p1) + s_minus * (p0 - mix * p1))
+        errs = np.abs(base) * (np.abs(s_plus) + np.abs(s_minus)) * (err0[at] + mixmag * err1[at])
+        blocks.append((terms, errs))
     pref = c * math.pi ** (-2.5) / 4j
     out = []
     for cut in cutoffs:

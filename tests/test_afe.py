@@ -271,6 +271,14 @@ def test_normalization_at_half_once_per_t_grid(monkeypatch):
     assert len(list(afe._weight_kernel(SPEC, T_GRID, D3.mu, D3.mu, 3.0))) == T_GRID.size
     # one call per distinct shift: D3's six shifts -mu_i -+ it are two
     assert sum(on_quarter) == 2 * len(set(D3.mu)) < len(on_quarter)
+    # _weight_rows builds its kernels _ROWS_PER_BUILD t at a time, all
+    # against one norm: 20 t in three builds take the norm's two calls
+    on_quarter.clear()
+    ts = np.linspace(0.0, 60.0, 20)
+    assert ts.size > 2 * afe._ROWS_PER_BUILD
+    values, _ = afe._weight_rows(SPEC, 30.0, ts, afe._U_MU, afe._U_MU, 60.0)
+    assert values.shape == ts.shape
+    assert sum(on_quarter) == 2 < len(on_quarter)
 
 
 @pytest.mark.parametrize("name", sorted(WEIGHTS))

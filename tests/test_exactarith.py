@@ -151,6 +151,34 @@ class TestUnitTables:
         assert inv.dtype == np.int64
         assert inv.tolist() == [pow(int(u), -1, int(m)) for u, m in pairs]
 
+    def test_float_euclid_matches_int64_route(self):
+        # every unit d of every c <= 3,200 (3.1 million), one block of 400
+        # moduli at a time, against the int64 floor-division Euclid
+        for lo in range(1, 3201, 400):
+            cs = np.arange(lo, lo + 400, dtype=np.int64)
+            c = np.repeat(cs, cs)
+            d = np.arange(1, c.size + 1, dtype=np.int64) - np.repeat(np.cumsum(cs) - cs, cs)
+            units = np.gcd(d, c) == 1
+            d, c = d[units], c[units]
+            inv = _unit_inverses(d, c)
+            assert inv.dtype == np.int64
+            assert np.array_equal(inv, _int64_inverses(d, c))
+            assert np.all((d * inv) % c == 1 % c)
+
+
+def _int64_inverses(units: np.ndarray, c) -> np.ndarray:
+    """The array Euclid in int64 floor division, as it ran before the
+    float64 steps: the reference they must reproduce."""
+    steps, f0, f1 = -1, 1, 2
+    while f1 <= int(np.max(c)):
+        steps, f0, f1 = steps + 1, f1, f0 + f1
+    r0, r1 = np.broadcast_to(c, units.shape).copy(), units.copy()
+    s0, s1 = np.zeros_like(units), np.ones_like(units)
+    for _ in range(steps):
+        q = (r0 - 1) // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    return s1 % c
+
 
 class TestKloostermanSums:
     """The batched route: every S(+-n, l; c), c <= c_max, in blocks of moduli."""

@@ -22,6 +22,7 @@ from lfunlab.heckegl3 import (
     coefficient_block,
     coefficient_row,
     hecke_relation_residual,
+    mobius_unfold,
     ramanujan_tau_table,
     symmetric_square_form,
     triple_divisor_form,
@@ -140,6 +141,17 @@ def test_block_transpose_matches(sym2):
     block = coefficient_block(sym2, 6, 40, transpose=True)
     for n in range(1, 41):
         assert block[n] == pytest.approx(coefficient(sym2, n, 6), abs=1e-9)
+
+
+def test_block_is_the_row_unfolded(sym2):
+    # the residual profile unfolds every m1 from one row: each unfolding must
+    # equal coefficient_block bit for bit, in both orientations
+    for form in (D3, sym2):
+        for transpose in (False, True):
+            row = coefficient_row(form, 500, dual=transpose)
+            for m in (1, 2, 3, 12):
+                block = coefficient_block(form, m, 500, transpose=transpose)
+                assert np.array_equal(mobius_unfold(form, m, row, transpose), block)
 
 
 @given(

@@ -16,6 +16,7 @@ where the two sides meet through completely disjoint evaluation paths
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfunlab import special
+from lfunlab import voronoi as vo
 from lfunlab.exactarith import NotCoprimeError
 from lfunlab.heckegl3 import GL3Form, symmetric_square_form, triple_divisor_form
 from lfunlab.quadrature import gauss_legendre_panels, oscillatory_integral, smooth_bump
@@ -39,6 +41,7 @@ from lfunlab.voronoi import (
     _mellin_line,
     _neutral_abscissa,
     _phi_contour_kernel,
+    _phi_contour_kernels,
     _tail_asymptotic,
     mellin_transform,
     polar_main_term,
@@ -525,6 +528,105 @@ def test_identity_residual_profile_smoke():
     for s in prof:
         assert s.main_term.real == pytest.approx(208.312561297, rel=1e-9)
         assert abs(s.lhs - s.rhs) <= s.truncation.tail_estimate
+    # the benchmark's configuration: the dual side and its tail estimate
+    # pinned to the values of the per-block, two-build profile
+    pins = [
+        (215.72722723854594 + 4.200760396954996j, 47.22257404389794),
+        (215.83822137970364 + 4.149749147611532j, 15.67597897812344),
+    ]
+    for s, (rhs, tail) in zip(prof, pins):
+        assert abs(s.rhs - rhs) <= 1e-12 * abs(rhs)
+        assert s.truncation.tail_estimate == pytest.approx(tail, rel=1e-12)
+
+
+def test_identity_starts_no_thread(monkeypatch):
+    # so its results cannot depend on a thread count
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    sides = voronoi_residual_profile(D3, 1, 1, 3, BUMP, [512], threads=4)[0]
+    assert abs(sides.lhs - sides.rhs) <= sides.truncation.tail_estimate
+
+
+def test_profile_transforms_each_distinct_argument_once(spec, monkeypatch):
+    # c = 3: the arguments x = 9 m2 / 27 of m1 = 3 repeat those of m1 = 1 at
+    # every ninth m2.  Each order's kernel is applied once, to the 1,620
+    # distinct arguments up to x_exact = 3000 / 50, and one ladder takes the
+    # rest.  At arguments of both blocks, exact and far-tail, the values
+    # are those of voronoi_kernel on the same grid and of _tail_asymptotic
+    applied, ladders = [], []
+    kernel_values, tail_asymptotic = vo._kernel_values, vo._tail_asymptotic
+
+    def spy_kernel(kern, xs):
+        applied.append((kern.sigma, xs, kernel_values(kern, xs)))
+        return applied[-1][2]
+
+    def spy_ladder(spec, xs):
+        ladders.append((xs, tail_asymptotic(spec, xs)))
+        return ladders[-1][1]
+
+    monkeypatch.setattr(vo, "_kernel_values", spy_kernel)
+    monkeypatch.setattr(vo, "_tail_asymptotic", spy_ladder)
+    voronoi_residual_profile(D3, 1, 1, 3, BUMP, [2**14])
+    assert [sigma for sigma, _, _ in applied] == [-0.5, -1.5]
+    assert len(ladders) == 1
+    exact_xs, tail_xs = applied[0][1], ladders[0][0]
+    assert exact_xs.size == np.unique(exact_xs).size == 1620 and exact_xs[-1] <= 60.0
+    assert tail_xs.size == np.unique(tail_xs).size == (16384 - 1620) + (16384 - 180) - 1640
+    samples = {1: [1, 700, 1620, 1621, 9000, 16384], 3: [1, 100, 180, 181, 1820, 16384]}
+    for m1, m2s in samples.items():
+        xs = np.array(m2s) * m1 * m1 / 27
+        near, far = xs[xs <= 60.0], xs[xs > 60.0]
+        i, j = np.searchsorted(exact_xs, near), np.searchsorted(tail_xs, far)
+        assert np.array_equal(exact_xs[i], near) and np.array_equal(tail_xs[j], far)
+        for k in (0, 1):
+            # the grid of voronoi_kernel is sized by its extreme arguments
+            direct, err = voronoi_kernel(spec, k, np.concatenate([exact_xs[[0, -1]], near]))
+            vals, errs = applied[k][2]
+            assert np.all(np.abs(vals[i] - direct[2:]) <= 1e-14 * np.abs(direct[2:]))  # measured 0
+            assert np.all(np.abs(errs[i] - err[2:]) <= 1e-14 * err[2:])
+            ladder = tail_asymptotic(spec, far)
+            assert np.array_equal(ladders[0][1][k][j], ladder[k])
+            assert np.array_equal(ladders[0][1][2 + k][j], ladder[2 + k])
+
+
+@pytest.mark.parametrize("mu", [(0j, 0j, 0j), (0.2 + 0j, -0.2 + 0j, 0j)])
+def test_both_orders_on_one_grid_match_single_builds(mu, monkeypatch):
+    # D3's orders lie on one Mellin line, Re s = -sigma_k - k = 1/2: one FFT,
+    # evaluated once per node of the larger grid.  Real mu = (0.2, -0.2, 0)
+    # puts sigma_0 = -0.3 half a unit right of the order-0 poles, and the
+    # lines Re s = 0.3 and 1/2 differ: one FFT per order.  Either way each
+    # order's kernel is its single-order build bit for bit
+    form = GL3Form("mu", mu, tuple(-m for m in mu), default_satake=(1 + 0j, 1 + 0j, 1 + 0j))
+    spec = VoronoiKernelSpec(form, BUMP)
+    sigmas = {k: _neutral_abscissa(spec, k) for k in (0, 1)}
+    assert sigmas[0] == pytest.approx(-0.5 if mu[0] == 0 else -0.3) and sigmas[1] == -1.5
+    built, evaluated = [], []
+    mellin_line = vo._mellin_line
+
+    def counting_line(phi, support, re_s):
+        built.append(re_s)
+        line = mellin_line(phi, support, re_s)
+        return lambda v: evaluated.append(np.size(v)) or line(v)
+
+    monkeypatch.setattr(vo, "_mellin_line", counting_line)
+    pair = _phi_contour_kernels(spec, sigmas, 5.0)
+    monkeypatch.setattr(vo, "_mellin_line", mellin_line)
+    lines = {-sigma - k: 0 for k, sigma in sigmas.items()}
+    for k, sigma in sigmas.items():
+        lines[-sigma - k] = max(lines[-sigma - k], pair[k].v.size)
+    assert built == list(lines) == ([0.5] if mu[0] == 0 else [-sigmas[0], 0.5])
+    # each line's mass at v = 0, then each node of the largest grid on it once
+    assert evaluated[: len(lines)] == [1] * len(lines)
+    assert sum(evaluated[len(lines) :]) == sum(lines.values())
+    for k, kern in enumerate(pair):
+        alone = _phi_contour_kernel(spec, k, 5.0)
+        assert kern.sigma == alone.sigma == sigmas[k]
+        assert np.array_equal(kern.v, alone.v) and np.array_equal(kern.w, alone.w)
+        assert kern.tail_estimate == alone.tail_estimate
+        xs = np.array([0.05, 1.0, 7.0])
+        assert np.array_equal(_kernel_values(kern, xs)[0], _kernel_values(alone, xs)[0])
 
 
 def test_identity_is_deterministic():
