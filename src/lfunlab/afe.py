@@ -16,23 +16,22 @@ nu the normalizing gamma data.  The degree-2 weight U is the case r = 1,
 mu = nu = (0,); the degree-6 tensor weights V1/V2 are r = 3 with the
 form's mu (direct) or mu_dual (dual), both normalized by the form's mu.
 They are ~ 1 for y well below the analytic conductor and collapse like
-(1 + y/t^r)^{-A} beyond it.  One builder (_weight_blocks) sizes every such
+(1 + y/t^r)^{-A} beyond it.  One builder (_weight_kernel) sizes every such
 contour from r: damper exponent -rA, start height, oscillation budget,
 conjugate symmetry for real mu, and the pole guard.  All contour integrals
-go through quadrature.contour_kernel, so that a whole vector of y values
-costs one matrix-vector product, and a whole vector of t values costs one
-contour grid: the gamma ratio is evaluated on a (t, u) matrix, one block
-of rows at a time, against its normalization at 1/2 computed once per
-t-grid, and each block is one kernel whose rows are the t of the block,
-applied to all y at once and dropped before the next block is built
+go through quadrature.contour_kernel, one call per kernel with one row per
+t, so that a whole vector of y values costs one matrix-vector product, and
+a whole vector of t values costs one contour grid: the gamma ratio is
+evaluated on a (t, u) matrix against its normalization at 1/2 computed once
+per t-grid.  A t-grid is built _ROWS_PER_BUILD t at a time (_by_batch),
+each kernel applied to all y at once and dropped before the next is built
 (gl2_afe_weight_grid, rankin_selberg_afe_weight_grid).  The single-t
-callers take row 0 of a one-row block.  A caller that needs one weight on
-many t-grids over one range [0, top] (kuznetsov.diagonal_weight) builds it
-once instead, as a piecewise Chebyshev interpolant in log(1 + t)
-(chebyshev) through a few dozen rows per piece, all from the contour grid
-sized for top and against one normalization computed for all of them,
-with their rounding floors (_weight_rows), and evaluates every grid from
-that.
+callers build a one-row kernel.  A caller that needs one weight on many
+t-grids over one range [0, top] (kuznetsov.diagonal_weight) builds it once
+instead, as a piecewise Chebyshev interpolant in log(1 + t) (chebyshev)
+through a few dozen rows per piece, all from the contour grid sized for
+top and against one normalization computed for all of them, with their
+rounding floors (_weight_rows), and evaluates every grid from that.
 
 The degree-2 specialization with divisor-sum coefficients eta(l, r) =
 sum_{ad=l} (a/d)^{ir} reproduces |zeta(1/2 + ir)|^2.  Unlike the cuspidal
@@ -48,11 +47,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .heckegl3 import GL3Form, PolarFormError, coefficient_block, coefficient_row
+from .heckegl3 import GL3Form, PolarFormError, coefficient_row, mobius_unfold
 from .quadrature import ContourKernel, NonDecayError, contour_kernel
 from .special import PoleError, gamma_factor_log, log_gamma, zeta
 
@@ -137,10 +136,10 @@ def cosine_power_damper(spec: WeightSpec, u, r: int = 1):
 
 _HEIGHT_CAP = 400.0
 _EPS = float(np.finfo(float).eps)
-# t per kernel build in _weight_rows.  The interpolants ask for tens of
-# rows at a time; in builds of 8, a block's temporaries are 8 rows of its
-# first segment rather than a full _ROW_ELEMENTS block, for about 10 % more
-# build time.  On the perfbench diagonal_weight round (2 cores) the peak RSS
+# t per kernel build (_by_batch).  The interpolants ask for tens of rows
+# at a time; in builds of 8, a build's temporaries are 8 rows of its first
+# segment rather than a full _ROW_ELEMENTS call, for about 10 % more build
+# time.  On the perfbench diagonal_weight round (2 cores) the peak RSS
 # reads 38.45 MB, against 38.79 MB in builds of 16 and 39.03 MB in one build
 # per call.
 _ROWS_PER_BUILD = 8
@@ -155,14 +154,6 @@ def _is_real_tuple(mu) -> bool:
     return all(abs(complex(m).imag) < 1e-12 for m in mu)
 
 
-def _per_t(ts: np.ndarray, f: Callable) -> Callable:
-    """f evaluated once on the distinct t of a grid, looked up as a column
-    for each block of rows that contour_kernel passes to kfunc."""
-    grid = np.unique(ts)
-    vals = f(grid)
-    return lambda t: vals[np.searchsorted(grid, t), None]
-
-
 def _shifts(mu, t) -> list:
     """The gamma shifts -mu_i -+ it of gamma data mu at t (a float, a grid
     or a column of one)."""
@@ -172,32 +163,25 @@ def _shifts(mu, t) -> list:
 _U_MU = (0,)  # gamma data of the degree-2 weight U
 
 
-def _weight_norm(mu_norm, ts: np.ndarray) -> Callable:
-    """log gamma_nu(1/2, t) with gamma data nu = mu_norm, on the distinct t
-    of ts, looked up as a column for any block of them (_per_t)."""
-    return _per_t(ts, lambda t: gamma_factor_log(np.asarray(0.5 + 0j), _shifts(mu_norm, t)))
+def _weight_norm(mu_norm, ts) -> Callable:
+    """log gamma_nu(1/2, t) with gamma data nu = mu_norm, evaluated once on
+    the distinct t of ts and looked up as a column for the rows of each call
+    that contour_kernel makes to kfunc."""
+    grid = np.unique(ts)
+    vals = gamma_factor_log(np.asarray(0.5 + 0j), _shifts(mu_norm, grid))
+    return lambda t: vals[np.searchsorted(grid, t), None]
 
 
 def _weight_kernel(
-    spec: WeightSpec, ts, mu, mu_norm, max_abs_ln_y: float, t_top: float | None = None
-) -> Iterator[ContourKernel]:
-    """The kernels of W(., t) with gamma data mu, normalized by mu_norm at
-    1/2, for the t in ts (a float or an array): _weight_blocks with the norm
-    of ts."""
+    spec: WeightSpec, ts, mu, norm: Callable, max_abs_ln_y: float, t_top: float | None = None
+) -> ContourKernel:
+    """The kernel of W(., t) with gamma data mu for the t in ts (a float or
+    an array), one row per t, normalized by norm(t), a column of
+    log gamma_nu(1/2, t) (_weight_norm).  r = len(mu) sets the damper power
+    and the contour's size.  The grid is sized for |t| up to t_top (None:
+    the largest |t| of ts), so that calls for different t with one t_top
+    share the grid and give each t the same row."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    return _weight_blocks(spec, ts, mu, _weight_norm(mu_norm, ts), max_abs_ln_y, t_top)
-
-
-def _weight_blocks(
-    spec: WeightSpec, ts: np.ndarray, mu, norm: Callable, max_abs_ln_y: float, t_top: float | None
-) -> Iterator[ContourKernel]:
-    """The kernels of W(., t) with gamma data mu for the t in the array ts,
-    normalized by norm(t), a column of log gamma_nu(1/2, t) (_weight_norm),
-    in blocks of consecutive t (one kernel row per t), in order, from one
-    contour grid.  r = len(mu) sets the damper power and the contour's
-    size.  The grid is sized for |t| up to t_top (None: the largest |t| of
-    ts), so that calls for different t with one t_top share the grid and
-    give each t the same row."""
     tmax = float(np.max(np.abs(ts)))
     if t_top is not None:
         if not tmax <= t_top:
@@ -223,18 +207,33 @@ def _weight_blocks(
     vmax0 = (40.0 + r * spec.A * math.log(2.0) + 0.5 * r * math.log(2.0 + tmax)) / (r * math.pi)
     osc = max_abs_ln_y + r * math.log(2.0 + tmax) + 3.0 * max(abs(complex(m)) ** 0.5 for m in mu)
     return contour_kernel(
-        kfunc, spec.sigma_u, width=_panel_width(osc), tol=spec.tail_tolerance,
-        symmetric=_is_real_tuple(mu), height=vmax0, cap=_HEIGHT_CAP, rows=ts,
+        kfunc, spec.sigma_u, ts, width=_panel_width(osc), tol=spec.tail_tolerance,
+        symmetric=_is_real_tuple(mu), height=vmax0, cap=_HEIGHT_CAP,
     )
+
+
+def _by_batch(spec: WeightSpec, ts, mu, mu_norm, max_abs_ln_y: float, t_top: float | None, take: Callable) -> list:
+    """[take(kernel)] for the kernels of W(., t) (_weight_kernel) of
+    consecutive batches of _ROWS_PER_BUILD t of ts, in order.  All are
+    normalized by the norm of all of ts and built on the one grid sized for
+    t_top (None: the largest |t| of ts), so a row is the one its t gets
+    alone; each kernel is dropped once take returns, before the next is
+    built."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    norm = _weight_norm(mu_norm, ts)
+    top = float(np.max(np.abs(ts))) if t_top is None else t_top
+    return [
+        take(_weight_kernel(spec, ts[i : i + _ROWS_PER_BUILD], mu, norm, max_abs_ln_y, top))
+        for i in range(0, ts.size, _ROWS_PER_BUILD)
+    ]
 
 
 def _weight_grid(spec: WeightSpec, ys, ts, mu, mu_norm, t_top: float | None = None) -> np.ndarray:
     """W(y, t) as a (len(ts), len(ys)) array from one contour grid sized for
     the largest |log y| and for |t| up to t_top (default: the largest |t|)."""
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    blocks = _weight_kernel(spec, ts, mu, mu_norm, float(np.max(np.abs(np.log(ys)))), t_top)
-    # map, unlike a loop variable, lets go of each block before the next grows
-    return np.concatenate(list(map(lambda block: block.apply(ys), blocks)))
+    max_ln = float(np.max(np.abs(np.log(ys))))
+    return np.concatenate(_by_batch(spec, ts, mu, mu_norm, max_ln, t_top, lambda kern: kern.apply(ys)))
 
 
 def _weight_rows(spec: WeightSpec, y: float, ts, mu, mu_norm, t_top: float) -> tuple[np.ndarray, np.ndarray]:
@@ -244,26 +243,21 @@ def _weight_rows(spec: WeightSpec, y: float, ts, mu, mu_norm, t_top: float) -> t
     the gamma quotient's exponent, whose 4r log Gamma terms are at most the
     sum G of their sizes at u = 0, where the row's mass sits.  So the floor
     is eps sum |w| (1 + |v ln y| + G) y^{-sigma}, doubled for a symmetric
-    kernel.  The kernels are built _ROWS_PER_BUILD t at a time, against the
-    norm of all of ts; a row does not depend on the others of its build."""
+    kernel."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    norm = _weight_norm(mu_norm, ts)
     ln_y = math.log(y)
     counts = Counter(complex(m) for m in tuple(mu) + tuple(mu_norm))
     size = sum(c * np.abs(log_gamma((0.5 + k) / 2)) for m, c in counts.items() for k in _shifts((m,), ts))
 
-    def rows(block: ContourKernel) -> tuple:
-        # the block's values, phase-weighted masses and masses, the latter
-        # row by row so as not to copy the block
-        phase = 1.0 + np.abs(block.v * ln_y)
-        masses = np.array([(a @ phase, a.sum()) for a in map(np.abs, block.w)])
-        scale = (2.0 if block.symmetric else 1.0) * y ** (-block.sigma)
-        return block.apply([y])[:, 0], scale * masses[:, 0], scale * masses[:, 1]
+    def rows(kern: ContourKernel) -> tuple:
+        # the kernel's values, phase-weighted masses and masses, the latter
+        # row by row so as not to copy the kernel
+        phase = 1.0 + np.abs(kern.v * ln_y)
+        masses = np.array([(a @ phase, a.sum()) for a in map(np.abs, kern.w)])
+        scale = (2.0 if kern.symmetric else 1.0) * y ** (-kern.sigma)
+        return kern.apply([y])[:, 0], scale * masses[:, 0], scale * masses[:, 1]
 
-    chunks = (ts[i : i + _ROWS_PER_BUILD] for i in range(0, ts.size, _ROWS_PER_BUILD))
-    blocks = (block for chunk in chunks for block in _weight_blocks(spec, chunk, mu, norm, abs(ln_y), t_top))
-    # map, unlike a loop variable, lets go of each block before the next grows
-    values, phase_mass, mass = map(np.concatenate, zip(*map(rows, blocks)))
+    values, phase_mass, mass = map(np.concatenate, zip(*_by_batch(spec, ts, mu, mu_norm, abs(ln_y), t_top, rows)))
     return values, _EPS * (phase_mass + size * mass)
 
 
@@ -323,15 +317,15 @@ def central_value_gl2(fixture: MaassFixture, spec: WeightSpec, l_cutoff: int | N
     2 sum a(l) l^{-1/2} U(l, t).  Real for self-dual (even) data."""
     t = fixture.t
     a = fixture.coeff_array()
+    norm = _weight_norm(_U_MU, t)
+    build = lambda maxln: _weight_kernel(spec, t, _U_MU, norm, maxln)
     if l_cutoff is not None:
         L = int(l_cutoff)
-        kern = next(_weight_kernel(spec, t, _U_MU, _U_MU, math.log(max(L, 2))))
+        if L < 1:
+            raise ValueError(f"l_cutoff must be at least 1, got {l_cutoff}")
+        kern = build(math.log(max(L, 2)))
     else:
-        L, kern = _adaptive_cutoff(
-            lambda maxln: next(_weight_kernel(spec, t, _U_MU, _U_MU, maxln)),
-            _gl2_cutoff(t),
-            max(spec.tail_tolerance, 1e-13),
-        )
+        L, kern = _adaptive_cutoff(build, _gl2_cutoff(t), max(spec.tail_tolerance, 1e-13))
     if a.size - 1 < L:
         raise FixtureCoverageError(
             f"fixture {fixture.source!r} carries a(l) for l <= {a.size - 1}, "
@@ -404,8 +398,9 @@ def zeta_square_afe(r: float, spec: WeightSpec) -> float:
     correction included."""
     if r < 0:
         raise ValueError("r must be nonnegative")
+    norm = _weight_norm(_U_MU, r)
     L, kern = _adaptive_cutoff(
-        lambda maxln: next(_weight_kernel(spec, r, _U_MU, _U_MU, maxln)),
+        lambda maxln: _weight_kernel(spec, r, _U_MU, norm, maxln),
         _gl2_cutoff(r),
         max(spec.tail_tolerance, 1e-13),
     )
@@ -423,18 +418,23 @@ def zeta_square_afe(r: float, spec: WeightSpec) -> float:
 def _rs_double_sum(form: GL3Form, coeffs: np.ndarray, t: float, spec: WeightSpec, cutoff: int) -> complex:
     """sum_{m^2 n <= cutoff} conj(a(n)) [ A(m,n) V1 + A(n,m) V2 ] (m^2 n)^{-1/2}."""
     total = 0j
-    # one kernel per variant, shared by every m-row
+    # one kernel per variant, and one coefficient row per orientation
+    # unfolded at each m, shared by every m-row: entries n <= n_max of a
+    # row do not depend on its length
     max_ln = math.log(float(cutoff)) if cutoff > 1 else 1.0
-    kern1 = next(_weight_kernel(spec, t, form.mu, form.mu, max_ln))
-    kern2 = next(_weight_kernel(spec, t, form.mu_dual, form.mu, max_ln))
+    norm = _weight_norm(form.mu, t)
+    kern1 = _weight_kernel(spec, t, form.mu, norm, max_ln)
+    kern2 = _weight_kernel(spec, t, form.mu_dual, norm, max_ln)
+    row = coefficient_row(form, cutoff)
+    col = coefficient_row(form, cutoff, dual=True)
     m = 1
     while m * m <= cutoff:
         n_max = cutoff // (m * m)
         ns = np.arange(1, n_max + 1, dtype=float)
         ys = (m * m) * ns
         a_conj = np.conj(coeffs[1 : n_max + 1])
-        direct = coefficient_block(form, m, n_max)[1:]
-        swapped = coefficient_block(form, m, n_max, transpose=True)[1:]
+        direct = mobius_unfold(form, m, row[: n_max + 1])[1:]
+        swapped = mobius_unfold(form, m, col[: n_max + 1], transpose=True)[1:]
         inv_sqrt = ys**-0.5
         total += np.sum(a_conj * direct * inv_sqrt * kern1.apply(ys)[0])
         total += np.sum(a_conj * swapped * inv_sqrt * kern2.apply(ys)[0])
@@ -453,8 +453,9 @@ def _rs_adaptive_cutoff(form: GL3Form, t: float, spec: WeightSpec) -> int:
     # lift reaches -12) push genuine decay out to C ~ 1e4, so the target is
     # an absolute tail small against unit-scale values rather than the raw
     # weight floor used on the degree-2 side.
+    norm = _weight_norm(form.mu, t)
     C, _ = _adaptive_cutoff(
-        lambda maxln: next(_weight_kernel(spec, t, form.mu, form.mu, maxln)),
+        lambda maxln: _weight_kernel(spec, t, form.mu, norm, maxln),
         _rs_cutoff(t),
         max(1e3 * spec.tail_tolerance, 3e-6),
         metric=lambda mag, L: mag * math.sqrt(L) * (1.0 + math.log(L)) ** 2 / 2.0,
@@ -469,6 +470,8 @@ def central_value_rs(
     sums against V1/V2.  Real to quadrature accuracy for self-dual data."""
     t = fixture.t
     C = int(cutoff) if cutoff is not None else _rs_adaptive_cutoff(form, t, spec)
+    if C < 1:
+        raise ValueError(f"cutoff must be at least 1, got {cutoff}")
     a = fixture.coeff_array()
     if a.size - 1 < C:
         raise FixtureCoverageError(
@@ -524,11 +527,12 @@ def _gl3_afe_value(form: GL3Form, s0: complex, spec: WeightSpec) -> complex:
     sigma = min(3.0, 0.45 * spec.A)
     denom = complex(gamma_factor_log(s0, [-m for m in form.mu]))
 
-    def kernel(s, mu):
-        shifts = [-m for m in mu]
-        return lambda u: cosine_power_damper(spec, u) / u * np.exp(gamma_factor_log(s + u, shifts) - denom)
+    # row 0 of the kernel integrates Va's integrand, row 1 Vb's
+    pair = ((s0, [-m for m in form.mu]), (1 - s0, [-m for m in form.mu_dual]))
 
-    pair = (kernel(s0, form.mu), kernel(1 - s0, form.mu_dual))
+    def kfunc(u, rows):
+        damped = cosine_power_damper(spec, u) / u
+        return np.stack([damped * np.exp(gamma_factor_log(pair[i][0] + u, pair[i][1]) - denom) for i in rows])
 
     osc_extra = 1.5 * math.log(2.0 + abs(s0)) + 3.0 * max(
         abs(complex(m)) ** 0.5 for m in tuple(form.mu) + tuple(form.mu_dual)
@@ -541,15 +545,14 @@ def _gl3_afe_value(form: GL3Form, s0: complex, spec: WeightSpec) -> complex:
     prev_block = math.inf
     while True:
         width = _panel_width(math.log(M) + osc_extra)
-        kern_a, kern_b = (
-            contour_kernel(k, sigma, width=width, tol=spec.tail_tolerance, symmetric=False, height=8.0, cap=_HEIGHT_CAP)
-            for k in pair
+        kern = contour_kernel(
+            kfunc, sigma, np.arange(2), width=width, tol=spec.tail_tolerance, symmetric=False,
+            height=8.0, cap=_HEIGHT_CAP,
         )
         row = coefficient_row(form, M)
         col = coefficient_row(form, M, dual=True)
         ms = np.arange(1, M + 1, dtype=float)
-        va = kern_a.apply(ms)
-        vb = kern_b.apply(ms)
+        va, vb = kern.apply(ms)
         term_a = row[1:] * np.exp(-s0 * np.log(ms)) * va
         term_b = col[1:] * np.exp(-(1 - s0) * np.log(ms)) * vb
         value = complex(np.sum(term_a) + np.sum(term_b))

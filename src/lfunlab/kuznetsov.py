@@ -825,6 +825,8 @@ def diagonal_weight(
         raise ValueError("width T must be positive")
     if min(l, n, m) < 1:
         raise ValueError("indices l, n, m must be positive integers")
+    if not resolution_factor > 0:
+        raise ValueError(f"resolution_factor must be positive, got {resolution_factor}")
     spec = weight_spec if weight_spec is not None else _DEFAULT_WEIGHT_SPEC
     bessel = variant.endswith("plus") or variant.endswith("minus")
     if bessel and (x is None or not x > 0):

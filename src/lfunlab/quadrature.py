@@ -17,18 +17,17 @@ factors in two levels, by run of panels and by panel within the run: on a
 piece of P panels an argument costs about 2 sqrt(P) + 12 exponentials, not
 one per panel or per node, and the rest is one matrix product
 (ContourKernel).  Its tail_estimate is that edge mass plus the accumulated
-noise floor.  A family of integrands K(u, r) indexed by a row parameter r
-(the spectral parameter t of the AFE weights) shares one grid and comes in
-row blocks: each segment is evaluated for a block of rows in one call and
-written into the block's (rows, nodes) weights, each row stops by the same
-rule applied to its own masses and is zero past its stop, and one
-ContourKernel holds the block, whose apply shares the phases of an
-argument among all its rows and returns one row of values per row.
-oscillatory_integral
-returns a TransformResult whose abs_error_estimate is the observed change
-under one further refinement level.  Both estimates are empirical, not
-rigorous enclosures; the test suite checks their honesty against closed
-forms and refinement.
+noise floor.  The integrand is a family K(u, r) indexed by a row parameter
+r (the spectral parameter t of the AFE weights, the order of a Voronoi
+transform), one call for all its rows: the rows share one grid, each
+segment is evaluated for them in calls of a bounded size and written into
+the (rows, nodes) weights, each row stops by the same rule applied to its
+own masses and is zero past its stop, and the one ContourKernel's apply
+shares the phases of an argument among all rows and returns one row of
+values per row.  oscillatory_integral returns a TransformResult whose
+abs_error_estimate is the observed change under one further refinement
+level.  Both estimates are empirical, not rigorous enclosures; the test
+suite checks their honesty against closed forms and refinement.
 
 Throughout, e(z) means exp(2 pi i z), and line integrals carry the measure
 (1/2 pi i) ds.
@@ -39,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -97,6 +96,8 @@ def gauss_legendre_panels(edges, nodes: int):
 
 def _panel_edges(a: float, b: float, width: float) -> np.ndarray:
     """Edges of the fewest equal panels of [a, b] no wider than `width`."""
+    if not width > 0:
+        raise ValueError(f"panel width must be positive, got {width}")
     return np.linspace(a, b, max(1, int(math.ceil((b - a) / width))) + 1)
 
 
@@ -108,7 +109,7 @@ def panel_grid(a: float, b: float, width: float, nodes: int):
 
 _CONTOUR_NODES = 12  # Gauss-Legendre nodes per contour panel
 _APPLY_ELEMENTS = 1 << 15  # (row, y, a, q) partial sums of apply's j-sum (512 KB complex) per block of arguments
-_ROW_ELEMENTS = 1 << 13  # (row, node) entries per kfunc call, in a row block's first segment, or per block of a row-batched product
+_ROW_ELEMENTS = 1 << 13  # (row, node) entries per kfunc call, or per block of a row-batched product
 
 
 def _panel_split(panels: int) -> tuple[int, int]:
@@ -132,17 +133,15 @@ def _piece(half: float, mids: np.ndarray) -> tuple:
 
 @dataclass(frozen=True)
 class ContourKernel:
-    """(1/2 pi i) int_{(sigma)} y^{-u} K(u) du on the nodes u = sigma + iv.
+    """(1/2 pi i) int_{(sigma)} y^{-u} K(u, r) du on the nodes u = sigma + iv,
+    one row per row parameter r of contour_kernel.
 
-    w holds the quadrature weight times K(u) / (2 pi).  A symmetric kernel
+    w, of shape (rows, nodes), holds the quadrature weight times
+    K(u, r) / (2 pi), each row zero past its own stop.  A symmetric kernel
     (K(conj u) = conj K(u)) keeps only v >= 0 and adds the mirror half as
-    twice the real part.  tail_estimate is in the units of w: times
-    y^{-sigma} it is the absolute error allowance at y.  A row block
-    (contour_kernel's `rows`) has w of shape (rows, nodes), each row zero
-    past its own stop, and one tail_estimate per row, and apply(y) returns
-    shape (rows, y.size); a single integrand has 1-D w, a float
-    tail_estimate and apply(y) of shape (y.size,).  Both go through the
-    one apply below.
+    twice the real part.  tail_estimate holds one value per row, in the
+    units of w: times y^{-sigma} it is the row's absolute error allowance at
+    y.  apply(y) returns shape (rows, y.size).
 
     panels records the grid's geometry, one (half, mids, rates) triple per
     piece of equal panels (_piece), in the order of v: a piece holds the
@@ -159,8 +158,8 @@ class ContourKernel:
     (B, A nodes) product per row on a view of w (a short last row of panels
     adds its own rank-one term), and the a- and q-sums are batched products
     with E and O.  Per piece an argument costs A + B + _CONTOUR_NODES
-    exponentials, about 2 sqrt(P) for P panels, shared by all rows of a
-    block, and per row as many multiply-adds as a dense sum over the nodes.
+    exponentials, about 2 sqrt(P) for P panels, shared by all rows, and
+    per row as many multiply-adds as a dense sum over the nodes.
     The arguments go in blocks of _APPLY_ELEMENTS (row, y, a, q) partial
     sums.
     """
@@ -169,7 +168,7 @@ class ContourKernel:
     v: np.ndarray
     w: np.ndarray
     symmetric: bool
-    tail_estimate: float
+    tail_estimate: np.ndarray
     panels: tuple
     # (per piece: the slices of its E, R and O in the rates of all pieces,
     # its full rows of w as a (rows, A nodes) view, its short last row),
@@ -178,28 +177,27 @@ class ContourKernel:
 
     def __post_init__(self):
         nodes = _CONTOUR_NODES
-        block = self.w.reshape(-1, self.w.shape[-1])
         pieces = []
         start = at = width = 0
         for _, mids, rates in self.panels:
             a = _panel_split(mids.size)[0]
-            w = block[:, start : start + mids.size * nodes]
+            w = self.w[:, start : start + mids.size * nodes]
             start += w.shape[1]
             full = (mids.size // a) * a * nodes
             end = at + rates.size
             e, r, o = slice(at, at + a), slice(at + a, end - nodes), slice(end - nodes, end)
-            pieces.append((e, r, o, w[:, :full].reshape(block.shape[0], -1, a * nodes), w[:, full:]))
+            pieces.append((e, r, o, w[:, :full].reshape(w.shape[0], -1, a * nodes), w[:, full:]))
             at, width = end, max(width, a * nodes)
         rates = np.concatenate([rates for *_, rates in self.panels])
         object.__setattr__(self, "_layout", (tuple(pieces), rates, width))
 
     def apply(self, y) -> np.ndarray:
-        y = np.atleast_1d(np.asarray(y, dtype=float))
+        y = np.asarray(y, dtype=float).ravel()
         if np.any(y <= 0):
             raise ValueError("weight arguments must be positive")
         ln_y = np.log(y)
         pieces, rates, width = self._layout
-        rows = self.w.size // self.w.shape[-1]
+        rows = self.w.shape[0]
         block = max(1, _APPLY_ELEMENTS // (rows * width))
         vals = np.zeros((rows, y.size), dtype=complex)
         for i in range(0, y.size, block):
@@ -214,138 +212,107 @@ class ContourKernel:
                 vals[:, i : i + t.size] += part[..., 0, 0]
         if self.symmetric:
             vals = 2.0 * vals.real + 0j
-        return (vals * y ** (-self.sigma)).reshape(self.w.shape[:-1] + y.shape)
+        return vals * y ** (-self.sigma)
 
 
 def contour_kernel(
     kfunc: Callable,
     sigma: float,
+    rows,
     *,
     width: float,
     tol: float,
     symmetric: bool,
     height: float,
     cap: float,
-    rows=None,
-) -> ContourKernel | Iterator[ContourKernel]:
-    """Discretize (1/2 pi i) int_{(sigma)} y^{-u} K(u) du for a batch of y.
+) -> ContourKernel:
+    """Discretize (1/2 pi i) int_{(sigma)} y^{-u} K(u, r) du for a batch of
+    y and each row parameter r of the 1-D array `rows`.
 
     The grid starts on |v| <= height (v >= 0 only when `symmetric`), in
     panels no wider than `width`, which the caller sizes against the
-    fastest phase of y^{-iv} K(sigma + iv) over its batch.  It then grows in
-    segments of ratio 1.6, up to `cap`, keeping the nodes already evaluated,
-    until the outermost panels' absolute mass drops below tol of the total
-    or below three times the evaluation noise floor of K (past that point
-    extending integrates rounding noise, not signal).  kfunc(u) returns
-    K(u), or the pair (K(u), floor(u)) when it reports that floor, so that
-    both can share their work.  tail_estimate adds that edge mass to the
-    root-sum-square of the floor over all nodes; NonDecayError when the cap
-    arrives first.
+    fastest phase of y^{-iv} K(sigma + iv, r) over its batch and its rows.
+    It then grows in segments of ratio 1.6, up to `cap`, keeping the nodes
+    already evaluated.  A row stops taking segments once its outermost
+    panels' absolute mass drops below tol of its total or below three times
+    the evaluation noise floor of its K (past that point extending
+    integrates rounding noise, not signal).  kfunc(u, r) returns K(u, r)
+    for a sub-array r of `rows`, shape (r.size, u.size), or the pair
+    (K, floor) of that shape when it reports the floor, so that both can
+    share their work.  No call sees more than _ROW_ELEMENTS (row, node)
+    entries unless a single row does, which bounds the temporaries.
 
-    Row blocks: given `rows`, a 1-D array of parameters (the AFE weights
-    pass their spectral parameters t), kfunc(u, r) returns one row per
-    entry of r, shape (r.size, u.size) (and so does its floor), and the
-    result is an iterator over ContourKernels of consecutive blocks of
-    rows, in order, all on the one grid whose `width` and `height` the
-    caller sizes for the whole batch.  A block holds about _ROW_ELEMENTS
-    (row, node) entries of the first segment, and no kfunc call sees more
-    than that unless a single row does, which bounds the temporaries.  Each
-    row applies the stopping test to its own masses and takes no further
-    segments once it passes, so it ends at its own height, with its own
-    tail_estimate, and its values do not depend on the other rows: cut to
-    its own length, a row of the block's w is the single-row kernel's w,
-    and past it the row is zero.  The blocking changes no weight and no
-    tail_estimate.  A caller that lets go of each block before it asks for
-    the next (afe._weight_grid) holds one block at a time.  NonDecayError
-    names the parameter of a row that reaches the cap.
+    The result is one ContourKernel whose w row i belongs to rows[i].  Each
+    row ends at its own height, with its own tail_estimate (its edge mass
+    plus the root-sum-square of its floor over all nodes), and is zero past
+    its stop; its values do not depend on the other rows, so cut to its own
+    length it is the row of a kernel built for that row alone.
+    NonDecayError, naming the parameter of a row, when the cap arrives
+    before that row stops.
     """
-    params = np.atleast_1d(np.asarray(rows)) if rows is not None else np.zeros(1)
+    params = np.atleast_1d(np.asarray(rows))
+    active = np.arange(params.size)
+    total = np.zeros(params.size)
+    noise_sq = np.zeros(params.size)
+    tails = np.zeros(params.size)
+    vs, panels = [], []  # the nodes and the geometry of each piece, in order
+    columns: list = []  # the weights, one (rows, nodes) array per segment
 
-    # (top height, [(nodes, weights, outermost panel, (half, mids))] per half-line)
-    segments: list = []
+    def weights(u, gw, out, idx):
+        # gw K(u, r) / 2 pi on the rows r = params[idx], their masses and
+        # floors added up; the call's temporaries end with it
+        result = kfunc(u, params[idx])
+        value, floor = result if isinstance(result, tuple) else (result, None)
+        w = gw * value / (2.0 * math.pi)
+        absw = np.abs(w)
+        total[idx] += absw.sum(axis=1)
+        edge[idx] += absw[:, out].sum(axis=1)
+        if floor is not None:
+            fl = np.abs(gw) * np.asarray(floor, dtype=float) / (2.0 * math.pi)
+            noise_sq[idx] += (fl * fl).sum(axis=1)
+            edge_floor[idx] += fl[:, out].sum(axis=1)
+        return w
 
-    def segment(k: int) -> tuple:
-        while len(segments) <= k:
-            v_lo = segments[-1][0] if segments else 0.0
-            v_hi = min(1.6 * v_lo, float(cap)) if segments else float(height)
-            pieces = []
-            for sign in (1,) if symmetric else (1, -1):
-                a, b = (v_lo, v_hi) if sign == 1 else (-v_hi, -v_lo)
-                edges = _panel_edges(a, b, width)
-                x, gw = gauss_legendre_panels(edges, _CONTOUR_NODES)
-                geometry = _piece(0.5 * (b - a) / (edges.size - 1), 0.5 * (edges[1:] + edges[:-1]))
-                out = slice(-_CONTOUR_NODES, None) if sign == 1 else slice(None, _CONTOUR_NODES)
-                pieces.append((x, gw, out, geometry))
-            segments.append((v_hi, pieces))
-        return segments[k]
-
-    def grow(block: np.ndarray) -> ContourKernel:
-        active = np.arange(block.size)
-        total = np.zeros(block.size)
-        noise_sq = np.zeros(block.size)
-        tails = np.zeros(block.size)
-        columns: list = []  # the block's weights, one (rows, nodes) array per segment
-
-        def weights(u, gw, out, idx):
-            # gw K(u, r) / 2 pi on the rows r = block[idx], their masses and
-            # floors added up; the call's temporaries end with it
-            result = kfunc(u, block[idx]) if rows is not None else kfunc(u)
-            value, floor = result if isinstance(result, tuple) else (result, None)
-            w = gw * np.atleast_2d(value) / (2.0 * math.pi)
-            absw = np.abs(w)
-            total[idx] += absw.sum(axis=1)
-            edge[idx] += absw[:, out].sum(axis=1)
-            if floor is not None:
-                fl = np.abs(gw) * np.atleast_2d(floor).astype(float) / (2.0 * math.pi)
-                noise_sq[idx] += (fl * fl).sum(axis=1)
-                edge_floor[idx] += fl[:, out].sum(axis=1)
-            return w
-
-        k = 0
-        while True:
-            edge = np.zeros(block.size)
-            edge_floor = np.zeros(block.size)
-            v_hi, pieces = segment(k)
-            nodes = sum(x.size for x, *_ in pieces)
-            seg = None
-            at = 0
-            for x, gw, out, _ in pieces:
-                cols = slice(at, at + x.size)
-                at += x.size
-                step = max(1, _ROW_ELEMENTS // x.size)
-                for lo in range(0, active.size, step):
-                    idx = active[lo : lo + step]
-                    w = weights(sigma + 1j * x, gw, out, idx)
-                    if seg is None:  # allocated past the first call's temporaries
-                        seg = np.zeros((block.size, nodes), dtype=complex)
-                    seg[idx, cols] = w
-                    del w  # seg holds it, and the next call gets the memory
-            columns.append(seg)
-            e, t = edge[active], total[active]
-            done = (t == 0.0) | (e <= tol * t) | (e <= 3.0 * edge_floor[active])
-            tails[active[done]] = e[done] + np.sqrt(noise_sq[active[done]])
-            active = active[~done]
-            if active.size == 0:
-                break
-            if v_hi >= cap:
-                row = f" for row parameter {block[active[0]]}" if rows is not None else ""
-                raise NonDecayError(
-                    f"contour kernel mass at height {v_hi:.0f} still above both the "
-                    f"decay target and the noise floor{row}"
-                )
-            k += 1
-        pieces = [piece for _, seg in segments[: k + 1] for piece in seg]
-        v = np.concatenate([x for x, _, _, _ in pieces])
-        panels = tuple(geometry for _, _, _, geometry in pieces)
-        w = np.concatenate(columns, axis=1)
-        if rows is None:
-            return ContourKernel(sigma, v, w[0], symmetric, float(tails[0]), panels)
-        return ContourKernel(sigma, v, w, symmetric, tails, panels)
-
-    if rows is None:
-        return grow(params)
-    per_block = max(1, _ROW_ELEMENTS // segment(0)[1][0][0].size)
-    return (grow(params[lo : lo + per_block]) for lo in range(0, params.size, per_block))
+    v_hi = 0.0
+    while True:
+        v_lo, v_hi = v_hi, (min(1.6 * v_hi, float(cap)) if columns else float(height))
+        pieces = []  # (nodes, weights, outermost panel) per half-line
+        for sign in (1,) if symmetric else (1, -1):
+            a, b = (v_lo, v_hi) if sign == 1 else (-v_hi, -v_lo)
+            edges = _panel_edges(a, b, width)
+            x, gw = gauss_legendre_panels(edges, _CONTOUR_NODES)
+            vs.append(x)
+            panels.append(_piece(0.5 * (b - a) / (edges.size - 1), 0.5 * (edges[1:] + edges[:-1])))
+            pieces.append((x, gw, slice(-_CONTOUR_NODES, None) if sign == 1 else slice(None, _CONTOUR_NODES)))
+        edge = np.zeros(params.size)
+        edge_floor = np.zeros(params.size)
+        nodes = sum(x.size for x, _, _ in pieces)
+        seg = None
+        at = 0
+        for x, gw, out in pieces:
+            cols = slice(at, at + x.size)
+            at += x.size
+            step = max(1, _ROW_ELEMENTS // x.size)
+            for lo in range(0, active.size, step):
+                idx = active[lo : lo + step]
+                w = weights(sigma + 1j * x, gw, out, idx)
+                if seg is None:  # allocated past the first call's temporaries
+                    seg = np.zeros((params.size, nodes), dtype=complex)
+                seg[idx, cols] = w
+                del w  # seg holds it, and the next call gets the memory
+        columns.append(seg)
+        e, t = edge[active], total[active]
+        done = (t == 0.0) | (e <= tol * t) | (e <= 3.0 * edge_floor[active])
+        tails[active[done]] = e[done] + np.sqrt(noise_sq[active[done]])
+        active = active[~done]
+        if active.size == 0:
+            break
+        if v_hi >= cap:
+            raise NonDecayError(
+                f"contour kernel mass at height {v_hi:.0f} still above both the "
+                f"decay target and the noise floor for row parameter {params[active[0]]}"
+            )
+    return ContourKernel(sigma, np.concatenate(vs), np.concatenate(columns, axis=1), symmetric, tails, tuple(panels))
 
 
 def _phase_velocity_scan(phase: Callable, a: float, b: float, samples: int = 4096) -> float:

@@ -85,7 +85,9 @@ whichever lies further right (_neutral_abscissa).  The panels depend on
 the arguments' range and the support, not on the abscissa, so both orders
 share one call and one grid of heights v, each row evaluating its own
 order at sigma_k + iv (_phi_contour_kernels), and each order stops at its
-own height.
+own height.  The call returns one kernel for both orders, whose apply
+shares each argument's phases between them, and _kernel_values moves each
+row from the kernel's abscissa to its own.
 
 The Mellin factor comes from one FFT per line (_mellin_line).  On the line
 Re s = re_s, phitilde is e^{s ln c} times the Fourier transform of the
@@ -369,24 +371,34 @@ def _gamma_quotient_log(u, k: int, abg) -> np.ndarray:
     )
 
 
-def _phi_contour_kernels(spec: VoronoiKernelSpec, abscissae: dict, max_abs_ln_y: float) -> list:
-    """Contour kernels whose .apply(y) give (1/2 pi i) int y^{-s} K_k(s) ds,
-    one per order k of `abscissae` (order -> sigma_k), in that order.
+def _phi_contour_kernels(spec: VoronoiKernelSpec, abscissae: dict, max_abs_ln_y: float) -> ContourKernel:
+    """The contour kernel whose row k, moved to its own line by
+    _kernel_values, gives (1/2 pi i) int y^{-s} K_k(s) ds, one row per order
+    k of `abscissae` (order -> sigma_k), in that order.
 
     K_k is the order-k six-gamma quotient times phitilde(-s-k) on the line
-    Re s = sigma_k, and y = pi^3 x; _kernel_values restores the bare-integral
-    normalization.  The orders share one contour_kernel call, with the
-    orders as its rows: the grid depends on width, height and cap, not on
+    Re s = sigma_k, and y = pi^3 x; _kernel_values restores the
+    bare-integral normalization.  The orders are the rows of one
+    contour_kernel call: the grid depends on width, height and cap, not on
     sigma, so it is laid out once.  Row k evaluates K_k at sigma_k + iv on
-    the node v, and its kernel takes sigma_k.  A first segment of
-    12 x 512 / width >= 12,288 nodes, more than a row block's 8,192
-    (row, node) entries, puts each row in a block of its own, so each
-    kernel is the single-order kernel bit for bit.  The Mellin
+    the node v; the kernel's sigma is that of the first order.  The Mellin
     factor of order k lies on Re s = -sigma_k - k; orders on one line share
-    its FFT and its values at each segment's nodes.
+    its FFT and its values at each segment's nodes.  Each order must be 0
+    or 1, and each sigma_k half a unit right of the order-k numerator poles
+    (_neutral_abscissa keeps that margin): the value does not depend on the
+    line right of the poles, but panels near a pole lose digits their error
+    estimate does not see.
     """
     orders = list(abscissae)
     sigmas = [float(abscissae[k]) for k in orders]
+    for k, sigma in zip(orders, sigmas):
+        if k not in (0, 1):
+            raise ValueError(f"kernel order k must be 0 or 1, got {k}")
+        if not sigma >= spec.pole_bound(k) + 0.5:
+            raise PoleError(
+                f"abscissa {sigma} is not half a unit right of the order-{k} "
+                f"numerator poles (needs sigma >= {spec.pole_bound(k) + 0.5})"
+            )
     abg = spec.spherical()
     lo, hi = spec.support
     symmetric = all(abs(z.imag) < 1e-12 for z in abg)
@@ -394,8 +406,9 @@ def _phi_contour_kernels(spec: VoronoiKernelSpec, abscissae: dict, max_abs_ln_y:
     for k, sigma in zip(orders, sigmas):
         if -sigma - k not in lines:
             lines[-sigma - k] = _mellin_line(spec.test_function, spec.support, -sigma - k)
-    # the Mellin factor's values at a segment's nodes, per line, kept for
-    # the later rows of the call
+    # the Mellin factor's values at a piece's nodes on one line, kept for
+    # the piece's other rows: contour_kernel evaluates every row on a piece
+    # before the next piece
     line_values = {}
 
     # K and its double-precision floor share the gamma quotient.  The floor
@@ -413,6 +426,7 @@ def _phi_contour_kernels(spec: VoronoiKernelSpec, abscissae: dict, max_abs_ln_y:
             k, sigma = orders[row], sigmas[row]
             key = (-sigma - k, float(v[0]), v.size)
             if key not in line_values:
+                line_values.clear()
                 line_values[key] = lines[key[0]](-v)  # phitilde(-u - k)
             quotient = _gamma_quotient_log(sigma + 1j * v, k, abg)
             size = np.exp(np.real(quotient))
@@ -427,50 +441,22 @@ def _phi_contour_kernels(spec: VoronoiKernelSpec, abscissae: dict, max_abs_ln_y:
     # across the realistic height range
     osc = max_abs_ln_y + max(abs(math.log(lo)), abs(math.log(hi))) + 12.0
     # 12-node panels spanning <= 9 radians (~1.4 periods) of the fastest phase
-    blocks = contour_kernel(
-        kfunc, sigmas[0], width=min(0.5, 9.0 / osc), tol=1e-11, symmetric=symmetric,
-        height=512.0, cap=_CONTOUR_CAP, rows=np.arange(len(orders)),
+    return contour_kernel(
+        kfunc, sigmas[0], np.arange(len(orders)), width=min(0.5, 9.0 / osc), tol=1e-11,
+        symmetric=symmetric, height=512.0, cap=_CONTOUR_CAP,
     )
-    kernels = []
-    for block in blocks:
-        for w, tail in zip(block.w, block.tail_estimate):
-            sigma = sigmas[len(kernels)]
-            kernels.append(ContourKernel(sigma, block.v, w, block.symmetric, float(tail), block.panels))
-    return kernels
 
 
-def _phi_contour_kernel(
-    spec: VoronoiKernelSpec,
-    k: int,
-    max_abs_ln_y: float,
-    abscissa: float | None = None,
-):
-    """The order-k kernel of _phi_contour_kernels on the line Re s =
-    _neutral_abscissa(spec, k).  `abscissa` moves the line for the
-    contour-shift test: the value does not depend on it right of the
-    order-k poles, but panels near a pole lose digits their error estimate
-    does not see, so it must keep the half-unit margin that
-    _neutral_abscissa keeps.
-    """
-    if k not in (0, 1):
-        raise ValueError(f"kernel order k must be 0 or 1, got {k}")
-    if abscissa is None:
-        sigma = _neutral_abscissa(spec, k)
-    else:
-        sigma = float(abscissa)
-        if not sigma >= spec.pole_bound(k) + 0.5:
-            raise PoleError(
-                f"abscissa {sigma} is not half a unit right of the order-{k} "
-                f"numerator poles (needs sigma >= {spec.pole_bound(k) + 0.5})"
-            )
-    return _phi_contour_kernels(spec, {k: sigma}, max_abs_ln_y)[0]
-
-
-def _kernel_values(kern, xs: np.ndarray) -> tuple:
-    """A built order-k kernel at the arguments xs: the bare-integral values
-    2 pi i apply(pi^3 x) and their error allowances 2 pi tail (pi^3 x)^{-sigma}."""
+def _kernel_values(kern: ContourKernel, abscissae: dict, xs: np.ndarray) -> tuple:
+    """The rows of a built _phi_contour_kernels kernel at the arguments xs:
+    row k moved from the kernel's sigma to its own sigma_k (abscissae, in
+    order) by the factor y^{sigma - sigma_k}, y = pi^3 x, as the
+    bare-integral values 2 pi i y^{sigma - sigma_k} apply(y), and their
+    error allowances 2 pi tail_k y^{-sigma_k}; each of shape (rows, xs.size)."""
     ys = math.pi**3 * xs
-    return 2j * math.pi * kern.apply(ys), 2.0 * math.pi * kern.tail_estimate * ys ** (-kern.sigma)
+    sigmas = np.array([float(sigma) for sigma in abscissae.values()])[:, None]
+    values = 2j * math.pi * kern.apply(ys) * ys ** (kern.sigma - sigmas)
+    return values, 2.0 * math.pi * kern.tail_estimate[:, None] * ys ** (-sigmas)
 
 
 def voronoi_kernel(spec: VoronoiKernelSpec, k: int, x):
@@ -483,8 +469,9 @@ def voronoi_kernel(spec: VoronoiKernelSpec, k: int, x):
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(xs <= 0):
         raise ValueError("transform arguments must be positive")
-    kern = _phi_contour_kernel(spec, k, float(np.max(np.abs(np.log(math.pi**3 * xs)))))
-    vals, errs = _kernel_values(kern, xs)
+    abscissae = {k: _neutral_abscissa(spec, k)}
+    kern = _phi_contour_kernels(spec, abscissae, float(np.max(np.abs(np.log(math.pi**3 * xs)))))
+    (vals,), (errs,) = _kernel_values(kern, abscissae, xs)
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return complex(vals[0]), float(errs[0])
     return vals, errs
@@ -691,8 +678,8 @@ def voronoi_residual_profile(
     arguments x = m1^2 m2 / (c^3 n) coincide in part (for c = 3, m1 = 3
     repeats every ninth argument of m1 = 1), so each distinct x is
     evaluated once: below the ladder regime (x * support_lo < _TAIL_XLO) by
-    the exact contour kernels of both orders, built on one grid
-    (_phi_contour_kernels), and the degenerate form's far tail by one
+    one exact contour kernel with a row per order (_phi_contour_kernels),
+    applied once, and the degenerate form's far tail by one
     _tail_asymptotic call.  Each block takes its values by index, and its
     coefficients from the one row that serves every m1 (mobius_unfold).
     Returns one VoronoiSides per cutoff, in the given order.
@@ -730,17 +717,16 @@ def voronoi_residual_profile(
     x_exact = _TAIL_XLO / lo if degenerate else math.inf
     xs, where = np.unique(np.concatenate([m2s * m1 * m1 / (c**3 * n) for m1 in m1s]), return_inverse=True)
     n_exact = int(np.searchsorted(xs, x_exact, side="right"))
-    phi0 = np.empty(xs.size, dtype=complex)
-    phi1 = np.empty(xs.size, dtype=complex)
-    err0 = np.zeros(xs.size)
-    err1 = np.zeros(xs.size)
+    # both orders' values and allowances, one row per order
+    phi = np.empty((2, xs.size), dtype=complex)
+    err = np.zeros((2, xs.size))
     if n_exact:
         max_ln = float(np.max(np.abs(np.log(math.pi**3 * xs[[0, n_exact - 1]]))))
-        kern0, kern1 = _phi_contour_kernels(spec, {k: _neutral_abscissa(spec, k) for k in (0, 1)}, max_ln)
-        phi0[:n_exact], err0[:n_exact] = _kernel_values(kern0, xs[:n_exact])
-        phi1[:n_exact], err1[:n_exact] = _kernel_values(kern1, xs[:n_exact])
+        abscissae = {k: _neutral_abscissa(spec, k) for k in (0, 1)}
+        kern = _phi_contour_kernels(spec, abscissae, max_ln)
+        phi[:, :n_exact], err[:, :n_exact] = _kernel_values(kern, abscissae, xs[:n_exact])
     if n_exact < xs.size:
-        phi0[n_exact:], phi1[n_exact:], err0[n_exact:], err1[n_exact:] = _tail_asymptotic(spec, xs[n_exact:])
+        phi[0, n_exact:], phi[1, n_exact:], err[0, n_exact:], err[1, n_exact:] = _tail_asymptotic(spec, xs[n_exact:])
 
     coefficients = coefficient_row(form, top)
     blocks = []
@@ -755,9 +741,9 @@ def voronoi_residual_profile(
         res = m2s % q
         s_plus, s_minus = table_p[res], table_m[res]
         base = coeffs / (m1 * m2s)
-        p0, p1 = phi0[at], phi1[at]
+        p0, p1 = phi[:, at]
         terms = base * (s_plus * (p0 + mix * p1) + s_minus * (p0 - mix * p1))
-        errs = np.abs(base) * (np.abs(s_plus) + np.abs(s_minus)) * (err0[at] + mixmag * err1[at])
+        errs = np.abs(base) * (np.abs(s_plus) + np.abs(s_minus)) * (err[0, at] + mixmag * err[1, at])
         blocks.append((terms, errs))
     pref = c * math.pi ** (-2.5) / 4j
     out = []

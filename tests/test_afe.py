@@ -131,15 +131,16 @@ def test_gl2_weight_matches_leading_contour_form():
     # with relative defect O(1/t) from the Stirling correction
     t = 100.0
     kern = contour_kernel(
-        lambda u: cosine_power_damper(SPEC, u) / u,
+        lambda u, r: (cosine_power_damper(SPEC, u) / u)[None],
         SPEC.sigma_u,
+        [0.0],
         width=0.5,
         tol=SPEC.tail_tolerance,
         symmetric=True,
         height=20.0,
         cap=400.0,
     )
-    lead = complex(kern.apply(np.array([2 * math.pi * t / t]))[0])
+    lead = complex(kern.apply(np.array([2 * math.pi * t / t]))[0, 0])
     u = u_at(SPEC, t, t)
     assert abs(u - lead) / abs(lead) < 5.0 / t
 
@@ -228,34 +229,42 @@ def _allowance(kern, y, row=0):
     return 2.0 * per_half * y**-SPEC.sigma_u
 
 
-def _rows(blocks):
-    # (block, row index) of each t, in order
-    return [(block, i) for block in blocks for i in range(block.w.shape[0])]
+def _kernel(ts, mu, mu_norm, max_abs_ln_y, t_top=None):
+    # the one kernel of W(., t) for the t of ts, against their norm
+    return afe._weight_kernel(SPEC, ts, mu, afe._weight_norm(mu_norm, ts), max_abs_ln_y, t_top)
 
 
 @pytest.mark.parametrize("name", sorted(WEIGHTS))
-def test_t_grid_blocking_is_bit_identical(name, monkeypatch):
-    # each row of a block, cut to the length of its own single-row block,
-    # is that block's row, and zero past it
+def test_t_grid_blocking_is_bit_identical(name):
+    # each row of a t-grid's kernel, cut to the length of its t's one-row
+    # kernel on the same grid, is that row, and zero past it; and the
+    # values of a grid built _ROWS_PER_BUILD t at a time are the single-t
+    # values bit for bit
     mu, mu_norm = WEIGHTS[name]
-    default = list(afe._weight_kernel(SPEC, T_GRID, mu, mu_norm, 3.0))
-    assert len(default) == 1
-    monkeypatch.setattr(quadrature, "_ROW_ELEMENTS", 1)  # one row per block and per call
-    single = list(afe._weight_kernel(SPEC, T_GRID, mu, mu_norm, 3.0))
-    for (block, i), alone in zip(_rows(default), single, strict=True):
+    kern = _kernel(T_GRID, mu, mu_norm, 3.0)
+    assert kern.w.shape[0] == T_GRID.size
+    for i, t in enumerate(T_GRID):
+        alone = _kernel(t, mu, mu_norm, 3.0, t_top=60.0)
         n = alone.v.size
         assert alone.w.shape == (1, n)
-        assert np.array_equal(block.v[:n], alone.v)
-        assert np.array_equal(block.w[i, :n], alone.w[0])
-        assert np.all(block.w[i, n:] == 0)
-        assert block.tail_estimate[i] == alone.tail_estimate[0]
+        assert np.array_equal(kern.v[:n], alone.v)
+        assert np.array_equal(kern.w[i, :n], alone.w[0])
+        assert np.all(kern.w[i, n:] == 0)
+        assert kern.tail_estimate[i] == alone.tail_estimate[0]
+    ts = np.linspace(0.0, 60.0, 20)
+    assert ts.size > 2 * afe._ROWS_PER_BUILD
+    ys = np.array([1.0, 30.0, 900.0])
+    grid = afe._weight_grid(SPEC, ys, ts, mu, mu_norm)
+    for t, row in zip(ts, grid, strict=True):
+        assert np.array_equal(row, afe._weight_grid(SPEC, ys, [t], mu, mu_norm, t_top=60.0)[0])
 
 
 def test_normalization_at_half_once_per_t_grid(monkeypatch):
     # the gamma factor at 1/2 depends on t alone, so a t-grid evaluates it
-    # once, not once per block of rows and segment.  Its log_gamma
+    # once, not once per build, kfunc call and segment.  Its log_gamma
     # arguments (1/2 -+ it - mu)/2 are the only ones with real part 1/4
-    # here; the contour nodes' lie on (1/2 + sigma_u)/2.
+    # here; the contour nodes' lie on (1/2 + sigma_u)/2.  20 t take three
+    # builds of _ROWS_PER_BUILD rows, the last one short
     on_quarter = []
     original = special.log_gamma
 
@@ -263,22 +272,30 @@ def test_normalization_at_half_once_per_t_grid(monkeypatch):
         on_quarter.append(bool(np.all(np.real(z) == 0.25)))
         return original(z)
 
+    builds = []
+    build = afe.contour_kernel
+
+    def counting_build(kfunc, sigma, rows, **kw):
+        builds.append(len(rows))
+        return build(kfunc, sigma, rows, **kw)
+
     monkeypatch.setattr(special, "log_gamma", counting)
+    monkeypatch.setattr(afe, "contour_kernel", counting_build)
     monkeypatch.setattr(quadrature, "_ROW_ELEMENTS", 1)  # one row per kfunc call
-    assert len(list(afe._weight_kernel(SPEC, T_GRID, afe._U_MU, afe._U_MU, 3.0))) == T_GRID.size
+    ts = np.linspace(0.0, 60.0, 20)
+    assert afe._weight_grid(SPEC, [30.0], ts, afe._U_MU, afe._U_MU).shape == (ts.size, 1)
     assert sum(on_quarter) == 2 < len(on_quarter)
+    assert builds == [8, 8, 4] and afe._ROWS_PER_BUILD == 8
     on_quarter.clear()
-    assert len(list(afe._weight_kernel(SPEC, T_GRID, D3.mu, D3.mu, 3.0))) == T_GRID.size
+    afe._weight_grid(SPEC, [30.0], ts, D3.mu, D3.mu)
     # one call per distinct shift: D3's six shifts -mu_i -+ it are two
     assert sum(on_quarter) == 2 * len(set(D3.mu)) < len(on_quarter)
-    # _weight_rows builds its kernels _ROWS_PER_BUILD t at a time, all
-    # against one norm: 20 t in three builds take the norm's two calls
     on_quarter.clear()
-    ts = np.linspace(0.0, 60.0, 20)
-    assert ts.size > 2 * afe._ROWS_PER_BUILD
+    builds.clear()
     values, _ = afe._weight_rows(SPEC, 30.0, ts, afe._U_MU, afe._U_MU, 60.0)
     assert values.shape == ts.shape
     assert sum(on_quarter) == 2 < len(on_quarter)
+    assert builds == [8, 8, 4]
 
 
 @pytest.mark.parametrize("name", sorted(WEIGHTS))
@@ -287,44 +304,22 @@ def test_t_grid_matches_scalar_weights(name):
     ys = np.array([1.0, 30.0, 900.0])
     values = afe._weight_grid(SPEC, ys, T_GRID, mu, mu_norm)
     assert values.shape == (T_GRID.size, ys.size)
-    rows = _rows(afe._weight_kernel(SPEC, T_GRID, mu, mu_norm, math.log(900.0)))
-    for t, row, (kern, i) in zip(T_GRID, values, rows, strict=True):
+    kern = _kernel(T_GRID, mu, mu_norm, math.log(900.0))
+    for i, (t, row) in enumerate(zip(T_GRID, values, strict=True)):
         for y, value in zip(ys, row):
-            alone = next(afe._weight_kernel(SPEC, t, mu, mu_norm, abs(math.log(y))))
+            alone = _kernel(t, mu, mu_norm, abs(math.log(y)))
             scalar = afe._weight_grid(SPEC, [y], [t], mu, mu_norm)[0, 0]
             assert abs(value - scalar) <= _allowance(kern, y, i) + _allowance(alone, y)  # measured <= 3.4e-3 of it
 
 
 @pytest.mark.parametrize("name", ["gl2", "tempered-direct"])
-def test_block_apply_matches_dense_rows(name, monkeypatch):
-    # a block's apply against each row's dense sum of w e^{-iv ln y}: blocks
-    # of three rows and a short last one, on the symmetric U and the
-    # two-sided TEMPERED weight (rows that stop at different heights:
-    # test_quadrature's TestRowBatches)
+def test_block_apply_matches_dense_rows(name):
+    # a t-grid kernel's apply against each row's dense sum of w e^{-iv ln y},
+    # on the symmetric U and the two-sided TEMPERED weight (rows that stop
+    # at different heights: test_quadrature's TestRowBatches)
     mu, mu_norm = WEIGHTS[name]
     ys = np.array([0.5, 1.0, 7.0, 30.0, 900.0])
-
-    def build():
-        return list(afe._weight_kernel(SPEC, T_GRID, mu, mu_norm, math.log(900.0)))
-
-    first = build()[0].panels[0][1].size * 12  # nodes of the first segment's upper half-line
-    monkeypatch.setattr(quadrature, "_ROW_ELEMENTS", 3 * first)
-    blocks = build()
-    assert [b.w.shape[0] for b in blocks] == [3, 3, 2]
-    for block in blocks:
-        assert_matches_dense_rows(block, ys)  # measured <= 0.27 of the yardstick
-
-
-def test_benchmark_grid_builds_blocks_not_kernels():
-    # diagonal_weight's t-grid at T = 20: 1,284 Gauss-Legendre nodes on
-    # [0, 160] make 68 blocks of U (19 rows of 420 first-segment nodes, and
-    # a short last one) and 42 of D3's V (31 rows of 264)
-    ts, _ = quadrature.panel_grid(0.0, 160.0, 1.5, 12)
-    assert ts.size == 1284
-    for mu, blocks, per_block in ((afe._U_MU, 68, 19), (D3.mu, 42, 31)):
-        sizes = [b.w.shape[0] for b in afe._weight_kernel(SPEC, ts, mu, mu, 0.0)]
-        assert len(sizes) == blocks
-        assert set(sizes[:-1]) == {per_block} and sum(sizes) == ts.size
+    assert_matches_dense_rows(_kernel(T_GRID, mu, mu_norm, math.log(900.0)), ys)  # measured <= 0.27 of the yardstick
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +385,18 @@ def test_central_value_gl2_truncation_stability():
     a = central_value_gl2(fx, SPEC, l_cutoff=1024)
     b = central_value_gl2(fx, SPEC, l_cutoff=2048)
     assert abs(a - b) < 1e-9
+
+
+def test_explicit_cutoffs_below_one_rejected(sym2):
+    # an explicit cutoff below 1 leaves no coefficient to sum: an error,
+    # not a zero value (or, at -5, a broadcast error)
+    fx = MaassFixture(t=3.0, coeffs=(0.0,) * 11, source="zero")
+    for cutoff in (0, -5):
+        with pytest.raises(ValueError, match="l_cutoff"):
+            central_value_gl2(fx, SPEC, l_cutoff=cutoff)
+    for cutoff in (0, -3):
+        with pytest.raises(ValueError, match="cutoff"):
+            central_value_rs(sym2, fx, SPEC, cutoff=cutoff)
 
 
 def test_central_value_gl2_coverage_error_names_requirement():
@@ -493,7 +500,7 @@ def test_gl3_guards(sym2):
         gl3_critical_value(sym2, 0.6 + 1j, SPEC)
 
 
-def test_gl3_value_at_one_matches_petersson_norm(sym2):
+def test_gl3_value_at_one_matches_petersson_norm(sym2, monkeypatch):
     # L(1, sym^2 f) = (pi/2) (4 pi)^k <f, f> / Gamma(k) for the weight-k
     # eigenform f, here Delta (k = 12), with the Petersson norm
     # <Delta, Delta> = int_{SL(2,Z)\H} |Delta|^2 y^12 dx dy / y^2
@@ -502,11 +509,25 @@ def test_gl3_value_at_one_matches_petersson_norm(sym2):
     # Functions of One Variable VI, LNM 627 (1977)).  At s0 = 1 the
     # functional-equation pair sums the lift's coefficients A(1, m) and
     # A(m, 1) against weights that decay like m^{-A/2}, until a dyadic block
-    # falls below 1e-8 of the value at A = 16: 1e2 tail_tolerance.
+    # falls below 1e-8 of the value at A = 16: 1e2 tail_tolerance.  Each
+    # doubling builds (Va, Vb) as the two rows of one kernel and applies it
+    # once; it takes one coefficient row per orientation
     petersson = 1.035362056804320922347e-6
     ref = (math.pi / 2.0) * (4.0 * math.pi) ** 12 * petersson / math.factorial(11)
+    builds, applies, rows = [], [], []
+    build, apply, row = afe.contour_kernel, quadrature.ContourKernel.apply, afe.coefficient_row
+
+    def counting_build(kfunc, sigma, params, **kw):
+        builds.append(len(params))
+        return build(kfunc, sigma, params, **kw)
+
+    monkeypatch.setattr(afe, "contour_kernel", counting_build)
+    monkeypatch.setattr(quadrature.ContourKernel, "apply", lambda kern, y: applies.append(1) or apply(kern, y))
+    monkeypatch.setattr(afe, "coefficient_row", lambda *a, **kw: rows.append(1) or row(*a, **kw))
     value = afe._gl3_afe_value(sym2, 1.0, SPEC)
     assert abs(value - ref) <= 1e2 * SPEC.tail_tolerance * ref  # measured 2.4e-11 of ref
+    assert len(builds) > 1 and builds == [2] * len(builds)
+    assert len(applies) == len(builds) and len(rows) == 2 * len(builds)
 
 
 def test_convexity_scale_envelopes_fitted(sym2):

@@ -144,14 +144,17 @@ def test_block_transpose_matches(sym2):
 
 
 def test_block_is_the_row_unfolded(sym2):
-    # the residual profile unfolds every m1 from one row: each unfolding must
-    # equal coefficient_block bit for bit, in both orientations
+    # the residual profile unfolds every m1 from one row, and the tensor
+    # double sum (afe._rs_double_sum) every m from the prefix n <= C / m^2
+    # of one row of length C: each unfolding must equal coefficient_block
+    # bit for bit, in both orientations
     for form in (D3, sym2):
         for transpose in (False, True):
             row = coefficient_row(form, 500, dual=transpose)
             for m in (1, 2, 3, 12):
-                block = coefficient_block(form, m, 500, transpose=transpose)
-                assert np.array_equal(mobius_unfold(form, m, row, transpose), block)
+                for n_max in (500, 500 // (m * m)):
+                    block = coefficient_block(form, m, n_max, transpose=transpose)
+                    assert np.array_equal(mobius_unfold(form, m, row[: n_max + 1], transpose), block)
 
 
 @given(

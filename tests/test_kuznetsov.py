@@ -409,6 +409,13 @@ def test_diagonal_weight_validation():
         kz.diagonal_weight(0.0, 1, 1, 1, d3, "direct")
     with pytest.raises(ValueError, match="positive integers"):
         kz.diagonal_weight(1.0, 0, 1, 1, d3, "direct")
+    # a factor that is not > 0 is an error: as a panel width it would give
+    # one panel (0.34490 against 0.34710 at T = 4 for -1), and the Bessel
+    # variants take the same width
+    for factor in (0.0, -1.0, math.nan):
+        for variant, x in (("direct", None), ("direct_plus", 0.5)):
+            with pytest.raises(ValueError, match="resolution_factor"):
+                kz.diagonal_weight(4.0, 1, 1, 1, d3, variant, x, resolution_factor=factor)
 
 
 def test_diagonal_weight_self_dual_form_variants_coincide():

@@ -111,6 +111,26 @@ def test_only_special_sets_mp_precision():
             assert not lines, f"lfunlab.{path.stem} sets mpmath precision at lines {lines}"
 
 
+def _constructs(tree: ast.AST, name: str) -> list:
+    """Lines that call `name`, bare or as a module attribute."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")) == name
+    ]
+
+
+def test_only_quadrature_constructs_contour_kernels():
+    # contour_kernel returns one ContourKernel for all its rows; a caller
+    # that rebuilt a kernel per row would split what apply shares
+    root = Path(importlib.import_module("lfunlab").__file__).resolve().parent
+    for path in sorted(root.glob("*.py")):
+        if path.stem != "quadrature":
+            lines = _constructs(ast.parse(path.read_text()), "ContourKernel")
+            assert not lines, f"lfunlab.{path.stem} constructs ContourKernel at lines {lines}"
+
+
 def _cache_violations(tree: ast.Module) -> list:
     """Unbounded caches: an lru_cache without a positive integer maxsize, a
     functools.cache, or a module-level name holding a cache that is not a

@@ -20,10 +20,15 @@ def damper(u, A=16):
     return np.cos(np.pi * u / A) ** (-A)
 
 
+def line_kernel(f, sigma, **kw):
+    # the one-row kernel of a single integrand f(u)
+    return contour_kernel(lambda u, r: f(u)[None], sigma, [0.0], **kw)
+
+
 def gamma_kernel(sigma):
     # Cahen-Mellin: (1/2 pi i) int Gamma(s) y^{-s} ds = e^{-y} on any sigma > 0;
     # built on the full line so that the imaginary parts must cancel
-    return contour_kernel(
+    return line_kernel(
         lambda s: np.exp(log_gamma(s)), sigma, width=0.5, tol=1e-13, symmetric=False, height=8.0, cap=512.0
     )
 
@@ -35,15 +40,16 @@ class TestLineIntegral:
         ys = np.array([0.05, 0.5, 1.0, 2.7, 9.0])
         kern = gamma_kernel(2.0)
         vals = kern.apply(ys)
+        assert vals.shape == (1, ys.size)
         assert np.all(np.abs(vals.imag) < 1e-12)
-        np.testing.assert_allclose(vals.real, np.exp(-ys), rtol=1e-10)
+        np.testing.assert_allclose(vals[0].real, np.exp(-ys), rtol=1e-10)
 
     def test_zero_integrand(self):
-        kern = contour_kernel(
+        kern = line_kernel(
             lambda s: np.zeros_like(s), 1.0, width=0.5, tol=1e-10, symmetric=False, height=8.0, cap=512.0
         )
         assert np.all(kern.apply(np.array([0.5, 1.0, 3.0])) == 0)
-        assert kern.tail_estimate == 0.0
+        assert np.array_equal(kern.tail_estimate, [0.0])
         assert np.all(np.abs(kern.v) <= 8.0)  # first segment only, no growth
 
     def test_damper_residue_jump(self):
@@ -53,20 +59,20 @@ class TestLineIntegral:
         ys = np.array([0.3, 1.0, 4.0])
 
         def build(sigma):
-            return contour_kernel(
+            return line_kernel(
                 lambda s: damper(s) / s, sigma, width=0.5, tol=1e-12, symmetric=True, height=8.0, cap=512.0
             )
 
-        right = build(0.5).apply(ys)
-        left = build(-0.5).apply(ys)
+        right = build(0.5).apply(ys)[0]
+        left = build(-0.5).apply(ys)[0]
         assert right[1].real == pytest.approx(0.5, abs=1e-9)
         np.testing.assert_allclose((right - left).real, 1.0, atol=1e-9)
 
     def test_contour_stability(self):
         y = np.array([2.7])
         a, b = gamma_kernel(2.0), gamma_kernel(3.0)
-        va, vb = a.apply(y)[0], b.apply(y)[0]
-        allowance = a.tail_estimate * y[0] ** -2.0 + b.tail_estimate * y[0] ** -3.0
+        va, vb = a.apply(y)[0, 0], b.apply(y)[0, 0]
+        allowance = a.tail_estimate[0] * y[0] ** -2.0 + b.tail_estimate[0] * y[0] ** -3.0
         assert abs(va - vb) <= 10 * allowance + 1e-12
         assert va.real == pytest.approx(math.exp(-y[0]), rel=1e-9)
 
@@ -74,25 +80,25 @@ class TestLineIntegral:
         # the allowance tail_estimate * y^{-sigma} covers the observed error
         ys = np.array([0.5, 1.0, 9.0])
         kern = gamma_kernel(2.0)
-        err = np.abs(kern.apply(ys) - np.exp(-ys))
-        assert np.all(err <= kern.tail_estimate * ys**-2.0 + 1e-13)
+        err = np.abs(kern.apply(ys)[0] - np.exp(-ys))
+        assert np.all(err <= kern.tail_estimate[0] * ys**-2.0 + 1e-13)
 
     def test_apply_blocks_match_dense_product(self, monkeypatch):
         # apply factors the phase by row of panels and by panel within the
         # row; blocks of three arguments, the last one short, give the dense
         # product.  Checked on a full-line kernel grown over several
-        # segments, on a block of two rows, the first of which stops below
+        # segments, on a kernel of two rows, the first of which stops below
         # the other and is zero past its stop, and on pieces of 1 panel, of
         # prime counts with a short last row, of a square and of a full
         # non-square count
         full = gamma_kernel(2.0)
         assert len(full.panels) >= 6  # both half-lines of >= 3 segments
-        (pair,) = contour_kernel(
-            gaussian_rows, 0.5, width=0.5, tol=1e-12, symmetric=True, height=4.0, cap=512.0,
-            rows=np.array([1.0, 0.01]),
+        pair = contour_kernel(
+            gaussian_rows, 0.5, np.array([1.0, 0.01]), width=0.5, tol=1e-12, symmetric=True, height=4.0,
+            cap=512.0,
         )
-        first, slowest = block_rows(pair)
-        assert first.v.size < slowest.v.size == pair.v.size
+        first, slowest = (v.size for v, _, _ in cut_rows(pair))
+        assert first < slowest == pair.v.size
         odd = panel_kernel([1, 13, 16, 23, 12, 7])
         ys = np.linspace(0.05, 9.0, 41)
         for kern in (full, pair, odd):
@@ -101,24 +107,22 @@ class TestLineIntegral:
                 dense = 2.0 * dense.real
             dense = dense * ys ** (-kern.sigma)
             widest = max(quadrature._panel_split(mids.size)[0] for _, mids, _ in kern.panels)
-            rows = kern.w.size // kern.w.shape[-1]
-            monkeypatch.setattr(quadrature, "_APPLY_ELEMENTS", 3 * rows * widest * 12)
-            row0 = kern.apply(ys).reshape(-1, ys.size)[0], dense.reshape(-1, ys.size)[0]
-            np.testing.assert_allclose(*row0, rtol=1e-13, atol=1e-15 * _mass(kern).flat[0])
+            monkeypatch.setattr(quadrature, "_APPLY_ELEMENTS", 3 * kern.w.shape[0] * widest * 12)
+            np.testing.assert_allclose(kern.apply(ys)[0], dense[0], rtol=1e-13, atol=1e-15 * _mass(kern)[0])
             # the slower row's values at y < 1 cancel to ~1e-15 of terms of
             # size mass y^{-sigma}: every row against the scaled yardstick
             assert_matches_dense_rows(kern, ys)
-            assert kern.apply(np.array([])).shape == kern.w.shape[:-1] + (0,)
+            assert kern.apply(np.array([])).shape == (kern.w.shape[0], 0)
 
     def test_apply_one_argument_matches_batch(self):
         # an argument's value does not depend on the batch around it beyond
         # rounding: the products see other shapes, not other data
         ys = np.geomspace(0.01, 50.0, 97)
         for kern in (gamma_kernel(2.0), panel_kernel([1, 13, 16, 23, 12, 7])):
-            batch = kern.apply(ys)
-            mass = _mass(kern) * ys ** (-kern.sigma)
+            batch = kern.apply(ys)[0]
+            mass = _mass(kern)[0] * ys ** (-kern.sigma)
             for i in range(ys.size):
-                assert abs(kern.apply(ys[i : i + 1])[0] - batch[i]) <= 1e-15 * mass[i]
+                assert abs(kern.apply(ys[i : i + 1])[0, 0] - batch[i]) <= 1e-15 * mass[i]
 
     def test_panel_split_minimizes_exponentials(self):
         # A + B exponentials per argument; no split p = j A' + a does better
@@ -129,14 +133,14 @@ class TestLineIntegral:
 
     def test_non_decay_flagged(self):
         with pytest.raises(NonDecayError):
-            contour_kernel(
+            line_kernel(
                 lambda s: 1.0 / (1.0 + 0.001 * s * s), 1.0, width=0.5, tol=1e-10, symmetric=False,
                 height=8.0, cap=64.0,
             )
 
 
 def _mass(kern):
-    # sum |w|, one per row of a row block
+    # sum |w|, one per row
     return np.sum(np.abs(kern.w), axis=-1)
 
 
@@ -154,15 +158,13 @@ def assert_matches_dense_rows(kern, ys):
     assert np.all(err <= 1e-13 * np.abs(dense * scale) + 1e-15 * mass * (1.0 + np.abs(np.log(ys))) * scale)
 
 
-def block_rows(block, nodes=12):
-    # the rows of a row block as single-row kernels, each cut after the
-    # piece of its last nonzero weight: the length at which it stopped
-    ends = np.cumsum([mids.size * nodes for _, mids, _ in block.panels])
-    for w, tail in zip(block.w, block.tail_estimate, strict=True):
-        n = int(np.searchsorted(ends, np.flatnonzero(w)[-1] + 1))
-        yield quadrature.ContourKernel(
-            block.sigma, block.v[: ends[n]], w[: ends[n]], block.symmetric, float(tail), block.panels[: n + 1]
-        )
+def cut_rows(kern, nodes=12):
+    # each row of a kernel as (v, w, tail_estimate), cut after the piece of
+    # its last nonzero weight: the length at which it stopped
+    ends = np.cumsum([mids.size * nodes for _, mids, _ in kern.panels])
+    for w, tail in zip(kern.w, kern.tail_estimate, strict=True):
+        n = ends[int(np.searchsorted(ends, np.flatnonzero(w)[-1] + 1))]
+        yield kern.v[:n], w[:n], tail
 
 
 def panel_kernel(counts, seed=0):
@@ -176,8 +178,8 @@ def panel_kernel(counts, seed=0):
         panels.append(quadrature._piece(0.5 * (b - a) / count, 0.5 * (grid[1:] + grid[:-1])))
     v = np.concatenate(vs)
     rng = np.random.default_rng(seed)
-    w = rng.standard_normal(v.size) + 1j * rng.standard_normal(v.size)
-    return quadrature.ContourKernel(0.5, v, w, False, 0.0, tuple(panels))
+    w = rng.standard_normal((1, v.size)) + 1j * rng.standard_normal((1, v.size))
+    return quadrature.ContourKernel(0.5, v, w, False, np.zeros(1), tuple(panels))
 
 
 def gaussian_rows(u, r):
@@ -185,66 +187,63 @@ def gaussian_rows(u, r):
     return np.exp(r[:, None] * u * u)
 
 
-def _outer_mass(kern, nodes=12):
+def _outer_mass(v, w, symmetric, nodes=12):
     # mass on the outermost panel(s): top of the upper half-line, and the
     # bottom of the lower one when the kernel keeps both
-    order = np.argsort(kern.v)
-    absw = np.abs(kern.w)
+    order = np.argsort(v)
+    absw = np.abs(w)
     edge = float(np.sum(absw[order[-nodes:]]))
-    return edge if kern.symmetric else edge + float(np.sum(absw[order[:nodes]]))
+    return edge if symmetric else edge + float(np.sum(absw[order[:nodes]]))
 
 
 class TestRowBatches:
-    """contour_kernel over a batch of rows: one grid, blocks of rows, per-row
+    """contour_kernel over a batch of rows: one grid, one kernel, per-row
     stopping."""
 
     RATES = np.array([1.0, 0.05, 0.2, 0.01])
 
     def build(self, rows, symmetric, cap=512.0, kfunc=gaussian_rows):
         return contour_kernel(
-            kfunc, 0.5, width=0.5, tol=1e-12, symmetric=symmetric, height=4.0, cap=cap, rows=rows
+            kfunc, 0.5, rows, width=0.5, tol=1e-12, symmetric=symmetric, height=4.0, cap=cap
         )
-
-    def rows(self, rows, symmetric, **kw):
-        # the single-row kernels of every block, in order
-        return [kern for block in self.build(rows, symmetric, **kw) for kern in block_rows(block)]
 
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_each_row_equals_its_own_kernel(self, symmetric, monkeypatch):
-        # a block row, cut to its own length, is bit-identical to the
-        # single-row kernel on the same grid, and zero past it: the other
-        # rows change neither its nodes nor its stop.  Blocks of three rows,
-        # the last one short
+        # a row, cut to its own length, is bit-identical to the one-row
+        # kernel on the same grid, and zero past it: the other rows change
+        # neither its nodes nor its stop.  kfunc calls of three rows on the
+        # first segment's 96 upper nodes, the last one short, and no call
+        # past _ROW_ELEMENTS entries unless it holds one row
         monkeypatch.setattr(quadrature, "_ROW_ELEMENTS", 3 * 8 * 12)  # 8 panels in the first segment
-        blocks = list(self.build(self.RATES, symmetric))
-        assert [b.w.shape[0] for b in blocks] == [3, 1]
-        rows = [(block, i, kern) for block in blocks for i, kern in enumerate(block_rows(block))]
-        for r, (block, i, kern) in zip(self.RATES, rows, strict=True):
-            alone = contour_kernel(
-                lambda u, r=r: gaussian_rows(u, np.array([r]))[0], 0.5, width=0.5, tol=1e-12,
-                symmetric=symmetric, height=4.0, cap=512.0,
-            )
-            assert np.array_equal(kern.v, alone.v)
-            assert np.array_equal(kern.w, alone.w)
-            assert np.all(block.w[i, alone.w.size :] == 0)
-            assert kern.tail_estimate == alone.tail_estimate
+        calls = []
+
+        def recording(u, r):
+            calls.append((r.size, u.size))
+            return gaussian_rows(u, r)
+
+        kern = self.build(self.RATES, symmetric, kfunc=recording)
+        assert calls[:2] == [(3, 96), (1, 96)]
+        assert all(rows * nodes <= 3 * 96 or rows == 1 for rows, nodes in calls)
+        for i, r in enumerate(self.RATES):
+            alone = self.build(np.array([r]), symmetric)
+            n = alone.v.size
+            assert np.array_equal(kern.v[:n], alone.v)
+            assert np.array_equal(kern.w[i, :n], alone.w[0])
+            assert np.all(kern.w[i, n:] == 0)
+            assert kern.tail_estimate[i] == alone.tail_estimate[0]
         # slower decay needs more height, and a finished row takes no more segments
-        heights = [float(np.max(np.abs(kern.v))) for _, _, kern in rows]
+        heights = [float(np.max(np.abs(v))) for v, _, _ in cut_rows(kern)]
         assert heights[0] < heights[2] < heights[1] < heights[3]
 
     @pytest.mark.parametrize("symmetric", [True, False])
-    def test_block_apply_matches_dense_rows(self, symmetric, monkeypatch):
-        # a block's apply against each row's dense sum of w e^{-iv ln y} to
-        # rounding: rows that stop at different heights, in blocks of three
-        # and a short last one
-        monkeypatch.setattr(quadrature, "_ROW_ELEMENTS", 3 * 8 * 12)
+    def test_block_apply_matches_dense_rows(self, symmetric):
+        # apply against each row's dense sum of w e^{-iv ln y} to rounding:
+        # rows that stop at different heights
         rates = np.array([1.0, 0.05, 0.2, 0.01, 0.5])
         ys = np.geomspace(0.05, 900.0, 23)
-        blocks = list(self.build(rates, symmetric))
-        assert [b.w.shape[0] for b in blocks] == [3, 2]
-        for block in blocks:
-            assert np.any(block.w[:, -1] == 0)  # a row that stops below its block's top
-            assert_matches_dense_rows(block, ys)  # measured <= 0.1 of the yardstick
+        kern = self.build(rates, symmetric)
+        assert np.any(kern.w[:, -1] == 0)  # a row that stops below the top
+        assert_matches_dense_rows(kern, ys)  # measured <= 0.1 of the yardstick
 
     def test_row_mass_does_not_move_other_stops(self):
         # 1/cos(u) decays like e^{-v}, so a stop rule that compared a row's
@@ -254,34 +253,31 @@ class TestRowBatches:
             return a[:, None] / np.cos(u)
 
         scales = np.array([1.0, 1e12, 1e-3, 1e6])
-        for a, kern in zip(scales, self.rows(scales, True, kfunc=scaled), strict=True):
-            alone = contour_kernel(
-                lambda u, a=a: scaled(u, np.array([a]))[0], 0.5, width=0.5, tol=1e-12,
-                symmetric=True, height=4.0, cap=512.0,
-            )
-            assert np.array_equal(kern.v, alone.v)
-            assert np.array_equal(kern.w, alone.w)
+        rows = cut_rows(self.build(scales, True, kfunc=scaled))
+        for a, (v, w, _) in zip(scales, rows, strict=True):
+            alone = self.build(np.array([a]), True, kfunc=scaled)
+            assert np.array_equal(v, alone.v)
+            assert np.array_equal(w, alone.w[0])
 
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_stopping_rule_per_row(self, symmetric):
-        for kern in self.rows(self.RATES, symmetric):
-            edge = _outer_mass(kern)
-            assert edge <= 1e-12 * float(np.sum(np.abs(kern.w)))
-            assert kern.tail_estimate == pytest.approx(edge, rel=1e-12)
+        for v, w, tail in cut_rows(self.build(self.RATES, symmetric)):
+            edge = _outer_mass(v, w, symmetric)
+            assert edge <= 1e-12 * float(np.sum(np.abs(w)))
+            assert tail == pytest.approx(edge, rel=1e-12)
 
     def test_values_match_closed_form(self):
         # (1/2 pi i) int_{(sigma)} y^{-u} e^{r u^2} du = e^{-(ln y)^2 / 4r} / (2 sqrt(pi r))
         ys = np.array([0.5, 1.0, 3.0])
-        (block,) = self.build(self.RATES, True)
-        for r, values in zip(self.RATES, block.apply(ys), strict=True):
+        kern = self.build(self.RATES, True)
+        for r, values in zip(self.RATES, kern.apply(ys), strict=True):
             exact = np.exp(-np.log(ys) ** 2 / (4 * r)) / (2 * math.sqrt(math.pi * r))
             # rounding sits at the scale of the kernel's mass, the y = 1 value
             np.testing.assert_allclose(values.real, exact, rtol=1e-10, atol=1e-12 * exact[1])
 
     def test_row_at_cap_is_named(self):
-        kernels = self.build(np.array([1.0, 0.001, 0.5]), True, cap=64.0)
         with pytest.raises(NonDecayError, match=r"row parameter 0\.001"):
-            list(kernels)
+            self.build(np.array([1.0, 0.001, 0.5]), True, cap=64.0)
 
 
 class TestOscillatoryIntegral:
@@ -382,5 +378,9 @@ class TestPanels:
         x, w = panel_grid(0.5, 3.0, 0.3, 12)
         ref_x, ref_w = gauss_legendre_panels(np.linspace(0.5, 3.0, 10), 12)
         assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
-        # a width past the interval still gives one panel
+        # a width past the interval still gives one panel; a width that is
+        # not > 0 is an error, not one panel
         assert panel_grid(0.0, 1.0, 5.0, 10)[0].size == 10
+        for width in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="panel width"):
+                panel_grid(0.0, 1.0, width, 10)

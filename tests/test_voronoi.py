@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfunlab import special
+from lfunlab import quadrature, special
 from lfunlab import voronoi as vo
 from lfunlab.exactarith import NotCoprimeError
 from lfunlab.heckegl3 import GL3Form, symmetric_square_form, triple_divisor_form
@@ -40,7 +40,6 @@ from lfunlab.voronoi import (
     _ladder_rungs,
     _mellin_line,
     _neutral_abscissa,
-    _phi_contour_kernel,
     _phi_contour_kernels,
     _tail_asymptotic,
     mellin_transform,
@@ -189,7 +188,7 @@ def test_abscissa_override_keeps_pole_margin(spec):
         assert _neutral_abscissa(spec, k) >= bound + 0.5
         for sigma in (bound + 0.2, bound):
             with pytest.raises(PoleError):
-                _phi_contour_kernel(spec, k, 1.0, abscissa=sigma)
+                _phi_contour_kernels(spec, {k: sigma}, 1.0)
 
 
 def test_spec_requires_bump_support():
@@ -246,13 +245,13 @@ def test_kernel_apply_against_mpmath(spec):
     # the two-level one replaced erred by up to 4.3e-16
     mpmath = pytest.importorskip("mpmath")
     libmp = mpmath.libmp
-    kern = _phi_contour_kernel(spec, 1, math.log(math.pi**3 * 60.0))
+    kern = _phi_contour_kernels(spec, {1: _neutral_abscissa(spec, 1)}, math.log(math.pi**3 * 60.0))
     assert kern.symmetric
     ys = np.exp(np.array([0.14, 3.3, 7.5]))
-    vals = kern.apply(ys)
+    (vals,) = kern.apply(ys)
     nodes = [
         (libmp.from_float(v), libmp.from_float(w.real), libmp.from_float(w.imag))
-        for v, w in zip(kern.v.tolist(), kern.w.tolist())
+        for v, w in zip(kern.v.tolist(), kern.w[0].tolist())
     ]
     for y, val in zip(ys, vals):
         t = libmp.from_float(float(np.log(y)))
@@ -273,8 +272,8 @@ def test_contour_shift_invariance_within_error_budget(spec):
     max_ln = float(np.max(np.abs(np.log(math.pi**3 * xs))))
     for k in (0, 1):
         v1, e1 = voronoi_kernel(spec, k, xs)
-        kern = _phi_contour_kernel(spec, k, max_ln, abscissa=_neutral_abscissa(spec, k) + 0.3)
-        v2, e2 = _kernel_values(kern, xs)
+        abscissae = {k: _neutral_abscissa(spec, k) + 0.3}
+        (v2,), (e2,) = _kernel_values(_phi_contour_kernels(spec, abscissae, max_ln), abscissae, xs)
         assert np.all(e1 > 0.0) and np.all(e2 > 0.0)
         assert np.all(np.abs(v1 - v2) <= e1 + e2)
 
@@ -551,15 +550,17 @@ def test_identity_starts_no_thread(monkeypatch):
 
 def test_profile_transforms_each_distinct_argument_once(spec, monkeypatch):
     # c = 3: the arguments x = 9 m2 / 27 of m1 = 3 repeat those of m1 = 1 at
-    # every ninth m2.  Each order's kernel is applied once, to the 1,620
-    # distinct arguments up to x_exact = 3000 / 50, and one ladder takes the
-    # rest.  At arguments of both blocks, exact and far-tail, the values
-    # are those of voronoi_kernel on the same grid and of _tail_asymptotic
-    applied, ladders = [], []
+    # every ninth m2.  One contour_kernel call builds both orders as the
+    # rows of one kernel, applied once to the 1,620 distinct arguments up
+    # to x_exact = 3000 / 50, and one ladder takes the rest.  At arguments
+    # of both blocks, exact and far-tail, the values are those of
+    # voronoi_kernel on the same grid and of _tail_asymptotic
+    applied, ladders, builds, applies = [], [], [], []
     kernel_values, tail_asymptotic = vo._kernel_values, vo._tail_asymptotic
+    build, apply = vo.contour_kernel, quadrature.ContourKernel.apply
 
-    def spy_kernel(kern, xs):
-        applied.append((kern.sigma, xs, kernel_values(kern, xs)))
+    def spy_kernel(kern, abscissae, xs):
+        applied.append((dict(abscissae), xs, kernel_values(kern, abscissae, xs)))
         return applied[-1][2]
 
     def spy_ladder(spec, xs):
@@ -568,13 +569,19 @@ def test_profile_transforms_each_distinct_argument_once(spec, monkeypatch):
 
     monkeypatch.setattr(vo, "_kernel_values", spy_kernel)
     monkeypatch.setattr(vo, "_tail_asymptotic", spy_ladder)
+    monkeypatch.setattr(vo, "contour_kernel", lambda *a, **kw: builds.append(len(a[2])) or build(*a, **kw))
+    monkeypatch.setattr(
+        quadrature.ContourKernel, "apply", lambda kern, y: applies.append(kern.w.shape[0]) or apply(kern, y)
+    )
     voronoi_residual_profile(D3, 1, 1, 3, BUMP, [2**14])
-    assert [sigma for sigma, _, _ in applied] == [-0.5, -1.5]
+    assert builds == [2] and applies == [2]
+    assert [abscissae for abscissae, _, _ in applied] == [{0: -0.5, 1: -1.5}]
     assert len(ladders) == 1
     exact_xs, tail_xs = applied[0][1], ladders[0][0]
     assert exact_xs.size == np.unique(exact_xs).size == 1620 and exact_xs[-1] <= 60.0
     assert tail_xs.size == np.unique(tail_xs).size == (16384 - 1620) + (16384 - 180) - 1640
     samples = {1: [1, 700, 1620, 1621, 9000, 16384], 3: [1, 100, 180, 181, 1820, 16384]}
+    vals, errs = applied[0][2]
     for m1, m2s in samples.items():
         xs = np.array(m2s) * m1 * m1 / 27
         near, far = xs[xs <= 60.0], xs[xs > 60.0]
@@ -583,9 +590,9 @@ def test_profile_transforms_each_distinct_argument_once(spec, monkeypatch):
         for k in (0, 1):
             # the grid of voronoi_kernel is sized by its extreme arguments
             direct, err = voronoi_kernel(spec, k, np.concatenate([exact_xs[[0, -1]], near]))
-            vals, errs = applied[k][2]
-            assert np.all(np.abs(vals[i] - direct[2:]) <= 1e-14 * np.abs(direct[2:]))  # measured 0
-            assert np.all(np.abs(errs[i] - err[2:]) <= 1e-14 * err[2:])
+            # measured 0 (order 0) and 4.4e-16 (order 1)
+            assert np.all(np.abs(vals[k, i] - direct[2:]) <= 1e-14 * np.abs(direct[2:]))
+            assert np.all(np.abs(errs[k, i] - err[2:]) <= 1e-14 * err[2:])
             ladder = tail_asymptotic(spec, far)
             assert np.array_equal(ladders[0][1][k][j], ladder[k])
             assert np.array_equal(ladders[0][1][2 + k][j], ladder[2 + k])
@@ -594,10 +601,12 @@ def test_profile_transforms_each_distinct_argument_once(spec, monkeypatch):
 @pytest.mark.parametrize("mu", [(0j, 0j, 0j), (0.2 + 0j, -0.2 + 0j, 0j)])
 def test_both_orders_on_one_grid_match_single_builds(mu, monkeypatch):
     # D3's orders lie on one Mellin line, Re s = -sigma_k - k = 1/2: one FFT,
-    # evaluated once per node of the larger grid.  Real mu = (0.2, -0.2, 0)
+    # evaluated once per node of the longer row.  Real mu = (0.2, -0.2, 0)
     # puts sigma_0 = -0.3 half a unit right of the order-0 poles, and the
     # lines Re s = 0.3 and 1/2 differ: one FFT per order.  Either way each
-    # order's kernel is its single-order build bit for bit
+    # order's row is its single-order build bit for bit, and its values,
+    # moved from the kernel's sigma_0 to sigma_k, are the single build's to
+    # rounding
     form = GL3Form("mu", mu, tuple(-m for m in mu), default_satake=(1 + 0j, 1 + 0j, 1 + 0j))
     spec = VoronoiKernelSpec(form, BUMP)
     sigmas = {k: _neutral_abscissa(spec, k) for k in (0, 1)}
@@ -613,20 +622,25 @@ def test_both_orders_on_one_grid_match_single_builds(mu, monkeypatch):
     monkeypatch.setattr(vo, "_mellin_line", counting_line)
     pair = _phi_contour_kernels(spec, sigmas, 5.0)
     monkeypatch.setattr(vo, "_mellin_line", mellin_line)
+    assert pair.sigma == sigmas[0] and pair.w.shape[0] == 2
+    xs = np.array([0.05, 1.0, 7.0])
+    values, errors = _kernel_values(pair, sigmas, xs)
     lines = {-sigma - k: 0 for k, sigma in sigmas.items()}
     for k, sigma in sigmas.items():
-        lines[-sigma - k] = max(lines[-sigma - k], pair[k].v.size)
+        alone = _phi_contour_kernels(spec, {k: sigma}, 5.0)
+        n = alone.v.size
+        lines[-sigma - k] = max(lines[-sigma - k], n)
+        assert alone.sigma == sigma
+        assert np.array_equal(pair.v[:n], alone.v) and np.array_equal(pair.w[k, :n], alone.w[0])
+        assert np.all(pair.w[k, n:] == 0)
+        assert pair.tail_estimate[k] == alone.tail_estimate[0]
+        (value,), (error,) = _kernel_values(alone, {k: sigma}, xs)
+        assert np.all(np.abs(values[k] - value) <= 1e-15 * np.abs(value))
+        assert np.all(np.abs(errors[k] - error) <= 1e-15 * error)
     assert built == list(lines) == ([0.5] if mu[0] == 0 else [-sigmas[0], 0.5])
     # each line's mass at v = 0, then each node of the largest grid on it once
     assert evaluated[: len(lines)] == [1] * len(lines)
     assert sum(evaluated[len(lines) :]) == sum(lines.values())
-    for k, kern in enumerate(pair):
-        alone = _phi_contour_kernel(spec, k, 5.0)
-        assert kern.sigma == alone.sigma == sigmas[k]
-        assert np.array_equal(kern.v, alone.v) and np.array_equal(kern.w, alone.w)
-        assert kern.tail_estimate == alone.tail_estimate
-        xs = np.array([0.05, 1.0, 7.0])
-        assert np.array_equal(_kernel_values(kern, xs)[0], _kernel_values(alone, xs)[0])
 
 
 def test_identity_is_deterministic():
