@@ -84,7 +84,7 @@ class WeightSpec:
             raise ValueError(f"A must be an even integer >= 4, got {self.A}")
         if not 0 < self.sigma_u < self.A / 2:
             raise ValueError("sigma_u must sit inside the damper's pole-free strip")
-        if self.tail_tolerance <= 0:
+        if not self.tail_tolerance > 0:
             raise ValueError("tail_tolerance must be positive")
 
 
@@ -102,7 +102,7 @@ class MaassFixture:
     parity: str = "even"
 
     def __post_init__(self) -> None:
-        if self.t <= 0:
+        if not self.t > 0:
             raise ValueError("spectral parameter must be positive")
         if self.parity != "even":
             raise ValueError("only even forms enter the averages; got " + self.parity)
@@ -396,7 +396,7 @@ def _zeta_polar_correction(r: float, spec: WeightSpec) -> float:
 def zeta_square_afe(r: float, spec: WeightSpec) -> float:
     """|zeta(1/2 + ir)|^2 through the divisor-coefficient identity, polar
     correction included."""
-    if r < 0:
+    if not r >= 0:
         raise ValueError("r must be nonnegative")
     norm = _weight_norm(_U_MU, r)
     L, kern = _adaptive_cutoff(
@@ -415,16 +415,16 @@ def zeta_square_afe(r: float, spec: WeightSpec) -> float:
 # tensor central values
 
 
-def _rs_double_sum(form: GL3Form, coeffs: np.ndarray, t: float, spec: WeightSpec, cutoff: int) -> complex:
-    """sum_{m^2 n <= cutoff} conj(a(n)) [ A(m,n) V1 + A(n,m) V2 ] (m^2 n)^{-1/2}."""
+def _rs_double_sum(
+    form: GL3Form, coeffs: np.ndarray, t: float, spec: WeightSpec, cutoff: int, kern1: ContourKernel
+) -> complex:
+    """sum_{m^2 n <= cutoff} conj(a(n)) [ A(m,n) V1 + A(n,m) V2 ] (m^2 n)^{-1/2},
+    with kern1 V1's kernel for the cutoff, as the cutoff probe builds it."""
     total = 0j
     # one kernel per variant, and one coefficient row per orientation
     # unfolded at each m, shared by every m-row: entries n <= n_max of a
     # row do not depend on its length
-    max_ln = math.log(float(cutoff)) if cutoff > 1 else 1.0
-    norm = _weight_norm(form.mu, t)
-    kern1 = _weight_kernel(spec, t, form.mu, norm, max_ln)
-    kern2 = _weight_kernel(spec, t, form.mu_dual, norm, max_ln)
+    kern2 = _weight_kernel(spec, t, form.mu_dual, _weight_norm(form.mu, t), math.log(max(cutoff, 2)))
     row = coefficient_row(form, cutoff)
     col = coefficient_row(form, cutoff, dual=True)
     m = 1
@@ -446,7 +446,7 @@ def _rs_cutoff(t: float) -> int:
     return int(math.ceil(10.0 * (1.0 + abs(t)) ** 3))
 
 
-def _rs_adaptive_cutoff(form: GL3Form, t: float, spec: WeightSpec) -> int:
+def _rs_adaptive_cutoff(form: GL3Form, t: float, spec: WeightSpec) -> tuple[int, ContourKernel]:
     # Tail of sum_{m^2 n > C} d(n) d_3(m^2 n) (m^2 n)^{-1/2} |V(m^2 n)|, with
     # the weight locked at its boundary value: ~ |V(C)| sqrt(C) log^2 C up to
     # the decay margin.  Large archimedean parameters (the discriminant-form
@@ -454,13 +454,12 @@ def _rs_adaptive_cutoff(form: GL3Form, t: float, spec: WeightSpec) -> int:
     # an absolute tail small against unit-scale values rather than the raw
     # weight floor used on the degree-2 side.
     norm = _weight_norm(form.mu, t)
-    C, _ = _adaptive_cutoff(
+    return _adaptive_cutoff(
         lambda maxln: _weight_kernel(spec, t, form.mu, norm, maxln),
         _rs_cutoff(t),
         max(1e3 * spec.tail_tolerance, 3e-6),
         metric=lambda mag, L: mag * math.sqrt(L) * (1.0 + math.log(L)) ** 2 / 2.0,
     )
-    return C
 
 
 def central_value_rs(
@@ -469,16 +468,20 @@ def central_value_rs(
     """Central value of the degree-6 tensor L-function from the two double
     sums against V1/V2.  Real to quadrature accuracy for self-dual data."""
     t = fixture.t
-    C = int(cutoff) if cutoff is not None else _rs_adaptive_cutoff(form, t, spec)
-    if C < 1:
-        raise ValueError(f"cutoff must be at least 1, got {cutoff}")
+    if cutoff is None:
+        C, kern = _rs_adaptive_cutoff(form, t, spec)
+    else:
+        C = int(cutoff)
+        if C < 1:
+            raise ValueError(f"cutoff must be at least 1, got {cutoff}")
+        kern = _weight_kernel(spec, t, form.mu, _weight_norm(form.mu, t), math.log(max(C, 2)))
     a = fixture.coeff_array()
     if a.size - 1 < C:
         raise FixtureCoverageError(
             f"fixture {fixture.source!r} carries a(n) for n <= {a.size - 1}, "
             f"but the tensor decay envelope at t = {t} requires n <= {C}"
         )
-    return _rs_double_sum(form, a, t, spec, C)
+    return _rs_double_sum(form, a, t, spec, C, kern)
 
 
 def central_value_rs_eisenstein(form: GL3Form, r: float, spec: WeightSpec) -> complex:
@@ -490,9 +493,9 @@ def central_value_rs_eisenstein(form: GL3Form, r: float, spec: WeightSpec) -> co
             "the degenerate triple-divisor form has a polar standard L-function; "
             "the continuous surrogate identity does not apply"
         )
-    C = _rs_adaptive_cutoff(form, abs(r), spec)
+    C, kern = _rs_adaptive_cutoff(form, abs(r), spec)
     eta = eisenstein_coefficients(C, r).astype(complex)
-    return _rs_double_sum(form, eta, abs(r), spec, C)
+    return _rs_double_sum(form, eta, abs(r), spec, C, kern)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import _ROW_ELEMENTS, NonDecayError
+from .quadrature import NonDecayError, _row_blocks
 
 _PIECE_RATIO = 8.0  # a piece spans at most this factor in 1 + t
 _CHEB_START = 8  # intervals of the first interpolant checked (the first build has twice as many)
@@ -60,9 +60,7 @@ def _barycentric(xs: np.ndarray, values: np.ndarray, x: np.ndarray) -> np.ndarra
     # real @ complex has no BLAS path in numpy; real @ (real, imag) does
     parts = np.stack([values.real, values.imag], axis=1)
     out = np.empty(x.size, dtype=complex)
-    step = max(1, _ROW_ELEMENTS // xs.size)  # (x, node) entries per block
-    for lo in range(0, x.size, step):
-        rows = slice(lo, lo + step)
+    for rows in _row_blocks(x.size, xs.size):  # blocks of (x, node) entries
         d = x[rows, None] - xs
         hit = d == 0.0
         c = w / np.where(hit, 1.0, d)

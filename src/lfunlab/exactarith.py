@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
@@ -102,32 +101,24 @@ def _unit_inverses(units: np.ndarray, c) -> np.ndarray:
     return np.remainder(s1, c, out=s1).astype(np.int64)
 
 
-@lru_cache(maxsize=4096)
-def _unit_tables(c: int) -> tuple[np.ndarray, np.ndarray]:
-    """Units mod c and their inverses, as parallel read-only int64 arrays.
+def _units(c) -> tuple[int, np.ndarray, np.ndarray]:
+    """The modulus as a Python int (any integer type is accepted), then its
+    units and their inverses as parallel int64 arrays, built on each call
+    (no caller repeats a modulus enough to pay for a cache); ValueError
+    unless c >= 1.
 
     c = 1 yields the single residue 0, which is its own inverse; that
     convention makes every downstream sum collapse to one term of phase 0.
     """
-    if c == 1:
-        z = np.zeros(1, dtype=np.int64)
-        z.setflags(write=False)
-        return z, z
-    d = np.arange(c, dtype=np.int64)
-    units = d[np.gcd(d, c) == 1]
-    inv = _unit_inverses(units, c)
-    units.setflags(write=False)
-    inv.setflags(write=False)
-    return units, inv
-
-
-def _units(c) -> tuple[int, np.ndarray, np.ndarray]:
-    """The modulus as a Python int (any integer type is accepted), then its
-    units and their inverses; ValueError unless c >= 1."""
     c = operator.index(c)
     if c < 1:
         raise ValueError(f"modulus must be positive, got {c}")
-    return (c, *_unit_tables(c))
+    if c == 1:
+        z = np.zeros(1, dtype=np.int64)
+        return c, z, z
+    d = np.arange(c, dtype=np.int64)
+    units = d[np.gcd(d, c) == 1]
+    return c, units, _unit_inverses(units, c)
 
 
 def kloosterman(n: int, l: int, c: int) -> complex:

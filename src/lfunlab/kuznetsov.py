@@ -59,6 +59,7 @@ identity is applied against approximate-functional-equation sums: see
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -71,9 +72,8 @@ from .afe import _U_MU, FixtureCoverageError, MaassFixture, WeightSpec, _weight_
 from .chebyshev import _Interpolant, _interpolate_log1p
 from .exactarith import kloosterman_sums
 from .heckegl3 import GL3Form
-from .quadrature import _ROW_ELEMENTS, NonDecayError, gauss_legendre_panels, panel_grid
+from .quadrature import NonDecayError, _row_blocks, gauss_legendre_panels, panel_grid
 from .special import RegimeError, _mp_precision, bessel_imag_order, log_gamma, zeta_with_error
-from .util import LRUCache
 
 __all__ = [
     "SpectralTestFunction",
@@ -164,7 +164,7 @@ class SpectralTestFunction:
 
 def gaussian_test_function(width: float) -> SpectralTestFunction:
     """h(t) = exp(-(t/width)^2): entire, even, superpolynomially decaying."""
-    if width <= 0:
+    if not width > 0:
         raise ValueError("width must be positive")
     w = float(width)
 
@@ -415,12 +415,6 @@ def _contour_transforms(prof: _Profile, zs: np.ndarray):
     return _exp_product(zs, plus_nodes, plus_w), _exp_product(zs, np.sinh(zeta), minus_w)
 
 
-def _row_blocks(n_rows: int, n_cols: int) -> list:
-    """Row slices of an (n_rows, n_cols) product of about _ROW_ELEMENTS entries each."""
-    step = max(1, _ROW_ELEMENTS // max(n_cols, 1))
-    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
-
-
 def _exp_product(zs: np.ndarray, nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Re(exp(i outer(zs, nodes)) @ w), column 0 + i column 1, through one
     phase buffer of about _ROW_ELEMENTS entries.
@@ -468,19 +462,13 @@ def _exp_product(zs: np.ndarray, nodes: np.ndarray, w: np.ndarray) -> np.ndarray
     return out[:, 0] + 1j * out[:, 1]
 
 
-_PROFILE_CACHE = LRUCache(maxsize=8)  # keyed on (test function, rel_tol, panel width)
-
-
 def _kernel_transforms(h: SpectralTestFunction, zs: np.ndarray, rel_tol: float):
     """(Hplus, Hminus) of h at every z = 2 pi x in zs on one contour."""
     t_max = _even_cutoff(h, min(rel_tol, 1e-11), growth=1.2)
 
     def sample(width: float) -> _Profile:
-        def build() -> _Profile:
-            ts, ws = panel_grid(0.0, t_max, width, _GL_NODES)
-            return _profile_from_samples(ts, ws, h(ts))
-
-        return _PROFILE_CACHE.get_or_build((h, rel_tol, width), build)
+        ts, ws = panel_grid(0.0, t_max, width, _GL_NODES)
+        return _profile_from_samples(ts, ws, h(ts))
 
     # tanh(pi t) has poles at t = +-i/2: 12-node panels up to 1/2 wide resolve it
     prof = _resolved_profile(sample, min(t_max / 48.0, 0.5), float(np.min(zs)))
@@ -745,31 +733,28 @@ DIAGONAL_VARIANTS = ("direct", "dual", "direct_plus", "direct_minus", "dual_plus
 
 _DIAG_TOP = 8.0  # the t-range [0, 8T]: e^{-t^2/T^2} < e^{-64} past it
 
-_UV_CACHE = LRUCache(maxsize=32)  # one interpolant per (spec, y, top of the t-range, gamma data)
 _DEFAULT_WEIGHT_SPEC = WeightSpec()
 
 
 def uv_cache_stats() -> dict:
     """Hit/miss counters of the shared degree-2 / tensor weight cache, one
     count per weight interpolant (all t of [0, 8T] at one y), not per t."""
-    return {"hits": _UV_CACHE.hits, "misses": _UV_CACHE.misses}
+    info = _cached_weight.cache_info()
+    return {"hits": info.hits, "misses": info.misses}
 
 
-def _cached_weight(spec: WeightSpec, y: float, top: float, mu, mu_norm) -> _Interpolant:
+# the weight reads nothing of a form but its gamma data, so a self-dual
+# form's two tensor variants share one entry
+@functools.lru_cache(maxsize=32)
+def _cached_weight(spec: WeightSpec, y: float, top: float, mu: tuple, mu_norm: tuple) -> _Interpolant:
     """W(y, .) on [0, top] as a piecewise Chebyshev interpolant in log(1 + t),
     to the spec's tail_tolerance, of rows from the one contour grid sized
     for top, so that the rows differ only where W does."""
-    # the weight reads nothing of a form but its gamma data, so a self-dual
-    # form's two tensor variants share one entry
-    key = (spec, y, top, tuple(mu), tuple(mu_norm))
 
-    def build() -> _Interpolant:
-        def rows(ts: np.ndarray) -> tuple:
-            return _weight_rows(spec, y, ts, mu, mu_norm, top)
+    def rows(ts: np.ndarray) -> tuple:
+        return _weight_rows(spec, y, ts, mu, mu_norm, top)
 
-        return _interpolate_log1p(rows, top, spec.tail_tolerance, f"AFE weight at y = {y}")
-
-    return _UV_CACHE.get_or_build(key, build)
+    return _interpolate_log1p(rows, top, spec.tail_tolerance, f"AFE weight at y = {y}")
 
 
 def _diag_samples(
@@ -779,7 +764,7 @@ def _diag_samples(
     mu = form.mu if variant == "direct" else form.mu_dual
     top = _DIAG_TOP * width_T
     u = _cached_weight(spec, y_gl2, top, _U_MU, _U_MU)
-    v = _cached_weight(spec, y_rs, top, mu, form.mu)
+    v = _cached_weight(spec, y_rs, top, tuple(mu), tuple(form.mu))
     return gauss * u(ts) * v(ts)
 
 
@@ -808,12 +793,14 @@ def diagonal_weight(
     Each weight is a piecewise Chebyshev interpolant in log(1 + t) on
     [0, 8T] (_cached_weight: a few dozen contour rows per piece, all from
     one contour grid, with a reported error), and every t-grid is evaluated
-    from it.  The interpolant is cached module-wide (a 32-entry LRU) keyed
-    on the weight parameters, y, 8T and the gamma data the weight reads:
-    the mu it carries and the mu that normalizes it ((0,) by (0,) for U,
-    form.mu or form.mu_dual by form.mu for V).  So any resolution_factor
-    and every panel halving of the Bessel variants reuse it, and a
-    self-dual form's "dual" reuses "direct"'s (see uv_cache_stats).  x is
+    from it.  The interpolant is cached module-wide (_cached_weight's
+    32-entry functools.lru_cache) keyed on the weight parameters, y, 8T and
+    the gamma data the weight reads: the mu it carries and the mu that
+    normalizes it ((0,) by (0,) for U, form.mu or form.mu_dual by form.mu
+    for V), as tuples.  So any resolution_factor and every panel halving of
+    the Bessel variants reuse it, and a self-dual form's "dual" reuses
+    "direct"'s (see uv_cache_stats).  Threads may share the cache: it stays
+    coherent, and two that miss the same key at once both build it.  x is
     required exactly for the Bessel variants, which take bessel_transform's
     "kernel" route with the weighted Gaussian as h, sampled on the t-grid
     (its panels halved until they resolve the contour).  Evenness of the

@@ -112,6 +112,12 @@ _APPLY_ELEMENTS = 1 << 15  # (row, y, a, q) partial sums of apply's j-sum (512 K
 _ROW_ELEMENTS = 1 << 13  # (row, node) entries per kfunc call, or per block of a row-batched product
 
 
+def _row_blocks(n_rows: int, n_cols: int) -> list:
+    """Row slices of an (n_rows, n_cols) product of about _ROW_ELEMENTS entries each."""
+    step = max(1, _ROW_ELEMENTS // max(n_cols, 1))
+    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
 def _panel_split(panels: int) -> tuple[int, int]:
     """(A, B) for writing the panel index p = j A + a, 0 <= a < A, j < B:
     A = ceil(sqrt(P)) and B = ceil(P / A), which minimizes the A + B
@@ -193,7 +199,7 @@ class ContourKernel:
 
     def apply(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float).ravel()
-        if np.any(y <= 0):
+        if not np.all(y > 0):
             raise ValueError("weight arguments must be positive")
         ln_y = np.log(y)
         pieces, rates, width = self._layout
@@ -292,9 +298,8 @@ def contour_kernel(
         for x, gw, out in pieces:
             cols = slice(at, at + x.size)
             at += x.size
-            step = max(1, _ROW_ELEMENTS // x.size)
-            for lo in range(0, active.size, step):
-                idx = active[lo : lo + step]
+            for rows in _row_blocks(active.size, x.size):
+                idx = active[rows]
                 w = weights(sigma + 1j * x, gw, out, idx)
                 if seg is None:  # allocated past the first call's temporaries
                     seg = np.zeros((params.size, nodes), dtype=complex)

@@ -305,7 +305,7 @@ def bessel_imag_order(t: float, x: float) -> complex:
     1/Gamma(1+2it) prefactor ~pi t/ln10 more, so the working precision
     scales with both.
     """
-    if x <= 0:
+    if not x > 0:
         raise RegimeError("argument must be positive")
     z = 2 * math.pi * x
     if z > _SERIES_CAP:

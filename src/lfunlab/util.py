@@ -1,12 +1,13 @@
-"""Shared plumbing: deterministic parallel mapping and a bounded cache."""
+"""Shared plumbing: a deterministic parallel map.  No library code calls it;
+it stays because perfbench's tracer finds it by name through __all__ and
+perfbench's checks call it.  Caches live with the pure function each serves
+(functools.lru_cache with a literal bound), not here."""
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Callable, Iterable
 
-__all__ = ["ordered_parallel_map", "LRUCache"]
+__all__ = ["ordered_parallel_map"]
 
 
 def ordered_parallel_map(fn: Callable, items: Iterable, threads: int = 4) -> list:
@@ -25,34 +26,3 @@ def ordered_parallel_map(fn: Callable, items: Iterable, threads: int = 4) -> lis
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
-
-
-class LRUCache:
-    """Bounded map that evicts the least recently used entry, with hit and
-    miss counters.  Safe to share between threads; two threads that miss
-    the same key at once may both build it, and the later result is kept."""
-
-    def __init__(self, maxsize: int):
-        self.maxsize = int(maxsize)
-        self.hits = 0
-        self.misses = 0
-        self._data: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get_or_build(self, key, build: Callable):
-        with self._lock:
-            if key in self._data:
-                self.hits += 1
-                self._data.move_to_end(key)
-                return self._data[key]
-            self.misses += 1
-        value = build()
-        with self._lock:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-        return value
-
-    def __len__(self) -> int:
-        return len(self._data)

@@ -467,7 +467,7 @@ def voronoi_kernel(spec: VoronoiKernelSpec, k: int, x):
     one contour grid sized for the largest |ln(pi^3 x)|.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xs <= 0):
+    if not np.all(xs > 0):
         raise ValueError("transform arguments must be positive")
     abscissae = {k: _neutral_abscissa(spec, k)}
     kern = _phi_contour_kernels(spec, abscissae, float(np.max(np.abs(np.log(math.pi**3 * xs)))))
@@ -487,7 +487,7 @@ def voronoi_kernel_asymptotic(spec: VoronoiKernelSpec, x: float, order: int = 1)
     spherical form; orders 2..4 are derived for the degenerate form and
     raise ValueError for others.
     """
-    if x <= 0:
+    if not x > 0:
         raise ValueError("transform argument must be positive")
     lo, _ = spec.support
     if x * lo <= 1.0:

@@ -72,8 +72,9 @@ def test_weight_spec_validation():
         WeightSpec(A=2)
     with pytest.raises(ValueError):
         WeightSpec(sigma_u=8.0)  # on the damper pole
-    with pytest.raises(ValueError):
-        WeightSpec(tail_tolerance=0.0)
+    for tol in (0.0, math.nan):
+        with pytest.raises(ValueError, match="tail_tolerance"):
+            WeightSpec(tail_tolerance=tol)
     assert WeightSpec().A == 16
 
 
@@ -355,8 +356,9 @@ def test_zeta_square_identity_matches_euler_maclaurin(r):
 def test_zeta_square_nonnegative_and_guarded():
     for r in (0.0, 0.3, 1.0, 4.0, 17.0):
         assert zeta_square_afe(r, SPEC) > 0.0
-    with pytest.raises(ValueError):
-        zeta_square_afe(-1.0, SPEC)
+    for r in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="nonnegative"):
+            zeta_square_afe(r, SPEC)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +408,9 @@ def test_central_value_gl2_coverage_error_names_requirement():
 
 
 def test_maass_fixture_validation():
-    with pytest.raises(ValueError):
-        MaassFixture(t=0.0, coeffs=(0.0, 1.0), source="bad")
+    for t in (0.0, math.nan):
+        with pytest.raises(ValueError, match="spectral parameter"):
+            MaassFixture(t=t, coeffs=(0.0, 1.0), source="bad")
     with pytest.raises(ValueError):
         MaassFixture(t=1.0, coeffs=(0.0, 1.0), source="bad", parity="odd")
     with pytest.raises(ValueError):
@@ -423,19 +426,35 @@ def test_central_value_rs_zero_fixture(sym2):
     assert central_value_rs(sym2, fx, SPEC, cutoff=500) == 0.0
 
 
-def test_central_value_rs_fixture_matches_eisenstein_route(sym2):
+def test_central_value_rs_fixture_matches_eisenstein_route(sym2, monkeypatch):
     r = 1.0
-    C = _rs_adaptive_cutoff(sym2, r, SPEC)
+    C, _ = _rs_adaptive_cutoff(sym2, r, SPEC)
     eta = eisenstein_coefficients(C, r)
     fx = MaassFixture(t=r, coeffs=tuple(map(float, eta)), source="eta r=1")
+    builds = []
+    build = afe.contour_kernel
+
+    def counting_build(kfunc, sigma, params, **kw):
+        builds.append(len(params))
+        return build(kfunc, sigma, params, **kw)
+
+    monkeypatch.setattr(afe, "contour_kernel", counting_build)
     a = central_value_rs(sym2, fx, SPEC)
+    # the cutoff probe builds V1's kernel at C = 80, 160, ..., 20,480, and
+    # the double sum applies the last of them: one more build, for V2
+    assert C == 20_480 and afe._rs_cutoff(r) == 80
+    assert builds == [1] * 10
+    # the explicit cutoff builds V1's kernel by the probe's own call
+    builds.clear()
+    assert central_value_rs(sym2, fx, SPEC, cutoff=C) == a
+    assert builds == [1, 1]
     b = central_value_rs_eisenstein(sym2, r, SPEC)
     assert abs(a - b) <= 1e-10 * abs(b)
 
 
 def test_central_value_rs_truncation_stability(sym2):
     r = 1.0
-    C = _rs_adaptive_cutoff(sym2, r, SPEC)
+    C, _ = _rs_adaptive_cutoff(sym2, r, SPEC)
     eta = eisenstein_coefficients(C, r)
     fx = MaassFixture(t=r, coeffs=tuple(map(float, eta)), source="eta r=1")
     full = central_value_rs(sym2, fx, SPEC, cutoff=C)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from lfunlab.exactarith import (
     NotCoprimeError,
     _unit_inverses,
-    _unit_tables,
+    _units,
     divisors,
     factorize,
     kloosterman,
@@ -133,14 +133,11 @@ class TestUnitTables:
         # every c <= 2000 and for a large prime, prime power and primorial;
         # c = 1 keeps its one residue 0.  Equal tables give bit-identical
         # Kloosterman sums
-        build = _unit_tables.__wrapped__  # uncached: 2000 tables stay out of the cache
         for c in [*range(2, 2001), 65_537, 3**10, 2 * 3 * 5 * 7 * 11 * 13 * 17]:
-            units, inv = build(c)
+            _, units, inv = _units(c)
             assert units.dtype == inv.dtype == np.int64
-            assert not inv.flags.writeable
             assert inv.tolist() == [pow(u, -1, c) for u in units.tolist()]
-        units, inv = build(1)
-        assert units.tolist() == inv.tolist() == [0]
+        assert [a.tolist() for a in _units(1)[1:]] == [[0], [0]]
 
     def test_array_modulus_inverses_match_pow(self):
         # one Euclid over the units of every c <= 300 at once, each element

@@ -4,8 +4,10 @@ both sides of the identity, and the smoothed diagonal weights."""
 
 import json
 import math
+import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -29,7 +31,6 @@ from lfunlab.exactarith import divisors
 from lfunlab.heckegl3 import GL3Form, symmetric_square_form, triple_divisor_form
 from lfunlab.quadrature import NonDecayError, panel_grid
 from lfunlab.special import PoleError, RegimeError
-from lfunlab.util import LRUCache
 
 # Values frozen from 30-40 digit mpmath evaluations of the defining
 # integrals, computed with independent quadrature (mp.quad against
@@ -74,8 +75,9 @@ def test_test_function_rejects_bad_declarations():
         kz.SpectralTestFunction(evaluator=ev, decay_exponent=2.0)
     with pytest.raises(ValueError, match="holomorphy"):
         kz.SpectralTestFunction(evaluator=ev, holomorphy_width=0.4)
-    with pytest.raises(ValueError):
-        kz.gaussian_test_function(0.0)
+    for width in (0.0, math.nan):
+        with pytest.raises(ValueError, match="width"):
+            kz.gaussian_test_function(width)
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +517,7 @@ def test_weight_interpolant_raises_past_the_interval_cap(monkeypatch):
         built.append(values.size)
         return values, floors
 
-    monkeypatch.setattr(kz, "_UV_CACHE", LRUCache(maxsize=32))
+    kz._cached_weight.cache_clear()
     monkeypatch.setattr(kz, "_weight_rows", counting)
     monkeypatch.setattr(chebyshev, "_CHEB_MAX", 16)
     mu = INTERPOLATED["d3"][0]
@@ -532,16 +534,16 @@ def test_weight_interpolant_rejects_t_outside_its_range():
         _weight_grid(WeightSpec(), [1.0], [9.0], _U_MU, _U_MU, t_top=8.0)
 
 
-def test_diagonal_weight_benchmark_round_builds_few_rows(monkeypatch):
+def test_diagonal_weight_benchmark_round_builds_few_rows():
     # the round of diagonal_weight(20, 1, 1, 1, D3, ...) takes contour rows
     # only at its interpolants' nodes: a few hundred per weight where its
     # t-grid has 1,284 nodes
-    monkeypatch.setattr(kz, "_UV_CACHE", LRUCache(maxsize=32))
+    kz._cached_weight.cache_clear()
     d3 = triple_divisor_form()
     spec = WeightSpec()
     kz.diagonal_weight(20.0, 1, 1, 1, d3, "direct")
     kz.diagonal_weight(20.0, 1, 1, 1, d3, "dual")
-    assert (kz._UV_CACHE.misses, kz._UV_CACHE.hits) == (2, 2)
+    assert kz.uv_cache_stats() == {"hits": 2, "misses": 2}
     ts, _ = panel_grid(0.0, 160.0, 1.5, 12)
     rows = [kz._cached_weight(spec, 1.0, 160.0, mu, mu).rows for mu in (_U_MU, d3.mu)]
     assert all(r <= ts.size // 4 for r in rows)  # measured 161 (U) and 209 (V)
@@ -591,23 +593,30 @@ def test_diagonal_weight_dual_reuses_self_dual_arrays():
     assert after["hits"] == before["hits"] + 2  # one degree-2 and one tensor array
 
 
-def test_profile_cache_is_bounded():
-    bound = kz._PROFILE_CACHE.maxsize
-    for k in range(bound + 4):
-        kz.bessel_transform(kz.gaussian_test_function(1.0 + 0.1 * k), "+", 0.7)
-    assert len(kz._PROFILE_CACHE) <= bound
-
-
-def test_profile_cache_keys_on_rel_tol(monkeypatch):
-    # 3e-12 and 1e-12 round to the same number of digits; a profile cut for
-    # the looser tolerance must not serve the tighter one
-    monkeypatch.setattr(kz, "_PROFILE_CACHE", LRUCache(maxsize=8))
-    h = kz.gaussian_test_function(1.0)
-    kz.bessel_transform(h, "+", 1.0, rel_tol=3e-12)
-    kz.bessel_transform(h, "+", 1.0, rel_tol=1e-12)
-    assert (kz._PROFILE_CACHE.hits, kz._PROFILE_CACHE.misses) == (0, 2)
-    kz.bessel_transform(h, "-", 1.0, rel_tol=1e-12)
-    assert (kz._PROFILE_CACHE.hits, kz._PROFILE_CACHE.misses) == (1, 2)
+def test_weight_cache_under_threads():
+    # more threads than cores and a short switch interval: the shared cache
+    # must stay coherent (two threads that miss one key may both build it),
+    # count every lookup and keep its bound
+    d3 = triple_divisor_form()
+    variants = ("direct", "dual")
+    serial = {v: kz.diagonal_weight(0.5, 1, 1, 1, d3, v) for v in variants}
+    kz._cached_weight.cache_clear()
+    threads, repeats = 4, 3
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            futures = [
+                pool.submit(lambda: [(v, kz.diagonal_weight(0.5, 1, 1, 1, d3, v)) for v in variants * repeats])
+                for _ in range(threads)
+            ]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert all(value == serial[v] for r in results for v, value in r)
+    info = kz._cached_weight.cache_info()
+    assert info.hits + info.misses == 2 * threads * repeats * len(variants)  # U and V per call
+    assert info.currsize <= info.maxsize == 32
 
 
 def _effective_test_function(form, spec, l_index, nm_index):

@@ -43,6 +43,9 @@ class TestLineIntegral:
         assert vals.shape == (1, ys.size)
         assert np.all(np.abs(vals.imag) < 1e-12)
         np.testing.assert_allclose(vals[0].real, np.exp(-ys), rtol=1e-10)
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="weight arguments"):
+                kern.apply(np.array([1.0, bad]))
 
     def test_zero_integrand(self):
         kern = line_kernel(

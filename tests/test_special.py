@@ -330,6 +330,9 @@ class TestBessel:
     def test_series_regime_guard(self):
         with pytest.raises(RegimeError):
             bessel_imag_order(1.0, 15.0)
+        for x in (0.0, -1.0, math.nan):
+            with pytest.raises(RegimeError, match="positive"):
+                bessel_imag_order(1.0, x)
 
 
 def test_mp_precision_guard_under_threads():

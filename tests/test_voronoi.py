@@ -203,6 +203,9 @@ def test_kernel_argument_guards(spec):
         voronoi_kernel(spec, 0, -1.0)
     with pytest.raises(ValueError):
         voronoi_kernel(spec, 0, np.array([1.0, -2.0]))
+    for bad in (math.nan, np.array([1.0, math.nan])):
+        with pytest.raises(ValueError, match="positive"):
+            voronoi_kernel(spec, 0, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +307,9 @@ def test_asymptotic_guards(spec):
         voronoi_kernel_asymptotic(spec, 20.0, order=0)
     with pytest.raises(ValueError):
         voronoi_kernel_asymptotic(spec, 20.0, order=5)
-    with pytest.raises(ValueError):
-        voronoi_kernel_asymptotic(spec, -1.0)
+    for x in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="positive"):
+            voronoi_kernel_asymptotic(spec, x)
 
 
 def test_asymptotic_later_rungs_need_degenerate_form(spec):
