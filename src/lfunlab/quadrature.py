@@ -298,8 +298,8 @@ def contour_kernel(
         for x, gw, out in pieces:
             cols = slice(at, at + x.size)
             at += x.size
-            for rows in _row_blocks(active.size, x.size):
-                idx = active[rows]
+            for block in _row_blocks(active.size, x.size):
+                idx = active[block]
                 w = weights(sigma + 1j * x, gw, out, idx)
                 if seg is None:  # allocated past the first call's temporaries
                     seg = np.zeros((params.size, nodes), dtype=complex)
