@@ -11,7 +11,8 @@ Chebyshev-Lobatto points in s, evaluated by the second barycentric formula
 set's even-numbered points, checked at its odd-numbered ones, measures the
 interpolation error at no extra evaluation, and a doubling evaluates only
 the new points.  The AFE weights W(y, t) of `afe` are such functions: they
-read t only through gamma quotients.
+read t only through gamma quotients; so are `kuznetsov`'s Bessel transforms
+in 1 + t = z / z_min, built as two columns of one interpolant.
 """
 
 from __future__ import annotations
@@ -53,22 +54,25 @@ def _lebesgue(n: int) -> float:
 def _barycentric(xs: np.ndarray, values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The polynomial through (xs, values) at x, by the second barycentric
     form; xs are the n + 1 Chebyshev-Lobatto points in the order of
-    cos(pi j / n), with weights (-1)^j, halved at both ends.  At a node it
-    returns that node's value exactly."""
+    cos(pi j / n), with weights (-1)^j, halved at both ends; values of shape
+    (n + 1, k) give one polynomial per column.  At a node it returns that
+    node's value exactly."""
     w = np.where(np.arange(xs.size) % 2, -1.0, 1.0)
     w[[0, -1]] *= 0.5
     # real @ complex has no BLAS path in numpy; real @ (real, imag) does
-    parts = np.stack([values.real, values.imag], axis=1)
-    out = np.empty(x.size, dtype=complex)
+    cols = values.reshape(xs.size, -1)
+    k = cols.shape[1]
+    parts = np.concatenate([cols.real, cols.imag], axis=1)
+    out = np.empty((x.size, k), dtype=complex)
     for rows in _row_blocks(x.size, xs.size):  # blocks of (x, node) entries
         d = x[rows, None] - xs
         hit = d == 0.0
         c = w / np.where(hit, 1.0, d)
         num = c @ parts
-        out[rows] = (num[:, 0] + 1j * num[:, 1]) / c.sum(axis=1)
+        out[rows] = (num[:, :k] + 1j * num[:, k:]) / c.sum(axis=1)[:, None]
         at, node = np.nonzero(hit)
-        out[rows][at] = values[node]
-    return out
+        out[rows][at] = cols[node]
+    return out.reshape(x.shape + values.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -102,21 +106,23 @@ class _Interpolant:
     def __call__(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         where = self._piece_index(ts)
-        out = np.empty(ts.shape, dtype=complex)
+        out = np.empty(ts.shape + self.pieces[0].values.shape[1:], dtype=complex)
         for k, p in enumerate(self.pieces):
             sel = where == k
             out[sel] = _barycentric(p.xs, p.values, (np.log1p(ts[sel]) - p.mid) / p.half)
         return out
 
     def error(self, ts) -> np.ndarray:
-        """The reported interpolation error at each t: its piece's error."""
+        """The reported interpolation error at each t: its piece's error, for all columns."""
         return np.array([p.error for p in self.pieces])[self._piece_index(np.asarray(ts, dtype=float))]
 
 
 def _interpolate_log1p(rows: Callable, top: float, tol: float, label: str) -> _Interpolant:
     """f on [0, top] from rows(ts) -> (f(ts), floor(ts)), floor each value's
-    rounding floor.  A piece of 2n intervals is checked by its interpolant
-    on the n + 1 even-numbered points at the n odd-numbered ones.  It stops
+    rounding floor; f(ts) has shape (len(ts),) or (len(ts), k), k functions
+    on the same nodes, checked together against the largest of them.  A
+    piece of 2n intervals is checked by its interpolant on the n + 1
+    even-numbered points at the n odd-numbered ones.  It stops
     once that gap is within tol of the largest |f| on the piece, or within
     what the values' floor F allows ((1 + Lebesgue constant) F), and keeps
     the gap plus (1 + Lebesgue constant) F as its error.  Otherwise it
@@ -135,7 +141,7 @@ def _interpolate_log1p(rows: Callable, top: float, tol: float, label: str) -> _I
     ts = [_lobatto_ts(m, h, np.arange(n + 1), n) for m, h in zip(mids, halves)]
     for k, t in enumerate(ts):  # the ends exactly, so that neighbours share them
         t[0], t[-1] = edges[k + 1], edges[k]
-    first = np.unique(np.concatenate(ts))
+    first = np.sort(np.concatenate([ts[0]] + [t[:-1] for t in ts[1:]]))  # each shared end once
     built, built_floors = rows(first)
     at = [np.searchsorted(first, t) for t in ts]
     values, floors = [built[i] for i in at], [float(np.max(built_floors[i])) for i in at]
@@ -163,7 +169,7 @@ def _interpolate_log1p(rows: Callable, top: float, tol: float, label: str) -> _I
         got, got_floors = (np.split(a, len(pending)) for a in rows(np.concatenate(new)))
         count += odd.size * len(pending)
         for k, t_new, f_new, fl_new in zip(pending, new, got, got_floors):
-            t2, f2 = np.empty(n + 1), np.empty(n + 1, dtype=complex)
+            t2, f2 = np.empty(n + 1), np.empty((n + 1,) + f_new.shape[1:], dtype=complex)
             t2[0::2], t2[1::2], f2[0::2], f2[1::2] = ts[k], t_new, values[k], f_new
             ts[k], values[k], floors[k] = t2, f2, max(floors[k], float(np.max(fl_new)))
     pieces = tuple(_Piece(mids[k], halves[k], ts[k], x_of(k, ts[k]), values[k], errors[k]) for k in range(len(ts)))

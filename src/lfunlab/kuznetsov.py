@@ -35,9 +35,11 @@ with one profile P for both.  The tanh pole at t = i/2 leaves P an e^{-zeta}
 tail, so on the real zeta-line both integrals oscillate for a long way.
 Moved to the contour 0 -> i theta -> inf + i theta, the kernels decay like
 e^{-z sin(theta) sinh u} and e^{-z sin(theta) cosh u}, and one node set
-serves every argument: the geometric side evaluates all its c at once as a
-blocked exp(i outer(z, cosh or sinh zeta)) @ (weights * P) product, the
-row of each z = z1/c with c <= c_max/2 squared from the row of z/2.  theta
+serves every z of a range [z_min, z_max] as a blocked
+exp(i outer(z, cosh or sinh zeta)) @ (weights * P) product.  The geometric
+side evaluates it only at the nodes of a Chebyshev interpolant of both
+transforms in log z (chebyshev._interpolate_log1p), and reads each
+z = z1/c, with the error it reports, from that interpolant.  theta
 comes from the samples of h themselves: the largest theta <= 1/2 at which
 P(zeta + i theta) grows by at most a factor 10, so no decay rate has to be
 declared.  Wide or slowly decaying h give a small theta and a long contour.
@@ -183,18 +185,26 @@ def _check_testfn(h) -> SpectralTestFunction:
 
 
 def _even_cutoff(h, tol: float, growth: float = 1.6, t_floor: float = 6.0) -> float:
-    """Smallest t of the geometric scan t_floor 1.4^k at which |h| (1+t)^growth
-    lies below tol * scale on all three probes t, 1.37 t and 1.93 t;
-    NonDecayError if never reached."""
+    """Smallest t of the geometric scan t_floor 1.4^k in [1e-5, 1e5] at which
+    |h| (1+t)^growth lies below tol * scale on all three probes t, 1.37 t and
+    1.93 t, scanning down from t_floor while they pass (so that a grid sized
+    from t resolves a narrow h) and up while they fail; NonDecayError if never reached."""
     ref = np.array([0.0, 0.7, 1.6, 3.1])
     scale = float(np.max(np.abs(np.asarray(h(ref), dtype=complex)))) + 1e-300
-    t = t_floor
-    while t <= 1.0e5:
+
+    def passes(t: float) -> bool:
         probe = np.array([t, 1.37 * t, 1.93 * t])
         env = np.abs(np.asarray(h(probe), dtype=complex)) * (1.0 + probe) ** growth
-        if np.all(env <= tol * scale):
+        return bool(np.all(env <= tol * scale))
+
+    t = t_floor
+    if passes(t):
+        while t / 1.4 >= 1e-5 and passes(t / 1.4):
+            t /= 1.4
+        return float(t)
+    while (t := t * 1.4) <= 1.0e5:
+        if passes(t):
             return float(t)
-        t *= 1.4
     raise NonDecayError(
         f"test function {getattr(h, 'label', '?')!r} shows no decay below {tol:.1e} of its scale by t = 1e5"
     )
@@ -211,7 +221,7 @@ def delta_weight(h, *, rel_tol: float = 1e-13) -> float:
     comes from a decay scan of h (NonDecayError when h fails to decay)."""
     _check_testfn(h)
     tmax = _even_cutoff(h, rel_tol, growth=1.2)
-    ts, ws = panel_grid(0.0, tmax, 0.25, _GL_NODES)
+    ts, ws = panel_grid(0.0, tmax, min(0.25, tmax / 8.0), _GL_NODES)
     vals = np.asarray(h(ts), dtype=complex)
     total = (2.0 / math.pi) * np.sum(ws * vals * np.tanh(math.pi * ts) * ts)
     return float(total.real)
@@ -253,7 +263,7 @@ def _series_plus(h: SpectralTestFunction, x: float, rel_tol: float) -> complex:
             f"{math.log(sys.float_info.max) / math.pi:.1f}, but h needs t up to {tmax:.1f}; use route='kernel'"
         )
     rate = 2.0 * (1.0 + abs(math.log(0.5 * z))) + 2.0 * math.log(2.0 + 2.0 * tmax)
-    ts, ws = panel_grid(0.0, tmax, max(min(6.0 / rate, tmax / 30.0), 0.02), _GL_NODES)
+    ts, ws = panel_grid(0.0, tmax, min(6.0 / rate, tmax / 30.0), _GL_NODES)
     ratio = np.empty(ts.size)
     for i, t in enumerate(ts):
         ratio[i] = bessel_imag_order(float(t), x).imag / math.cosh(math.pi * float(t))
@@ -278,7 +288,7 @@ def _minus_series(h: SpectralTestFunction, x: float, rel_tol: float) -> complex:
 
     def width(t):
         rate = 1.0 + 2.0 * math.acosh(max(2.0 * t / z, 1.0))
-        return max(min(6.0 / rate, tmax / 30.0), 0.02)
+        return min(6.0 / rate, tmax / 30.0)
 
     ts, ws = _var_panel_grid(0.0, tmax, width)
     ksinh = np.asarray([_k_times_sinh(float(t), z) for t in ts])
@@ -295,7 +305,7 @@ def _minus_direct(h: SpectralTestFunction, x: float, rel_tol: float) -> complex:
     z = 2.0 * math.pi * x
     tmax = _even_cutoff(h, min(rel_tol, 1e-10), growth=1.6)
     rate = 1.0 + 2.0 * math.acosh(max(2.0 * tmax / z, 1.0))
-    ts, ws = panel_grid(0.0, tmax, max(1.4 / rate, 0.02), _GL_NODES)
+    ts, ws = panel_grid(0.0, tmax, min(1.4 / rate, tmax / 8.0), _GL_NODES)
     ustar = math.acosh(max(41.5 / z, 1.0)) + 1.5
     us, wus = panel_grid(0.0, ustar, min(0.5, math.pi / (4.0 * max(tmax, 0.5)), ustar / 6.0), _GL_NODES)
     env = wus * np.exp(-z * np.cosh(us))
@@ -362,38 +372,40 @@ def _contour_length(theta: float, z_min: float) -> float:
     return math.acosh(1.0 + _AMP_CUT / (z_min * math.sin(theta)))
 
 
-def _resolved_profile(build: Callable[[float], _Profile], width: float, z_min: float) -> _Profile:
-    """build(width) samples the profile on panels <= width; the width is
-    halved until 12-node panels resolve cos(2 t zeta), whose rate in t is
-    |2 zeta| <= 2 |U + i theta|, along the whole contour of the samples' theta."""
+def _resolved_profile(f: Callable, t_max: float, width: float, z_min: float) -> _Profile:
+    """The profile of the samples f(ts) of h on [0, t_max], on panels <= width;
+    the width is halved until 12-node panels resolve cos(2 t zeta), whose rate
+    in t is |2 zeta| <= 2 |U + i theta|, along the whole contour of the
+    samples' theta."""
     while True:
-        prof = build(width)
+        ts, ws = panel_grid(0.0, t_max, width, _GL_NODES)
+        prof = _profile_from_samples(ts, ws, f(ts))
         if width * abs(complex(_contour_length(prof.theta, z_min), prof.theta)) <= 4.0:
             return prof
         width /= 2.0
 
 
-def _contour_transforms(prof: _Profile, zs: np.ndarray):
-    """(Hplus, Hminus) at every z = 2 pi x in zs, as complex arrays, from
+def _contour(prof: _Profile, z_min: float, z_max: float) -> tuple:
+    """(Hplus, Hminus) as (nodes, w) pairs, each transform at z the
+    _exp_product of z, nodes and w, from
 
         Hplus  = Re int e^{i z cosh zeta} P(zeta) dzeta,
         Hminus = Re int e^{i z sinh zeta} P(zeta) dzeta
 
     along 0 -> i theta -> U + i theta, for each column of P (real and
-    imaginary part of h) on its own.  Where the kernels lie within
-    e^{-_AMP_CUT} of their peak on Im zeta = theta, their exponents change at
-    most at the rate z |sinh zeta| <= _AMP_CUT / sin(theta) + z sin(theta)
-    (Hplus) or z |cosh zeta| <= _AMP_CUT / sin(theta) + z (Hminus), and P at
-    2 ts[-1]: one node set, as long as the smallest z and as fine as the
-    largest z need, serves every argument.  On the vertical leg the Hminus
-    integrand i e^{-z sin v} P(iv) is imaginary, so only Hplus takes it."""
-    zs = np.asarray(zs, dtype=float)
+    imaginary part of h) on its own, for every z = 2 pi x in
+    [z_min, z_max].  Where the kernels lie within e^{-_AMP_CUT} of their
+    peak on Im zeta = theta, their exponents change at most at the rate
+    z |sinh zeta| <= _AMP_CUT / sin(theta) + z sin(theta) (Hplus) or
+    z |cosh zeta| <= _AMP_CUT / sin(theta) + z (Hminus), and P at
+    2 ts[-1]: one node set, as long as z_min and as fine as z_max need.  On
+    the vertical leg the Hminus integrand i e^{-z sin v} P(iv) is imaginary,
+    so only Hplus takes it."""
     theta, ts, fw = prof.theta, prof.ts, prof.fw
     s = math.sin(theta)
-    z_max = float(np.max(zs))
     band = 2.0 * float(ts[-1]) if ts.size else 0.0
     # 12-node panels spanning at most 8 units of the integrand's exponent
-    u_end = _contour_length(theta, float(np.min(zs)))
+    u_end = _contour_length(theta, z_min)
     us, wu = panel_grid(0.0, u_end, 8.0 / (_AMP_CUT / s + z_max + band), _GL_NODES)
     vs, wv = panel_grid(0.0, theta, 8.0 / (z_max * s + band), _GL_NODES)
 
@@ -412,67 +424,28 @@ def _contour_transforms(prof: _Profile, zs: np.ndarray):
     plus_nodes = np.concatenate([np.cosh(zeta), np.cos(vs)])
     plus_w = (8.0 / math.pi) * np.concatenate([wu[:, None] * p_h, 1j * wv[:, None] * p_v])
     minus_w = (8.0 / math.pi) * wu[:, None] * p_h
-    return _exp_product(zs, plus_nodes, plus_w), _exp_product(zs, np.sinh(zeta), minus_w)
+    return (plus_nodes, plus_w), (np.sinh(zeta), minus_w)
 
 
 def _exp_product(zs: np.ndarray, nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Re(exp(i outer(zs, nodes)) @ w), column 0 + i column 1, through one
-    phase buffer of about _ROW_ELEMENTS entries.
-
-    e^{i 2z nu} = (e^{i z nu})^2, and fl(2z nu) = 2 fl(z nu) in doubles, so
-    an argument whose half is also an argument takes its row from the
-    half's row by one complex square instead of one exp per node.  The
-    arguments fall into chains z, 2z, 4z, ...; each chain's smallest member
-    is exponentiated, and the chain is walked up by squaring in place, a
-    block of chains at a time.  After k squarings the phase error is about
-    (k + 1) eps |z nu|, against eps |z nu| for the direct exp: comparable,
-    as the phase itself rounds at eps |z nu|."""
+    """Re(exp(i outer(zs, nodes)) @ w), column 0 + i column 1, a block of
+    about _ROW_ELEMENTS (argument, node) entries at a time, so that no
+    (arguments x nodes) matrix is built."""
     zs = np.asarray(zs, dtype=float)
-    u, where = np.unique(zs, return_inverse=True)
-    half = np.minimum(np.searchsorted(u, 0.5 * u), u.size - 1)
-    has_half = (u[half] == 0.5 * u) & (half != np.arange(u.size))  # z = 0 is its own half
-    child = np.full(u.size + 1, -1)  # child[-1] = -1 ends every chain
-    child[half[has_half]] = np.flatnonzero(has_half)
-    levels = [np.flatnonzero(~has_half)]
-    while (child[levels[-1]] >= 0).any():
-        levels.append(child[levels[-1]])
-    length = (np.array(levels) >= 0).sum(axis=0)
-    order = np.argsort(-length, kind="stable")  # the chains alive at each level come first
-    levels = [level[order] for level in levels]
-
-    blocks = _row_blocks(order.size, nodes.size)  # blocks of chains, one row each live
-    phase = np.empty((blocks[0].stop, nodes.size), dtype=complex)
     inodes = 1j * nodes
-    rows = np.empty((u.size, 2))
-    for chains in blocks:
-        first = levels[0][chains]
-        p = phase[: first.size]
-        np.multiply.outer(u[first], inodes, out=p)
+    rows = np.empty((zs.size, 2))
+    for block in _row_blocks(zs.size, nodes.size):
+        p = np.multiply.outer(zs[block], inodes)
         np.exp(p, out=p)
-        rows[first] = (p @ w).real
-        for level in levels[1:]:
-            members = level[chains]
-            members = members[members >= 0]
-            if not members.size:
-                break
-            p = phase[: members.size]
-            np.multiply(p, p, out=p)
-            rows[members] = (p @ w).real
-    out = rows[where]
-    return out[:, 0] + 1j * out[:, 1]
+        rows[block] = (p @ w).real
+    return rows[:, 0] + 1j * rows[:, 1]
 
 
-def _kernel_transforms(h: SpectralTestFunction, zs: np.ndarray, rel_tol: float):
-    """(Hplus, Hminus) of h at every z = 2 pi x in zs on one contour."""
+def _kernel_contour(h: SpectralTestFunction, z_min: float, z_max: float, rel_tol: float) -> tuple:
+    """The contour of h's transforms for every z = 2 pi x in [z_min, z_max]."""
     t_max = _even_cutoff(h, min(rel_tol, 1e-11), growth=1.2)
-
-    def sample(width: float) -> _Profile:
-        ts, ws = panel_grid(0.0, t_max, width, _GL_NODES)
-        return _profile_from_samples(ts, ws, h(ts))
-
     # tanh(pi t) has poles at t = +-i/2: 12-node panels up to 1/2 wide resolve it
-    prof = _resolved_profile(sample, min(t_max / 48.0, 0.5), float(np.min(zs)))
-    return _contour_transforms(prof, zs)
+    return _contour(_resolved_profile(h, t_max, min(t_max / 48.0, 0.5), z_min), z_min, z_max)
 
 
 # ---------------------------------------------------------------------------
@@ -491,11 +464,14 @@ def bessel_transform(h, sign, x: float, *, route: str = "kernel", rel_tol: float
     h = _check_testfn(h)
     if not x > 0:
         raise ValueError("argument x must be positive")
+    if not math.isfinite(x):
+        raise ValueError(f"argument x must be finite, got {x}")
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     if route == "kernel":
-        hp, hm = _kernel_transforms(h, np.array([2.0 * math.pi * x]), rel_tol)
-        return complex((hp if sign == "+" else hm)[0])
+        z = 2.0 * math.pi * x
+        plus, minus = _kernel_contour(h, z, z, rel_tol)
+        return complex(_exp_product(np.array([z]), *(plus if sign == "+" else minus))[0])
     if route == "series":
         return _series_plus(h, x, rel_tol) if sign == "+" else _minus_series(h, x, rel_tol)
     if route == "direct":
@@ -524,33 +500,50 @@ def _geometric_terms(n: int, l: int, h: SpectralTestFunction, c_max: int):
     """(delta_term, kloosterman_term, tail_estimate) of the geometric side,
     the c-sum truncated at c_max.
 
-    All transforms, at x = 2 sqrt(nl)/c for c <= c_max and at x0/2 for the
-    tail fit, come from one contour, and every z = 2 pi x whose half is also
-    an argument (c <= c_max/2, and c_max itself) takes its exponentials from
-    that half's by squaring (_exp_product).  All S(+-n, l; c) come from one
-    batched call (exactarith.kloosterman_sums); no thread is started.
+    The transforms at x = 2 sqrt(nl)/c, c <= c_max, and at x0/2 for the tail
+    fit (x0 = 2 sqrt(nl)/c_max) are read from one interpolant of (Hplus,
+    Hminus) in 1 + t = z / z_min (chebyshev._interpolate_log1p, to 1e-11),
+    whose nodes, z_min and z_max among them, are evaluated on one contour
+    built for [z_min, z_max].  All S(+-n, l; c) come from one batched call
+    (exactarith.kloosterman_sums); no thread is started.
     The tail estimate combines the Weil bound |S(n,l;c)| <= d(c) sqrt((n,l,c)) sqrt(c)
     with an empirical small-argument envelope of the transforms anchored at
-    x0 = 2 sqrt(nl)/c_max (power-law fit against x0/2, clamped to [1, 4],
+    x0 (power-law fit against x0/2, clamped to [1, 4],
     safety factor 3 — the tanh pole at t = -i/2 gives both transforms the
     leading term 2 pi x h(-i/2) as x -> 0, so the true decay is at least
     linear), explicit terms out to 64 c_max, and an integral remainder with
-    d(c) <= 6 c^{1/3} beyond."""
-    if n < 1 or l < 1:
-        raise ValueError("indices n, l must be positive integers")
-    if c_max < 1:
-        raise ValueError("c_max must be at least 1")
+    d(c) <= 6 c^{1/3} beyond, plus the interpolation error carried into the
+    c-sum: sum_c (|S(n,l;c)| + |S(-n,l;c)|) / 2c times its reported error."""
+    for name, value in (("n", n), ("l", l), ("c_max", c_max)):
+        if not (isinstance(value, (int, np.integer)) and value >= 1):
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
     h = _check_testfn(h)
 
+    # first, so that the contour is not held through the sums' larger working arrays
+    s_plus, s_minus = kloosterman_sums(n, l, c_max)
     root = 2.0 * math.sqrt(float(n) * float(l))
     xs = root / np.arange(1, c_max + 1, dtype=float)
     x0 = float(xs[-1])
-    hp, hm = _kernel_transforms(h, 2.0 * math.pi * np.append(xs, 0.5 * x0), 1e-11)
+    zs = 2.0 * math.pi * np.append(xs, 0.5 * x0)
+    z_min, z_max = float(zs[-1]), float(zs[0])
+    sides = _kernel_contour(h, z_min, z_max, 1e-11)
+    # floors eps sum (1 + z |nu|) |w| over the nodes nu: the phase z nu rounds at eps |z nu|, |e^{i z nu}| <= 1
+    mass = [np.abs(w).sum(axis=1) for _, w in sides]
+    floor = _EPS * np.array([[np.sum(m), np.sum(np.abs(nodes) * m)] for (nodes, _), m in zip(sides, mass)])
 
-    s_plus, s_minus = kloosterman_sums(n, l, c_max)
-    terms = (s_plus * hp[:c_max] + s_minus * hm[:c_max]) / (2.0 * np.arange(1, c_max + 1))
+    def rows(ts: np.ndarray) -> tuple:
+        z = z_min * (1.0 + ts)
+        return np.stack([_exp_product(z, *side) for side in sides], axis=1), floor[:, 0] + np.outer(z, floor[:, 1])
+
+    transforms = _interpolate_log1p(rows, z_max / z_min - 1.0, 1e-11, f"Bessel transforms of {h.label}")
+    ts = zs / z_min - 1.0
+    hp, hm = transforms(ts).T
+
+    two_c = 2.0 * np.arange(1, c_max + 1)
+    terms = (s_plus * hp[:c_max] + s_minus * hm[:c_max]) / two_c
     kloost = complex(math.fsum(terms.real), math.fsum(terms.imag))
     delta = 0.5 * delta_weight(h) if n == l else 0.0
+    carried = float(np.sum((np.abs(s_plus) + np.abs(s_minus)) / two_c * transforms.error(ts[:c_max])))
 
     b0 = abs(hp[c_max - 1]) + abs(hm[c_max - 1])
     b1 = abs(hp[c_max]) + abs(hm[c_max])
@@ -571,7 +564,7 @@ def _geometric_terms(n: int, l: int, h: SpectralTestFunction, c_max: int):
         tail = float(np.sum(terms))
         rem_pref = 9.0 * math.sqrt(float(math.gcd(n, l))) * b0 * (root / x0) ** p
         tail += rem_pref * float(horizon) ** (5.0 / 6.0 - p) / (p - 5.0 / 6.0)
-    return delta, kloost, tail
+    return delta, kloost, tail + carried
 
 
 def geometric_side(n: int, l: int, h, c_max: int, *, threads: int = 4) -> complex:
@@ -579,10 +572,10 @@ def geometric_side(n: int, l: int, h, c_max: int, *, threads: int = 4) -> comple
 
         (1/2) delta(n,l) H + sum_{c<=c_max} (1/2c) [S(n,l;c) Hplus + S(-n,l;c) Hminus],
 
-    transforms evaluated at 2 sqrt(nl)/c, all on one zeta-contour (see
-    bessel_transform's "kernel" route), and the Kloosterman sums in one
-    batched call.  `threads` is accepted and unused: nothing here runs in
-    a thread.
+    transforms evaluated at 2 sqrt(nl)/c, read from an interpolant in log x
+    whose nodes are evaluated on one zeta-contour (see bessel_transform's
+    "kernel" route), and the Kloosterman sums in one batched call.
+    `threads` is accepted and unused: nothing here runs in a thread.
     """
     delta, kloost, _ = _geometric_terms(n, l, h, c_max)
     return complex(delta + kloost)
@@ -615,7 +608,7 @@ def continuous_side(n: int, l: int, h, r_max: float, *, rel_tol: float = 1e-12) 
         raise ValueError("r_max must be positive")
     h = _check_testfn(h)
     rc = min(float(r_max), _even_cutoff(h, rel_tol, growth=1.5, t_floor=4.0))
-    rs, ws = panel_grid(0.0, rc, 0.2, _GL_NODES)
+    rs, ws = panel_grid(0.0, rc, min(0.2, rc / 8.0), _GL_NODES)
     hv = np.asarray(h(rs), dtype=complex)
     om = continuous_weight(rs)
     integrand = hv * om * _eta_profile(n, rs) * _eta_profile(l, rs)
@@ -833,10 +826,9 @@ def diagonal_weight(
 
     z = 2.0 * math.pi * float(x)
 
-    def sample(width: float) -> _Profile:
-        ts, ws = panel_grid(0.0, tmax, width, _GL_NODES)
-        return _profile_from_samples(ts, ws, _diag_samples(ts, T, y_gl2, y_rs, form, rs_variant, spec))
+    def samples(ts: np.ndarray) -> np.ndarray:
+        return _diag_samples(ts, T, y_gl2, y_rs, form, rs_variant, spec)
 
-    prof = _resolved_profile(sample, min(max(T / 6.0, 1e-4), 0.5) / resolution_factor, z)
-    hp, hm = _contour_transforms(prof, np.array([z]))
-    return complex((hp if variant.endswith("plus") else hm)[0])
+    prof = _resolved_profile(samples, tmax, min(max(T / 6.0, 1e-4), 0.5) / resolution_factor, z)
+    plus, minus = _contour(prof, z, z)
+    return complex(_exp_product(np.array([z]), *(plus if variant.endswith("plus") else minus))[0])

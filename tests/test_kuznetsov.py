@@ -9,10 +9,12 @@ import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 from scipy.special import i0
 
 from lfunlab import chebyshev
@@ -116,6 +118,38 @@ def test_delta_weight_quadratic_width_scaling():
     assert v20 / v10 == pytest.approx(4.0, rel=0.01)
 
 
+@pytest.mark.parametrize("width", [0.02, 1e-3])
+def test_narrow_test_functions_are_resolved(width):
+    # h(t) = e^{-(t/w)^2} is cut where it decays, near 5 w, not at the scan's
+    # start t = 6, so every t-grid sized from the cutoff resolves it.  With
+    # t >= 6, delta_weight was 0.19 % off at w = 0.02 (65 % at w = 1e-3), the
+    # kernel route read 2.3 times Hminus at w = 1e-3, and the direct oracle
+    # was 0.25 % off at w = 0.02.
+    h = kz.gaussian_test_function(width)
+    f = lambda t: (2.0 / math.pi) * math.exp(-((t / width) ** 2)) * math.tanh(math.pi * t) * t
+    ref, err = integrate.quad(f, 0.0, 12.0 * width, epsabs=0.0, epsrel=1e-13)
+    assert abs(kz.delta_weight(h) - ref) <= 1e-13 * ref + err
+    g = lambda r: math.exp(-((r / width) ** 2)) * kz.continuous_weight(r) / (2.0 * math.pi)
+    ref, err = integrate.quad(g, 0.0, 12.0 * width, epsabs=0.0, epsrel=1e-13)
+    assert abs(kz.continuous_side(1, 1, h, 40.0).real - ref) <= 1e-12 * ref + err
+
+    # the transforms against mpmath's Bessel functions, integrated up to the
+    # kernel route's cutoff, where |h| falls below 1e-11 of its scale (the
+    # tail past it is 2.4e-11 of the value at w = 1e-3); the plus series
+    # stands for both mpmath series routes, which size their panels alike
+    x, t_max = 0.3, kz._even_cutoff(h, 1e-11, growth=1.2)
+    z = 2.0 * math.pi * x
+    with mp.workdps(20):
+        h_mp = lambda t: mp.exp(-((t / width) ** 2)) * t
+        j_part = lambda t: mp.besselj(2j * t, z).imag / mp.cosh(mp.pi * t)
+        k_part = lambda t: (mp.besselk(2j * t, z) * mp.sinh(mp.pi * t)).real
+        plus = float(-4.0 * mp.quad(lambda t: j_part(t) * h_mp(t), [0, t_max]))
+        minus = float((8.0 / mp.pi) * mp.quad(lambda t: k_part(t) * h_mp(t), [0, t_max]))
+    cases = (("+", "kernel", plus), ("+", "series", plus), ("-", "kernel", minus), ("-", "direct", minus))
+    for sign, route, ref in cases:
+        assert abs(kz.bessel_transform(h, sign, x, route=route) - ref) <= 1e-11 * abs(ref)
+
+
 def test_continuous_weight_oracle_values():
     for r, ref in OMEGA_ORACLE.items():
         assert kz.continuous_weight(r) == pytest.approx(ref, rel=1e-10)
@@ -196,6 +230,8 @@ def test_bessel_transform_validation():
         kz.bessel_transform(h, "x", 1.0)
     with pytest.raises(ValueError, match="positive"):
         kz.bessel_transform(h, "+", 0.0)
+    with pytest.raises(ValueError, match="x must be finite"):
+        kz.bessel_transform(h, "+", math.inf)
     with pytest.raises(ValueError, match="minus transform only"):
         kz.bessel_transform(h, "+", 1.0, route="direct")
     for route in ("nope", "auto", "shifted"):
@@ -276,41 +312,54 @@ def test_trace_identity_starts_no_thread(monkeypatch):
     assert np.isfinite(rep.residual.real)
 
 
-def test_exp_product_chained_rows_match_direct_rows(monkeypatch):
-    # the geometric side's arguments z1/c form chains z, 2z, 4z, ... (c, c/2,
-    # c/4, ...); each chained row must agree with the same argument alone,
-    # which makes no chain, within 64 eps sum |w|
-    captured = []
-    exp_product = kz._exp_product
+def test_geometric_side_transforms_from_interpolant(monkeypatch):
+    # the 801 arguments z = 4 pi / c (c <= 800, and c = 1600 for the tail
+    # fit) are read from an interpolant in log(z / z_min) built on at most
+    # 256 arguments per transform; at every one of them it agrees with the
+    # blocked product on the same nodes within its reported error
+    applied, built = [], []
+    exp_product, interpolate = kz._exp_product, kz._interpolate_log1p
 
     def capture(zs, nodes, w):
-        captured.append((zs, nodes, w))
+        applied.append((zs.size, nodes, w))
         return exp_product(zs, nodes, w)
 
+    def keep(*args):
+        built.append(interpolate(*args))
+        return built[-1]
+
     monkeypatch.setattr(kz, "_exp_product", capture)
-    zs = 2.0 * math.pi * 2.0 / np.arange(1, 801, dtype=float)
-    kz._kernel_transforms(kz.gaussian_test_function(2.0), zs, 1e-11)
-    assert len(captured) == 2
-    for zs, nodes, w in captured:
-        assert np.array_equal(2.0 * zs[799], zs[399])  # the halving is exact
+    monkeypatch.setattr(kz, "_interpolate_log1p", keep)
+    kz._geometric_terms(1, 1, kz.gaussian_test_function(2.0), 800)
+    plus, minus = applied[0::2], applied[1::2]
+    assert sum(size for size, _, _ in plus) <= 256  # measured 193; 801 when every argument was a row
+    assert sum(size for size, _, _ in minus) <= 256
+    (interp,) = built
+    zs = 2.0 * math.pi * 2.0 / np.append(np.arange(1, 801, dtype=float), 1600.0)
+    ts = zs / zs[-1] - 1.0
+    values, error = interp(ts), interp.error(ts)
+    for column, (_, nodes, w) in enumerate((plus[0], minus[0])):
         tracemalloc.start()
         try:
-            chained = exp_product(zs, nodes, w)
+            direct = exp_product(zs, nodes, w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 0.1 * zs.size * nodes.size * 16  # no (arguments x nodes) matrix
-        bound = 64.0 * np.finfo(float).eps * float(np.sum(np.abs(w)))
-        for z, row in zip(zs, chained):
-            assert abs(row - exp_product(np.array([z]), nodes, w)[0]) <= bound
+        assert np.all(np.abs(values[:, column] - direct) <= error)  # measured at most 0.47 of it
 
 
 def test_geometric_side_validation():
     h = kz.gaussian_test_function(1.0)
-    with pytest.raises(ValueError):
-        kz.geometric_side(0, 1, h, 10)
-    with pytest.raises(ValueError):
-        kz.geometric_side(1, 1, h, 0)
+    for (n, l, c_max), message in (
+        ((0, 1, 10), "n must be a positive integer, got 0"),
+        ((1, 1, 0), "c_max must be a positive integer, got 0"),
+        ((1, 1, 2.5), "c_max must be a positive integer, got 2.5"),
+        ((1.5, 1, 10), "n must be a positive integer, got 1.5"),
+        ((1, 2.0, 10), "l must be a positive integer, got 2.0"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            kz.geometric_side(n, l, h, c_max)
 
 
 # ---------------------------------------------------------------------------
@@ -679,18 +728,18 @@ def test_diagonal_weight_variants_match_direct_rows(T, monkeypatch):
     d3 = triple_divisor_form()
     spec = WeightSpec()
     x = 0.5
-    # a Bessel pair shares one profile and both transforms of it; so do
-    # D3's direct and dual twins, so identical profiles are transformed once
-    transforms = {}
-    contour_transforms = kz._contour_transforms
+    # a Bessel pair shares one profile and its contour; so do D3's direct
+    # and dual twins, so each distinct contour is built once
+    contours = {}
+    contour = kz._contour
 
-    def memo(prof, zs):
-        key = (prof.ts.tobytes(), prof.fw.tobytes(), prof.theta, zs.tobytes())
-        if key not in transforms:
-            transforms[key] = contour_transforms(prof, zs)
-        return transforms[key]
+    def memo(prof, z_min, z_max):
+        key = (prof.ts.tobytes(), prof.fw.tobytes(), prof.theta, z_min, z_max)
+        if key not in contours:
+            contours[key] = contour(prof, z_min, z_max)
+        return contours[key]
 
-    monkeypatch.setattr(kz, "_contour_transforms", memo)
+    monkeypatch.setattr(kz, "_contour", memo)
     def arg(variant):
         return None if variant in ("direct", "dual") else x
 
