@@ -166,8 +166,11 @@ _U_MU = (0,)  # gamma data of the degree-2 weight U
 def _weight_norm(mu_norm, ts) -> Callable:
     """log gamma_nu(1/2, t) with gamma data nu = mu_norm, evaluated once on
     the distinct t of ts and looked up as a column for the rows of each call
-    that contour_kernel makes to kfunc."""
-    grid = np.unique(ts)
+    that contour_kernel makes to kfunc.  The sorted distinct t come from a
+    sort and a comparison of neighbours: np.unique gives the same set, but
+    its first call in a process imports numpy.ma."""
+    grid = np.sort(np.ravel(ts))
+    grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
     vals = gamma_factor_log(np.asarray(0.5 + 0j), _shifts(mu_norm, grid))
     return lambda t: vals[np.searchsorted(grid, t), None]
 

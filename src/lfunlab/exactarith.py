@@ -1,5 +1,5 @@
-"""Exact modular arithmetic: Kloosterman sums with their oracles,
-factorization, and the multiplicative functions built on it.
+"""Exact modular arithmetic: Kloosterman sums, factorization, and the
+multiplicative functions built on it.
 
 Notation: e(z) = exp(2*pi*i*z).  The Kloosterman sum is
 
@@ -15,8 +15,8 @@ error is in exp(2*pi*i*k/c) and the final summation: pairwise for one
 modulus (`kloosterman`), and in order of d for the batched route
 (`kloosterman_sums`), which takes cos(2*pi*k/c) over the units d <= c/2 of
 every c <= c_max in blocks of moduli and sums them by one bincount per
-block.  A slower oracle path groups equal phases into exact integer counts
-and evaluates the root-of-unity combination in high precision.
+block.  The Ramanujan sums also have their closed form here
+(`ramanujan_divisor_mu`).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import operator
 
-import mpmath as mp
 import numpy as np
 
 __all__ = [
@@ -32,13 +31,10 @@ __all__ = [
     "mod_inverse",
     "kloosterman",
     "kloosterman_sums",
-    "kloosterman_exact_phase",
-    "kloosterman_factored",
     "ramanujan_divisor_mu",
     "factorize",
     "divisors",
     "mobius",
-    "triple_divisor",
 ]
 
 
@@ -175,34 +171,6 @@ def kloosterman_sums(n: int, l: int, c_max: int) -> tuple[np.ndarray, np.ndarray
     return plus, minus
 
 
-def kloosterman_phase_counts(n: int, l: int, c: int) -> np.ndarray:
-    """Exact integer histogram over phases: counts[k] = #{d : d*l + dbar*n == k mod c}.
-
-    This is the sum S(n, l; c) before any floating evaluation; two sums with
-    equal histograms are exactly equal.
-    """
-    c, units, inv = _units(c)
-    phase = ((l % c) * units + (n % c) * inv) % c
-    return np.bincount(phase, minlength=c)
-
-
-_EXACT_PHASE_DPS = 40  # working digits of the exact-phase oracle's root-of-unity sum
-
-
-def kloosterman_exact_phase(n: int, l: int, c: int) -> complex:
-    """Oracle route for S(n, l; c): exact phase counting, then a high-precision
-    evaluation of the resulting combination of c-th roots of unity.  It runs
-    in an mpmath context of its own, so the process-global precision that
-    special._mp_precision guards is never touched."""
-    counts = kloosterman_phase_counts(n, l, c)
-    ctx = mp.MPContext()
-    ctx.dps = _EXACT_PHASE_DPS
-    acc = ctx.mpc(0)
-    for k in np.flatnonzero(counts):
-        acc += int(counts[k]) * ctx.expjpi(ctx.mpf(2 * int(k)) / c)
-    return complex(acc)
-
-
 def factorize(m: int) -> list[tuple[int, int]]:
     """Prime factorization of m >= 1 as (prime, exponent) pairs, trial division."""
     if m < 1:
@@ -244,36 +212,6 @@ def mobius(m: int) -> int:
     if any(e > 1 for _, e in fac):
         return 0
     return -1 if len(fac) % 2 else 1
-
-
-def triple_divisor(m: int) -> int:
-    """Number of ordered triples (a, b, c) with a*b*c = m."""
-    out = 1
-    for _, e in factorize(m):
-        out *= (e + 1) * (e + 2) // 2
-    return out
-
-
-def kloosterman_factored(n: int, l: int, c: int) -> complex:
-    """S(n, l; c) assembled from prime-power blocks by twisted multiplicativity:
-
-        S(n, l; q*r) = S(n*rbar^2, l; q) * S(n*qbar^2, l; r),  gcd(q, r) = 1,
-
-    applied across the full factorization.  Each block still runs the direct
-    enumeration, so agreement with kloosterman() genuinely exercises the
-    Chinese-remainder structure whenever c has two or more prime factors.
-    c may be any integer type; ValueError unless c >= 1.
-    """
-    c = operator.index(c)
-    if c < 1:
-        raise ValueError(f"modulus must be positive, got {c}")
-    blocks = [p**e for p, e in factorize(c)] if c > 1 else [1]
-    value = 1 + 0j
-    for q in blocks:
-        r = c // q
-        rbar = pow(r, -1, q) if q > 1 else 0
-        value *= kloosterman((n * rbar * rbar) % q, l, q)
-    return value
 
 
 def ramanujan_divisor_mu(a: int, c: int) -> int:

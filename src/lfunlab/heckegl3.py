@@ -13,9 +13,9 @@ blocks.  The Hecke recursion
 
     A(p,1) A(p^i, p^j) = A(p^{i-1}, p^{j+1}) + A(p^i, p^{j-1}) + A(p^{i+1}, p^j)
 
-(terms with negative exponents dropped) is NOT used to build anything; it is
-the independent closure check.  A second exact consequence used for bulk
-work is the Moebius unfolding
+(terms with negative exponents dropped) is NOT used to build anything; the
+tests check the coefficients against it.  A second exact consequence used
+for bulk work is the Moebius unfolding
 
     A(m, n) = sum_{d | gcd(m, n)} mu(d) A(m/d, 1) A(1, n/d),
 
@@ -47,7 +47,6 @@ __all__ = [
     "coefficient_row",
     "coefficient_block",
     "mobius_unfold",
-    "hecke_relation_residual",
     "triple_divisor_form",
     "symmetric_square_form",
     "ramanujan_tau_table",
@@ -145,17 +144,6 @@ def coefficient(form: GL3Form, m: int, n: int) -> complex:
     for p, (a, b) in exps.items():
         val *= _prime_power(form.satake_at(p), a, b)
     return val
-
-
-def hecke_relation_residual(form: GL3Form, p: int, i: int, j: int) -> float:
-    """Gap in the degree-lowering Hecke recursion at (p^i, p^j)."""
-    lhs = coefficient(form, p, 1) * coefficient(form, p**i, p**j)
-    rhs = coefficient(form, p ** (i + 1), p**j)
-    if i >= 1:
-        rhs += coefficient(form, p ** (i - 1), p ** (j + 1))
-    if j >= 1:
-        rhs += coefficient(form, p**i, p ** (j - 1))
-    return abs(lhs - rhs)
 
 
 def _primes_upto(N: int) -> np.ndarray:

@@ -24,7 +24,7 @@ and the two transforms (all integrals over the whole real line) are
 The I-Bessel form of Hminus follows from K_nu = pi (I_{-nu} - I_nu) /
 (2 sin pi nu) and makes the two transforms exact mirrors (J <-> I).
 
-One route evaluates both transforms, "kernel".  By DLMF 10.32.7 and the
+Both transforms are evaluated the same way.  By DLMF 10.32.7 and the
 Mehler-Sonine integral, exchanging the t- and zeta-integrals gives
 
     Hplus(x)  = int_0^inf cos(z cosh zeta) P(zeta) dzeta,
@@ -44,15 +44,9 @@ comes from the samples of h themselves: the largest theta <= 1/2 at which
 P(zeta + i theta) grows by at most a factor 10, so no decay rate has to be
 declared.  Wide or slowly decaying h give a small theta and a long contour.
 
-Two routes remain as cross-check oracles; neither uses P or the contour:
-
-* "series": direct quadrature in t against the ascending-series Bessel
-  values (mpmath underneath).  The J-series is validated for 2 pi x <= 40
-  and for cutoffs t with cosh(pi t) finite in doubles; the K-route for
-  Hminus has no argument cap.
-* "direct" (Hminus only): the real Laplace integral for K_{2it} in doubles,
-  for narrow test functions only; it raises RegimeError where its own noise
-  model exceeds 1e-8 of the value.
+The test suite checks both transforms against routes that use neither P
+nor the contour: direct quadrature in t against mpmath's Bessel values, and
+for Hminus also the real Laplace integral for K_{2it} in doubles.
 
 The module also evaluates the smoothed diagonal weights that arise when the
 identity is applied against approximate-functional-equation sums: see
@@ -67,15 +61,14 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import mpmath as mp
 import numpy as np
 
 from .afe import _U_MU, FixtureCoverageError, MaassFixture, WeightSpec, _weight_rows
 from .chebyshev import _Interpolant, _interpolate_log1p
 from .exactarith import kloosterman_sums
 from .heckegl3 import GL3Form
-from .quadrature import NonDecayError, _row_blocks, gauss_legendre_panels, panel_grid
-from .special import RegimeError, _mp_precision, bessel_imag_order, log_gamma, zeta_with_error
+from .quadrature import NonDecayError, _row_blocks, panel_grid
+from .special import log_gamma, zeta_with_error
 
 __all__ = [
     "SpectralTestFunction",
@@ -96,23 +89,7 @@ _LN2 = math.log(2.0)
 _GL_NODES = 12
 _EPS = sys.float_info.epsilon
 _AMP_CUT = -math.log(_EPS)  # kernels below e^{-_AMP_CUT} of their peak are dropped from the contour
-
-
-# ---------------------------------------------------------------------------
-# grids
-
-
-def _var_panel_grid(a: float, b: float, width_fn: Callable[[float], float]):
-    """Variable-width composite grid; width_fn gives the local panel cap."""
-    edges = [a]
-    guard = 0
-    while edges[-1] < b:
-        step = max(width_fn(edges[-1]), 1e-7)
-        edges.append(min(edges[-1] + step, b))
-        guard += 1
-        if guard > 2_000_000:
-            raise RuntimeError("variable panel grid exceeded the edge budget")
-    return gauss_legendre_panels(edges, _GL_NODES)
+_H_CUT = 1e-11  # h is dropped from the transforms where it falls below this share of its scale
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +101,14 @@ class SpectralTestFunction:
     """Even test function h(t) entering the spectral sum formula.
 
     `evaluator` must accept real numpy arrays (vectorized); no evaluation
-    route needs complex input.  The two analytic hypotheses of the formula
-    are *declared*: `decay_exponent` is a theta > 2 with
+    needs complex input.  The two analytic hypotheses of the formula are
+    *declared*: `decay_exponent` is a theta > 2 with
     h(t) = O((1+|t|)^{-theta}), and `holomorphy_width` is a sigma > 1/2 such
-    that h is holomorphic on |Im t| <= sigma; neither selects a route.  Evenness and
-    the decay envelope are spot-checked on samples at construction; the
-    declarations themselves are trusted (they cannot be verified from finitely
-    many samples).
+    that h is holomorphic on |Im t| <= sigma; no evaluation reads either, the
+    cutoffs and the contour come from samples of h.  Evenness and the decay
+    envelope are spot-checked on samples at construction; the declarations
+    themselves are trusted (they cannot be verified from finitely many
+    samples).
     """
 
     evaluator: Callable
@@ -250,82 +228,7 @@ def continuous_weight(r):
 
 
 # ---------------------------------------------------------------------------
-# mpmath series routes
-
-
-def _series_plus(h: SpectralTestFunction, x: float, rel_tol: float) -> complex:
-    """Hplus by direct t-quadrature of -4 Im J_{2it}(2 pi x) h t / cosh(pi t)."""
-    z = 2.0 * math.pi * x
-    tmax = _even_cutoff(h, min(rel_tol, 1e-10), growth=1.6)
-    if math.pi * tmax > math.log(sys.float_info.max):
-        raise RegimeError(
-            f"the J-series oracle divides by cosh(pi t) in doubles, finite for t <= "
-            f"{math.log(sys.float_info.max) / math.pi:.1f}, but h needs t up to {tmax:.1f}; use route='kernel'"
-        )
-    rate = 2.0 * (1.0 + abs(math.log(0.5 * z))) + 2.0 * math.log(2.0 + 2.0 * tmax)
-    ts, ws = panel_grid(0.0, tmax, min(6.0 / rate, tmax / 30.0), _GL_NODES)
-    ratio = np.empty(ts.size)
-    for i, t in enumerate(ts):
-        ratio[i] = bessel_imag_order(float(t), x).imag / math.cosh(math.pi * float(t))
-    hv = np.asarray(h(ts), dtype=complex)
-    return complex(-4.0 * np.sum(ws * ratio * hv * ts))
-
-
-def _k_times_sinh(t: float, z: float) -> float:
-    """K_{2it}(z) sinh(pi t), the O(t^{-1/2}) bounded product, via mpmath.
-    Computing the product inside mpmath avoids the e^{+-pi t} over/underflow
-    of the separate factors."""
-    dps = 30 + int(1.6 * t) + int(0.12 * z)
-    with _mp_precision(dps):
-        val = mp.besselk(2j * mp.mpf(t), mp.mpf(z)) * mp.sinh(mp.pi * mp.mpf(t))
-        return float(val.real)
-
-
-def _minus_series(h: SpectralTestFunction, x: float, rel_tol: float) -> complex:
-    """Hminus by direct t-quadrature of (8/pi) K_{2it}(2 pi x) sinh(pi t) h t."""
-    z = 2.0 * math.pi * x
-    tmax = _even_cutoff(h, min(rel_tol, 1e-10), growth=1.6)
-
-    def width(t):
-        rate = 1.0 + 2.0 * math.acosh(max(2.0 * t / z, 1.0))
-        return min(6.0 / rate, tmax / 30.0)
-
-    ts, ws = _var_panel_grid(0.0, tmax, width)
-    ksinh = np.asarray([_k_times_sinh(float(t), z) for t in ts])
-    hv = np.asarray(h(ts), dtype=complex)
-    return complex((8.0 / math.pi) * np.sum(ws * ksinh * hv * ts))
-
-
-def _minus_direct(h: SpectralTestFunction, x: float, rel_tol: float) -> complex:
-    """Hminus by the real cosh-kernel Laplace integral for K, entirely in
-    doubles.  The u-integral's absolute rounding error is amplified by
-    sinh(pi t) ~ e^{pi t} against K ~ e^{-pi t}, so this route is only valid
-    for narrow test functions; it raises RegimeError when its own noise
-    model exceeds 1e-8 of the result.  Kept as an independent oracle."""
-    z = 2.0 * math.pi * x
-    tmax = _even_cutoff(h, min(rel_tol, 1e-10), growth=1.6)
-    rate = 1.0 + 2.0 * math.acosh(max(2.0 * tmax / z, 1.0))
-    ts, ws = panel_grid(0.0, tmax, min(1.4 / rate, tmax / 8.0), _GL_NODES)
-    ustar = math.acosh(max(41.5 / z, 1.0)) + 1.5
-    us, wus = panel_grid(0.0, ustar, min(0.5, math.pi / (4.0 * max(tmax, 0.5)), ustar / 6.0), _GL_NODES)
-    env = wus * np.exp(-z * np.cosh(us))
-    kvals = np.cos(2.0 * np.outer(ts, us)) @ env
-    sinh_t = np.sinh(math.pi * ts)
-    hv = np.asarray(h(ts), dtype=complex)
-    value = complex((8.0 / math.pi) * np.sum(ws * kvals * sinh_t * hv * ts))
-    noise = (8.0 / math.pi) * float(
-        np.sum(ws * (1.1e-16 * np.sum(np.abs(env))) * sinh_t * np.abs(hv) * ts)
-    )
-    if noise > 1e-8 * (abs(value) + 1e-300):
-        raise RegimeError(
-            f"direct float route noise model {noise:.2e} exceeds 1e-8 of |value| = {abs(value):.2e}; "
-            "use route='series' (the test function is too wide for the double-precision kernel)"
-        )
-    return value
-
-
-# ---------------------------------------------------------------------------
-# zeta-contour route for both transforms
+# zeta-contour evaluation of both transforms
 
 
 @dataclass(frozen=True)
@@ -441,26 +344,30 @@ def _exp_product(zs: np.ndarray, nodes: np.ndarray, w: np.ndarray) -> np.ndarray
     return rows[:, 0] + 1j * rows[:, 1]
 
 
-def _kernel_contour(h: SpectralTestFunction, z_min: float, z_max: float, rel_tol: float) -> tuple:
-    """The contour of h's transforms for every z = 2 pi x in [z_min, z_max]."""
-    t_max = _even_cutoff(h, min(rel_tol, 1e-11), growth=1.2)
+def _kernel_contour(h: SpectralTestFunction, z_min: float, z_max: float) -> tuple:
+    """The contour of h's transforms for every z = 2 pi x in [z_min, z_max],
+    from the samples of h up to where |h| (1 + t)^1.2 stays below _H_CUT of
+    its scale."""
+    t_max = _even_cutoff(h, _H_CUT, growth=1.2)
     # tanh(pi t) has poles at t = +-i/2: 12-node panels up to 1/2 wide resolve it
     return _contour(_resolved_profile(h, t_max, min(t_max / 48.0, 0.5), z_min), z_min, z_max)
 
 
 # ---------------------------------------------------------------------------
-# transform dispatcher
+# one transform at one argument
 
 
-def bessel_transform(h, sign, x: float, *, route: str = "kernel", rel_tol: float = 1e-11) -> complex:
-    """Hplus (sign '+') or Hminus (sign '-') of the test function at x > 0.
+def bessel_transform(h, sign, x: float) -> complex:
+    """Hplus (sign '+') or Hminus (sign '-') of the test function at x > 0,
+    as an integral of the profile P along a zeta-contour, in double
+    precision, at any finite argument.
 
-    Routes: "kernel" (the default: both transforms as integrals of the
-    profile P along a zeta-contour, double precision, any argument),
-    "series" (the cross-check oracle: direct t-quadrature against mpmath
-    Bessel values; the J-series is capped at 2 pi x <= 40, the K-route is
-    uncapped) and "direct" (sign '-' only: a double-precision Laplace-kernel
-    oracle for narrow test functions).  rel_tol sets where h is cut off."""
+    h enters up to the cutoff where |h| (1 + t)^1.2 falls below
+    _H_CUT = 1e-11 of its scale (_even_cutoff).  That is a cut on h, not a
+    relative accuracy of the transform: where the transform is small against
+    h, the dropped tail is a larger share of it.  For h(t) = exp(-(t/w)^2)
+    the transform is proportional to w^3, and at w = 1e-3, x = 0.3 both
+    transforms are 2.4e-11 relative off the full integral."""
     h = _check_testfn(h)
     if not x > 0:
         raise ValueError("argument x must be positive")
@@ -468,17 +375,9 @@ def bessel_transform(h, sign, x: float, *, route: str = "kernel", rel_tol: float
         raise ValueError(f"argument x must be finite, got {x}")
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    if route == "kernel":
-        z = 2.0 * math.pi * x
-        plus, minus = _kernel_contour(h, z, z, rel_tol)
-        return complex(_exp_product(np.array([z]), *(plus if sign == "+" else minus))[0])
-    if route == "series":
-        return _series_plus(h, x, rel_tol) if sign == "+" else _minus_series(h, x, rel_tol)
-    if route == "direct":
-        if sign == "+":
-            raise ValueError("route 'direct' applies to the minus transform only")
-        return _minus_direct(h, x, rel_tol)
-    raise ValueError(f"unknown route {route!r}")
+    z = 2.0 * math.pi * x
+    plus, minus = _kernel_contour(h, z, z)
+    return complex(_exp_product(np.array([z]), *(plus if sign == "+" else minus))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +425,7 @@ def _geometric_terms(n: int, l: int, h: SpectralTestFunction, c_max: int):
     x0 = float(xs[-1])
     zs = 2.0 * math.pi * np.append(xs, 0.5 * x0)
     z_min, z_max = float(zs[-1]), float(zs[0])
-    sides = _kernel_contour(h, z_min, z_max, 1e-11)
+    sides = _kernel_contour(h, z_min, z_max)
     # floors eps sum (1 + z |nu|) |w| over the nodes nu: the phase z nu rounds at eps |z nu|, |e^{i z nu}| <= 1
     mass = [np.abs(w).sum(axis=1) for _, w in sides]
     floor = _EPS * np.array([[np.sum(m), np.sum(np.abs(nodes) * m)] for (nodes, _), m in zip(sides, mass)])
@@ -573,8 +472,8 @@ def geometric_side(n: int, l: int, h, c_max: int, *, threads: int = 4) -> comple
         (1/2) delta(n,l) H + sum_{c<=c_max} (1/2c) [S(n,l;c) Hplus + S(-n,l;c) Hminus],
 
     transforms evaluated at 2 sqrt(nl)/c, read from an interpolant in log x
-    whose nodes are evaluated on one zeta-contour (see bessel_transform's
-    "kernel" route), and the Kloosterman sums in one batched call.
+    whose nodes are evaluated on one zeta-contour (as in bessel_transform),
+    and the Kloosterman sums in one batched call.
     `threads` is accepted and unused: nothing here runs in a thread.
     """
     delta, kloost, _ = _geometric_terms(n, l, h, c_max)
@@ -794,9 +693,10 @@ def diagonal_weight(
     the Bessel variants reuse it, and a self-dual form's "dual" reuses
     "direct"'s (see uv_cache_stats).  Threads may share the cache: it stays
     coherent, and two that miss the same key at once both build it.  x is
-    required exactly for the Bessel variants, which take bessel_transform's
-    "kernel" route with the weighted Gaussian as h, sampled on the t-grid
-    (its panels halved until they resolve the contour).  Evenness of the
+    required exactly for the Bessel variants, which are evaluated as
+    bessel_transform evaluates them, with the weighted Gaussian as h,
+    sampled on the t-grid (its panels halved until they resolve the
+    contour).  Evenness of the
     weights in t is relied upon (the integrals run over t >= 0 doubled);
     the test-suite verifies it."""
     if variant not in DIAGONAL_VARIANTS:

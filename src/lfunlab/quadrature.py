@@ -1,11 +1,10 @@
 """Numeric integration engines with self-reported error estimates.
 
-Three families: vertical-line (Mellin-Barnes) integrals, oscillatory
-integrals with panel sizes tied to the local phase velocity, and smooth
+Two families: vertical-line (Mellin-Barnes) integrals, and smooth
 compactly supported bumps to integrate against.  `gauss_legendre_panels`
-is the one composite Gauss-Legendre grid under all of them and under the
-rest of the package; `panel_grid` lays it on an interval in panels no wider
-than a given width.
+is the one composite Gauss-Legendre grid under both and under the rest of
+the package; `panel_grid` lays it on an interval in panels no wider than a
+given width.
 
 Vertical-line integrals (1/2 pi i) int_{(sigma)} y^{-u} K(u) du go through
 `contour_kernel`: it discretizes the line once, growing the height until
@@ -24,13 +23,10 @@ segment is evaluated for them in calls of a bounded size and written into
 the (rows, nodes) weights, each row stops by the same rule applied to its
 own masses and is zero past its stop, and the one ContourKernel's apply
 shares the phases of an argument among all rows and returns one row of
-values per row.  oscillatory_integral returns a TransformResult whose
-abs_error_estimate is the observed change under one further refinement
-level.  Both estimates are empirical, not rigorous enclosures; the test
-suite checks their honesty against closed forms and refinement.
+values per row.  The estimate is empirical, not a rigorous enclosure; the
+test suite checks its honesty against closed forms.
 
-Throughout, e(z) means exp(2 pi i z), and line integrals carry the measure
-(1/2 pi i) ds.
+Throughout, line integrals carry the measure (1/2 pi i) ds.
 """
 
 from __future__ import annotations
@@ -43,13 +39,10 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "TransformResult",
     "SmoothBump",
     "NonDecayError",
-    "UnboundedPhaseError",
     "ContourKernel",
     "contour_kernel",
-    "oscillatory_integral",
     "smooth_bump",
     "gauss_legendre_panels",
     "panel_grid",
@@ -58,16 +51,6 @@ __all__ = [
 
 class NonDecayError(RuntimeError):
     """Tail contributions of a truncated integral are not shrinking."""
-
-
-class UnboundedPhaseError(ValueError):
-    """Oscillatory phase derivative is unbounded (or absurd) on the support."""
-
-
-@dataclass(frozen=True)
-class TransformResult:
-    value: complex
-    abs_error_estimate: float
 
 
 @functools.lru_cache(maxsize=8)
@@ -318,60 +301,6 @@ def contour_kernel(
                 f"decay target and the noise floor for row parameter {params[active[0]]}"
             )
     return ContourKernel(sigma, np.concatenate(vs), np.concatenate(columns, axis=1), symmetric, tails, tuple(panels))
-
-
-def _phase_velocity_scan(phase: Callable, a: float, b: float, samples: int = 4096) -> float:
-    xs = np.linspace(a, b, samples + 1)
-    ph = np.asarray(phase(xs), dtype=float)
-    if not np.all(np.isfinite(ph)):
-        raise UnboundedPhaseError("phase is not finite everywhere on the support")
-    slopes = np.abs(np.diff(ph)) / ((b - a) / samples)
-    vmax = float(slopes.max())
-    if vmax > 1e8:
-        raise UnboundedPhaseError(f"phase velocity ~{vmax:.2e} cycles/unit is out of range")
-    return vmax
-
-
-_OSC_NODES = 10  # Gauss-Legendre nodes per oscillatory panel
-_OSC_NODES_PER_PERIOD = 8  # least nodes per period of the fastest oscillation
-_OSC_REFINEMENTS = 12  # most panel halvings
-
-
-def oscillatory_integral(
-    amplitude: Callable,
-    phase: Callable,
-    support: tuple[float, float],
-    *,
-    tol: float = 1e-9,
-) -> TransformResult:
-    """integral over the support of amplitude(x) * e(phase(x)) dx.
-
-    Panel width is capped so each period of the fastest local oscillation
-    receives at least _OSC_NODES_PER_PERIOD nodes, then panels halve, at
-    most _OSC_REFINEMENTS times, until two passes agree to tol (relative);
-    the last inter-pass change is the error estimate.
-    """
-    a, b = float(support[0]), float(support[1])
-    if not a < b:
-        raise ValueError(f"empty support [{a}, {b}]")
-    vmax = _phase_velocity_scan(phase, a, b)
-
-    def f(x):
-        return np.asarray(amplitude(x), dtype=complex) * np.exp(2j * np.pi * np.asarray(phase(x)))
-
-    width = min((b - a) / 8.0, _OSC_NODES / (_OSC_NODES_PER_PERIOD * max(vmax, 1e-12)))
-    prev = None
-    delta = math.inf
-    for _ in range(_OSC_REFINEMENTS):
-        x, w = panel_grid(a, b, width, _OSC_NODES)
-        cur = complex(np.dot(w, f(x)))
-        if prev is not None:
-            delta = abs(cur - prev)
-            if delta <= tol * (abs(cur) + 1.0):
-                return TransformResult(cur, delta)
-        prev = cur
-        width /= 2.0
-    return TransformResult(prev, delta)
 
 
 _TINY = 1e-300

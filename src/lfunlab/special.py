@@ -5,9 +5,8 @@ B_20 past a threshold derived from its remainder bound, recursion shifts
 per element with one log for every two steps, reflection, in fixed-size
 blocks so that memory stays bounded and no result depends on the array's
 shape), the Hurwitz and Riemann zeta functions by Euler-Maclaurin with a
-computable remainder bound, the log gamma factor of an L-function, the
-Bessel function J of imaginary order 2it by its ascending series, and the
-one guard on mpmath's working precision.
+computable remainder bound, and the log gamma factor of an L-function.
+Everything runs in double precision.
 
 Gamma factors.  Every gamma factor here is a product of
 Gamma_R(s + kappa) = pi^{-(s+kappa)/2} Gamma((s+kappa)/2) over a tuple of
@@ -23,21 +22,13 @@ factor has the shifts -mu_i.  Products are assembled in log space; callers
 that need ratios subtract logs before exponentiating, so overflow never
 enters.  Equal shifts share one log_gamma evaluation: for mu = (0, 0, 0)
 the six tensor shifts are three copies of (-it, it).
-
-mpmath precision.  mpmath's working precision is process-global.  Every
-evaluation in this package that sets it does so through _mp_precision,
-which holds one lock for the duration, so threaded callers stay correct and
-bitwise deterministic whatever the thread count.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from contextlib import contextmanager
 from fractions import Fraction
 
-import mpmath as mp
 import numpy as np
 
 __all__ = [
@@ -47,7 +38,6 @@ __all__ = [
     "zeta",
     "zeta_with_error",
     "gamma_factor_log",
-    "bessel_imag_order",
 ]
 
 
@@ -274,56 +264,3 @@ def gamma_factor_log(s, shifts) -> np.ndarray:
             seen.append((kappa, lg))
         out = out + lg
     return out
-
-
-# ---------------------------------------------------------------------------
-# mpmath working precision
-
-_MP_LOCK = threading.Lock()
-
-
-@contextmanager
-def _mp_precision(dps: int):
-    """mpmath at dps decimal digits, with the lock that serializes every
-    precision change in the package held throughout."""
-    with _MP_LOCK, mp.workdps(dps):
-        yield
-
-
-# ---------------------------------------------------------------------------
-# Bessel functions of order 2it
-
-
-_SERIES_CAP = 40.0  # largest 2 pi x the alternating series is allowed to digest
-
-
-def bessel_imag_order(t: float, x: float) -> complex:
-    """J_{2it}(2 pi x) by the ascending series, validated for 2 pi x <= 40
-    (RegimeError beyond).
-
-    Cancellation burns ~z/ln10 digits of the series at z = 2 pi x and the
-    1/Gamma(1+2it) prefactor ~pi t/ln10 more, so the working precision
-    scales with both.
-    """
-    if not x > 0:
-        raise RegimeError("argument must be positive")
-    z = 2 * math.pi * x
-    if z > _SERIES_CAP:
-        raise RegimeError(
-            f"ascending series not validated for 2 pi x = {z:.2f} > {_SERIES_CAP}"
-        )
-    dps = 30 + int(0.45 * z) + int(2.8 * abs(t)) + 10
-    with _mp_precision(dps):
-        nu = mp.mpc(0, 2 * t)
-        half = mp.mpf(z) / 2
-        q = -half * half
-        term = half**nu / mp.gamma(nu + 1)
-        total = term
-        kmax = max(80, int(3.5 * z))
-        tiny = mp.mpf(10) ** (-(dps - 5))
-        for k in range(1, kmax + 1):
-            term = term * q / (k * (nu + k))
-            total += term
-            if abs(term) < tiny * (abs(total) + 1):
-                break
-        return complex(total)

@@ -108,8 +108,9 @@ quotient, keeps the model of the dense quadrature it replaced, 2e-16
 times the mass int |G| times (1 + |v| h), h = ln(hi / lo) / 2, and the line
 sits inside it: its sums round at about 1e-16 of the mass, and a node v,
 itself rounded at 1e-16 |v|, moves the phase of F by up to 1e-16 |v| h.
-The dense quadrature stays as the independent check, behind
-mellin_transform.
+The dense Gauss-Legendre quadrature (_mellin_dense) gives the polar main
+term's Mellin factor on its small circle, and the tests check the line
+against it.
 """
 
 from __future__ import annotations
@@ -129,7 +130,6 @@ __all__ = [
     "VoronoiKernelSpec",
     "TruncationRecord",
     "VoronoiSides",
-    "mellin_transform",
     "voronoi_kernel",
     "voronoi_kernel_asymptotic",
     "polar_main_term",
@@ -298,20 +298,6 @@ def _mellin_dense(phi: Callable, support: tuple, s: np.ndarray) -> np.ndarray:
     lnx = np.log(x) - lnc
     wphi = w * np.asarray(phi(x), dtype=complex)
     return (np.exp(np.outer(s - 1.0, lnx)) @ wphi) * np.exp((s - 1.0) * lnc)
-
-
-def mellin_transform(phi: Callable, s, support: tuple | None = None):
-    """int_0^inf phi(x) x^{s-1} dx for compactly supported smooth phi.
-
-    Entire in s; decays faster than any power of |Im s| (but for the
-    exp-ramp bumps only sub-exponentially, roughly exp(-c sqrt(Im s)) --
-    tests pin the measured profile).  Scalar s gives a complex scalar, an
-    array gives an array.  Computed by dense Gauss-Legendre quadrature: the
-    independent check of the contour kernels' FFT line (_mellin_line).
-    """
-    sup = _support_of(phi, support)
-    vals = _mellin_dense(phi, sup, np.atleast_1d(np.asarray(s, dtype=complex)))
-    return complex(vals[0]) if np.isscalar(s) or np.asarray(s).ndim == 0 else vals
 
 
 @dataclass(frozen=True)

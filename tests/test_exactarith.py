@@ -13,15 +13,12 @@ from lfunlab.exactarith import (
     divisors,
     factorize,
     kloosterman,
-    kloosterman_exact_phase,
-    kloosterman_factored,
-    kloosterman_phase_counts,
     kloosterman_sums,
     mobius,
     mod_inverse,
     ramanujan_divisor_mu,
-    triple_divisor,
 )
+from oracles import kloosterman_exact_phase, kloosterman_factored, kloosterman_phase_counts, triple_divisor
 
 
 class TestModInverse:

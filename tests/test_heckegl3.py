@@ -14,20 +14,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfunlab import heckegl3
-from lfunlab.exactarith import divisors, triple_divisor
+from lfunlab.exactarith import divisors
 from lfunlab.heckegl3 import (
     GL3Form,
     MissingSatakeError,
     coefficient,
     coefficient_block,
     coefficient_row,
-    hecke_relation_residual,
     mobius_unfold,
     ramanujan_tau_table,
     symmetric_square_form,
     triple_divisor_form,
 )
 from lfunlab.special import zeta
+from oracles import hecke_relation_residual, triple_divisor
 
 D3 = triple_divisor_form()
 

@@ -33,6 +33,7 @@ from lfunlab.exactarith import divisors
 from lfunlab.heckegl3 import GL3Form, symmetric_square_form, triple_divisor_form
 from lfunlab.quadrature import NonDecayError, panel_grid
 from lfunlab.special import PoleError, RegimeError
+import oracles
 
 # Values frozen from 30-40 digit mpmath evaluations of the defining
 # integrals, computed with independent quadrature (mp.quad against
@@ -133,10 +134,11 @@ def test_narrow_test_functions_are_resolved(width):
     ref, err = integrate.quad(g, 0.0, 12.0 * width, epsabs=0.0, epsrel=1e-13)
     assert abs(kz.continuous_side(1, 1, h, 40.0).real - ref) <= 1e-12 * ref + err
 
-    # the transforms against mpmath's Bessel functions, integrated up to the
-    # kernel route's cutoff, where |h| falls below 1e-11 of its scale (the
-    # tail past it is 2.4e-11 of the value at w = 1e-3); the plus series
-    # stands for both mpmath series routes, which size their panels alike
+    # the transforms against mpmath's Bessel functions, integrated up to
+    # bessel_transform's cutoff, where |h| falls below 1e-11 of its scale
+    # (the tail past it is 2.4e-11 of the value at w = 1e-3); the plus
+    # series stands for both mpmath series oracles, which size their panels
+    # alike
     x, t_max = 0.3, kz._even_cutoff(h, 1e-11, growth=1.2)
     z = 2.0 * math.pi * x
     with mp.workdps(20):
@@ -145,9 +147,14 @@ def test_narrow_test_functions_are_resolved(width):
         k_part = lambda t: (mp.besselk(2j * t, z) * mp.sinh(mp.pi * t)).real
         plus = float(-4.0 * mp.quad(lambda t: j_part(t) * h_mp(t), [0, t_max]))
         minus = float((8.0 / mp.pi) * mp.quad(lambda t: k_part(t) * h_mp(t), [0, t_max]))
-    cases = (("+", "kernel", plus), ("+", "series", plus), ("-", "kernel", minus), ("-", "direct", minus))
-    for sign, route, ref in cases:
-        assert abs(kz.bessel_transform(h, sign, x, route=route) - ref) <= 1e-11 * abs(ref)
+    cases = (
+        (kz.bessel_transform(h, "+", x), plus),
+        (oracles.series_plus(h, x), plus),
+        (kz.bessel_transform(h, "-", x), minus),
+        (oracles.minus_direct(h, x), minus),
+    )
+    for value, ref in cases:
+        assert abs(value - ref) <= 1e-11 * abs(ref)
 
 
 def test_continuous_weight_oracle_values():
@@ -186,7 +193,7 @@ def test_plus_transform_kernel_vs_series_vs_oracle():
     h = kz.gaussian_test_function(1.0)
     for x in (0.025, 0.05, 0.1, 0.5, 2.0):
         ke = kz.bessel_transform(h, "+", x)
-        se = kz.bessel_transform(h, "+", x, route="series")
+        se = oracles.series_plus(h, x)
         assert abs(se - ke) < 1e-13
         assert abs(ke.imag) < 1e-15
         if x in HPLUS_ORACLE:
@@ -196,15 +203,15 @@ def test_plus_transform_kernel_vs_series_vs_oracle():
 def test_plus_transform_series_accurate_at_large_argument():
     # near the mpmath J-series cap (2 pi x = 21.4 < 40) the series stays on the oracle
     h = kz.gaussian_test_function(1.0)
-    se = kz.bessel_transform(h, "+", 3.4, route="series")
+    se = oracles.series_plus(h, 3.4)
     assert se.real == pytest.approx(HPLUS_ORACLE[3.4], rel=1e-8)
 
 
 def test_plus_transform_kernel_route_dual_agreement():
     h = kz.gaussian_test_function(1.0)
     for x in (0.5, 2.0, 5.0):
-        ke = kz.bessel_transform(h, "+", x, route="kernel")
-        se = kz.bessel_transform(h, "+", x, route="series")
+        ke = kz.bessel_transform(h, "+", x)
+        se = oracles.series_plus(h, x)
         assert abs(ke - se) < 3e-9  # requirement is 1e-6; routes deliver ~1e-10
         assert abs(ke - se) < 1e-6
 
@@ -214,14 +221,14 @@ def test_minus_transform_routes_and_oracle():
     # geometric_side(2, 3, ...)'s c = 1, where Hminus is only ~3e-13
     h = kz.gaussian_test_function(1.0)
     for x in (*HMINUS_ORACLE, 2.0 * math.sqrt(6.0)):
-        se = kz.bessel_transform(h, "-", x, route="series")
+        se = oracles.minus_series(h, x)
         ke = kz.bessel_transform(h, "-", x)
         assert abs(ke - se) < min(1e-13, 1e-9 * abs(se))
         if x in HMINUS_ORACLE:
             assert se.real == pytest.approx(HMINUS_ORACLE[x], rel=1e-9)
             assert abs(se.imag) < 1e-12
         if x < 1.0:
-            assert abs(kz.bessel_transform(h, "-", x, route="direct") - se) < 1e-11
+            assert abs(oracles.minus_direct(h, x) - se) < 1e-11
 
 
 def test_bessel_transform_validation():
@@ -232,24 +239,16 @@ def test_bessel_transform_validation():
         kz.bessel_transform(h, "+", 0.0)
     with pytest.raises(ValueError, match="x must be finite"):
         kz.bessel_transform(h, "+", math.inf)
-    with pytest.raises(ValueError, match="minus transform only"):
-        kz.bessel_transform(h, "+", 1.0, route="direct")
-    for route in ("nope", "auto", "shifted"):
-        with pytest.raises(ValueError, match="unknown route"):
-            kz.bessel_transform(h, "+", 1.0, route=route)
     with pytest.raises(TypeError):
         kz.bessel_transform(lambda t: t, "+", 1.0)
-    # h(t) = e^{-(t/40)^2} needs t up to ~240, past where cosh(pi t) is finite
+    # the series oracle: h(t) = e^{-(t/40)^2} needs t up to ~240, past where
+    # cosh(pi t) is finite
     with pytest.raises(RegimeError, match="J-series oracle"):
-        kz.bessel_transform(kz.gaussian_test_function(40.0), "+", 0.05, route="series")
+        oracles.series_plus(kz.gaussian_test_function(40.0), 0.05)
 
 
-def test_kernel_route_reaches_no_mpmath(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("mpmath Bessel evaluation reached")
-
-    monkeypatch.setattr(kz, "bessel_imag_order", refuse)
-    monkeypatch.setattr(kz, "_k_times_sinh", refuse)
+def test_trace_identity_residual_pinned_and_transforms_finite():
+    # that no evaluation imports mpmath is test_packaging's subprocess test
     h = kz.gaussian_test_function(2.0)
     rep = kz.kuznetsov_residual(1, 1, h, [], 800, 40.0)
     # the residual is the dropped c > 800 tail, whose sign is not fixed (it
@@ -686,7 +685,7 @@ def test_diagonal_weight_plus_matches_transform_oracle():
     spec = WeightSpec()
     v = kz.diagonal_weight(1.0, 2, 1, 1, d3, "direct_plus", x=0.5, weight_spec=spec)
     heff = _effective_test_function(d3, spec, 2, 1)
-    ref = kz.bessel_transform(heff, "+", 0.5, route="series", rel_tol=1e-9)
+    ref = oracles.series_plus(heff, 0.5, 1e-9)
     assert abs(v - ref) < 1e-9 * abs(ref)  # |ref| = 3.3e-7; measured 1.4e-13 of it
 
 
@@ -695,7 +694,7 @@ def test_diagonal_weight_minus_matches_transform_oracle():
     spec = WeightSpec()
     v = kz.diagonal_weight(1.0, 2, 1, 1, d3, "direct_minus", x=0.5, weight_spec=spec)
     heff = _effective_test_function(d3, spec, 2, 1)
-    ref = kz.bessel_transform(heff, "-", 0.5, route="series", rel_tol=1e-9)
+    ref = oracles.minus_series(heff, 0.5, 1e-9)
     assert abs(v - ref) < 1e-9 * abs(ref)  # |ref| = 4.7e-6; measured 2.3e-14 of it
 
 

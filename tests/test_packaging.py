@@ -1,11 +1,16 @@
 """Packaging metadata: every declared console script and every name a
 module exports through __all__ must resolve, no exported function takes a
-private parameter, the modules keep their layers, only `special`
-changes mpmath's process-global precision, and every cache is bounded."""
+private parameter, the modules keep their layers, the runtime dependencies
+are exactly the third-party imports, the pipelines import neither mpmath
+nor numpy.ma, and every cache is bounded."""
 
 import ast
 import importlib
 import inspect
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,7 +60,8 @@ LAYERS = {
     "exactarith": set(),
     "heckegl3": {"exactarith"},
     "afe": {"exactarith", "heckegl3", "quadrature", "special"},
-    "voronoi": {"exactarith", "heckegl3", "quadrature", "special", "util"},
+    "kuznetsov": {"afe", "chebyshev", "exactarith", "heckegl3", "quadrature", "special"},
+    "voronoi": {"exactarith", "heckegl3", "quadrature", "special"},
 }
 
 
@@ -79,36 +85,54 @@ def test_module_layers():
         assert imported <= allowed, f"lfunlab.{name} imports {sorted(imported - allowed)}"
 
 
-def _sets_mp_precision(tree: ast.AST) -> list:
-    """Lines that call workdps/workprec or assign mp.dps / mp.prec."""
-    lines = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-            if name in ("workdps", "workprec"):
-                lines.append(node.lineno)
-        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and target.attr in ("dps", "prec")
-                    and ast.unparse(target.value) in ("mp", "mpmath", "mp.mp", "mpmath.mp")
-                ):
-                    lines.append(node.lineno)
-    return lines
+def _third_party_imports(path: Path) -> set:
+    """Top-level names of the absolute imports in a module that are neither
+    the standard library nor lfunlab."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"lfunlab"}
 
 
-def test_only_special_sets_mp_precision():
-    # mpmath's working precision is process-global: every change goes
-    # through special's guarded context, whose lock keeps threaded callers
-    # deterministic
+def test_runtime_dependencies_match_imports():
+    # a dependency that no module imports is installed for nothing, and an
+    # import that no dependency declares fails on a clean install
+    tomllib = pytest.importorskip("tomllib")
+    with PYPROJECT.open("rb") as fh:
+        declared = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower().replace("-", "_") for d in declared}
     root = Path(importlib.import_module("lfunlab").__file__).resolve().parent
-    for path in sorted(root.glob("*.py")):
-        if path.stem != "special":
-            lines = _sets_mp_precision(ast.parse(path.read_text()))
-            assert not lines, f"lfunlab.{path.stem} sets mpmath precision at lines {lines}"
+    imported = set().union(*(_third_party_imports(path) for path in root.glob("*.py")))
+    assert imported == declared
+
+
+_PIPELINES = """
+import importlib, pkgutil, sys
+import lfunlab
+for info in pkgutil.iter_modules(lfunlab.__path__):
+    importlib.import_module("lfunlab." + info.name)
+from lfunlab import heckegl3, kuznetsov, quadrature, voronoi
+d3 = heckegl3.triple_divisor_form()
+kuznetsov.kuznetsov_residual(1, 1, kuznetsov.gaussian_test_function(2.0), [], 40, 10.0)
+kuznetsov.diagonal_weight(1.0, 1, 1, 1, d3, "direct")
+voronoi.voronoi_residual_profile(d3, 1, 1, 3, quadrature.smooth_bump(50, 100), [2**8])
+print(sorted(m for m in ("mpmath", "numpy.ma") if m in sys.modules))
+"""
+
+
+def test_pipelines_import_neither_mpmath_nor_numpy_ma():
+    # every lfunlab module, then one small evaluation of each pipeline the
+    # benchmark runs, in a fresh interpreter: mpmath (51 modules) and
+    # numpy.ma are import time and memory that no evaluation needs, and a
+    # reference route that a pipeline reached would load mpmath here
+    src = str(Path(importlib.import_module("lfunlab").__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    run = subprocess.run([sys.executable, "-c", _PIPELINES], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 def _constructs(tree: ast.AST, name: str) -> list:

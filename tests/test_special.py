@@ -12,12 +12,12 @@ from lfunlab import special
 from lfunlab.special import (
     PoleError,
     RegimeError,
-    bessel_imag_order,
     gamma_factor_log,
     log_gamma,
     zeta,
     zeta_with_error,
 )
+from oracles import bessel_imag_order
 
 FLAT = SimpleNamespace(mu=(0, 0, 0), mu_dual=(0, 0, 0), label="flat-stub")
 
@@ -310,6 +310,10 @@ def test_gamma_factor_log_once_per_distinct_shift(mu, extra, monkeypatch):
     assert len(calls) == 2 * len(set(mu)) + len(set(extra))
 
 
+# ---------------------------------------------------------------------------
+# the ascending-series oracle for J_{2it} and its mpmath precision guard
+
+
 class TestBessel:
     def test_j_at_zero_order_small_argument(self):
         assert bessel_imag_order(0.0, 1e-8).real == pytest.approx(1.0, abs=1e-10)
@@ -337,8 +341,8 @@ class TestBessel:
 
 def test_mp_precision_guard_under_threads():
     # mpmath's working precision is process-global: threads that each set
-    # their own through special's guard must get the serial results bit for
-    # bit, and leave the default precision behind
+    # their own through the oracles' guard must get the serial results bit
+    # for bit, and leave the default precision behind
     args = [(0.5 * k, 0.3 + 0.1 * k) for k in range(16)]
     serial = [bessel_imag_order(t, x) for t, x in args]
     interval = sys.getswitchinterval()

@@ -27,7 +27,7 @@ from lfunlab import quadrature, special
 from lfunlab import voronoi as vo
 from lfunlab.exactarith import NotCoprimeError
 from lfunlab.heckegl3 import GL3Form, symmetric_square_form, triple_divisor_form
-from lfunlab.quadrature import gauss_legendre_panels, oscillatory_integral, smooth_bump
+from lfunlab.quadrature import gauss_legendre_panels, smooth_bump
 from lfunlab.special import PoleError, RegimeError, log_gamma
 from lfunlab.voronoi import (
     _CONTOUR_CAP,
@@ -42,12 +42,12 @@ from lfunlab.voronoi import (
     _neutral_abscissa,
     _phi_contour_kernels,
     _tail_asymptotic,
-    mellin_transform,
     polar_main_term,
     voronoi_kernel,
     voronoi_kernel_asymptotic,
     voronoi_residual_profile,
 )
+from oracles import mellin_transform, oscillatory_integral
 
 D3 = triple_divisor_form()
 BUMP = smooth_bump(50.0, 100.0)
