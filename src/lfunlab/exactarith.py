@@ -42,6 +42,13 @@ class NotCoprimeError(ValueError):
     """Inverse requested for a residue that shares a factor with the modulus."""
 
 
+def _check_positive_integers(**values) -> None:
+    """ValueError naming the first keyword argument that is not a positive integer."""
+    for name, value in values.items():
+        if not (isinstance(value, (int, np.integer)) and value >= 1):
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def mod_inverse(d: int, c: int) -> int:
     """Inverse of d modulo c, reduced to [0, c).
 

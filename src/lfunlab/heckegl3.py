@@ -306,18 +306,16 @@ def ramanujan_tau_table(N: int) -> np.ndarray:
     return tau
 
 
-def symmetric_square_form(prime_cap: int = 24000, mu: tuple | None = None) -> GL3Form:
+def symmetric_square_form(prime_cap: int = 24000) -> GL3Form:
     """Symmetric-square lift of the weight-12 discriminant cusp form.
 
     Seeds: a_p = tau(p) / p^{11/2} (so |a_p| < 2 and a_p = 2 cos theta_p),
     giving the lift the Satake triple (e^{2 i theta_p}, 1, e^{-2 i theta_p})
-    and A(1, p) = a_p^2 - 1.  The archimedean parameters default to
+    and A(1, p) = a_p^2 - 1.  The archimedean parameters are
     (-1, -11, -12): the lift's standard L-function has completed factor
     Gamma_R(s+1) Gamma_R(s+11) Gamma_R(s+12) and is self-dual with these
     same dual parameters.  They sit far outside the spherical strip but left
-    of the tensor AFE weight's contour, so the weight is defined; pass mu to
-    override (parameters with a pole on or right of that contour raise
-    PoleError there).
+    of the tensor AFE weight's contour, so the weight is defined.
     """
     if prime_cap < 2:
         raise ValueError("prime_cap must be at least 2")
@@ -328,7 +326,7 @@ def symmetric_square_form(prime_cap: int = 24000, mu: tuple | None = None) -> GL
         theta = math.acos(min(1.0, max(-1.0, a_p / 2.0)))
         rot = complex(math.cos(2 * theta), math.sin(2 * theta))
         satake[p] = (rot, 1 + 0j, rot.conjugate())
-    params = tuple(mu) if mu is not None else (-1.0 + 0j, -11.0 + 0j, -12.0 + 0j)
+    params = (-1.0 + 0j, -11.0 + 0j, -12.0 + 0j)
     return GL3Form(
         label=f"sym2-discriminant(cap={prime_cap})",
         mu=params,

@@ -65,7 +65,7 @@ import numpy as np
 
 from .afe import _U_MU, FixtureCoverageError, MaassFixture, WeightSpec, _weight_rows
 from .chebyshev import _Interpolant, _interpolate_log1p
-from .exactarith import kloosterman_sums
+from .exactarith import _check_positive_integers, kloosterman_sums
 from .heckegl3 import GL3Form
 from .quadrature import NonDecayError, _row_blocks, panel_grid
 from .special import log_gamma, zeta_with_error
@@ -85,11 +85,12 @@ __all__ = [
     "DIAGONAL_VARIANTS",
 ]
 
-_LN2 = math.log(2.0)
 _GL_NODES = 12
 _EPS = sys.float_info.epsilon
 _AMP_CUT = -math.log(_EPS)  # kernels below e^{-_AMP_CUT} of their peak are dropped from the contour
 _H_CUT = 1e-11  # h is dropped from the transforms where it falls below this share of its scale
+_DELTA_REL_TOL = 1e-13  # delta_weight cuts h where |h| (1 + t)^1.2 falls below this share of its scale
+_CONTINUOUS_REL_TOL = 1e-12  # continuous_side cuts h where |h| (1 + t)^1.5 falls below this share
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +105,9 @@ class SpectralTestFunction:
     needs complex input.  The two analytic hypotheses of the formula are
     *declared*: `decay_exponent` is a theta > 2 with
     h(t) = O((1+|t|)^{-theta}), and `holomorphy_width` is a sigma > 1/2 such
-    that h is holomorphic on |Im t| <= sigma; no evaluation reads either, the
-    cutoffs and the contour come from samples of h.  Evenness and the decay
+    that h is holomorphic on |Im t| <= sigma; the geometric tail bound rests
+    on sigma > 1/2 (_geometric_terms), and no evaluation reads either value:
+    the cutoffs and the contour come from samples of h.  Evenness and the decay
     envelope are spot-checked on samples at construction; the declarations
     themselves are trusted (they cannot be verified from finitely many
     samples).
@@ -192,13 +194,13 @@ def _even_cutoff(h, tol: float, growth: float = 1.6, t_floor: float = 6.0) -> fl
 # diagonal and continuous weights
 
 
-def delta_weight(h, *, rel_tol: float = 1e-13) -> float:
+def delta_weight(h) -> float:
     """Weight of the diagonal term: (1/pi) int_R h(t) tanh(pi t) t dt.
 
     The integrand is even, so this is (2/pi) int_0^inf.  The truncation point
     comes from a decay scan of h (NonDecayError when h fails to decay)."""
     _check_testfn(h)
-    tmax = _even_cutoff(h, rel_tol, growth=1.2)
+    tmax = _even_cutoff(h, _DELTA_REL_TOL, growth=1.2)
     ts, ws = panel_grid(0.0, tmax, min(0.25, tmax / 8.0), _GL_NODES)
     vals = np.asarray(h(ts), dtype=complex)
     total = (2.0 / math.pi) * np.sum(ws * vals * np.tanh(math.pi * ts) * ts)
@@ -384,47 +386,56 @@ def bessel_transform(h, sign, x: float) -> complex:
 # geometric side
 
 
-def _divisor_counts(limit: int) -> np.ndarray:
-    """d(m) for 0 <= m <= limit, d(0) = 0.  The divisors of m pair up as
-    (i, m/i), and the sieve visits each pair at its smaller member, so i only
-    runs to sqrt(limit): 2 for each multiple m = i k, k > i, and 1 at i^2."""
-    d = np.zeros(limit + 1, dtype=np.int64)
-    for i in range(1, math.isqrt(limit) + 1):
-        d[i * i] += 1
-        d[i * (i + 1) :: i] += 2
-    return d
+_DIVISOR_SUM_ERROR = 0.961  # |D(x) - x log x - (2 gamma - 1) x| <= 0.961 sqrt(x) for x >= 1 (_geometric_terms)
+
+
+def _divisor_summatory(x: int) -> int:
+    """D(x) = sum_{c <= x} d(c) by the hyperbola method: 2 sum_{k <= sqrt x} floor(x / k) - floor(sqrt x)^2."""
+    r = math.isqrt(x)
+    return 2 * sum(x // k for k in range(1, r + 1)) - r * r
+
+
+def _tail_bracket(c_max: int) -> float:
+    """3 (log C + 1 + 2 gamma) / sqrt(C) + 1.5 * 0.961 / C - D(C) / C^{3/2} >= sum_{c > C} d(c) c^{-3/2},
+    C = c_max: partial summation, -D(C) C^{-3/2} + (3/2) int_C^inf D(x) x^{-5/2} dx, with the bound on D(x)."""
+    c = float(c_max)
+    main = 3.0 * (math.log(c) + 1.0 + 2.0 * np.euler_gamma) / math.sqrt(c)
+    return main + 1.5 * _DIVISOR_SUM_ERROR / c - _divisor_summatory(c_max) / c**1.5
 
 
 def _geometric_terms(n: int, l: int, h: SpectralTestFunction, c_max: int):
     """(delta_term, kloosterman_term, tail_estimate) of the geometric side,
-    the c-sum truncated at c_max.
+    the c-sum truncated at C = c_max.
 
-    The transforms at x = 2 sqrt(nl)/c, c <= c_max, and at x0/2 for the tail
-    fit (x0 = 2 sqrt(nl)/c_max) are read from one interpolant of (Hplus,
-    Hminus) in 1 + t = z / z_min (chebyshev._interpolate_log1p, to 1e-11),
-    whose nodes, z_min and z_max among them, are evaluated on one contour
-    built for [z_min, z_max].  All S(+-n, l; c) come from one batched call
-    (exactarith.kloosterman_sums); no thread is started.
-    The tail estimate combines the Weil bound |S(n,l;c)| <= d(c) sqrt((n,l,c)) sqrt(c)
-    with an empirical small-argument envelope of the transforms anchored at
-    x0 (power-law fit against x0/2, clamped to [1, 4],
-    safety factor 3 — the tanh pole at t = -i/2 gives both transforms the
-    leading term 2 pi x h(-i/2) as x -> 0, so the true decay is at least
-    linear), explicit terms out to 64 c_max, and an integral remainder with
-    d(c) <= 6 c^{1/3} beyond, plus the interpolation error carried into the
-    c-sum: sum_c (|S(n,l;c)| + |S(-n,l;c)|) / 2c times its reported error."""
-    for name, value in (("n", n), ("l", l), ("c_max", c_max)):
-        if not (isinstance(value, (int, np.integer)) and value >= 1):
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    The transforms at z = 2 pi x, x = 2 sqrt(nl)/c, c <= C, are read from one
+    interpolant of (Hplus, Hminus) in 1 + t = z / z_min
+    (chebyshev._interpolate_log1p, to 1e-11) whose nodes are evaluated on one
+    contour for [z_min, z_max] = [z(max(C, 2)), z(1)].  All S(+-n, l; c)
+    come from one batched call (exactarith.kloosterman_sums).
+
+    The tail estimate bounds sum_{c > C} (|S(n,l;c) Hplus| + |S(-n,l;c)
+    Hminus|) / 2c by 1.5 b0 C sqrt(g) _tail_bracket(C), g = gcd(n, l), from
+      - Weil's bound |S(+-n, l; c)| <= d(c) sqrt(g) sqrt(c) (Weil, Proc. Nat.
+        Acad. Sci. USA 34 (1948), for prime c; Estermann, Mathematika 8
+        (1961), for every c);
+      - |Hplus(x)| + |Hminus(x)| <= 3 b0 x / x0 for x <= x0 = 2 sqrt(nl)/C,
+        b0 that sum at x0.  The exponent 1 is derived: the tanh pole at
+        t = -i/2 gives both transforms the leading term 2 pi x h(-i/2) as
+        x -> 0, for h holomorphic on |Im t| <= holomorphy_width > 1/2.  The
+        3 is a safety factor;
+      - partial summation against |D(x) - x log x - (2 gamma - 1) x| <=
+        0.961 sqrt(x) for x >= 1 (Berkane, Bordelles and Ramare, Math.
+        Comp. 81 (2012), 1025-1051).
+    The interpolation error carried into the c-sum, sum_c (|S(n,l;c)| +
+    |S(-n,l;c)|) / 2c times its reported error, is added."""
+    _check_positive_integers(n=n, l=l, c_max=c_max)
     h = _check_testfn(h)
 
     # first, so that the contour is not held through the sums' larger working arrays
     s_plus, s_minus = kloosterman_sums(n, l, c_max)
     root = 2.0 * math.sqrt(float(n) * float(l))
-    xs = root / np.arange(1, c_max + 1, dtype=float)
-    x0 = float(xs[-1])
-    zs = 2.0 * math.pi * np.append(xs, 0.5 * x0)
-    z_min, z_max = float(zs[-1]), float(zs[0])
+    zs = 2.0 * math.pi * (root / np.arange(1, c_max + 1, dtype=float))
+    z_min, z_max = 2.0 * math.pi * (root / max(c_max, 2)), float(zs[0])
     sides = _kernel_contour(h, z_min, z_max)
     # floors eps sum (1 + z |nu|) |w| over the nodes nu: the phase z nu rounds at eps |z nu|, |e^{i z nu}| <= 1
     mass = [np.abs(w).sum(axis=1) for _, w in sides]
@@ -439,30 +450,12 @@ def _geometric_terms(n: int, l: int, h: SpectralTestFunction, c_max: int):
     hp, hm = transforms(ts).T
 
     two_c = 2.0 * np.arange(1, c_max + 1)
-    terms = (s_plus * hp[:c_max] + s_minus * hm[:c_max]) / two_c
+    terms = (s_plus * hp + s_minus * hm) / two_c
     kloost = complex(math.fsum(terms.real), math.fsum(terms.imag))
     delta = 0.5 * delta_weight(h) if n == l else 0.0
-    carried = float(np.sum((np.abs(s_plus) + np.abs(s_minus)) / two_c * transforms.error(ts[:c_max])))
-
-    b0 = abs(hp[c_max - 1]) + abs(hm[c_max - 1])
-    b1 = abs(hp[c_max]) + abs(hm[c_max])
-    if b0 <= 0.0:
-        tail = 0.0
-    else:
-        p = math.log(b0 / max(b1, 1e-300)) / _LN2 if b1 > 0 else 4.0
-        p = min(max(p, 1.0), 4.0)
-        horizon = 64 * c_max
-        # d(c) sqrt(gcd(n, l, c)) sqrt(c) / 2c times the envelope, built in
-        # one array so that no more than three horizon-long arrays are live
-        cs = np.arange(c_max + 1, horizon + 1)
-        terms = np.sqrt(np.gcd(cs, math.gcd(n, l)).astype(float))
-        terms *= _divisor_counts(horizon)[c_max + 1 :]
-        terms *= np.sqrt(cs)
-        terms /= 2.0 * cs
-        terms *= 3.0 * b0 * (root / cs / x0) ** p
-        tail = float(np.sum(terms))
-        rem_pref = 9.0 * math.sqrt(float(math.gcd(n, l))) * b0 * (root / x0) ** p
-        tail += rem_pref * float(horizon) ** (5.0 / 6.0 - p) / (p - 5.0 / 6.0)
+    carried = float(np.sum((np.abs(s_plus) + np.abs(s_minus)) / two_c * transforms.error(ts)))
+    b0 = abs(hp[-1]) + abs(hm[-1])
+    tail = 1.5 * b0 * c_max * math.sqrt(math.gcd(n, l)) * _tail_bracket(c_max)
     return delta, kloost, tail + carried
 
 
@@ -495,18 +488,17 @@ def _eta_profile(n: int, rs: np.ndarray) -> np.ndarray:
     return out
 
 
-def continuous_side(n: int, l: int, h, r_max: float, *, rel_tol: float = 1e-12) -> complex:
+def continuous_side(n: int, l: int, h, r_max: float) -> complex:
     """Continuous-series term (1/4 pi) int_{|r| <= r_max} h w(r)
     conj(eta(n, 1/2+ir)) eta(l, 1/2+ir) dr.
 
     All factors are even in r and eta is real, so the value is real for
     real-valued h; it is returned as complex for uniformity."""
-    if n < 1 or l < 1:
-        raise ValueError("indices n, l must be positive integers")
+    _check_positive_integers(n=n, l=l)
     if not r_max > 0:
         raise ValueError("r_max must be positive")
     h = _check_testfn(h)
-    rc = min(float(r_max), _even_cutoff(h, rel_tol, growth=1.5, t_floor=4.0))
+    rc = min(float(r_max), _even_cutoff(h, _CONTINUOUS_REL_TOL, growth=1.5, t_floor=4.0))
     rs, ws = panel_grid(0.0, rc, min(0.2, rc / 8.0), _GL_NODES)
     hv = np.asarray(h(rs), dtype=complex)
     om = continuous_weight(rs)
@@ -521,8 +513,11 @@ def continuous_side(n: int, l: int, h, r_max: float, *, rel_tol: float = 1e-12) 
 @dataclass(frozen=True)
 class KuznetsovTruncation:
     """Truncation bookkeeping: the Kloosterman cutoff, the continuous-series
-    cutoff, how many discrete fixtures entered, and the estimated size of the
-    dropped c > c_max geometric tail."""
+    cutoff, how many discrete fixtures entered, and a bound on the dropped
+    c > c_max geometric tail plus the interpolation error carried into the
+    kept terms.  The tail part is closed-form: Weil's bound on the
+    Kloosterman sums, the transforms' linear small-argument envelope and a
+    divisor-sum bound by partial summation (_geometric_terms)."""
 
     c_max: int
     r_max: float
@@ -625,7 +620,7 @@ DIAGONAL_VARIANTS = ("direct", "dual", "direct_plus", "direct_minus", "dual_plus
 
 _DIAG_TOP = 8.0  # the t-range [0, 8T]: e^{-t^2/T^2} < e^{-64} past it
 
-_DEFAULT_WEIGHT_SPEC = WeightSpec()
+_WEIGHT_SPEC = WeightSpec()  # the AFE weights' parameters
 
 
 def uv_cache_stats() -> dict:
@@ -669,7 +664,6 @@ def diagonal_weight(
     variant: str,
     x: float | None = None,
     *,
-    weight_spec: WeightSpec | None = None,
     resolution_factor: float = 1.0,
 ) -> complex:
     """Smoothed diagonal weights pairing the Gaussian e^{-t^2/T^2} with the
@@ -685,13 +679,13 @@ def diagonal_weight(
     Each weight is a piecewise Chebyshev interpolant in log(1 + t) on
     [0, 8T] (_cached_weight: a few dozen contour rows per piece, all from
     one contour grid, with a reported error), and every t-grid is evaluated
-    from it.  The interpolant is cached module-wide (_cached_weight's
-    32-entry functools.lru_cache) keyed on the weight parameters, y, 8T and
-    the gamma data the weight reads: the mu it carries and the mu that
-    normalizes it ((0,) by (0,) for U, form.mu or form.mu_dual by form.mu
-    for V), as tuples.  So any resolution_factor and every panel halving of
-    the Bessel variants reuse it, and a self-dual form's "dual" reuses
-    "direct"'s (see uv_cache_stats).  Threads may share the cache: it stays
+    from it, for the default WeightSpec().  The interpolant is cached
+    module-wide (_cached_weight's 32-entry functools.lru_cache) keyed on the
+    weight parameters, y, 8T and the gamma data the weight reads: the mu it
+    carries and the mu that normalizes it ((0,) by (0,) for U, form.mu or
+    form.mu_dual by form.mu for V), as tuples.  So any resolution_factor
+    and every panel halving of the Bessel variants reuse it, and a self-dual
+    form's "dual" reuses "direct"'s (see uv_cache_stats).  Threads may share the cache: it stays
     coherent, and two that miss the same key at once both build it.  x is
     required exactly for the Bessel variants, which are evaluated as
     bessel_transform evaluates them, with the weighted Gaussian as h,
@@ -701,16 +695,16 @@ def diagonal_weight(
     the test-suite verifies it."""
     if variant not in DIAGONAL_VARIANTS:
         raise ValueError(f"variant must be one of {DIAGONAL_VARIANTS}, got {variant!r}")
-    if not T > 0:
-        raise ValueError("width T must be positive")
-    if min(l, n, m) < 1:
-        raise ValueError("indices l, n, m must be positive integers")
-    if not resolution_factor > 0:
-        raise ValueError(f"resolution_factor must be positive, got {resolution_factor}")
-    spec = weight_spec if weight_spec is not None else _DEFAULT_WEIGHT_SPEC
+    if not 0 < T < math.inf:
+        raise ValueError(f"width T must be positive and finite, got {T}")
+    _check_positive_integers(l=l, n=n, m=m)
+    if not 0 < resolution_factor < math.inf:
+        raise ValueError(f"resolution_factor must be positive and finite, got {resolution_factor}")
     bessel = variant.endswith("plus") or variant.endswith("minus")
     if bessel and (x is None or not x > 0):
         raise ValueError("Bessel variants require a positive argument x")
+    if bessel and not math.isfinite(x):
+        raise ValueError(f"argument x must be finite, got {x}")
     if not bessel and x is not None:
         raise ValueError("plain variants take no argument x")
     rs_variant = "direct" if variant.startswith("direct") else "dual"
@@ -721,13 +715,13 @@ def diagonal_weight(
     if not bessel:
         width = min(max(T / 6.0, 1e-4), 1.5) / resolution_factor
         ts, ws = panel_grid(0.0, tmax, width, _GL_NODES)
-        fv = _diag_samples(ts, T, y_gl2, y_rs, form, rs_variant, spec)
+        fv = _diag_samples(ts, T, y_gl2, y_rs, form, rs_variant, _WEIGHT_SPEC)
         return complex((2.0 / math.pi) * np.sum(ws * fv * np.tanh(math.pi * ts) * ts))
 
     z = 2.0 * math.pi * float(x)
 
     def samples(ts: np.ndarray) -> np.ndarray:
-        return _diag_samples(ts, T, y_gl2, y_rs, form, rs_variant, spec)
+        return _diag_samples(ts, T, y_gl2, y_rs, form, rs_variant, _WEIGHT_SPEC)
 
     prof = _resolved_profile(samples, tmax, min(max(T / 6.0, 1e-4), 0.5) / resolution_factor, z)
     plus, minus = _contour(prof, z, z)

@@ -121,7 +121,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exactarith import kloosterman, mod_inverse
+from .exactarith import _check_positive_integers, kloosterman, mod_inverse
 from .heckegl3 import GL3Form, coefficient_block, coefficient_row, mobius_unfold
 from .quadrature import ContourKernel, contour_kernel, panel_grid
 from .special import PoleError, RegimeError, gamma_factor_log, zeta_with_error
@@ -183,13 +183,10 @@ _LINE_BLOCK = 4096
 _BUMP_PANELS = 48
 
 
-def _support_of(phi, support):
+def _support_of(phi):
+    support = getattr(phi, "support", None)
     if support is None:
-        support = getattr(phi, "support", None)
-    if support is None:
-        raise ValueError(
-            "test function carries no .support attribute; pass support=(lo, hi)"
-        )
+        raise ValueError("test function carries no .support attribute")
     lo, hi = float(support[0]), float(support[1])
     if not 0.0 < lo < hi:
         raise ValueError(f"support must satisfy 0 < lo < hi, got ({lo}, {hi})")
@@ -320,7 +317,7 @@ class VoronoiKernelSpec:
                 f"form {self.form.label!r} carries no spherical parameters; the "
                 "Voronoi kernel is implemented for spherical forms only"
             )
-        _support_of(self.test_function, None)
+        _support_of(self.test_function)
 
     def spherical(self) -> tuple:
         return tuple(complex(m) for m in self.form.mu)
@@ -330,7 +327,7 @@ class VoronoiKernelSpec:
 
     @property
     def support(self) -> tuple:
-        return _support_of(self.test_function, None)
+        return _support_of(self.test_function)
 
 
 @dataclass(frozen=True)
@@ -453,8 +450,8 @@ def voronoi_kernel(spec: VoronoiKernelSpec, k: int, x):
     one contour grid sized for the largest |ln(pi^3 x)|.
     """
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if not np.all(xs > 0):
-        raise ValueError("transform arguments must be positive")
+    if not np.all((xs > 0) & (xs < math.inf)):
+        raise ValueError("argument x must be positive and finite")
     abscissae = {k: _neutral_abscissa(spec, k)}
     kern = _phi_contour_kernels(spec, abscissae, float(np.max(np.abs(np.log(math.pi**3 * xs)))))
     (vals,), (errs,) = _kernel_values(kern, abscissae, xs)
@@ -473,8 +470,8 @@ def voronoi_kernel_asymptotic(spec: VoronoiKernelSpec, x: float, order: int = 1)
     spherical form; orders 2..4 are derived for the degenerate form and
     raise ValueError for others.
     """
-    if not x > 0:
-        raise ValueError("transform argument must be positive")
+    if not 0 < x < math.inf:
+        raise ValueError("argument x must be positive and finite")
     lo, _ = spec.support
     if x * lo <= 1.0:
         raise RegimeError(
@@ -508,7 +505,6 @@ def polar_main_term(
     a: int,
     c: int,
     phi: Callable,
-    support: tuple | None = None,
 ) -> complex:
     """Residue at s = 1 of phitilde(s) times the twisted coefficient series.
 
@@ -534,7 +530,7 @@ def polar_main_term(
         raise ValueError(
             "polar main term is implemented for twist row n = 1 only"
         )
-    lo, hi = _support_of(phi, support)
+    lo, hi = _support_of(phi)
     abar = mod_inverse(a, c)
 
     rho, nodes = 0.5, 64
@@ -673,8 +669,7 @@ def voronoi_residual_profile(
     `threads` is accepted and unused: the profile runs in the caller's
     thread, and only BLAS threads ContourKernel.apply's products on its own.
     """
-    if n < 1 or c < 1:
-        raise ValueError("need n >= 1 and c >= 1")
+    _check_positive_integers(n=n, c=c)
     cutoffs = [int(m) for m in m2_cutoffs]
     if not cutoffs or min(cutoffs) < 4:
         raise ValueError("m2 cutoffs must all be at least 4")
@@ -689,7 +684,7 @@ def voronoi_residual_profile(
     phases = np.exp(2j * math.pi * abar * ms / c)
     lhs = complex(np.sum(row[ms] * phases * np.asarray(phi(ms.astype(float)), dtype=complex)))
 
-    polar = polar_main_term(form, n, a, c, phi, (lo, hi)) if form.polar else 0j
+    polar = polar_main_term(form, n, a, c, phi) if form.polar else 0j
 
     # right side: exact contour kernels (modulus-neutral abscissae) cover
     # the arguments up to the ladder regime; beyond that the derived rung
@@ -703,16 +698,17 @@ def voronoi_residual_profile(
     x_exact = _TAIL_XLO / lo if degenerate else math.inf
     xs, where = np.unique(np.concatenate([m2s * m1 * m1 / (c**3 * n) for m1 in m1s]), return_inverse=True)
     n_exact = int(np.searchsorted(xs, x_exact, side="right"))
-    # both orders' values and allowances, one row per order
-    phi = np.empty((2, xs.size), dtype=complex)
+    # both orders' transform values and allowances, one row per order
+    transforms = np.empty((2, xs.size), dtype=complex)
     err = np.zeros((2, xs.size))
     if n_exact:
         max_ln = float(np.max(np.abs(np.log(math.pi**3 * xs[[0, n_exact - 1]]))))
         abscissae = {k: _neutral_abscissa(spec, k) for k in (0, 1)}
         kern = _phi_contour_kernels(spec, abscissae, max_ln)
-        phi[:, :n_exact], err[:, :n_exact] = _kernel_values(kern, abscissae, xs[:n_exact])
+        transforms[:, :n_exact], err[:, :n_exact] = _kernel_values(kern, abscissae, xs[:n_exact])
     if n_exact < xs.size:
-        phi[0, n_exact:], phi[1, n_exact:], err[0, n_exact:], err[1, n_exact:] = _tail_asymptotic(spec, xs[n_exact:])
+        far = slice(n_exact, None)
+        transforms[0, far], transforms[1, far], err[0, far], err[1, far] = _tail_asymptotic(spec, xs[far])
 
     coefficients = coefficient_row(form, top)
     blocks = []
@@ -727,7 +723,7 @@ def voronoi_residual_profile(
         res = m2s % q
         s_plus, s_minus = table_p[res], table_m[res]
         base = coeffs / (m1 * m2s)
-        p0, p1 = phi[:, at]
+        p0, p1 = transforms[:, at]
         terms = base * (s_plus * (p0 + mix * p1) + s_minus * (p0 - mix * p1))
         errs = np.abs(base) * (np.abs(s_plus) + np.abs(s_minus)) * (err[0, at] + mixmag * err[1, at])
         blocks.append((terms, errs))

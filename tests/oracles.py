@@ -310,7 +310,7 @@ def oscillatory_integral(
 # Mellin transform (voronoi) and the Hecke recursion (heckegl3)
 
 
-def mellin_transform(phi: Callable, s, support: tuple | None = None):
+def mellin_transform(phi: Callable, s):
     """int_0^inf phi(x) x^{s-1} dx for compactly supported smooth phi.
 
     Entire in s; decays faster than any power of |Im s| (but for the
@@ -320,8 +320,7 @@ def mellin_transform(phi: Callable, s, support: tuple | None = None):
     (voronoi._mellin_dense): the independent check of the contour kernels'
     FFT line (voronoi._mellin_line).
     """
-    sup = vo._support_of(phi, support)
-    vals = vo._mellin_dense(phi, sup, np.atleast_1d(np.asarray(s, dtype=complex)))
+    vals = vo._mellin_dense(phi, vo._support_of(phi), np.atleast_1d(np.asarray(s, dtype=complex)))
     return complex(vals[0]) if np.isscalar(s) or np.asarray(s).ndim == 0 else vals
 
 

@@ -29,7 +29,7 @@ from lfunlab.afe import (
     gl2_afe_weight_grid,
     rankin_selberg_afe_weight_grid,
 )
-from lfunlab.exactarith import divisors
+from lfunlab.exactarith import divisors, kloosterman
 from lfunlab.heckegl3 import GL3Form, symmetric_square_form, triple_divisor_form
 from lfunlab.quadrature import NonDecayError, panel_grid
 from lfunlab.special import PoleError, RegimeError
@@ -268,12 +268,46 @@ def test_trace_identity_residual_pinned_and_transforms_finite():
 # geometric side
 
 
-def test_divisor_counts_match_divisor_lists():
-    # the sieve behind geometric_tail's Weil bound, against the divisors of
+def _divisor_counts(limit: int) -> np.ndarray:
+    # d(m) for m <= limit, d(0) = 0: the divisors of m pair up as (i, m/i),
+    # counted at the smaller member, so i runs only to sqrt(limit)
+    d = np.zeros(limit + 1, dtype=np.int64)
+    for i in range(1, math.isqrt(limit) + 1):
+        d[i * i] += 1
+        d[i * (i + 1) :: i] += 2
+    return d
+
+
+DIVISOR_LIMIT = 10**6
+
+
+@pytest.fixture(scope="module")
+def divisor_counts():
+    return _divisor_counts(DIVISOR_LIMIT)
+
+
+def test_divisor_summatory_matches_divisor_lists():
+    # the hyperbola method's D(C) in geometric_tail, against the divisors of
     # each m from its factorization
-    d = kz._divisor_counts(2000)
-    assert d[0] == 0
-    assert d[1:].tolist() == [len(divisors(m)) for m in range(1, 2001)]
+    counts = np.cumsum([len(divisors(m)) for m in range(1, 2001)])
+    assert [kz._divisor_summatory(c) for c in range(1, 2001)] == counts.tolist()
+
+
+def test_divisor_sum_error_bound(divisor_counts):
+    # D(x) - x log x - (2 gamma - 1) x <= 0.961 sqrt(x) at every integer x <=
+    # 10^6; integers suffice because D is constant between them while the
+    # main term and the bound rise.  The largest ratio to sqrt(x) up to 2 10^6
+    # is 0.96069, at x = 12
+    x = np.arange(1, DIVISOR_LIMIT + 1, dtype=float)
+    excess = np.cumsum(divisor_counts[1:]) - x * np.log(x) - (2.0 * np.euler_gamma - 1.0) * x
+    assert np.all(excess <= kz._DIVISOR_SUM_ERROR * np.sqrt(x))
+
+
+@pytest.mark.parametrize("c_max", [1, 10, 100, 800])
+def test_tail_bracket_bounds_the_divisor_tail(c_max, divisor_counts):
+    # the closed form bounds sum_{c > C} d(c) c^{-3/2}, here summed to 10^6
+    cs = np.arange(c_max + 1, DIVISOR_LIMIT + 1, dtype=float)
+    assert kz._tail_bracket(c_max) >= np.sum(divisor_counts[c_max + 1 :] * cs**-1.5)
 
 
 def test_geometric_side_index_symmetry():
@@ -312,10 +346,10 @@ def test_trace_identity_starts_no_thread(monkeypatch):
 
 
 def test_geometric_side_transforms_from_interpolant(monkeypatch):
-    # the 801 arguments z = 4 pi / c (c <= 800, and c = 1600 for the tail
-    # fit) are read from an interpolant in log(z / z_min) built on at most
-    # 256 arguments per transform; at every one of them it agrees with the
-    # blocked product on the same nodes within its reported error
+    # the 800 arguments z = 4 pi / c (c <= 800) are read from an
+    # interpolant in log(z / z_min) built on at most 256 arguments per
+    # transform; at every one of them it agrees with the blocked product on
+    # the same nodes within its reported error
     applied, built = [], []
     exp_product, interpolate = kz._exp_product, kz._interpolate_log1p
 
@@ -334,7 +368,7 @@ def test_geometric_side_transforms_from_interpolant(monkeypatch):
     assert sum(size for size, _, _ in plus) <= 256  # measured 193; 801 when every argument was a row
     assert sum(size for size, _, _ in minus) <= 256
     (interp,) = built
-    zs = 2.0 * math.pi * 2.0 / np.append(np.arange(1, 801, dtype=float), 1600.0)
+    zs = 2.0 * math.pi * 2.0 / np.arange(1, 801, dtype=float)
     ts = zs / zs[-1] - 1.0
     values, error = interp(ts), interp.error(ts)
     for column, (_, nodes, w) in enumerate((plus[0], minus[0])):
@@ -348,6 +382,36 @@ def test_geometric_side_transforms_from_interpolant(monkeypatch):
         assert np.all(np.abs(values[:, column] - direct) <= error)  # measured at most 0.47 of it
 
 
+@pytest.mark.parametrize("n, l, c_max", [(1, 1, 800), (1, 2, 30), (3, 3, 50)])
+def test_geometric_side_transforms_start_at_the_last_modulus(n, l, c_max, monkeypatch):
+    # no transform is taken below z(c_max) = 4 pi sqrt(nl) / c_max: the tail
+    # bound reads the transforms at c_max only
+    taken = []
+    exp_product = kz._exp_product
+
+    def capture(zs, nodes, w):
+        taken.append(zs.min())
+        return exp_product(zs, nodes, w)
+
+    monkeypatch.setattr(kz, "_exp_product", capture)
+    kz._geometric_terms(n, l, kz.gaussian_test_function(2.0), c_max)
+    assert min(taken) >= 2.0 * math.pi * (2.0 * math.sqrt(n * l) / c_max)
+
+
+def test_geometric_side_smallest_cutoffs():
+    # c_max = 1 reads z(1) from an interpolant on [z(2), z(1)]; both cutoffs
+    # agree with single transforms and the closed-form tail stays finite
+    h = kz.gaussian_test_function(2.0)
+    expected = 0j
+    for c_max in (1, 2):
+        x = 2.0 / c_max
+        s_plus, s_minus = kloosterman(1, 1, c_max), kloosterman(-1, 1, c_max)
+        expected += (s_plus * kz.bessel_transform(h, "+", x) + s_minus * kz.bessel_transform(h, "-", x)) / (2 * c_max)
+        _, kloost, tail = kz._geometric_terms(1, 1, h, c_max)
+        assert abs(kloost - expected) < 1e-11
+        assert 0.0 < tail < math.inf
+
+
 def test_geometric_side_validation():
     h = kz.gaussian_test_function(1.0)
     for (n, l, c_max), message in (
@@ -359,6 +423,9 @@ def test_geometric_side_validation():
     ):
         with pytest.raises(ValueError, match=message):
             kz.geometric_side(n, l, h, c_max)
+    for (n, l), message in (((1.5, 1), "n must be a positive integer, got 1.5"), ((1, 0), "l must be")):
+        with pytest.raises(ValueError, match=message):
+            kz.continuous_side(n, l, h, 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -455,14 +522,19 @@ def test_diagonal_weight_validation():
         kz.diagonal_weight(1.0, 1, 1, 1, d3, "direct", x=1.0)
     with pytest.raises(ValueError, match="require a positive argument"):
         kz.diagonal_weight(1.0, 1, 1, 1, d3, "direct_plus")
-    with pytest.raises(ValueError, match="width T"):
-        kz.diagonal_weight(0.0, 1, 1, 1, d3, "direct")
-    with pytest.raises(ValueError, match="positive integers"):
+    with pytest.raises(ValueError, match="argument x must be finite, got inf"):
+        kz.diagonal_weight(1.0, 1, 1, 1, d3, "direct_plus", x=math.inf)
+    for T in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="width T must be positive and finite"):
+            kz.diagonal_weight(T, 1, 1, 1, d3, "direct")
+    with pytest.raises(ValueError, match="l must be a positive integer, got 0"):
         kz.diagonal_weight(1.0, 0, 1, 1, d3, "direct")
+    with pytest.raises(ValueError, match="l must be a positive integer, got 1.5"):
+        kz.diagonal_weight(1.0, 1.5, 1, 1, d3, "direct")
     # a factor that is not > 0 is an error: as a panel width it would give
     # one panel (0.34490 against 0.34710 at T = 4 for -1), and the Bessel
-    # variants take the same width
-    for factor in (0.0, -1.0, math.nan):
+    # variants take the same width; an infinite one gives zero-width panels
+    for factor in (0.0, -1.0, math.nan, math.inf):
         for variant, x in (("direct", None), ("direct_plus", 0.5)):
             with pytest.raises(ValueError, match="resolution_factor"):
                 kz.diagonal_weight(4.0, 1, 1, 1, d3, variant, x, resolution_factor=factor)
@@ -683,7 +755,7 @@ def _effective_test_function(form, spec, l_index, nm_index):
 def test_diagonal_weight_plus_matches_transform_oracle():
     d3 = triple_divisor_form()
     spec = WeightSpec()
-    v = kz.diagonal_weight(1.0, 2, 1, 1, d3, "direct_plus", x=0.5, weight_spec=spec)
+    v = kz.diagonal_weight(1.0, 2, 1, 1, d3, "direct_plus", x=0.5)
     heff = _effective_test_function(d3, spec, 2, 1)
     ref = oracles.series_plus(heff, 0.5, 1e-9)
     assert abs(v - ref) < 1e-9 * abs(ref)  # |ref| = 3.3e-7; measured 1.4e-13 of it
@@ -692,7 +764,7 @@ def test_diagonal_weight_plus_matches_transform_oracle():
 def test_diagonal_weight_minus_matches_transform_oracle():
     d3 = triple_divisor_form()
     spec = WeightSpec()
-    v = kz.diagonal_weight(1.0, 2, 1, 1, d3, "direct_minus", x=0.5, weight_spec=spec)
+    v = kz.diagonal_weight(1.0, 2, 1, 1, d3, "direct_minus", x=0.5)
     heff = _effective_test_function(d3, spec, 2, 1)
     ref = oracles.minus_series(heff, 0.5, 1e-9)
     assert abs(v - ref) < 1e-9 * abs(ref)  # |ref| = 4.7e-6; measured 2.3e-14 of it
@@ -768,6 +840,7 @@ def test_diagonal_weight_symmetric_square_finite():
     assert np.isfinite(v.real)
     assert v.real > 0.0
     # Re mu_1 = 3/2 puts the pole of Gamma((1/2 + u - mu_1)/2) at Re u = 1
-    wrong = symmetric_square_form(prime_cap=500, mu=(1.5, 0.0, -1.5))
+    shifted = (1.5, 0.0, -1.5)
+    wrong = GL3Form(label="shifted-gamma-data", mu=shifted, mu_dual=shifted, maass_type=False)
     with pytest.raises(PoleError, match="contour"):
         kz.diagonal_weight(1.0, 1, 1, 1, wrong, "direct")

@@ -168,10 +168,12 @@ def test_fft_line_independent_of_array_shape():
 
 
 def test_mellin_requires_support_information():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no .support attribute"):
         mellin_transform(lambda x: x, 1.0)
-    with pytest.raises(ValueError):
-        mellin_transform(lambda x: x, 1.0, support=(2.0, 1.0))
+    backwards = lambda x: x
+    backwards.support = (2.0, 1.0)
+    with pytest.raises(ValueError, match="0 < lo < hi"):
+        mellin_transform(backwards, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +205,8 @@ def test_kernel_argument_guards(spec):
         voronoi_kernel(spec, 0, -1.0)
     with pytest.raises(ValueError):
         voronoi_kernel(spec, 0, np.array([1.0, -2.0]))
-    for bad in (math.nan, np.array([1.0, math.nan])):
-        with pytest.raises(ValueError, match="positive"):
+    for bad in (math.nan, np.array([1.0, math.nan]), math.inf):
+        with pytest.raises(ValueError, match="argument x must be positive and finite"):
             voronoi_kernel(spec, 0, bad)
 
 
@@ -307,8 +309,8 @@ def test_asymptotic_guards(spec):
         voronoi_kernel_asymptotic(spec, 20.0, order=0)
     with pytest.raises(ValueError):
         voronoi_kernel_asymptotic(spec, 20.0, order=5)
-    for x in (-1.0, math.nan):
-        with pytest.raises(ValueError, match="positive"):
+    for x in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="argument x must be positive and finite"):
             voronoi_kernel_asymptotic(spec, x)
 
 
@@ -663,3 +665,7 @@ def test_identity_input_guards():
         voronoi_residual_profile(D3, 1, 1, 3, BUMP, [2])
     with pytest.raises(NotCoprimeError):
         voronoi_residual_profile(D3, 1, 2, 4, BUMP, [64])
+    with pytest.raises(ValueError, match="n must be a positive integer, got 1.5"):
+        voronoi_residual_profile(D3, 1.5, 1, 3, BUMP, [16])
+    with pytest.raises(ValueError, match="c must be a positive integer, got 0"):
+        voronoi_residual_profile(D3, 1, 1, 0, BUMP, [16])
