@@ -155,15 +155,47 @@ def _primes_upto(N: int) -> np.ndarray:
     return np.flatnonzero(sieve)
 
 
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b for complex arrays from real products, each rounded on its own
+    as in a scalar complex product; numpy's complex array loops may fuse
+    multiply-adds and round differently."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _linear_factors(triples: np.ndarray, dual: bool) -> np.ndarray:
+    """A(1, p), or A(p, 1) when dual, for each row (x, y, z) of an (m, 3)
+    array of Satake triples: h_1 = e1 h_0, or h_1 h_1 - h_2 h_0 with
+    h_2 = e1 h_1 - e2 h_0, in the roundings of _h_sequence and _prime_power,
+    so that each value equals theirs bit for bit."""
+    x, y, z = triples.T
+    h0 = np.ones_like(x)
+    e1 = x + y + z
+    h1 = _mul(e1, h0)
+    if not dual:
+        return h1
+    e2 = _mul(x, y) + _mul(y, z) + _mul(z, x)
+    h2 = _mul(e1, h1) - _mul(e2, h0)
+    return _mul(h1, h1) - _mul(h2, h0)
+
+
 def coefficient_row(form: GL3Form, N: int, dual: bool = False) -> np.ndarray:
     """A(1, n) for n = 0..N as a complex array (A(n, 1) when dual).
 
     Multiplicative fill: for every prime power p^k <= N, the entries with
-    p-adic valuation exactly k pick up the factor A(1, p^k).
+    p-adic valuation exactly k pick up the factor A(1, p^k), prime by prime
+    in increasing order.  A prime above sqrt(N) divides each n <= N at most
+    once, and is the largest prime of n, so all of those primes take one
+    vectorized pass at the end, n = j p for j <= N // p, with the same
+    products in the same order as a pass per prime.
     """
     out = np.ones(N + 1, dtype=complex)
     out[0] = 0.0
-    for p in _primes_upto(N):
+    primes = _primes_upto(N)
+    small = primes[: np.searchsorted(primes, math.isqrt(N), side="right")]
+    for p in small:
         p = int(p)
         triple = form.satake_at(p)
         kmax = int(math.log(N) / math.log(p)) + 1
@@ -177,6 +209,12 @@ def coefficient_row(form: GL3Form, N: int, dual: bool = False) -> np.ndarray:
             out[exact] *= coef
             pk *= p
             k += 1
+    large = primes[small.size :]
+    counts = N // large
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    multiples = np.repeat(large, counts) * (np.arange(starts.size) - starts + 1)
+    triples = np.array([form.satake_at(p) for p in large.tolist()], dtype=complex).reshape(-1, 3)
+    out[multiples] *= np.repeat(_linear_factors(triples, dual), counts)
     return out
 
 

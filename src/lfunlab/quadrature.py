@@ -53,10 +53,46 @@ class NonDecayError(RuntimeError):
     """Tail contributions of a truncated integral are not shrinking."""
 
 
+_NEWTON_STEPS = 20  # cap on _legendre_rule's Newton iterations; 3 or 4 suffice
+
+
+def _legendre(x: np.ndarray, n: int) -> tuple:
+    """P_n(x) and P_n'(x) by the three-term recurrence
+    (k + 1) P_{k+1} = (2k + 1) x P_k - k P_{k-1} and P_{k+1}' = (k + 1) P_k + x P_k'."""
+    p0, p1, d1 = np.ones_like(x), x, np.ones_like(x)
+    for k in range(1, n):
+        p0, p1, d1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1), (k + 1) * p1 + x * d1
+    return p1, d1
+
+
 @functools.lru_cache(maxsize=8)
 def _legendre_rule(nodes: int):
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
-    xs, ws = np.polynomial.legendre.leggauss(nodes)
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], nodes ascending.
+
+    Newton's iteration on P_n (_legendre) from the guesses
+    cos(pi (k - 1/4) / (n + 1/2)) runs until its steps fall below 1e-10;
+    convergence is quadratic, so the last step leaves each node at the
+    rounding of its root.  The weight 2 / ((1 - x^2) P_n'(x)^2) moves at the
+    relative rate -2x / (1 - x^2) with its node, which near +-1 magnifies
+    the node's rounding; the weight is taken with the first-order
+    correction for the node's offset -P_n / P_n' from the root, which keeps
+    it within ~n ulps of the exact weight.  The rule is symmetrized.
+    """
+    if nodes < 1:
+        raise ValueError(f"need at least one node, got {nodes}")
+    x = np.cos(math.pi * (np.arange(nodes, 0, -1) - 0.25) / (nodes + 0.5))
+    for _ in range(_NEWTON_STEPS):
+        p, dp = _legendre(x, nodes)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) < 1e-10:
+            break
+    else:
+        raise ArithmeticError(f"Newton's iteration for the {nodes}-point Legendre rule did not converge")
+    p, dp = _legendre(x, nodes)
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp - 2.0 * x * p * dp)
+    xs = 0.5 * (x - x[::-1])
+    ws = 0.5 * (w + w[::-1])
     xs.flags.writeable = False
     ws.flags.writeable = False
     return xs, ws

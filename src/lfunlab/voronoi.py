@@ -670,7 +670,10 @@ def voronoi_residual_profile(
     thread, and only BLAS threads ContourKernel.apply's products on its own.
     """
     _check_positive_integers(n=n, c=c)
-    cutoffs = [int(m) for m in m2_cutoffs]
+    cutoffs = list(m2_cutoffs)
+    for m2_cutoff in cutoffs:
+        _check_positive_integers(m2_cutoff=m2_cutoff)
+    cutoffs = [int(m) for m in cutoffs]
     if not cutoffs or min(cutoffs) < 4:
         raise ValueError("m2 cutoffs must all be at least 4")
     abar = mod_inverse(a, c)  # raises NotCoprimeError unless gcd = 1

@@ -122,6 +122,38 @@ def test_row_matches_divisor_sieve():
     assert np.max(np.abs(row[1:].real - d3[1:])) < 1e-9
 
 
+def _row_by_prime_loop(form, N, dual=False):
+    """coefficient_row as one pass per prime power, every prime alike: the
+    reference for the vectorized pass over the primes above sqrt(N)."""
+    out = np.ones(N + 1, dtype=complex)
+    out[0] = 0.0
+    for p in heckegl3._primes_upto(N):
+        p = int(p)
+        triple = form.satake_at(p)
+        h = heckegl3._h_sequence(triple, int(math.log(N) / math.log(p)) + 2)
+        pk, k = p, 1
+        while pk <= N:
+            coef = heckegl3._prime_power(triple, k, 0) if dual else complex(h[k])
+            idx = np.arange(pk, N + 1, pk)
+            out[idx[(idx // pk) % p != 0]] *= coef
+            pk *= p
+            k += 1
+    return out
+
+
+@pytest.mark.parametrize("dual", [False, True])
+def test_row_bit_identical_to_prime_loop(dual):
+    # the primes above sqrt(N) multiply in one pass; every entry keeps the
+    # loop's factors, products and order, so each bit, the sign of a zero
+    # included, is the loop's
+    sym2 = symmetric_square_form(prime_cap=16384)
+    for form in (D3, sym2):
+        for N in (1, 2, 3, 4, 10, 97, 500, 16384):
+            row = coefficient_row(form, N, dual=dual)
+            ref = _row_by_prime_loop(form, N, dual)
+            assert np.array_equal(row.view(np.int64), ref.view(np.int64)), (form.label, N)
+
+
 def test_row_dual_equals_row_for_self_dual(sym2):
     for form in (D3, sym2):
         row = coefficient_row(form, 500)

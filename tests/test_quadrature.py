@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -359,7 +360,42 @@ class TestPoisson:
         assert poisson_residual(f, 80, f.support) <= poisson_residual(f, 40, f.support) + 1e-12
 
 
+def _legendre_rule_mp(n: int):
+    """n-point Gauss-Legendre rule at 30 digits: Newton's iteration on the
+    recurrence from double-precision nodes, w = 2 / ((1 - x^2) P_n'(x)^2)."""
+    with mp.workdps(30):
+        nodes, weights = [], []
+        for x in np.cos(math.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5)):
+            x = mp.mpf(x)
+            for _ in range(40):
+                p0, p1 = mp.mpf(1), x
+                for k in range(1, n):
+                    p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+                dp = n * (x * p1 - p0) / (x * x - 1)
+                x -= p1 / dp
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * dp * dp))
+        return np.array(nodes, dtype=float), np.array(weights, dtype=float)
+
+
 class TestPanels:
+    @pytest.mark.parametrize("n", [4, 10, 12, 20, 64])
+    def test_legendre_rule_against_leggauss_and_mpmath(self, n):
+        # Newton on the three-term recurrence: the nodes are numpy's leggauss
+        # nodes to 2e-16 and the 30-digit nodes to rounding; the weights are
+        # within ~n ulps of the 30-digit weights (measured up to 1.08 n ulps,
+        # 1.5e-14 at n = 64), where leggauss's own end weights are off by up
+        # to 1.3e-12 at n = 64
+        xs, ws = quadrature._legendre_rule(n)
+        x_np, _ = np.polynomial.legendre.leggauss(n)
+        x_mp, w_mp = _legendre_rule_mp(n)
+        assert np.max(np.abs(xs - x_np)) <= 2e-16
+        assert np.max(np.abs(xs - x_mp)) <= 2.0**-53
+        assert np.max(np.abs(ws / w_mp - 1.0)) <= 2 * n * 2.0**-52
+        assert abs(ws.sum() - 2.0) <= 2.0**-51
+        assert np.array_equal(xs, -xs[::-1]) and np.array_equal(ws, ws[::-1])
+        assert not xs.flags.writeable and not ws.flags.writeable
+
     def test_panel_weights_sum_to_length(self):
         x, w = gauss_legendre_panels(np.linspace(1.0, 4.0, 8), 10)
         assert w.sum() == pytest.approx(3.0, rel=1e-14)

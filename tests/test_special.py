@@ -154,6 +154,33 @@ class TestLogGamma:
         assert np.array_equal(log_gamma(z[:-3].reshape(2, -1)), values[:-3].reshape(2, -1))
         assert np.array_equal(log_gamma(z[::-1]), values[::-1])
 
+    def test_real_arithmetic_log_on_the_whole_range(self):
+        # log|z| + i arg z from real ufuncs agrees with np.log to rounding
+        # where x^2 + y^2 would overflow (|z| = 1e200) or underflow
+        # (|z| = 1e-200) as well as in between, with one component tiny
+        # against the other, and on the negative real axis takes the branch
+        # that the sign of Im z = +-0.0 gives np.log
+        phases = np.exp(1j * np.linspace(-np.pi, np.pi, 17)[1:-1])
+        z = np.concatenate(
+            [r * phases for r in (1e-200, 1e-155, 1e-150, 0.5, 1.0, 3.0, 1e150, 1e155, 1e200)]
+            + [[1e200 + 1e-200j, 1e-200 - 1e200j, -1e-200 + 1e-300j, 1e-300 + 1e-200j]]
+        )
+        ref = np.log(z)
+        assert np.all(np.abs(special._log(z) - ref) <= 4.0 * 2.0**-53 * np.maximum(np.abs(ref), 1.0))
+        axis = np.array([-2.0 + 0.0j, complex(-2.0, -0.0), complex(-1e200, 0.0), complex(-1e-200, -0.0)])
+        got, ref = special._log(axis), np.log(axis)
+        assert np.array_equal(got.imag, ref.imag) and np.array_equal(np.sign(got.imag), [1, -1, 1, -1])
+        assert np.all(np.abs(got.real - ref.real) <= 4.0 * 2.0**-53 * np.abs(ref.real))
+
+    def test_log_gamma_beside_a_pole_against_mpmath(self):
+        # 1e-170 off the pole at -3, sin(pi z) ~ 3e-170: the reflection
+        # reduces z by its nearest integer before 1 - e^{2 pi i z} cancels,
+        # and the log of that tiny factor needs the range above
+        for z in (-3 + 1e-170j, -3 - 1e-170j, -3 + 1e-12j, -7.000001 + 0j):
+            with mp.workdps(30):
+                ref = complex(mp.loggamma(mp.mpc(z.real, z.imag)))
+            assert abs(log_gamma(z) - ref) <= 4.0 * 2.0**-53 * abs(ref)
+
 
 class TestZeta:
     def test_closed_forms(self):

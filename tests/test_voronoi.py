@@ -669,3 +669,5 @@ def test_identity_input_guards():
         voronoi_residual_profile(D3, 1.5, 1, 3, BUMP, [16])
     with pytest.raises(ValueError, match="c must be a positive integer, got 0"):
         voronoi_residual_profile(D3, 1, 1, 0, BUMP, [16])
+    with pytest.raises(ValueError, match="m2_cutoff must be a positive integer, got 16.7"):
+        voronoi_residual_profile(D3, 1, 1, 3, BUMP, [64, 16.7])
