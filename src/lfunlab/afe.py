@@ -23,11 +23,9 @@ go through quadrature.contour_kernel, one call per kernel with one row per
 t, so that a whole vector of y values costs one matrix-vector product, and
 a whole vector of t values costs one contour grid: the gamma ratio is
 evaluated on a (t, u) matrix against its normalization at 1/2 computed once
-per t-grid.  A t-grid is built _ROWS_PER_BUILD t at a time (_by_batch),
-each kernel applied to all y at once and dropped before the next is built
-(gl2_afe_weight_grid, rankin_selberg_afe_weight_grid).  The single-t
-callers build a one-row kernel.  A caller that needs one weight on many
-t-grids over one range [0, top] (kuznetsov.diagonal_weight) builds it once
+per t-grid (gl2_afe_weight_grid, rankin_selberg_afe_weight_grid).  The
+single-t callers build a one-row kernel.  A caller that needs one weight on
+many t-grids over one range [0, top] (kuznetsov.diagonal_weight) builds it once
 instead, as a piecewise Chebyshev interpolant in log(1 + t) (chebyshev)
 through a few dozen rows per piece, all from the contour grid sized for
 top and against one normalization computed for all of them, with their
@@ -51,6 +49,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .exactarith import _check_positive_integers
 from .heckegl3 import GL3Form, PolarFormError, coefficient_row, mobius_unfold
 from .quadrature import ContourKernel, NonDecayError, contour_kernel
 from .special import PoleError, gamma_factor_log, log_gamma, zeta
@@ -102,8 +101,8 @@ class MaassFixture:
     parity: str = "even"
 
     def __post_init__(self) -> None:
-        if not self.t > 0:
-            raise ValueError("spectral parameter must be positive")
+        if not 0 < self.t < math.inf:
+            raise ValueError(f"spectral parameter must be positive and finite, got {self.t}")
         if self.parity != "even":
             raise ValueError("only even forms enter the averages; got " + self.parity)
 
@@ -136,13 +135,6 @@ def cosine_power_damper(spec: WeightSpec, u, r: int = 1):
 
 _HEIGHT_CAP = 400.0
 _EPS = float(np.finfo(float).eps)
-# t per kernel build (_by_batch).  The interpolants ask for tens of rows
-# at a time; in builds of 8, a build's temporaries are 8 rows of its first
-# segment rather than a full _ROW_ELEMENTS call, for about 10 % more build
-# time.  On the perfbench diagonal_weight round (2 cores) the peak RSS
-# reads 38.45 MB, against 38.79 MB in builds of 16 and 39.03 MB in one build
-# per call.
-_ROWS_PER_BUILD = 8
 
 
 def _panel_width(osc: float) -> float:
@@ -176,14 +168,17 @@ def _weight_norm(mu_norm, ts) -> Callable:
 
 
 def _weight_kernel(
-    spec: WeightSpec, ts, mu, norm: Callable, max_abs_ln_y: float, t_top: float | None = None
+    spec: WeightSpec, ts, mu, mu_norm, max_abs_ln_y: float, t_top: float | None = None
 ) -> ContourKernel:
     """The kernel of W(., t) with gamma data mu for the t in ts (a float or
-    an array), one row per t, normalized by norm(t), a column of
-    log gamma_nu(1/2, t) (_weight_norm).  r = len(mu) sets the damper power
-    and the contour's size.  The grid is sized for |t| up to t_top (None:
-    the largest |t| of ts), so that calls for different t with one t_top
-    share the grid and give each t the same row."""
+    an array), one row per t, normalized by log gamma_nu(1/2, t) for the
+    gamma data nu = mu_norm (_weight_norm, once for all of ts).  r = len(mu)
+    sets the damper power and the contour's size.  The grid is sized for
+    |t| up to t_top (None: the largest |t| of ts), so that calls for
+    different t with one t_top share the grid and give each t the same row.
+    The kernel holds len(ts) x nodes complex weights (at most 64 x 420,
+    430 kB, on the perfbench diagonal_weight round); each kfunc call stays
+    within quadrature._ROW_ELEMENTS (row, node) entries."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     tmax = float(np.max(np.abs(ts)))
     if t_top is not None:
@@ -198,6 +193,7 @@ def _weight_kernel(
             f"gamma data {tuple(mu)} put a pole of the weight's gamma factor "
             f"on or right of its contour Re u = {spec.sigma_u}"
         )
+    norm = _weight_norm(mu_norm, ts)
 
     def kfunc(u, t):
         ratio = np.exp(gamma_factor_log(0.5 + u, _shifts(mu, t[:, None])) - norm(t))
@@ -215,28 +211,11 @@ def _weight_kernel(
     )
 
 
-def _by_batch(spec: WeightSpec, ts, mu, mu_norm, max_abs_ln_y: float, t_top: float | None, take: Callable) -> list:
-    """[take(kernel)] for the kernels of W(., t) (_weight_kernel) of
-    consecutive batches of _ROWS_PER_BUILD t of ts, in order.  All are
-    normalized by the norm of all of ts and built on the one grid sized for
-    t_top (None: the largest |t| of ts), so a row is the one its t gets
-    alone; each kernel is dropped once take returns, before the next is
-    built."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    norm = _weight_norm(mu_norm, ts)
-    top = float(np.max(np.abs(ts))) if t_top is None else t_top
-    return [
-        take(_weight_kernel(spec, ts[i : i + _ROWS_PER_BUILD], mu, norm, max_abs_ln_y, top))
-        for i in range(0, ts.size, _ROWS_PER_BUILD)
-    ]
-
-
 def _weight_grid(spec: WeightSpec, ys, ts, mu, mu_norm, t_top: float | None = None) -> np.ndarray:
     """W(y, t) as a (len(ts), len(ys)) array from one contour grid sized for
     the largest |log y| and for |t| up to t_top (default: the largest |t|)."""
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    max_ln = float(np.max(np.abs(np.log(ys))))
-    return np.concatenate(_by_batch(spec, ts, mu, mu_norm, max_ln, t_top, lambda kern: kern.apply(ys)))
+    return _weight_kernel(spec, ts, mu, mu_norm, float(np.max(np.abs(np.log(ys)))), t_top).apply(ys)
 
 
 def _weight_rows(spec: WeightSpec, y: float, ts, mu, mu_norm, t_top: float) -> tuple[np.ndarray, np.ndarray]:
@@ -251,17 +230,12 @@ def _weight_rows(spec: WeightSpec, y: float, ts, mu, mu_norm, t_top: float) -> t
     ln_y = math.log(y)
     counts = Counter(complex(m) for m in tuple(mu) + tuple(mu_norm))
     size = sum(c * np.abs(log_gamma((0.5 + k) / 2)) for m, c in counts.items() for k in _shifts((m,), ts))
-
-    def rows(kern: ContourKernel) -> tuple:
-        # the kernel's values, phase-weighted masses and masses, the latter
-        # row by row so as not to copy the kernel
-        phase = 1.0 + np.abs(kern.v * ln_y)
-        masses = np.array([(a @ phase, a.sum()) for a in map(np.abs, kern.w)])
-        scale = (2.0 if kern.symmetric else 1.0) * y ** (-kern.sigma)
-        return kern.apply([y])[:, 0], scale * masses[:, 0], scale * masses[:, 1]
-
-    values, phase_mass, mass = map(np.concatenate, zip(*_by_batch(spec, ts, mu, mu_norm, abs(ln_y), t_top, rows)))
-    return values, _EPS * (phase_mass + size * mass)
+    kern = _weight_kernel(spec, ts, mu, mu_norm, abs(ln_y), t_top)
+    # phase-weighted masses and masses, row by row so as not to copy the kernel
+    phase = 1.0 + np.abs(kern.v * ln_y)
+    masses = np.array([(a @ phase, a.sum()) for a in map(np.abs, kern.w)])
+    scale = (2.0 if kern.symmetric else 1.0) * y ** (-kern.sigma)
+    return kern.apply([y])[:, 0], _EPS * (scale * masses[:, 0] + size * (scale * masses[:, 1]))
 
 
 def gl2_afe_weight_grid(spec: WeightSpec, ys, ts) -> np.ndarray:
@@ -320,12 +294,10 @@ def central_value_gl2(fixture: MaassFixture, spec: WeightSpec, l_cutoff: int | N
     2 sum a(l) l^{-1/2} U(l, t).  Real for self-dual (even) data."""
     t = fixture.t
     a = fixture.coeff_array()
-    norm = _weight_norm(_U_MU, t)
-    build = lambda maxln: _weight_kernel(spec, t, _U_MU, norm, maxln)
+    build = lambda maxln: _weight_kernel(spec, t, _U_MU, _U_MU, maxln)
     if l_cutoff is not None:
+        _check_positive_integers(l_cutoff=l_cutoff)
         L = int(l_cutoff)
-        if L < 1:
-            raise ValueError(f"l_cutoff must be at least 1, got {l_cutoff}")
         kern = build(math.log(max(L, 2)))
     else:
         L, kern = _adaptive_cutoff(build, _gl2_cutoff(t), max(spec.tail_tolerance, 1e-13))
@@ -399,11 +371,10 @@ def _zeta_polar_correction(r: float, spec: WeightSpec) -> float:
 def zeta_square_afe(r: float, spec: WeightSpec) -> float:
     """|zeta(1/2 + ir)|^2 through the divisor-coefficient identity, polar
     correction included."""
-    if not r >= 0:
-        raise ValueError("r must be nonnegative")
-    norm = _weight_norm(_U_MU, r)
+    if not 0 <= r < math.inf:
+        raise ValueError(f"r must be nonnegative and finite, got {r}")
     L, kern = _adaptive_cutoff(
-        lambda maxln: _weight_kernel(spec, r, _U_MU, norm, maxln),
+        lambda maxln: _weight_kernel(spec, r, _U_MU, _U_MU, maxln),
         _gl2_cutoff(r),
         max(spec.tail_tolerance, 1e-13),
     )
@@ -427,7 +398,7 @@ def _rs_double_sum(
     # one kernel per variant, and one coefficient row per orientation
     # unfolded at each m, shared by every m-row: entries n <= n_max of a
     # row do not depend on its length
-    kern2 = _weight_kernel(spec, t, form.mu_dual, _weight_norm(form.mu, t), math.log(max(cutoff, 2)))
+    kern2 = _weight_kernel(spec, t, form.mu_dual, form.mu, math.log(max(cutoff, 2)))
     row = coefficient_row(form, cutoff)
     col = coefficient_row(form, cutoff, dual=True)
     m = 1
@@ -456,9 +427,8 @@ def _rs_adaptive_cutoff(form: GL3Form, t: float, spec: WeightSpec) -> tuple[int,
     # lift reaches -12) push genuine decay out to C ~ 1e4, so the target is
     # an absolute tail small against unit-scale values rather than the raw
     # weight floor used on the degree-2 side.
-    norm = _weight_norm(form.mu, t)
     return _adaptive_cutoff(
-        lambda maxln: _weight_kernel(spec, t, form.mu, norm, maxln),
+        lambda maxln: _weight_kernel(spec, t, form.mu, form.mu, maxln),
         _rs_cutoff(t),
         max(1e3 * spec.tail_tolerance, 3e-6),
         metric=lambda mag, L: mag * math.sqrt(L) * (1.0 + math.log(L)) ** 2 / 2.0,
@@ -474,10 +444,9 @@ def central_value_rs(
     if cutoff is None:
         C, kern = _rs_adaptive_cutoff(form, t, spec)
     else:
+        _check_positive_integers(cutoff=cutoff)
         C = int(cutoff)
-        if C < 1:
-            raise ValueError(f"cutoff must be at least 1, got {cutoff}")
-        kern = _weight_kernel(spec, t, form.mu, _weight_norm(form.mu, t), math.log(max(C, 2)))
+        kern = _weight_kernel(spec, t, form.mu, form.mu, math.log(max(C, 2)))
     a = fixture.coeff_array()
     if a.size - 1 < C:
         raise FixtureCoverageError(

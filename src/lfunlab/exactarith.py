@@ -127,10 +127,12 @@ def _units(c) -> tuple[int, np.ndarray, np.ndarray]:
 def kloosterman(n: int, l: int, c: int) -> complex:
     """S(n, l; c) by direct enumeration over units mod c.
 
-    Total in (n, l); c must be a positive integer.  The result is real up to
-    rounding (pairing d with its inverse conjugates each term), but the
-    full complex value is returned so that the cancellation is visible.
+    n and l may be any integers (of any integer type), c a positive one.
+    The result is real up to rounding (pairing d with its inverse conjugates
+    each term), but the full complex value is returned so that the
+    cancellation is visible.
     """
+    n, l = operator.index(n), operator.index(l)
     c, units, inv = _units(c)
     phase = ((l % c) * units + (n % c) * inv) % c
     return complex(np.exp((2j * np.pi / c) * phase).sum())
@@ -180,8 +182,7 @@ def kloosterman_sums(n: int, l: int, c_max: int) -> tuple[np.ndarray, np.ndarray
 
 def factorize(m: int) -> list[tuple[int, int]]:
     """Prime factorization of m >= 1 as (prime, exponent) pairs, trial division."""
-    if m < 1:
-        raise ValueError(f"factorize wants a positive integer, got {m}")
+    _check_positive_integers(m=m)
     out = []
     for p in (2, 3):
         if m % p == 0:

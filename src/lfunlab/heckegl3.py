@@ -37,7 +37,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .exactarith import divisors, factorize, mobius
+from .exactarith import _check_positive_integers, divisors, factorize, mobius
 
 __all__ = [
     "GL3Form",
@@ -133,8 +133,7 @@ def _prime_power(triple: tuple, a: int, b: int) -> complex:
 
 def coefficient(form: GL3Form, m: int, n: int) -> complex:
     """A(m, n), assembled multiplicatively from prime-power Schur values."""
-    if m < 1 or n < 1:
-        raise ValueError(f"arguments must be positive, got ({m}, {n})")
+    _check_positive_integers(m=m, n=n)
     exps: dict[int, list[int]] = {}
     for p, e in factorize(m):
         exps.setdefault(p, [0, 0])[0] = e

@@ -459,7 +459,7 @@ def _geometric_terms(n: int, l: int, h: SpectralTestFunction, c_max: int):
     return delta, kloost, tail + carried
 
 
-def geometric_side(n: int, l: int, h, c_max: int, *, threads: int = 4) -> complex:
+def geometric_side(n: int, l: int, h, c_max: int) -> complex:
     """Diagonal term plus the Kloosterman sum truncated at c <= c_max:
 
         (1/2) delta(n,l) H + sum_{c<=c_max} (1/2c) [S(n,l;c) Hplus + S(-n,l;c) Hminus],
@@ -467,7 +467,6 @@ def geometric_side(n: int, l: int, h, c_max: int, *, threads: int = 4) -> comple
     transforms evaluated at 2 sqrt(nl)/c, read from an interpolant in log x
     whose nodes are evaluated on one zeta-contour (as in bessel_transform),
     and the Kloosterman sums in one batched call.
-    `threads` is accepted and unused: nothing here runs in a thread.
     """
     delta, kloost, _ = _geometric_terms(n, l, h, c_max)
     return complex(delta + kloost)
@@ -582,7 +581,8 @@ def kuznetsov_residual(
     normalization (recorded in the report's normalization note, never
     rescaled here).  An empty fixture list is valid bookkeeping: the residual
     then estimates the whole discrete spectrum's contribution.  `threads` is
-    accepted and unused: no part of the identity runs in a thread."""
+    accepted and unused (no part of the identity runs in a thread); it stays
+    because perfbench/workloads.py passes it."""
     h = _check_testfn(h)
     delta, kloost, tail = _geometric_terms(n, l, h, c_max)
     cont = continuous_side(n, l, h, r_max)

@@ -668,6 +668,7 @@ def voronoi_residual_profile(
 
     `threads` is accepted and unused: the profile runs in the caller's
     thread, and only BLAS threads ContourKernel.apply's products on its own.
+    It stays because perfbench/workloads.py passes it.
     """
     _check_positive_integers(n=n, c=c)
     cutoffs = list(m2_cutoffs)

@@ -232,15 +232,14 @@ def _allowance(kern, y, row=0):
 
 def _kernel(ts, mu, mu_norm, max_abs_ln_y, t_top=None):
     # the one kernel of W(., t) for the t of ts, against their norm
-    return afe._weight_kernel(SPEC, ts, mu, afe._weight_norm(mu_norm, ts), max_abs_ln_y, t_top)
+    return afe._weight_kernel(SPEC, ts, mu, mu_norm, max_abs_ln_y, t_top)
 
 
 @pytest.mark.parametrize("name", sorted(WEIGHTS))
 def test_t_grid_blocking_is_bit_identical(name):
     # each row of a t-grid's kernel, cut to the length of its t's one-row
     # kernel on the same grid, is that row, and zero past it; and the
-    # values of a grid built _ROWS_PER_BUILD t at a time are the single-t
-    # values bit for bit
+    # values of a t-grid are the single-t values bit for bit
     mu, mu_norm = WEIGHTS[name]
     kern = _kernel(T_GRID, mu, mu_norm, 3.0)
     assert kern.w.shape[0] == T_GRID.size
@@ -253,7 +252,6 @@ def test_t_grid_blocking_is_bit_identical(name):
         assert np.all(kern.w[i, n:] == 0)
         assert kern.tail_estimate[i] == alone.tail_estimate[0]
     ts = np.linspace(0.0, 60.0, 20)
-    assert ts.size > 2 * afe._ROWS_PER_BUILD
     ys = np.array([1.0, 30.0, 900.0])
     grid = afe._weight_grid(SPEC, ys, ts, mu, mu_norm)
     for t, row in zip(ts, grid, strict=True):
@@ -264,8 +262,8 @@ def test_normalization_at_half_once_per_t_grid(monkeypatch):
     # the gamma factor at 1/2 depends on t alone, so a t-grid evaluates it
     # once, not once per build, kfunc call and segment.  Its log_gamma
     # arguments (1/2 -+ it - mu)/2 are the only ones with real part 1/4
-    # here; the contour nodes' lie on (1/2 + sigma_u)/2.  20 t take three
-    # builds of _ROWS_PER_BUILD rows, the last one short
+    # here; the contour nodes' lie on (1/2 + sigma_u)/2.  20 t take one
+    # build of 20 rows
     on_quarter = []
     original = special.log_gamma
 
@@ -286,7 +284,7 @@ def test_normalization_at_half_once_per_t_grid(monkeypatch):
     ts = np.linspace(0.0, 60.0, 20)
     assert afe._weight_grid(SPEC, [30.0], ts, afe._U_MU, afe._U_MU).shape == (ts.size, 1)
     assert sum(on_quarter) == 2 < len(on_quarter)
-    assert builds == [8, 8, 4] and afe._ROWS_PER_BUILD == 8
+    assert builds == [20]
     on_quarter.clear()
     afe._weight_grid(SPEC, [30.0], ts, D3.mu, D3.mu)
     # one call per distinct shift: D3's six shifts -mu_i -+ it are two
@@ -296,7 +294,7 @@ def test_normalization_at_half_once_per_t_grid(monkeypatch):
     values, _ = afe._weight_rows(SPEC, 30.0, ts, afe._U_MU, afe._U_MU, 60.0)
     assert values.shape == ts.shape
     assert sum(on_quarter) == 2 < len(on_quarter)
-    assert builds == [8, 8, 4]
+    assert builds == [20]
 
 
 @pytest.mark.parametrize("name", sorted(WEIGHTS))
@@ -356,8 +354,8 @@ def test_zeta_square_identity_matches_euler_maclaurin(r):
 def test_zeta_square_nonnegative_and_guarded():
     for r in (0.0, 0.3, 1.0, 4.0, 17.0):
         assert zeta_square_afe(r, SPEC) > 0.0
-    for r in (-1.0, math.nan):
-        with pytest.raises(ValueError, match="nonnegative"):
+    for r in (-1.0, math.nan, math.inf):  # inf raised OverflowError
+        with pytest.raises(ValueError, match="nonnegative and finite"):
             zeta_square_afe(r, SPEC)
 
 
@@ -401,6 +399,19 @@ def test_explicit_cutoffs_below_one_rejected(sym2):
             central_value_rs(sym2, fx, SPEC, cutoff=cutoff)
 
 
+def test_explicit_cutoffs_must_be_integers(sym2):
+    # a cutoff of 16.7 was truncated to 16 and gave that cutoff's value
+    # without a word
+    eta = eisenstein_coefficients(600, 10.0)
+    fx = MaassFixture(t=10.0, coeffs=tuple(map(float, eta)), source="eta r=10")
+    for cutoff in (16.7, 16.0):
+        with pytest.raises(ValueError, match="l_cutoff must be a positive integer"):
+            central_value_gl2(fx, SPEC, l_cutoff=cutoff)
+    with pytest.raises(ValueError, match="cutoff must be a positive integer"):
+        central_value_rs(sym2, fx, SPEC, cutoff=500.5)
+    assert central_value_gl2(fx, SPEC, l_cutoff=np.int64(16)) == central_value_gl2(fx, SPEC, l_cutoff=16)
+
+
 def test_central_value_gl2_coverage_error_names_requirement():
     fx = MaassFixture(t=10.0, coeffs=(0.0,) * 51, source="short")
     with pytest.raises(FixtureCoverageError, match="requires l <="):
@@ -408,8 +419,8 @@ def test_central_value_gl2_coverage_error_names_requirement():
 
 
 def test_maass_fixture_validation():
-    for t in (0.0, math.nan):
-        with pytest.raises(ValueError, match="spectral parameter"):
+    for t in (0.0, math.nan, math.inf, -math.inf):  # inf was accepted
+        with pytest.raises(ValueError, match="spectral parameter must be positive and finite"):
             MaassFixture(t=t, coeffs=(0.0, 1.0), source="bad")
     with pytest.raises(ValueError):
         MaassFixture(t=1.0, coeffs=(0.0, 1.0), source="bad", parity="odd")

@@ -69,6 +69,15 @@ class TestKloosterman:
                 with pytest.raises(ValueError, match="positive"):
                     route(1, 1, c)
 
+    def test_non_integral_arguments_rejected(self):
+        # n and l may be zero or negative, but must be integers: a float n
+        # was reduced mod c as a float, and S(1.5, 1; 3) came back as
+        # -1.1e-15 - 1.732i
+        assert kloosterman(np.int64(-2), 0, 5) == kloosterman(-2, 0, 5)
+        for n, l in [(1.5, 1), (1, 2.5), (2.0, 1)]:
+            with pytest.raises(TypeError):
+                kloosterman(n, l, 3)
+
     def test_frozen_small_values(self):
         # frozen from direct enumeration over coprime residues
         assert kloosterman(1, 1, 2).real == pytest.approx(1.0, abs=1e-12)
@@ -322,3 +331,11 @@ class TestMultiplicativeTables:
         for p, e in factorize(m):
             prod *= p**e
         assert prod == m
+
+    def test_non_integral_arguments_rejected(self):
+        # factorize(12.5) returned [(12.5, 1)] and divisors(6.5) [1.0, 6.5]
+        for f in (factorize, divisors, mobius):
+            for m in (12.5, 6.5, 6.0, 0, -4):
+                with pytest.raises(ValueError, match="m must be a positive integer"):
+                    f(m)
+        assert factorize(np.int64(12)) == factorize(12) == [(2, 2), (3, 1)]

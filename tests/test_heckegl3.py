@@ -110,6 +110,15 @@ def test_coefficient_rejects_nonpositive():
         coefficient(D3, 3, -1)
 
 
+def test_coefficient_rejects_non_integral_arguments():
+    # A(1.5, 1) came back as 3 and A(2.5, 2) as 9: the float factorized as
+    # a prime of itself
+    for m, n in [(1.5, 1), (2.5, 2), (1, 4.0)]:
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            coefficient(D3, m, n)
+    assert coefficient(D3, np.int64(4), np.int64(3)) == coefficient(D3, 4, 3)
+
+
 # ---------------------------------------------------------------------------
 # rows, blocks, tables
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import i0
 
-from lfunlab import chebyshev
+from lfunlab import afe, chebyshev
 from lfunlab import kuznetsov as kz
 from lfunlab.afe import (
     _U_MU,
@@ -325,14 +325,6 @@ def test_geometric_side_truncation_within_tail_estimate():
     tail = kz.kuznetsov_residual(1, 1, h, [], 100, 5.0).truncation.geometric_tail
     assert tail > 0.0
     assert abs(v200 - v100) < tail
-
-
-def test_geometric_side_thread_count_invariance():
-    # `threads` is still accepted, and changes nothing
-    h = kz.gaussian_test_function(2.0)
-    a = kz.geometric_side(1, 1, h, 60, threads=1)
-    b = kz.geometric_side(1, 1, h, 60, threads=4)
-    assert a == b
 
 
 def test_trace_identity_starts_no_thread(monkeypatch):
@@ -654,16 +646,26 @@ def test_weight_interpolant_rejects_t_outside_its_range():
         _weight_grid(WeightSpec(), [1.0], [9.0], _U_MU, _U_MU, t_top=8.0)
 
 
-def test_diagonal_weight_benchmark_round_builds_few_rows():
+def test_diagonal_weight_benchmark_round_builds_few_rows(monkeypatch):
     # the round of diagonal_weight(20, 1, 1, 1, D3, ...) takes contour rows
     # only at its interpolants' nodes: a few hundred per weight where its
-    # t-grid has 1,284 nodes
+    # t-grid has 1,284 nodes, and each batch of interpolant rows is one
+    # contour build
     kz._cached_weight.cache_clear()
     d3 = triple_divisor_form()
     spec = WeightSpec()
+    builds = []
+    build = afe.contour_kernel
+
+    def counting_build(kfunc, sigma, rows, **kw):
+        builds.append(len(rows))
+        return build(kfunc, sigma, rows, **kw)
+
+    monkeypatch.setattr(afe, "contour_kernel", counting_build)
     kz.diagonal_weight(20.0, 1, 1, 1, d3, "direct")
     kz.diagonal_weight(20.0, 1, 1, 1, d3, "dual")
     assert kz.uv_cache_stats() == {"hits": 2, "misses": 2}
+    assert len(builds) <= 8 and sum(builds) == 370  # measured 7 builds
     ts, _ = panel_grid(0.0, 160.0, 1.5, 12)
     rows = [kz._cached_weight(spec, 1.0, 160.0, mu, mu).rows for mu in (_U_MU, d3.mu)]
     assert all(r <= ts.size // 4 for r in rows)  # measured 161 (U) and 209 (V)
