@@ -213,7 +213,11 @@ def _weight_kernel(
 
 def _weight_grid(spec: WeightSpec, ys, ts, mu, mu_norm, t_top: float | None = None) -> np.ndarray:
     """W(y, t) as a (len(ts), len(ys)) array from one contour grid sized for
-    the largest |log y| and for |t| up to t_top (default: the largest |t|)."""
+    the largest |log y| and for |t| up to t_top (default: the largest |t|);
+    ValueError, before the build, for a non-finite t."""
+    ts = np.asarray(ts, dtype=float)
+    if not np.all(np.isfinite(ts)):
+        raise ValueError(f"t must be finite, got {ts[~np.isfinite(ts)][0]}")
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     return _weight_kernel(spec, ts, mu, mu_norm, float(np.max(np.abs(np.log(ys)))), t_top).apply(ys)
 
@@ -460,6 +464,8 @@ def central_value_rs_eisenstein(form: GL3Form, r: float, spec: WeightSpec) -> co
     """Tensor central value against the real-analytic continuous-series
     surrogate: coefficients eta(n, r).  Factorizes as the product of the two
     degree-3 values at 1/2 -+ ir, which tests verify independently."""
+    if not math.isfinite(r):
+        raise ValueError(f"r must be finite, got {r}")
     if form.polar:
         raise PolarFormError(
             "the degenerate triple-divisor form has a polar standard L-function; "
@@ -485,6 +491,8 @@ def gl3_critical_value(form: GL3Form, s0: complex, spec: WeightSpec) -> complex:
     the spec tolerance relative to the accumulated value.
     """
     s0 = complex(s0)
+    if not (math.isfinite(s0.real) and math.isfinite(s0.imag)):
+        raise ValueError(f"s0 must be finite, got {s0}")
     if abs(s0.real - 0.5) > 1e-12:
         raise ValueError("s0 must lie on the critical line")
     return _gl3_afe_value(form, s0, spec)

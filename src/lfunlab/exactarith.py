@@ -138,7 +138,7 @@ def kloosterman(n: int, l: int, c: int) -> complex:
     return complex(np.exp((2j * np.pi / c) * phase).sum())
 
 
-_BLOCK_RESIDUES = 1 << 15  # residues per block of kloosterman_sums, plus at most one modulus's
+_BLOCK_RESIDUES = 1 << 14  # residues per block of kloosterman_sums, plus at most one modulus's
 
 
 def kloosterman_sums(n: int, l: int, c_max: int) -> tuple[np.ndarray, np.ndarray]:

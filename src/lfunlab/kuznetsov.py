@@ -35,11 +35,17 @@ with one profile P for both.  The tanh pole at t = i/2 leaves P an e^{-zeta}
 tail, so on the real zeta-line both integrals oscillate for a long way.
 Moved to the contour 0 -> i theta -> inf + i theta, the kernels decay like
 e^{-z sin(theta) sinh u} and e^{-z sin(theta) cosh u}, and one node set
-serves every z of a range [z_min, z_max] as a blocked
-exp(i outer(z, cosh or sinh zeta)) @ (weights * P) product.  The geometric
-side evaluates it only at the nodes of a Chebyshev interpolant of both
-transforms in log z (chebyshev._interpolate_log1p), and reads each
-z = z1/c, with the error it reports, from that interpolant.  theta
+serves every z of a range [z_min, z_max].  The nodes of the leg
+Im zeta = theta lie on equal panels, u = mid_p + half x_q, so the phase of
+P there splits as e^{2itu} = e^{2it mid_p} e^{2it half x_q}: one
+(panels x samples) table of exponentials times a (samples x 12) table
+(_contour).  Each transform at z is then Re sum e^{i z nu} (weights * P)
+over the nodes nu = cosh or sinh zeta, a block of arguments at a time,
+and each block drops the nodes whose kernel lies more than e^{-_AMP_CUT}
+below the largest one at the block's smallest z (_exp_product).  The
+geometric side evaluates the transforms only at the nodes of a Chebyshev
+interpolant of both in log z (chebyshev._interpolate_log1p), and reads
+each z = z1/c, with the error it reports, from that interpolant.  theta
 comes from the samples of h themselves: the largest theta <= 1/2 at which
 P(zeta + i theta) grows by at most a factor 10, so no decay rate has to be
 declared.  Wide or slowly decaying h give a small theta and a long contour.
@@ -67,7 +73,7 @@ from .afe import _U_MU, FixtureCoverageError, MaassFixture, WeightSpec, _weight_
 from .chebyshev import _Interpolant, _interpolate_log1p
 from .exactarith import _check_positive_integers, kloosterman_sums
 from .heckegl3 import GL3Form
-from .quadrature import NonDecayError, _row_blocks, panel_grid
+from .quadrature import NonDecayError, _legendre_rule, _panel_edges, _row_blocks, gauss_legendre_panels, panel_grid
 from .special import log_gamma, zeta_with_error
 
 __all__ = [
@@ -303,24 +309,51 @@ def _contour(prof: _Profile, z_min: float, z_max: float) -> tuple:
     peak on Im zeta = theta, their exponents change at most at the rate
     z |sinh zeta| <= _AMP_CUT / sin(theta) + z sin(theta) (Hplus) or
     z |cosh zeta| <= _AMP_CUT / sin(theta) + z (Hminus), and P at
-    2 ts[-1]: one node set, as long as z_min and as fine as z_max need.  On
-    the vertical leg the Hminus integrand i e^{-z sin v} P(iv) is imaginary,
-    so only Hplus takes it."""
+    2 ts[-1]: one node set, as long as z_min and as fine as z_max need.
+
+    The u-nodes lie on equal panels, u = mid_p + half x_q, so
+    P(u + i theta) = (8/pi) sum_t fw [cos(2tu) cosh(2t theta) -
+    i sin(2tu) sinh(2t theta)] takes cos(2tu) and sin(2tu) from the
+    product e^{2itu} = e^{2it mid_p} e^{2it half x_q}: a
+    (panels x samples) table of exponentials times a (samples x 12)
+    table, with no trigonometric call per (node, sample) entry.  Both
+    tables go in blocks of samples and of panels of about _ROW_ELEMENTS
+    entries, one real product per block on the interleaved real and
+    imaginary parts.  An empty profile (h = 0) gives zero weights.  On
+    the vertical leg the Hminus integrand i e^{-z sin v} P(iv) is
+    imaginary, so only Hplus takes it."""
     theta, ts, fw = prof.theta, prof.ts, prof.fw
     s = math.sin(theta)
     band = 2.0 * float(ts[-1]) if ts.size else 0.0
     # 12-node panels spanning at most 8 units of the integrand's exponent
-    u_end = _contour_length(theta, z_min)
-    us, wu = panel_grid(0.0, u_end, 8.0 / (_AMP_CUT / s + z_max + band), _GL_NODES)
+    edges = _panel_edges(0.0, _contour_length(theta, z_min), 8.0 / (_AMP_CUT / s + z_max + band))
+    us, wu = gauss_legendre_panels(edges, _GL_NODES)
     vs, wv = panel_grid(0.0, theta, 8.0 / (z_max * s + band), _GL_NODES)
 
-    # P(u + i theta) = (8/pi) sum fw [cos(2tu) cosh(2t theta) - i sin(2tu) sinh(2t theta)]
+    mids, phase = 0.5 * (edges[1:] + edges[:-1]), 2j * ts
+    offsets = (0.5 * (edges[-1] - edges[0]) / mids.size) * _legendre_rule(_GL_NODES)[0]
     ch = fw * np.cosh(2.0 * theta * ts)[:, None]
     sh = fw * np.sinh(2.0 * theta * ts)[:, None]
-    p_h = np.empty((us.size, 2), dtype=complex)
-    for rows in _row_blocks(us.size, ts.size):
-        arg = 2.0 * np.outer(us[rows], ts)
-        p_h[rows] = np.cos(arg) @ ch - 1j * (np.sin(arg) @ sh)
+    # sums[p, :, q] = sum_t (cos(2tu) ch, sin(2tu) sh) at u = mid_p + half x_q,
+    # in real products: OpenBLAS hands a complex one of this size to a second
+    # thread, and on a 2-core x86 machine that hand-off stalled about one
+    # fresh process in 15 by up to 0.2 s
+    sums = np.zeros((mids.size, 2, _GL_NODES, 2))
+    for cols in _row_blocks(ts.size, sums[0].size):
+        b = np.exp(2j * np.outer(ts[cols], offsets))[:, :, None]
+        # rows 2t and 2t + 1 take Re and Im of a = e^{2it mid_p}:
+        # cos = Re(ab) = Re a Re b - Im a Im b, sin = Im(ab) = Re a Im b + Im a Re b
+        split = np.empty((b.shape[0], 2, 2, _GL_NODES, 2))
+        np.multiply(b.real, ch[cols, None], out=split[:, 0, 0])
+        np.multiply(b.imag, sh[cols, None], out=split[:, 0, 1])
+        np.multiply(b.imag, -ch[cols, None], out=split[:, 1, 0])
+        np.multiply(b.real, sh[cols, None], out=split[:, 1, 1])
+        split = split.reshape(-1, sums[0].size)
+        for rows in _row_blocks(mids.size, b.shape[0]):
+            a = np.multiply.outer(mids[rows], phase[cols])
+            np.exp(a, out=a)
+            sums[rows] += (a.view(float) @ split).reshape(-1, 2, _GL_NODES, 2)
+    p_h = (sums[:, 0] - 1j * sums[:, 1]).reshape(-1, 2)
     p_v = np.empty((vs.size, 2))
     for rows in _row_blocks(vs.size, ts.size):
         p_v[rows] = np.cosh(2.0 * np.outer(vs[rows], ts)) @ fw
@@ -335,14 +368,20 @@ def _contour(prof: _Profile, z_min: float, z_max: float) -> tuple:
 def _exp_product(zs: np.ndarray, nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Re(exp(i outer(zs, nodes)) @ w), column 0 + i column 1, a block of
     about _ROW_ELEMENTS (argument, node) entries at a time, so that no
-    (arguments x nodes) matrix is built."""
+    (arguments x nodes) matrix is built.  |e^{i z nu}| = e^{-z Im nu}, so a
+    node lies e^{-z (Im nu - min Im nu)} below the largest kernel; each
+    block keeps only the nodes within e^{-_AMP_CUT} of it at the block's
+    smallest z (the rule _contour_length applies at z_min), which drops at
+    most e^{-_AMP_CUT} sum |w| from any argument's sum."""
     zs = np.asarray(zs, dtype=float)
+    depth = nodes.imag - np.min(nodes.imag)
     inodes = 1j * nodes
     rows = np.empty((zs.size, 2))
     for block in _row_blocks(zs.size, nodes.size):
-        p = np.multiply.outer(zs[block], inodes)
+        keep = np.min(zs[block]) * depth <= _AMP_CUT
+        p = np.multiply.outer(zs[block], inodes[keep])
         np.exp(p, out=p)
-        rows[block] = (p @ w).real
+        rows[block] = (p @ w[keep]).real
     return rows[:, 0] + 1j * rows[:, 1]
 
 

@@ -46,6 +46,15 @@ def sym2():
     return symmetric_square_form()
 
 
+@pytest.fixture
+def no_contour(monkeypatch):
+    # any contour build fails the test: the argument checks must come first
+    def build(*args, **kwargs):
+        raise AssertionError("a contour was built")
+
+    monkeypatch.setattr(afe, "contour_kernel", build)
+
+
 def u_at(spec, y, t):
     # U(y, t) from the grid at one point
     return complex(gl2_afe_weight_grid(spec, [y], [t])[0, 0])
@@ -152,6 +161,14 @@ def test_gl2_weight_batch_matches_scalar():
     batch = gl2_afe_weight_grid(SPEC, ys, [t])[0]
     for y, b in zip(ys, batch):
         assert complex(b) == pytest.approx(u_at(SPEC, y, t), abs=1e-13)
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+def test_weight_grids_reject_non_finite_t(t, sym2, no_contour):
+    with pytest.raises(ValueError, match="t must be finite"):
+        gl2_afe_weight_grid(SPEC, [1.0], [t])
+    with pytest.raises(ValueError, match="t must be finite"):
+        rankin_selberg_afe_weight_grid(SPEC, [1.0], [2.0, t], sym2, "dual")
 
 
 @pytest.mark.parametrize("A,min_exp", [(8, 2.5), (16, 4.8)])
@@ -497,6 +514,12 @@ def test_rs_eisenstein_center_is_square(sym2):
     assert abs(val - center * center) / abs(val) < 1e-6
 
 
+@pytest.mark.parametrize("r", [math.inf, -math.inf, math.nan])
+def test_rs_eisenstein_rejects_non_finite_r(r, sym2, no_contour):
+    with pytest.raises(ValueError, match="r must be finite"):
+        central_value_rs_eisenstein(sym2, r, SPEC)
+
+
 def test_rs_eisenstein_rejects_polar_form():
     with pytest.raises(PolarFormError):
         central_value_rs_eisenstein(D3, 1.0, SPEC)
@@ -528,6 +551,12 @@ def test_gl3_guards(sym2):
         gl3_critical_value(D3, 0.5 + 1j, SPEC)
     with pytest.raises(ValueError):
         gl3_critical_value(sym2, 0.6 + 1j, SPEC)
+
+
+@pytest.mark.parametrize("s0", [complex(0.5, math.inf), complex(0.5, -math.inf), complex(0.5, math.nan)])
+def test_gl3_rejects_non_finite_s0(s0, sym2, no_contour):
+    with pytest.raises(ValueError, match="s0 must be finite"):
+        gl3_critical_value(sym2, s0, SPEC)
 
 
 def test_gl3_value_at_one_matches_petersson_norm(sym2, monkeypatch):

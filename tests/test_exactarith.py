@@ -212,7 +212,7 @@ class TestKloostermanSums:
     @pytest.mark.parametrize("n, l", [(1, 1), (5, -7)])
     def test_value_does_not_depend_on_c_max(self, n, l):
         # block edges are fixed from c = 1, so a shorter call is a prefix bit
-        # for bit, also across an edge (the first block ends near c = 362)
+        # for bit, also across an edge (the first block ends near c = 256)
         for short, long in [(100, 300), (500, 800)]:
             a, b = kloosterman_sums(n, l, long), kloosterman_sums(n, l, short)
             for i in range(2):
@@ -220,7 +220,7 @@ class TestKloostermanSums:
 
     def test_memory_is_bounded_by_the_block(self):
         # at c_max = 3200 the residues d <= c/2 alone fill 20 MB of int64;
-        # blocks of about 2^15 residues keep the peak near that of c_max = 800
+        # blocks of about 2^14 residues keep the peak near that of c_max = 800
         kloosterman_sums(1, 1, 10)
         tracemalloc.start()
         try:

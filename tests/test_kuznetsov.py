@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import i0
 
-from lfunlab import afe, chebyshev
+from lfunlab import afe, chebyshev, quadrature
 from lfunlab import kuznetsov as kz
 from lfunlab.afe import (
     _U_MU,
@@ -231,6 +231,78 @@ def test_minus_transform_routes_and_oracle():
             assert abs(oracles.minus_direct(h, x) - se) < 1e-11
 
 
+TRACE_RANGE = (2.0 * math.pi * 2.0 / 800, 4.0 * math.pi)  # trace_identity's [z_min, z_max]: x = 2/c, c <= 800
+
+
+def _profile(h, z_min):
+    # the profile _kernel_contour builds for h
+    t_max = kz._even_cutoff(h, kz._H_CUT, growth=1.2)
+    return kz._resolved_profile(h, t_max, min(t_max / 48.0, 0.5), z_min)
+
+
+@pytest.mark.parametrize(
+    "h, z_min, z_max, samples",
+    [
+        (kz.gaussian_test_function(2.0), *TRACE_RANGE, 1),
+        (kz.gaussian_test_function(60.0), 40.0, 40.0, quadrature._ROW_ELEMENTS + 1),  # 10,234 samples
+        (zero_test_function(), 1.0, 1.0, 0),  # the empty profile
+    ],
+    ids=["trace", "wide", "zero"],
+)
+def test_contour_split_matches_dense_build(h, z_min, z_max, samples, monkeypatch):
+    # _contour builds P(u + i theta) from a panel split of its phase; here
+    # the same weights come from sum fw cos(2t(u + i theta)) entry by entry,
+    # on the u-grid _contour lays (captured), at up to 96 of its rows
+    prof = _profile(h, z_min)
+    grids = []
+    panels = kz.gauss_legendre_panels
+
+    def capture(edges, nodes):
+        grids.append(panels(edges, nodes))
+        return grids[-1]
+
+    monkeypatch.setattr(kz, "gauss_legendre_panels", capture)
+    (_, plus_w), (_, minus_w) = kz._contour(prof, z_min, z_max)
+    ((us, wu),) = grids
+    if not samples:
+        assert prof.ts.size == 0 and not np.any(plus_w) and not np.any(minus_w)
+        return
+    assert prof.ts.size >= samples
+    rows = np.unique(np.linspace(0, us.size - 1, 96).astype(int))
+    zeta = us[rows] + 1j * prof.theta
+    dense = (8.0 / math.pi) * wu[rows, None] * (np.cos(2.0 * np.multiply.outer(zeta, prof.ts)) @ prof.fw)
+    # either build rounds the phase 2tu of an entry at eps 2tu, so each row
+    # is compared against its mass weighted by 1 + 2tu
+    amp = np.abs(prof.fw).sum(axis=1) * np.cosh(2.0 * prof.theta * prof.ts)
+    mass = (8.0 / math.pi) * wu[rows] * (amp.sum() + 2.0 * us[rows] * (amp @ prof.ts))
+    for w in (minus_w, plus_w[: us.size]):
+        assert np.all(np.abs(w[rows] - dense).max(axis=1) <= 8.0 * kz._EPS * mass)  # measured at most 3.3 eps
+
+
+def test_exp_product_cut_matches_uncut_sum():
+    # a block of arguments keeps only the nodes within e^{-_AMP_CUT} of the
+    # largest kernel at its smallest z; over trace_identity's range,
+    # z_max / z_min = 400, that changes no argument's sum by more than
+    # e^{-_AMP_CUT} sum |w| plus the rounding floor of the two sums
+    z_min, z_max = TRACE_RANGE
+    zs = z_min * 400.0 ** np.linspace(0.0, 1.0, 40)
+    for nodes, w in kz._kernel_contour(kz.gaussian_test_function(2.0), z_min, z_max):
+        cut = kz._exp_product(zs, nodes, w)
+        full = (np.exp(1j * np.multiply.outer(zs, nodes)) @ w).real
+        mass = np.abs(w).sum(axis=0)
+        # each sum's floor eps sum (1 + z |nu|) |w|, as _geometric_terms takes it
+        floor = kz._EPS * (mass + np.outer(zs, np.abs(nodes) @ np.abs(w)))
+        bound = math.exp(-kz._AMP_CUT) * mass + 2.0 * floor
+        assert np.all(np.abs(cut.real - full[:, 0]) <= bound[:, 0])
+        assert np.all(np.abs(cut.imag - full[:, 1]) <= bound[:, 1])
+        # the nodes past the cut at z_max never enter its sum: NaN weights there change nothing
+        drop = z_max * (nodes.imag - nodes.imag.min()) > kz._AMP_CUT
+        assert 0 < np.count_nonzero(drop) < nodes.size
+        poisoned = np.where(drop[:, None], np.nan, w)
+        at_max = np.array([z_max])
+        assert kz._exp_product(at_max, nodes, poisoned) == kz._exp_product(at_max, nodes, w)
+
+
 def test_bessel_transform_validation():
     h = kz.gaussian_test_function(1.0)
     with pytest.raises(ValueError, match="sign"):
@@ -252,9 +324,11 @@ def test_trace_identity_residual_pinned_and_transforms_finite():
     h = kz.gaussian_test_function(2.0)
     rep = kz.kuznetsov_residual(1, 1, h, [], 800, 40.0)
     # the residual is the dropped c > 800 tail, whose sign is not fixed (it
-    # turns negative by c_max = 12,800): pinned to its value measured before
-    # the Kloosterman sums were batched
-    assert rep.residual.real == pytest.approx(0.0019291501351990092, rel=1e-9)
+    # turns negative by c_max = 12,800).  Both it and the Kloosterman term
+    # are pinned at the rounding level, so that a refactor of the contour
+    # path that moves them by more than rounding shows here
+    assert rep.kloosterman_term == pytest.approx(4.496680396124914, rel=1e-13)
+    assert abs(rep.residual - 0.001929150135198121) <= 1e-13
     assert abs(rep.residual.real) < 0.02
     for z in (0.016, 4.0 * math.pi, 60.0):
         for sign in "+-":
