@@ -6,30 +6,29 @@ device: insert the even damper G(u) = (cos pi u / A)^{-A} (holomorphic on
 integrate the completed L-function against G(u)/u, and fold the u -> -u
 reflection through the functional equation.  The result expresses the
 central value as one or two rapidly convergent coefficient sums against
-one kind of weight function.  For gamma data mu = (mu_1..mu_r), the factor
-gamma_mu(s, t) has the 2r shifts -mu_i -+ it (special.gamma_factor_log),
-and
+one kind of weight function.  For gamma data g of degree r, gamma_g(s, t)
+is the factor of g.maass_tensor(t) (special.GammaData), and
 
-    W(y, t) = (1/2 pi i) int y^{-u} G(u)^r gamma_mu(1/2+u, t)/gamma_nu(1/2, t) du/u,
+    W(y, t) = (1/2 pi i) int y^{-u} G(u)^r gamma_g(1/2+u, t)/gamma_n(1/2, t) du/u,
 
-nu the normalizing gamma data.  The degree-2 weight U is the case r = 1,
-mu = nu = (0,); the degree-6 tensor weights V1/V2 are r = 3 with the
-form's mu (direct) or mu_dual (dual), both normalized by the form's mu.
-They are ~ 1 for y well below the analytic conductor and collapse like
-(1 + y/t^r)^{-A} beyond it.  One builder (_weight_kernel) sizes every such
-contour from r: damper exponent -rA, start height, oscillation budget,
-conjugate symmetry for real mu, and the pole guard.  All contour integrals
-go through quadrature.contour_kernel, one call per kernel with one row per
-t, so that a whole vector of y values costs one matrix-vector product, and
-a whole vector of t values costs one contour grid: the gamma ratio is
+n the normalizing gamma data.  The degree-2 weight U is the case r = 1,
+g = n = _GAMMA_U, zeta's shift 0; the degree-6 tensor weights V1/V2 are
+r = 3 with the form's gamma (direct) or gamma_dual (dual), both normalized
+by its gamma.  They are ~ 1 for y well below the analytic conductor and
+collapse like (1 + y/t^r)^{-A} beyond it.  One builder (_weight_kernel)
+sizes every such contour from r: damper exponent -rA, start height,
+oscillation budget, conjugate symmetry, and the pole guard.  All go
+through quadrature.contour_kernel, one call per kernel with one row per t,
+so that a whole vector of y values costs one matrix-vector product, and a
+whole vector of t values costs one contour grid: the gamma ratio is
 evaluated on a (t, u) matrix against its normalization at 1/2 computed once
 per t-grid (gl2_afe_weight_grid, rankin_selberg_afe_weight_grid).  The
 single-t callers build a one-row kernel.  A caller that needs one weight on
-many t-grids over one range [0, top] (kuznetsov.diagonal_weight) builds it once
-instead, as a piecewise Chebyshev interpolant in log(1 + t) (chebyshev)
-through a few dozen rows per piece, all from the contour grid sized for
-top and against one normalization computed for all of them, with their
-rounding floors (_weight_rows), and evaluates every grid from that.
+many t-grids over one range [0, top] (kuznetsov.diagonal_weight) builds it
+once instead, as a piecewise Chebyshev interpolant in log(1 + t)
+(chebyshev) through a few dozen rows per piece, all from the contour grid
+sized for top and against one normalization computed for all of them, with
+their rounding floors (_weight_rows), and evaluates every grid from that.
 
 The degree-2 specialization with divisor-sum coefficients eta(l, r) =
 sum_{ad=l} (a/d)^{ir} reproduces |zeta(1/2 + ir)|^2.  Unlike the cuspidal
@@ -43,7 +42,6 @@ evaluator honest at modest r.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -52,7 +50,7 @@ import numpy as np
 from .exactarith import _check_positive_integers
 from .heckegl3 import GL3Form, PolarFormError, coefficient_row, mobius_unfold
 from .quadrature import ContourKernel, NonDecayError, contour_kernel
-from .special import PoleError, gamma_factor_log, log_gamma, zeta
+from .special import GammaData, PoleError, zeta
 
 __all__ = [
     "WeightSpec",
@@ -142,40 +140,33 @@ def _panel_width(osc: float) -> float:
     return min(0.5, 6.0 / max(1.0, osc))
 
 
-def _is_real_tuple(mu) -> bool:
-    return all(abs(complex(m).imag) < 1e-12 for m in mu)
+def _shift_osc(*data: GammaData) -> float:
+    """A contour's phase budget for large shifts: 3 max |kappa|^{1/2}."""
+    return 3.0 * max(abs(k) for g in data for k in g.shifts) ** 0.5
 
 
-def _shifts(mu, t) -> list:
-    """The gamma shifts -mu_i -+ it of gamma data mu at t (a float, a grid
-    or a column of one)."""
-    return [kappa for m in mu for kappa in (-m - 1j * t, -m + 1j * t)]
+_GAMMA_U = GammaData((0,))  # zeta's Gamma_R(s); U's factor is its Maass tensor
 
 
-_U_MU = (0,)  # gamma data of the degree-2 weight U
-
-
-def _weight_norm(mu_norm, ts) -> Callable:
-    """log gamma_nu(1/2, t) with gamma data nu = mu_norm, evaluated once on
+def _weight_norm(norm: GammaData, ts) -> Callable:
+    """log gamma_n(1/2, t) for the gamma data n = norm, evaluated once on
     the distinct t of ts and looked up as a column for the rows of each call
     that contour_kernel makes to kfunc.  The sorted distinct t come from a
     sort and a comparison of neighbours: np.unique gives the same set, but
     its first call in a process imports numpy.ma."""
     grid = np.sort(np.ravel(ts))
     grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
-    vals = gamma_factor_log(np.asarray(0.5 + 0j), _shifts(mu_norm, grid))
+    vals = norm.maass_tensor(grid).log(np.asarray(0.5 + 0j))
     return lambda t: vals[np.searchsorted(grid, t), None]
 
 
-def _weight_kernel(
-    spec: WeightSpec, ts, mu, mu_norm, max_abs_ln_y: float, t_top: float | None = None
-) -> ContourKernel:
-    """The kernel of W(., t) with gamma data mu for the t in ts (a float or
-    an array), one row per t, normalized by log gamma_nu(1/2, t) for the
-    gamma data nu = mu_norm (_weight_norm, once for all of ts).  r = len(mu)
-    sets the damper power and the contour's size.  The grid is sized for
-    |t| up to t_top (None: the largest |t| of ts), so that calls for
-    different t with one t_top share the grid and give each t the same row.
+def _weight_kernel(spec: WeightSpec, ts, gamma, norm, max_abs_ln_y: float, t_top: float | None = None) -> ContourKernel:
+    """The kernel of W(., t) with gamma data `gamma` for the t in ts (a float
+    or an array), one row per t, normalized by log gamma_n(1/2, t) for the
+    gamma data n = norm (_weight_norm, once for all of ts).  The degree r
+    of gamma sets the damper power and the contour's size.  The grid is
+    sized for |t| up to t_top (None: the largest |t| of ts), so that calls
+    for different t with one t_top share the grid and give each t one row.
     The kernel holds len(ts) x nodes complex weights (at most 64 x 420,
     430 kB, on the perfbench diagonal_weight round); each kfunc call stays
     within quadrature._ROW_ELEMENTS (row, node) entries."""
@@ -185,18 +176,18 @@ def _weight_kernel(
         if not tmax <= t_top:
             raise ValueError(f"|t| = {tmax} lies past the grid's top {t_top}")
         tmax = float(t_top)
-    r = len(mu)
-    # Gamma((1/2 + u -+ it - mu_i)/2) has poles at Re u = Re mu_i - 1/2 - 2k;
-    # every one must lie left of the line Re u = sigma_u
-    if any(complex(m).real >= 0.5 + spec.sigma_u for m in mu):
+    r = len(gamma.shifts)
+    # Gamma_R(1/2 + u + kappa -+ it) has its rightmost poles at
+    # Re u = rightmost_pole - 1/2, which must lie left of the line Re u = sigma_u
+    if not gamma.rightmost_pole - 0.5 < spec.sigma_u:
         raise PoleError(
-            f"gamma data {tuple(mu)} put a pole of the weight's gamma factor "
+            f"gamma data {gamma.shifts} put a pole of the weight's gamma factor "
             f"on or right of its contour Re u = {spec.sigma_u}"
         )
-    norm = _weight_norm(mu_norm, ts)
+    log_norm = _weight_norm(norm, ts)
 
     def kfunc(u, t):
-        ratio = np.exp(gamma_factor_log(0.5 + u, _shifts(mu, t[:, None])) - norm(t))
+        ratio = np.exp(gamma.maass_tensor(t[:, None]).log(0.5 + u) - log_norm(t))
         return cosine_power_damper(spec, u, r) * ratio / u
 
     # damper decay e^{-r pi v} sets the height scale; the gamma ratio is
@@ -204,14 +195,14 @@ def _weight_kernel(
     # to the y^{-iv} oscillation when sizing panels.  The largest |t| sizes
     # both.
     vmax0 = (40.0 + r * spec.A * math.log(2.0) + 0.5 * r * math.log(2.0 + tmax)) / (r * math.pi)
-    osc = max_abs_ln_y + r * math.log(2.0 + tmax) + 3.0 * max(abs(complex(m)) ** 0.5 for m in mu)
+    osc = max_abs_ln_y + r * math.log(2.0 + tmax) + _shift_osc(gamma)
     return contour_kernel(
         kfunc, spec.sigma_u, ts, width=_panel_width(osc), tol=spec.tail_tolerance,
-        symmetric=_is_real_tuple(mu), height=vmax0, cap=_HEIGHT_CAP,
+        symmetric=gamma.conjugate_symmetric and norm.conjugate_symmetric, height=vmax0, cap=_HEIGHT_CAP,
     )
 
 
-def _weight_grid(spec: WeightSpec, ys, ts, mu, mu_norm, t_top: float | None = None) -> np.ndarray:
+def _weight_grid(spec: WeightSpec, ys, ts, gamma, norm, t_top: float | None = None) -> np.ndarray:
     """W(y, t) as a (len(ts), len(ys)) array from one contour grid sized for
     the largest |log y| and for |t| up to t_top (default: the largest |t|);
     ValueError, before the build, for a non-finite t."""
@@ -219,10 +210,10 @@ def _weight_grid(spec: WeightSpec, ys, ts, mu, mu_norm, t_top: float | None = No
     if not np.all(np.isfinite(ts)):
         raise ValueError(f"t must be finite, got {ts[~np.isfinite(ts)][0]}")
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
-    return _weight_kernel(spec, ts, mu, mu_norm, float(np.max(np.abs(np.log(ys)))), t_top).apply(ys)
+    return _weight_kernel(spec, ts, gamma, norm, float(np.max(np.abs(np.log(ys)))), t_top).apply(ys)
 
 
-def _weight_rows(spec: WeightSpec, y: float, ts, mu, mu_norm, t_top: float) -> tuple[np.ndarray, np.ndarray]:
+def _weight_rows(spec: WeightSpec, y: float, ts, gamma, norm, t_top: float) -> tuple[np.ndarray, np.ndarray]:
     """W(y, t) for the t of ts from the one contour grid sized for t_top, and
     each value's rounding floor.  A row sums the terms w y^{-u} of its
     kernel; each carries the rounding of its phase v ln y (radians) and of
@@ -232,9 +223,8 @@ def _weight_rows(spec: WeightSpec, y: float, ts, mu, mu_norm, t_top: float) -> t
     kernel."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     ln_y = math.log(y)
-    counts = Counter(complex(m) for m in tuple(mu) + tuple(mu_norm))
-    size = sum(c * np.abs(log_gamma((0.5 + k) / 2)) for m, c in counts.items() for k in _shifts((m,), ts))
-    kern = _weight_kernel(spec, ts, mu, mu_norm, abs(ln_y), t_top)
+    size = sum(map(np.abs, GammaData(gamma.shifts + norm.shifts).maass_tensor(ts)._log_gammas(0.5)))
+    kern = _weight_kernel(spec, ts, gamma, norm, abs(ln_y), t_top)
     # phase-weighted masses and masses, row by row so as not to copy the kernel
     phase = 1.0 + np.abs(kern.v * ln_y)
     masses = np.array([(a @ phase, a.sum()) for a in map(np.abs, kern.w)])
@@ -250,7 +240,7 @@ def gl2_afe_weight_grid(spec: WeightSpec, ys, ts) -> np.ndarray:
     Each row stops growing on its own; a row agrees with the single-t grid
     at its t to within the spec's tail_tolerance of the kernels' mass (the
     two grids differ in height and panel width)."""
-    return _weight_grid(spec, ys, ts, _U_MU, _U_MU)
+    return _weight_grid(spec, ys, ts, _GAMMA_U, _GAMMA_U)
 
 
 def rankin_selberg_afe_weight_grid(
@@ -260,8 +250,8 @@ def rankin_selberg_afe_weight_grid(
     gl2_afe_weight_grid; variant "direct" carries the form's own gamma data,
     "dual" the contragredient's, both normalized by the direct factor at
     1/2."""
-    mu = form.mu if variant == "direct" else form.mu_dual
-    return _weight_grid(spec, ys, ts, mu, form.mu)
+    gamma = form.gamma if variant == "direct" else form.gamma_dual
+    return _weight_grid(spec, ys, ts, gamma, form.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +288,7 @@ def central_value_gl2(fixture: MaassFixture, spec: WeightSpec, l_cutoff: int | N
     2 sum a(l) l^{-1/2} U(l, t).  Real for self-dual (even) data."""
     t = fixture.t
     a = fixture.coeff_array()
-    build = lambda maxln: _weight_kernel(spec, t, _U_MU, _U_MU, maxln)
+    build = lambda maxln: _weight_kernel(spec, t, _GAMMA_U, _GAMMA_U, maxln)
     if l_cutoff is not None:
         _check_positive_integers(l_cutoff=l_cutoff)
         L = int(l_cutoff)
@@ -343,12 +333,12 @@ def _zeta_polar_correction(r: float, spec: WeightSpec) -> float:
     carries the normalized ratio, so the result is R / gamma2(1/2, r).
     """
 
-    shifts = _shifts(_U_MU, r)
-    at_half = gamma_factor_log(np.asarray(0.5 + 0j), shifts)
+    gamma = _GAMMA_U.maass_tensor(r)
+    at_half = gamma.log(np.asarray(0.5 + 0j))
 
     def integrand(u):
         return (
-            np.exp(gamma_factor_log(0.5 + u, shifts) - at_half)
+            np.exp(gamma.log(0.5 + u) - at_half)
             * zeta(0.5 + u + 1j * r)
             * zeta(0.5 + u - 1j * r)
             * cosine_power_damper(spec, u)
@@ -378,7 +368,7 @@ def zeta_square_afe(r: float, spec: WeightSpec) -> float:
     if not 0 <= r < math.inf:
         raise ValueError(f"r must be nonnegative and finite, got {r}")
     L, kern = _adaptive_cutoff(
-        lambda maxln: _weight_kernel(spec, r, _U_MU, _U_MU, maxln),
+        lambda maxln: _weight_kernel(spec, r, _GAMMA_U, _GAMMA_U, maxln),
         _gl2_cutoff(r),
         max(spec.tail_tolerance, 1e-13),
     )
@@ -402,7 +392,7 @@ def _rs_double_sum(
     # one kernel per variant, and one coefficient row per orientation
     # unfolded at each m, shared by every m-row: entries n <= n_max of a
     # row do not depend on its length
-    kern2 = _weight_kernel(spec, t, form.mu_dual, form.mu, math.log(max(cutoff, 2)))
+    kern2 = _weight_kernel(spec, t, form.gamma_dual, form.gamma, math.log(max(cutoff, 2)))
     row = coefficient_row(form, cutoff)
     col = coefficient_row(form, cutoff, dual=True)
     m = 1
@@ -427,12 +417,12 @@ def _rs_cutoff(t: float) -> int:
 def _rs_adaptive_cutoff(form: GL3Form, t: float, spec: WeightSpec) -> tuple[int, ContourKernel]:
     # Tail of sum_{m^2 n > C} d(n) d_3(m^2 n) (m^2 n)^{-1/2} |V(m^2 n)|, with
     # the weight locked at its boundary value: ~ |V(C)| sqrt(C) log^2 C up to
-    # the decay margin.  Large archimedean parameters (the discriminant-form
-    # lift reaches -12) push genuine decay out to C ~ 1e4, so the target is
+    # the decay margin.  Large gamma shifts (the discriminant-form lift
+    # reaches 12) push genuine decay out to C ~ 1e4, so the target is
     # an absolute tail small against unit-scale values rather than the raw
     # weight floor used on the degree-2 side.
     return _adaptive_cutoff(
-        lambda maxln: _weight_kernel(spec, t, form.mu, form.mu, maxln),
+        lambda maxln: _weight_kernel(spec, t, form.gamma, form.gamma, maxln),
         _rs_cutoff(t),
         max(1e3 * spec.tail_tolerance, 3e-6),
         metric=lambda mag, L: mag * math.sqrt(L) * (1.0 + math.log(L)) ** 2 / 2.0,
@@ -450,7 +440,7 @@ def central_value_rs(
     else:
         _check_positive_integers(cutoff=cutoff)
         C = int(cutoff)
-        kern = _weight_kernel(spec, t, form.mu, form.mu, math.log(max(C, 2)))
+        kern = _weight_kernel(spec, t, form.gamma, form.gamma, math.log(max(C, 2)))
     a = fixture.coeff_array()
     if a.size - 1 < C:
         raise FixtureCoverageError(
@@ -508,18 +498,16 @@ def _gl3_afe_value(form: GL3Form, s0: complex, spec: WeightSpec) -> complex:
     # deeper abscissa = faster coefficient decay, but it must clear the
     # damper's first pole at Re u = A/2
     sigma = min(3.0, 0.45 * spec.A)
-    denom = complex(gamma_factor_log(s0, [-m for m in form.mu]))
+    denom = complex(form.gamma.log(s0))
 
     # row 0 of the kernel integrates Va's integrand, row 1 Vb's
-    pair = ((s0, [-m for m in form.mu]), (1 - s0, [-m for m in form.mu_dual]))
+    pair = ((s0, form.gamma), (1 - s0, form.gamma_dual))
 
     def kfunc(u, rows):
         damped = cosine_power_damper(spec, u) / u
-        return np.stack([damped * np.exp(gamma_factor_log(pair[i][0] + u, pair[i][1]) - denom) for i in rows])
+        return np.stack([damped * np.exp(pair[i][1].log(pair[i][0] + u) - denom) for i in rows])
 
-    osc_extra = 1.5 * math.log(2.0 + abs(s0)) + 3.0 * max(
-        abs(complex(m)) ** 0.5 for m in tuple(form.mu) + tuple(form.mu_dual)
-    )
+    osc_extra = 1.5 * math.log(2.0 + abs(s0)) + _shift_osc(form.gamma, form.gamma_dual)
     # the damper pole at Re u = A/2 caps the reachable coefficient decay at
     # m^{-A/2}, so the convergence goal must loosen for small A
     tol_rel = max(spec.tail_tolerance, 10.0 ** (-min(8.0, 0.75 * spec.A)))

@@ -1,7 +1,7 @@
 """Rank-3 Hecke coefficient engine.
 
 A form is described by one Satake triple (x, y, z) per prime, normalized to
-x y z = 1, plus archimedean data.  The prime-power coefficient is the Schur
+x y z = 1, plus gamma data.  The prime-power coefficient is the Schur
 polynomial of the partition (a+b, a, 0):
 
     A(p^a, p^b) = h_{a+b} h_a - h_{a+b+1} h_{a-1},
@@ -38,6 +38,7 @@ from typing import Mapping
 import numpy as np
 
 from .exactarith import _check_positive_integers, divisors, factorize, mobius
+from .special import GammaData
 
 __all__ = [
     "GL3Form",
@@ -63,29 +64,28 @@ class PolarFormError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class GL3Form:
-    """Rank-3 form: archimedean parameters plus a Satake map.
+    """Rank-3 form: gamma data plus a Satake map.
 
-    mu / mu_dual are the three parameters entering the gamma factors of the
-    form and of its dual; for a spherical (maass_type) form mu has zero sum
-    and mu_dual = -mu.  Lifts of holomorphic forms carry their own mu as
-    plain configuration, and maass_type is False.  polar marks instances
-    whose Dirichlet series has a pole at s = 1 (the triple-divisor case);
-    central-value machinery rejects those.
+    gamma / gamma_dual are the degree-3 special.GammaData of the form's
+    standard L-function and of its dual's.  The form is `spherical` when
+    gamma_dual = -gamma, and its shifts then sum to 0; sym^2 Delta is not.
+    polar marks instances whose Dirichlet series has a pole at s = 1 (the
+    triple-divisor case); central-value machinery rejects those.
     """
 
     label: str
-    mu: tuple
-    mu_dual: tuple
+    gamma: GammaData
+    gamma_dual: GammaData
     satake: Mapping[int, tuple] = field(default_factory=dict)
     default_satake: tuple | None = None
-    maass_type: bool = True
     polar: bool = False
 
     def __post_init__(self) -> None:
-        if self.maass_type:
-            s = sum(complex(m) for m in self.mu)
-            if abs(s) > 1e-12:
-                raise ValueError(f"spherical parameters must sum to 0, got {s}")
+        for name, data in (("gamma", self.gamma), ("gamma_dual", self.gamma_dual)):
+            if not (isinstance(data, GammaData) and len(data.shifts) == 3):
+                raise ValueError(f"{name} must be GammaData of degree 3, got {data!r}")
+        if self.spherical and abs(sum(self.gamma.shifts)) > 1e-12:
+            raise ValueError(f"spherical parameters must sum to 0, got {sum(self.gamma.shifts)}")
         for p, triple in self.satake.items():
             prod = complex(triple[0]) * complex(triple[1]) * complex(triple[2])
             if abs(prod - 1) > 1e-9:
@@ -94,6 +94,10 @@ class GL3Form:
             x, y, z = (complex(v) for v in self.default_satake)
             if abs(x * y * z - 1) > 1e-12:
                 raise ValueError("default Satake product must be 1")
+
+    @property
+    def spherical(self) -> bool:
+        return self.gamma_dual.shifts == tuple(-k for k in self.gamma.shifts)
 
     def satake_at(self, p: int) -> tuple:
         triple = self.satake.get(p)
@@ -255,11 +259,10 @@ def triple_divisor_form() -> GL3Form:
     """
     return GL3Form(
         label="triple-divisor",
-        mu=(0j, 0j, 0j),
-        mu_dual=(0j, 0j, 0j),
+        gamma=GammaData((0, 0, 0)),
+        gamma_dual=GammaData((0, 0, 0)),
         satake={},
         default_satake=(1 + 0j, 1 + 0j, 1 + 0j),
-        maass_type=True,
         polar=True,
     )
 
@@ -348,11 +351,11 @@ def symmetric_square_form(prime_cap: int = 24000) -> GL3Form:
 
     Seeds: a_p = tau(p) / p^{11/2} (so |a_p| < 2 and a_p = 2 cos theta_p),
     giving the lift the Satake triple (e^{2 i theta_p}, 1, e^{-2 i theta_p})
-    and A(1, p) = a_p^2 - 1.  The archimedean parameters are
-    (-1, -11, -12): the lift's standard L-function has completed factor
-    Gamma_R(s+1) Gamma_R(s+11) Gamma_R(s+12) and is self-dual with these
-    same dual parameters.  They sit far outside the spherical strip but left
-    of the tensor AFE weight's contour, so the weight is defined.
+    and A(1, p) = a_p^2 - 1.  The gamma shifts are (1, 11, 12): the lift's
+    standard L-function has completed factor Gamma_R(s+1) Gamma_R(s+11)
+    Gamma_R(s+12) and is self-dual with the same dual shifts.  They sit far
+    outside the spherical strip, but every pole of the tensor AFE weight's
+    gamma factor lies left of its contour, so the weight is defined.
     """
     if prime_cap < 2:
         raise ValueError("prime_cap must be at least 2")
@@ -363,13 +366,12 @@ def symmetric_square_form(prime_cap: int = 24000) -> GL3Form:
         theta = math.acos(min(1.0, max(-1.0, a_p / 2.0)))
         rot = complex(math.cos(2 * theta), math.sin(2 * theta))
         satake[p] = (rot, 1 + 0j, rot.conjugate())
-    params = (-1.0 + 0j, -11.0 + 0j, -12.0 + 0j)
+    gamma = GammaData((1, 11, 12))
     return GL3Form(
         label=f"sym2-discriminant(cap={prime_cap})",
-        mu=params,
-        mu_dual=params,
+        gamma=gamma,
+        gamma_dual=gamma,
         satake=satake,
         default_satake=None,
-        maass_type=False,
         polar=False,
     )

@@ -69,12 +69,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .afe import _U_MU, FixtureCoverageError, MaassFixture, WeightSpec, _weight_rows
+from .afe import _GAMMA_U, FixtureCoverageError, MaassFixture, WeightSpec, _weight_rows
 from .chebyshev import _Interpolant, _interpolate_log1p
 from .exactarith import _check_positive_integers, kloosterman_sums
 from .heckegl3 import GL3Form
 from .quadrature import NonDecayError, _legendre_rule, _panel_edges, _row_blocks, gauss_legendre_panels, panel_grid
-from .special import log_gamma, zeta_with_error
+from .special import GammaData, log_gamma, zeta_with_error
 
 __all__ = [
     "SpectralTestFunction",
@@ -672,13 +672,13 @@ def uv_cache_stats() -> dict:
 # the weight reads nothing of a form but its gamma data, so a self-dual
 # form's two tensor variants share one entry
 @functools.lru_cache(maxsize=32)
-def _cached_weight(spec: WeightSpec, y: float, top: float, mu: tuple, mu_norm: tuple) -> _Interpolant:
+def _cached_weight(spec: WeightSpec, y: float, top: float, gamma: GammaData, norm: GammaData) -> _Interpolant:
     """W(y, .) on [0, top] as a piecewise Chebyshev interpolant in log(1 + t),
     to the spec's tail_tolerance, of rows from the one contour grid sized
     for top, so that the rows differ only where W does."""
 
     def rows(ts: np.ndarray) -> tuple:
-        return _weight_rows(spec, y, ts, mu, mu_norm, top)
+        return _weight_rows(spec, y, ts, gamma, norm, top)
 
     return _interpolate_log1p(rows, top, spec.tail_tolerance, f"AFE weight at y = {y}")
 
@@ -687,10 +687,10 @@ def _diag_samples(
     ts: np.ndarray, width_T: float, y_gl2: float, y_rs: float, form: GL3Form, variant: str, spec: WeightSpec
 ) -> np.ndarray:
     gauss = np.exp(-((ts / width_T) ** 2))
-    mu = form.mu if variant == "direct" else form.mu_dual
+    gamma = form.gamma if variant == "direct" else form.gamma_dual
     top = _DIAG_TOP * width_T
-    u = _cached_weight(spec, y_gl2, top, _U_MU, _U_MU)
-    v = _cached_weight(spec, y_rs, top, tuple(mu), tuple(form.mu))
+    u = _cached_weight(spec, y_gl2, top, _GAMMA_U, _GAMMA_U)
+    v = _cached_weight(spec, y_rs, top, gamma, form.gamma)
     return gauss * u(ts) * v(ts)
 
 
@@ -720,18 +720,18 @@ def diagonal_weight(
     one contour grid, with a reported error), and every t-grid is evaluated
     from it, for the default WeightSpec().  The interpolant is cached
     module-wide (_cached_weight's 32-entry functools.lru_cache) keyed on the
-    weight parameters, y, 8T and the gamma data the weight reads: the mu it
-    carries and the mu that normalizes it ((0,) by (0,) for U, form.mu or
-    form.mu_dual by form.mu for V), as tuples.  So any resolution_factor
-    and every panel halving of the Bessel variants reuse it, and a self-dual
-    form's "dual" reuses "direct"'s (see uv_cache_stats).  Threads may share the cache: it stays
+    weight parameters, y, 8T and the two GammaData the weight reads: the
+    data it carries and the data that normalizes it (_GAMMA_U by itself for
+    U, form.gamma or form.gamma_dual by form.gamma for V), equal when their
+    shifts are.  So any resolution_factor and every panel halving of the
+    Bessel variants reuse it, and a self-dual form's "dual" reuses
+    "direct"'s (see uv_cache_stats).  Threads may share the cache: it stays
     coherent, and two that miss the same key at once both build it.  x is
     required exactly for the Bessel variants, which are evaluated as
     bessel_transform evaluates them, with the weighted Gaussian as h,
     sampled on the t-grid (its panels halved until they resolve the
-    contour).  Evenness of the
-    weights in t is relied upon (the integrals run over t >= 0 doubled);
-    the test-suite verifies it."""
+    contour).  Evenness of the weights in t is relied upon (the integrals
+    run over t >= 0 doubled); the test-suite verifies it."""
     if variant not in DIAGONAL_VARIANTS:
         raise ValueError(f"variant must be one of {DIAGONAL_VARIANTS}, got {variant!r}")
     if not 0 < T < math.inf:

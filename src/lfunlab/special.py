@@ -14,26 +14,18 @@ numpy's complex log is a scalar libm loop at ~60 ns an element on AVX-512
 hardware, where the real log and arctan2 are SIMD loops at 2-5 ns, and a
 log-gamma evaluation below the Stirling threshold takes about five logs.
 
-Gamma factors.  Every gamma factor here is a product of
-Gamma_R(s + kappa) = pi^{-(s+kappa)/2} Gamma((s+kappa)/2) over a tuple of
-shifts kappa_1..kappa_d (Iwaniec-Kowalski, Analytic Number Theory, 5.2),
-without the constants pi^{-kappa/2}:
-
-    gamma_factor_log(s, kappa) = log pi^{-ds/2} prod_j Gamma((s + kappa_j)/2).
-
-The degree-2 factor pi^{-s} Gamma((s+it)/2) Gamma((s-it)/2) has shifts
-(-it, it); the degree-6 tensor factor of spectral parameter t with a form
-of archimedean parameters mu has the six shifts -mu_i -+ it; the degree-3
-factor has the shifts -mu_i.  Products are assembled in log space; callers
-that need ratios subtract logs before exponentiating, so overflow never
-enters.  Equal shifts share one log_gamma evaluation: for mu = (0, 0, 0)
-the six tensor shifts are three copies of (-it, it).
+Gamma factors.  GammaData.log gives the log of the product of Gamma_R(s +
+kappa) = pi^{-(s+kappa)/2} Gamma((s+kappa)/2) over its shifts kappa_j
+(Iwaniec-Kowalski, Analytic Number Theory, 5.2), without the constants
+pi^{-kappa/2}.  zeta has the shift 0, a GL(3) form three, and the tensor
+with a GL(2) Maass form of spectral parameter t the shifts kappa_j -+ it
+(maass_tensor).  Ratios are differences of logs, so overflow never enters.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +35,7 @@ __all__ = [
     "log_gamma",
     "zeta",
     "zeta_with_error",
-    "gamma_factor_log",
+    "GammaData",
 ]
 
 
@@ -55,37 +47,38 @@ class RegimeError(ValueError):
     """Arguments outside the validated regime of the chosen algorithm."""
 
 
+# B_2k as (numerator, denominator); each quotient of ints below rounds correctly
 _BERNOULLI = {
-    2: Fraction(1, 6),
-    4: Fraction(-1, 30),
-    6: Fraction(1, 42),
-    8: Fraction(-1, 30),
-    10: Fraction(5, 66),
-    12: Fraction(-691, 2730),
-    14: Fraction(7, 6),
-    16: Fraction(-3617, 510),
-    18: Fraction(43867, 798),
-    20: Fraction(-174611, 330),
-    22: Fraction(854513, 138),
-    24: Fraction(-236364091, 2730),
-    26: Fraction(8553103, 6),
+    2: (1, 6),
+    4: (-1, 30),
+    6: (1, 42),
+    8: (-1, 30),
+    10: (5, 66),
+    12: (-691, 2730),
+    14: (7, 6),
+    16: (-3617, 510),
+    18: (43867, 798),
+    20: (-174611, 330),
+    22: (854513, 138),
+    24: (-236364091, 2730),
+    26: (8553103, 6),
 }
 
 # B_{2n} / ((2n)(2n-1)) for the Stirling tail, n = 1..10
 _STIRLING_C = np.array(
-    [float(_BERNOULLI[2 * n] / (2 * n * (2 * n - 1))) for n in range(1, 11)]
+    [_BERNOULLI[2 * n][0] / (_BERNOULLI[2 * n][1] * 2 * n * (2 * n - 1)) for n in range(1, 11)]
 )
 
 # Where _stirling_shifted stops recursing: the smallest |w| at which the
 # remainder bound after B_20 (see its docstring) is _STIRLING_TARGET.
 _STIRLING_TARGET = 1e-17
-_STIRLING_MIN_ABS = (float(abs(_BERNOULLI[22]) / (22 * 21)) * 2.0**11 / _STIRLING_TARGET) ** (1 / 21)
+_STIRLING_MIN_ABS = (_BERNOULLI[22][0] / (_BERNOULLI[22][1] * 22 * 21) * 2.0**11 / _STIRLING_TARGET) ** (1 / 21)
 
 _BLOCK = 4096  # points per pass of log_gamma, so its temporaries stay ~64 KB each
 
 # B_{2k} / (2k)! for Euler-Maclaurin, k = 1..13
 _EM_C = np.array(
-    [float(_BERNOULLI[2 * k] / math.factorial(2 * k)) for k in range(1, 14)]
+    [_BERNOULLI[2 * k][0] / (_BERNOULLI[2 * k][1] * math.factorial(2 * k)) for k in range(1, 14)]
 )
 _EM_TERMS = 12  # K, the Euler-Maclaurin correction terms summed; _EM_C[K] bounds the rest
 
@@ -137,10 +130,8 @@ def _step_past_threshold(w: np.ndarray) -> np.ndarray:
     is not.  The phases of w and w + 1 share the sign of Im w and lie in
     (-pi/2, pi/2), so their sum stays in (-pi, pi) and the principal log of
     the product is the sum of the two principal logs; the product adds one
-    rounding, ~2e-16 absolute in the log.  The logs are _log's, from real
-    ufuncs, since numpy's complex log would make them most of the cost.
-    Its temporaries end with the call, before the Stirling series
-    allocates its own.
+    rounding, ~2e-16 absolute in the log.  Its temporaries end with the
+    call, before the Stirling series allocates its own.
     """
     rec = np.zeros_like(w)
     active = np.flatnonzero(np.abs(w) < _STIRLING_MIN_ABS)
@@ -221,16 +212,13 @@ def log_gamma(z):
     |z log z| 2^-53 (measured up to 2.4 times that on |z| <= 1e6): 1.5e-11
     at z = 1 + 10^4 i, one ulp of Im log Gamma ~ 8e4 there.  exp(result)
     carries that error as a relative one.  Nonpositive integers raise
-    PoleError.  On Re z < 1/2 the reflection
-    formula is used, which can offset the imaginary part by a multiple of
-    2 pi i relative to the continued principal branch; every consumer in
-    this package exponentiates differences of these logs, where such
-    offsets cancel or are irrelevant.  Points are evaluated in blocks of
-    _BLOCK, each element on its own, so the result for a point does not
-    depend on the shape or size of the array it arrives in.  Every log
-    inside is taken in real arithmetic (_log: log|z| + i atan2), because
-    numpy's complex log is a scalar libm loop and its real log and arctan2
-    are SIMD loops, an order of magnitude faster.
+    PoleError.  On Re z < 1/2 the reflection formula is used, which can
+    offset the imaginary part by a multiple of 2 pi i relative to the
+    continued principal branch; every consumer in this package exponentiates
+    differences of these logs, where such offsets cancel or are irrelevant.
+    Points are evaluated in blocks of _BLOCK, each element on its own, so
+    the result for a point does not depend on the shape or size of the array
+    it arrives in.  Every log inside is _log's (module docstring).
     """
     z_arr = np.asarray(z, dtype=complex)
     zf = z_arr.reshape(-1)
@@ -306,21 +294,47 @@ def zeta(s):
     return zeta_with_error(s)[0]
 
 
-def gamma_factor_log(s, shifts) -> np.ndarray:
-    """log of pi^{-ds/2} prod_j Gamma((s + kappa_j)/2), d = len(shifts).
+@dataclass(frozen=True)
+class GammaData:
+    """The shifts kappa_j of prod_j Gamma_R(s + kappa_j): complex numbers that
+    hash and compare as a tuple, or arrays against s from maass_tensor of a
+    t-array.  A non-numeric or non-finite shift raises ValueError."""
 
-    Each shift broadcasts against s, so a column of shifts (one row per t)
-    against a row of s gives the factor on a (t, s) matrix.  log_gamma is
-    called once per distinct shift (the tensor factor of mu = (0, 0, 0) has
-    two, not six), and its result is added once per occurrence in the order
-    of `shifts`, so the sum is bit-identical to one call per shift."""
-    s = np.asarray(s, dtype=complex)
-    out = -(0.5 * len(shifts)) * s * math.log(math.pi)
-    seen: list = []  # (shift, its log_gamma) for each distinct shift so far
-    for kappa in shifts:
-        lg = next((v for k, v in seen if np.array_equal(k, kappa)), None)
-        if lg is None:
-            lg = log_gamma((s + kappa) / 2)
-            seen.append((kappa, lg))
-        out = out + lg
-    return out
+    shifts: tuple
+
+    def __post_init__(self) -> None:
+        arrays = [np.asarray(k) for k in self.shifts]
+        if not all(a.dtype.kind in "biufc" and np.isfinite(a).all() for a in arrays):
+            raise ValueError(f"gamma shifts must be finite numbers, got {self.shifts!r}")
+        object.__setattr__(self, "shifts", tuple(k if a.ndim else complex(k) for k, a in zip(self.shifts, arrays)))
+
+    def log(self, s) -> np.ndarray:
+        """log pi^{-ds/2} prod_j Gamma((s + kappa_j)/2), d = len(shifts), with
+        the terms added in the order of the shifts."""
+        s = np.asarray(s, dtype=complex)
+        return sum(self._log_gammas(s), -(0.5 * len(self.shifts)) * s * math.log(math.pi))
+
+    def _log_gammas(self, s):
+        """log Gamma((s + kappa)/2) for each shift, one log_gamma call per
+        distinct shift (two, not six, for the Maass tensor of (0, 0, 0))."""
+        seen: list = []  # (shift, its log_gamma) for each distinct shift so far
+        for kappa in self.shifts:
+            lg = next((v for k, v in seen if np.array_equal(k, kappa)), None)
+            if lg is None:
+                lg = log_gamma((s + kappa) / 2)
+                seen.append((kappa, lg))
+            yield lg
+
+    @property
+    def rightmost_pole(self) -> float:
+        """max_j -Re kappa_j, the abscissa of the factor's rightmost poles."""
+        return max(-k.real for k in self.shifts)
+
+    @property
+    def conjugate_symmetric(self) -> bool:
+        """Whether conj(factor(s)) = factor(conj s): conjugation-closed shifts."""
+        return all(self.shifts.count(k) == self.shifts.count(k.conjugate()) for k in self.shifts)
+
+    def maass_tensor(self, t) -> GammaData:
+        """Tensor with the Maass pair -+it, t a float or an array: kappa_j -+ it in turn."""
+        return GammaData(tuple(kappa for k in self.shifts for kappa in (k - 1j * t, k + 1j * t)))

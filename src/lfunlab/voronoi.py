@@ -8,8 +8,8 @@ a Mellin-Barnes integral with a six-gamma quotient,
                phitilde(-s-k) ds,         k in {0, 1},
 
 a BARE line integral (no 1/(2 pi i); the i from ds = i dv is kept), where
-(a_1, a_2, a_3) are the form's spherical parameters and phitilde(s) =
-int phi(x) x^{s-1} dx.  The two orders combine into
+a_i are the shifts of the form's gamma_dual (its gamma has the shifts -a_i)
+and phitilde(s) = int phi(x) x^{s-1} dx.  The two orders combine into
 
     Phi^0(x) = Phi_0(x) + (pi^{-3} c^3 n / (m1^2 m2 i)) Phi_1(x),
     Phi^1(x) = Phi_0(x) - (pi^{-3} c^3 n / (m1^2 m2 i)) Phi_1(x),
@@ -124,7 +124,7 @@ import numpy as np
 from .exactarith import _check_positive_integers, kloosterman, mod_inverse
 from .heckegl3 import GL3Form, coefficient_block, coefficient_row, mobius_unfold
 from .quadrature import ContourKernel, contour_kernel, panel_grid
-from .special import PoleError, RegimeError, gamma_factor_log, zeta_with_error
+from .special import GammaData, PoleError, RegimeError, zeta_with_error
 
 __all__ = [
     "VoronoiKernelSpec",
@@ -299,10 +299,10 @@ def _mellin_dense(phi: Callable, support: tuple, s: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VoronoiKernelSpec:
-    """Form parameters and test function for the transform.
+    """Form and test function for the transform.
 
-    The form must be spherical (maass_type): its mu are the a_i of the
-    six-gamma quotient, and other forms raise ValueError.
+    The abscissae, the rung ladder and the order-1 kernel assume spherical
+    gamma data, so other forms raise ValueError.
     The test function must be smooth, real-valued, and compactly supported
     in (0, inf), advertising its support via a .support attribute (a
     SmoothBump does).
@@ -312,18 +312,12 @@ class VoronoiKernelSpec:
     test_function: Callable
 
     def __post_init__(self) -> None:
-        if not self.form.maass_type:
+        if not self.form.spherical:
             raise ValueError(
                 f"form {self.form.label!r} carries no spherical parameters; the "
                 "Voronoi kernel is implemented for spherical forms only"
             )
         _support_of(self.test_function)
-
-    def spherical(self) -> tuple:
-        return tuple(complex(m) for m in self.form.mu)
-
-    def pole_bound(self, k: int = 0) -> float:
-        return max(-1.0 - 2 * k - z.real for z in self.spherical())
 
     @property
     def support(self) -> tuple:
@@ -344,13 +338,13 @@ class VoronoiSides:
     main_term: complex = 0j  # polar-form residue included in rhs; 0 for cuspidal
 
 
-def _gamma_quotient_log(u, k: int, abg) -> np.ndarray:
-    """log prod_z Gamma((1 + 2k + u + z)/2) / Gamma((-u - z)/2) over z in abg:
-    the quotient of two Gamma_R products, with their pi powers added back."""
+def _gamma_quotient_log(u, k: int, gamma: GammaData, gamma_dual: GammaData) -> np.ndarray:
+    """log of the quotient of the Gamma_R products of a form's gamma_dual at
+    1 + 2k + u and of its gamma at -u, with their pi powers added back."""
     return (
-        gamma_factor_log(1.0 + 2 * k + u, abg)
-        - gamma_factor_log(-u, [-z for z in abg])
-        + 0.5 * len(abg) * (1.0 + 2 * k + 2 * u) * math.log(math.pi)
+        gamma_dual.log(1.0 + 2 * k + u)
+        - gamma.log(-u)
+        + 0.5 * len(gamma.shifts) * (1.0 + 2 * k + 2 * u) * math.log(math.pi)
     )
 
 
@@ -377,14 +371,13 @@ def _phi_contour_kernels(spec: VoronoiKernelSpec, abscissae: dict, max_abs_ln_y:
     for k, sigma in zip(orders, sigmas):
         if k not in (0, 1):
             raise ValueError(f"kernel order k must be 0 or 1, got {k}")
-        if not sigma >= spec.pole_bound(k) + 0.5:
+        bound = spec.form.gamma_dual.rightmost_pole - 1.0 - 2 * k  # order-k numerator poles
+        if not sigma >= bound + 0.5:
             raise PoleError(
                 f"abscissa {sigma} is not half a unit right of the order-{k} "
-                f"numerator poles (needs sigma >= {spec.pole_bound(k) + 0.5})"
+                f"numerator poles (needs sigma >= {bound + 0.5})"
             )
-    abg = spec.spherical()
     lo, hi = spec.support
-    symmetric = all(abs(z.imag) < 1e-12 for z in abg)
     lines = {}
     for k, sigma in zip(orders, sigmas):
         if -sigma - k not in lines:
@@ -411,7 +404,7 @@ def _phi_contour_kernels(spec: VoronoiKernelSpec, abscissae: dict, max_abs_ln_y:
             if key not in line_values:
                 line_values.clear()
                 line_values[key] = lines[key[0]](-v)  # phitilde(-u - k)
-            quotient = _gamma_quotient_log(sigma + 1j * v, k, abg)
+            quotient = _gamma_quotient_log(sigma + 1j * v, k, spec.form.gamma, spec.form.gamma_dual)
             size = np.exp(np.real(quotient))
             np.exp(quotient, out=value[i])
             value[i] *= line_values[key]
@@ -420,13 +413,16 @@ def _phi_contour_kernels(spec: VoronoiKernelSpec, abscissae: dict, max_abs_ln_y:
 
     # oscillation budget (radians per unit height): y^{-iv} itself, the
     # Mellin factor's phase speed (bounded by the larger |log| end of the
-    # support), and the gamma-quotient phase drifting like (3/2) ln v
-    # across the realistic height range
+    # support), and 12 for the gamma quotient, whose phase speed is 3 ln(v/2)
+    # (measured for D3, both orders: 12.02 at v = 110, 16.64 at 512, 20.72
+    # at 2,000, within 1.1e-5 of it).  So 12 falls short past v ~ 110, but
+    # does not bind yet: for D3, panels 0.9 to 0.6 times this wide move
+    # order 0 at x = 40 by at most 3e-12
     osc = max_abs_ln_y + max(abs(math.log(lo)), abs(math.log(hi))) + 12.0
     # 12-node panels spanning <= 9 radians (~1.4 periods) of the fastest phase
     return contour_kernel(
         kfunc, sigmas[0], np.arange(len(orders)), width=min(0.5, 9.0 / osc), tol=1e-11,
-        symmetric=symmetric, height=512.0, cap=_CONTOUR_CAP,
+        symmetric=spec.form.gamma.conjugate_symmetric, height=512.0, cap=_CONTOUR_CAP,
     )
 
 
@@ -479,7 +475,7 @@ def voronoi_kernel_asymptotic(spec: VoronoiKernelSpec, x: float, order: int = 1)
         )
     if not 1 <= order <= _MAX_RUNGS:
         raise ValueError(f"order must lie in 1..{_MAX_RUNGS}, got {order}")
-    if order >= 2 and any(abs(z) > 1e-12 for z in spec.spherical()):
+    if order >= 2 and any(abs(z) > 1e-12 for z in spec.form.gamma.shifts):
         raise ValueError(
             "ladder rungs beyond the first are derived for the degenerate form "
             "(all spherical parameters zero) only"
@@ -495,8 +491,8 @@ def _neutral_abscissa(spec: VoronoiKernelSpec, k: int) -> float:
     exponent vanishes at sigma = -(1+2k)/2 - sum(Re a_i)/3; clamped half a
     unit right of the order-k poles when that point is out of range.
     """
-    s = sum(z.real for z in spec.spherical())
-    return max(-(1.0 + 2 * k) / 2.0 - s / 3.0, spec.pole_bound(k) + 0.5)
+    g = spec.form.gamma_dual
+    return max(-(1.0 + 2 * k) / 2.0 - sum(z.real for z in g.shifts) / 3.0, g.rightmost_pole - 1.0 - 2 * k + 0.5)
 
 
 def polar_main_term(
@@ -698,8 +694,7 @@ def voronoi_residual_profile(
     cn = c * n
     m1s = [d for d in range(1, cn + 1) if cn % d == 0]
     m2s = np.arange(1, top + 1)
-    degenerate = all(abs(z) < 1e-12 for z in spec.spherical())
-    x_exact = _TAIL_XLO / lo if degenerate else math.inf
+    x_exact = _TAIL_XLO / lo if all(abs(z) < 1e-12 for z in form.gamma.shifts) else math.inf
     xs, where = np.unique(np.concatenate([m2s * m1 * m1 / (c**3 * n) for m1 in m1s]), return_inverse=True)
     n_exact = int(np.searchsorted(xs, x_exact, side="right"))
     # both orders' transform values and allowances, one row per order

@@ -34,7 +34,7 @@ from lfunlab.afe import (
 )
 from lfunlab.heckegl3 import GL3Form, PolarFormError, symmetric_square_form, triple_divisor_form
 from lfunlab.quadrature import contour_kernel
-from lfunlab.special import PoleError, zeta_with_error
+from lfunlab.special import GammaData, PoleError, zeta_with_error
 from test_quadrature import assert_matches_dense_rows
 
 SPEC = WeightSpec()
@@ -227,16 +227,16 @@ def test_rs_weight_batch_matches_scalar(sym2):
 # weights over a vector of t: one contour grid
 
 T_GRID = np.linspace(0.0, 60.0, 8)
-# tempered spherical parameters: non-real mu, so the tensor kernel is not
-# conjugate-symmetric and keeps both half-lines
+# tempered spherical data: non-real shifts, not closed under conjugation,
+# so the tensor kernel is not conjugate-symmetric and keeps both half-lines
 TEMPERED = GL3Form(
-    label="tempered", mu=(0.4j, -0.1j, -0.3j), mu_dual=(-0.4j, 0.1j, 0.3j),
+    label="tempered", gamma=GammaData((-0.4j, 0.1j, 0.3j)), gamma_dual=GammaData((0.4j, -0.1j, -0.3j)),
 )
-# gamma data (mu used, mu normalizing) of each weight: U, then V1/V2
-WEIGHTS = {"gl2": (afe._U_MU, afe._U_MU)}
+# gamma data (used, normalizing) of each weight: U, then V1/V2
+WEIGHTS = {"gl2": (afe._GAMMA_U, afe._GAMMA_U)}
 for _form in (D3, TEMPERED):
-    WEIGHTS[f"{_form.label}-direct"] = (_form.mu, _form.mu)
-    WEIGHTS[f"{_form.label}-dual"] = (_form.mu_dual, _form.mu)
+    WEIGHTS[f"{_form.label}-direct"] = (_form.gamma, _form.gamma)
+    WEIGHTS[f"{_form.label}-dual"] = (_form.gamma_dual, _form.gamma)
 
 
 def _allowance(kern, y, row=0):
@@ -247,9 +247,9 @@ def _allowance(kern, y, row=0):
     return 2.0 * per_half * y**-SPEC.sigma_u
 
 
-def _kernel(ts, mu, mu_norm, max_abs_ln_y, t_top=None):
+def _kernel(ts, gamma, norm, max_abs_ln_y, t_top=None):
     # the one kernel of W(., t) for the t of ts, against their norm
-    return afe._weight_kernel(SPEC, ts, mu, mu_norm, max_abs_ln_y, t_top)
+    return afe._weight_kernel(SPEC, ts, gamma, norm, max_abs_ln_y, t_top)
 
 
 @pytest.mark.parametrize("name", sorted(WEIGHTS))
@@ -257,11 +257,11 @@ def test_t_grid_blocking_is_bit_identical(name):
     # each row of a t-grid's kernel, cut to the length of its t's one-row
     # kernel on the same grid, is that row, and zero past it; and the
     # values of a t-grid are the single-t values bit for bit
-    mu, mu_norm = WEIGHTS[name]
-    kern = _kernel(T_GRID, mu, mu_norm, 3.0)
+    gamma, norm = WEIGHTS[name]
+    kern = _kernel(T_GRID, gamma, norm, 3.0)
     assert kern.w.shape[0] == T_GRID.size
     for i, t in enumerate(T_GRID):
-        alone = _kernel(t, mu, mu_norm, 3.0, t_top=60.0)
+        alone = _kernel(t, gamma, norm, 3.0, t_top=60.0)
         n = alone.v.size
         assert alone.w.shape == (1, n)
         assert np.array_equal(kern.v[:n], alone.v)
@@ -270,15 +270,15 @@ def test_t_grid_blocking_is_bit_identical(name):
         assert kern.tail_estimate[i] == alone.tail_estimate[0]
     ts = np.linspace(0.0, 60.0, 20)
     ys = np.array([1.0, 30.0, 900.0])
-    grid = afe._weight_grid(SPEC, ys, ts, mu, mu_norm)
+    grid = afe._weight_grid(SPEC, ys, ts, gamma, norm)
     for t, row in zip(ts, grid, strict=True):
-        assert np.array_equal(row, afe._weight_grid(SPEC, ys, [t], mu, mu_norm, t_top=60.0)[0])
+        assert np.array_equal(row, afe._weight_grid(SPEC, ys, [t], gamma, norm, t_top=60.0)[0])
 
 
 def test_normalization_at_half_once_per_t_grid(monkeypatch):
     # the gamma factor at 1/2 depends on t alone, so a t-grid evaluates it
     # once, not once per build, kfunc call and segment.  Its log_gamma
-    # arguments (1/2 -+ it - mu)/2 are the only ones with real part 1/4
+    # arguments (1/2 + kappa -+ it)/2 are the only ones with real part 1/4
     # here; the contour nodes' lie on (1/2 + sigma_u)/2.  20 t take one
     # build of 20 rows
     on_quarter = []
@@ -299,32 +299,33 @@ def test_normalization_at_half_once_per_t_grid(monkeypatch):
     monkeypatch.setattr(afe, "contour_kernel", counting_build)
     monkeypatch.setattr(quadrature, "_ROW_ELEMENTS", 1)  # one row per kfunc call
     ts = np.linspace(0.0, 60.0, 20)
-    assert afe._weight_grid(SPEC, [30.0], ts, afe._U_MU, afe._U_MU).shape == (ts.size, 1)
+    assert afe._weight_grid(SPEC, [30.0], ts, afe._GAMMA_U, afe._GAMMA_U).shape == (ts.size, 1)
     assert sum(on_quarter) == 2 < len(on_quarter)
     assert builds == [20]
     on_quarter.clear()
-    afe._weight_grid(SPEC, [30.0], ts, D3.mu, D3.mu)
-    # one call per distinct shift: D3's six shifts -mu_i -+ it are two
-    assert sum(on_quarter) == 2 * len(set(D3.mu)) < len(on_quarter)
+    afe._weight_grid(SPEC, [30.0], ts, D3.gamma, D3.gamma)
+    # one call per distinct shift: D3's six shifts kappa_i -+ it are two
+    assert sum(on_quarter) == 2 * len(set(D3.gamma.shifts)) < len(on_quarter)
     on_quarter.clear()
     builds.clear()
-    values, _ = afe._weight_rows(SPEC, 30.0, ts, afe._U_MU, afe._U_MU, 60.0)
+    values, _ = afe._weight_rows(SPEC, 30.0, ts, afe._GAMMA_U, afe._GAMMA_U, 60.0)
     assert values.shape == ts.shape
-    assert sum(on_quarter) == 2 < len(on_quarter)
+    # the two of the norm, and the two of the rounding floor's term sizes
+    assert sum(on_quarter) == 4 < len(on_quarter)
     assert builds == [20]
 
 
 @pytest.mark.parametrize("name", sorted(WEIGHTS))
 def test_t_grid_matches_scalar_weights(name):
-    mu, mu_norm = WEIGHTS[name]
+    gamma, norm = WEIGHTS[name]
     ys = np.array([1.0, 30.0, 900.0])
-    values = afe._weight_grid(SPEC, ys, T_GRID, mu, mu_norm)
+    values = afe._weight_grid(SPEC, ys, T_GRID, gamma, norm)
     assert values.shape == (T_GRID.size, ys.size)
-    kern = _kernel(T_GRID, mu, mu_norm, math.log(900.0))
+    kern = _kernel(T_GRID, gamma, norm, math.log(900.0))
     for i, (t, row) in enumerate(zip(T_GRID, values, strict=True)):
         for y, value in zip(ys, row):
-            alone = _kernel(t, mu, mu_norm, abs(math.log(y)))
-            scalar = afe._weight_grid(SPEC, [y], [t], mu, mu_norm)[0, 0]
+            alone = _kernel(t, gamma, norm, abs(math.log(y)))
+            scalar = afe._weight_grid(SPEC, [y], [t], gamma, norm)[0, 0]
             assert abs(value - scalar) <= _allowance(kern, y, i) + _allowance(alone, y)  # measured <= 3.4e-3 of it
 
 
@@ -333,9 +334,9 @@ def test_block_apply_matches_dense_rows(name):
     # a t-grid kernel's apply against each row's dense sum of w e^{-iv ln y},
     # on the symmetric U and the two-sided TEMPERED weight (rows that stop
     # at different heights: test_quadrature's TestRowBatches)
-    mu, mu_norm = WEIGHTS[name]
+    gamma, norm = WEIGHTS[name]
     ys = np.array([0.5, 1.0, 7.0, 30.0, 900.0])
-    assert_matches_dense_rows(_kernel(T_GRID, mu, mu_norm, math.log(900.0)), ys)  # measured <= 0.27 of the yardstick
+    assert_matches_dense_rows(_kernel(T_GRID, gamma, norm, math.log(900.0)), ys)  # measured <= 0.27 of the yardstick
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from lfunlab.heckegl3 import (
     symmetric_square_form,
     triple_divisor_form,
 )
-from lfunlab.special import zeta
+from lfunlab.special import GammaData, zeta
 from oracles import hecke_relation_residual, triple_divisor
 
 D3 = triple_divisor_form()
@@ -321,7 +321,7 @@ def test_sym_square_satake_and_seed(sym2):
         assert abs(x * y * z - 1) < 1e-12
         a_p = float(tau[p]) / p**5.5
         assert coefficient(sym2, 1, p) == pytest.approx(a_p * a_p - 1.0, abs=1e-10)
-    assert sym2.mu_dual == sym2.mu and not sym2.polar and not sym2.maass_type
+    assert sym2.gamma_dual == sym2.gamma == GammaData((1, 11, 12)) and not sym2.polar and not sym2.spherical
 
 
 def test_sym_square_coefficients_real(sym2):
@@ -337,8 +337,8 @@ def test_satake_product_validated():
     with pytest.raises(ValueError):
         GL3Form(
             label="bad",
-            mu=(0j, 0j, 0j),
-            mu_dual=(0j, 0j, 0j),
+            gamma=GammaData((0j, 0j, 0j)),
+            gamma_dual=GammaData((0j, 0j, 0j)),
             satake={2: (2 + 0j, 1 + 0j, 1 + 0j)},
         )
 
@@ -347,8 +347,8 @@ def test_spherical_sum_validated():
     with pytest.raises(ValueError):
         GL3Form(
             label="bad",
-            mu=(1 + 0j, 0j, 0j),
-            mu_dual=(-1 + 0j, 0j, 0j),
+            gamma=GammaData((1 + 0j, 0j, 0j)),
+            gamma_dual=GammaData((-1 + 0j, 0j, 0j)),
             default_satake=(1 + 0j, 1 + 0j, 1 + 0j),
         )
 
@@ -361,7 +361,20 @@ def test_missing_satake_raises():
 
 def test_polar_flags():
     assert triple_divisor_form().polar
-    assert triple_divisor_form().maass_type
+    assert triple_divisor_form().spherical
+
+
+def test_gamma_data_of_wrong_degree_rejected():
+    # degree-2 data used to be accepted, and the tensor weight built from it
+    # was silently the degree-4 one: 3.2e-4 at y = 2, t = 1, where D3's
+    # degree-6 weight is 3.3e-5
+    for name in ("gamma", "gamma_dual"):
+        data = {"gamma": GammaData((0j, 0j, 0j)), "gamma_dual": GammaData((0j, 0j, 0j))}
+        data[name] = GammaData((0j, 0j))
+        with pytest.raises(ValueError, match=f"^{name} must be GammaData of degree 3"):
+            GL3Form(label="short", default_satake=(1, 1, 1), **data)
+    with pytest.raises(ValueError, match="gamma must be GammaData"):
+        GL3Form("tuple", (0j, 0j, 0j), GammaData((0j, 0j, 0j)), default_satake=(1, 1, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from scipy.special import i0
 from lfunlab import afe, chebyshev, quadrature
 from lfunlab import kuznetsov as kz
 from lfunlab.afe import (
-    _U_MU,
+    _GAMMA_U,
     FixtureCoverageError,
     MaassFixture,
     WeightSpec,
@@ -32,7 +32,7 @@ from lfunlab.afe import (
 from lfunlab.exactarith import divisors, kloosterman
 from lfunlab.heckegl3 import GL3Form, symmetric_square_form, triple_divisor_form
 from lfunlab.quadrature import NonDecayError, panel_grid
-from lfunlab.special import PoleError, RegimeError
+from lfunlab.special import GammaData, PoleError, RegimeError
 import oracles
 
 # Values frozen from 30-40 digit mpmath evaluations of the defining
@@ -640,16 +640,16 @@ def test_diagonal_weight_uv_cache_counts():
 # ---------------------------------------------------------------------------
 # the weights' interpolants in log(1 + t)
 
-# gamma data (mu used, mu normalizing) of U, D3's V, sym^2 Delta's V, a
-# tempered V (non-real mu) and the dual V of a non-self-dual real mu
-OTHER_MU = (0.2, 0.1, -0.3)
-TEMPERED_MU = (0.4j, -0.1j, -0.3j)
+# gamma data (used, normalizing) of U, D3's V, sym^2 Delta's V, a tempered
+# V (non-real shifts) and the dual V of non-self-dual real shifts
+OTHER = GammaData((-0.2, -0.1, 0.3))
+TEMPERED = GammaData((-0.4j, 0.1j, 0.3j))
 INTERPOLATED = {
-    "gl2": (_U_MU, _U_MU),
-    "d3": ((0, 0, 0), (0, 0, 0)),
-    "sym2": ((-1, -11, -12), (-1, -11, -12)),
-    "tempered": (TEMPERED_MU, TEMPERED_MU),
-    "other-dual": (tuple(-m for m in OTHER_MU), OTHER_MU),
+    "gl2": (_GAMMA_U, _GAMMA_U),
+    "d3": (GammaData((0, 0, 0)), GammaData((0, 0, 0))),
+    "sym2": (GammaData((1, 11, 12)), GammaData((1, 11, 12))),
+    "tempered": (TEMPERED, TEMPERED),
+    "other-dual": (GammaData(tuple(-k for k in OTHER.shifts)), OTHER),
 }
 
 
@@ -659,22 +659,22 @@ def test_weight_interpolant_matches_direct_rows(name, y):
     # at random t, none of them a node, within the reported error of each
     # piece, against rows from a t-grid sized for the same top (that of
     # diagonal_weight at T = 20)
-    mu, mu_norm = INTERPOLATED[name]
+    gamma, norm = INTERPOLATED[name]
     spec, top = WeightSpec(), 160.0
-    interp = kz._cached_weight(spec, y, top, mu, mu_norm)
+    interp = kz._cached_weight(spec, y, top, gamma, norm)
     ts = np.sort(np.random.default_rng(7).uniform(0.0, top, 64))
     assert not np.isin(ts, np.concatenate([p.ts for p in interp.pieces])).any()
-    direct = _weight_grid(spec, [y], ts, mu, mu_norm, t_top=top)[:, 0]
+    direct = _weight_grid(spec, [y], ts, gamma, norm, t_top=top)[:, 0]
     off = np.abs(interp(ts) - direct)
     assert np.all(off <= interp.error(ts))  # measured: off <= 0.12 of it
 
 
 def test_weight_interpolant_nodes_are_rows():
     # at a node the interpolant returns the row itself, bit for bit
-    spec, mu = WeightSpec(), INTERPOLATED["d3"][0]
-    interp = kz._cached_weight(spec, 1.0, 160.0, mu, mu)
+    spec, gamma = WeightSpec(), INTERPOLATED["d3"][0]
+    interp = kz._cached_weight(spec, 1.0, 160.0, gamma, gamma)
     nodes = interp.pieces[1].ts[1::7]
-    direct = _weight_grid(spec, [1.0], nodes, mu, mu, t_top=160.0)[:, 0]
+    direct = _weight_grid(spec, [1.0], nodes, gamma, gamma, t_top=160.0)[:, 0]
     assert np.array_equal(interp(nodes), direct)
 
 
@@ -684,7 +684,7 @@ def test_weight_interpolant_piece_rule():
     assert np.array_equal(chebyshev._piece_edges(160.0), [0.0, 7.0, 63.0, 160.0])
     assert np.array_equal(chebyshev._piece_edges(4.0), [0.0, 4.0])
     assert np.array_equal(chebyshev._piece_edges(600.0), [0.0, 7.0, 63.0, 511.0, 600.0])
-    interp = kz._cached_weight(WeightSpec(), 1.0, 160.0, _U_MU, _U_MU)
+    interp = kz._cached_weight(WeightSpec(), 1.0, 160.0, _GAMMA_U, _GAMMA_U)
     for piece, lo, hi in zip(interp.pieces, [0.0, 7.0, 63.0], [7.0, 63.0, 160.0], strict=True):
         assert (piece.ts[-1], piece.ts[0]) == (lo, hi)
         assert (piece.ts.size - 1) % (2 * chebyshev._CHEB_START) == 0  # doublings of the first set
@@ -706,18 +706,18 @@ def test_weight_interpolant_raises_past_the_interval_cap(monkeypatch):
     kz._cached_weight.cache_clear()
     monkeypatch.setattr(kz, "_weight_rows", counting)
     monkeypatch.setattr(chebyshev, "_CHEB_MAX", 16)
-    mu = INTERPOLATED["d3"][0]
+    gamma = INTERPOLATED["d3"][0]
     with pytest.raises(NonDecayError, match="16 Chebyshev intervals"):
-        kz._cached_weight(WeightSpec(), 1.0, 160.0, mu, mu)
+        kz._cached_weight(WeightSpec(), 1.0, 160.0, gamma, gamma)
     assert built == [3 * 17 - 2]
 
 
 def test_weight_interpolant_rejects_t_outside_its_range():
-    interp = kz._cached_weight(WeightSpec(), 1.0, 8.0, _U_MU, _U_MU)
+    interp = kz._cached_weight(WeightSpec(), 1.0, 8.0, _GAMMA_U, _GAMMA_U)
     with pytest.raises(ValueError, match="outside"):
         interp(np.array([8.5]))
     with pytest.raises(ValueError, match="past the grid's top"):
-        _weight_grid(WeightSpec(), [1.0], [9.0], _U_MU, _U_MU, t_top=8.0)
+        _weight_grid(WeightSpec(), [1.0], [9.0], _GAMMA_U, _GAMMA_U, t_top=8.0)
 
 
 def test_diagonal_weight_benchmark_round_builds_few_rows(monkeypatch):
@@ -741,33 +741,31 @@ def test_diagonal_weight_benchmark_round_builds_few_rows(monkeypatch):
     assert kz.uv_cache_stats() == {"hits": 2, "misses": 2}
     assert len(builds) <= 8 and sum(builds) == 370  # measured 7 builds
     ts, _ = panel_grid(0.0, 160.0, 1.5, 12)
-    rows = [kz._cached_weight(spec, 1.0, 160.0, mu, mu).rows for mu in (_U_MU, d3.mu)]
+    rows = [kz._cached_weight(spec, 1.0, 160.0, g, g).rows for g in (_GAMMA_U, d3.gamma)]
     assert all(r <= ts.size // 4 for r in rows)  # measured 161 (U) and 209 (V)
 
 
 def test_diagonal_weight_uv_cache_keys_on_gamma_data():
-    # the UV cache keys on the gamma data (mu, mu_dual) the weight reads: a
-    # form whose mu differs from D3's must not be served D3's cached weights
+    # the UV cache keys on the GammaData the weight reads: a form whose gamma
+    # data differ from D3's must not be served D3's cached weights
     d3 = triple_divisor_form()
-    other = GL3Form(
-        label="mu-only", mu=(0.2, 0.1, -0.3), mu_dual=(-0.2, -0.1, 0.3), maass_type=False,
-    )
+    other = GL3Form(label="other-gamma", gamma=OTHER, gamma_dual=INTERPOLATED["other-dual"][0])
     spec = WeightSpec()
     top = 8.0  # diagonal_weight's t-range at T = 1
-    u = kz._cached_weight(spec, 1.0, top, _U_MU, _U_MU)
+    u = kz._cached_weight(spec, 1.0, top, _GAMMA_U, _GAMMA_U)
     for variant in ("direct", "dual"):
-        mu = other.mu if variant == "direct" else other.mu_dual
-        mu_d3 = d3.mu if variant == "direct" else d3.mu_dual
-        interp = kz._cached_weight(spec, 1.0, top, mu, other.mu)
+        gamma = other.gamma if variant == "direct" else other.gamma_dual
+        gamma_d3 = d3.gamma if variant == "direct" else d3.gamma_dual
+        interp = kz._cached_weight(spec, 1.0, top, gamma, other.gamma)
         # at a node, bit for bit the row of a grid sized for the same top
         node = interp.pieces[0].ts[3:4]
-        assert interp(node)[0] == _weight_grid(spec, [1.0], node, mu, other.mu, t_top=top)[0, 0]
+        assert interp(node)[0] == _weight_grid(spec, [1.0], node, gamma, other.gamma, t_top=top)[0, 0]
         # at an interior t, within the interpolant's reported error
         ts = np.array([0.3])
         assert not np.isin(ts, interp.pieces[0].ts).any()
-        fresh = _weight_grid(spec, [1.0], ts, mu, other.mu, t_top=top)[0, 0]
+        fresh = _weight_grid(spec, [1.0], ts, gamma, other.gamma, t_top=top)[0, 0]
         assert abs(interp(ts)[0] - fresh) <= interp.error(ts)[0]
-        cached_d3 = kz._cached_weight(spec, 1.0, top, mu_d3, d3.mu)(ts)[0]
+        cached_d3 = kz._cached_weight(spec, 1.0, top, gamma_d3, d3.gamma)(ts)[0]
         assert abs(fresh - cached_d3) > 1e-2 * abs(cached_d3)  # measured 17 %
         # and the diagonal weight's samples pick the entry from the form
         gauss_u = np.exp(-(ts[0] ** 2)) * u(ts)[0]
@@ -776,10 +774,10 @@ def test_diagonal_weight_uv_cache_keys_on_gamma_data():
 
 
 def test_diagonal_weight_dual_reuses_self_dual_arrays():
-    # D3 is self-dual with mu_dual == mu, so "dual" reads the same gamma data
-    # as "direct" and is served its arrays without a miss
+    # D3 is self-dual with gamma_dual == gamma, so "dual" reads the same gamma
+    # data as "direct" and is served its arrays without a miss
     d3 = triple_divisor_form()
-    assert tuple(d3.mu) == tuple(d3.mu_dual)
+    assert d3.gamma_dual == d3.gamma
     direct = kz.diagonal_weight(0.7, 1, 1, 1, d3, "direct")
     before = kz.uv_cache_stats()
     dual = kz.diagonal_weight(0.7, 1, 1, 1, d3, "dual")
@@ -787,6 +785,10 @@ def test_diagonal_weight_dual_reuses_self_dual_arrays():
     assert dual == direct
     assert after["misses"] == before["misses"]
     assert after["hits"] == before["hits"] + 2  # one degree-2 and one tensor array
+    # D3's negated data carries -0.0 shifts, and keys the same entry
+    negated = GammaData(tuple(-k for k in d3.gamma.shifts))
+    kz._cached_weight(WeightSpec(), 1.0, kz._DIAG_TOP * 0.7, negated, d3.gamma)
+    assert kz.uv_cache_stats() == {"hits": after["hits"] + 1, "misses": after["misses"]}
 
 
 def test_weight_cache_under_threads():
@@ -851,11 +853,11 @@ def _direct_row_samples(memo: dict):
     # top, once per grid
     def samples(ts, width_T, y_gl2, y_rs, form, variant, spec):
         top = kz._DIAG_TOP * width_T
-        mu = form.mu if variant == "direct" else form.mu_dual
-        key = (ts.tobytes(), width_T, y_gl2, y_rs, tuple(mu), tuple(form.mu), spec)
+        gamma = form.gamma if variant == "direct" else form.gamma_dual
+        key = (ts.tobytes(), width_T, y_gl2, y_rs, gamma, form.gamma, spec)
         if key not in memo:
-            u = _weight_grid(spec, [y_gl2], ts, _U_MU, _U_MU, t_top=top)[:, 0]
-            v = _weight_grid(spec, [y_rs], ts, mu, form.mu, t_top=top)[:, 0]
+            u = _weight_grid(spec, [y_gl2], ts, _GAMMA_U, _GAMMA_U, t_top=top)[:, 0]
+            v = _weight_grid(spec, [y_rs], ts, gamma, form.gamma, t_top=top)[:, 0]
             memo[key] = np.exp(-((ts / width_T) ** 2)) * u * v
         return memo[key]
 
@@ -892,8 +894,8 @@ def test_diagonal_weight_variants_match_direct_rows(T, monkeypatch):
 
     values = {variant: kz.diagonal_weight(T, 1, 1, 1, d3, variant, arg(variant)) for variant in kz.DIAGONAL_VARIANTS}
     ts, ws = panel_grid(0.0, kz._DIAG_TOP * T, min(max(T / 6.0, 1e-4), 1.5), 12)
-    u = kz._cached_weight(spec, 1.0, kz._DIAG_TOP * T, _U_MU, _U_MU)
-    v = kz._cached_weight(spec, 1.0, kz._DIAG_TOP * T, d3.mu, d3.mu)
+    u = kz._cached_weight(spec, 1.0, kz._DIAG_TOP * T, _GAMMA_U, _GAMMA_U)
+    v = kz._cached_weight(spec, 1.0, kz._DIAG_TOP * T, d3.gamma, d3.gamma)
     e_u, e_v = u.error(ts), v.error(ts)
     e_h = np.exp(-((ts / T) ** 2)) * (np.abs(u(ts)) * e_v + np.abs(v(ts)) * e_u + e_u * e_v)
     bound = {
@@ -909,14 +911,14 @@ def test_diagonal_weight_variants_match_direct_rows(T, monkeypatch):
 
 
 def test_diagonal_weight_symmetric_square_finite():
-    # mu = (-1, -11, -12): every gamma pole lies left of the tensor weight's
+    # shifts (1, 11, 12): every gamma pole lies left of the tensor weight's
     # contour Re u = 1/2, so the weight is defined and evaluates silently
     sym = symmetric_square_form(prime_cap=500)
     v = kz.diagonal_weight(1.0, 1, 1, 1, sym, "direct")
     assert np.isfinite(v.real)
     assert v.real > 0.0
-    # Re mu_1 = 3/2 puts the pole of Gamma((1/2 + u - mu_1)/2) at Re u = 1
-    shifted = (1.5, 0.0, -1.5)
-    wrong = GL3Form(label="shifted-gamma-data", mu=shifted, mu_dual=shifted, maass_type=False)
+    # the shift -3/2 puts the pole of Gamma((1/2 + u - 3/2)/2) at Re u = 1
+    shifted = GammaData((-1.5, 0.0, 1.5))
+    wrong = GL3Form(label="shifted-gamma-data", gamma=shifted, gamma_dual=shifted)
     with pytest.raises(PoleError, match="contour"):
         kz.diagonal_weight(1.0, 1, 1, 1, wrong, "direct")

@@ -58,7 +58,7 @@ LAYERS = {
     "chebyshev": {"quadrature"},
     "special": set(),
     "exactarith": set(),
-    "heckegl3": {"exactarith"},
+    "heckegl3": {"exactarith", "special"},
     "afe": {"exactarith", "heckegl3", "quadrature", "special"},
     "kuznetsov": {"afe", "chebyshev", "exactarith", "heckegl3", "quadrature", "special"},
     "voronoi": {"exactarith", "heckegl3", "quadrature", "special"},
@@ -119,16 +119,17 @@ d3 = heckegl3.triple_divisor_form()
 kuznetsov.kuznetsov_residual(1, 1, kuznetsov.gaussian_test_function(2.0), [], 40, 10.0)
 kuznetsov.diagonal_weight(1.0, 1, 1, 1, d3, "direct")
 voronoi.voronoi_residual_profile(d3, 1, 1, 3, quadrature.smooth_bump(50, 100), [2**8])
-print(sorted(m for m in ("mpmath", "numpy.ma", "numpy.polynomial") if m in sys.modules))
+print(sorted(m for m in ("mpmath", "numpy.ma", "numpy.polynomial", "decimal") if m in sys.modules))
 """
 
 
 def test_pipelines_import_no_mpmath_numpy_ma_or_numpy_polynomial():
     # every lfunlab module, then one small evaluation of each pipeline the
     # benchmark runs, in a fresh interpreter: mpmath (51 modules),
-    # numpy.ma and numpy.polynomial (9 modules, 1.8 MB) are import time and
-    # memory that no evaluation needs, and a reference route that a
-    # pipeline reached would load mpmath here
+    # numpy.ma and numpy.polynomial (9 modules, 1.8 MB) and decimal (with
+    # fractions, 0.33 MB) are import time and memory that no evaluation
+    # needs, and a reference route that a pipeline reached would load
+    # mpmath here
     src = str(Path(importlib.import_module("lfunlab").__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     run = subprocess.run([sys.executable, "-c", _PIPELINES], env=env, capture_output=True, text=True, timeout=120)

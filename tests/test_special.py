@@ -1,6 +1,7 @@
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from types import SimpleNamespace
 
 import mpmath as mp
@@ -10,22 +11,22 @@ import scipy.special as sp
 
 from lfunlab import special
 from lfunlab.special import (
+    GammaData,
     PoleError,
     RegimeError,
-    gamma_factor_log,
     log_gamma,
     zeta,
     zeta_with_error,
 )
 from oracles import bessel_imag_order
 
-FLAT = SimpleNamespace(mu=(0, 0, 0), mu_dual=(0, 0, 0), label="flat-stub")
+FLAT = SimpleNamespace(gamma=GammaData((0, 0, 0)), gamma_dual=GammaData((0, 0, 0)), label="flat-stub")
 
 
 def gl2_ratio(u, t):
     # the normalized degree-2 ratio gamma(1/2 + u, t) / gamma(1/2, t)
-    shifts = (-1j * t, 1j * t)
-    return complex(np.exp(gamma_factor_log(0.5 + u, shifts) - gamma_factor_log(0.5, shifts)))
+    gamma = GammaData((0,)).maass_tensor(t)
+    return complex(np.exp(gamma.log(0.5 + u) - gamma.log(0.5)))
 
 
 def gl2_leading(u, t):
@@ -33,9 +34,9 @@ def gl2_leading(u, t):
     return (t / (2 * math.pi)) ** complex(u)
 
 
-def gl3_factor(s, t, mu):
-    # the degree-6 factor pi^{-3s} prod_i Gamma((s -+ it - mu_i)/2)
-    return complex(np.exp(gamma_factor_log(s, [k for m in mu for k in (-m - 1j * t, -m + 1j * t)])))
+def gl3_factor(s, t, gamma):
+    # the degree-6 factor pi^{-3s} prod_i Gamma((s + kappa_i -+ it)/2)
+    return complex(np.exp(gamma.maass_tensor(t).log(s)))
 
 
 class TestLogGamma:
@@ -71,7 +72,7 @@ class TestLogGamma:
     def test_stirling_threshold_meets_its_target(self):
         # the first omitted Stirling term, B_22 / (22 * 21 w^21), times the
         # sector factor sec^22(pi/4) = 2^11 on Re w >= 1/2 (DLMF 5.11(ii))
-        lead = abs(special._BERNOULLI[22]) / (22 * 21) * 2**11  # exact, a Fraction
+        lead = Fraction(*special._BERNOULLI[22]) / (22 * 21) * 2**11  # exact
         threshold = special._STIRLING_MIN_ABS
         assert special._STIRLING_TARGET == 1e-17
         assert "1e-17" in special._stirling_shifted.__doc__
@@ -85,8 +86,8 @@ class TestLogGamma:
             for w in (mp.mpc(threshold), threshold * mp.expj(math.pi / 4), on_line):
                 series = (w - 0.5) * mp.log(w) - w + mp.log(2 * mp.pi) / 2
                 for n in range(1, 11):
-                    b = special._BERNOULLI[2 * n]
-                    series += mp.mpf(b.numerator) / b.denominator / (2 * n * (2 * n - 1) * w ** (2 * n - 1))
+                    num, den = special._BERNOULLI[2 * n]
+                    series += mp.mpf(num) / den / (2 * n * (2 * n - 1) * w ** (2 * n - 1))
                 assert abs(series - mp.loggamma(w)) <= special._STIRLING_TARGET
 
     def test_threshold_straddle_against_mpmath(self):
@@ -292,12 +293,12 @@ class TestGl3GammaFactor:
         for _ in range(10):
             s = complex(rng.uniform(0.3, 2), rng.uniform(-5, 5))
             t = float(rng.uniform(0, 10))
-            a = gl3_factor(s, t, FLAT.mu)
-            b = gl3_factor(s, -t, FLAT.mu_dual)
+            a = gl3_factor(s, t, FLAT.gamma)
+            b = gl3_factor(s, -t, FLAT.gamma_dual)
             assert b == pytest.approx(a, rel=1e-14)
 
     def test_central_point_closed_form(self):
-        val = gl3_factor(0.5 + 0j, 0.0, FLAT.mu)
+        val = gl3_factor(0.5 + 0j, 0.0, FLAT.gamma)
         ref = math.pi ** (-1.5) * sp.gamma(0.25) ** 6
         assert val.real == pytest.approx(ref, rel=1e-12)
         assert abs(val.imag) < 1e-12 * ref
@@ -307,34 +308,59 @@ class TestGl3GammaFactor:
         for _ in range(20):
             s = complex(rng.uniform(0.3, 3), rng.uniform(-8, 8))
             t = float(rng.uniform(0, 20))
-            a = gl3_factor(s, t, FLAT.mu)
-            b = gl3_factor(np.conj(s), t, FLAT.mu)
+            a = gl3_factor(s, t, FLAT.gamma)
+            b = gl3_factor(np.conj(s), t, FLAT.gamma)
             assert b == pytest.approx(np.conj(a), rel=1e-10)
 
     def test_parameters_outside_strip_evaluate_silently(self):
-        # no pole at s = 1/2 for these mu: a finite value, and no warning
+        # no pole at s = 1/2 for these shifts: a finite value, and no warning
         # (the pytest configuration turns any warning into an error)
-        wide = SimpleNamespace(mu=(-1, -11, -12), mu_dual=(-1, -11, -12), label="wide-stub")
-        val = gl3_factor(0.5 + 0j, 1.0, wide.mu)
+        wide = SimpleNamespace(gamma=GammaData((1, 11, 12)), gamma_dual=GammaData((1, 11, 12)), label="wide-stub")
+        val = gl3_factor(0.5 + 0j, 1.0, wide.gamma)
         assert np.isfinite(val.real) and val.real > 0.0
 
 
 @pytest.mark.parametrize(
-    "mu, extra", [((0, 0, 0), ()), ((0.1, 0.1, -0.2), (0.25, 0.1 - 1j * 40.0, 0.25))]
+    "kappa, extra", [((0, 0, 0), ()), ((-0.1, -0.1, 0.2), (0.25, 0.1 - 1j * 40.0, 0.25))]
 )
-def test_gamma_factor_log_once_per_distinct_shift(mu, extra, monkeypatch):
+def test_gamma_log_once_per_distinct_shift(kappa, extra, monkeypatch):
     # repeated shifts, as columns of t and as scalars: one log_gamma call
-    # each, and the same sum bit for bit as one call per shift
+    # each, and the same sum bit for bit as one call per shift, in the
+    # order kappa_i - it, kappa_i + it per i
     t = np.array([[0.5], [3.0], [40.0]])
     s = 0.8 + 1j * np.linspace(-20.0, 20.0, 7)
-    shifts = [k for m in mu for k in (-m - 1j * t, -m + 1j * t)] + list(extra)
+    shifts = [k for m in kappa for k in (m - 1j * t, m + 1j * t)] + list(extra)
     naive = -(0.5 * len(shifts)) * s * math.log(math.pi)
-    for kappa in shifts:
-        naive = naive + log_gamma((s + kappa) / 2)
+    for k in shifts:
+        naive = naive + log_gamma((s + k) / 2)
     calls = []
     monkeypatch.setattr(special, "log_gamma", lambda z: calls.append(1) or log_gamma(z))
-    assert np.array_equal(gamma_factor_log(s, shifts), naive)
-    assert len(calls) == 2 * len(set(mu)) + len(set(extra))
+    gamma = GammaData(GammaData(kappa).maass_tensor(t).shifts + extra)
+    assert np.array_equal(gamma.log(s), naive)
+    assert len(calls) == 2 * len(set(kappa)) + len(set(extra))
+
+
+@pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf), -math.inf, "0", None])
+def test_non_finite_or_non_numeric_gamma_shift_rejected(bad):
+    # a NaN shift used to pass, and failed only at evaluation with a
+    # RuntimeWarning from log_gamma and a NonDecayError at height 400
+    with pytest.raises(ValueError, match="gamma shifts must be finite numbers"):
+        GammaData((bad, 0j, 0j))
+
+
+def test_gamma_data_members():
+    zero, sym2 = GammaData((0, 0, 0)), GammaData((1, 11, 12))
+    assert zero.rightmost_pole == 0.0 and sym2.rightmost_pole == -1.0
+    # negated zeros are -0.0 shifts: equal, and hash-equal
+    negated = GammaData(tuple(-k for k in zero.shifts))
+    assert negated == zero and hash(negated) == hash(zero)
+    assert sym2.conjugate_symmetric and GammaData((0.2 + 3j, 0.2 - 3j, -0.4)).conjugate_symmetric
+    assert not GammaData((-0.4j, 0.1j, 0.3j)).conjugate_symmetric
+    t = np.array([[0.5], [2.0]])
+    tensor = sym2.maass_tensor(t).shifts
+    expected = [k + sign * 1j * t for k in (1, 11, 12) for sign in (-1, 1)]
+    assert len(tensor) == 6 and all(np.array_equal(a, b) for a, b in zip(tensor, expected))
+    assert sym2.maass_tensor(2.0).shifts[:2] == (1 - 2j, 1 + 2j)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from lfunlab import voronoi as vo
 from lfunlab.exactarith import NotCoprimeError
 from lfunlab.heckegl3 import GL3Form, symmetric_square_form, triple_divisor_form
 from lfunlab.quadrature import gauss_legendre_panels, smooth_bump
-from lfunlab.special import PoleError, RegimeError, log_gamma
+from lfunlab.special import GammaData, PoleError, RegimeError, log_gamma
 from lfunlab.voronoi import (
     _CONTOUR_CAP,
     _LINE_BLOCK,
@@ -186,7 +186,7 @@ def test_abscissa_override_keeps_pole_margin(spec):
     # off while its estimate reads 1.7e-7, so an override inside the margin
     # must raise
     for k in (0, 1):
-        bound = spec.pole_bound(k)
+        bound = spec.form.gamma_dual.rightmost_pole - 1.0 - 2 * k
         assert _neutral_abscissa(spec, k) >= bound + 0.5
         for sigma in (bound + 0.2, bound):
             with pytest.raises(PoleError):
@@ -224,21 +224,31 @@ def test_kernel_pinned_values(kernel_pair):
     assert abs(p1.real) <= 1e-9 * abs(p1)
 
 
-@pytest.mark.parametrize("abg", [(0j, 0j, 0j), (0.2 + 3j, 0.2 - 3j, -0.4 + 0j)])
+@pytest.mark.parametrize(
+    "abg",
+    [
+        (GammaData((0j, 0j, 0j)), GammaData((0j, 0j, 0j))),
+        (GammaData((-0.2 - 3j, -0.2 + 3j, 0.4)), GammaData((0.2 + 3j, 0.2 - 3j, -0.4))),
+        # sym^2 Delta: gamma_dual = gamma, not -gamma
+        (GammaData((1, 11, 12)), GammaData((1, 11, 12))),
+    ],
+)
 @pytest.mark.parametrize("k", [0, 1])
 def test_gamma_quotient_is_the_log_gamma_sum(abg, k, monkeypatch):
     # the two Gamma_R products with their pi powers added back equal the sum
-    # of the six log Gammas, and repeated parameters cost one call each
+    # of the six log Gammas, the numerator's from the dual data, and
+    # repeated shifts cost one call each
+    gamma, gamma_dual = abg
     u = -0.5 - k + 1j * np.linspace(-300.0, 300.0, 601)
-    direct = sum(log_gamma((1.0 + u + 2 * k + z) / 2.0) for z in abg) - sum(
-        log_gamma((-u - z) / 2.0) for z in abg
+    direct = sum(log_gamma((1.0 + u + 2 * k + z) / 2.0) for z in gamma_dual.shifts) - sum(
+        log_gamma((-u + z) / 2.0) for z in gamma.shifts
     )
     calls = []
     original = special.log_gamma
     monkeypatch.setattr(special, "log_gamma", lambda z: calls.append(1) or original(z))
-    quotient = _gamma_quotient_log(u, k, abg)
+    quotient = _gamma_quotient_log(u, k, gamma, gamma_dual)
     assert np.all(np.abs(quotient - direct) <= 1e-14 * np.maximum(1.0, np.abs(direct)))  # measured <= 1.5e-15
-    assert len(calls) == 2 * len(set(abg))
+    assert len(calls) == len(set(gamma_dual.shifts)) + len(set(gamma.shifts))
 
 
 def test_kernel_apply_against_mpmath(spec):
@@ -318,9 +328,7 @@ def test_asymptotic_later_rungs_need_degenerate_form(spec):
     # A_1 = -1/3 + 3 sum a_i^2 / 2 depends on the spherical parameters, so
     # only the leading rung (independent of them, as sum a_i = 0) applies
     a = (0.3j, -0.3j, 0j)
-    form = GL3Form(
-        label="spherical", mu=a, mu_dual=tuple(-z for z in a),
-    )
+    form = GL3Form(label="spherical", gamma=GammaData(tuple(-z for z in a)), gamma_dual=GammaData(a))
     other = VoronoiKernelSpec(form, BUMP)
     for order in (2, 3, 4):
         with pytest.raises(ValueError, match="degenerate"):
@@ -613,7 +621,7 @@ def test_both_orders_on_one_grid_match_single_builds(mu, monkeypatch):
     # order's row is its single-order build bit for bit, and its values,
     # moved from the kernel's sigma_0 to sigma_k, are the single build's to
     # rounding
-    form = GL3Form("mu", mu, tuple(-m for m in mu), default_satake=(1 + 0j, 1 + 0j, 1 + 0j))
+    form = GL3Form("mu", GammaData(tuple(-m for m in mu)), GammaData(mu), default_satake=(1 + 0j, 1 + 0j, 1 + 0j))
     spec = VoronoiKernelSpec(form, BUMP)
     sigmas = {k: _neutral_abscissa(spec, k) for k in (0, 1)}
     assert sigmas[0] == pytest.approx(-0.5 if mu[0] == 0 else -0.3) and sigmas[1] == -1.5
