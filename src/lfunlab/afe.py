@@ -148,22 +148,35 @@ def _shift_osc(*data: GammaData) -> float:
 _GAMMA_U = GammaData((0,))  # zeta's Gamma_R(s); U's factor is its Maass tensor
 
 
-def _weight_norm(norm: GammaData, ts) -> Callable:
-    """log gamma_n(1/2, t) for the gamma data n = norm, evaluated once on
-    the distinct t of ts and looked up as a column for the rows of each call
-    that contour_kernel makes to kfunc.  The sorted distinct t come from a
-    sort and a comparison of neighbours: np.unique gives the same set, but
-    its first call in a process imports numpy.ma."""
+_HALF = np.asarray(0.5 + 0j)  # the point s = 1/2 of the normalization
+
+
+def _distinct(ts) -> np.ndarray:
+    """The sorted distinct t of ts, from a sort and a comparison of
+    neighbours: np.unique gives the same set, but its first call in a
+    process imports numpy.ma."""
     grid = np.sort(np.ravel(ts))
-    grid = grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
-    vals = norm.maass_tensor(grid).log(np.asarray(0.5 + 0j))
+    return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
+
+
+def _weight_norm(norm: GammaData, ts, terms=None) -> Callable:
+    """log gamma_n(1/2, t) for the gamma data n = norm, evaluated once on
+    the distinct t of ts (_distinct) and looked up as a column for the rows
+    of each call that contour_kernel makes to kfunc.  `terms`, if given,
+    are the log Gammas of norm.maass_tensor(_distinct(ts)) at 1/2, one per
+    shift (_weight_rows has them already)."""
+    grid = _distinct(ts)
+    vals = norm.maass_tensor(grid).log(_HALF, terms)
     return lambda t: vals[np.searchsorted(grid, t), None]
 
 
-def _weight_kernel(spec: WeightSpec, ts, gamma, norm, max_abs_ln_y: float, t_top: float | None = None) -> ContourKernel:
+def _weight_kernel(
+    spec: WeightSpec, ts, gamma, norm, max_abs_ln_y: float, t_top: float | None = None, norm_terms=None
+) -> ContourKernel:
     """The kernel of W(., t) with gamma data `gamma` for the t in ts (a float
     or an array), one row per t, normalized by log gamma_n(1/2, t) for the
-    gamma data n = norm (_weight_norm, once for all of ts).  The degree r
+    gamma data n = norm (_weight_norm, once for all of ts, from norm_terms
+    if the caller has them).  The degree r
     of gamma sets the damper power and the contour's size.  The grid is
     sized for |t| up to t_top (None: the largest |t| of ts), so that calls
     for different t with one t_top share the grid and give each t one row.
@@ -184,7 +197,7 @@ def _weight_kernel(spec: WeightSpec, ts, gamma, norm, max_abs_ln_y: float, t_top
             f"gamma data {gamma.shifts} put a pole of the weight's gamma factor "
             f"on or right of its contour Re u = {spec.sigma_u}"
         )
-    log_norm = _weight_norm(norm, ts)
+    log_norm = _weight_norm(norm, ts, norm_terms)
 
     def kfunc(u, t):
         ratio = np.exp(gamma.maass_tensor(t[:, None]).log(0.5 + u) - log_norm(t))
@@ -220,11 +233,14 @@ def _weight_rows(spec: WeightSpec, y: float, ts, gamma, norm, t_top: float) -> t
     the gamma quotient's exponent, whose 4r log Gamma terms are at most the
     sum G of their sizes at u = 0, where the row's mass sits.  So the floor
     is eps sum |w| (1 + |v ln y| + G) y^{-sigma}, doubled for a symmetric
-    kernel."""
+    kernel.  The log Gammas at 1/2 that give G are evaluated once on the
+    distinct t, and their norm part also gives the kernel's normalization."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     ln_y = math.log(y)
-    size = sum(map(np.abs, GammaData(gamma.shifts + norm.shifts).maass_tensor(ts)._log_gammas(0.5)))
-    kern = _weight_kernel(spec, ts, gamma, norm, abs(ln_y), t_top)
+    grid = _distinct(ts)
+    terms = list(GammaData(gamma.shifts + norm.shifts).maass_tensor(grid)._log_gammas(_HALF))
+    size = sum(map(np.abs, terms))[np.searchsorted(grid, ts)]
+    kern = _weight_kernel(spec, ts, gamma, norm, abs(ln_y), t_top, terms[2 * len(gamma.shifts) :])
     # phase-weighted masses and masses, row by row so as not to copy the kernel
     phase = 1.0 + np.abs(kern.v * ln_y)
     masses = np.array([(a @ phase, a.sum()) for a in map(np.abs, kern.w)])

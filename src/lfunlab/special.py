@@ -308,11 +308,13 @@ class GammaData:
             raise ValueError(f"gamma shifts must be finite numbers, got {self.shifts!r}")
         object.__setattr__(self, "shifts", tuple(k if a.ndim else complex(k) for k, a in zip(self.shifts, arrays)))
 
-    def log(self, s) -> np.ndarray:
+    def log(self, s, terms=None) -> np.ndarray:
         """log pi^{-ds/2} prod_j Gamma((s + kappa_j)/2), d = len(shifts), with
-        the terms added in the order of the shifts."""
+        the terms added in the order of the shifts.  `terms`, if given, are
+        those log Gammas at s, one per shift in order, as _log_gammas(s)
+        yields them, computed once by a caller that needs them too."""
         s = np.asarray(s, dtype=complex)
-        return sum(self._log_gammas(s), -(0.5 * len(self.shifts)) * s * math.log(math.pi))
+        return sum(self._log_gammas(s) if terms is None else terms, -(0.5 * len(self.shifts)) * s * math.log(math.pi))
 
     def _log_gammas(self, s):
         """log Gamma((s + kappa)/2) for each shift, one log_gamma call per
@@ -336,5 +338,14 @@ class GammaData:
         return all(self.shifts.count(k) == self.shifts.count(k.conjugate()) for k in self.shifts)
 
     def maass_tensor(self, t) -> GammaData:
-        """Tensor with the Maass pair -+it, t a float or an array: kappa_j -+ it in turn."""
-        return GammaData(tuple(kappa for k in self.shifts for kappa in (k - 1j * t, k + 1j * t)))
+        """Tensor with the Maass pair -+it, t a float or an array: kappa_j -+ it
+        in turn.  t is checked once here (ValueError unless numeric and
+        finite); the columns, finite with it and with the checked shifts,
+        skip __post_init__'s check of each one."""
+        a = np.asarray(t)
+        if not (a.dtype.kind in "biufc" and np.isfinite(a).all()):
+            raise ValueError(f"Maass parameter t must be finite numbers, got {t!r}")
+        columns = (kappa for k in self.shifts for kappa in (k - 1j * t, k + 1j * t))
+        tensor = object.__new__(GammaData)
+        object.__setattr__(tensor, "shifts", tuple(columns) if a.ndim else tuple(map(complex, columns)))
+        return tensor

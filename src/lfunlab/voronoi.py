@@ -57,7 +57,11 @@ omega = 6 pi x^{1/3},
 
 and 3 u^{2-J} phi(u^3) is fixed and compactly supported, so one FFT per
 rung gives the integral at every x, on the line engine that also gives the
-Mellin factor below (_ladder_rungs).
+Mellin factor below (_ladder_rungs).  The residual profile takes the
+degenerate form's transforms from the ladder past x * support_lo =
+_TAIL_XLO = 1e3 (x = 20 for smooth_bump(50, 100)), where both orders agree
+with the exact kernels to 2e-11 relative, inside the ladder's allowance
+plus the kernels' error; the exact kernels serve the arguments up to it.
 
 Degenerate-form main term.  The identity above is stated for cuspidal
 coefficients, whose twisted Dirichlet series D(s) = sum_m A(n, m)
@@ -348,6 +352,29 @@ def _gamma_quotient_log(u, k: int, gamma: GammaData, gamma_dual: GammaData) -> n
     )
 
 
+def _conjugate_duals(gamma: GammaData, gamma_dual: GammaData) -> bool:
+    """Whether gamma_dual's shifts are the conjugates of gamma's, as a
+    multiset.  For spherical data (gamma_dual = -gamma) this says that
+    gamma's shifts are closed under kappa -> -conj(kappa), as every
+    tempered form's are."""
+    conj = [k.conjugate() for k in gamma.shifts]
+    return len(conj) == len(gamma_dual.shifts) and all(
+        conj.count(k) == gamma_dual.shifts.count(k) for k in gamma_dual.shifts
+    )
+
+
+def _gamma_quotient_log_symmetric(v, k: int, gamma_dual: GammaData) -> np.ndarray:
+    """_gamma_quotient_log at u = -1/2 - k + iv for gamma data whose gamma
+    shifts are the conjugates of gamma_dual's (_conjugate_duals).  There
+    -conj(u) = 1 + 2k + u, so gamma.log(-u) = conj(gamma_dual.log(1 + 2k +
+    u)): the quotient's log is the numerator's minus its conjugate, with the
+    pi powers, and one log_gamma call per distinct shift serves both
+    products.  The pi powers come to pi^{i d v}, d = len(shifts), so the
+    log is purely imaginary: the quotient has modulus 1 on this line."""
+    num = gamma_dual.log(0.5 + k + 1j * v)  # 1 + 2k + u
+    return 1j * (2.0 * num.imag + len(gamma_dual.shifts) * v * math.log(math.pi))
+
+
 def _phi_contour_kernels(spec: VoronoiKernelSpec, abscissae: dict, max_abs_ln_y: float) -> ContourKernel:
     """The contour kernel whose row k, moved to its own line by
     _kernel_values, gives (1/2 pi i) int y^{-s} K_k(s) ds, one row per order
@@ -360,7 +387,14 @@ def _phi_contour_kernels(spec: VoronoiKernelSpec, abscissae: dict, max_abs_ln_y:
     sigma, so it is laid out once.  Row k evaluates K_k at sigma_k + iv on
     the node v; the kernel's sigma is that of the first order.  The Mellin
     factor of order k lies on Re s = -sigma_k - k; orders on one line share
-    its FFT and its values at each segment's nodes.  Each order must be 0
+    its FFT and its values at each segment's nodes.  A row on the symmetric
+    line sigma_k = -1/2 - k, of a form whose gamma_dual shifts are the
+    conjugates of its gamma's (every tempered spherical form; D3 on both
+    rows), takes the quotient's denominator as the conjugate of its
+    numerator (_gamma_quotient_log_symmetric): one log_gamma call per
+    distinct shift, not two.  Every other row, and other gamma data (real
+    spherical parameters off that line, or shifts not closed under
+    kappa -> -conj(kappa)), keeps _gamma_quotient_log.  Each order must be 0
     or 1, and each sigma_k half a unit right of the order-k numerator poles
     (_neutral_abscissa keeps that margin): the value does not depend on the
     line right of the poles, but panels near a pole lose digits their error
@@ -394,6 +428,10 @@ def _phi_contour_kernels(spec: VoronoiKernelSpec, abscissae: dict, max_abs_ln_y:
     mell_mass = {re_s: abs(complex(line(0.0))) for re_s, line in lines.items()}
     half_ln = 0.5 * (math.log(hi) - math.log(lo))
 
+    gamma, gamma_dual = spec.form.gamma, spec.form.gamma_dual
+    conjugate = _conjugate_duals(gamma, gamma_dual)
+    on_line = [conjugate and sigma == -0.5 - k for k, sigma in zip(orders, sigmas)]
+
     def kfunc(u, rows):
         v = np.imag(u)
         value = np.empty((rows.size, v.size), dtype=complex)
@@ -404,7 +442,10 @@ def _phi_contour_kernels(spec: VoronoiKernelSpec, abscissae: dict, max_abs_ln_y:
             if key not in line_values:
                 line_values.clear()
                 line_values[key] = lines[key[0]](-v)  # phitilde(-u - k)
-            quotient = _gamma_quotient_log(sigma + 1j * v, k, spec.form.gamma, spec.form.gamma_dual)
+            if on_line[row]:
+                quotient = _gamma_quotient_log_symmetric(v, k, gamma_dual)
+            else:
+                quotient = _gamma_quotient_log(sigma + 1j * v, k, gamma, gamma_dual)
             size = np.exp(np.real(quotient))
             np.exp(quotient, out=value[i])
             value[i] *= line_values[key]
@@ -549,10 +590,17 @@ def polar_main_term(
 
 
 # Beyond this multiple of the reciprocal support scale the residual profile
-# evaluates the transforms by the derived ladder.  At the seam its four
-# rungs agree with the exact kernels to about 1e-9 relative, within the
-# kernels' own error estimates, and the fifth rung is about 1e-11 relative.
-_TAIL_XLO = 3.0e3
+# evaluates the transforms by the derived ladder; the exact kernels take
+# the rest.  For D3 and smooth_bump(50, 100) the seam sits at x = 20.  At
+# x = 20, 21, 30, 45 and 61 the four rungs agree with the exact kernels to
+# 6e-14 - 2.0e-11 relative (both orders), |ladder - kernel| is at most 0.43
+# of the ladder's allowance plus the kernel's reported error, and the
+# allowance is 1.4 - 1.9 times that error.  Further left the allowance
+# grows against the kernel's error: 1.2 - 5.7 times it on [10, 20) (median
+# 2.2), and 5.4 - 30 times on [5, 10) (median 7.3), where the difference
+# reaches 0.98 of the sum.  Each step left would trade the kernels' error
+# for a looser tail estimate, so 1e3 is the floor.
+_TAIL_XLO = 1.0e3
 
 
 def _ladder_rungs(spec: VoronoiKernelSpec, xs: np.ndarray, rungs: int) -> tuple:
@@ -608,9 +656,11 @@ def _ladder_rungs(spec: VoronoiKernelSpec, xs: np.ndarray, rungs: int) -> tuple:
 def _tail_asymptotic(spec: VoronoiKernelSpec, xs: np.ndarray, rungs: int = _MAX_RUNGS):
     """Both transforms at the arguments xs via the derived rung ladder.
 
-    Used for x * support_lo >= _TAIL_XLO, where exact contour kernels are
-    expensive (their height budget grows with ln x).  The rung integrals
-    M_J (_ladder_rungs, one FFT each for every x) serve both orders.
+    The residual profile uses it for x * support_lo > _TAIL_XLO, where
+    exact contour kernels cost more (their height budget grows with ln x)
+    and the ladder is as accurate as they are (_TAIL_XLO's comment).  The
+    rung integrals M_J (_ladder_rungs, one FFT each for every x) serve both
+    orders.
     Returns (order0, order1, allow0, allow1): each allowance is the scaled
     |rung rungs+1|, the truncation, plus the rungs' rounding floor weighted
     by sum |r_J|.
@@ -655,11 +705,14 @@ def voronoi_residual_profile(
     cutoff and assembles each truncation from partial sums.  The m1 blocks'
     arguments x = m1^2 m2 / (c^3 n) coincide in part (for c = 3, m1 = 3
     repeats every ninth argument of m1 = 1), so each distinct x is
-    evaluated once: below the ladder regime (x * support_lo < _TAIL_XLO) by
-    one exact contour kernel with a row per order (_phi_contour_kernels),
-    applied once, and the degenerate form's far tail by one
-    _tail_asymptotic call.  Each block takes its values by index, and its
-    coefficients from the one row that serves every m1 (mobius_unfold).
+    evaluated once: up to the seam x * support_lo = _TAIL_XLO by one exact
+    contour kernel with a row per order (_phi_contour_kernels), applied
+    once, and the degenerate form's far tail past it by one
+    _tail_asymptotic call.  At the benchmark's configuration (c = 3,
+    smooth_bump(50, 100), cutoff 2^14) the kernel serves the 540 distinct
+    x <= 20 and the ladder the other 30,408.  Each block takes its values
+    by index, and its coefficients from the one row that serves every m1
+    (mobius_unfold).
     Returns one VoronoiSides per cutoff, in the given order.
 
     `threads` is accepted and unused: the profile runs in the caller's

@@ -49,3 +49,17 @@ def test_every_workload_runs_and_encodes_finite_numbers(workloads):
             assert numbers, (name, label)
             for x in numbers:
                 assert isinstance(x, (int, float)) and math.isfinite(x), (name, label, x)
+
+
+def test_every_workload_repeats_bit_for_bit(workloads):
+    # each workload's evaluations twice in one process encode to the same
+    # bits: no result depends on what ran before it.  diagonal_weight's
+    # weight cache is cleared between the runs, so the second run rebuilds
+    # its interpolants instead of reading the first run's
+    for name, workload in workloads.items():
+        runs = []
+        for _ in range(2):
+            kuznetsov._cached_weight.cache_clear()
+            evaluations = workload.evaluations(workload.setup())
+            runs.append([repr(list(_numbers(workload.encode(call())))) for _, call in evaluations])
+        assert runs[0] == runs[1], name

@@ -130,11 +130,37 @@ def test_pipelines_import_no_mpmath_numpy_ma_or_numpy_polynomial():
     # fractions, 0.33 MB) are import time and memory that no evaluation
     # needs, and a reference route that a pipeline reached would load
     # mpmath here
-    src = str(Path(importlib.import_module("lfunlab").__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
-    run = subprocess.run([sys.executable, "-c", _PIPELINES], env=env, capture_output=True, text=True, timeout=120)
+    run = subprocess.run([sys.executable, "-c", _PIPELINES], env=_child_env(), capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+def _child_env(**extra) -> dict:
+    """This interpreter's environment for a child that imports this lfunlab."""
+    src = str(Path(importlib.import_module("lfunlab").__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))), **extra)
+
+
+_IDENTITIES = """
+from lfunlab import heckegl3, kuznetsov, quadrature, voronoi
+d3 = heckegl3.triple_divisor_form()
+print(repr(voronoi.voronoi_residual_profile(d3, 1, 1, 3, quadrature.smooth_bump(50, 100), [2**12, 2**14])))
+print(repr(kuznetsov.kuznetsov_residual(1, 1, kuznetsov.gaussian_test_function(2.0), [], 800, 40.0)))
+"""
+
+
+def test_identities_do_not_depend_on_the_blas_thread_count():
+    # the benchmark's two identities in fresh interpreters with one and with
+    # two OpenBLAS threads: ContourKernel.apply's products may split across
+    # threads, and no result may move with that.  Only this test sets the
+    # variable; the package never does
+    outs = []
+    for threads in ("1", "2"):
+        env = _child_env(OPENBLAS_NUM_THREADS=threads)
+        run = subprocess.run([sys.executable, "-c", _IDENTITIES], env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert outs[0].count("\n") == 2 and outs[0] == outs[1]
 
 
 def _constructs(tree: ast.AST, name: str) -> list:

@@ -348,6 +348,25 @@ def test_non_finite_or_non_numeric_gamma_shift_rejected(bad):
         GammaData((bad, 0j, 0j))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, np.array([1.0, math.nan]), np.array([[2.0], [-math.inf]]), "1"])
+def test_maass_tensor_checks_t_once(bad, monkeypatch):
+    # maass_tensor checks t itself and builds its columns without
+    # __post_init__'s check of each one; a non-finite or non-numeric t
+    # still raises ValueError, and public GammaData still checks its shifts
+    with pytest.raises(ValueError, match="Maass parameter t must be finite numbers"):
+        GammaData((0, 0, 0)).maass_tensor(bad)
+    checked = []
+    post_init = GammaData.__post_init__
+    monkeypatch.setattr(GammaData, "__post_init__", lambda self: checked.append(1) or post_init(self))
+    t = np.array([[0.5], [2.0]])
+    tensor = GammaData((1, 11, 12)).maass_tensor(t)
+    assert checked == [1]  # the data's own construction, not the tensor's
+    assert np.array_equal(tensor.log(0.8 + 1j), GammaData(tensor.shifts).log(0.8 + 1j))
+    assert all(type(k) is complex for k in GammaData((0,)).maass_tensor(np.float64(3.0)).shifts)
+    with pytest.raises(ValueError, match="gamma shifts must be finite numbers"):
+        GammaData(tensor.shifts[:5] + (complex(math.nan, 0.0),))
+
+
 def test_gamma_data_members():
     zero, sym2 = GammaData((0, 0, 0)), GammaData((1, 11, 12))
     assert zero.rightmost_pole == 0.0 and sym2.rightmost_pole == -1.0

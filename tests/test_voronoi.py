@@ -251,6 +251,84 @@ def test_gamma_quotient_is_the_log_gamma_sum(abg, k, monkeypatch):
     assert len(calls) == len(set(gamma_dual.shifts)) + len(set(gamma.shifts))
 
 
+def _spherical(mu) -> GL3Form:
+    return GL3Form("mu", GammaData(tuple(-m for m in mu)), GammaData(mu), default_satake=(1 + 0j, 1 + 0j, 1 + 0j))
+
+
+# D3, and a tempered spherical stub that is not self-dual
+SYMMETRIC_FORMS = [D3, _spherical((1j, 2j, -3j))]
+
+
+@pytest.mark.parametrize("form", SYMMETRIC_FORMS, ids=["D3", "tempered"])
+@pytest.mark.parametrize("k", [0, 1])
+def test_symmetric_line_quotient_is_the_two_call_quotient(form, k, monkeypatch):
+    # on sigma_k = -1/2 - k, with gamma_dual's shifts the conjugates of
+    # gamma's, the denominator is the conjugate of the numerator: one
+    # log_gamma call per distinct shift gives the quotient, of modulus 1,
+    # at every contour height up to the cap
+    assert vo._conjugate_duals(form.gamma, form.gamma_dual)
+    v = np.linspace(-_CONTOUR_CAP, _CONTOUR_CAP, 24001)
+    two = _gamma_quotient_log(-0.5 - k + 1j * v, k, form.gamma, form.gamma_dual)
+    calls = []
+    original = special.log_gamma
+    monkeypatch.setattr(special, "log_gamma", lambda z: calls.append(1) or original(z))
+    one = vo._gamma_quotient_log_symmetric(v, k, form.gamma_dual)
+    assert len(calls) == len(set(form.gamma_dual.shifts))
+    assert np.all(one.real == 0.0)
+    # measured 6.7e-16 (D3, k = 0) and 0 otherwise
+    assert np.max(np.abs(np.exp(one) - np.exp(two))) <= 1e-15
+
+
+def _log_gamma_calls_per_row(spec, abscissae, monkeypatch) -> float:
+    """log_gamma calls per row evaluation while _phi_contour_kernels builds."""
+    calls, rows = [], []
+    original, build = special.log_gamma, vo.contour_kernel
+
+    def counting_build(kfunc, sigma, kernel_rows, **kw):
+        return build(lambda u, r: rows.append(r.size) or kfunc(u, r), sigma, kernel_rows, **kw)
+
+    with monkeypatch.context() as m:
+        m.setattr(special, "log_gamma", lambda z: calls.append(1) or original(z))
+        m.setattr(vo, "contour_kernel", counting_build)
+        _phi_contour_kernels(spec, abscissae, 5.0)
+    return len(calls) / sum(rows)
+
+
+def test_kernel_rows_take_the_one_call_quotient_only_on_the_symmetric_line(monkeypatch):
+    # D3 (one distinct shift) and the tempered stub (three) on both rows'
+    # symmetric lines take one call per distinct shift; off the line, and
+    # for shifts not closed under kappa -> -conj(kappa) on it, the two-call
+    # route takes two
+    for form in SYMMETRIC_FORMS:
+        spec = VoronoiKernelSpec(form, BUMP)
+        distinct = len(set(form.gamma_dual.shifts))
+        assert _log_gamma_calls_per_row(spec, {0: -0.5, 1: -1.5}, monkeypatch) == distinct
+        assert _log_gamma_calls_per_row(spec, {0: -0.25}, monkeypatch) == 2 * distinct
+        assert _log_gamma_calls_per_row(spec, {1: -1.0}, monkeypatch) == 2 * distinct
+    open_form = _spherical((0.2 + 3j, 0.2 - 3j, -0.4 + 0j))
+    assert not vo._conjugate_duals(open_form.gamma, open_form.gamma_dual)
+    spec = VoronoiKernelSpec(open_form, BUMP)
+    assert _neutral_abscissa(spec, 1) == -1.5
+    assert _log_gamma_calls_per_row(spec, {1: -1.5}, monkeypatch) == 6
+
+
+def test_symmetric_line_kernel_matches_two_call_kernel(monkeypatch):
+    # the benchmark's pair of D3 rows, built with the one-call quotient and
+    # with the two-call one forced, on the same grid: values and error
+    # estimates agree to rounding (measured bit for bit)
+    spec = VoronoiKernelSpec(D3, BUMP)
+    abscissae = {0: -0.5, 1: -1.5}
+    one = _phi_contour_kernels(spec, abscissae, 7.0)
+    monkeypatch.setattr(vo, "_conjugate_duals", lambda gamma, gamma_dual: False)
+    two = _phi_contour_kernels(spec, abscissae, 7.0)
+    assert np.array_equal(one.v, two.v)
+    assert np.max(np.abs(one.w - two.w)) <= 1e-15 * np.max(np.abs(two.w))
+    xs = np.array([0.05, 1.0, 7.0, 20.0])
+    (a, a_err), (b, b_err) = _kernel_values(one, abscissae, xs), _kernel_values(two, abscissae, xs)
+    assert np.all(np.abs(a - b) <= 1e-13 * np.abs(b))
+    assert np.allclose(a_err, b_err, rtol=1e-12, atol=0.0)
+
+
 def test_kernel_apply_against_mpmath(spec):
     # apply's factored phases against a 30-digit sum of w e^{-ivt} over the
     # same nodes and weights, with t = ln y in doubles as apply takes it:
@@ -445,15 +523,18 @@ def test_ladder_frequency_beyond_grid_raises(spec):
 
 def test_far_tail_ladders_match_exact_kernels_at_boundary(spec):
     # the residual profile switches from exact contour kernels to the
-    # derived ladder at x * support_lo = 3e3; both orders must agree across
-    # that seam within the ladder's allowance plus the exact kernel's error
-    xs = np.array([61.0, 100.0, 200.0, 400.0])
+    # derived ladder at x * support_lo = 1e3, x = 20 here; both orders must
+    # agree on both sides of that seam within the ladder's allowance plus
+    # the exact kernel's error
+    assert vo._TAIL_XLO / BUMP.support[0] == 20.0
+    xs = np.array([20.0, 21.0, 30.0, 45.0, 61.0])
     ladder = _tail_asymptotic(spec, xs)
     for k in (0, 1):
         exact, err = voronoi_kernel(spec, k, xs)
+        # measured at most 0.43 of the bound (x = 20, order 0)
         assert np.all(np.abs(ladder[k] - exact) <= ladder[2 + k] + err)
-        # measured at most 1.2e-9 relative (x = 200, order 0)
-        assert float(np.max(np.abs(ladder[k] - exact) / np.abs(exact))) <= 1e-8
+        # measured at most 2.0e-11 relative (x = 61, order 0)
+        assert float(np.max(np.abs(ladder[k] - exact) / np.abs(exact))) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -541,11 +622,13 @@ def test_identity_residual_profile_smoke():
     for s in prof:
         assert s.main_term.real == pytest.approx(208.312561297, rel=1e-9)
         assert abs(s.lhs - s.rhs) <= s.truncation.tail_estimate
-    # the benchmark's configuration: the dual side and its tail estimate
-    # pinned to the values of the per-block, two-build profile
+    # the benchmark's configuration: the dual side pinned to the values of
+    # the per-block, two-build profile, and the tail estimates to those of
+    # the seam at x = 20 (_TAIL_XLO = 1e3), whose ladder allowances cover
+    # x in (20, 60]
     pins = [
-        (215.72722723854594 + 4.200760396954996j, 47.22257404389794),
-        (215.83822137970364 + 4.149749147611532j, 15.67597897812344),
+        (215.72722723854594 + 4.200760396954996j, 47.222574045325935),
+        (215.83822137970364 + 4.149749147611532j, 15.675978979551433),
     ]
     for s, (rhs, tail) in zip(prof, pins):
         assert abs(s.rhs - rhs) <= 1e-12 * abs(rhs)
@@ -565,8 +648,8 @@ def test_identity_starts_no_thread(monkeypatch):
 def test_profile_transforms_each_distinct_argument_once(spec, monkeypatch):
     # c = 3: the arguments x = 9 m2 / 27 of m1 = 3 repeat those of m1 = 1 at
     # every ninth m2.  One contour_kernel call builds both orders as the
-    # rows of one kernel, applied once to the 1,620 distinct arguments up
-    # to x_exact = 3000 / 50, and one ladder takes the rest.  At arguments
+    # rows of one kernel, applied once to the 540 distinct arguments up
+    # to x_exact = 1000 / 50, and one ladder takes the rest.  At arguments
     # of both blocks, exact and far-tail, the values are those of
     # voronoi_kernel on the same grid and of _tail_asymptotic
     applied, ladders, builds, applies = [], [], [], []
@@ -592,13 +675,15 @@ def test_profile_transforms_each_distinct_argument_once(spec, monkeypatch):
     assert [abscissae for abscissae, _, _ in applied] == [{0: -0.5, 1: -1.5}]
     assert len(ladders) == 1
     exact_xs, tail_xs = applied[0][1], ladders[0][0]
-    assert exact_xs.size == np.unique(exact_xs).size == 1620 and exact_xs[-1] <= 60.0
-    assert tail_xs.size == np.unique(tail_xs).size == (16384 - 1620) + (16384 - 180) - 1640
-    samples = {1: [1, 700, 1620, 1621, 9000, 16384], 3: [1, 100, 180, 181, 1820, 16384]}
+    # m1 = 1 gives the exact arguments m2 <= 540, m1 = 3 the m2 <= 60 among
+    # them; past the seam m1 = 3 repeats m1 = 1 at m2 = 61 .. 1820
+    assert exact_xs.size == np.unique(exact_xs).size == 540 and exact_xs[-1] == 20.0
+    assert tail_xs.size == np.unique(tail_xs).size == (16384 - 540) + (16384 - 60) - 1760 == 30408
+    samples = {1: [1, 300, 540, 541, 9000, 16384], 3: [1, 30, 60, 61, 1820, 16384]}
     vals, errs = applied[0][2]
     for m1, m2s in samples.items():
         xs = np.array(m2s) * m1 * m1 / 27
-        near, far = xs[xs <= 60.0], xs[xs > 60.0]
+        near, far = xs[xs <= 20.0], xs[xs > 20.0]
         i, j = np.searchsorted(exact_xs, near), np.searchsorted(tail_xs, far)
         assert np.array_equal(exact_xs[i], near) and np.array_equal(tail_xs[j], far)
         for k in (0, 1):
