@@ -26,9 +26,15 @@ per t-grid (gl2_afe_weight_grid, rankin_selberg_afe_weight_grid).  The
 single-t callers build a one-row kernel.  A caller that needs one weight on
 many t-grids over one range [0, top] (kuznetsov.diagonal_weight) builds it
 once instead, as a piecewise Chebyshev interpolant in log(1 + t)
-(chebyshev) through a few dozen rows per piece, all from the contour grid
+(chebyshev) through 17 to 65 rows per piece (16 to 64 Chebyshev
+intervals for y up to 1e6 and top up to 400), all from the contour grid
 sized for top and against one normalization computed for all of them, with
 their rounding floors (_weight_rows), and evaluates every grid from that.
+A piece stops at n
+intervals once the gap of its n/2-interval interpolant, times the factor
+by which that gap contracted from the n/4 one's (capped at 1), is within
+the spec's tail_tolerance, and reports that product plus its rounding
+allowance as its error.
 
 The degree-2 specialization with divisor-sum coefficients eta(l, r) =
 sum_{ad=l} (a/d)^{ir} reproduces |zeta(1/2 + ir)|^2.  Unlike the cuspidal

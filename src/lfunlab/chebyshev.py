@@ -7,12 +7,18 @@ pieces 0, 7, 63, 511, ... (a factor of at most 8 in 1 + t each, the last
 cut at top), and each piece carries the polynomial through its values at
 Chebyshev-Lobatto points in s, evaluated by the second barycentric formula
 (Berrut & Trefethen, Barycentric Lagrange Interpolation, SIAM Review 46,
-2004).  The point sets of 2n and n intervals nest, so the interpolant on a
-set's even-numbered points, checked at its odd-numbered ones, measures the
-interpolation error at no extra evaluation, and a doubling evaluates only
-the new points.  The AFE weights W(y, t) of `afe` are such functions: they
-read t only through gamma quotients; so are `kuznetsov`'s Bessel transforms
-in 1 + t = z / z_min, built as two columns of one interpolant.
+2004).  The point sets of n, n/2 and n/4 intervals nest, so the gaps of
+the coarser two interpolants, each checked at the points the next finer set
+adds, cost no extra evaluation, and a doubling evaluates only the new
+points.  The interpolants of a function analytic near the piece converge
+geometrically (Trefethen, Approximation Theory and Approximation Practice,
+Thm 8.2), so the ratio r of the two gaps extrapolates the n-interval error
+from the n/2 one's gap: a piece is kept at n intervals once gap(n/2) r is
+within tol, one doubling before gap(n/2) itself would be (cf. Aurentz &
+Trefethen, Chopping a Chebyshev series, ACM TOMS 43, 2017).  The AFE weights
+W(y, t) of `afe` are such functions: they read t only through gamma
+quotients; so are `kuznetsov`'s Bessel transforms in 1 + t = z / z_min,
+built as two columns of one interpolant.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 from .quadrature import NonDecayError, _row_blocks
 
 _PIECE_RATIO = 8.0  # a piece spans at most this factor in 1 + t
-_CHEB_START = 8  # intervals of the first interpolant checked (the first build has twice as many)
+_CHEB_START = 8  # the first build has twice as many intervals, checked through its interpolants on 8 and 4
 _CHEB_MAX = 512  # most intervals per piece; past it the build raises
 
 
@@ -121,15 +127,25 @@ def _interpolate_log1p(rows: Callable, top: float, tol: float, label: str) -> _I
     """f on [0, top] from rows(ts) -> (f(ts), floor(ts)), floor each value's
     rounding floor; f(ts) has shape (len(ts),) or (len(ts), k), k functions
     on the same nodes, checked together against the largest of them.  A
-    piece of 2n intervals is checked by its interpolant on the n + 1
-    even-numbered points at the n odd-numbered ones.  It stops
-    once that gap is within tol of the largest |f| on the piece, or within
-    what the values' floor F allows ((1 + Lebesgue constant) F), and keeps
-    the gap plus (1 + Lebesgue constant) F as its error.  Otherwise it
-    doubles, evaluating only the new odd-numbered points.  The first build
-    has 2 _CHEB_START intervals per piece, all pieces' points in one call of
-    rows (neighbours share their common end), and each doubling is one call
-    for all pieces still open; NonDecayError, naming label, past _CHEB_MAX."""
+    piece of n intervals (points numbered 0..n) has two gaps, the largest
+    |interpolant - f| of
+      - gap(n/2): the interpolant on the even-numbered points at the odd ones;
+      - gap(n/4): the interpolant on the points = 0 mod 4 at those = 2 mod 4.
+    Under geometric convergence the n-interval error is about gap(n/2) r^2,
+    r = gap(n/2) / gap(n/4); the piece takes one factor only,
+    pred = gap(n/2) min(1, r), so where the gaps do not contract pred is
+    gap(n/2) itself.  The piece stops once pred is within tol of the
+    largest |f| on it, or within what the values' floor F allows
+    ((1 + Lebesgue constant of n/2) F), and keeps pred + (1 + Lebesgue
+    constant of n) F as its error.  Otherwise it doubles, evaluating only
+    the new odd-numbered points.  The first build has 2 _CHEB_START
+    intervals per piece, all pieces' points in one call of rows (neighbours
+    share their common end), and each doubling is one call for all pieces
+    still open; NonDecayError, naming label, past _CHEB_MAX.  Gaps that
+    contract only algebraically, as at a singularity on the piece, leave
+    pred no margin over the n-interval error, and between the nodes that
+    error can exceed it: the rule is meant for functions analytic near the
+    piece."""
     edges = _piece_edges(top)
     s = np.log1p(edges)
     mids, halves = 0.5 * (s[1:] + s[:-1]), 0.5 * (s[1:] - s[:-1])
@@ -152,8 +168,10 @@ def _interpolate_log1p(rows: Callable, top: float, tol: float, label: str) -> _I
         for k in list(pending):
             x, f = x_of(k, ts[k]), values[k]
             gap = float(np.max(np.abs(_barycentric(x[0::2], f[0::2], x[1::2]) - f[1::2])))
-            errors[k] = gap + (1.0 + _lebesgue(n)) * floors[k]
-            if gap <= tol * float(np.max(np.abs(f))) + (1.0 + _lebesgue(n // 2)) * floors[k]:
+            coarse = float(np.max(np.abs(_barycentric(x[0::4], f[0::4], x[2::4]) - f[2::4])))
+            pred = gap if gap >= coarse else gap * (gap / coarse)  # gap min(1, r), r = gap / coarse; no division by a coarse gap of 0
+            errors[k] = pred + (1.0 + _lebesgue(n)) * floors[k]
+            if pred <= tol * float(np.max(np.abs(f))) + (1.0 + _lebesgue(n // 2)) * floors[k]:
                 pending.remove(k)
         if not pending:
             break

@@ -413,9 +413,10 @@ def test_trace_identity_starts_no_thread(monkeypatch):
 
 def test_geometric_side_transforms_from_interpolant(monkeypatch):
     # the 800 arguments z = 4 pi / c (c <= 800) are read from an
-    # interpolant in log(z / z_min) built on at most 256 arguments per
-    # transform; at every one of them it agrees with the blocked product on
-    # the same nodes within its reported error
+    # interpolant in log(z / z_min) built on 161 arguments per transform (193
+    # when a piece stopped only once the half-size interpolant was within
+    # tol; 801 when every argument was a row); at every one of them it agrees
+    # with the blocked product on the same nodes within its reported error
     applied, built = [], []
     exp_product, interpolate = kz._exp_product, kz._interpolate_log1p
 
@@ -431,8 +432,8 @@ def test_geometric_side_transforms_from_interpolant(monkeypatch):
     monkeypatch.setattr(kz, "_interpolate_log1p", keep)
     kz._geometric_terms(1, 1, kz.gaussian_test_function(2.0), 800)
     plus, minus = applied[0::2], applied[1::2]
-    assert sum(size for size, _, _ in plus) <= 256  # measured 193; 801 when every argument was a row
-    assert sum(size for size, _, _ in minus) <= 256
+    assert sum(size for size, _, _ in plus) == 161
+    assert sum(size for size, _, _ in minus) == 161
     (interp,) = built
     zs = 2.0 * math.pi * 2.0 / np.arange(1, 801, dtype=float)
     ts = zs / zs[-1] - 1.0
@@ -445,7 +446,7 @@ def test_geometric_side_transforms_from_interpolant(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < 0.1 * zs.size * nodes.size * 16  # no (arguments x nodes) matrix
-        assert np.all(np.abs(values[:, column] - direct) <= error)  # measured at most 0.47 of it
+        assert np.all(np.abs(values[:, column] - direct) <= error)  # measured at most 0.57 of it
 
 
 @pytest.mark.parametrize("n, l, c_max", [(1, 1, 800), (1, 2, 30), (3, 3, 50)])
@@ -653,6 +654,111 @@ INTERPOLATED = {
 }
 
 
+def _finer_offsets(rows, interp) -> list:
+    """max |I - I_finer| on each piece of interp, I_finer the interpolant of
+    the same piece on twice as many intervals, its new nodes taken from
+    rows: at those nodes and midway between all of the finer nodes"""
+    offsets = []
+    for p in interp.pieces:
+        n = p.ts.size - 1
+        t_new = chebyshev._lobatto_ts(p.mid, p.half, np.arange(1, 2 * n, 2), 2 * n)
+        xs, values = np.empty(2 * n + 1), np.empty((2 * n + 1,) + p.values.shape[1:], dtype=complex)
+        xs[0::2], xs[1::2] = p.xs, (np.log1p(t_new) - p.mid) / p.half
+        values[0::2], values[1::2] = p.values, rows(t_new)[0]
+        probe = np.concatenate([xs[1::2], np.cos(math.pi * np.arange(1, 4 * n, 2) / (4 * n))])
+        off = chebyshev._barycentric(xs, values, probe) - chebyshev._barycentric(p.xs, p.values, probe)
+        offsets.append(float(np.max(np.abs(off))))
+    return offsets
+
+
+@pytest.mark.parametrize("top", [8.0, 40.0, 160.0])
+@pytest.mark.parametrize("y", [1.0, 1e3])
+@pytest.mark.parametrize("name", sorted(INTERPOLATED))
+def test_weight_interpolant_error_covers_one_doubling_finer(name, y, top):
+    # the error each piece reports is extrapolated from its last two gaps;
+    # it must still cover the change the next doubling makes
+    gamma, norm = INTERPOLATED[name]
+    spec = WeightSpec()
+
+    def rows(ts):
+        return _weight_rows(spec, y, ts, gamma, norm, top)
+
+    interp = kz._cached_weight.__wrapped__(spec, y, top, gamma, norm)
+    for off, p in zip(_finer_offsets(rows, interp), interp.pieces, strict=True):
+        assert off <= p.error  # measured at most 0.73 of it
+
+
+def test_geometric_interpolant_error_covers_one_doubling_finer(monkeypatch):
+    # the (Hplus, Hminus) interpolant of the benchmark's trace identity
+    built = []
+    interpolate = kz._interpolate_log1p
+
+    def keep(rows, *args):
+        built.append((rows, interpolate(rows, *args)))
+        return built[-1][1]
+
+    monkeypatch.setattr(kz, "_interpolate_log1p", keep)
+    kz._geometric_terms(1, 1, kz.gaussian_test_function(2.0), 800)
+    ((rows, interp),) = built
+    for off, p in zip(_finer_offsets(rows, interp), interp.pieces, strict=True):
+        assert off <= p.error  # measured at most 0.42 of it
+
+
+def _on_one_piece(f):
+    """rows of f(x), x in [-1, 1] the Chebyshev variable of the one piece
+    [0, 7] of an interpolant to top 7, each value's floor eps |f|"""
+    half = 0.5 * math.log(8.0)
+
+    def rows(ts):
+        values = f(np.clip((np.log1p(ts) - half) / half, -1.0, 1.0)).astype(complex)
+        return values, np.finfo(float).eps * np.abs(values)
+
+    return rows
+
+
+@pytest.mark.parametrize("eps, intervals", [(1e-11, 16), (1e-9, 32)])
+def test_interpolant_stop_falls_back_to_the_measured_gap(eps, intervals):
+    # f = 1 + x/3 + eps T_12(x).  The 4-interval interpolant is exact at the
+    # points the 8-interval one adds (there T_12 and its alias T_4 are both
+    # 0), and the 8-interval one is off by sqrt(2) eps at the odd points of
+    # the first build's 16.  Gaps that do not contract extrapolate nothing:
+    # the piece stops where the measured gap is within tol (4/3 1e-10), at
+    # the first build for eps = 1e-11 and one doubling later for 1e-9
+    rows = _on_one_piece(lambda x: 1.0 + x / 3.0 + eps * np.cos(12.0 * np.arccos(x)))
+    (piece,) = chebyshev._interpolate_log1p(rows, 7.0, 1e-10, "f").pieces
+    assert piece.ts.size - 1 == intervals
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda x: np.sqrt(x + 1.05),  # a branch point just off the piece's end
+        lambda x: np.sqrt(x + 1.005),
+        lambda x: np.sqrt(x - 0.3 - 0.05j),  # just off its middle
+    ],
+    ids=["end-0.05", "end-0.005", "middle-0.05"],
+)
+def test_interpolant_error_covers_one_doubling_finer_past_a_branch_point(f):
+    # gaps that contract slowly at first and then ever faster, as the
+    # interpolant resolves the branch point: the reported error still covers
+    # the next doubling
+    rows = _on_one_piece(f)
+    interp = chebyshev._interpolate_log1p(rows, 7.0, 1e-10, "f")
+    ((off,), (piece,)) = _finer_offsets(rows, interp), interp.pieces
+    assert off <= piece.error
+
+
+def test_interpolant_of_a_low_degree_polynomial_stops_at_the_first_build():
+    # both gaps are rounding, or exactly 0, on every piece
+    def rows(ts):
+        s = np.log1p(ts)
+        return (2.0 - s + 0.25 * s**2).astype(complex), np.zeros(ts.size)
+
+    interp = chebyshev._interpolate_log1p(rows, 160.0, 1e-12, "f")
+    assert interp.rows == 3 * (2 * chebyshev._CHEB_START + 1) - 2
+    assert all(p.error <= 1e-14 for p in interp.pieces)
+
+
 @pytest.mark.parametrize("y", [1.0, 1e3])
 @pytest.mark.parametrize("name", sorted(INTERPOLATED))
 def test_weight_interpolant_matches_direct_rows(name, y):
@@ -666,7 +772,7 @@ def test_weight_interpolant_matches_direct_rows(name, y):
     assert not np.isin(ts, np.concatenate([p.ts for p in interp.pieces])).any()
     direct = _weight_grid(spec, [y], ts, gamma, norm, t_top=top)[:, 0]
     off = np.abs(interp(ts) - direct)
-    assert np.all(off <= interp.error(ts))  # measured: off <= 0.12 of it
+    assert np.all(off <= interp.error(ts))  # measured: off <= 0.28 of it
 
 
 def test_weight_interpolant_nodes_are_rows():
@@ -693,7 +799,7 @@ def test_weight_interpolant_piece_rule():
 
 
 def test_weight_interpolant_raises_past_the_interval_cap(monkeypatch):
-    # D3's V at top 160 needs 128 intervals on [0, 7]; with the cap at 16 the
+    # D3's V at top 160 needs 64 intervals on [0, 7]; with the cap at 16 the
     # build raises after its first check, having built 17 rows per piece (the
     # three pieces share two ends)
     built = []
@@ -722,9 +828,8 @@ def test_weight_interpolant_rejects_t_outside_its_range():
 
 def test_diagonal_weight_benchmark_round_builds_few_rows(monkeypatch):
     # the round of diagonal_weight(20, 1, 1, 1, D3, ...) takes contour rows
-    # only at its interpolants' nodes: a few hundred per weight where its
-    # t-grid has 1,284 nodes, and each batch of interpolant rows is one
-    # contour build
+    # only at its interpolants' nodes: 113 per weight where its t-grid has
+    # 1,284 nodes, and each batch of interpolant rows is one contour build
     kz._cached_weight.cache_clear()
     d3 = triple_divisor_form()
     spec = WeightSpec()
@@ -739,10 +844,9 @@ def test_diagonal_weight_benchmark_round_builds_few_rows(monkeypatch):
     kz.diagonal_weight(20.0, 1, 1, 1, d3, "direct")
     kz.diagonal_weight(20.0, 1, 1, 1, d3, "dual")
     assert kz.uv_cache_stats() == {"hits": 2, "misses": 2}
-    assert len(builds) <= 8 and sum(builds) == 370  # measured 7 builds
-    ts, _ = panel_grid(0.0, 160.0, 1.5, 12)
+    assert len(builds) <= 6 and sum(builds) == 226
     rows = [kz._cached_weight(spec, 1.0, 160.0, g, g).rows for g in (_GAMMA_U, d3.gamma)]
-    assert all(r <= ts.size // 4 for r in rows)  # measured 161 (U) and 209 (V)
+    assert rows == [113, 113]  # U and V: 64, 32 and 16 intervals on [0, 7], [7, 63] and [63, 160]
 
 
 def test_diagonal_weight_uv_cache_keys_on_gamma_data():
