@@ -34,6 +34,7 @@ from .quadrature import NonDecayError, _row_blocks
 _PIECE_RATIO = 8.0  # a piece spans at most this factor in 1 + t
 _CHEB_START = 8  # the first build has twice as many intervals, checked through its interpolants on 8 and 4
 _CHEB_MAX = 512  # most intervals per piece; past it the build raises
+_EPS = float(np.finfo(float).eps)
 
 
 def _piece_edges(top: float) -> np.ndarray:
@@ -135,13 +136,16 @@ def _interpolate_log1p(rows: Callable, top: float, tol: float, label: str) -> _I
     r = gap(n/2) / gap(n/4); the piece takes one factor only,
     pred = gap(n/2) min(1, r), so where the gaps do not contract pred is
     gap(n/2) itself.  The piece stops once pred is within tol of the
-    largest |f| on it, or within what the values' floor F allows
-    ((1 + Lebesgue constant of n/2) F), and keeps pred + (1 + Lebesgue
-    constant of n) F as its error.  Otherwise it doubles, evaluating only
-    the new odd-numbered points.  The first build has 2 _CHEB_START
-    intervals per piece, all pieces' points in one call of rows (neighbours
-    share their common end), and each doubling is one call for all pieces
-    still open; NonDecayError, naming label, past _CHEB_MAX.  Gaps that
+    largest |f| on it, or within what the floor F allows ((1 + Lebesgue
+    constant of n/2) F), and keeps pred + (1 + Lebesgue constant of n) F
+    as its error.  F is the largest of the values' floors on the piece, and
+    at least eps times the largest |f|, the rounding of that value itself,
+    so that floors of 0 still cover the barycentric evaluation.  Otherwise
+    the piece doubles, evaluating only the new odd-numbered points.  The
+    first build has 2 _CHEB_START intervals per piece, all pieces' points
+    in one call of rows (neighbours share their common end), and each
+    doubling is one call for all pieces still open; NonDecayError, naming
+    label, past _CHEB_MAX.  Gaps that
     contract only algebraically, as at a singularity on the piece, leave
     pred no margin over the n-interval error, and between the nodes that
     error can exceed it: the rule is meant for functions analytic near the
@@ -170,8 +174,10 @@ def _interpolate_log1p(rows: Callable, top: float, tol: float, label: str) -> _I
             gap = float(np.max(np.abs(_barycentric(x[0::2], f[0::2], x[1::2]) - f[1::2])))
             coarse = float(np.max(np.abs(_barycentric(x[0::4], f[0::4], x[2::4]) - f[2::4])))
             pred = gap if gap >= coarse else gap * (gap / coarse)  # gap min(1, r), r = gap / coarse; no division by a coarse gap of 0
-            errors[k] = pred + (1.0 + _lebesgue(n)) * floors[k]
-            if pred <= tol * float(np.max(np.abs(f))) + (1.0 + _lebesgue(n // 2)) * floors[k]:
+            size = float(np.max(np.abs(f)))
+            floor = max(floors[k], _EPS * size)
+            errors[k] = pred + (1.0 + _lebesgue(n)) * floor
+            if pred <= tol * size + (1.0 + _lebesgue(n // 2)) * floor:
                 pending.remove(k)
         if not pending:
             break

@@ -11,12 +11,15 @@ the closed form sum_{d | gcd(a,c)} d * mu(c/d).
 
 Everything here is a pure function of its integer arguments.  Phases are
 reduced to integers k mod c before exponentiation, so the only floating
-error is in exp(2*pi*i*k/c) and the final summation: pairwise for one
-modulus (`kloosterman`), and in order of d for the batched route
-(`kloosterman_sums`), which takes cos(2*pi*k/c) over the units d <= c/2 of
-every c <= c_max in blocks of moduli and sums them by one bincount per
-block.  The Ramanujan sums also have their closed form here
-(`ramanujan_divisor_mu`).
+error is in exp(2*pi*i*k/c) and what is done with those values.  For one
+modulus (`kloosterman`) that is a pairwise summation.  The batched route
+(`kloosterman_sums`) builds every S(+-n, l; c), c <= c_max, from
+prime-power blocks by twisted multiplicativity.  One least prime factor
+sieve (`_least_prime_factors`, which also lists the primes for `heckegl3`)
+splits each c into its prime powers q.  The cos(2*pi*k/q) over the units
+d <= q/2 of each distinct block are summed in order of d, and each c takes
+the product of its blocks' sums.  The Ramanujan sums also have their
+closed form here (`ramanujan_divisor_mu`).
 """
 
 from __future__ import annotations
@@ -138,46 +141,132 @@ def kloosterman(n: int, l: int, c: int) -> complex:
     return complex(np.exp((2j * np.pi / c) * phase).sum())
 
 
-_BLOCK_RESIDUES = 1 << 14  # residues per block of kloosterman_sums, plus at most one modulus's
+def _least_prime_factors(N: int) -> np.ndarray:
+    """lpf[m], the least prime factor of each 2 <= m <= N, as an int64 array
+    of N + 1 entries (lpf[0] = 0 and lpf[1] = 1), so that m >= 2 is prime
+    exactly where lpf[m] = m.  A composite m has lpf[m]^2 <= m, so writing
+    p over the multiples of p^2 for the primes p <= sqrt(N), the largest
+    first, leaves each composite its least prime factor and each prime
+    itself."""
+    lpf = np.arange(N + 1, dtype=np.int64)
+    for p in _primes_upto(math.isqrt(N))[::-1].tolist() if N >= 4 else ():
+        lpf[p * p :: p] = p
+    return lpf
+
+
+def _primes_upto(N: int) -> np.ndarray:
+    """The primes <= N, ascending, from _least_prime_factors."""
+    return np.flatnonzero(_least_prime_factors(N) == np.arange(N + 1))[2:]
+
+
+_BLOCK_RESIDUES = 1 << 14  # laid-out terms per block of kloosterman_sums, plus at most one prime power's
+
+
+def _prime_power_sums(l: int, qs, ps, units, per_q, twists) -> list:
+    """[sum cos(2 pi (l d + n' dbar) / q), the same with -n'], each over the
+    units d <= q/2 in order of d, one entry per key (q, n').  The prime
+    powers qs ascend, ps are their primes, units their numbers of units
+    d <= q/2 and per_q their numbers of keys; twists holds the keys' n',
+    q by q."""
+    halves = qs // 2
+    q = np.repeat(qs, halves)
+    d = np.arange(1, q.size + 1, dtype=np.int64) - np.repeat(np.cumsum(halves) - halves, halves)
+    coprime = d % np.repeat(ps, halves) != 0
+    d, q = d[coprime], q[coprime]
+    dbar = _unit_inverses(d, q)
+    ld = (l % q) * d % q
+    # each key's terms: the units of its q, read from that q's table
+    starts = np.repeat(np.cumsum(units) - units, per_q)
+    counts = np.repeat(units, per_q)
+    first = np.cumsum(counts) - counts
+    take = np.arange(first[-1] + counts[-1]) + np.repeat(starts - first, counts)
+    ld, q = ld[take], q[take]
+    nd = np.repeat(twists, counts)
+    nd *= dbar[take]
+    del d, dbar, take  # the block's peak memory is the arrays alive at once
+    scale = (2.0 * np.pi) / q
+    key = np.repeat(np.arange(twists.size), counts)
+    sums = []
+    for sign in (np.add, np.subtract):
+        k = sign(ld, nd)
+        k %= q
+        phase = k * scale
+        del k
+        sums.append(np.bincount(key, weights=np.cos(phase, out=phase), minlength=twists.size))
+    return sums
 
 
 def kloosterman_sums(n: int, l: int, c_max: int) -> tuple[np.ndarray, np.ndarray]:
     """(Re S(n, l; c), Re S(-n, l; c)) for c = 1..c_max, as two float arrays.
 
-    S is real: d -> c - d conjugates each term.  So for c > 2 each sum is
-    twice the sum over its units d < c/2, and c = 1, 2 keep their one term
-    (c = 1 the residue 0, laid out as 1).  The residues 1 <= d <= max(1, c/2)
-    of a block of moduli are laid out as flat arrays, the units among them
-    kept, and their inverses taken by one array Euclid.  The phases
-    (l d +- n dbar) mod c are reduced in integers, then cos(2 pi k / c) is
-    summed per modulus by one bincount per sign, in order of d.  A block
-    closes where the residues laid out from c = 1 reach a multiple of
-    _BLOCK_RESIDUES, a rule that does not look at c_max, so every sum is the
-    same bit for bit whatever c_max it was computed under.
+    By twisted multiplicativity (Iwaniec and Kowalski, Analytic Number
+    Theory, ch. 1), S(+-n, l; c) is the product over the prime powers
+    q || c of S(+-n', l; q), n' = n (c/q)bar^2 mod q, and c = 1 is the
+    empty product 1.  One least prime factor sieve splits every c <= c_max
+    into its prime powers, and each distinct key (q, n') is summed once.
+    S(+-n', l; q) is real: d -> q - d conjugates each term.  So for q > 2
+    it is twice the sum over the units d <= q/2, the d prime to p, and q = 2
+    keeps its one term d = 1.  Those units of each q are inverted by one
+    array Euclid, the phases (l d +- n' dbar) mod q reduced in integers,
+    and cos(2 pi k / q) summed per key by one bincount per sign, in order
+    of d.  Each c then takes the product of its keys' sums, ascending in p.
+    The keys are summed in blocks that close only between prime powers,
+    once the terms laid out reach a multiple of _BLOCK_RESIDUES; a key's
+    sum does not depend on its block, so every S is the same bit for bit
+    whatever c_max it was computed under.
     """
     n, l, c_max = operator.index(n), operator.index(l), operator.index(c_max)
     if c_max < 1:
         raise ValueError(f"c_max must be at least 1, got {c_max}")
-    cs = np.arange(1, c_max + 1, dtype=np.int64)
-    counts = np.maximum(cs // 2, 1)
-    block = (np.cumsum(counts) - 1) // _BLOCK_RESIDUES  # a modulus goes with its last residue
-    edges = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), c_max]
-    plus, minus = np.empty(c_max), np.empty(c_max)
+    if c_max == 1:
+        return np.ones(1), np.ones(1)
+    lpf = _least_prime_factors(c_max)
+    # the pairs (c, q), q || c, one round per prime of c, smallest prime first
+    rounds = []
+    c = np.arange(2, c_max + 1, dtype=np.int64)
+    rest = c.copy()
+    while c.size:
+        p = lpf[rest]
+        q = p.copy()
+        rest //= p
+        more = rest % p == 0
+        while more.any():
+            q[more] *= p[more]
+            rest[more] //= p[more]
+            more = rest % p == 0
+        rounds.append((c, q))
+        left = rest > 1
+        c, rest = c[left], rest[left]
+    pair_c = np.concatenate([c for c, _ in rounds])
+    pair_q = np.concatenate([q for _, q in rounds])
+    rbar = _unit_inverses(pair_c // pair_q % pair_q, pair_q)
+    twist = (n % pair_q) * rbar % pair_q * rbar % pair_q
+    # the distinct keys (q, n'), ascending in q and then in n', by a set and
+    # a dict: numpy's integer sorts would page in some 0.3 MB of code that
+    # nothing else in a trace identity round runs
+    codes = (pair_q * c_max + twist).tolist()
+    keys = sorted(set(codes))
+    rank = {code: i for i, code in enumerate(keys)}
+    pair_key = np.array([rank[code] for code in codes])
+    key_q, key_n = np.divmod(np.array(keys), c_max)
+    # the prime powers q with their first key, number of keys and units d <= q/2
+    q_first = np.flatnonzero(np.diff(key_q, prepend=0))
+    qs, q_keys = key_q[q_first], np.diff(q_first, append=key_q.size)
+    ps = lpf[qs]
+    q_units = qs // 2 - qs // 2 // ps
+    block = (np.cumsum(q_keys * q_units) - 1) // _BLOCK_RESIDUES  # a q goes with its last term
+    edges = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), qs.size]
+    key_sums = np.empty((2, key_q.size))
     for lo, hi in zip(edges[:-1], edges[1:]):
-        c = np.repeat(cs[lo:hi], counts[lo:hi])
-        first = np.cumsum(counts[lo:hi]) - counts[lo:hi]
-        d = np.arange(1, c.size + 1, dtype=np.int64) - np.repeat(first, counts[lo:hi])
-        units = np.gcd(d, c) == 1
-        d, c = d[units], c[units]
-        ld = (l % c) * d
-        nd = (n % c) * _unit_inverses(d, c)
-        scale = (2.0 * np.pi) / c
-        for out, k in ((plus, ld + nd), (minus, ld - nd)):
-            k %= c
-            out[lo:hi] = np.bincount(c - cs[lo], weights=np.cos(k * scale), minlength=hi - lo)
-    plus[2:] *= 2.0
-    minus[2:] *= 2.0
-    return plus, minus
+        at = slice(q_first[lo], q_first[lo] + q_keys[lo:hi].sum())
+        key_sums[:, at] = _prime_power_sums(l, qs[lo:hi], ps[lo:hi], q_units[lo:hi], q_keys[lo:hi], key_n[at])
+    key_sums[:, key_q > 2] *= 2.0
+    sums = np.ones((2, c_max))
+    done = 0
+    for c, _ in rounds:
+        sums[:, c - 1] *= key_sums[:, pair_key[done : done + c.size]]
+        done += c.size
+    return sums[0], sums[1]
 
 
 def factorize(m: int) -> list[tuple[int, int]]:

@@ -37,7 +37,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .exactarith import _check_positive_integers, divisors, factorize, mobius
+from .exactarith import _check_positive_integers, _primes_upto, divisors, factorize, mobius
 from .special import GammaData
 
 __all__ = [
@@ -147,15 +147,6 @@ def coefficient(form: GL3Form, m: int, n: int) -> complex:
     for p, (a, b) in exps.items():
         val *= _prime_power(form.satake_at(p), a, b)
     return val
-
-
-def _primes_upto(N: int) -> np.ndarray:
-    sieve = np.ones(N + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(math.isqrt(N)) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.flatnonzero(sieve)
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -450,7 +450,8 @@ def _geometric_terms(n: int, l: int, h: SpectralTestFunction, c_max: int):
     interpolant of (Hplus, Hminus) in 1 + t = z / z_min
     (chebyshev._interpolate_log1p, to 1e-11) whose nodes are evaluated on one
     contour for [z_min, z_max] = [z(max(C, 2)), z(1)].  All S(+-n, l; c)
-    come from one batched call (exactarith.kloosterman_sums).
+    come from one batched call (exactarith.kloosterman_sums), which builds
+    each from its prime-power blocks and sums each distinct block once.
 
     The tail estimate bounds sum_{c > C} (|S(n,l;c) Hplus| + |S(-n,l;c)
     Hminus|) / 2c by 1.5 b0 C sqrt(g) _tail_bracket(C), g = gcd(n, l), from

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lfunlab import exactarith
 from lfunlab.exactarith import (
     NotCoprimeError,
+    _least_prime_factors,
+    _primes_upto,
     _unit_inverses,
     _units,
     divisors,
@@ -235,6 +238,43 @@ class TestKloostermanSums:
             with pytest.raises(ValueError, match="c_max"):
                 kloosterman_sums(1, 1, c_max)
 
+    def test_inverts_only_the_prime_power_units(self, monkeypatch):
+        # the units d <= q/2 of each prime power q <= 800 (26,759) and one
+        # inverse per pair q || c (1,674); a table per modulus would hold the
+        # 97,376 units d <= c/2 of every c <= 800
+        sizes = []
+
+        def spy(units, c):
+            sizes.append(units.size)
+            return _unit_inverses(units, c)
+
+        monkeypatch.setattr(exactarith, "_unit_inverses", spy)
+        kloosterman_sums(1, 1, 800)
+        assert sum(sizes) < 30_000
+
+    @pytest.mark.parametrize(
+        "n, l",
+        [(1, 1), (5, -7), (210, 330), (512, 1), (1, -729), (625 * 343, 3), (787, 2 * 797)],
+    )
+    def test_prime_powers_and_many_prime_factors_match_oracle(self, n, l):
+        # high prime powers, moduli with four prime factors and two primes
+        # near c_max, with indices divisible by p (210 and 330 by 2, 3 and 5;
+        # 787 and 2 * 797 by the primes themselves) or by q (512, 729, 625
+        # and 343)
+        plus, minus = kloosterman_sums(n, l, 800)
+        for c in [512, 729, 625, 343, 243, 210, 330, 390, 510, 570, 690, 714, 770, 780, 798, 787, 797]:
+            assert abs(plus[c - 1] - kloosterman_exact_phase(n, l, c).real) <= 1e-12
+            assert abs(minus[c - 1] - kloosterman_exact_phase(-n, l, c).real) <= 1e-12
+
+    @pytest.mark.parametrize("n, l", [(1, 1), (12, 18), (0, 6), (2520, 5040), (7, -343)])
+    def test_weil_bound_for_every_modulus(self, n, l):
+        # |S(+-n, l; c)| <= d(c) sqrt(gcd(n, l, c)) sqrt(c) for every c <= 800
+        plus, minus = kloosterman_sums(n, l, 800)
+        for c in range(1, 801):
+            bound = len(divisors(c)) * math.sqrt(math.gcd(n, l, c) * c)
+            assert abs(plus[c - 1]) <= bound + 1e-9
+            assert abs(minus[c - 1]) <= bound + 1e-9
+
 
 class TestRamanujan:
     """The degenerate Kloosterman sums, which voronoi_residual_profile meets
@@ -331,6 +371,15 @@ class TestMultiplicativeTables:
         for p, e in factorize(m):
             prod *= p**e
         assert prod == m
+
+    def test_least_prime_factor_sieve(self):
+        # against trial division for every m <= 3000, and the primes as the
+        # m >= 2 that are their own least prime factor
+        lpf = _least_prime_factors(3000)
+        assert lpf.dtype == np.int64 and lpf[:2].tolist() == [0, 1]
+        assert lpf[2:].tolist() == [factorize(m)[0][0] for m in range(2, 3001)]
+        for N in [0, 1, 2, 3, 4, 24, 25, 26, 3000]:
+            assert _primes_upto(N).tolist() == [m for m in range(2, N + 1) if factorize(m) == [(m, 1)]]
 
     def test_non_integral_arguments_rejected(self):
         # factorize(12.5) returned [(12.5, 1)] and divisors(6.5) [1.0, 6.5]

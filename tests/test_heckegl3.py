@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfunlab import heckegl3
-from lfunlab.exactarith import divisors
+from lfunlab.exactarith import _primes_upto, divisors
 from lfunlab.heckegl3 import (
     GL3Form,
     MissingSatakeError,
@@ -136,7 +136,7 @@ def _row_by_prime_loop(form, N, dual=False):
     reference for the vectorized pass over the primes above sqrt(N)."""
     out = np.ones(N + 1, dtype=complex)
     out[0] = 0.0
-    for p in heckegl3._primes_upto(N):
+    for p in _primes_upto(N):
         p = int(p)
         triple = form.satake_at(p)
         h = heckegl3._h_sequence(triple, int(math.log(N) / math.log(p)) + 2)

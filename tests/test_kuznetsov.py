@@ -748,6 +748,20 @@ def test_interpolant_error_covers_one_doubling_finer_past_a_branch_point(f):
     assert off <= piece.error
 
 
+def test_interpolant_error_covers_one_doubling_finer_with_zero_floors():
+    # floors of 0 leave the rounding to the piece's own floor, eps max |f|:
+    # for sqrt(x + 1.05) the next doubling moves the interpolant by 1.1e-15,
+    # where the gaps alone estimate 5.1e-17
+    values = _on_one_piece(lambda x: np.sqrt(x + 1.05))
+
+    def rows(ts):
+        return values(ts)[0], np.zeros(ts.size)
+
+    interp = chebyshev._interpolate_log1p(rows, 7.0, 1e-10, "f")
+    ((off,), (piece,)) = _finer_offsets(rows, interp), interp.pieces
+    assert off <= piece.error
+
+
 def test_interpolant_of_a_low_degree_polynomial_stops_at_the_first_build():
     # both gaps are rounding, or exactly 0, on every piece
     def rows(ts):
