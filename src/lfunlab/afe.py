@@ -36,6 +36,13 @@ by which that gap contracted from the n/4 one's (capped at 1), is within
 the spec's tail_tolerance, and reports that product plus its rounding
 allowance as its error.
 
+Every central value cuts its coefficient sum by one rule (_dyadic_sum): it
+forms the sum at M = 64, 128, ..., 2^20 and stops once the absolute mass
+of its terms with index in (M/2, M] is within tol of max(|value|, 1e-3)
+and no longer growing.  The degree-2 and degree-3 sums take the
+damper-capped tol = max(tail_tolerance, 10^{-min(8, 3A/4)}) (_damper_tol),
+the tensor sums max(1e3 tail_tolerance, 3e-6) (_rs_tol); each says why.
+
 The degree-2 specialization with divisor-sum coefficients eta(l, r) =
 sum_{ad=l} (a/d)^{ir} reproduces |zeta(1/2 + ir)|^2.  Unlike the cuspidal
 case this Dirichlet series has poles (at s = 1 -+ ir), and the cosine
@@ -53,7 +60,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exactarith import _check_positive_integers
 from .heckegl3 import GL3Form, PolarFormError, coefficient_row, mobius_unfold
 from .quadrature import ContourKernel, NonDecayError, contour_kernel
 from .special import GammaData, PoleError, zeta
@@ -96,7 +102,8 @@ class MaassFixture:
     """Spectral parameter and Hecke coefficients of one even cusp form.
 
     coeffs[0] is ignored (index by n); the normalization convention is the
-    provider's and is recorded in `source`, not enforced here.
+    provider's and is recorded in `source`, not enforced here.  The
+    coefficients must form a one-dimensional sequence of finite numbers.
     """
 
     t: float
@@ -109,12 +116,15 @@ class MaassFixture:
             raise ValueError(f"spectral parameter must be positive and finite, got {self.t}")
         if self.parity != "even":
             raise ValueError("only even forms enter the averages; got " + self.parity)
-
-    def coeff_array(self) -> np.ndarray:
-        a = np.asarray(self.coeffs, dtype=complex)
+        a = self.coeff_array()
         if a.ndim != 1 or a.size < 1:
             raise ValueError("coeffs must be a one-dimensional sequence")
-        return a
+        bad = np.flatnonzero(~np.isfinite(a))
+        if bad.size:
+            raise ValueError(f"coeffs must be finite, got {a[bad[0]]} at index {bad[0]}")
+
+    def coeff_array(self) -> np.ndarray:
+        return np.asarray(self.coeffs, dtype=complex)
 
 
 class FixtureCoverageError(ValueError):
@@ -186,8 +196,8 @@ def _weight_kernel(
     of gamma sets the damper power and the contour's size.  The grid is
     sized for |t| up to t_top (None: the largest |t| of ts), so that calls
     for different t with one t_top share the grid and give each t one row.
-    The kernel holds len(ts) x nodes complex weights (at most 64 x 420,
-    430 kB, on the perfbench diagonal_weight round); each kfunc call stays
+    The kernel holds len(ts) x nodes complex weights (at most 49 x 420,
+    329 kB, on the perfbench diagonal_weight round); each kfunc call stays
     within quadrature._ROW_ELEMENTS (row, node) entries."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     tmax = float(np.max(np.abs(ts)))
@@ -277,66 +287,97 @@ def rankin_selberg_afe_weight_grid(
 
 
 # ---------------------------------------------------------------------------
+# the one truncation rule of every central value
+
+
+def _damper_tol(spec: WeightSpec) -> float:
+    """The degree-2 and degree-3 sums' goal, 1e-8 at A = 16: the damper pole
+    at Re u = A/2 caps their terms' decay at l^{-A/2}, so it loosens for
+    small A."""
+    return max(spec.tail_tolerance, 10.0 ** (-min(8.0, 0.75 * spec.A)))
+
+
+def _rs_tol(spec: WeightSpec) -> float:
+    """The tensor sum's goal.  sym^2 Delta's shifts (1, 11, 12) push the
+    decay of V1/V2 out to m^2 n ~ 1e4, and its prime cap of 24,000 bounds
+    the cutoff; at r = 1 the block at 16,384 is still 1.4e-7 of the value,
+    so the degree-2 goal of 1e-8 is out of reach."""
+    return max(1e3 * spec.tail_tolerance, 3e-6)
+
+
+def _dyadic_sum(terms: Callable, tol: float) -> complex:
+    """A coefficient sum at the first of the cutoffs M = 64, 128, ..., 2^20
+    that settles it.  terms(M) returns the sum to M and its block, the
+    absolute mass of the terms with index in (M/2, M].  The loop stops once
+    the block is within tol max(|value|, 1e-3) and either no larger than the
+    block before it or within 0.01 of that bound."""
+    M, prev_block = 64, math.inf
+    while M <= 2**20:
+        value, block = terms(M)
+        bound = tol * max(abs(value), 1e-3)
+        if block <= bound and (block <= prev_block or block <= 0.01 * bound):
+            return value
+        prev_block = block
+        M *= 2
+    raise NonDecayError("coefficient sum refuses to converge by M = 2^20")
+
+
+def _fixture_coeffs(fixture: MaassFixture, index: str) -> Callable:
+    """M -> the fixture's coefficients 0..M; FixtureCoverageError, naming M,
+    when the fixture stops short of it."""
+    a = fixture.coeff_array()
+
+    def coeffs(M: int) -> np.ndarray:
+        if a.size - 1 < M:
+            raise FixtureCoverageError(
+                f"fixture {fixture.source!r} carries a({index}) for {index} <= {a.size - 1}, "
+                f"but the dyadic cutoff at t = {fixture.t} requires {index} <= {M}"
+            )
+        return a[: M + 1]
+
+    return coeffs
+
+
+# ---------------------------------------------------------------------------
 # degree-2 central values
 
 
-def _gl2_cutoff(t: float) -> int:
-    return int(math.ceil(10.0 * (1.0 + abs(t))))
+def _gl2_terms(spec: WeightSpec, t: float, coeffs: Callable) -> Callable:
+    """_dyadic_sum's terms for 2 sum_{l <= M} c(l) l^{-1/2} U(l, t), with
+    c = coeffs(M) and U from a kernel resolved for l up to M."""
+
+    def terms(M: int) -> tuple[complex, float]:
+        c = coeffs(M)
+        ls = np.arange(1, M + 1, dtype=float)
+        vals = 2.0 * c[1:] * ls**-0.5 * _weight_kernel(spec, t, _GAMMA_U, _GAMMA_U, math.log(M)).apply(ls)[0]
+        return complex(np.sum(vals)), float(np.sum(np.abs(vals[M // 2 :])))
+
+    return terms
 
 
-def _adaptive_cutoff(build: Callable, start: int, tol: float, metric: Callable | None = None):
-    """Smallest dyadic extension of `start` at which an estimated absolute
-    tail (weight magnitude folded through `metric`) drops below tol; returns
-    the cutoff together with a one-row kernel resolved for arguments up to
-    it.
-
-    Matters at small spectral parameter, where the conductor-scale heuristic
-    behind `start` underestimates how slowly the weight dies.
-    """
-    if metric is None:
-        metric = lambda mag, L: mag * L
-    L = int(start)
-    for _ in range(30):
-        kern = build(math.log(max(L, 2)))
-        mag = abs(complex(kern.apply(np.array([float(L)]))[0, 0]))
-        if metric(mag, L) <= tol:
-            return L, kern
-        L *= 2
-    raise NonDecayError("AFE weight refuses to decay; cutoff probe exhausted")
-
-
-def central_value_gl2(fixture: MaassFixture, spec: WeightSpec, l_cutoff: int | None = None) -> float:
+def central_value_gl2(fixture: MaassFixture, spec: WeightSpec) -> float:
     """Central value of a degree-2 L-function from its coefficient fixture:
-    2 sum a(l) l^{-1/2} U(l, t).  Real for self-dual (even) data."""
-    t = fixture.t
-    a = fixture.coeff_array()
-    build = lambda maxln: _weight_kernel(spec, t, _GAMMA_U, _GAMMA_U, maxln)
-    if l_cutoff is not None:
-        _check_positive_integers(l_cutoff=l_cutoff)
-        L = int(l_cutoff)
-        kern = build(math.log(max(L, 2)))
-    else:
-        L, kern = _adaptive_cutoff(build, _gl2_cutoff(t), max(spec.tail_tolerance, 1e-13))
-    if a.size - 1 < L:
-        raise FixtureCoverageError(
-            f"fixture {fixture.source!r} carries a(l) for l <= {a.size - 1}, "
-            f"but the decay envelope at t = {t} requires l <= {L}"
-        )
-    ls = np.arange(1, L + 1, dtype=float)
-    u_vals = kern.apply(ls)[0]
-    total = 2.0 * np.sum(a[1 : L + 1] * ls**-0.5 * u_vals)
-    return float(total.real)
+    2 sum a(l) l^{-1/2} U(l, t).  Real for self-dual (even) data.  The sum
+    stops at the first dyadic l-cutoff from 64 whose last block is within
+    _damper_tol (1e-8 at A = 16) of the value (_dyadic_sum); a fixture
+    shorter than that cutoff raises FixtureCoverageError."""
+    return _dyadic_sum(_gl2_terms(spec, fixture.t, _fixture_coeffs(fixture, "l")), _damper_tol(spec)).real
 
 
 def eisenstein_coefficients(N: int, r: float) -> np.ndarray:
-    """eta(l, r) = sum_{ad = l} (a/d)^{ir} for l <= N; real by the (a, d)
-    <-> (d, a) pairing.  Index 0 unused."""
-    phases = np.exp(1j * r * np.log(np.arange(1, N + 1, dtype=float)))
-    eta = np.zeros(N + 1, dtype=complex)
-    for a in range(1, N + 1):
-        k = N // a
-        eta[a * np.arange(1, k + 1)] += phases[a - 1] * np.conj(phases[:k])
-    return eta.real.astype(float)
+    """eta(l, r) = sum_{ad = l} (a/d)^{ir} for l <= N, summed over the pairs
+    a <= d as 2 cos(r log(d/a)) (1 at a = d), so real.  Index 0 unused.  A
+    value at l takes its terms in the same order for every N >= l."""
+    logs = np.log(np.arange(1, N + 1, dtype=float))
+    eta = np.zeros(N + 1)
+    a = 1
+    while a * a <= N:
+        d = np.arange(a, N // a + 1)
+        pairs = 2.0 * np.cos(r * (logs[d - 1] - logs[a - 1]))
+        pairs[0] = 1.0
+        eta[a * d] += pairs
+        a += 1
+    return eta
 
 
 def _zeta_polar_correction(r: float, spec: WeightSpec) -> float:
@@ -386,96 +427,64 @@ def _zeta_polar_correction(r: float, spec: WeightSpec) -> float:
 
 def zeta_square_afe(r: float, spec: WeightSpec) -> float:
     """|zeta(1/2 + ir)|^2 through the divisor-coefficient identity, polar
-    correction included."""
+    correction included.  The divisor sum stops where central_value_gl2's
+    does, at the first dyadic l-cutoff from 64 whose last block is within
+    _damper_tol of the value."""
     if not 0 <= r < math.inf:
         raise ValueError(f"r must be nonnegative and finite, got {r}")
-    L, kern = _adaptive_cutoff(
-        lambda maxln: _weight_kernel(spec, r, _GAMMA_U, _GAMMA_U, maxln),
-        _gl2_cutoff(r),
-        max(spec.tail_tolerance, 1e-13),
-    )
-    eta = eisenstein_coefficients(L, r)
-    ls = np.arange(1, L + 1, dtype=float)
-    u_vals = kern.apply(ls)[0]
-    main = 2.0 * float(np.sum(eta[1:] * ls**-0.5 * u_vals).real)
-    return main - _zeta_polar_correction(r, spec)
+    main = _dyadic_sum(_gl2_terms(spec, r, lambda M: eisenstein_coefficients(M, r)), _damper_tol(spec))
+    return main.real - _zeta_polar_correction(r, spec)
 
 
 # ---------------------------------------------------------------------------
 # tensor central values
 
 
-def _rs_double_sum(
-    form: GL3Form, coeffs: np.ndarray, t: float, spec: WeightSpec, cutoff: int, kern1: ContourKernel
-) -> complex:
-    """sum_{m^2 n <= cutoff} conj(a(n)) [ A(m,n) V1 + A(n,m) V2 ] (m^2 n)^{-1/2},
-    with kern1 V1's kernel for the cutoff, as the cutoff probe builds it."""
-    total = 0j
-    # one kernel per variant, and one coefficient row per orientation
-    # unfolded at each m, shared by every m-row: entries n <= n_max of a
-    # row do not depend on its length
-    kern2 = _weight_kernel(spec, t, form.gamma_dual, form.gamma, math.log(max(cutoff, 2)))
-    row = coefficient_row(form, cutoff)
-    col = coefficient_row(form, cutoff, dual=True)
-    m = 1
-    while m * m <= cutoff:
-        n_max = cutoff // (m * m)
-        ns = np.arange(1, n_max + 1, dtype=float)
-        ys = (m * m) * ns
-        a_conj = np.conj(coeffs[1 : n_max + 1])
-        direct = mobius_unfold(form, m, row[: n_max + 1])[1:]
-        swapped = mobius_unfold(form, m, col[: n_max + 1], transpose=True)[1:]
-        inv_sqrt = ys**-0.5
-        total += np.sum(a_conj * direct * inv_sqrt * kern1.apply(ys)[0])
-        total += np.sum(a_conj * swapped * inv_sqrt * kern2.apply(ys)[0])
-        m += 1
-    return complex(total)
+def _rs_terms(form: GL3Form, t: float, spec: WeightSpec, coeffs: Callable) -> Callable:
+    """_dyadic_sum's terms for sum_{m^2 n <= M} conj(c(n)) [A(m,n) V1 + A(n,m) V2]
+    (m^2 n)^{-1/2}, with c = coeffs(M) and V1, V2 from kernels resolved for
+    m^2 n up to M."""
+
+    def terms(M: int) -> tuple[complex, float]:
+        c = np.conj(coeffs(M))
+        # one kernel per variant, and one coefficient row per orientation
+        # unfolded at each m, shared by every m-row: entries n <= n_max of a
+        # row do not depend on its length
+        v1_kern = _weight_kernel(spec, t, form.gamma, form.gamma, math.log(M))
+        v2_kern = _weight_kernel(spec, t, form.gamma_dual, form.gamma, math.log(M))
+        row = coefficient_row(form, M)
+        col = coefficient_row(form, M, dual=True)
+        total, block = 0j, 0.0
+        for m in range(1, math.isqrt(M) + 1):
+            n_max = M // (m * m)
+            ys = (m * m) * np.arange(1, n_max + 1, dtype=float)
+            scaled = c[1 : n_max + 1] * ys**-0.5
+            direct = scaled * mobius_unfold(form, m, row[: n_max + 1])[1:] * v1_kern.apply(ys)[0]
+            swapped = scaled * mobius_unfold(form, m, col[: n_max + 1], transpose=True)[1:] * v2_kern.apply(ys)[0]
+            total += np.sum(direct) + np.sum(swapped)
+            tail = (M // 2) // (m * m)  # the n with m^2 n > M/2
+            block += float(np.sum(np.abs(direct[tail:])) + np.sum(np.abs(swapped[tail:])))
+        return complex(total), block
+
+    return terms
 
 
-def _rs_cutoff(t: float) -> int:
-    return int(math.ceil(10.0 * (1.0 + abs(t)) ** 3))
-
-
-def _rs_adaptive_cutoff(form: GL3Form, t: float, spec: WeightSpec) -> tuple[int, ContourKernel]:
-    # Tail of sum_{m^2 n > C} d(n) d_3(m^2 n) (m^2 n)^{-1/2} |V(m^2 n)|, with
-    # the weight locked at its boundary value: ~ |V(C)| sqrt(C) log^2 C up to
-    # the decay margin.  Large gamma shifts (the discriminant-form lift
-    # reaches 12) push genuine decay out to C ~ 1e4, so the target is
-    # an absolute tail small against unit-scale values rather than the raw
-    # weight floor used on the degree-2 side.
-    return _adaptive_cutoff(
-        lambda maxln: _weight_kernel(spec, t, form.gamma, form.gamma, maxln),
-        _rs_cutoff(t),
-        max(1e3 * spec.tail_tolerance, 3e-6),
-        metric=lambda mag, L: mag * math.sqrt(L) * (1.0 + math.log(L)) ** 2 / 2.0,
-    )
-
-
-def central_value_rs(
-    form: GL3Form, fixture: MaassFixture, spec: WeightSpec, cutoff: int | None = None
-) -> complex:
+def central_value_rs(form: GL3Form, fixture: MaassFixture, spec: WeightSpec) -> complex:
     """Central value of the degree-6 tensor L-function from the two double
-    sums against V1/V2.  Real to quadrature accuracy for self-dual data."""
-    t = fixture.t
-    if cutoff is None:
-        C, kern = _rs_adaptive_cutoff(form, t, spec)
-    else:
-        _check_positive_integers(cutoff=cutoff)
-        C = int(cutoff)
-        kern = _weight_kernel(spec, t, form.gamma, form.gamma, math.log(max(C, 2)))
-    a = fixture.coeff_array()
-    if a.size - 1 < C:
-        raise FixtureCoverageError(
-            f"fixture {fixture.source!r} carries a(n) for n <= {a.size - 1}, "
-            f"but the tensor decay envelope at t = {t} requires n <= {C}"
-        )
-    return _rs_double_sum(form, a, t, spec, C, kern)
+    sums against V1/V2.  Real to quadrature accuracy for self-dual data.
+    The sums stop at the first dyadic cutoff on m^2 n from 64 whose last
+    block is within _rs_tol (3e-6 at the default spec) of the value
+    (_dyadic_sum); a fixture shorter than that cutoff raises
+    FixtureCoverageError."""
+    return _dyadic_sum(_rs_terms(form, fixture.t, spec, _fixture_coeffs(fixture, "n")), _rs_tol(spec))
 
 
 def central_value_rs_eisenstein(form: GL3Form, r: float, spec: WeightSpec) -> complex:
     """Tensor central value against the real-analytic continuous-series
     surrogate: coefficients eta(n, r).  Factorizes as the product of the two
-    degree-3 values at 1/2 -+ ir, which tests verify independently."""
+    degree-3 values at 1/2 -+ ir, which tests verify independently.  It
+    stops where central_value_rs stops, on the same sums: at r = 1, for
+    sym^2 Delta, at m^2 n <= 8,192."""
     if not math.isfinite(r):
         raise ValueError(f"r must be finite, got {r}")
     if form.polar:
@@ -483,9 +492,8 @@ def central_value_rs_eisenstein(form: GL3Form, r: float, spec: WeightSpec) -> co
             "the degenerate triple-divisor form has a polar standard L-function; "
             "the continuous surrogate identity does not apply"
         )
-    C, kern = _rs_adaptive_cutoff(form, abs(r), spec)
-    eta = eisenstein_coefficients(C, r).astype(complex)
-    return _rs_double_sum(form, eta, abs(r), spec, C, kern)
+    eta = lambda M: eisenstein_coefficients(M, r).astype(complex)
+    return _dyadic_sum(_rs_terms(form, abs(r), spec, eta), _rs_tol(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +507,8 @@ def gl3_critical_value(form: GL3Form, s0: complex, spec: WeightSpec) -> complex:
 
     Va(m) = (1/2 pi i) int G(u)/u (G3(s0+u)/G3(s0)) m^{-u} du and Vb the
     mirror with dual parameters at 1 - s0, both over the same damper.  The
-    coefficient cutoff doubles until the trailing dyadic block falls below
-    the spec tolerance relative to the accumulated value.
+    pair stops at the first dyadic m-cutoff from 64 whose last block is
+    within _damper_tol (1e-8 at A = 16) of the value (_dyadic_sum).
     """
     s0 = complex(s0)
     if not (math.isfinite(s0.real) and math.isfinite(s0.imag)):
@@ -530,13 +538,8 @@ def _gl3_afe_value(form: GL3Form, s0: complex, spec: WeightSpec) -> complex:
         return np.stack([damped * np.exp(pair[i][1].log(pair[i][0] + u) - denom) for i in rows])
 
     osc_extra = 1.5 * math.log(2.0 + abs(s0)) + _shift_osc(form.gamma, form.gamma_dual)
-    # the damper pole at Re u = A/2 caps the reachable coefficient decay at
-    # m^{-A/2}, so the convergence goal must loosen for small A
-    tol_rel = max(spec.tail_tolerance, 10.0 ** (-min(8.0, 0.75 * spec.A)))
-    M = 64
-    value = 0j
-    prev_block = math.inf
-    while True:
+
+    def terms(M: int) -> tuple[complex, float]:
         width = _panel_width(math.log(M) + osc_extra)
         kern = contour_kernel(
             kfunc, sigma, np.arange(2), width=width, tol=spec.tail_tolerance, symmetric=False,
@@ -548,13 +551,7 @@ def _gl3_afe_value(form: GL3Form, s0: complex, spec: WeightSpec) -> complex:
         va, vb = kern.apply(ms)
         term_a = row[1:] * np.exp(-s0 * np.log(ms)) * va
         term_b = col[1:] * np.exp(-(1 - s0) * np.log(ms)) * vb
-        value = complex(np.sum(term_a) + np.sum(term_b))
         block = float(np.sum(np.abs(term_a[M // 2 :])) + np.sum(np.abs(term_b[M // 2 :])))
-        scale = max(abs(value), 1e-3)
-        good = block <= tol_rel * scale
-        if good and (block <= prev_block or block <= 0.01 * tol_rel * scale):
-            return value
-        prev_block = block
-        M *= 2
-        if M > 2**20:
-            raise NonDecayError("critical-line coefficient sum refuses to converge")
+        return complex(np.sum(term_a) + np.sum(term_b)), block
+
+    return _dyadic_sum(terms, _damper_tol(spec))

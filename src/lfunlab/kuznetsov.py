@@ -703,8 +703,6 @@ def diagonal_weight(
     form: GL3Form,
     variant: str,
     x: float | None = None,
-    *,
-    resolution_factor: float = 1.0,
 ) -> complex:
     """Smoothed diagonal weights pairing the Gaussian e^{-t^2/T^2} with the
     degree-2 AFE weight at n (plain variants) or l (Bessel variants) and the
@@ -727,9 +725,8 @@ def diagonal_weight(
     weight parameters, y, 8T and the two GammaData the weight reads: the
     data it carries and the data that normalizes it (_GAMMA_U by itself for
     U, form.gamma or form.gamma_dual by form.gamma for V), equal when their
-    shifts are.  So any resolution_factor and every panel halving of the
-    Bessel variants reuse it, and a self-dual form's "dual" reuses
-    "direct"'s (see uv_cache_stats).  Threads may share the cache: it stays
+    shifts are.  So every panel halving of the Bessel variants reuses it,
+    and a self-dual form's "dual" reuses "direct"'s (see uv_cache_stats).  Threads may share the cache: it stays
     coherent, and two that miss the same key at once both build it.  x is
     required exactly for the Bessel variants, which are evaluated as
     bessel_transform evaluates them, with the weighted Gaussian as h,
@@ -741,8 +738,6 @@ def diagonal_weight(
     if not 0 < T < math.inf:
         raise ValueError(f"width T must be positive and finite, got {T}")
     _check_positive_integers(l=l, n=n, m=m)
-    if not 0 < resolution_factor < math.inf:
-        raise ValueError(f"resolution_factor must be positive and finite, got {resolution_factor}")
     bessel = variant.endswith("plus") or variant.endswith("minus")
     if bessel and (x is None or not x > 0):
         raise ValueError("Bessel variants require a positive argument x")
@@ -756,7 +751,7 @@ def diagonal_weight(
 
     tmax = _DIAG_TOP * T
     if not bessel:
-        width = min(max(T / 6.0, 1e-4), 1.5) / resolution_factor
+        width = min(max(T / 6.0, 1e-4), 1.5)
         ts, ws = panel_grid(0.0, tmax, width, _GL_NODES)
         fv = _diag_samples(ts, T, y_gl2, y_rs, form, rs_variant, _WEIGHT_SPEC)
         return complex((2.0 / math.pi) * np.sum(ws * fv * np.tanh(math.pi * ts) * ts))
@@ -766,6 +761,6 @@ def diagonal_weight(
     def samples(ts: np.ndarray) -> np.ndarray:
         return _diag_samples(ts, T, y_gl2, y_rs, form, rs_variant, _WEIGHT_SPEC)
 
-    prof = _resolved_profile(samples, tmax, min(max(T / 6.0, 1e-4), 0.5) / resolution_factor, z)
+    prof = _resolved_profile(samples, tmax, min(max(T / 6.0, 1e-4), 0.5), z)
     plus, minus = _contour(prof, z, z)
     return complex(_exp_product(np.array([z]), *(plus if variant.endswith("plus") else minus))[0])

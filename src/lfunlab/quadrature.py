@@ -367,6 +367,8 @@ _PLATEAU_FRACTION = 0.5  # share of a bump's support on which it is identically 
 
 def smooth_bump(a: float, b: float) -> SmoothBump:
     """Bump supported on [a, b], identically 1 on the central _PLATEAU_FRACTION."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"support ends must be finite, got [{a}, {b}]")
     if not a < b:
         raise ValueError(f"need a < b, got [{a}, {b}]")
     r = 0.5 * (1.0 - _PLATEAU_FRACTION) * (b - a)

@@ -192,8 +192,8 @@ def _support_of(phi):
     if support is None:
         raise ValueError("test function carries no .support attribute")
     lo, hi = float(support[0]), float(support[1])
-    if not 0.0 < lo < hi:
-        raise ValueError(f"support must satisfy 0 < lo < hi, got ({lo}, {hi})")
+    if not 0.0 < lo < hi < math.inf:
+        raise ValueError(f"support must satisfy 0 < lo < hi < inf, got ({lo}, {hi})")
     return lo, hi
 
 

@@ -21,7 +21,6 @@ from lfunlab.afe import (
     FixtureCoverageError,
     MaassFixture,
     WeightSpec,
-    _rs_adaptive_cutoff,
     central_value_gl2,
     central_value_rs,
     central_value_rs_eisenstein,
@@ -62,6 +61,29 @@ def u_at(spec, y, t):
 
 def v_at(spec, y, t, form, variant="direct"):
     return complex(rankin_selberg_afe_weight_grid(spec, [y], [t], form, variant)[0, 0])
+
+
+def _eta_fixture(r: float, N: int) -> MaassFixture:
+    # the continuous-series surrogate eta(., r) as a fixture cut at N
+    return MaassFixture(t=r, coeffs=tuple(map(float, eisenstein_coefficients(N, r))), source=f"eta r={r}")
+
+
+def _stop_and_doubled(monkeypatch, evaluate) -> tuple:
+    # evaluate() with a spy on the one dyadic loop: its value, its tol, the
+    # cutoff M it stopped at, and the sum at 2M from the same terms
+    runs = []
+    loop = afe._dyadic_sum
+
+    def spy(terms, tol):
+        cutoffs = []
+        value = loop(lambda M: cutoffs.append(M) or terms(M), tol)
+        runs.append((value, tol, cutoffs[-1], terms))
+        return value
+
+    monkeypatch.setattr(afe, "_dyadic_sum", spy)
+    evaluate()
+    ((value, tol, M, terms),) = runs
+    return value, tol, M, terms(2 * M)[0]
 
 
 def _zeta_square_oracle(r: float) -> float:
@@ -356,6 +378,9 @@ def test_eisenstein_coefficients_divisor_formula():
         assert abs(direct.imag) < 1e-12
     for p in (2, 3, 5):
         assert eta[p] == pytest.approx(2 * math.cos(r * math.log(p)), abs=1e-12)
+    # a value does not depend on how far the table runs: the loop's
+    # doublings and a fixture cut at any length agree bit for bit
+    assert np.array_equal(eisenstein_coefficients(37, r), eta[:38])
 
 
 @pytest.mark.parametrize("r", [0.0, 2.0, 10.0, 30.0])
@@ -383,7 +408,7 @@ def test_zeta_square_nonnegative_and_guarded():
 
 def test_central_value_gl2_zero_fixture():
     fx = MaassFixture(t=3.0, coeffs=(0.0,) * 2001, source="zero")
-    assert central_value_gl2(fx, SPEC, l_cutoff=1500) == 0.0
+    assert central_value_gl2(fx, SPEC) == 0.0
 
 
 def test_central_value_gl2_eisenstein_surrogate():
@@ -391,49 +416,39 @@ def test_central_value_gl2_eisenstein_surrogate():
     # |zeta(1/2 + 10i)|^2, checked against the Euler-Maclaurin oracle with
     # the polar correction folded in analytically: at t = 10 the residue
     # terms sit at e^{-pi r} ~ 2e-14 of the main term, below the tolerance
-    eta = eisenstein_coefficients(4096, 10.0)
-    fx = MaassFixture(t=10.0, coeffs=tuple(map(float, eta)), source="eta r=10")
-    val = central_value_gl2(fx, SPEC)
+    val = central_value_gl2(_eta_fixture(10.0, 4096), SPEC)
     assert abs(val - _zeta_square_oracle(10.0)) / _zeta_square_oracle(10.0) < 1e-8
 
 
-def test_central_value_gl2_truncation_stability():
-    eta = eisenstein_coefficients(4096, 10.0)
-    fx = MaassFixture(t=10.0, coeffs=tuple(map(float, eta)), source="eta r=10")
-    a = central_value_gl2(fx, SPEC, l_cutoff=1024)
-    b = central_value_gl2(fx, SPEC, l_cutoff=2048)
-    assert abs(a - b) < 1e-9
-
-
-def test_explicit_cutoffs_below_one_rejected(sym2):
-    # an explicit cutoff below 1 leaves no coefficient to sum: an error,
-    # not a zero value (or, at -5, a broadcast error)
-    fx = MaassFixture(t=3.0, coeffs=(0.0,) * 11, source="zero")
-    for cutoff in (0, -5):
-        with pytest.raises(ValueError, match="l_cutoff"):
-            central_value_gl2(fx, SPEC, l_cutoff=cutoff)
-    for cutoff in (0, -3):
-        with pytest.raises(ValueError, match="cutoff"):
-            central_value_rs(sym2, fx, SPEC, cutoff=cutoff)
-
-
-def test_explicit_cutoffs_must_be_integers(sym2):
-    # a cutoff of 16.7 was truncated to 16 and gave that cutoff's value
-    # without a word
-    eta = eisenstein_coefficients(600, 10.0)
-    fx = MaassFixture(t=10.0, coeffs=tuple(map(float, eta)), source="eta r=10")
-    for cutoff in (16.7, 16.0):
-        with pytest.raises(ValueError, match="l_cutoff must be a positive integer"):
-            central_value_gl2(fx, SPEC, l_cutoff=cutoff)
-    with pytest.raises(ValueError, match="cutoff must be a positive integer"):
-        central_value_rs(sym2, fx, SPEC, cutoff=500.5)
-    assert central_value_gl2(fx, SPEC, l_cutoff=np.int64(16)) == central_value_gl2(fx, SPEC, l_cutoff=16)
+def test_central_value_gl2_truncation_stability(monkeypatch):
+    # one doubling past the loop's stop moves each degree-2 value by at most
+    # the loop's bound, and by less than 1e-9: gl2 on eta(., 10) (stops at
+    # l <= 1024), and |zeta|^2 at r = 2 and 30 (512 and 4096).  Measured: at
+    # most 1.1e-11 of the value, 1.1e-3 of the bound
+    cases = [
+        (lambda: central_value_gl2(_eta_fixture(10.0, 4096), SPEC), 1024),
+        (lambda: zeta_square_afe(2.0, SPEC), 512),
+        (lambda: zeta_square_afe(30.0, SPEC), 4096),
+    ]
+    for evaluate, stop in cases:
+        value, tol, M, doubled = _stop_and_doubled(monkeypatch, evaluate)
+        assert M == stop and tol == 1e-8
+        assert abs(doubled - value) <= tol * max(abs(value), 1e-3)
+        assert abs(doubled - value) < 1e-9
 
 
 def test_central_value_gl2_coverage_error_names_requirement():
     fx = MaassFixture(t=10.0, coeffs=(0.0,) * 51, source="short")
-    with pytest.raises(FixtureCoverageError, match="requires l <="):
+    with pytest.raises(FixtureCoverageError, match="requires l <= 64"):
         central_value_gl2(fx, SPEC)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_maass_fixture_rejects_non_finite_coefficients(bad):
+    # a nan coefficient gave central_value_gl2 = nan, and an infinite one a
+    # kuznetsov_residual of nan+nanj, both with no error
+    with pytest.raises(ValueError, match="coeffs must be finite, got .* at index 1"):
+        MaassFixture(t=3.0, coeffs=(0.0, bad) + (0.0,) * 1000, source="bad")
 
 
 def test_maass_fixture_validation():
@@ -452,14 +467,14 @@ def test_maass_fixture_validation():
 
 def test_central_value_rs_zero_fixture(sym2):
     fx = MaassFixture(t=2.0, coeffs=(0.0,) * 501, source="zero")
-    assert central_value_rs(sym2, fx, SPEC, cutoff=500) == 0.0
+    assert central_value_rs(sym2, fx, SPEC) == 0.0
 
 
 def test_central_value_rs_fixture_matches_eisenstein_route(sym2, monkeypatch):
+    # the fixture route and the Eisenstein route run the same sums through
+    # the same loop, so they agree bit for bit
     r = 1.0
-    C, _ = _rs_adaptive_cutoff(sym2, r, SPEC)
-    eta = eisenstein_coefficients(C, r)
-    fx = MaassFixture(t=r, coeffs=tuple(map(float, eta)), source="eta r=1")
+    fx = _eta_fixture(r, 8192)
     builds = []
     build = afe.contour_kernel
 
@@ -469,38 +484,33 @@ def test_central_value_rs_fixture_matches_eisenstein_route(sym2, monkeypatch):
 
     monkeypatch.setattr(afe, "contour_kernel", counting_build)
     a = central_value_rs(sym2, fx, SPEC)
-    # the cutoff probe builds V1's kernel at C = 80, 160, ..., 20,480, and
-    # the double sum applies the last of them: one more build, for V2
-    assert C == 20_480 and afe._rs_cutoff(r) == 80
-    assert builds == [1] * 10
-    # the explicit cutoff builds V1's kernel by the probe's own call
-    builds.clear()
-    assert central_value_rs(sym2, fx, SPEC, cutoff=C) == a
-    assert builds == [1, 1]
-    b = central_value_rs_eisenstein(sym2, r, SPEC)
-    assert abs(a - b) <= 1e-10 * abs(b)
+    # the loop forms the sums at m^2 n <= 64, 128, ..., 8,192, building
+    # V1's and V2's one-row kernels at each
+    assert builds == [1] * 16
+    assert central_value_rs_eisenstein(sym2, r, SPEC) == a
 
 
-def test_central_value_rs_truncation_stability(sym2):
-    r = 1.0
-    C, _ = _rs_adaptive_cutoff(sym2, r, SPEC)
-    eta = eisenstein_coefficients(C, r)
-    fx = MaassFixture(t=r, coeffs=tuple(map(float, eta)), source="eta r=1")
-    full = central_value_rs(sym2, fx, SPEC, cutoff=C)
-    half = central_value_rs(sym2, fx, SPEC, cutoff=C // 2)
-    assert abs(full - half) / abs(full) < 1e-7
+def test_central_value_rs_truncation_stability(sym2, monkeypatch):
+    # one doubling past the loop's stop moves the tensor value at r = 1 by at
+    # most the loop's bound, and by less than 1e-7 of the value (measured
+    # 8.5e-10 of the value, 2.8e-4 of the bound)
+    value, tol, M, doubled = _stop_and_doubled(monkeypatch, lambda: central_value_rs_eisenstein(sym2, 1.0, SPEC))
+    assert M == 8192 and tol == 3e-6
+    assert abs(doubled - value) <= tol * max(abs(value), 1e-3)
+    assert abs(doubled - value) < 1e-7 * abs(value)
 
 
 def test_central_value_rs_coverage_error(sym2):
-    fx = MaassFixture(t=1.0, coeffs=(0.0,) * 101, source="short")
-    with pytest.raises(FixtureCoverageError, match="requires n <="):
-        central_value_rs(sym2, fx, SPEC)
+    # eta(n, 1) cut at n = 100: the loop needs the terms to 128 and says so
+    # (a zero fixture would settle at its first block, 64)
+    with pytest.raises(FixtureCoverageError, match="requires n <= 128"):
+        central_value_rs(sym2, _eta_fixture(1.0, 100), SPEC)
 
 
 def test_rs_eisenstein_factorization(sym2):
     # flagship identity: the coefficient double sum at r = 1 against the
     # product of critical-line values from the completely separate
-    # degree-3 functional-equation route; measured agreement 4e-10
+    # degree-3 functional-equation route; measured agreement 4.9e-10
     both = central_value_rs_eisenstein(sym2, 1.0, SPEC)
     l_plus = gl3_critical_value(sym2, 0.5 + 1j, SPEC)
     prod = l_plus * np.conj(l_plus)
@@ -539,6 +549,14 @@ def test_gl3_conjugate_symmetry(sym2):
     v = gl3_critical_value(sym2, 0.5 + 2j, SPEC)
     w = gl3_critical_value(sym2, 0.5 - 2j, SPEC)
     assert abs(v - np.conj(w)) / abs(v) < 1e-10
+
+
+def test_gl3_truncation_stability(sym2, monkeypatch):
+    # one doubling past the loop's stop moves L(1/2 + 2i) by at most the
+    # loop's bound (measured 2.2e-13 of the value)
+    value, tol, M, doubled = _stop_and_doubled(monkeypatch, lambda: gl3_critical_value(sym2, 0.5 + 2j, SPEC))
+    assert M == 1024 and tol == 1e-8
+    assert abs(doubled - value) <= tol * max(abs(value), 1e-3)
 
 
 def test_gl3_weight_independence(sym2):

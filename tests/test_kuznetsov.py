@@ -598,13 +598,6 @@ def test_diagonal_weight_validation():
         kz.diagonal_weight(1.0, 0, 1, 1, d3, "direct")
     with pytest.raises(ValueError, match="l must be a positive integer, got 1.5"):
         kz.diagonal_weight(1.0, 1.5, 1, 1, d3, "direct")
-    # a factor that is not > 0 is an error: as a panel width it would give
-    # one panel (0.34490 against 0.34710 at T = 4 for -1), and the Bessel
-    # variants take the same width; an infinite one gives zero-width panels
-    for factor in (0.0, -1.0, math.nan, math.inf):
-        for variant, x in (("direct", None), ("direct_plus", 0.5)):
-            with pytest.raises(ValueError, match="resolution_factor"):
-                kz.diagonal_weight(4.0, 1, 1, 1, d3, variant, x, resolution_factor=factor)
 
 
 def test_diagonal_weight_self_dual_form_variants_coincide():
@@ -622,9 +615,14 @@ def test_diagonal_weight_narrow_width_limit():
 
 
 def test_diagonal_weight_resolution_stability():
+    # "direct"'s integral (2/pi) int e^{-t^2/T^2} U V tanh(pi t) t dt on panels
+    # half as wide as diagonal_weight's (1.5 at T = 20)
     d3 = triple_divisor_form()
-    base = kz.diagonal_weight(20.0, 1, 1, 1, d3, "direct")
-    fine = kz.diagonal_weight(20.0, 1, 1, 1, d3, "direct", resolution_factor=2.0)
+    T = 20.0
+    base = kz.diagonal_weight(T, 1, 1, 1, d3, "direct")
+    ts, ws = panel_grid(0.0, kz._DIAG_TOP * T, 0.75, kz._GL_NODES)
+    fv = kz._diag_samples(ts, T, 1.0, 1.0, d3, "direct", kz._WEIGHT_SPEC)
+    fine = (2.0 / math.pi) * np.sum(ws * fv * np.tanh(math.pi * ts) * ts)
     assert abs(fine - base) < 1e-8 * (1.0 + abs(base))
 
 

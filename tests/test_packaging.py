@@ -142,25 +142,29 @@ def _child_env(**extra) -> dict:
 
 
 _IDENTITIES = """
-from lfunlab import heckegl3, kuznetsov, quadrature, voronoi
+from lfunlab import afe, heckegl3, kuznetsov, quadrature, voronoi
 d3 = heckegl3.triple_divisor_form()
 print(repr(voronoi.voronoi_residual_profile(d3, 1, 1, 3, quadrature.smooth_bump(50, 100), [2**12, 2**14])))
 print(repr(kuznetsov.kuznetsov_residual(1, 1, kuznetsov.gaussian_test_function(2.0), [], 800, 40.0)))
+sym2 = heckegl3.symmetric_square_form()
+print(repr(afe.central_value_rs_eisenstein(sym2, 1.0, afe.WeightSpec())))
+print(repr(afe.gl3_critical_value(sym2, 0.5 + 2j, afe.WeightSpec())))
 """
 
 
 def test_identities_do_not_depend_on_the_blas_thread_count():
-    # the benchmark's two identities in fresh interpreters with one and with
-    # two OpenBLAS threads: ContourKernel.apply's products may split across
-    # threads, and no result may move with that.  Only this test sets the
-    # variable; the package never does
+    # the benchmark's two identities and two AFE central values (the tensor
+    # sum at r = 1 and L(1/2 + 2i, sym^2 Delta)) in fresh interpreters with
+    # one and with two OpenBLAS threads: ContourKernel.apply's products may
+    # split across threads, and no result may move with that.  Only this
+    # test sets the variable; the package never does
     outs = []
     for threads in ("1", "2"):
         env = _child_env(OPENBLAS_NUM_THREADS=threads)
         run = subprocess.run([sys.executable, "-c", _IDENTITIES], env=env, capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr
         outs.append(run.stdout)
-    assert outs[0].count("\n") == 2 and outs[0] == outs[1]
+    assert outs[0].count("\n") == 4 and outs[0] == outs[1]
 
 
 def _constructs(tree: ast.AST, name: str) -> list:

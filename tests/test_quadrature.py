@@ -331,6 +331,13 @@ class TestSmoothBump:
         with pytest.raises(ValueError):
             smooth_bump(3.0, 3.0)
 
+    @pytest.mark.parametrize("a, b", [(50.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0)])
+    def test_unbounded_support_rejected(self, a, b):
+        # smooth_bump(50, inf) was accepted, and a Voronoi spec on it raised
+        # OverflowError only once a transform sized its grid
+        with pytest.raises(ValueError, match="support ends must be finite"):
+            smooth_bump(a, b)
+
 
 def poisson_residual(f, k_max, support):
     """| sum_{n in Z} f(n) - sum_{|k| <= k_max} int f(x) e(-k x) dx | for a

@@ -198,6 +198,15 @@ def test_spec_requires_bump_support():
         VoronoiKernelSpec(D3, lambda x: x)
 
 
+def test_spec_rejects_unbounded_support():
+    # a support (50, inf) was accepted, and voronoi_kernel and the residual
+    # profile then raised OverflowError sizing their grids
+    unbounded = lambda x: np.zeros_like(np.asarray(x, dtype=float))
+    unbounded.support = (50.0, math.inf)
+    with pytest.raises(ValueError, match=r"0 < lo < hi < inf, got \(50.0, inf\)"):
+        VoronoiKernelSpec(D3, unbounded)
+
+
 def test_kernel_argument_guards(spec):
     with pytest.raises(ValueError):
         voronoi_kernel(spec, 2, 1.0)
