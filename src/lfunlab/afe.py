@@ -17,31 +17,33 @@ r = 3 with the form's gamma (direct) or gamma_dual (dual), both normalized
 by its gamma.  They are ~ 1 for y well below the analytic conductor and
 collapse like (1 + y/t^r)^{-A} beyond it.  One builder (_weight_kernel)
 sizes every such contour from r: damper exponent -rA, start height,
-oscillation budget, conjugate symmetry, and the pole guard.  All go
-through quadrature.contour_kernel, one call per kernel with one row per t,
-so that a whole vector of y values costs one matrix-vector product, and a
-whole vector of t values costs one contour grid: the gamma ratio is
+oscillation budget, conjugate symmetry, and the pole guard (the degree-3
+pair of _gl3_afe_value sizes its own: abscissa min(3, 0.45A), height 8).
+All go through quadrature.contour_kernel, one call per kernel with one row
+per t, so that a whole vector of y values costs one matrix-vector product,
+and a whole vector of t values costs one contour grid: the gamma ratio is
 evaluated on a (t, u) matrix against its normalization at 1/2 computed once
 per t-grid (gl2_afe_weight_grid, rankin_selberg_afe_weight_grid).  The
 single-t callers build a one-row kernel.  A caller that needs one weight on
 many t-grids over one range [0, top] (kuznetsov.diagonal_weight) builds it
 once instead, as a piecewise Chebyshev interpolant in log(1 + t)
-(chebyshev) through 17 to 65 rows per piece (16 to 64 Chebyshev
-intervals for y up to 1e6 and top up to 400), all from the contour grid
-sized for top and against one normalization computed for all of them, with
-their rounding floors (_weight_rows), and evaluates every grid from that.
-A piece stops at n
-intervals once the gap of its n/2-interval interpolant, times the factor
+(chebyshev) through 17 to 65 rows per piece (16 to 64 Chebyshev intervals
+for y up to 1e6 and top up to 400), all from the contour grid sized for top
+and against one normalization computed for all of them, with their rounding
+floors (_weight_rows), and evaluates every grid from that.  A piece stops at
+n intervals once the gap of its n/2-interval interpolant, times the factor
 by which that gap contracted from the n/4 one's (capped at 1), is within
 the spec's tail_tolerance, and reports that product plus its rounding
 allowance as its error.
 
 Every central value cuts its coefficient sum by one rule (_dyadic_sum): it
-forms the sum at M = 64, 128, ..., 2^20 and stops once the absolute mass
-of its terms with index in (M/2, M] is within tol of max(|value|, 1e-3)
-and no longer growing.  The degree-2 and degree-3 sums take the
-damper-capped tol = max(tail_tolerance, 10^{-min(8, 3A/4)}) (_damper_tol),
-the tensor sums max(1e3 tail_tolerance, 3e-6) (_rs_tol); each says why.
+forms the sum at M = 64, 128, ..., 2^20 and stops once the absolute mass of
+its terms with argument in (M/2, M] is within tol of max(|value|, 1e-3) and
+no longer growing; each sum hands it only its rows of terms and their
+arguments (for the tensor sum m^2 n in one flat layout, _rs_terms).  The
+degree-2 and degree-3 sums take the damper-capped tol = max(tail_tolerance,
+10^{-min(8, 3A/4)}) (_damper_tol), the tensor sums max(1e3 tail_tolerance,
+3e-6) (_rs_tol); each says why.
 
 The degree-2 specialization with divisor-sum coefficients eta(l, r) =
 sum_{ad=l} (a/d)^{ir} reproduces |zeta(1/2 + ir)|^2.  Unlike the cuspidal
@@ -307,13 +309,16 @@ def _rs_tol(spec: WeightSpec) -> float:
 
 def _dyadic_sum(terms: Callable, tol: float) -> complex:
     """A coefficient sum at the first of the cutoffs M = 64, 128, ..., 2^20
-    that settles it.  terms(M) returns the sum to M and its block, the
-    absolute mass of the terms with index in (M/2, M].  The loop stops once
-    the block is within tol max(|value|, 1e-3) and either no larger than the
-    block before it or within 0.01 of that bound."""
+    that settles it.  terms(M) returns the terms' arguments y <= M, in any
+    order, and the terms as a (rows, len(ys)) array.  The value sums them row
+    by row, the block is their absolute mass over y in (M/2, M].  The loop
+    stops once the block is within tol max(|value|, 1e-3) and either no
+    larger than the block before it or within 0.01 of that bound."""
     M, prev_block = 64, math.inf
     while M <= 2**20:
-        value, block = terms(M)
+        ys, vals = terms(M)
+        value = complex(vals.sum(axis=-1).sum())
+        block = float(np.abs(vals[:, ys > M / 2]).sum(axis=-1).sum())
         bound = tol * max(abs(value), 1e-3)
         if block <= bound and (block <= prev_block or block <= 0.01 * bound):
             return value
@@ -344,13 +349,11 @@ def _fixture_coeffs(fixture: MaassFixture, index: str) -> Callable:
 
 def _gl2_terms(spec: WeightSpec, t: float, coeffs: Callable) -> Callable:
     """_dyadic_sum's terms for 2 sum_{l <= M} c(l) l^{-1/2} U(l, t), with
-    c = coeffs(M) and U from a kernel resolved for l up to M."""
+    c = coeffs(M) and U from a kernel resolved for l up to M: one row."""
 
-    def terms(M: int) -> tuple[complex, float]:
-        c = coeffs(M)
-        ls = np.arange(1, M + 1, dtype=float)
-        vals = 2.0 * c[1:] * ls**-0.5 * _weight_kernel(spec, t, _GAMMA_U, _GAMMA_U, math.log(M)).apply(ls)[0]
-        return complex(np.sum(vals)), float(np.sum(np.abs(vals[M // 2 :])))
+    def terms(M: int) -> tuple[np.ndarray, np.ndarray]:
+        c, ls = coeffs(M), np.arange(1, M + 1, dtype=float)
+        return ls, 2.0 * c[1:] * ls**-0.5 * _weight_kernel(spec, t, _GAMMA_U, _GAMMA_U, math.log(M)).apply(ls)
 
     return terms
 
@@ -443,28 +446,23 @@ def zeta_square_afe(r: float, spec: WeightSpec) -> float:
 def _rs_terms(form: GL3Form, t: float, spec: WeightSpec, coeffs: Callable) -> Callable:
     """_dyadic_sum's terms for sum_{m^2 n <= M} conj(c(n)) [A(m,n) V1 + A(n,m) V2]
     (m^2 n)^{-1/2}, with c = coeffs(M) and V1, V2 from kernels resolved for
-    m^2 n up to M."""
+    m^2 n up to M: rows direct and swapped over one flat layout of the
+    (m, n), m by m.  V2 is V1's kernel, built once, for self-dual gamma."""
 
-    def terms(M: int) -> tuple[complex, float]:
+    def terms(M: int) -> tuple[np.ndarray, np.ndarray]:
         c = np.conj(coeffs(M))
-        # one kernel per variant, and one coefficient row per orientation
-        # unfolded at each m, shared by every m-row: entries n <= n_max of a
-        # row do not depend on its length
-        v1_kern = _weight_kernel(spec, t, form.gamma, form.gamma, math.log(M))
-        v2_kern = _weight_kernel(spec, t, form.gamma_dual, form.gamma, math.log(M))
-        row = coefficient_row(form, M)
-        col = coefficient_row(form, M, dual=True)
-        total, block = 0j, 0.0
-        for m in range(1, math.isqrt(M) + 1):
-            n_max = M // (m * m)
-            ys = (m * m) * np.arange(1, n_max + 1, dtype=float)
-            scaled = c[1 : n_max + 1] * ys**-0.5
-            direct = scaled * mobius_unfold(form, m, row[: n_max + 1])[1:] * v1_kern.apply(ys)[0]
-            swapped = scaled * mobius_unfold(form, m, col[: n_max + 1], transpose=True)[1:] * v2_kern.apply(ys)[0]
-            total += np.sum(direct) + np.sum(swapped)
-            tail = (M // 2) // (m * m)  # the n with m^2 n > M/2
-            block += float(np.sum(np.abs(direct[tail:])) + np.sum(np.abs(swapped[tail:])))
-        return complex(total), block
+        by_m = [(m, np.arange(1, M // (m * m) + 1)) for m in range(1, math.isqrt(M) + 1)]
+        ns = np.concatenate([n for _, n in by_m])
+        ys = np.concatenate([(m * m) * n for m, n in by_m]).astype(float)
+        # one coefficient row per orientation, unfolded at each m: entries
+        # n <= n_max of an unfolded row do not depend on its length
+        unfolded = []
+        for dual in (False, True):
+            row = coefficient_row(form, M, dual=dual)
+            unfolded.append(np.concatenate([mobius_unfold(form, m, row[: n.size + 1], dual)[1:] for m, n in by_m]))
+        gammas = dict.fromkeys((form.gamma, form.gamma_dual))
+        weights = np.concatenate([_weight_kernel(spec, t, g, form.gamma, math.log(M)).apply(ys) for g in gammas])
+        return ys, c[ns] * ys**-0.5 * np.stack(unfolded) * weights
 
     return terms
 
@@ -472,10 +470,11 @@ def _rs_terms(form: GL3Form, t: float, spec: WeightSpec, coeffs: Callable) -> Ca
 def central_value_rs(form: GL3Form, fixture: MaassFixture, spec: WeightSpec) -> complex:
     """Central value of the degree-6 tensor L-function from the two double
     sums against V1/V2.  Real to quadrature accuracy for self-dual data.
-    The sums stop at the first dyadic cutoff on m^2 n from 64 whose last
-    block is within _rs_tol (3e-6 at the default spec) of the value
-    (_dyadic_sum); a fixture shorter than that cutoff raises
-    FixtureCoverageError."""
+    Each doubling lays out every (m, n) with m^2 n <= M once, flat and m by
+    m, as two rows of terms, direct and swapped (_rs_terms).  The sums stop
+    at the first dyadic cutoff on m^2 n from 64 whose last block is within
+    _rs_tol (3e-6 at the default spec) of the value (_dyadic_sum); a
+    fixture shorter than that cutoff raises FixtureCoverageError."""
     return _dyadic_sum(_rs_terms(form, fixture.t, spec, _fixture_coeffs(fixture, "n")), _rs_tol(spec))
 
 
@@ -539,19 +538,15 @@ def _gl3_afe_value(form: GL3Form, s0: complex, spec: WeightSpec) -> complex:
 
     osc_extra = 1.5 * math.log(2.0 + abs(s0)) + _shift_osc(form.gamma, form.gamma_dual)
 
-    def terms(M: int) -> tuple[complex, float]:
+    def terms(M: int) -> tuple[np.ndarray, np.ndarray]:
         width = _panel_width(math.log(M) + osc_extra)
         kern = contour_kernel(
             kfunc, sigma, np.arange(2), width=width, tol=spec.tail_tolerance, symmetric=False,
             height=8.0, cap=_HEIGHT_CAP,
         )
-        row = coefficient_row(form, M)
-        col = coefficient_row(form, M, dual=True)
         ms = np.arange(1, M + 1, dtype=float)
-        va, vb = kern.apply(ms)
-        term_a = row[1:] * np.exp(-s0 * np.log(ms)) * va
-        term_b = col[1:] * np.exp(-(1 - s0) * np.log(ms)) * vb
-        block = float(np.sum(np.abs(term_a[M // 2 :])) + np.sum(np.abs(term_b[M // 2 :])))
-        return complex(np.sum(term_a) + np.sum(term_b)), block
+        head = coefficient_row(form, M)[1:] * np.exp(-s0 * np.log(ms))
+        mirror = coefficient_row(form, M, dual=True)[1:] * np.exp(-(1 - s0) * np.log(ms))
+        return ms, np.stack([head, mirror]) * kern.apply(ms)
 
     return _dyadic_sum(terms, _damper_tol(spec))

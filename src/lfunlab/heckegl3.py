@@ -231,11 +231,11 @@ def mobius_unfold(form: GL3Form, m: int, row: np.ndarray, transpose: bool = Fals
     return out
 
 
-def coefficient_block(form: GL3Form, m: int, N: int, transpose: bool = False) -> np.ndarray:
-    """A(m, n) for n = 0..N (A(n, m) when transpose): the multiplicative row
-    unfolded at m (mobius_unfold); exact to rounding, and orders of
-    magnitude faster than per-pair assembly."""
-    return mobius_unfold(form, m, coefficient_row(form, N, dual=transpose), transpose)
+def coefficient_block(form: GL3Form, m: int, N: int) -> np.ndarray:
+    """A(m, n) for n = 0..N: the multiplicative row unfolded at m
+    (mobius_unfold); exact to rounding, and orders of magnitude faster than
+    per-pair assembly."""
+    return mobius_unfold(form, m, coefficient_row(form, N))
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,11 @@ class VoronoiKernelSpec:
     def support(self) -> tuple:
         return _support_of(self.test_function)
 
+    @property
+    def degenerate(self) -> bool:
+        """All spherical parameters zero: the ladder's later rungs hold."""
+        return all(abs(z) < 1e-12 for z in self.form.gamma.shifts)
+
 
 @dataclass(frozen=True)
 class TruncationRecord:
@@ -516,7 +521,7 @@ def voronoi_kernel_asymptotic(spec: VoronoiKernelSpec, x: float, order: int = 1)
         )
     if not 1 <= order <= _MAX_RUNGS:
         raise ValueError(f"order must lie in 1..{_MAX_RUNGS}, got {order}")
-    if order >= 2 and any(abs(z) > 1e-12 for z in spec.form.gamma.shifts):
+    if order >= 2 and not spec.degenerate:
         raise ValueError(
             "ladder rungs beyond the first are derived for the degenerate form "
             "(all spherical parameters zero) only"
@@ -741,13 +746,12 @@ def voronoi_residual_profile(
 
     # right side: exact contour kernels (modulus-neutral abscissae) cover
     # the arguments up to the ladder regime; beyond that the derived rung
-    # ladder takes over.  The ladder's later rungs are derived for the
-    # parameter-free degenerate form; other forms keep exact contour kernels
-    # for every argument
+    # ladder takes over for the degenerate form.  Other forms keep exact
+    # contour kernels for every argument
     cn = c * n
     m1s = [d for d in range(1, cn + 1) if cn % d == 0]
     m2s = np.arange(1, top + 1)
-    x_exact = _TAIL_XLO / lo if all(abs(z) < 1e-12 for z in form.gamma.shifts) else math.inf
+    x_exact = _TAIL_XLO / lo if spec.degenerate else math.inf
     xs, where = np.unique(np.concatenate([m2s * m1 * m1 / (c**3 * n) for m1 in m1s]), return_inverse=True)
     n_exact = int(np.searchsorted(xs, x_exact, side="right"))
     # both orders' transform values and allowances, one row per order

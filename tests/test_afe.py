@@ -31,13 +31,16 @@ from lfunlab.afe import (
     rankin_selberg_afe_weight_grid,
     zeta_square_afe,
 )
-from lfunlab.heckegl3 import GL3Form, PolarFormError, symmetric_square_form, triple_divisor_form
+from lfunlab.heckegl3 import GL3Form, PolarFormError, coefficient, symmetric_square_form, triple_divisor_form
 from lfunlab.quadrature import contour_kernel
 from lfunlab.special import GammaData, PoleError, zeta_with_error
 from test_quadrature import assert_matches_dense_rows
 
 SPEC = WeightSpec()
 D3 = triple_divisor_form()
+# a form that is not self-dual at all: gamma != gamma_dual, and a Satake
+# triple not closed under inversion, so that A(m, n) != A(n, m)
+SKEW = GL3Form("skew", GammaData((1j, 2j, -3j)), GammaData((-1j, -2j, 3j)), default_satake=(2, 0.5j, -1j))
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +86,7 @@ def _stop_and_doubled(monkeypatch, evaluate) -> tuple:
     monkeypatch.setattr(afe, "_dyadic_sum", spy)
     evaluate()
     ((value, tol, M, terms),) = runs
-    return value, tol, M, terms(2 * M)[0]
+    return value, tol, M, complex(terms(2 * M)[1].sum(axis=-1).sum())
 
 
 def _zeta_square_oracle(r: float) -> float:
@@ -470,24 +473,83 @@ def test_central_value_rs_zero_fixture(sym2):
     assert central_value_rs(sym2, fx, SPEC) == 0.0
 
 
-def test_central_value_rs_fixture_matches_eisenstein_route(sym2, monkeypatch):
-    # the fixture route and the Eisenstein route run the same sums through
-    # the same loop, so they agree bit for bit
-    r = 1.0
-    fx = _eta_fixture(r, 8192)
-    builds = []
-    build = afe.contour_kernel
+def _count_builds_and_applies(monkeypatch) -> tuple[list, list]:
+    # the rows of every contour build and one entry per kernel application
+    builds, applies = [], []
+    build, apply = afe.contour_kernel, quadrature.ContourKernel.apply
 
     def counting_build(kfunc, sigma, params, **kw):
         builds.append(len(params))
         return build(kfunc, sigma, params, **kw)
 
     monkeypatch.setattr(afe, "contour_kernel", counting_build)
+    monkeypatch.setattr(quadrature.ContourKernel, "apply", lambda kern, y: applies.append(1) or apply(kern, y))
+    return builds, applies
+
+
+def test_central_value_rs_fixture_matches_eisenstein_route(sym2, monkeypatch):
+    # the fixture route and the Eisenstein route run the same sums through
+    # the same loop, so they agree bit for bit
+    r = 1.0
+    fx = _eta_fixture(r, 8192)
+    builds, applies = _count_builds_and_applies(monkeypatch)
     a = central_value_rs(sym2, fx, SPEC)
-    # the loop forms the sums at m^2 n <= 64, 128, ..., 8,192, building
-    # V1's and V2's one-row kernels at each
-    assert builds == [1] * 16
+    # the loop forms the sums at m^2 n <= 64, 128, ..., 8,192; sym^2 Delta's
+    # dual gamma data are its own, so V2 is V1 and each doubling builds one
+    # one-row kernel and applies it once, on the whole (m, n) layout
+    assert builds == [1] * 8 and len(applies) == 8
     assert central_value_rs_eisenstein(sym2, r, SPEC) == a
+
+
+def test_central_value_rs_builds_both_kernels_when_not_self_dual(monkeypatch):
+    # gamma != gamma_dual: V1 and V2 are two kernels, each applied once; a
+    # zero fixture settles at the first block, 64
+    builds, applies = _count_builds_and_applies(monkeypatch)
+    assert central_value_rs(SKEW, MaassFixture(t=2.0, coeffs=(0.0,) * 65, source="zero"), SPEC) == 0.0
+    assert builds == [1, 1] and len(applies) == 2
+
+
+@pytest.mark.parametrize("name", ["sym2", "skew"])
+def test_rs_flat_layout_matches_double_sum(name, sym2):
+    # the terms of the tensor sum at M = 256, row by row, against the double
+    # sum over m^2 n <= 256 from scalar A(m, n), A(n, m) and the public
+    # weight grids, with complex coefficients c(n) (conjugated).  On SKEW
+    # A(m, n) != A(n, m), so the two orientations cannot stand in for each
+    # other (measured: at most 7.9e-16 relative)
+    form = {"sym2": sym2, "skew": SKEW}[name]
+    M, t = 256, 2.0
+    c = np.random.default_rng(20261022).normal(size=(M + 1, 2)) @ np.array([1.0, 1j])
+    ys, vals = afe._rs_terms(form, t, SPEC, lambda N: c[: N + 1])(M)
+    pairs = [(m, n) for m in range(1, 17) for n in range(1, M // (m * m) + 1)]
+    assert vals.shape == (2, len(pairs)) and sorted(ys) == sorted(m * m * n for m, n in pairs)
+    grid = np.array([float(m * m * n) for m, n in pairs])
+    weights = [rankin_selberg_afe_weight_grid(SPEC, grid, [t], form, v)[0] for v in ("direct", "dual")]
+    for row, weight, flip in zip(vals, weights, (False, True)):
+        want = sum(
+            np.conj(c[n]) * coefficient(form, *((n, m) if flip else (m, n))) * w / math.sqrt(y)
+            for (m, n), w, y in zip(pairs, weight, grid)
+        )
+        assert abs(row.sum() - want) <= 1e-13 * abs(want)
+
+
+def test_dyadic_sum_forms_value_and_block_from_unsorted_arguments():
+    # synthetic two-row terms y^{-2} and y^{-2}/2 over a shuffled y = 1..M:
+    # the block is the mass over y in (M/2, M], about 1.5/M, so at tol 1e-4
+    # of the value ~ 2.47 the loop first settles at M = 8,192.  A block read
+    # as a positional tail would hold about half of all the mass and never
+    # settle
+    rng = np.random.default_rng(7)
+    cutoffs = []
+
+    def terms(M):
+        cutoffs.append(M)
+        ys = rng.permutation(np.arange(1, M + 1, dtype=float))
+        return ys, np.array([1.0, 0.5])[:, None] * ys**-2.0
+
+    value = afe._dyadic_sum(terms, 1e-4)
+    assert cutoffs == [2**k for k in range(6, 14)]
+    exact = 1.5 * math.fsum(y**-2.0 for y in range(1, 8193))
+    assert abs(value - exact) <= 1e-14 * exact
 
 
 def test_central_value_rs_truncation_stability(sym2, monkeypatch):
@@ -592,15 +654,8 @@ def test_gl3_value_at_one_matches_petersson_norm(sym2, monkeypatch):
     # once; it takes one coefficient row per orientation
     petersson = 1.035362056804320922347e-6
     ref = (math.pi / 2.0) * (4.0 * math.pi) ** 12 * petersson / math.factorial(11)
-    builds, applies, rows = [], [], []
-    build, apply, row = afe.contour_kernel, quadrature.ContourKernel.apply, afe.coefficient_row
-
-    def counting_build(kfunc, sigma, params, **kw):
-        builds.append(len(params))
-        return build(kfunc, sigma, params, **kw)
-
-    monkeypatch.setattr(afe, "contour_kernel", counting_build)
-    monkeypatch.setattr(quadrature.ContourKernel, "apply", lambda kern, y: applies.append(1) or apply(kern, y))
+    builds, applies = _count_builds_and_applies(monkeypatch)
+    rows, row = [], afe.coefficient_row
     monkeypatch.setattr(afe, "coefficient_row", lambda *a, **kw: rows.append(1) or row(*a, **kw))
     value = afe._gl3_afe_value(sym2, 1.0, SPEC)
     assert abs(value - ref) <= 1e2 * SPEC.tail_tolerance * ref  # measured 2.4e-11 of ref

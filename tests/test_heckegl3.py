@@ -179,22 +179,31 @@ def test_block_matches_per_pair_assembly(sym2):
 
 
 def test_block_transpose_matches(sym2):
-    block = coefficient_block(sym2, 6, 40, transpose=True)
-    for n in range(1, 41):
-        assert block[n] == pytest.approx(coefficient(sym2, n, 6), abs=1e-9)
+    # A(n, m) from the dual row unfolded at m, on sym^2 Delta (A symmetric)
+    # and on a stub whose Satake triple (2, i/2, -i) is not closed under
+    # inversion, so that A(n, m) != A(m, n)
+    skew = GL3Form("skew", GammaData((1j, 2j, -3j)), GammaData((-1j, -2j, 3j)), default_satake=(2, 0.5j, -1j))
+    assert coefficient(skew, 6, 1) != coefficient(skew, 1, 6)
+    for form in (sym2, skew):
+        block = mobius_unfold(form, 6, coefficient_row(form, 40, dual=True), transpose=True)
+        for n in range(1, 41):
+            assert block[n] == pytest.approx(coefficient(form, n, 6), abs=1e-9)
 
 
 def test_block_is_the_row_unfolded(sym2):
     # the residual profile unfolds every m1 from one row, and the tensor
-    # double sum (afe._rs_double_sum) every m from the prefix n <= C / m^2
-    # of one row of length C: each unfolding must equal coefficient_block
-    # bit for bit, in both orientations
+    # double sum (afe._rs_terms' flat layout) every m from the prefix
+    # n <= C / m^2 of one row of length C: each unfolding must equal the
+    # unfolding of a row of length n_max bit for bit, in both orientations,
+    # and coefficient_block in the direct one
     for form in (D3, sym2):
         for transpose in (False, True):
             row = coefficient_row(form, 500, dual=transpose)
             for m in (1, 2, 3, 12):
                 for n_max in (500, 500 // (m * m)):
-                    block = coefficient_block(form, m, n_max, transpose=transpose)
+                    block = mobius_unfold(form, m, coefficient_row(form, n_max, dual=transpose), transpose)
+                    if not transpose:
+                        assert np.array_equal(coefficient_block(form, m, n_max), block)
                     assert np.array_equal(mobius_unfold(form, m, row[: n_max + 1], transpose), block)
 
 
